@@ -5,8 +5,10 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .errors import ResourceLimitError
-from .graph import CutAssignment, Graph, cut_value, labels_from_index
+import numpy as np
+
+from .graph import CutAssignment, Graph, cut_values_by_basis, labels_from_index
+from .simulator import _check_cap
 
 
 @dataclass(frozen=True)
@@ -24,31 +26,25 @@ class SolveResult:
             raise ValueError("elapsed time cannot be negative")
 
 
-def brute_force_maxcut(g: Graph, cap: int = 24) -> SolveResult:
+def brute_force_maxcut(g: Graph, cap: int | None = None) -> SolveResult:
     """Exact maximum cut by exhaustive enumeration.
 
-    Evaluates every partition with vertex 0 fixed to ``+1`` (the global
-    sign flip maps the other half onto these, so nothing is lost) and
-    returns the best.  Ties resolve to the smallest basis index among
-    the enumerated labelings, which makes the result fully
-    deterministic.  Cost is ``O(2**(n-1) * m)``; graphs with more than
-    ``cap`` vertices are refused with :class:`ResourceLimitError`.
+    Reads the shared cut table :func:`~qmaxcut.graph.cut_values_by_basis`
+    (the one QAOA uses) and takes its argmax over the even basis indices,
+    i.e. with vertex 0 fixed to ``+1`` (the global sign flip maps the
+    other half onto these, so nothing is lost).  Ties resolve to the
+    smallest such index, which makes the result fully deterministic.
+    Cost is ``O(2**n * m)`` time and a ``2**n`` int32 table; graphs above
+    the qubit cap are refused with :class:`ResourceLimitError` before
+    allocation.  The cap resolves as for the simulator: explicit
+    ``cap``, else ``QMAXCUT_QUBIT_CAP``, else 24.
     """
-    if g.n > cap:
-        raise ResourceLimitError(
-            f"brute force on n={g.n} exceeds cap {cap} (2**{g.n} partitions)"
-        )
+    _check_cap(g.n, cap)
     t0 = time.perf_counter()
-    best_value = -1
-    best_index = 0
-    for k in range(1 << (g.n - 1)):
-        index = k << 1  # vertex 0 sits in bit 0; keep it at label +1
-        value = cut_value(g, labels_from_index(g.n, index))
-        if value > best_value:
-            best_value = value
-            best_index = index
+    table = cut_values_by_basis(g)
+    best = 2 * int(np.argmax(table[::2]))
     assignment = CutAssignment(
-        labels=labels_from_index(g.n, best_index), cut_value=best_value
+        labels=labels_from_index(g.n, best), cut_value=int(table[best])
     )
     return SolveResult(
         assignment=assignment,
@@ -67,10 +63,7 @@ def greedy_maxcut(g: Graph) -> SolveResult:
     therefore has value at least ``ceil(m / 2)``.  Runs in ``O(n + m)``.
     """
     t0 = time.perf_counter()
-    adj: list[list[int]] = [[] for _ in range(g.n)]
-    for u, v in g.edges:
-        adj[u].append(v)
-        adj[v].append(u)
+    adj = g.adjacency
     labels = [0] * g.n
     labels[0] = 1
     for v in range(1, g.n):

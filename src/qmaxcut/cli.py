@@ -149,9 +149,19 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _solve_classical(g: Graph, algo: str, seed: int) -> tuple[list[str], BenchRecord]:
+def _run_classical(g: Graph, algo: str, seed: int, trials: int = 1):
+    """First of ``trials`` solver runs, and a row with its cut and the mean runtime."""
     solver = brute_force_maxcut if algo == "brute_force" else greedy_maxcut
-    res = solver(g)
+    runs = [solver(g) for _ in range(trials)]
+    record = BenchRecord(
+        algo, g.n, g.m, 0, runs[0].assignment.cut_value,
+        sum(r.elapsed for r in runs) / trials, seed, None,
+    )
+    return runs[0], record
+
+
+def _solve_classical(g: Graph, algo: str, seed: int) -> tuple[list[str], BenchRecord]:
+    res, record = _run_classical(g, algo, seed)
     lines = [
         f"algorithm={algo}",
         f"n={g.n}",
@@ -160,9 +170,6 @@ def _solve_classical(g: Graph, algo: str, seed: int) -> tuple[list[str], BenchRe
         f"assignment={_labels_str(res.assignment.labels)}",
         f"runtime_s={res.elapsed!r}",
     ]
-    record = BenchRecord(
-        algo, g.n, g.m, 0, res.assignment.cut_value, res.elapsed, seed, None
-    )
     return lines, record
 
 
@@ -233,13 +240,10 @@ def _bench_cell_qaoa(g, depths, budget, restarts, shots, solver_seed):
     return out
 
 
-def _blank_rows(n, m, depths, graph_seed, include_brute) -> list[BenchRecord]:
-    rows = []
-    if include_brute:
-        rows.append(BenchRecord("brute_force", n, m, 0, None, None, graph_seed, None))
-    rows.append(BenchRecord("greedy", n, m, 0, None, None, graph_seed, None))
-    rows.extend(BenchRecord("qaoa", n, m, d, None, None, graph_seed, None) for d in depths)
-    return rows
+def _blank_rows(n, m, depths, graph_seed, classical=()) -> list[BenchRecord]:
+    """Rows with blank measurements: one per ``classical`` algorithm, then qaoa."""
+    cells = [(algo, 0) for algo in classical] + [("qaoa", d) for d in depths]
+    return [BenchRecord(algo, n, m, d, None, None, graph_seed, None) for algo, d in cells]
 
 
 def _write_plot_data(out_path: str, records: list[BenchRecord]) -> list[str]:
@@ -280,34 +284,20 @@ def cmd_bench(args) -> int:
 
     for cell_index, (n, m) in enumerate(sizes):
         graph_seed = args.seed + cell_index
-        run_brute = n <= cap
+        # Brute force resolves the same cap, so within it it cannot raise.
+        classical = ("brute_force", "greedy") if n <= cap else ("greedy",)
         try:
             g = generate_random_graph(n, m, graph_seed)
         except ValueError as exc:
             print(f"bench: skipping cell n={n} m={m}: {exc}", file=sys.stderr)
             failures += 1
-            records.extend(_blank_rows(n, m, depths, graph_seed, run_brute))
+            records.extend(_blank_rows(n, m, depths, graph_seed, classical))
             continue
 
-        if run_brute:
-            try:
-                runs = [brute_force_maxcut(g) for _ in range(args.trials)]
-                records.append(BenchRecord(
-                    "brute_force", n, m, 0, runs[0].assignment.cut_value,
-                    sum(r.elapsed for r in runs) / len(runs), graph_seed, None,
-                ))
-            except ResourceLimitError as exc:
-                print(f"bench: brute_force failed on n={n} m={m}: {exc}", file=sys.stderr)
-                failures += 1
-                records.append(BenchRecord("brute_force", n, m, 0, None, None, graph_seed, None))
-        else:
+        if n > cap:
             print(f"bench: skipping brute_force on n={n} (cap {cap})", file=sys.stderr)
-
-        runs = [greedy_maxcut(g) for _ in range(args.trials)]
-        records.append(BenchRecord(
-            "greedy", n, m, 0, runs[0].assignment.cut_value,
-            sum(r.elapsed for r in runs) / len(runs), graph_seed, None,
-        ))
+        for algo in classical:
+            records.append(_run_classical(g, algo, graph_seed, args.trials)[1])
 
         try:
             trials = []
@@ -325,9 +315,7 @@ def cmd_bench(args) -> int:
         except ResourceLimitError as exc:
             print(f"bench: qaoa failed on n={n} m={m}: {exc}", file=sys.stderr)
             failures += 1
-            records.extend(
-                BenchRecord("qaoa", n, m, d, None, None, graph_seed, None) for d in depths
-            )
+            records.extend(_blank_rows(n, m, depths, graph_seed))
 
     text = "\n".join([CSV_HEADER] + [r.to_csv_row() for r in records]) + "\n"
     _write_text(args.out, text)

@@ -28,12 +28,15 @@ The algorithm, fixed for reproducibility:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import EdgeListParseError
 
 _MASK64 = (1 << 64) - 1
+# 1 where bit v (axis 0) and bit u (axis 2) differ: an edge's cut indicator.
+_DIFFER = np.array([[0, 1], [1, 0]], np.int32).reshape(2, 1, 2, 1)
 
 
 @dataclass(frozen=True)
@@ -71,6 +74,15 @@ class Graph:
     @property
     def max_edges(self) -> int:
         return self.n * (self.n - 1) // 2
+
+    @cached_property
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """Neighbours of each vertex; built once, since the graph is immutable."""
+        adj: list[list[int]] = [[] for _ in range(self.n)]
+        for u, v in self.edges:
+            adj[u].append(v)
+            adj[v].append(u)
+        return tuple(map(tuple, adj))
 
 
 @dataclass(frozen=True)
@@ -113,12 +125,12 @@ def cut_values_by_basis(g: Graph) -> np.ndarray:
 
     Entry ``b`` is the cut value of the labeling encoded by basis index
     ``b``; the array has ``2**n`` entries.  An edge crosses the cut
-    exactly when the endpoint bits of ``b`` differ.
+    exactly when the endpoint bits of ``b`` differ.  Built in place, one
+    broadcast add per edge on a view with bits ``u`` and ``v`` as axes.
     """
-    idx = np.arange(1 << g.n, dtype=np.uint32)
-    out = np.zeros(idx.shape, dtype=np.int32)
+    out = np.zeros(1 << g.n, dtype=np.int32)
     for u, v in g.edges:
-        out += (((idx >> u) ^ (idx >> v)) & 1).astype(np.int32)
+        out.reshape(-1, 2, 1 << (v - u - 1), 2, 1 << u)[...] += _DIFFER
     return out
 
 

@@ -64,10 +64,7 @@ def refine_assignment(g: Graph, assignment: CutAssignment) -> CutAssignment:
     nothing.  The result is 1-flip locally optimal and never worse than
     the input.  Deterministic.
     """
-    adj: list[list[int]] = [[] for _ in range(g.n)]
-    for u, v in g.edges:
-        adj[u].append(v)
-        adj[v].append(u)
+    adj = g.adjacency
     labels = list(assignment.labels)
     improved = True
     while improved:
@@ -93,7 +90,7 @@ def run_pipeline(g: Graph, cfg: PipelineConfig) -> PipelineReport:
     stage_timings["quantum"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    final_cut = CutAssignment.from_labels(g, result.best_cut.labels)
+    final_cut = result.best_cut
     if cfg.postprocess_refine:
         final_cut = refine_assignment(g, final_cut)
     offload_count = result.n_evaluations + 1

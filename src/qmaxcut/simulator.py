@@ -11,7 +11,8 @@ phase ``exp(-i*gamma*C(b))`` on every amplitude.
 Allocation is gated by a qubit cap (default 24, about 256 MiB of
 amplitudes) to keep an accidental large ``n`` from taking the host
 down.  The ``QMAXCUT_QUBIT_CAP`` environment variable overrides the
-default; an explicit ``cap=`` argument beats both.
+default; an explicit ``cap=`` argument beats both.  Brute force's
+``2**n`` cut table follows the same cap.
 """
 
 from __future__ import annotations
@@ -47,8 +48,8 @@ def _check_cap(n: int, cap: int | None):
     limit = resolve_qubit_cap(cap)
     if n > limit:
         raise ResourceLimitError(
-            f"statevector for n={n} exceeds qubit cap {limit} "
-            f"(would allocate 2**{n} amplitudes)"
+            f"state and cut table for n={n} exceed qubit cap {limit} "
+            f"(would allocate 2**{n} amplitudes or cut values)"
         )
 
 

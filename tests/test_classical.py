@@ -3,6 +3,8 @@ import statistics
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmaxcut import (
     Graph,
@@ -12,6 +14,7 @@ from qmaxcut import (
     cut_value,
     generate_random_graph,
     greedy_maxcut,
+    labels_from_index,
 )
 
 TRIANGLE = Graph(3, ((0, 1), (0, 2), (1, 2)))
@@ -33,6 +36,33 @@ def exhaustive_best(g):
             best = crossings
             best_labels = labels
     return best, best_labels
+
+
+def reference_brute_force(g):
+    """Test-only reference: the original double-loop brute force.
+
+    Scans the labelings with vertex 0 at ``+1`` in basis-index order and
+    keeps the first strict improvement, so ties go to the smallest even
+    index.  Returns ``(labels, cut_value)``.
+    """
+    best_value = -1
+    best_index = 0
+    for k in range(1 << (g.n - 1)):
+        index = k << 1
+        value = cut_value(g, labels_from_index(g.n, index))
+        if value > best_value:
+            best_value = value
+            best_index = index
+    return labels_from_index(g.n, best_index), best_value
+
+
+@st.composite
+def small_graphs(draw):
+    """Random graphs on 1-9 vertices, weighted towards m=0 and complete graphs."""
+    n = draw(st.integers(1, 9))
+    max_m = n * (n - 1) // 2
+    m = draw(st.one_of(st.just(0), st.just(max_m), st.integers(0, max_m)))
+    return generate_random_graph(n, m, draw(st.integers(0, 2**32)))
 
 
 class TestBruteForce:
@@ -75,7 +105,16 @@ class TestBruteForce:
         m = min((seed * 5) % 17, n * (n - 1) // 2)
         g = generate_random_graph(n, m, seed)
         expected, _ = exhaustive_best(g)
-        assert brute_force_maxcut(g).assignment.cut_value == expected
+        res = brute_force_maxcut(g).assignment
+        assert res.cut_value == expected
+        assert (res.labels, res.cut_value) == reference_brute_force(g)
+
+    @settings(max_examples=200, deadline=None)
+    @given(small_graphs())
+    def test_labels_match_reference_including_ties(self, g):
+        res = brute_force_maxcut(g).assignment
+        assert (res.labels, res.cut_value) == reference_brute_force(g)
+        assert res.cut_value == exhaustive_best(g)[0]
 
     def test_deterministic(self):
         g = generate_random_graph(8, 14, 3)
@@ -91,6 +130,20 @@ class TestBruteForce:
         assert brute_force_maxcut(g, cap=10).assignment.cut_value >= 0
         with pytest.raises(ResourceLimitError):
             brute_force_maxcut(g, cap=9)
+
+    def test_env_cap_applies(self, monkeypatch):
+        monkeypatch.setenv("QMAXCUT_QUBIT_CAP", "8")
+        assert brute_force_maxcut(generate_random_graph(8, 10, 0)).assignment.cut_value > 0
+        with pytest.raises(ResourceLimitError, match="cap 8"):
+            brute_force_maxcut(generate_random_graph(9, 10, 0))
+
+    def test_explicit_cap_beats_env(self, monkeypatch):
+        monkeypatch.setenv("QMAXCUT_QUBIT_CAP", "8")
+        g = generate_random_graph(9, 10, 0)
+        assert brute_force_maxcut(g, cap=9).assignment.cut_value > 0
+        monkeypatch.setenv("QMAXCUT_QUBIT_CAP", "24")
+        with pytest.raises(ResourceLimitError):
+            brute_force_maxcut(g, cap=8)
 
 
 class TestGreedy:

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -66,6 +67,16 @@ class TestGraphConstruction:
     def test_max_edges(self):
         assert Graph(5, ()).max_edges == 10
 
+    def test_adjacency_lists_both_endpoints(self):
+        g = Graph(4, ((0, 1), (0, 2), (1, 2)))
+        assert g.adjacency == ((1, 2), (0, 2), (0, 1), ())
+
+    def test_adjacency_cache_leaves_equality_and_hash_alone(self):
+        a, b = generate_random_graph(7, 10, 3), generate_random_graph(7, 10, 3)
+        before = hash(a)
+        assert a.adjacency is a.adjacency
+        assert a == b and hash(a) == before == hash(b)
+
 
 class TestCutValue:
     def test_triangle_example(self):
@@ -113,6 +124,18 @@ class TestBasisEncoding:
         assert table.shape == (1 << g.n,)
         for b in range(1 << g.n):
             assert table[b] == cut_value(g, labels_from_index(g.n, b))
+
+    def test_table_is_built_without_full_size_temporaries(self):
+        # n=18: the int32 output is 1 MiB; building it must allocate no
+        # further 2**n arrays, such as an index array or per-edge masks.
+        g = generate_random_graph(18, 40, 0)
+        tracemalloc.start()
+        try:
+            table = cut_values_by_basis(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * table.nbytes, f"peak {peak / 2**20:.2f} MiB"
 
 
 class TestCutAssignment:
