@@ -84,6 +84,22 @@ class Graph:
             adj[v].append(u)
         return tuple(map(tuple, adj))
 
+    @cached_property
+    def edge_stats(self) -> np.ndarray:
+        """Row ``(deg(u) - 1, deg(v) - 1, common neighbours)`` per edge ``(u, v)``.
+
+        Rows follow ``edges``; the common neighbours of ``u`` and ``v``
+        are the triangles through the edge.  A read-only ``(m, 3)`` int
+        array, built once from :attr:`adjacency`.
+        """
+        nbrs = [set(a) for a in self.adjacency]
+        rows = [
+            (len(nbrs[u]) - 1, len(nbrs[v]) - 1, len(nbrs[u] & nbrs[v])) for u, v in self.edges
+        ]
+        stats = np.array(rows, dtype=np.int64).reshape(-1, 3)
+        stats.flags.writeable = False
+        return stats
+
 
 @dataclass(frozen=True)
 class CutAssignment:

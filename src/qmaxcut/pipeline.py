@@ -6,7 +6,9 @@ and report assembly) -- and times each with ``time.perf_counter``.
 
 Every objective evaluation inside the quantum stage stands for one
 circuit job handed to an accelerator, plus one more for the final state
-preparation, so ``offload_count = n_evaluations + 1``.  The report
+preparation, so ``offload_count = n_evaluations + 1``.  That holds
+whatever computed the value on this host: a depth-1 evaluation done in
+closed form still counts as one job, as it would on hardware.  The report
 prices that traffic at a configurable per-offload latency:
 ``simulated_comm_overhead = offload_count * offload_latency``.  The
 overhead is bookkeeping only; nothing sleeps.

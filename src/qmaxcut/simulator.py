@@ -10,15 +10,16 @@ time.  One layer with angles ``(gamma, beta)`` applies
 ``exp(-i*gamma*C(b))`` on every amplitude.
 
 Allocation is gated by a qubit cap (default 24) to keep an accidental
-large ``n`` from taking the host down.  One objective evaluation holds
-the state, one state-sized scratch buffer or temporary at a time (the
-mixer's second buffer, the cost layer's phase gather, the expectation's
-product) and the int32 cut table, a quarter of the state: about 2.25
-times ``2**n * 16`` bytes (2.26 measured under tracemalloc at n=20),
-so about 580 MiB at the default cap.  The ``QMAXCUT_QUBIT_CAP``
-environment variable overrides the default; an explicit ``cap=``
-argument beats both.  Brute force's ``2**n`` cut table follows the
-same cap.
+large ``n`` from taking the host down.  One simulated objective
+evaluation (depth 2 or more; depth 1 has a closed form in
+:mod:`qmaxcut.qaoa`) holds the state, one state-sized scratch buffer
+or temporary at a time (the mixer's second buffer, the cost layer's
+phase gather, the expectation's product) and the int32 cut table, a
+quarter of the state: about 2.25 times ``2**n * 16`` bytes (2.26
+measured under tracemalloc at n=20), so about 580 MiB at the default
+cap.  The ``QMAXCUT_QUBIT_CAP`` environment variable overrides the
+default; an explicit ``cap=`` argument beats both.  Brute force's
+``2**n`` cut table follows the same cap.
 """
 
 from __future__ import annotations

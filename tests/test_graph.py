@@ -75,7 +75,25 @@ class TestGraphConstruction:
         a, b = generate_random_graph(7, 10, 3), generate_random_graph(7, 10, 3)
         before = hash(a)
         assert a.adjacency is a.adjacency
+        assert a.edge_stats is a.edge_stats
         assert a == b and hash(a) == before == hash(b)
+
+    @pytest.mark.parametrize(
+        "g, rows",
+        [
+            (TRIANGLE, [(1, 1, 1)] * 3),
+            (Graph(5, ((0, 1), (0, 2), (0, 3), (0, 4))), [(3, 0, 0)] * 4),
+            (Graph(4, tuple(itertools.combinations(range(4), 2))), [(2, 2, 2)] * 6),
+            (Graph(4, ((0, 1), (0, 2), (1, 2), (2, 3))), [(1, 1, 1), (1, 2, 1), (1, 2, 1), (2, 0, 0)]),
+            (Graph(3, ()), []),
+        ],
+        ids=["triangle", "star", "k4", "paw", "edgeless"],
+    )
+    def test_edge_stats_count_degrees_and_triangles(self, g, rows):
+        stats = g.edge_stats
+        assert stats.shape == (g.m, 3)
+        assert [tuple(r) for r in stats.tolist()] == rows
+        assert not stats.flags.writeable
 
 
 class TestCutValue:

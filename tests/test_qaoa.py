@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -14,10 +15,75 @@ from qmaxcut import (
     generate_random_graph,
     run_qaoa,
 )
-from qmaxcut.qaoa import evaluate_params, optimize_params
+from qmaxcut import qaoa, simulator
+from qmaxcut.qaoa import depth_one_expectation, evaluate_params, optimize_params
+from qmaxcut.simulator import apply_qaoa_circuit, expectation_cut
 
 TRIANGLE = Graph(3, ((0, 1), (0, 2), (1, 2)))
 EDGE = Graph(2, ((0, 1),))
+
+
+@st.composite
+def oracle_graphs(draw):
+    """Graphs on 1-10 vertices, biased toward m=0, complete and triangle-rich."""
+    n = draw(st.integers(min_value=1, max_value=10))
+    top = n * (n - 1) // 2
+    kind = draw(st.sampled_from(["edgeless", "complete", "cliques", "dense", "any"]))
+    if kind == "cliques" and n > 1:  # a union of random cliques: many triangles, uneven degrees
+        edges = set()
+        for members in draw(st.lists(st.sets(st.integers(0, n - 1), min_size=2), max_size=3)):
+            edges.update(itertools.combinations(sorted(members), 2))
+        return Graph(n, tuple(edges))
+    m = {"edgeless": 0, "complete": top}.get(kind)
+    if m is None:
+        low = (3 * top) // 4 if kind == "dense" else 0
+        m = draw(st.integers(min_value=low, max_value=top))
+    return generate_random_graph(n, m, draw(st.integers(min_value=0, max_value=2**32)))
+
+
+def _forbid_cut_table(monkeypatch):
+    def forbidden(g):
+        raise AssertionError("cut table built")
+
+    monkeypatch.setattr(qaoa, "cut_values_by_basis", forbidden)
+    monkeypatch.setattr(simulator, "cut_values_by_basis", forbidden)
+
+
+class TestDepthOneClosedForm:
+    @given(
+        oracle_graphs(),
+        st.floats(min_value=-2 * math.pi, max_value=2 * math.pi, allow_nan=False),
+        st.floats(min_value=-2 * math.pi, max_value=2 * math.pi, allow_nan=False),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_statevector(self, g, gamma, beta):
+        params = QaoaParams(gammas=(gamma,), betas=(beta,))
+        statevector = expectation_cut(apply_qaoa_circuit(g, params), g)
+        assert depth_one_expectation(g, gamma, beta) == pytest.approx(statevector, abs=1e-10)
+
+    def test_evaluate_params_builds_no_cut_table(self, monkeypatch):
+        _forbid_cut_table(monkeypatch)
+        value = evaluate_params(EDGE, QaoaParams(gammas=(math.pi / 2,), betas=(math.pi / 8,)))
+        assert value == pytest.approx(1.0, abs=1e-12)
+
+    def test_cap_is_checked_before_the_cut_table_at_every_depth(self, monkeypatch):
+        _forbid_cut_table(monkeypatch)
+        g = Graph(8, ((0, 7),))
+        for p in (1, 2):
+            with pytest.raises(ResourceLimitError):
+                evaluate_params(g, QaoaParams(gammas=(0.1,) * p, betas=(0.1,) * p), cap=7)
+
+    def test_run_prepares_only_the_final_state(self, monkeypatch):
+        prepared = []
+
+        def counting(*args, **kwargs):
+            prepared.append(args[1])
+            return apply_qaoa_circuit(*args, **kwargs)
+
+        monkeypatch.setattr(qaoa, "apply_qaoa_circuit", counting)
+        result = run_qaoa(TRIANGLE, QaoaConfig(p=1, budget=40, restarts=3, seed=0))
+        assert result.n_evaluations > 1
+        assert prepared == [result.best_params]
 
 
 class TestEvaluateParams:
