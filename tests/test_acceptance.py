@@ -11,12 +11,14 @@ at n=16 in the hybrid cost model: greedy's ``n + m`` steps, the pipeline's
 ``offload_count`` circuit jobs of ``n + p*(m + n)`` gates each, and brute
 force's ``2**(n-1) * m`` edge checks.  On measured wall time it asserts only
 greedy < QAOA.  Simulated QAOA is not timed against brute force: one
-dense-statevector evaluation at depth >= 2 costs at least one exhaustive
-sweep (at n=16, 7-8 ms at p=2 with a shared cut table, against ~3 ms for
-the cut table whose argmax is the whole brute force), so any useful budget
-puts it above.  Depth-1 evaluations use a closed form (~0.03 ms), but the
-ladder's depth-2 half still simulates.  The measured n=16 times of all
-three solvers are printed on every run next to the modelled counts.
+dense-statevector evaluation at depth >= 2 costs more than one exhaustive
+sweep, even on the flip-symmetric half of the register (at n=16, ~2 ms at
+p=2 with a shared cut table, ~4 ms on the full register, against ~1.4 ms
+for the cut table whose argmax is the whole brute force), so any useful
+budget puts it above.  Depth-1 evaluations use a closed form
+(~0.03 ms), but the ladder's depth-2 half still simulates.  The measured
+n=16 times of all three solvers are printed on every run next to the
+modelled counts.
 """
 
 import statistics
@@ -257,10 +259,12 @@ def test_criterion_08_runtime_ordering_across_algorithms():
 
     On measured wall time only greedy < QAOA is asserted.  Simulated QAOA is
     not compared with brute force: on a dense exact statevector one
-    evaluation at depth >= 2 costs Theta(2^n * m), at least one exhaustive
-    sweep (measured at n=16 on a 2-core host: 7-8 ms at p=2 per evaluation
-    with a shared cut table, against ~3 ms for the cut table whose argmax is
-    the whole brute force), so no useful budget puts it below brute force.
+    evaluation at depth >= 2 costs Theta(2^n * m), more than one exhaustive
+    sweep even on the flip-symmetric half of the register (measured at
+    n=16 on a 2-core host: ~2 ms at p=2 per evaluation with a shared cut
+    table, ~4 ms on the full register, against ~1.4 ms for the cut table
+    whose argmax is the whole brute force), so no useful budget puts it
+    below brute force.
     Depth-1 evaluations, half of this run's ladder, use the closed form.
     The measured n=16 times of all three solvers are printed with the
     modelled counts on every run.

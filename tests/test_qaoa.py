@@ -1,9 +1,10 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qmaxcut import (
@@ -12,6 +13,7 @@ from qmaxcut import (
     QaoaParams,
     ResourceLimitError,
     cut_value,
+    cut_values_by_basis,
     generate_random_graph,
     run_qaoa,
 )
@@ -86,6 +88,64 @@ class TestDepthOneClosedForm:
         assert prepared == [result.best_params]
 
 
+@st.composite
+def half_oracle_graphs(draw):
+    """Graphs on 1-13 vertices with any edge count, n=1 and m=0 included."""
+    n = draw(st.integers(min_value=1, max_value=13))
+    m = draw(st.integers(min_value=0, max_value=n * (n - 1) // 2))
+    return generate_random_graph(n, m, draw(st.integers(min_value=0, max_value=2**32)))
+
+
+class TestFlipSymmetricHalf:
+    @given(
+        half_oracle_graphs(),
+        st.integers(min_value=2, max_value=3).flatmap(
+            lambda p: st.lists(
+                st.floats(min_value=-2 * math.pi, max_value=2 * math.pi, allow_nan=False),
+                min_size=2 * p,
+                max_size=2 * p,
+            )
+        ),
+    )
+    @example(Graph(1, ()), [0.3, 0.7, 0.2, 0.5])  # no low qubits for the mixer
+    @settings(max_examples=200, deadline=None)
+    def test_matches_full_statevector(self, g, angles):
+        params = QaoaParams.from_flat(angles)
+        sv = apply_qaoa_circuit(g, params)
+        # The invariant the half path rests on: amp[b] == amp[~b].
+        np.testing.assert_allclose(sv.amplitudes, sv.amplitudes[::-1], rtol=0, atol=1e-12)
+        assert evaluate_params(g, params) == pytest.approx(expectation_cut(sv, g), abs=1e-10)
+
+    def test_peak_memory_is_one_and_a_half_states(self):
+        # n=18: the full state would be 4 MiB.  The half path holds the
+        # half state, the top qubit's half-size scratch and the mixer's (or
+        # the phase gather's) half-size temporary; the full-state
+        # evaluation peaked at 2.03x.
+        g = generate_random_graph(18, 34, 0)
+        table = cut_values_by_basis(g)
+        params = QaoaParams(gammas=(0.3, 0.5), betas=(0.2, 0.7))
+        full_state = (1 << g.n) * 16
+        tracemalloc.start()
+        try:
+            evaluate_params(g, params, cut_table=table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.6 * full_state, f"peak {peak / full_state:.2f}x the state"
+
+    def test_cap_is_resolved_once_per_evaluation(self, monkeypatch):
+        calls = []
+        resolve = simulator.resolve_qubit_cap
+
+        def counting(cap=None):
+            calls.append(cap)
+            return resolve(cap)
+
+        monkeypatch.setattr(simulator, "resolve_qubit_cap", counting)
+        evaluate_params(TRIANGLE, QaoaParams(gammas=(0.4, 0.1), betas=(0.3, 0.2)))
+        assert len(calls) == 1
+
+
 class TestEvaluateParams:
     def test_zero_angles_give_half_the_edges(self):
         params = QaoaParams(gammas=(0.0, 0.0), betas=(0.0, 0.0))
@@ -150,6 +210,12 @@ class TestOptimizeParams:
         assert n_evals == 3
         assert params == QaoaParams(gammas=(0.0,), betas=(0.0,))
         assert value == pytest.approx(1.5, abs=1e-12)
+
+    def test_depth_one_builds_no_cut_table(self, monkeypatch):
+        _forbid_cut_table(monkeypatch)
+        g = generate_random_graph(8, 12, 0)
+        _, value, _ = optimize_params(g, QaoaConfig(p=1, budget=20, restarts=3, seed=0))
+        assert value >= g.m / 2 - 1e-9
 
     @pytest.mark.parametrize("seed", range(12))
     def test_never_below_random_assignment_baseline(self, seed):
