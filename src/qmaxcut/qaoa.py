@@ -4,12 +4,13 @@ The objective is the expected cut value of the layered ansatz state,
 which we maximize.  At depth 1 it is computed in closed form from
 per-edge degrees and triangle counts, in ``O(m)`` with no ``2**n``
 state, but under the same qubit cap.  Deeper objectives simulate only
-the flip-symmetric half of the register, ``2**(n-1)`` amplitudes (at
-n=16, p=2 about 2 ms per evaluation against 4 ms for the full state;
-peak 1.5 times the full state's bytes, cut table aside, against 2.0).
-The final state preparation and cut extraction use the full-state
-simulator.  Optimization is multi-start Nelder-Mead under a hard
-evaluation budget:
+the flip-symmetric half of the register, ``2**(n-1)`` amplitudes, in
+one workspace per optimizer call (at n=16, p=2 about 1 ms per
+evaluation against 4 ms for the full state; the workspace is 1.25
+times the full state's bytes, and an evaluation on it allocates only
+frame-sized temporaries).  The final state preparation and cut
+extraction use the full-state simulator.  Optimization is multi-start
+Nelder-Mead under a hard evaluation budget:
 
 * Start points are, in order: any warm-start vectors, the all-zero
   vector, then uniform random draws (gamma in [0, 2*pi), beta in
@@ -45,6 +46,7 @@ from scipy.optimize import minimize
 
 from .graph import CutAssignment, Graph, cut_values_by_basis, labels_from_index
 from .simulator import (
+    FlipSymmetricWorkspace,
     QaoaParams,
     _check_cap,
     _flip_symmetric_expectation,
@@ -124,6 +126,7 @@ def evaluate_params(
     *,
     cut_table: np.ndarray | None = None,
     cap: int | None = None,
+    workspace: FlipSymmetricWorkspace | None = None,
 ) -> float:
     """Expected cut value of the ansatz state at the given angles.
 
@@ -132,16 +135,21 @@ def evaluate_params(
     then comes from :func:`depth_one_expectation` and no state or cut
     table is built.  Deeper circuits are simulated on the half of the
     register that the global bit flip maps onto the other half (see
-    :func:`qmaxcut.simulator._flip_symmetric_expectation`), reusing
-    ``cut_table`` when one is passed; the cap is resolved only by the
-    check above.
+    :func:`qmaxcut.simulator._flip_symmetric_expectation`), in
+    ``workspace`` when one is passed (it must have been built for ``g``)
+    and otherwise in a fresh one built from ``cut_table``, or from a
+    fresh table; the cap is resolved only by the check above.
     """
     _check_cap(g.n, cap)
     if params.p == 1:
         return depth_one_expectation(g, params.gammas[0], params.betas[0])
-    if cut_table is None:
-        cut_table = cut_values_by_basis(g)
-    return _flip_symmetric_expectation(g, params, cut_table)
+    if workspace is None:
+        if cut_table is None:
+            cut_table = cut_values_by_basis(g)
+        workspace = FlipSymmetricWorkspace(g, cut_table)
+    elif workspace.graph is not g:
+        raise ValueError("workspace was built for a different graph")
+    return _flip_symmetric_expectation(params, workspace)
 
 
 class _BudgetExhausted(Exception):
@@ -151,9 +159,11 @@ class _BudgetExhausted(Exception):
 class _Objective:
     """Counting/recording wrapper around the expectation objective."""
 
-    def __init__(self, g: Graph, budget: int, cut_table: np.ndarray | None, cap: int | None):
+    def __init__(
+        self, g: Graph, budget: int, workspace: FlipSymmetricWorkspace | None, cap: int | None
+    ):
         self._g = g
-        self._table = cut_table
+        self._workspace = workspace
         self._cap = cap
         self.budget = budget
         self.n_evaluations = 0
@@ -165,7 +175,7 @@ class _Objective:
             raise _BudgetExhausted
         self.n_evaluations += 1
         value = evaluate_params(
-            self._g, QaoaParams.from_flat(x), cut_table=self._table, cap=self._cap
+            self._g, QaoaParams.from_flat(x), cap=self._cap, workspace=self._workspace
         )
         if value > self.best_value:
             self.best_value = value
@@ -198,11 +208,17 @@ def optimize_params(
     Returns ``(best_params, best_expectation, n_evaluations)``.  See
     the module docstring for the start schedule and budget rules.
     ``extra_starts`` are tried before the standard starts (this is the
-    warm-start hook used by :func:`run_qaoa`).  A missing ``cut_table``
-    is built only at depth 2 or more, since depth 1 never reads it.
+    warm-start hook used by :func:`run_qaoa`).  At depth 2 or more the
+    qubit cap is checked and one workspace is allocated, from
+    ``cut_table`` or a fresh table, for every evaluation of the call; it
+    is freed on return.  Depth 1 builds neither.
     """
-    if cut_table is None and cfg.p > 1:
-        cut_table = cut_values_by_basis(g)
+    workspace = None
+    if cfg.p > 1:
+        _check_cap(g.n, cfg.cap)
+        if cut_table is None:
+            cut_table = cut_values_by_basis(g)
+        workspace = FlipSymmetricWorkspace(g, cut_table)
     for warm in extra_starts:
         if warm.p != cfg.p:
             raise ValueError(f"start has depth {warm.p}, expected {cfg.p}")
@@ -212,7 +228,7 @@ def optimize_params(
     n_draws = max(0, cfg.restarts - len(starts))
     starts.extend(_draw_starts(cfg.p, n_draws, cfg.seed, _stage if _stage is not None else cfg.p))
 
-    objective = _Objective(g, cfg.budget, cut_table, cfg.cap)
+    objective = _Objective(g, cfg.budget, workspace, cfg.cap)
     try:
         for x0 in starts:  # seed best-seen with every start before polishing any
             objective(x0)

@@ -5,9 +5,9 @@ encodes vertex ``i`` in bit ``i`` (see :mod:`qmaxcut.graph`).  The cost
 operator is diagonal in this basis -- basis state ``b`` has eigenvalue
 equal to its cut value -- so a cost layer is a pure phase multiply and
 a mixer layer is one 2x2 rotation per qubit, applied four qubits at a
-time.  One layer with angles ``(gamma, beta)`` applies
-``exp(-i*beta*X_q)`` on every qubit after the phase
-``exp(-i*gamma*C(b))`` on every amplitude.
+time (above bit 3 as real matrices, see :func:`_mixer_blocks`).  One
+layer with angles ``(gamma, beta)`` applies ``exp(-i*beta*X_q)`` on
+every qubit after the phase ``exp(-i*gamma*C(b))`` on every amplitude.
 
 Allocation is gated by a qubit cap (default 24) to keep an accidental
 large ``n`` from taking the host down.  A full-state circuit (the
@@ -15,17 +15,22 @@ public functions below) holds the state, one state-sized scratch
 buffer or temporary at a time (the mixer's second buffer, the cost
 layer's phase gather, the expectation's product) and the int32 cut
 table, a quarter of the state: about 2.25 times ``2**n * 16`` bytes
-(2.25 measured under tracemalloc at n=20), so about 580 MiB at the
+(2.26 measured under tracemalloc at n=20), so about 580 MiB at the
 default cap; ``run_qaoa``'s final state reaches that peak.  Objective
 evaluations at depth 2 or more run on the flip-symmetric half of the
-register instead (depth 1 has a closed form in :mod:`qmaxcut.qaoa`):
-the half state and two half-size buffers, 1.51 times ``2**n * 16``
-bytes at n=20 with the cut table passed in (1.76 with it), and about
-half the time of a full-state evaluation (n=16, p=2: 1.9-2.1 ms
-against 3.8-4.0 ms; n=20: 42-44 ms against 90-95 ms, on a 2-vCPU Xeon
-with one BLAS thread).  The ``QMAXCUT_QUBIT_CAP`` environment variable
-overrides the default; an explicit ``cap=`` argument beats both.
-Brute force's ``2**n`` cut table follows the same cap.
+register instead (depth 1 has a closed form in :mod:`qmaxcut.qaoa`),
+in one :class:`FlipSymmetricWorkspace` per optimizer call: the half
+state, one half-size scratch buffer and the low half of the cut table
+as ``intp``, 1.25 times ``2**n * 16`` bytes.  An evaluation that
+builds its own workspace peaks at 1.375 times that at n=20 (1.625 with
+the cut table built too); one on a reused workspace allocates 0.04
+times it.  With the mixer's blocks above bit 3 in real arithmetic, a
+p=2 evaluation on a reused workspace takes 0.94-1.4 ms at n=16 and
+32-43 ms at n=20, against 1.6-2.4 ms and 51-61 ms with fresh buffers
+and complex blocks (min-median, 2-vCPU Xeon, one BLAS thread).  The
+``QMAXCUT_QUBIT_CAP`` environment variable overrides the default; an
+explicit ``cap=`` argument beats both.  Brute force's ``2**n`` cut
+table follows the same cap.
 """
 
 from __future__ import annotations
@@ -47,6 +52,15 @@ _BLOCK_BIT_DIFFERENCES = np.array(
         for i in range(1 << MIXER_BLOCK_QUBITS)
     ]
 )
+# -1 per bit set in the row index and clear in the column index.
+_BLOCK_SIGNS = np.array(
+    [
+        [(-1.0) ** bin(i & ~j).count("1") for j in range(1 << MIXER_BLOCK_QUBITS)]
+        for i in range(1 << MIXER_BLOCK_QUBITS)
+    ]
+)
+_I_POWERS = np.array([1, 1j, -1, -1j])
+_NIBBLE_FRAME = _I_POWERS[_BLOCK_BIT_DIFFERENCES[0] % 4]  # i**popcount(j)
 
 
 def resolve_qubit_cap(cap: int | None = None) -> int:
@@ -170,7 +184,7 @@ def apply_cost_layer(
 
 
 def _rotation_power(c: float, s: complex, k: int) -> np.ndarray:
-    """``R = [[c, s], [s, c]]`` Kronecker-multiplied with itself ``k`` times.
+    """``[[c, s], [s, c]]`` Kronecker-multiplied with itself ``k`` times.
 
     Entry ``(i, j)`` of the power is ``c**(k-d) * s**d``, where ``d`` is
     the number of bits in which ``i`` and ``j`` differ.
@@ -180,38 +194,95 @@ def _rotation_power(c: float, s: complex, k: int) -> np.ndarray:
     return weights[_BLOCK_BIT_DIFFERENCES[:size, :size]]
 
 
+def _mixer_blocks(beta: float, n: int) -> list[tuple[int, np.ndarray]]:
+    """``(lo, block)`` for each block of the ``n``-qubit mixer, bit 0 upward.
+
+    Block 0 (bits 0-3) is ``R = [[cos b, -i sin b], [-i sin b, cos b]]``
+    Kronecker-multiplied with itself, a complex symmetric matrix.  The
+    blocks above bit 3 act in the frame of :func:`_frame`, where the
+    qubit's rotation is the real ``r = [[cos b, sin b], [-sin b, cos
+    b]]`` (``R = E r E^-1`` with ``E = diag(1, i)``): entry ``(i, j)``
+    of the power of ``r`` is ``cos**(k-d) * sin**d`` times ``-1`` per
+    bit set in ``i`` and clear in ``j``.  A last block of ``n mod
+    MIXER_BLOCK_QUBITS`` qubits gets its own smaller power.
+    """
+    c, s = math.cos(beta), math.sin(beta)
+    blocks = []
+    for lo in range(0, n, MIXER_BLOCK_QUBITS):
+        k = min(MIXER_BLOCK_QUBITS, n - lo)
+        if lo == 0:
+            block = _rotation_power(c, -1j * s, k)
+        elif lo > MIXER_BLOCK_QUBITS and k == MIXER_BLOCK_QUBITS:
+            block = blocks[-1][1]  # the full real block again
+        else:
+            block = _rotation_power(c, s, k) * _BLOCK_SIGNS[: 1 << k, : 1 << k]
+        blocks.append((lo, block))
+    return blocks
+
+
+def _mix(amps: np.ndarray, scratch: np.ndarray, beta: float, n: int) -> np.ndarray:
+    """The mixer on ``n`` qubits of ``amps``, given in the frame; returns
+    whichever of ``amps`` and ``scratch`` holds the result.
+
+    Each block is one matrix product over the whole register, from one
+    buffer into the other, so a layer reads and writes the register
+    ``ceil(n / 4)`` times.  Block 0 has stride 1: rows of 16 amplitudes
+    times the symmetric complex block.  A real block acts on the real
+    and imaginary parts alike, so it multiplies the float64 view, whose
+    innermost axis is twice as long: half the flops of a complex product.
+    """
+    src, dst = amps, scratch
+    for lo, block in _mixer_blocks(beta, n):
+        size = block.shape[0]
+        if lo == 0:
+            np.matmul(src.reshape(-1, size), block, out=dst.reshape(-1, size))
+        else:
+            shape = (-1, size, 2 << lo)
+            np.matmul(
+                block,
+                src.view(np.float64).reshape(shape),
+                out=dst.view(np.float64).reshape(shape),
+            )
+        src, dst = dst, src
+    return src
+
+
+def _frame(n: int) -> np.ndarray:
+    """The mixer's frame ``e[y] = i**popcount(y >> 4)`` on ``n`` qubits.
+
+    An amplitude ``a`` is held as ``conj(e) * a`` while the blocks above
+    bit 3 run (see :func:`_mixer_blocks`).  The frame depends only on
+    those bits, so it has one entry per row of 16 amplitudes,
+    ``2**max(0, n - 4)`` entries, built four bits at a time; its entries
+    are exact units.
+    """
+    bits = max(0, n - MIXER_BLOCK_QUBITS)
+    frame = _NIBBLE_FRAME[: 1 << min(bits, MIXER_BLOCK_QUBITS)]
+    for lo in range(MIXER_BLOCK_QUBITS, bits, MIXER_BLOCK_QUBITS):
+        high = _NIBBLE_FRAME[: 1 << min(MIXER_BLOCK_QUBITS, bits - lo)]
+        frame = np.multiply.outer(high, frame).ravel()
+    return frame
+
+
 def apply_mixer_layer(sv: StateVector, beta: float) -> StateVector:
     """``exp(-i*beta*X_q)`` on every qubit ``q``, in place.
 
-    Per qubit this is the 2x2 rotation ``R = [[cos b, -i sin b], [-i sin
-    b, cos b]]``.  All rotations commute, so the qubits are taken in
-    blocks of ``MIXER_BLOCK_QUBITS`` from bit 0 upward and each block
-    applies ``R`` Kronecker-multiplied with itself (a symmetric 16x16
-    matrix) as one matrix product over the whole state; a last block of
-    ``n mod MIXER_BLOCK_QUBITS`` qubits gets its own smaller power.  The
-    blocks alternate between the state and one state-sized scratch
-    buffer, so the layer reads and writes the state ``ceil(n / 4)`` times
-    instead of ``n`` times.  ``sv.amplitudes`` keeps its array object.
+    All rotations commute, so the qubits are taken in blocks of
+    ``MIXER_BLOCK_QUBITS``, each applied as one matrix product (see
+    :func:`_mixer_blocks`).  The state is moved into the frame in place,
+    mixed through one state-sized scratch buffer, and moved back; the
+    frame is built again for the way back, so that it never coexists
+    with the scratch buffer.  ``sv.amplitudes`` keeps its array object.
     Returns the mutated state for chaining.
     """
-    c = math.cos(beta)
-    s = -1j * math.sin(beta)
-    full = _rotation_power(c, s, MIXER_BLOCK_QUBITS)
     n = sv.n_qubits
-    src, dst = sv.amplitudes, np.empty_like(sv.amplitudes)
-    for lo in range(0, n, MIXER_BLOCK_QUBITS):
-        k = min(MIXER_BLOCK_QUBITS, n - lo)
-        block = full if k == MIXER_BLOCK_QUBITS else _rotation_power(c, s, k)
-        if lo == 0:
-            # Stride 1: rows of 2**k amplitudes times the symmetric block.
-            shape = (-1, 1 << k)
-            np.matmul(src.reshape(shape), block, out=dst.reshape(shape))
-        else:
-            shape = (-1, 1 << k, 1 << lo)
-            np.matmul(block, src.reshape(shape), out=dst.reshape(shape))
-        src, dst = dst, src
-    if src is not sv.amplitudes:
-        sv.amplitudes[...] = src
+    rows = sv.amplitudes.reshape(1 << max(0, n - MIXER_BLOCK_QUBITS), -1)
+    rows *= _frame(n).conj()[:, None]
+    scratch = np.empty_like(sv.amplitudes)
+    if _mix(sv.amplitudes, scratch, beta, n) is scratch:
+        sv.amplitudes[...] = scratch
+    del scratch
+    rows *= _frame(n)[:, None]
     return sv
 
 
@@ -236,35 +307,65 @@ def apply_qaoa_circuit(
     return sv
 
 
-def _flip_symmetric_expectation(
-    g: Graph, params: QaoaParams, cut_table: np.ndarray
-) -> float:
+class FlipSymmetricWorkspace:
+    """Buffers for depth-2+ evaluations of one graph, reused by each of them.
+
+    Holds the half state and one half-size scratch buffer, the low half
+    of the cut table as ``intp`` (``np.take`` would copy an int32 index
+    array into a fresh ``intp`` one on every call), and two frame
+    vectors of ``2**max(0, n - 5)`` entries: the start state in the
+    frame, and the top qubit's flip term.  About 1.25 times the full
+    state's ``2**n * 16`` bytes.  The caller checks the qubit cap.
+    """
+
+    def __init__(self, g: Graph, cut_table: np.ndarray):
+        half = 1 << (g.n - 1)
+        self.graph = g
+        self.low_table = cut_table[:half].astype(np.intp)
+        self.state = np.empty(half, dtype=np.complex128)
+        self.scratch = np.empty_like(self.state)
+        frame = _frame(g.n - 1)[:, None]
+        self.start = frame.conj() / math.sqrt(1 << g.n)
+        # conj(e[y]) * e[~y] = i**bits * e[y]**2 over the frame's bits above bit 3.
+        bits = max(0, g.n - 1 - MIXER_BLOCK_QUBITS)
+        self.flip = -1j * _I_POWERS[bits % 4] * frame**2
+
+
+def _flip_symmetric_expectation(params: QaoaParams, ws: FlipSymmetricWorkspace) -> float:
     """Expected cut of the ansatz state, simulated on half the register.
 
     The cost operator and every ``X_q`` commute with the global flip
     ``X^{(x)n}``, and the uniform start is flip-invariant, so amplitude
     ``b`` equals amplitude ``~b`` after every layer: with qubit ``n - 1``
     as the pivot the full state is ``concat(a, a[::-1])`` for its low
-    half ``a``.  Each layer phases ``a`` through the low half of the cut
-    table, runs the fused mixer on qubits ``0..n-2`` over ``a`` in place,
-    and rotates qubit ``n - 1`` as ``a <- cos(b) a - i sin(b) a[::-1]``
-    through one half-size scratch buffer.  Since ``C(~b) = C(b)``, the
-    expectation is ``2 * sum_y |a_y|^2 C(y)``.  The caller checks the
-    qubit cap and owns ``cut_table``.
+    half ``a``.  The half is held in the mixer's frame, ``w = conj(e) *
+    a`` (see :func:`_frame`); the cost layer is diagonal, so it commutes
+    with the frame.  Each layer phases ``w`` through the low half of the
+    cut table, mixes qubits ``0..n-2`` (:func:`_mix`), and rotates qubit
+    ``n - 1`` as ``w <- cos(b) w + sin(b) f * w[::-1]``, where ``f = -i
+    conj(e) e[::-1]`` (``ws.flip``) is ``-i`` seen through the frame, one
+    unit per row of 16 amplitudes.  Since ``|w| = |a|`` and ``C(~b) =
+    C(b)``, the expectation is ``2 * sum_y |w_y|^2 C(y)``.  Every buffer
+    comes from ``ws``; nothing state-sized is allocated.
     """
-    n = g.n
-    low_table = cut_table[: 1 << (n - 1)]
-    a = np.full(low_table.size, 1.0 / math.sqrt(1 << n), dtype=np.complex128)
-    flipped = np.empty_like(a)
+    g = ws.graph
+    w, scratch = ws.state, ws.scratch
+    rows = ws.start.size
+    w.reshape(rows, -1)[...] = ws.start
     levels = np.arange(g.m + 1)
     for gamma, beta in zip(params.gammas, params.betas):
-        a *= np.exp(-1j * float(gamma) * levels)[low_table]
-        if n > 1:
-            apply_mixer_layer(StateVector(n - 1, a), beta)
-        np.multiply(a[::-1], -1j * math.sin(beta), out=flipped)
-        a *= math.cos(beta)
-        a += flipped
-    return 2.0 * float(np.real(np.vdot(a, low_table * a)))
+        np.take(np.exp(-1j * float(gamma) * levels), ws.low_table, out=scratch, mode="clip")
+        w *= scratch
+        mixed = _mix(w, scratch, beta, g.n - 1)
+        if mixed is not w:
+            w, scratch = mixed, w
+        np.multiply(
+            w[::-1].reshape(rows, -1), math.sin(beta) * ws.flip, out=scratch.reshape(rows, -1)
+        )
+        w *= math.cos(beta)
+        w += scratch
+    np.multiply(ws.low_table, w, out=scratch)
+    return 2.0 * float(np.real(np.vdot(w, scratch)))
 
 
 def expectation_cut(

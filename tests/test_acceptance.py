@@ -11,12 +11,13 @@ at n=16 in the hybrid cost model: greedy's ``n + m`` steps, the pipeline's
 ``offload_count`` circuit jobs of ``n + p*(m + n)`` gates each, and brute
 force's ``2**(n-1) * m`` edge checks.  On measured wall time it asserts only
 greedy < QAOA.  Simulated QAOA is not timed against brute force: one
-dense-statevector evaluation at depth >= 2 costs more than one exhaustive
-sweep, even on the flip-symmetric half of the register (at n=16, ~2 ms at
-p=2 with a shared cut table, ~4 ms on the full register, against ~1.4 ms
-for the cut table whose argmax is the whole brute force), so any useful
-budget puts it above.  Depth-1 evaluations use a closed form
-(~0.03 ms), but the ladder's depth-2 half still simulates.  The measured
+dense-statevector evaluation at depth >= 2 costs about as much as one
+exhaustive sweep (at n=16 on a 2-vCPU Xeon, ~1 ms at p=2 on the
+flip-symmetric half in the optimizer's reused workspace, ~4 ms on the
+full register, against ~2.5 ms for the cut table whose argmax is the
+whole brute force), so any useful budget of evaluations puts it far
+above.  Depth-1 evaluations use a closed form (~0.03 ms), but the
+ladder's depth-2 half still simulates.  The measured
 n=16 times of all three solvers are printed on every run next to the
 modelled counts.
 """
@@ -259,12 +260,12 @@ def test_criterion_08_runtime_ordering_across_algorithms():
 
     On measured wall time only greedy < QAOA is asserted.  Simulated QAOA is
     not compared with brute force: on a dense exact statevector one
-    evaluation at depth >= 2 costs Theta(2^n * m), more than one exhaustive
+    evaluation at depth >= 2 costs Theta(2^n * m), about one exhaustive
     sweep even on the flip-symmetric half of the register (measured at
-    n=16 on a 2-core host: ~2 ms at p=2 per evaluation with a shared cut
-    table, ~4 ms on the full register, against ~1.4 ms for the cut table
-    whose argmax is the whole brute force), so no useful budget puts it
-    below brute force.
+    n=16 on a 2-vCPU Xeon: ~1 ms at p=2 per evaluation in the optimizer's
+    reused workspace, ~4 ms on the full register, against ~2.5 ms for
+    the cut table whose argmax is the whole brute force), so no useful
+    budget of evaluations puts it below brute force.
     Depth-1 evaluations, half of this run's ladder, use the closed form.
     The measured n=16 times of all three solvers are printed with the
     modelled counts on every run.

@@ -75,6 +75,11 @@ class TestDepthOneClosedForm:
             with pytest.raises(ResourceLimitError):
                 evaluate_params(g, QaoaParams(gammas=(0.1,) * p, betas=(0.1,) * p), cap=7)
 
+    def test_optimizer_checks_the_cap_before_its_workspace(self, monkeypatch):
+        _forbid_cut_table(monkeypatch)
+        with pytest.raises(ResourceLimitError):
+            optimize_params(Graph(8, ((0, 7),)), QaoaConfig(p=2, budget=10, cap=7))
+
     def test_run_prepares_only_the_final_state(self, monkeypatch):
         prepared = []
 
@@ -116,11 +121,22 @@ class TestFlipSymmetricHalf:
         np.testing.assert_allclose(sv.amplitudes, sv.amplitudes[::-1], rtol=0, atol=1e-12)
         assert evaluate_params(g, params) == pytest.approx(expectation_cut(sv, g), abs=1e-10)
 
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 5, 6, 9, 10])
+    def test_matches_full_statevector_where_the_layout_changes(self, n, p):
+        # n=1: no low qubits; n=5: no frame; n=6: a one-qubit real block;
+        # n=9, 10: the last real block full, then one qubit past it.
+        g = generate_random_graph(n, min(2 * n, n * (n - 1) // 2), n)
+        angles = np.random.default_rng(10 * n + p).uniform(-2 * math.pi, 2 * math.pi, 2 * p)
+        params = QaoaParams.from_flat(angles)
+        expected = expectation_cut(apply_qaoa_circuit(g, params), g)
+        assert evaluate_params(g, params) == pytest.approx(expected, abs=1e-10)
+
     def test_peak_memory_is_one_and_a_half_states(self):
-        # n=18: the full state would be 4 MiB.  The half path holds the
-        # half state, the top qubit's half-size scratch and the mixer's (or
-        # the phase gather's) half-size temporary; the full-state
-        # evaluation peaked at 2.03x.
+        # n=18: the full state would be 4 MiB.  A fresh workspace holds the
+        # half state, one half-size scratch buffer and the intp low half of
+        # the cut table (1.25x), plus frame vectors of 1/32 each.  Fresh
+        # buffers per call peaked at 1.53x, the full-state evaluation at 2.03x.
         g = generate_random_graph(18, 34, 0)
         table = cut_values_by_basis(g)
         params = QaoaParams(gammas=(0.3, 0.5), betas=(0.2, 0.7))
@@ -131,7 +147,45 @@ class TestFlipSymmetricHalf:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.6 * full_state, f"peak {peak / full_state:.2f}x the state"
+        assert peak <= 1.4 * full_state, f"peak {peak / full_state:.2f}x the state"
+
+    def test_reused_workspace_allocates_no_state_sized_buffer(self):
+        # n=18: the state would be 4 MiB; only small frame-sized
+        # temporaries remain (about 0.06x).
+        g = generate_random_graph(18, 34, 0)
+        workspace = simulator.FlipSymmetricWorkspace(g, cut_values_by_basis(g))
+        params = QaoaParams(gammas=(0.3, 0.5), betas=(0.2, 0.7))
+        first = evaluate_params(g, params, workspace=workspace)
+        full_state = (1 << g.n) * 16
+        tracemalloc.start()
+        try:
+            second = evaluate_params(g, params, workspace=workspace)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert second == first
+        assert peak <= 0.1 * full_state, f"peak {peak / full_state:.3f}x the state"
+
+    def test_workspace_of_another_graph_is_refused(self):
+        workspace = simulator.FlipSymmetricWorkspace(TRIANGLE, cut_values_by_basis(TRIANGLE))
+        other = Graph(3, ((0, 1),))
+        with pytest.raises(ValueError):
+            evaluate_params(other, QaoaParams((0.1, 0.2), (0.3, 0.4)), workspace=workspace)
+
+    def test_optimizer_allocates_one_workspace_per_call(self, monkeypatch):
+        built = []
+
+        def counting(g, table):
+            built.append(g.n)
+            return simulator.FlipSymmetricWorkspace(g, table)
+
+        monkeypatch.setattr(qaoa, "FlipSymmetricWorkspace", counting)
+        g = generate_random_graph(7, 12, 1)
+        _, _, n_evals = optimize_params(g, QaoaConfig(p=2, budget=40, restarts=3, seed=0))
+        assert n_evals > 1
+        assert built == [7]
+        optimize_params(g, QaoaConfig(p=1, budget=10, restarts=3, seed=0))
+        assert built == [7]
 
     def test_cap_is_resolved_once_per_evaluation(self, monkeypatch):
         calls = []

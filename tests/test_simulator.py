@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from qmaxcut import (
     Graph,
@@ -22,6 +23,7 @@ from qmaxcut import (
     labels_from_index,
     resolve_qubit_cap,
     sample_bitstrings,
+    simulator,
 )
 
 TRIANGLE = Graph(3, ((0, 1), (0, 2), (1, 2)))
@@ -228,6 +230,41 @@ class TestMixerLayer:
         assert sv.amplitudes is buffer
         expected = reference_mixer_layer(amps.copy(), beta)
         np.testing.assert_allclose(sv.amplitudes, expected, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("beta", [0.0, 0.37, -1.2, math.pi / 2, 2.9])
+    def test_real_rotation_in_the_frame_is_the_qubit_mixer(self, beta):
+        # exp(-i b X) = E r E^-1 with E = diag(1, i) and a real rotation r.
+        c, s = math.cos(beta), math.sin(beta)
+        frame = np.diag([1.0, 1j])
+        r = np.array([[c, s], [-s, c]])
+        x = np.array([[0.0, 1.0], [1.0, 0.0]])
+        np.testing.assert_allclose(
+            frame @ r @ np.linalg.inv(frame), expm(-1j * beta * x), rtol=0, atol=1e-14
+        )
+
+    @pytest.mark.parametrize("n", range(1, 14))
+    def test_blocks_above_bit_three_are_real_powers_of_the_rotation(self, n):
+        beta = 0.613
+        c, s = math.cos(beta), math.sin(beta)
+        r = np.array([[c, s], [-s, c]])
+        qubit = np.array([[c, -1j * s], [-1j * s, c]])
+
+        def kron_power(m, k):
+            out = np.ones((1, 1))
+            for _ in range(k):
+                out = np.kron(out, m)
+            return out
+
+        blocks = simulator._mixer_blocks(beta, n)
+        assert [lo for lo, _ in blocks] == list(range(0, n, 4))
+        for lo, block in blocks:
+            k = min(4, n - lo)
+            if lo == 0:
+                expected = kron_power(qubit, k)
+            else:
+                assert block.dtype == np.float64
+                expected = kron_power(r, k)
+            np.testing.assert_allclose(block, expected, rtol=0, atol=1e-15)
 
     def test_peak_memory_is_one_scratch_state(self):
         # n=16: the state is 1 MiB.  The fused layer allocates one
