@@ -37,6 +37,7 @@ from .errors import EdgeListParseError
 _MASK64 = (1 << 64) - 1
 # 1 where bit v (axis 0) and bit u (axis 2) differ: an edge's cut indicator.
 _DIFFER = np.array([[0, 1], [1, 0]], np.int32).reshape(2, 1, 2, 1)
+_DIFFER_LOW = _DIFFER[:1]  # its bit-v-clear row
 
 
 @dataclass(frozen=True)
@@ -141,12 +142,28 @@ def cut_values_by_basis(g: Graph) -> np.ndarray:
 
     Entry ``b`` is the cut value of the labeling encoded by basis index
     ``b``; the array has ``2**n`` entries.  An edge crosses the cut
-    exactly when the endpoint bits of ``b`` differ.  Built in place, one
-    broadcast add per edge on a view with bits ``u`` and ``v`` as axes.
+    exactly when the endpoint bits of ``b`` differ.  Built in place by
+    :func:`_add_edge_cuts`.
     """
-    out = np.zeros(1 << g.n, dtype=np.int32)
+    return _add_edge_cuts(np.zeros(1 << g.n, dtype=np.int32), g)
+
+
+def _add_edge_cuts(out: np.ndarray, g: Graph) -> np.ndarray:
+    """Add every edge's cut indicator to ``out``, in place, and return it.
+
+    ``out`` holds the table of all ``2**n`` basis states, or its low half
+    (the ``2**(n-1)`` states with bit ``n - 1`` clear).  One broadcast add
+    per edge on a view with bits ``u`` and ``v`` as axes; in the low half
+    bit ``n - 1`` is a single-entry axis, so an edge to it adds only the
+    indicator's bit-clear row.  The branch keeps the full table's add,
+    the whole of brute force's cost, free of per-edge slicing.
+    """
+    top = out.size.bit_length() - 1  # n for the full table, n - 1 for its low half
     for u, v in g.edges:
-        out.reshape(-1, 2, 1 << (v - u - 1), 2, 1 << u)[...] += _DIFFER
+        if v < top:
+            out.reshape(-1, 2, 1 << (v - u - 1), 2, 1 << u)[...] += _DIFFER
+        else:
+            out.reshape(-1, 1, 1 << (v - u - 1), 2, 1 << u)[...] += _DIFFER_LOW
     return out
 
 

@@ -11,20 +11,21 @@ every qubit after the phase ``exp(-i*gamma*C(b))`` on every amplitude.
 
 Allocation is gated by a qubit cap (default 24) to keep an accidental
 large ``n`` from taking the host down.  A full-state circuit (the
-public functions below) holds the state, one state-sized scratch
-buffer or temporary at a time (the mixer's second buffer, the cost
-layer's phase gather, the expectation's product) and the int32 cut
-table, a quarter of the state: about 2.25 times ``2**n * 16`` bytes
-(2.26 measured under tracemalloc at n=20), so about 580 MiB at the
-default cap; ``run_qaoa``'s final state reaches that peak.  Objective
-evaluations at depth 2 or more run on the flip-symmetric half of the
-register instead (depth 1 has a closed form in :mod:`qmaxcut.qaoa`),
-in one :class:`FlipSymmetricWorkspace` per optimizer call: the half
-state, one half-size scratch buffer and the low half of the cut table
-as ``intp``, 1.25 times ``2**n * 16`` bytes.  An evaluation that
-builds its own workspace peaks at 1.375 times that at n=20 (1.625 with
-the cut table built too); one on a reused workspace allocates 0.04
-times it.  With the mixer's blocks above bit 3 in real arithmetic, a
+public functions below, which the tests use as the reference) holds
+the state, one state-sized scratch buffer or temporary at a time (the
+mixer's second buffer, the cost layer's phase gather, the
+expectation's product) and the int32 cut table, a quarter of the
+state: about 2.25 times ``2**n * 16`` bytes (2.26 measured under
+tracemalloc at n=20), so about 580 MiB at the default cap.
+``run_qaoa`` uses none of them: its evaluations at depth 2 or more
+(depth 1 has a closed form in :mod:`qmaxcut.qaoa`), its final state
+and the probabilities it extracts and samples from are all prepared on
+the flip-symmetric half of the register, in one
+:class:`FlipSymmetricWorkspace`: the half state, one half-size scratch
+buffer and the low half of the cut table as ``intp``, 1.25 times
+``2**n * 16`` bytes.  An evaluation that builds its own workspace
+peaks at 1.38 times that at n=18; one on a reused workspace allocates
+0.06 times it.  With the mixer's blocks above bit 3 in real arithmetic, a
 p=2 evaluation on a reused workspace takes 0.94-1.4 ms at n=16 and
 32-43 ms at n=20, against 1.6-2.4 ms and 51-61 ms with fresh buffers
 and complex blocks (min-median, 2-vCPU Xeon, one BLAS thread).  The
@@ -42,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ResourceLimitError
-from .graph import Graph, cut_values_by_basis
+from .graph import Graph, _add_edge_cuts, cut_values_by_basis
 
 DEFAULT_QUBIT_CAP = 24
 MIXER_BLOCK_QUBITS = 4
@@ -308,20 +309,24 @@ def apply_qaoa_circuit(
 
 
 class FlipSymmetricWorkspace:
-    """Buffers for depth-2+ evaluations of one graph, reused by each of them.
+    """Buffers for simulating one graph on the flip-symmetric half, reused
+    by every state prepared in them.
 
     Holds the half state and one half-size scratch buffer, the low half
     of the cut table as ``intp`` (``np.take`` would copy an int32 index
     array into a fresh ``intp`` one on every call), and two frame
     vectors of ``2**max(0, n - 5)`` entries: the start state in the
-    frame, and the top qubit's flip term.  About 1.25 times the full
-    state's ``2**n * 16`` bytes.  The caller checks the qubit cap.
+    frame, and the top qubit's flip term.  The table is built here, in
+    int32 by the same per-edge adds as the full table (half the bytes
+    to add into), then copied once; no full table is built.  About 1.25
+    times the full state's ``2**n * 16`` bytes.  The caller checks the
+    qubit cap.
     """
 
-    def __init__(self, g: Graph, cut_table: np.ndarray):
+    def __init__(self, g: Graph):
         half = 1 << (g.n - 1)
         self.graph = g
-        self.low_table = cut_table[:half].astype(np.intp)
+        self.low_table = _add_edge_cuts(np.zeros(half, dtype=np.int32), g).astype(np.intp)
         self.state = np.empty(half, dtype=np.complex128)
         self.scratch = np.empty_like(self.state)
         frame = _frame(g.n - 1)[:, None]
@@ -331,8 +336,10 @@ class FlipSymmetricWorkspace:
         self.flip = -1j * _I_POWERS[bits % 4] * frame**2
 
 
-def _flip_symmetric_expectation(params: QaoaParams, ws: FlipSymmetricWorkspace) -> float:
-    """Expected cut of the ansatz state, simulated on half the register.
+def _flip_symmetric_state(
+    params: QaoaParams, ws: FlipSymmetricWorkspace
+) -> tuple[np.ndarray, np.ndarray]:
+    """The ansatz state's low half in the mixer's frame, prepared in ``ws``.
 
     The cost operator and every ``X_q`` commute with the global flip
     ``X^{(x)n}``, and the uniform start is flip-invariant, so amplitude
@@ -344,9 +351,9 @@ def _flip_symmetric_expectation(params: QaoaParams, ws: FlipSymmetricWorkspace) 
     cut table, mixes qubits ``0..n-2`` (:func:`_mix`), and rotates qubit
     ``n - 1`` as ``w <- cos(b) w + sin(b) f * w[::-1]``, where ``f = -i
     conj(e) e[::-1]`` (``ws.flip``) is ``-i`` seen through the frame, one
-    unit per row of 16 amplitudes.  Since ``|w| = |a|`` and ``C(~b) =
-    C(b)``, the expectation is ``2 * sum_y |w_y|^2 C(y)``.  Every buffer
-    comes from ``ws``; nothing state-sized is allocated.
+    unit per row of 16 amplitudes.  Returns ``(w, spare)``: the two
+    buffers of ``ws``, whichever holds ``w`` first.  Nothing state-sized
+    is allocated.
     """
     g = ws.graph
     w, scratch = ws.state, ws.scratch
@@ -364,8 +371,36 @@ def _flip_symmetric_expectation(params: QaoaParams, ws: FlipSymmetricWorkspace) 
         )
         w *= math.cos(beta)
         w += scratch
+    return w, scratch
+
+
+def _flip_symmetric_expectation(params: QaoaParams, ws: FlipSymmetricWorkspace) -> float:
+    """Expected cut of the ansatz state, simulated on half the register.
+
+    Since ``|w| = |a|`` and ``C(~b) = C(b)``, the expectation is ``2 *
+    sum_y |w_y|^2 C(y)`` over the low half (see
+    :func:`_flip_symmetric_state`).
+    """
+    w, scratch = _flip_symmetric_state(params, ws)
     np.multiply(ws.low_table, w, out=scratch)
     return 2.0 * float(np.real(np.vdot(w, scratch)))
+
+
+def _flip_symmetric_probabilities(params: QaoaParams, ws: FlipSymmetricWorkspace) -> np.ndarray:
+    """Probabilities of all ``2**n`` basis states, ``concat(p, p[::-1])``.
+
+    ``p = |w|**2`` is the low half's (the frame's entries are exact units,
+    so ``|w| = |a|``); the full vector, ``2**n`` float64, fills the spare
+    half-state buffer of ``ws`` exactly, so nothing state-sized is
+    allocated.  It is valid until ``ws`` prepares another state.
+    """
+    w, spare = _flip_symmetric_state(params, ws)
+    probs = spare.view(np.float64)
+    low = probs[: w.size]
+    np.abs(w, out=low)
+    np.square(low, out=low)
+    probs[w.size :] = low[::-1]
+    return probs
 
 
 def expectation_cut(
@@ -398,6 +433,10 @@ def sample_bitstrings(
     if shots < 1:
         raise ValueError(f"shots must be positive, got {shots}")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(int(seed))
-    probs = sv.probabilities()
-    probs = probs / probs.sum()
+    return _draw(sv.probabilities(), shots, rng)
+
+
+def _draw(probs: np.ndarray, shots: int, rng: np.random.Generator) -> np.ndarray:
+    """``shots`` indices drawn from ``probs``, which is normalized in place."""
+    probs /= probs.sum()
     return rng.choice(probs.size, size=shots, p=probs).astype(np.int64)

@@ -17,9 +17,10 @@ from qmaxcut import (
     generate_random_graph,
     run_qaoa,
 )
-from qmaxcut import qaoa, simulator
+from qmaxcut import graph, qaoa, simulator
+from qmaxcut.graph import CutAssignment, labels_from_index
 from qmaxcut.qaoa import depth_one_expectation, evaluate_params, optimize_params
-from qmaxcut.simulator import apply_qaoa_circuit, expectation_cut
+from qmaxcut.simulator import apply_qaoa_circuit, expectation_cut, sample_bitstrings
 
 TRIANGLE = Graph(3, ((0, 1), (0, 2), (1, 2)))
 EDGE = Graph(2, ((0, 1),))
@@ -47,8 +48,24 @@ def _forbid_cut_table(monkeypatch):
     def forbidden(g):
         raise AssertionError("cut table built")
 
-    monkeypatch.setattr(qaoa, "cut_values_by_basis", forbidden)
-    monkeypatch.setattr(simulator, "cut_values_by_basis", forbidden)
+    for module in (graph, qaoa, simulator):  # every module that may bind the name
+        monkeypatch.setattr(module, "cut_values_by_basis", forbidden, raising=False)
+
+
+def _extract_assignment(sv, g, cfg, cut_table):
+    """Reference cut extraction on the full register, as ``run_qaoa`` once
+    did it: the threshold scan over all ``2**n`` probabilities, or the
+    sampled indices looked up in the full cut table."""
+    if cfg.shots == 0:
+        candidates = np.flatnonzero(sv.probabilities() >= 1.0 / (1 << (g.n + 1)))
+    else:
+        rng = np.random.default_rng(
+            np.random.SeedSequence([cfg.seed & ((1 << 64) - 1), qaoa._STREAM_SHOTS])
+        )
+        candidates = np.unique(sample_bitstrings(sv, cfg.shots, rng))
+    values = cut_table[candidates]
+    best = int(candidates[int(np.argmax(values))])
+    return CutAssignment(labels=labels_from_index(g.n, best), cut_value=int(cut_table[best]))
 
 
 class TestDepthOneClosedForm:
@@ -82,21 +99,22 @@ class TestDepthOneClosedForm:
 
     def test_run_prepares_only_the_final_state(self, monkeypatch):
         prepared = []
+        prepare = simulator._flip_symmetric_state
 
-        def counting(*args, **kwargs):
-            prepared.append(args[1])
-            return apply_qaoa_circuit(*args, **kwargs)
+        def counting(params, ws):
+            prepared.append(params)
+            return prepare(params, ws)
 
-        monkeypatch.setattr(qaoa, "apply_qaoa_circuit", counting)
+        monkeypatch.setattr(simulator, "_flip_symmetric_state", counting)
         result = run_qaoa(TRIANGLE, QaoaConfig(p=1, budget=40, restarts=3, seed=0))
         assert result.n_evaluations > 1
         assert prepared == [result.best_params]
 
 
 @st.composite
-def half_oracle_graphs(draw):
-    """Graphs on 1-13 vertices with any edge count, n=1 and m=0 included."""
-    n = draw(st.integers(min_value=1, max_value=13))
+def half_oracle_graphs(draw, max_n=13):
+    """Graphs on 1-``max_n`` vertices with any edge count, n=1 and m=0 included."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
     m = draw(st.integers(min_value=0, max_value=n * (n - 1) // 2))
     return generate_random_graph(n, m, draw(st.integers(min_value=0, max_value=2**32)))
 
@@ -135,15 +153,15 @@ class TestFlipSymmetricHalf:
     def test_peak_memory_is_one_and_a_half_states(self):
         # n=18: the full state would be 4 MiB.  A fresh workspace holds the
         # half state, one half-size scratch buffer and the intp low half of
-        # the cut table (1.25x), plus frame vectors of 1/32 each.  Fresh
-        # buffers per call peaked at 1.53x, the full-state evaluation at 2.03x.
+        # the cut table (1.25x; it builds the table itself), plus frame
+        # vectors of 1/32 each.  Fresh buffers per call peaked at 1.53x,
+        # the full-state evaluation at 2.03x.
         g = generate_random_graph(18, 34, 0)
-        table = cut_values_by_basis(g)
         params = QaoaParams(gammas=(0.3, 0.5), betas=(0.2, 0.7))
         full_state = (1 << g.n) * 16
         tracemalloc.start()
         try:
-            evaluate_params(g, params, cut_table=table)
+            evaluate_params(g, params)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -153,7 +171,7 @@ class TestFlipSymmetricHalf:
         # n=18: the state would be 4 MiB; only small frame-sized
         # temporaries remain (about 0.06x).
         g = generate_random_graph(18, 34, 0)
-        workspace = simulator.FlipSymmetricWorkspace(g, cut_values_by_basis(g))
+        workspace = simulator.FlipSymmetricWorkspace(g)
         params = QaoaParams(gammas=(0.3, 0.5), betas=(0.2, 0.7))
         first = evaluate_params(g, params, workspace=workspace)
         full_state = (1 << g.n) * 16
@@ -167,7 +185,7 @@ class TestFlipSymmetricHalf:
         assert peak <= 0.1 * full_state, f"peak {peak / full_state:.3f}x the state"
 
     def test_workspace_of_another_graph_is_refused(self):
-        workspace = simulator.FlipSymmetricWorkspace(TRIANGLE, cut_values_by_basis(TRIANGLE))
+        workspace = simulator.FlipSymmetricWorkspace(TRIANGLE)
         other = Graph(3, ((0, 1),))
         with pytest.raises(ValueError):
             evaluate_params(other, QaoaParams((0.1, 0.2), (0.3, 0.4)), workspace=workspace)
@@ -175,9 +193,9 @@ class TestFlipSymmetricHalf:
     def test_optimizer_allocates_one_workspace_per_call(self, monkeypatch):
         built = []
 
-        def counting(g, table):
+        def counting(g):
             built.append(g.n)
-            return simulator.FlipSymmetricWorkspace(g, table)
+            return simulator.FlipSymmetricWorkspace(g)
 
         monkeypatch.setattr(qaoa, "FlipSymmetricWorkspace", counting)
         g = generate_random_graph(7, 12, 1)
@@ -380,6 +398,87 @@ class TestRunQaoa:
         cfg = QaoaConfig(p=1, budget=40, restarts=3, seed=6, shots=64)
         result = run_qaoa(g, cfg)
         assert result.best_cut.cut_value <= 7
+
+
+class TestRunOnTheHalf:
+    """``run_qaoa`` on one half-register workspace, against the full register."""
+
+    @given(
+        half_oracle_graphs(max_n=12),
+        st.integers(min_value=1, max_value=3).flatmap(
+            lambda p: st.lists(
+                st.floats(min_value=-2 * math.pi, max_value=2 * math.pi, allow_nan=False),
+                min_size=2 * p,
+                max_size=2 * p,
+            )
+        ),
+        st.one_of(st.just(0), st.integers(min_value=1, max_value=300)),
+        st.integers(min_value=0, max_value=2**32),
+    )
+    @example(Graph(1, ()), [0.3, 0.7], 5, 0)
+    @settings(max_examples=150, deadline=None)
+    def test_extraction_matches_full_register_reference(self, g, angles, shots, seed):
+        params = QaoaParams.from_flat(angles)
+        cfg = QaoaConfig(p=params.p, budget=8, restarts=2, shots=shots, seed=seed)
+        table = cut_values_by_basis(g)
+        sv = apply_qaoa_circuit(g, params)
+        workspace = simulator.FlipSymmetricWorkspace(g)
+        np.testing.assert_allclose(
+            simulator._flip_symmetric_probabilities(params, workspace),
+            sv.probabilities(),
+            rtol=0,
+            atol=1e-12,
+        )
+        assert qaoa._extract_cut(params, cfg, workspace) == _extract_assignment(sv, g, cfg, table)
+        result = run_qaoa(g, cfg)
+        full = apply_qaoa_circuit(g, result.best_params)
+        assert result.best_cut == _extract_assignment(full, g, cfg, table)
+
+    @pytest.mark.parametrize("mode", ["ladder", "cold", "warm"])
+    @pytest.mark.parametrize("shots", [0, 64])
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_run_builds_no_full_cut_table(self, monkeypatch, p, shots, mode):
+        _forbid_cut_table(monkeypatch)
+        g = generate_random_graph(7, 12, p)
+        cfg = QaoaConfig(p=p, budget=24, restarts=3, seed=p, shots=shots, warm_start=mode != "cold")
+        warm = QaoaParams(gammas=(0.4,), betas=(0.3,)) if mode == "warm" else None
+        result = run_qaoa(g, cfg, warm_params=warm)
+        assert cut_value(g, result.best_cut.labels) == result.best_cut.cut_value
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_run_allocates_one_workspace_and_no_full_state(self, monkeypatch, p):
+        built = []
+
+        def counting(g, *args):
+            built.append(g.n)
+            return simulator.FlipSymmetricWorkspace(g, *args)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("full-register state allocated")
+
+        monkeypatch.setattr(qaoa, "FlipSymmetricWorkspace", counting)
+        monkeypatch.setattr(simulator, "init_uniform", forbidden)
+        g = generate_random_graph(7, 12, 1)
+        result = run_qaoa(g, QaoaConfig(p=p, budget=30, restarts=3, seed=0, shots=32))
+        assert result.n_evaluations > p
+        assert built == [7]
+
+    @pytest.mark.parametrize(("shots", "bound"), [(0, 1.7), (4096, 1.9)])
+    def test_run_peak_memory(self, shots, bound):
+        # n=18: the full state would be 4 MiB.  The workspace is 1.25x; the
+        # threshold scan adds one intp half table (reads 1.60x), the
+        # sampler its cumulative distribution, 0.5x (reads 1.83x).  The
+        # full-register final state peaked at 2.27x either way.
+        g = generate_random_graph(18, 34, 0)
+        cfg = QaoaConfig(p=2, budget=6, restarts=2, seed=0, shots=shots)
+        full_state = (1 << g.n) * 16
+        tracemalloc.start()
+        try:
+            run_qaoa(g, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * full_state, f"peak {peak / full_state:.2f}x the state"
 
 
 @pytest.mark.slow
