@@ -47,21 +47,21 @@ from .graph import Graph, _add_edge_cuts, cut_values_by_basis
 
 DEFAULT_QUBIT_CAP = 24
 MIXER_BLOCK_QUBITS = 4
-_BLOCK_BIT_DIFFERENCES = np.array(
-    [
-        [bin(i ^ j).count("1") for j in range(1 << MIXER_BLOCK_QUBITS)]
-        for i in range(1 << MIXER_BLOCK_QUBITS)
-    ]
+# Per block size k = 0..MIXER_BLOCK_QUBITS, the index of a block's entry
+# (i, j) into its weights [w_0..w_k] and their negations [-w_k..-w_0] (see
+# _mixer_blocks): for block 0 the bit difference d of i and j; for a real
+# block d, or ~d (that is -(d+1), reading -w_d) where the entry is negative,
+# which it is when an odd number of bits are set in i and clear in j.
+_BLOCK_INDEX = tuple(
+    np.array([[bin(i ^ j).count("1") for j in range(1 << k)] for i in range(1 << k)])
+    for k in range(MIXER_BLOCK_QUBITS + 1)
 )
-# -1 per bit set in the row index and clear in the column index.
-_BLOCK_SIGNS = np.array(
-    [
-        [(-1.0) ** bin(i & ~j).count("1") for j in range(1 << MIXER_BLOCK_QUBITS)]
-        for i in range(1 << MIXER_BLOCK_QUBITS)
-    ]
+_REAL_BLOCK_INDEX = tuple(
+    np.where([[bin(i & ~j).count("1") % 2 for j in range(len(d))] for i in range(len(d))], ~d, d)
+    for d in _BLOCK_INDEX
 )
 _I_POWERS = np.array([1, 1j, -1, -1j])
-_NIBBLE_FRAME = _I_POWERS[_BLOCK_BIT_DIFFERENCES[0] % 4]  # i**popcount(j)
+_NIBBLE_FRAME = _I_POWERS[_BLOCK_INDEX[-1][0] % 4]  # i**popcount(j)
 
 
 def resolve_qubit_cap(cap: int | None = None) -> int:
@@ -184,39 +184,34 @@ def apply_cost_layer(
     return sv
 
 
-def _rotation_power(c: float, s: complex, k: int) -> np.ndarray:
-    """``[[c, s], [s, c]]`` Kronecker-multiplied with itself ``k`` times.
-
-    Entry ``(i, j)`` of the power is ``c**(k-d) * s**d``, where ``d`` is
-    the number of bits in which ``i`` and ``j`` differ.
-    """
-    size = 1 << k
-    weights = np.array([c ** (k - d) * s**d for d in range(k + 1)])
-    return weights[_BLOCK_BIT_DIFFERENCES[:size, :size]]
-
-
 def _mixer_blocks(beta: float, n: int) -> list[tuple[int, np.ndarray]]:
     """``(lo, block)`` for each block of the ``n``-qubit mixer, bit 0 upward.
 
     Block 0 (bits 0-3) is ``R = [[cos b, -i sin b], [-i sin b, cos b]]``
-    Kronecker-multiplied with itself, a complex symmetric matrix.  The
-    blocks above bit 3 act in the frame of :func:`_frame`, where the
-    qubit's rotation is the real ``r = [[cos b, sin b], [-sin b, cos
-    b]]`` (``R = E r E^-1`` with ``E = diag(1, i)``): entry ``(i, j)``
-    of the power of ``r`` is ``cos**(k-d) * sin**d`` times ``-1`` per
-    bit set in ``i`` and clear in ``j``.  A last block of ``n mod
-    MIXER_BLOCK_QUBITS`` qubits gets its own smaller power.
+    Kronecker-multiplied with itself ``k`` times, a complex symmetric
+    matrix whose entry ``(i, j)`` is ``c**(k-d) * s**d`` for ``c = cos
+    b``, ``s = -i sin b`` and ``d`` the number of bits in which ``i`` and
+    ``j`` differ.  The blocks above bit 3 act in the frame of
+    :func:`_frame`, where the qubit's rotation is the real ``r = [[cos b,
+    sin b], [-sin b, cos b]]`` (``R = E r E^-1`` with ``E = diag(1,
+    i)``): entry ``(i, j)`` of the power of ``r`` is ``cos**(k-d) *
+    sin**d`` times ``-1`` per bit set in ``i`` and clear in ``j``.  Each
+    block is one gather from its weights ``w_d`` (and, for a real block,
+    their negations) through a module-level index table.  A last block
+    of ``n mod MIXER_BLOCK_QUBITS`` qubits gets its own smaller power.
     """
     c, s = math.cos(beta), math.sin(beta)
     blocks = []
     for lo in range(0, n, MIXER_BLOCK_QUBITS):
         k = min(MIXER_BLOCK_QUBITS, n - lo)
         if lo == 0:
-            block = _rotation_power(c, -1j * s, k)
+            weights = [c ** (k - d) * (-1j * s) ** d for d in range(k + 1)]
+            block = np.array(weights)[_BLOCK_INDEX[k]]
         elif lo > MIXER_BLOCK_QUBITS and k == MIXER_BLOCK_QUBITS:
             block = blocks[-1][1]  # the full real block again
         else:
-            block = _rotation_power(c, s, k) * _BLOCK_SIGNS[: 1 << k, : 1 << k]
+            weights = [c ** (k - d) * s**d for d in range(k + 1)]
+            block = np.array(weights + [-w for w in weights[::-1]])[_REAL_BLOCK_INDEX[k]]
         blocks.append((lo, block))
     return blocks
 
@@ -354,6 +349,14 @@ def _flip_symmetric_state(
     unit per row of 16 amplitudes.  Returns ``(w, spare)``: the two
     buffers of ``ws``, whichever holds ``w`` first.  Nothing state-sized
     is allocated.
+
+    A half-layer whose angle is exactly 0 (either sign) is skipped.  That
+    is exact: at ``gamma = 0`` every phase is ``1 +- 0j``, and at ``beta
+    = 0`` every mixer block is an identity of 1s and signed 0s and the
+    top-qubit step is ``w * 1 + (+-0)``, so running them changes no
+    nonzero bit of ``w``; only the sign of a zero component may differ,
+    and nothing reads it.  Only exact zeros are skipped, and adjacent
+    layers are never merged, which would change the rounding.
     """
     g = ws.graph
     w, scratch = ws.state, ws.scratch
@@ -361,16 +364,18 @@ def _flip_symmetric_state(
     w.reshape(rows, -1)[...] = ws.start
     levels = np.arange(g.m + 1)
     for gamma, beta in zip(params.gammas, params.betas):
-        np.take(np.exp(-1j * float(gamma) * levels), ws.low_table, out=scratch, mode="clip")
-        w *= scratch
-        mixed = _mix(w, scratch, beta, g.n - 1)
-        if mixed is not w:
-            w, scratch = mixed, w
-        np.multiply(
-            w[::-1].reshape(rows, -1), math.sin(beta) * ws.flip, out=scratch.reshape(rows, -1)
-        )
-        w *= math.cos(beta)
-        w += scratch
+        if gamma:
+            np.take(np.exp(-1j * float(gamma) * levels), ws.low_table, out=scratch, mode="clip")
+            w *= scratch
+        if beta:
+            mixed = _mix(w, scratch, beta, g.n - 1)
+            if mixed is not w:
+                w, scratch = mixed, w
+            np.multiply(
+                w[::-1].reshape(rows, -1), math.sin(beta) * ws.flip, out=scratch.reshape(rows, -1)
+            )
+            w *= math.cos(beta)
+            w += scratch
     return w, scratch
 
 

@@ -24,6 +24,10 @@ from qmaxcut.simulator import apply_qaoa_circuit, expectation_cut, sample_bitstr
 
 TRIANGLE = Graph(3, ((0, 1), (0, 2), (1, 2)))
 EDGE = Graph(2, ((0, 1),))
+ANGLES = st.floats(min_value=-2 * math.pi, max_value=2 * math.pi, allow_nan=False)
+# The optimizer's zero start, its initial simplex and the ladder's padding
+# all evaluate exact zeros, which the half-register kernel skips.
+ANGLES_OR_ZERO = st.one_of(st.just(0.0), st.just(-0.0), ANGLES)
 
 
 @st.composite
@@ -123,11 +127,7 @@ class TestFlipSymmetricHalf:
     @given(
         half_oracle_graphs(),
         st.integers(min_value=2, max_value=3).flatmap(
-            lambda p: st.lists(
-                st.floats(min_value=-2 * math.pi, max_value=2 * math.pi, allow_nan=False),
-                min_size=2 * p,
-                max_size=2 * p,
-            )
+            lambda p: st.lists(ANGLES_OR_ZERO, min_size=2 * p, max_size=2 * p)
         ),
     )
     @example(Graph(1, ()), [0.3, 0.7, 0.2, 0.5])  # no low qubits for the mixer
@@ -218,6 +218,92 @@ class TestFlipSymmetricHalf:
         assert len(calls) == 1
 
 
+def _every_kernel_state(params, ws):
+    """Reference for ``simulator._flip_symmetric_state``: the same layers,
+    with every cost phase, mixer and top-qubit rotation run, whatever the
+    angle."""
+    g = ws.graph
+    w, scratch = ws.state, ws.scratch
+    rows = ws.start.size
+    w.reshape(rows, -1)[...] = ws.start
+    levels = np.arange(g.m + 1)
+    for gamma, beta in zip(params.gammas, params.betas):
+        np.take(np.exp(-1j * float(gamma) * levels), ws.low_table, out=scratch, mode="clip")
+        w *= scratch
+        mixed = simulator._mix(w, scratch, beta, g.n - 1)
+        if mixed is not w:
+            w, scratch = mixed, w
+        np.multiply(
+            w[::-1].reshape(rows, -1), math.sin(beta) * ws.flip, out=scratch.reshape(rows, -1)
+        )
+        w *= math.cos(beta)
+        w += scratch
+    return w, scratch
+
+
+def _half_outputs(g, params):
+    """State, expectation ``repr`` and probability bytes on the half register."""
+    ws = simulator.FlipSymmetricWorkspace(g)
+    state = simulator._flip_symmetric_state(params, ws)[0].copy()
+    expectation = repr(simulator._flip_symmetric_expectation(params, ws))
+    return state, expectation, simulator._flip_symmetric_probabilities(params, ws).tobytes()
+
+
+class TestZeroAngleSkip:
+    """A half-layer whose angle is exactly 0 is the identity and runs no kernel."""
+
+    def assert_matches_every_kernel(self, g, params):
+        state, expectation, probs = _half_outputs(g, params)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simulator, "_flip_symmetric_state", _every_kernel_state)
+            ref_state, ref_expectation, ref_probs = _half_outputs(g, params)
+        # ``==``: a skipped kernel may leave a zero component with the other sign.
+        assert np.array_equal(state, ref_state)
+        assert expectation == ref_expectation
+        assert probs == ref_probs
+
+    @given(
+        half_oracle_graphs(),
+        st.integers(min_value=2, max_value=3).flatmap(
+            lambda p: st.lists(ANGLES_OR_ZERO, min_size=2 * p, max_size=2 * p)
+        ),
+    )
+    @example(Graph(1, ()), [0.0, 0.7, 0.2, 0.0])
+    @example(Graph(3, ()), [0.0, 0.0, 0.0, 0.0])
+    @settings(max_examples=200, deadline=None)
+    def test_matches_every_kernel_run(self, g, angles):
+        self.assert_matches_every_kernel(g, QaoaParams.from_flat(angles))
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize(
+        "angles", [[0.0, 0.3, 0.0, 0.7, 0.0, -0.2], [1.1, 0.0, -0.0, 0.4], [0.5, -0.9, 2.2, 1.3]]
+    )
+    @pytest.mark.parametrize("n", [16, 18])
+    def test_matches_every_kernel_run_at_large_n(self, n, angles):
+        g = generate_random_graph(n, 2 * n, n)
+        self.assert_matches_every_kernel(g, QaoaParams.from_flat(angles))
+
+    @pytest.mark.parametrize(
+        ("angles", "mixes"),
+        [
+            ([0.0, 0.0, 0.0, 0.0], 0),  # the all-zero start
+            ([0.8, 0.0, 0.3, 0.0], 1),  # a depth-1 optimum padded for the ladder
+            ([0.8, 0.5, 0.3, 0.2], 2),
+        ],
+    )
+    def test_mixer_runs_only_for_nonzero_beta(self, monkeypatch, angles, mixes):
+        calls = []
+        mix = simulator._mix
+
+        def counting(*args):
+            calls.append(args[2])
+            return mix(*args)
+
+        monkeypatch.setattr(simulator, "_mix", counting)
+        evaluate_params(generate_random_graph(7, 12, 3), QaoaParams.from_flat(angles))
+        assert len(calls) == mixes
+
+
 class TestEvaluateParams:
     def test_zero_angles_give_half_the_edges(self):
         params = QaoaParams(gammas=(0.0, 0.0), betas=(0.0, 0.0))
@@ -282,6 +368,24 @@ class TestOptimizeParams:
         assert n_evals == 3
         assert params == QaoaParams(gammas=(0.0,), betas=(0.0,))
         assert value == pytest.approx(1.5, abs=1e-12)
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_cap_is_resolved_once_per_call(self, monkeypatch, p):
+        calls = []
+        resolve = simulator.resolve_qubit_cap
+
+        def counting(cap=None):
+            calls.append(cap)
+            return resolve(cap)
+
+        monkeypatch.setattr(simulator, "resolve_qubit_cap", counting)
+        _, _, n_evals = optimize_params(TRIANGLE, QaoaConfig(p=p, budget=30, restarts=3, seed=0))
+        assert n_evals > 1
+        assert len(calls) == 1
+
+    def test_depth_one_above_the_cap_is_refused(self):
+        with pytest.raises(ResourceLimitError):
+            optimize_params(Graph(8, ((0, 7),)), QaoaConfig(p=1, budget=10, cap=7))
 
     def test_depth_one_builds_no_cut_table(self, monkeypatch):
         _forbid_cut_table(monkeypatch)

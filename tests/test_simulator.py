@@ -36,6 +36,30 @@ def basis_state(n, index):
     return StateVector(n_qubits=n, amplitudes=amps)
 
 
+def reference_mixer_blocks(beta, n):
+    """The mixer blocks as once built: per block, a weight array fancy-indexed
+    by bit difference, then multiplied by the signs for the real blocks."""
+    size = 1 << simulator.MIXER_BLOCK_QUBITS
+    diffs = np.array([[bin(i ^ j).count("1") for j in range(size)] for i in range(size)])
+    signs = np.array([[(-1.0) ** bin(i & ~j).count("1") for j in range(size)] for i in range(size)])
+
+    def power(c, s, k):
+        return np.array([c ** (k - d) * s**d for d in range(k + 1)])[diffs[: 1 << k, : 1 << k]]
+
+    c, s = math.cos(beta), math.sin(beta)
+    blocks = []
+    for lo in range(0, n, 4):
+        k = min(4, n - lo)
+        if lo == 0:
+            block = power(c, -1j * s, k)
+        elif lo > 4 and k == 4:
+            block = blocks[-1][1]
+        else:
+            block = power(c, s, k) * signs[: 1 << k, : 1 << k]
+        blocks.append((lo, block))
+    return blocks
+
+
 def reference_mixer_layer(amps, beta):
     """The per-qubit mixer the fused kernel replaced: one strided 2x2 pass per qubit."""
     c = math.cos(beta)
@@ -265,6 +289,16 @@ class TestMixerLayer:
                 assert block.dtype == np.float64
                 expected = kron_power(r, k)
             np.testing.assert_allclose(block, expected, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("beta", [0.0, 0.37, math.pi / 2, 2.9])
+    @pytest.mark.parametrize("n", range(1, 14))
+    def test_blocks_match_the_reference_blocks_bit_for_bit(self, n, beta):
+        expected = reference_mixer_blocks(beta, n)
+        blocks = simulator._mixer_blocks(beta, n)
+        assert [lo for lo, _ in blocks] == [lo for lo, _ in expected]
+        for (_, block), (_, want) in zip(blocks, expected):
+            assert block.dtype == want.dtype and block.shape == want.shape
+            assert block.tobytes() == want.tobytes()
 
     def test_peak_memory_is_one_scratch_state(self):
         # n=16: the state is 1 MiB.  The fused layer allocates one
