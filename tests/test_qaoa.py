@@ -567,6 +567,21 @@ class TestRunOnTheHalf:
         assert result.n_evaluations > p
         assert built == [7]
 
+    @pytest.mark.parametrize("shots", [0, 5])
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    @pytest.mark.parametrize("g", [Graph(1, ()), Graph(2, ()), EDGE], ids=["n1m0", "n2m0", "n2m1"])
+    def test_tiny_registers_match_the_full_register(self, g, p, shots):
+        # n=1: the table is one entry and vertex 0 is the top vertex;
+        # n=2: one low vertex, then the top one with or without its edge.
+        params = QaoaParams.from_flat(np.random.default_rng(p).uniform(-3.0, 3.0, 2 * p))
+        full = expectation_cut(apply_qaoa_circuit(g, params), g)
+        assert evaluate_params(g, params) == pytest.approx(full, abs=1e-12)
+        cfg = QaoaConfig(p=p, budget=12, restarts=2, seed=p, shots=shots)
+        result = run_qaoa(g, cfg)
+        sv = apply_qaoa_circuit(g, result.best_params)
+        assert result.best_expectation == pytest.approx(expectation_cut(sv, g), abs=1e-12)
+        assert result.best_cut == _extract_assignment(sv, g, cfg, cut_values_by_basis(g))
+
     @pytest.mark.parametrize(("shots", "bound"), [(0, 1.7), (4096, 1.9)])
     def test_run_peak_memory(self, shots, bound):
         # n=18: the full state would be 4 MiB.  The workspace is 1.25x; the
