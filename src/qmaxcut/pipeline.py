@@ -9,10 +9,12 @@ circuit job handed to an accelerator, plus one more for the final state
 preparation, so ``offload_count = n_evaluations + 1``.  That holds
 whatever computed the value on this host: a depth-1 evaluation done in
 closed form still counts as one job, as it would on hardware, and so does
-one whose zero-angle layers ran no kernel (see :mod:`qmaxcut.qaoa`).  The report
-prices that traffic at a configurable per-offload latency:
-``simulated_comm_overhead = offload_count * offload_latency``.  The
-overhead is bookkeeping only; nothing sleeps.
+one whose zero-angle layers ran no kernel, one whose circuit the host had
+already simulated, and a final state the host kept from the best
+evaluation (see :mod:`qmaxcut.qaoa`).  The report prices that traffic
+at a configurable per-offload latency: ``simulated_comm_overhead =
+offload_count * offload_latency``.  The overhead is bookkeeping only;
+nothing sleeps.
 """
 
 from __future__ import annotations

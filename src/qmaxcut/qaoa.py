@@ -44,6 +44,17 @@ simulated cost and mixer half-layers have an exactly zero angle.  Each
 such half-layer is the identity, and the simulator skips it (see
 :func:`qmaxcut.simulator._flip_symmetric_state`); the evaluation still
 counts toward the budget.
+
+Skipping zeros makes distinct angle vectors the same circuit: the zero
+start's second evaluation as Nelder-Mead's ``x0``, and the simplex
+points that move ``gamma_1`` or ``gamma_2`` (``beta_1`` or ``beta_2``)
+alone.  The workspace stores each simulated value under its circuit,
+the ordered half-layers that run, so a repeat returns the same float
+without running a kernel; it still counts as an evaluation (on the
+n=20 benchmark workload, 3 of every 10 evaluations are repeats).  A
+sampled run also keeps the state of each evaluation that improves the
+best in a third half-size buffer, so the final state is prepared again
+only when the best value came from a repeat.
 """
 
 from __future__ import annotations
@@ -151,10 +162,12 @@ def evaluate_params(
     :func:`qmaxcut.simulator._flip_symmetric_expectation`), in
     ``workspace`` when one is passed (it must have been built for ``g``)
     and otherwise in a fresh one; the cap is resolved only by the check
-    above.  ``_cap_checked`` is private to :func:`optimize_params`,
-    which checks the cap once per call: its evaluations skip the check
-    but still run through this function, so that tracing its calls
-    counts every evaluation.
+    above.  A circuit the workspace has already simulated returns the
+    value stored there, the same float, and runs no kernel.
+    ``_cap_checked`` is private to :func:`optimize_params`, which checks
+    the cap once per call: its evaluations skip the check but still run
+    through this function, so that tracing its calls counts every
+    evaluation.
     """
     if not _cap_checked:
         _check_cap(g.n, cap)
@@ -192,6 +205,8 @@ class _Objective:
         if value > self.best_value:
             self.best_value = value
             self.best_x = np.asarray(x, dtype=float).copy()
+            if self._workspace is not None:
+                self._workspace.keep()
         return -value  # scipy minimizes
 
 
@@ -271,6 +286,9 @@ def _pad_params(params: QaoaParams, p: int) -> QaoaParams:
 def _extract_cut(params: QaoaParams, cfg: QaoaConfig, ws: FlipSymmetricWorkspace) -> CutAssignment:
     """Prepare the final state in ``ws`` and pick the reported cut from it.
 
+    The state is read from the buffer that keeps a sampled run's best
+    state when that holds the same circuit, and simulated otherwise.
+
     ``shots == 0``: best cut among basis states whose exact probability
     is at least ``1 / 2**(n+1)`` (half the uniform weight; the set is
     never empty).  ``shots > 0``: best cut among sampled bitstrings,
@@ -313,20 +331,24 @@ def run_qaoa(
     closed form).  Without it,
     ``cfg.warm_start`` controls the internal depth ladder (see module
     docstring).  ``n_evaluations`` counts objective evaluations only;
-    the final state preparation is one further circuit application.
+    the final state preparation is one further circuit application (one
+    job in the pipeline's model), which a sampled run reads from the
+    state of its best evaluation, kept on this host, when it can.
     ``elapsed`` covers the whole call; ``per_stage_timings`` splits it
     into the ``optimize`` and ``extract`` stages.
 
     The qubit cap is checked once, then one workspace (see
     :class:`~qmaxcut.simulator.FlipSymmetricWorkspace`) serves every
     evaluation, the final state, extraction and sampling: the run peaks
-    at about 1.6 times the full state's ``2**n * 16`` bytes, or 1.83
-    with ``shots`` (the sampler's cumulative distribution), where the
-    full-register final state peaked at 2.27 (tracemalloc, n=18).
+    at about 1.6 times the full state's ``2**n * 16`` bytes, or 1.85
+    with ``shots`` (the kept best state), where the full-register final
+    state peaked at 2.27 (tracemalloc, n=18).
     """
     t_start = time.perf_counter()
     _check_cap(g.n, cfg.cap)
     workspace = FlipSymmetricWorkspace(g)
+    if cfg.shots:  # keeps the best state; the in-place sampler needs no other buffer
+        workspace.kept = np.empty_like(workspace.state)
     total_evals = 0
 
     if warm_params is not None:

@@ -28,10 +28,16 @@ buffer and the low half of the cut table as ``intp``, 1.25 times
 one add per edge: 3.0-3.1 ms at n=20, m=60 against 49-53 ms (min-median,
 one thread).  An evaluation that builds its own workspace
 peaks at 1.38 times that at n=18; one on a reused workspace allocates
-0.06 times it.  With the mixer's blocks above bit 3 in real arithmetic, a
-p=2 evaluation on a reused workspace takes 0.94-1.4 ms at n=16 and
-32-43 ms at n=20, against 1.6-2.4 ms and 51-61 ms with fresh buffers
-and complex blocks (min-median, 2-vCPU Xeon, one BLAS thread).  The
+0.06 times it.  The workspace stores each simulated expectation under
+its effective circuit (:func:`_circuit`), so no circuit is simulated
+twice in it, and it can keep one more state, a sampled run's best, in a
+third half-size buffer for the final extraction.  Sampling draws from
+the probabilities in place (:func:`_draw`).  With the mixer's blocks
+above bit 3 in real arithmetic, a p=2 evaluation on a reused workspace
+takes 0.94-1.4 ms at n=16 and 32-43 ms at n=20, against 1.6-2.4 ms and
+51-61 ms with fresh buffers and complex blocks (min-median, 2-vCPU
+Xeon, one BLAS thread); from ``2**17`` amplitudes the large blocks
+multiply row panels that stay in cache (:func:`_mix`).  The
 ``QMAXCUT_QUBIT_CAP`` environment variable overrides the default; an
 explicit ``cap=`` argument beats both.  Brute force's ``2**n`` cut
 table follows the same cap.
@@ -65,6 +71,12 @@ _REAL_BLOCK_INDEX = tuple(
 )
 _I_POWERS = np.array([1, 1j, -1, -1j])
 _NIBBLE_FRAME = _I_POWERS[_BLOCK_INDEX[-1][0] % 4]  # i**popcount(j)
+# Row panels for the large real mixer blocks (see _mix): their width in
+# float64 columns, and the smallest register and lowest block bit they
+# serve.  Chosen from the per-block timings in _mix's docstring.
+_PANEL_WIDTH = 256
+_PANEL_MIN_QUBITS = 17
+_PANEL_MIN_LO = 12
 
 
 def resolve_qubit_cap(cap: int | None = None) -> int:
@@ -229,12 +241,49 @@ def _mix(amps: np.ndarray, scratch: np.ndarray, beta: float, n: int) -> np.ndarr
     times the symmetric complex block.  A real block acts on the real
     and imaginary parts alike, so it multiplies the float64 view, whose
     innermost axis is twice as long: half the flops of a complex product.
+
+    A real block of at least 4 rows at bit ``_PANEL_MIN_LO`` or above, on
+    a register of at least ``_PANEL_MIN_QUBITS`` qubits, multiplies row
+    panels instead: the view ``(..., size, 2**(lo+1) / P, P)`` with its
+    two inner axes swapped, ``P = _PANEL_WIDTH`` columns per product, so
+    one product's operand stays in cache.  Every output entry is the same
+    sum over the same ``size`` products, so the bits do not change.  Per
+    block, median of interleaved runs, one BLAS thread, 2-vCPU Xeon with
+    4 MiB L2, whole block against panels of 256 (``n`` is the register's
+    qubits, the run's minus one):
+
+    =====  ==========  =========  ========  ======
+    ``n``  lo/qubits   whole, us  panels    rule
+    =====  ==========  =========  ========  ======
+    14     12/2        20         1.16x     whole
+    15     12/3        45         1.07x     whole
+    16     12/4        219        0.99x     whole
+    17     12/4        492        0.87x     panels
+    17     16/1        212        1.11x     whole
+    18     12/4        827        0.82x     panels
+    18     16/2        602        0.69x     panels
+    19     12/4        1840       0.88x     panels
+    19     16/3        1717       0.70x     panels
+    20     12/4        3589       0.90x     panels
+    20     16/4        4829       0.71x     panels
+    =====  ==========  =========  ========  ======
+
+    Blocks at bit 8 read 1.01-1.04x at every ``n`` from 14 to 21.  The
+    one-row-pair block at bit 20 (``n = 21``) read 0.83x in one series
+    and 1.30x in another, so it stays whole.
     """
     src, dst = amps, scratch
     for lo, block in _mixer_blocks(beta, n):
         size = block.shape[0]
         if lo == 0:
             np.matmul(src.reshape(-1, size), block, out=dst.reshape(-1, size))
+        elif n >= _PANEL_MIN_QUBITS and lo >= _PANEL_MIN_LO and size >= 4:
+            shape = (-1, size, (2 << lo) // _PANEL_WIDTH, _PANEL_WIDTH)
+            np.matmul(
+                block,
+                src.view(np.float64).reshape(shape).swapaxes(1, 2),
+                out=dst.view(np.float64).reshape(shape).swapaxes(1, 2),
+            )
         else:
             shape = (-1, size, 2 << lo)
             np.matmul(
@@ -253,10 +302,10 @@ def _frame(n: int) -> np.ndarray:
     bit 3 run (see :func:`_mixer_blocks`).  The frame depends only on
     those bits, so it has one entry per row of 16 amplitudes,
     ``2**max(0, n - 4)`` entries, built four bits at a time; its entries
-    are exact units.
+    are exact units.  The array is new, so the caller may write to it.
     """
     bits = max(0, n - MIXER_BLOCK_QUBITS)
-    frame = _NIBBLE_FRAME[: 1 << min(bits, MIXER_BLOCK_QUBITS)]
+    frame = _NIBBLE_FRAME[: 1 << min(bits, MIXER_BLOCK_QUBITS)].copy()
     for lo in range(MIXER_BLOCK_QUBITS, bits, MIXER_BLOCK_QUBITS):
         high = _NIBBLE_FRAME[: 1 << min(MIXER_BLOCK_QUBITS, bits - lo)]
         frame = np.multiply.outer(high, frame).ravel()
@@ -308,7 +357,7 @@ def apply_qaoa_circuit(
 
 class FlipSymmetricWorkspace:
     """Buffers for simulating one graph on the flip-symmetric half, reused
-    by every state prepared in them.
+    by every state prepared in them, and the values already simulated.
 
     Holds the half state and one half-size scratch buffer, the low half
     of the cut table as ``intp`` (``np.take`` would copy an int32 index
@@ -320,6 +369,14 @@ class FlipSymmetricWorkspace:
     prepared here overwrites it first); no full table is built.  About
     1.25 times the full state's ``2**n * 16`` bytes.  The caller checks
     the qubit cap.
+
+    ``values`` maps each circuit simulated here (see :func:`_circuit`)
+    to its expectation, so a repeated circuit runs no kernel; it grows by
+    one entry per distinct circuit.  ``held`` names the circuit whose
+    state ``state`` holds, ``last`` the circuit last evaluated.  A caller
+    that sets ``kept`` to a third half-size buffer can :meth:`keep` a
+    state there; ``kept_circuit`` names it.  Each name is ``None`` while
+    its buffer holds no known state.
     """
 
     def __init__(self, g: Graph):
@@ -328,11 +385,39 @@ class FlipSymmetricWorkspace:
         self.state = np.empty(half, dtype=np.complex128)
         self.scratch = np.empty_like(self.state)
         self.low_table = half_cut_values_by_basis(g, self.state.view(np.intp))
-        frame = _frame(g.n - 1)[:, None]
-        self.start = frame.conj() / math.sqrt(1 << g.n)
+        # Built in place: no frame-sized temporary beside the two vectors.
         # conj(e[y]) * e[~y] = i**bits * e[y]**2 over the frame's bits above bit 3.
-        bits = max(0, g.n - 1 - MIXER_BLOCK_QUBITS)
-        self.flip = -1j * _I_POWERS[bits % 4] * frame**2
+        self.start = _frame(g.n - 1)[:, None]
+        self.flip = np.square(self.start)
+        self.flip *= -1j * _I_POWERS[max(0, g.n - 1 - MIXER_BLOCK_QUBITS) % 4]
+        np.conjugate(self.start, out=self.start)
+        self.start /= math.sqrt(1 << g.n)
+        self.values: dict[tuple, float] = {}
+        self.held = self.last = self.kept_circuit = None
+        self.kept: np.ndarray | None = None
+
+    def keep(self):
+        """Keep the last evaluated state in ``kept``, if there is a kept
+        buffer and ``state`` still holds that state: the two buffers swap,
+        so nothing is copied, and ``state`` then holds the state kept
+        before."""
+        if self.kept is not None and self.held == self.last:
+            self.state, self.kept = self.kept, self.state
+            self.held, self.kept_circuit = self.kept_circuit, self.held
+
+
+def _circuit(params: QaoaParams) -> tuple[tuple[int, float], ...]:
+    """The half-layers :func:`_flip_symmetric_state` runs for ``params``,
+    in order: ``(0, gamma)`` for a cost layer and ``(1, beta)`` for a
+    mixer layer, leaving out each angle that is exactly 0, as that
+    function does.  Equal circuits run the same kernels on the same
+    floats, so they prepare the same bits."""
+    return tuple(
+        (kind, angle)
+        for layer in zip(params.gammas, params.betas)
+        for kind, angle in enumerate(layer)
+        if angle
+    )
 
 
 def _flip_symmetric_state(
@@ -383,27 +468,47 @@ def _flip_symmetric_state(
     return w, scratch
 
 
+def _prepare(params: QaoaParams, circuit: tuple, ws: FlipSymmetricWorkspace):
+    """Prepare ``params``' state in ``ws.state``, tagged with ``circuit``."""
+    ws.held = None
+    ws.state, ws.scratch = _flip_symmetric_state(params, ws)
+    ws.held = circuit
+    return ws.state, ws.scratch
+
+
 def _flip_symmetric_expectation(params: QaoaParams, ws: FlipSymmetricWorkspace) -> float:
     """Expected cut of the ansatz state, simulated on half the register.
 
     Since ``|w| = |a|`` and ``C(~b) = C(b)``, the expectation is ``2 *
     sum_y |w_y|^2 C(y)`` over the low half (see
-    :func:`_flip_symmetric_state`).
+    :func:`_flip_symmetric_state`).  A circuit already simulated in
+    ``ws`` returns its stored value and runs no kernel.
     """
-    w, scratch = _flip_symmetric_state(params, ws)
-    np.multiply(ws.low_table, w, out=scratch)
-    return 2.0 * float(np.real(np.vdot(w, scratch)))
+    circuit = ws.last = _circuit(params)
+    value = ws.values.get(circuit)
+    if value is None:
+        w, scratch = _prepare(params, circuit, ws)
+        np.multiply(ws.low_table, w, out=scratch)
+        value = ws.values[circuit] = 2.0 * float(np.real(np.vdot(w, scratch)))
+    return value
 
 
 def _flip_symmetric_probabilities(params: QaoaParams, ws: FlipSymmetricWorkspace) -> np.ndarray:
     """Probabilities of all ``2**n`` basis states, ``concat(p, p[::-1])``.
 
     ``p = |w|**2`` is the low half's (the frame's entries are exact units,
-    so ``|w| = |a|``); the full vector, ``2**n`` float64, fills the spare
+    so ``|w| = |a|``); the full vector, ``2**n`` float64, fills a spare
     half-state buffer of ``ws`` exactly, so nothing state-sized is
-    allocated.  It is valid until ``ws`` prepares another state.
+    allocated.  It is valid until ``ws`` prepares another state.  The
+    state is read from ``ws.kept`` when that holds the same circuit, and
+    prepared otherwise.
     """
-    w, spare = _flip_symmetric_state(params, ws)
+    circuit = _circuit(params)
+    if circuit == ws.kept_circuit:
+        w, spare = ws.kept, ws.state
+        ws.held = None
+    else:
+        w, spare = _prepare(params, circuit, ws)
     probs = spare.view(np.float64)
     low = probs[: w.size]
     np.abs(w, out=low)
@@ -446,6 +551,16 @@ def sample_bitstrings(
 
 
 def _draw(probs: np.ndarray, shots: int, rng: np.random.Generator) -> np.ndarray:
-    """``shots`` indices drawn from ``probs``, which is normalized in place."""
-    probs /= probs.sum()
-    return rng.choice(probs.size, size=shots, p=probs).astype(np.int64)
+    """``shots`` indices drawn from ``probs``, which is overwritten.
+
+    The same draws as ``rng.choice(probs.size, shots, p=probs / sum)``,
+    whose steps these are (numpy 2.x), without its copies: the
+    normalized ``probs`` becomes its own cumulative distribution.
+    """
+    total = probs.sum()
+    if not 0.0 < total < math.inf:
+        raise ValueError(f"probabilities must have a positive finite sum, got {total}")
+    probs /= total
+    np.cumsum(probs, out=probs)
+    probs /= probs[-1]
+    return probs.searchsorted(rng.random(shots), side="right").astype(np.int64, copy=False)

@@ -169,11 +169,12 @@ class TestFlipSymmetricHalf:
 
     def test_reused_workspace_allocates_no_state_sized_buffer(self):
         # n=18: the state would be 4 MiB; only small frame-sized
-        # temporaries remain (about 0.06x).
+        # temporaries remain (about 0.06x).  The second circuit differs
+        # from the first, so it is simulated, not read back.
         g = generate_random_graph(18, 34, 0)
         workspace = simulator.FlipSymmetricWorkspace(g)
-        params = QaoaParams(gammas=(0.3, 0.5), betas=(0.2, 0.7))
-        first = evaluate_params(g, params, workspace=workspace)
+        evaluate_params(g, QaoaParams(gammas=(0.3, 0.5), betas=(0.2, 0.7)), workspace=workspace)
+        params = QaoaParams(gammas=(0.3, 0.6), betas=(0.2, 0.7))
         full_state = (1 << g.n) * 16
         tracemalloc.start()
         try:
@@ -181,7 +182,7 @@ class TestFlipSymmetricHalf:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert second == first
+        assert second == evaluate_params(g, params)
         assert peak <= 0.1 * full_state, f"peak {peak / full_state:.3f}x the state"
 
     def test_workspace_of_another_graph_is_refused(self):
@@ -300,8 +301,112 @@ class TestZeroAngleSkip:
             return mix(*args)
 
         monkeypatch.setattr(simulator, "_mix", counting)
-        evaluate_params(generate_random_graph(7, 12, 3), QaoaParams.from_flat(angles))
+        params = QaoaParams.from_flat(angles)
+        evaluate_params(generate_random_graph(7, 12, 3), params)
         assert len(calls) == mixes
+        assert calls == [beta for kind, beta in simulator._circuit(params) if kind == 1]
+
+
+def _reference_expectation(params, ws):
+    """``simulator._flip_symmetric_expectation`` without the circuit memo."""
+    w, scratch = simulator._flip_symmetric_state(params, ws)
+    np.multiply(ws.low_table, w, out=scratch)
+    return 2.0 * float(np.real(np.vdot(w, scratch)))
+
+
+def _reference_probabilities(params, ws):
+    """``simulator._flip_symmetric_probabilities`` preparing every state."""
+    w, spare = simulator._flip_symmetric_state(params, ws)
+    probs = spare.view(np.float64)
+    probs[: w.size] = np.abs(w) ** 2
+    probs[w.size :] = probs[: w.size][::-1]
+    return probs
+
+
+def _reference_draw(probs, shots, rng):
+    """The sampler as ``rng.choice``, with its copies."""
+    probs /= probs.sum()
+    return rng.choice(probs.size, size=shots, p=probs).astype(np.int64)
+
+
+def _prepare_log(monkeypatch):
+    """Log ``"prepare"`` per state preparation and ``"eval"`` as each
+    objective evaluation returns, in order."""
+    log = []
+    prepare, evaluate = simulator._flip_symmetric_state, qaoa.evaluate_params
+
+    def preparing(params, ws):
+        log.append("prepare")
+        return prepare(params, ws)
+
+    def evaluating(*args, **kwargs):
+        value = evaluate(*args, **kwargs)
+        log.append("eval")
+        return value
+
+    monkeypatch.setattr(simulator, "_flip_symmetric_state", preparing)
+    monkeypatch.setattr(qaoa, "evaluate_params", evaluating)
+    return log
+
+
+class TestSimulateEachCircuitOnce:
+    """The circuit memo and the kept best state, against a reference that
+    prepares every state, memoizes nothing and multiplies whole blocks."""
+
+    @pytest.mark.parametrize("twins", [(0, 1), (2, 3)], ids=["cost", "mixer"])
+    def test_simplex_twins_run_the_kernels_once(self, monkeypatch, twins):
+        # scipy's initial simplex around the zero start moves gamma_1 and
+        # gamma_2 (or beta_1 and beta_2) alone by 0.00025: one circuit.
+        g = generate_random_graph(9, 16, 2)
+        first, second = np.zeros(4), np.zeros(4)
+        first[twins[0]] = second[twins[1]] = 0.00025
+        expected = evaluate_params(g, QaoaParams.from_flat(second))
+        log = _prepare_log(monkeypatch)
+        workspace = simulator.FlipSymmetricWorkspace(g)
+        values = [evaluate_params(g, QaoaParams.from_flat(x), workspace=workspace)
+                  for x in (first, second)]
+        assert log == ["prepare"]
+        assert repr(values[1]) == repr(values[0]) == repr(expected)
+
+    @pytest.mark.parametrize(("shots", "after"), [(64, []), (0, ["prepare"])])
+    def test_sampled_run_keeps_its_best_state(self, monkeypatch, shots, after):
+        g = generate_random_graph(9, 16, 4)
+        cfg = QaoaConfig(p=2, budget=10, restarts=2, seed=3, shots=shots, warm_start=False)
+        circuits = []
+        circuit = simulator._circuit
+
+        def recording(params):
+            circuits.append(circuit(params))
+            return circuits[-1]
+
+        monkeypatch.setattr(simulator, "_circuit", recording)
+        log = _prepare_log(monkeypatch)
+        result = run_qaoa(g, cfg)
+        last = len(log) - log[::-1].index("eval")
+        assert log.count("eval") == result.n_evaluations == 10
+        assert log[last:] == after
+        # Every distinct circuit evaluated is simulated exactly once.
+        evaluated = circuits[: result.n_evaluations]
+        assert log[:last].count("prepare") == len(set(evaluated)) < len(evaluated)
+
+    @pytest.mark.parametrize("shots", [0, 200])
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    @pytest.mark.parametrize("n", range(1, 21))
+    def test_run_matches_the_reference(self, n, p, shots):
+        g = generate_random_graph(n, min(n * (n - 1) // 2, 3 * n), n)
+        budget = 12 if n <= 16 else 6  # p=3 at budget 6 still climbs the ladder
+        cfg = QaoaConfig(p=p, budget=budget, restarts=2, seed=n + p, shots=shots)
+        result = run_qaoa(g, cfg)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(qaoa, "_flip_symmetric_expectation", _reference_expectation)
+            mp.setattr(qaoa, "_flip_symmetric_probabilities", _reference_probabilities)
+            mp.setattr(qaoa, "_draw", _reference_draw)
+            mp.setattr(simulator, "_PANEL_MIN_QUBITS", 64)  # whole blocks only
+            reference = run_qaoa(g, cfg)
+        fields = ("best_params", "best_expectation", "best_cut", "n_evaluations")
+        assert [repr(getattr(result, f)) for f in fields] == [
+            repr(getattr(reference, f)) for f in fields
+        ]
 
 
 class TestEvaluateParams:
@@ -585,8 +690,9 @@ class TestRunOnTheHalf:
     @pytest.mark.parametrize(("shots", "bound"), [(0, 1.7), (4096, 1.9)])
     def test_run_peak_memory(self, shots, bound):
         # n=18: the full state would be 4 MiB.  The workspace is 1.25x; the
-        # threshold scan adds one intp half table (reads 1.60x), the
-        # sampler its cumulative distribution, 0.5x (reads 1.83x).  The
+        # threshold scan adds one intp half table (reads 1.60x), a sampled
+        # run the buffer that keeps its best state, 0.5x, where the sampler
+        # once copied its cumulative distribution (reads 1.85x).  The
         # full-register final state peaked at 2.27x either way.
         g = generate_random_graph(18, 34, 0)
         cfg = QaoaConfig(p=2, budget=6, restarts=2, seed=0, shots=shots)
