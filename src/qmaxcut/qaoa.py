@@ -20,10 +20,13 @@ multi-start Nelder-Mead under a hard evaluation budget:
   dedicated PCG64 stream derived from ``seed``, fixed before any
   optimization happens, so results are reproducible.
 * Every start point is evaluated once up front, then Nelder-Mead runs
-  from each in turn with whatever budget remains.  The best parameter
-  vector ever *evaluated* is returned, so the result can never be worse
-  than the all-zero point -- whose state is the uniform superposition
-  with expectation ``m / 2``.
+  from each in turn with whatever budget remains.  The optimizer is
+  :func:`minimize`, in this module: it repeats scipy's Nelder-Mead
+  steps exactly, so the package imports no scipy (``scipy.optimize``
+  alone took about 0.5 s and 45 MiB of every process's start-up).  The
+  best parameter vector ever *evaluated* is returned, so the result can
+  never be worse than the all-zero point -- whose state is the uniform
+  superposition with expectation ``m / 2``.
 * No call evaluates the objective more than ``budget`` times, enforced
   by a counter around the objective itself.
 
@@ -37,7 +40,7 @@ next on the simulator, so the padded depth-1 optimum can score lower at
 depth 2 by rounding, about 1e-14.
 
 Exact zero angles are common: the all-zero start is evaluated up front
-and again as Nelder-Mead's ``x0``, scipy's initial simplex around it
+and again as Nelder-Mead's ``x0``, the initial simplex around it
 moves one coordinate at a time off 0, and the ladder pads each warm
 start with a zero layer.  On the n=20 benchmark workload 45% of the
 simulated cost and mixer half-layers have an exactly zero angle.  Each
@@ -54,7 +57,8 @@ without running a kernel; it still counts as an evaluation (on the
 n=20 benchmark workload, 3 of every 10 evaluations are repeats).  A
 sampled run also keeps the state of each evaluation that improves the
 best in a third half-size buffer, so the final state is prepared again
-only when the best value came from a repeat.
+only when the best value came from a repeat; any run reads it without
+preparing when the workspace's state buffer still holds it.
 """
 
 from __future__ import annotations
@@ -64,7 +68,8 @@ import time
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import minimize
+# numpy loads numpy.random lazily; load it with the package, not in a first run.
+from numpy.random import SeedSequence, default_rng
 
 from .graph import CutAssignment, Graph, labels_from_index
 from .simulator import (
@@ -207,13 +212,81 @@ class _Objective:
             self.best_x = np.asarray(x, dtype=float).copy()
             if self._workspace is not None:
                 self._workspace.keep()
-        return -value  # scipy minimizes
+        return -value  # minimize() minimizes
+
+
+def _by_value(sim: np.ndarray, fsim: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    ind = np.argsort(fsim)
+    return np.take(sim, ind, 0), np.take(fsim, ind, 0)
+
+
+def minimize(fun, x0: np.ndarray, maxfev: int) -> tuple[np.ndarray, float]:
+    """Nelder-Mead (Comput. J. 7:308, 1965): minimize ``fun`` from ``x0``
+    with at most ``maxfev`` evaluations; returns the best vertex and its value.
+
+    These are the steps of scipy's ``minimize(method="Nelder-Mead")``
+    with its defaults, in the same floating-point operations and sorts,
+    so ``fun`` sees the same points in the same order, bit for bit: the
+    first simplex is ``x0`` and ``x0`` with one coordinate scaled by
+    1.05 (set to 0.00025 where it is 0); reflection 1, expansion 2,
+    contraction and shrink 0.5; stop when every vertex is within 1e-4 of
+    the best in each coordinate and in value.  ``fun`` may be passed a
+    view of a simplex row, not a copy, so it must copy any point it keeps.
+    """
+    def f(x):
+        nonlocal fev
+        if fev >= maxfev:
+            raise _BudgetExhausted
+        fev += 1
+        return fun(x)
+
+    fev, n = 0, len(x0)
+    sim = np.tile(np.asarray(x0, dtype=float), (n + 1, 1))
+    for k in range(n):
+        sim[k + 1, k] = 1.05 * sim[0, k] if sim[0, k] != 0 else 0.00025
+    fsim = np.full(n + 1, np.inf)
+    try:
+        for k in range(n + 1):
+            fsim[k] = f(sim[k])
+    except _BudgetExhausted:
+        pass
+    sim, fsim = _by_value(*_by_value(sim, fsim))  # scipy sorts the first simplex twice
+    while fev < maxfev:
+        if np.max(np.abs(sim[1:] - sim[0])) <= 1e-4 and np.max(np.abs(fsim[0] - fsim[1:])) <= 1e-4:
+            break
+        try:
+            xbar = np.add.reduce(sim[:-1], 0) / n
+            xr = 2 * xbar - sim[-1]
+            fxr = f(xr)
+            if fxr < fsim[0]:
+                xe = 3 * xbar - 2 * sim[-1]
+                fxe = f(xe)
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                if fxr < fsim[-1]:  # outside contraction
+                    xc = 1.5 * xbar - 0.5 * sim[-1]
+                    fxc = f(xc)
+                    accept = fxc <= fxr
+                else:  # inside contraction
+                    xc = 0.5 * xbar + 0.5 * sim[-1]
+                    fxc = f(xc)
+                    accept = fxc < fsim[-1]
+                if accept:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:  # shrink towards the best vertex
+                    for j in range(1, n + 1):
+                        sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                        fsim[j] = f(sim[j])
+        except _BudgetExhausted:
+            pass
+        sim, fsim = _by_value(sim, fsim)
+    return sim[0], float(fsim[0])
 
 
 def _draw_starts(p: int, count: int, seed: int, stage: int) -> list[np.ndarray]:
-    rng = np.random.default_rng(
-        np.random.SeedSequence([seed & ((1 << 64) - 1), _STREAM_DRAWS, stage])
-    )
+    rng = default_rng(SeedSequence([seed & ((1 << 64) - 1), _STREAM_DRAWS, stage]))
     starts = []
     for _ in range(count):
         gammas = rng.uniform(0.0, 2.0 * np.pi, size=p)
@@ -262,12 +335,7 @@ def optimize_params(
             remaining = objective.budget - objective.n_evaluations
             if remaining < 1:
                 break
-            minimize(
-                objective,
-                x0,
-                method="Nelder-Mead",
-                options={"maxfev": remaining},
-            )
+            minimize(objective, x0, remaining)
     except _BudgetExhausted:
         pass
 
@@ -287,7 +355,8 @@ def _extract_cut(params: QaoaParams, cfg: QaoaConfig, ws: FlipSymmetricWorkspace
     """Prepare the final state in ``ws`` and pick the reported cut from it.
 
     The state is read from the buffer that keeps a sampled run's best
-    state when that holds the same circuit, and simulated otherwise.
+    state, or from the state buffer, when either holds the same circuit,
+    and simulated otherwise.
 
     ``shots == 0``: best cut among basis states whose exact probability
     is at least ``1 / 2**(n+1)`` (half the uniform weight; the set is
@@ -305,10 +374,10 @@ def _extract_cut(params: QaoaParams, cfg: QaoaConfig, ws: FlipSymmetricWorkspace
         values = np.where(probs[: ws.low_table.size] >= 1.0 / (1 << (n + 1)), ws.low_table, -1)
         best = int(np.argmax(values))  # first max = smallest index
     else:
-        rng = np.random.default_rng(
-            np.random.SeedSequence([cfg.seed & ((1 << 64) - 1), _STREAM_SHOTS])
-        )
-        candidates = np.unique(_draw(probs, cfg.shots, rng))
+        rng = default_rng(SeedSequence([cfg.seed & ((1 << 64) - 1), _STREAM_SHOTS]))
+        # Sorted, so the first max is the smallest index (np.unique would
+        # also import numpy.ma, 23 ms, on its first call).
+        candidates = np.sort(_draw(probs, cfg.shots, rng))
         values = ws.low_table[np.minimum(candidates, last - candidates)]
         best = int(candidates[int(np.argmax(values))])
     return CutAssignment(
@@ -332,8 +401,8 @@ def run_qaoa(
     ``cfg.warm_start`` controls the internal depth ladder (see module
     docstring).  ``n_evaluations`` counts objective evaluations only;
     the final state preparation is one further circuit application (one
-    job in the pipeline's model), which a sampled run reads from the
-    state of its best evaluation, kept on this host, when it can.
+    job in the pipeline's model), which this host skips when it still
+    holds that state: a sampled run's kept best, or the last one simulated.
     ``elapsed`` covers the whole call; ``per_stage_timings`` splits it
     into the ``optimize`` and ``extract`` stages.
 

@@ -31,8 +31,9 @@ peaks at 1.38 times that at n=18; one on a reused workspace allocates
 0.06 times it.  The workspace stores each simulated expectation under
 its effective circuit (:func:`_circuit`), so no circuit is simulated
 twice in it, and it can keep one more state, a sampled run's best, in a
-third half-size buffer for the final extraction.  Sampling draws from
-the probabilities in place (:func:`_draw`).  With the mixer's blocks
+third half-size buffer; the final extraction reads either held state
+instead of preparing it again.  Sampling draws from the probabilities in
+place (:func:`_draw`).  With the mixer's blocks
 above bit 3 in real arithmetic, a p=2 evaluation on a reused workspace
 takes 0.94-1.4 ms at n=16 and 32-43 ms at n=20, against 1.6-2.4 ms and
 51-61 ms with fresh buffers and complex blocks (min-median, 2-vCPU
@@ -500,13 +501,15 @@ def _flip_symmetric_probabilities(params: QaoaParams, ws: FlipSymmetricWorkspace
     so ``|w| = |a|``); the full vector, ``2**n`` float64, fills a spare
     half-state buffer of ``ws`` exactly, so nothing state-sized is
     allocated.  It is valid until ``ws`` prepares another state.  The
-    state is read from ``ws.kept`` when that holds the same circuit, and
-    prepared otherwise.
+    state is read from ``ws.kept`` or ``ws.state`` when either holds the
+    same circuit, and prepared otherwise.
     """
     circuit = _circuit(params)
     if circuit == ws.kept_circuit:
         w, spare = ws.kept, ws.state
         ws.held = None
+    elif circuit == ws.held:
+        w, spare = ws.state, ws.scratch
     else:
         w, spare = _prepare(params, circuit, ws)
     probs = spare.view(np.float64)

@@ -16,6 +16,10 @@ PACKAGE_ROOT = Path(qmaxcut.__file__).resolve().parents[1]
 
 
 def run_cli(*args, env_extra=None, cwd=None):
+    return run_python("-m", "qmaxcut", *map(str, args), env_extra=env_extra, cwd=cwd)
+
+
+def run_python(*argv, env_extra=None, cwd=None):
     env = {k: v for k, v in os.environ.items() if k != "QMAXCUT_QUBIT_CAP"}
     # A relative PYTHONPATH entry (e.g. ``src``) means nothing once the
     # child runs in ``cwd``; pin the imported package first and make the
@@ -28,7 +32,7 @@ def run_cli(*args, env_extra=None, cwd=None):
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
-        [sys.executable, "-m", "qmaxcut", *map(str, args)],
+        [sys.executable, *argv],
         capture_output=True,
         text=True,
         env=env,
@@ -279,6 +283,24 @@ class TestBench:
     def test_bad_sizes_argument(self, tmp_path):
         res = run_cli("bench", "--sizes", "4-5", "--out", tmp_path / "x.csv")
         assert res.returncode == 2
+
+
+class TestStartup:
+    def test_no_command_imports_scipy(self, tmp_path):
+        # scipy.optimize alone once took ~0.5 s and 45 MiB of every start-up.
+        code = "\n".join([
+            "import sys",
+            "import qmaxcut",
+            "from qmaxcut.cli import main",
+            "assert main(['solve', '--gen', '8,12', '--algo', 'all', '--depth', '1,2',"
+            " '--budget', '20', '--shots', '16']) == 0",
+            "assert main(['bench', '--sizes', '4:5,6:9', '--depth', '1,2', '--budget', '12',"
+            " '--out', 'bench.csv']) == 0",
+            "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))",
+        ])
+        res = run_python("-c", code, cwd=tmp_path)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.splitlines()[-1] == "[]"
 
 
 @pytest.mark.slow

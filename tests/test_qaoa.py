@@ -355,8 +355,8 @@ class TestSimulateEachCircuitOnce:
 
     @pytest.mark.parametrize("twins", [(0, 1), (2, 3)], ids=["cost", "mixer"])
     def test_simplex_twins_run_the_kernels_once(self, monkeypatch, twins):
-        # scipy's initial simplex around the zero start moves gamma_1 and
-        # gamma_2 (or beta_1 and beta_2) alone by 0.00025: one circuit.
+        # Nelder-Mead's initial simplex around the zero start moves gamma_1
+        # and gamma_2 (or beta_1 and beta_2) alone by 0.00025: one circuit.
         g = generate_random_graph(9, 16, 2)
         first, second = np.zeros(4), np.zeros(4)
         first[twins[0]] = second[twins[1]] = 0.00025
@@ -388,6 +388,21 @@ class TestSimulateEachCircuitOnce:
         # Every distinct circuit evaluated is simulated exactly once.
         evaluated = circuits[: result.n_evaluations]
         assert log[:last].count("prepare") == len(set(evaluated)) < len(evaluated)
+
+    def test_scanned_run_reads_a_held_final_state(self, monkeypatch):
+        # Here the best circuit is also the last one simulated, so the
+        # workspace still holds the final state: the scan prepares none.
+        g = generate_random_graph(9, 16, 2)
+        cfg = QaoaConfig(p=2, budget=10, restarts=2, seed=3, warm_start=False)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(qaoa, "_flip_symmetric_probabilities", _reference_probabilities)
+            reference = run_qaoa(g, cfg)
+        log = _prepare_log(monkeypatch)
+        result = run_qaoa(g, cfg)
+        last = len(log) - log[::-1].index("eval")
+        assert log.count("eval") == result.n_evaluations == 10
+        assert log[last:] == []
+        assert repr(result.best_cut) == repr(reference.best_cut)
 
     @pytest.mark.parametrize("shots", [0, 200])
     @pytest.mark.parametrize("p", [1, 2, 3])
