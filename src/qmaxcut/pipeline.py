@@ -11,14 +11,15 @@ whatever computed the value on this host: a depth-1 evaluation done in
 closed form still counts as one job, as it would on hardware, and so does
 one whose zero-angle layers ran no kernel, one whose circuit the host had
 already simulated, and a final state the host kept from the best
-evaluation (see :mod:`qmaxcut.qaoa`).  The report prices that traffic
-at a configurable per-offload latency: ``simulated_comm_overhead =
-offload_count * offload_latency``.  The overhead is bookkeeping only;
-nothing sleeps.
+evaluation (see :class:`qmaxcut.simulator.FlipSymmetricWorkspace`).
+The report prices that traffic at a configurable per-offload latency:
+``simulated_comm_overhead = offload_count * offload_latency``.  The
+overhead is bookkeeping only; nothing sleeps.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -36,8 +37,9 @@ class PipelineConfig:
     postprocess_refine: bool = True
 
     def __post_init__(self):
-        if self.offload_latency < 0:
-            raise ValueError(f"latency must be non-negative, got {self.offload_latency}")
+        # ``not 0 <= x < inf`` also refuses NaN, for which every comparison is False.
+        if not 0 <= self.offload_latency < math.inf:
+            raise ValueError(f"latency must be finite and non-negative, got {self.offload_latency}")
 
 
 @dataclass(frozen=True)

@@ -3,16 +3,14 @@
 The objective is the expected cut value of the layered ansatz state,
 which we maximize.  At depth 1 it is computed in closed form from
 per-edge degrees and triangle counts, in ``O(m)`` with no ``2**n``
-state, but under the same qubit cap.  Deeper objectives simulate only
-the flip-symmetric half of the register, ``2**(n-1)`` amplitudes (at
-n=16, p=2 about 1 ms per evaluation against 4 ms for the full state).
-:func:`run_qaoa` checks the cap once and allocates one workspace, 1.25
-times the full state's bytes, holding the low half of the cut table it
-builds; every evaluation of the run, on every rung of the ladder, the
-final state, cut extraction and sampling all run in it.  An evaluation
-on it allocates only frame-sized temporaries.  No full cut table or
-full-register state is built on any run path.  Optimization is
-multi-start Nelder-Mead under a hard evaluation budget:
+state, but under the same qubit cap.  Deeper objectives are simulated
+on the flip-symmetric half of the register, ``2**(n-1)`` amplitudes.
+:func:`run_qaoa` checks the cap once and builds one
+:class:`~qmaxcut.simulator.FlipSymmetricWorkspace`, which computes every
+simulated expectation of the run, on every rung of the ladder, keeps
+the best state and picks the cut; this module only chooses the angles.
+No full cut table or full-register state is built on any run path.
+Optimization is multi-start Nelder-Mead under a hard evaluation budget:
 
 * Start points are, in order: any warm-start vectors, the all-zero
   vector, then uniform random draws (gamma in [0, 2*pi), beta in
@@ -46,19 +44,8 @@ start with a zero layer.  On the n=20 benchmark workload 45% of the
 simulated cost and mixer half-layers have an exactly zero angle.  Each
 such half-layer is the identity, and the simulator skips it (see
 :func:`qmaxcut.simulator._flip_symmetric_state`); the evaluation still
-counts toward the budget.
-
-Skipping zeros makes distinct angle vectors the same circuit: the zero
-start's second evaluation as Nelder-Mead's ``x0``, and the simplex
-points that move ``gamma_1`` or ``gamma_2`` (``beta_1`` or ``beta_2``)
-alone.  The workspace stores each simulated value under its circuit,
-the ordered half-layers that run, so a repeat returns the same float
-without running a kernel; it still counts as an evaluation (on the
-n=20 benchmark workload, 3 of every 10 evaluations are repeats).  A
-sampled run also keeps the state of each evaluation that improves the
-best in a third half-size buffer, so the final state is prepared again
-only when the best value came from a repeat; any run reads it without
-preparing when the workspace's state buffer still holds it.
+counts toward the budget, also when the workspace returns a stored
+value because skipping made it a circuit already simulated.
 """
 
 from __future__ import annotations
@@ -71,14 +58,11 @@ import numpy as np
 # numpy loads numpy.random lazily; load it with the package, not in a first run.
 from numpy.random import SeedSequence, default_rng
 
-from .graph import CutAssignment, Graph, labels_from_index
+from .graph import CutAssignment, Graph
 from .simulator import (
     FlipSymmetricWorkspace,
     QaoaParams,
     _check_cap,
-    _draw,
-    _flip_symmetric_expectation,
-    _flip_symmetric_probabilities,
     # Unused, but bench/tests/test_bench_harness.py checks that the tracer rebinds it here.
     apply_qaoa_circuit,  # noqa: F401
 )
@@ -164,7 +148,7 @@ def evaluate_params(
     then comes from :func:`depth_one_expectation` and no state or cut
     table is built.  Deeper circuits are simulated on the half of the
     register that the global bit flip maps onto the other half (see
-    :func:`qmaxcut.simulator._flip_symmetric_expectation`), in
+    :meth:`qmaxcut.simulator.FlipSymmetricWorkspace.expectation`), in
     ``workspace`` when one is passed (it must have been built for ``g``)
     and otherwise in a fresh one; the cap is resolved only by the check
     above.  A circuit the workspace has already simulated returns the
@@ -182,7 +166,7 @@ def evaluate_params(
         workspace = FlipSymmetricWorkspace(g)
     elif workspace.graph is not g:
         raise ValueError("workspace was built for a different graph")
-    return _flip_symmetric_expectation(params, workspace)
+    return workspace.expectation(params)
 
 
 class _BudgetExhausted(Exception):
@@ -210,8 +194,6 @@ class _Objective:
         if value > self.best_value:
             self.best_value = value
             self.best_x = np.asarray(x, dtype=float).copy()
-            if self._workspace is not None:
-                self._workspace.keep()
         return -value  # minimize() minimizes
 
 
@@ -285,8 +267,8 @@ def minimize(fun, x0: np.ndarray, maxfev: int) -> tuple[np.ndarray, float]:
     return sim[0], float(fsim[0])
 
 
-def _draw_starts(p: int, count: int, seed: int, stage: int) -> list[np.ndarray]:
-    rng = default_rng(SeedSequence([seed & ((1 << 64) - 1), _STREAM_DRAWS, stage]))
+def _draw_starts(p: int, count: int, seed: int) -> list[np.ndarray]:
+    rng = default_rng(SeedSequence([seed & ((1 << 64) - 1), _STREAM_DRAWS, p]))
     starts = []
     for _ in range(count):
         gammas = rng.uniform(0.0, 2.0 * np.pi, size=p)
@@ -301,7 +283,6 @@ def optimize_params(
     *,
     extra_starts: tuple[QaoaParams, ...] = (),
     workspace: FlipSymmetricWorkspace | None = None,
-    _stage: int | None = None,
 ) -> tuple[QaoaParams, float, int]:
     """Maximize the expected cut over angles at depth ``cfg.p``.
 
@@ -325,7 +306,7 @@ def optimize_params(
     starts = [w.to_flat() for w in extra_starts]
     starts.append(np.zeros(2 * cfg.p))
     n_draws = max(0, cfg.restarts - len(starts))
-    starts.extend(_draw_starts(cfg.p, n_draws, cfg.seed, _stage if _stage is not None else cfg.p))
+    starts.extend(_draw_starts(cfg.p, n_draws, cfg.seed))
 
     objective = _Objective(g, cfg.budget, workspace)
     try:
@@ -351,40 +332,6 @@ def _pad_params(params: QaoaParams, p: int) -> QaoaParams:
     return QaoaParams(gammas=params.gammas + pad, betas=params.betas + pad)
 
 
-def _extract_cut(params: QaoaParams, cfg: QaoaConfig, ws: FlipSymmetricWorkspace) -> CutAssignment:
-    """Prepare the final state in ``ws`` and pick the reported cut from it.
-
-    The state is read from the buffer that keeps a sampled run's best
-    state, or from the state buffer, when either holds the same circuit,
-    and simulated otherwise.
-
-    ``shots == 0``: best cut among basis states whose exact probability
-    is at least ``1 / 2**(n+1)`` (half the uniform weight; the set is
-    never empty).  ``shots > 0``: best cut among sampled bitstrings,
-    drawn from all ``2**n`` probabilities.  Ties resolve to the smallest
-    basis index.  The state's probabilities and cut values are both
-    flip-symmetric, so the smallest index among tied maxima always lies
-    in the low half: the threshold scan reads the low half alone, and a
-    sampled index ``c`` reads the cut of ``min(c, ~c)``.
-    """
-    n, last = ws.graph.n, (1 << ws.graph.n) - 1
-    probs = _flip_symmetric_probabilities(params, ws)
-    if cfg.shots == 0:
-        # -1 is below every cut, so no state under the threshold wins.
-        values = np.where(probs[: ws.low_table.size] >= 1.0 / (1 << (n + 1)), ws.low_table, -1)
-        best = int(np.argmax(values))  # first max = smallest index
-    else:
-        rng = default_rng(SeedSequence([cfg.seed & ((1 << 64) - 1), _STREAM_SHOTS]))
-        # Sorted, so the first max is the smallest index (np.unique would
-        # also import numpy.ma, 23 ms, on its first call).
-        candidates = np.sort(_draw(probs, cfg.shots, rng))
-        values = ws.low_table[np.minimum(candidates, last - candidates)]
-        best = int(candidates[int(np.argmax(values))])
-    return CutAssignment(
-        labels=labels_from_index(n, best), cut_value=int(ws.low_table[min(best, last - best)])
-    )
-
-
 def run_qaoa(
     g: Graph,
     cfg: QaoaConfig,
@@ -397,51 +344,46 @@ def run_qaoa(
     depth's optimum guarantees the expectation is non-decreasing in
     depth, because the padded point is itself evaluated (up to rounding,
     about 1e-14, when the previous depth was 1 and so evaluated in
-    closed form).  Without it,
-    ``cfg.warm_start`` controls the internal depth ladder (see module
-    docstring).  ``n_evaluations`` counts objective evaluations only;
-    the final state preparation is one further circuit application (one
-    job in the pipeline's model), which this host skips when it still
-    holds that state: a sampled run's kept best, or the last one simulated.
-    ``elapsed`` covers the whole call; ``per_stage_timings`` splits it
-    into the ``optimize`` and ``extract`` stages.
+    closed form).  Without it, ``cfg.warm_start`` controls the internal
+    depth ladder (see module docstring); either way the run is one loop
+    over its rungs, a lone rung at depth ``cfg.p`` when no ladder
+    climbs.  ``n_evaluations`` counts objective evaluations only; the
+    final state preparation is one further circuit application (one job
+    in the pipeline's model), which this host skips when the workspace
+    still holds that state.  ``elapsed`` covers the whole call;
+    ``per_stage_timings`` splits it into the ``optimize`` and
+    ``extract`` stages.
 
     The qubit cap is checked once, then one workspace (see
     :class:`~qmaxcut.simulator.FlipSymmetricWorkspace`) serves every
     evaluation, the final state, extraction and sampling: the run peaks
     at about 1.6 times the full state's ``2**n * 16`` bytes, or 1.85
-    with ``shots`` (the kept best state), where the full-register final
-    state peaked at 2.27 (tracemalloc, n=18).
+    with ``shots``, where the workspace also keeps the best state
+    (tracemalloc, n=18).
     """
     t_start = time.perf_counter()
     _check_cap(g.n, cfg.cap)
-    workspace = FlipSymmetricWorkspace(g)
-    if cfg.shots:  # keeps the best state; the in-place sampler needs no other buffer
-        workspace.kept = np.empty_like(workspace.state)
-    total_evals = 0
-
-    if warm_params is not None:
-        extra = (_pad_params(warm_params, cfg.p),)
-        params, expectation, total_evals = optimize_params(
-            g, cfg, extra_starts=extra, workspace=workspace
+    # Keep the best state only when sampling: the in-place draw allocates
+    # nothing state-sized, where the threshold scan allocates a half table.
+    keep_best = cfg.shots > 0
+    workspace = FlipSymmetricWorkspace(g, keep_best)
+    ladder = warm_params is None and cfg.warm_start and cfg.budget // cfg.p >= 2
+    depths = range(1, cfg.p + 1) if ladder else (cfg.p,)
+    per_rung = cfg.budget // len(depths)
+    params, total_evals = warm_params, 0
+    for depth in depths:
+        budget = per_rung if depth < cfg.p else cfg.budget - per_rung * (len(depths) - 1)
+        extra = (_pad_params(params, depth),) if params is not None else ()
+        params, expectation, used = optimize_params(
+            g, replace(cfg, p=depth, budget=budget), extra_starts=extra, workspace=workspace
         )
-    elif cfg.warm_start and cfg.p > 1 and cfg.budget // cfg.p >= 2:
-        per_stage = cfg.budget // cfg.p
-        params = None
-        expectation = -np.inf
-        for depth in range(1, cfg.p + 1):
-            stage_budget = per_stage if depth < cfg.p else cfg.budget - per_stage * (cfg.p - 1)
-            stage_cfg = replace(cfg, p=depth, budget=stage_budget)
-            extra = (_pad_params(params, depth),) if params is not None else ()
-            params, expectation, used = optimize_params(
-                g, stage_cfg, extra_starts=extra, workspace=workspace, _stage=depth
-            )
-            total_evals += used
-    else:
-        params, expectation, total_evals = optimize_params(g, cfg, workspace=workspace)
+        total_evals += used
     t_optimized = time.perf_counter()
 
-    assignment = _extract_cut(params, cfg, workspace)
+    rng = None
+    if cfg.shots:
+        rng = default_rng(SeedSequence([cfg.seed & ((1 << 64) - 1), _STREAM_SHOTS]))
+    assignment = workspace.cut(params, cfg.shots, rng)
     t_end = time.perf_counter()
 
     return QaoaResult(

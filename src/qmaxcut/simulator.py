@@ -18,30 +18,20 @@ expectation's product) and the int32 cut table, a quarter of the
 state: about 2.25 times ``2**n * 16`` bytes (2.26 measured under
 tracemalloc at n=20), so about 580 MiB at the default cap.
 ``run_qaoa`` uses none of them: its evaluations at depth 2 or more
-(depth 1 has a closed form in :mod:`qmaxcut.qaoa`), its final state
-and the probabilities it extracts and samples from are all prepared on
-the flip-symmetric half of the register, in one
+(depth 1 has a closed form in :mod:`qmaxcut.qaoa`), its final state,
+the probabilities and the cut it picks from them are all prepared on
+the flip-symmetric half of the register, by one
 :class:`FlipSymmetricWorkspace`: the half state, one half-size scratch
 buffer and the low half of the cut table as ``intp``, 1.25 times
 ``2**n * 16`` bytes.  That table is built vertex by vertex in
 ``O(2**n)`` (:func:`qmaxcut.graph.half_cut_values_by_basis`), not by
-one add per edge: 3.0-3.1 ms at n=20, m=60 against 49-53 ms (min-median,
-one thread).  An evaluation that builds its own workspace
-peaks at 1.38 times that at n=18; one on a reused workspace allocates
-0.06 times it.  The workspace stores each simulated expectation under
-its effective circuit (:func:`_circuit`), so no circuit is simulated
-twice in it, and it can keep one more state, a sampled run's best, in a
-third half-size buffer; the final extraction reads either held state
-instead of preparing it again.  Sampling draws from the probabilities in
-place (:func:`_draw`).  With the mixer's blocks
-above bit 3 in real arithmetic, a p=2 evaluation on a reused workspace
-takes 0.94-1.4 ms at n=16 and 32-43 ms at n=20, against 1.6-2.4 ms and
-51-61 ms with fresh buffers and complex blocks (min-median, 2-vCPU
-Xeon, one BLAS thread); from ``2**17`` amplitudes the large blocks
-multiply row panels that stay in cache (:func:`_mix`).  The
-``QMAXCUT_QUBIT_CAP`` environment variable overrides the default; an
-explicit ``cap=`` argument beats both.  Brute force's ``2**n`` cut
-table follows the same cap.
+one add per edge.  An evaluation that builds its own workspace peaks at
+1.38 times that at n=18; one on a reused workspace allocates 0.06 times
+it.  The mixer's blocks above bit 3 run in real arithmetic, and from
+``2**17`` amplitudes the large blocks multiply row panels that stay in
+cache (:func:`_mix`).  The ``QMAXCUT_QUBIT_CAP`` environment variable
+overrides the default; an explicit ``cap=`` argument beats both.  Brute
+force's ``2**n`` cut table follows the same cap.
 """
 
 from __future__ import annotations
@@ -53,7 +43,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ResourceLimitError
-from .graph import Graph, cut_values_by_basis, half_cut_values_by_basis
+from .graph import (
+    CutAssignment,
+    Graph,
+    cut_values_by_basis,
+    half_cut_values_by_basis,
+    labels_from_index,
+)
 
 DEFAULT_QUBIT_CAP = 24
 MIXER_BLOCK_QUBITS = 4
@@ -357,8 +353,8 @@ def apply_qaoa_circuit(
 
 
 class FlipSymmetricWorkspace:
-    """Buffers for simulating one graph on the flip-symmetric half, reused
-    by every state prepared in them, and the values already simulated.
+    """One graph's circuits simulated on the flip-symmetric half of the
+    register: their expectations, final probabilities and picked cut.
 
     Holds the half state and one half-size scratch buffer, the low half
     of the cut table as ``intp`` (``np.take`` would copy an int32 index
@@ -371,16 +367,24 @@ class FlipSymmetricWorkspace:
     1.25 times the full state's ``2**n * 16`` bytes.  The caller checks
     the qubit cap.
 
-    ``values`` maps each circuit simulated here (see :func:`_circuit`)
-    to its expectation, so a repeated circuit runs no kernel; it grows by
+    Skipping exact zero angles makes distinct angle vectors the same
+    circuit (:func:`_circuit`): the optimizer's zero start evaluated
+    again as Nelder-Mead's ``x0``, and the simplex points that move
+    ``gamma_1`` or ``gamma_2`` (``beta_1`` or ``beta_2``) alone.
+    ``values`` maps each circuit simulated here to its expectation, so a
+    repeat returns the same float without running a kernel; it grows by
     one entry per distinct circuit.  ``held`` names the circuit whose
-    state ``state`` holds, ``last`` the circuit last evaluated.  A caller
-    that sets ``kept`` to a third half-size buffer can :meth:`keep` a
-    state there; ``kept_circuit`` names it.  Each name is ``None`` while
-    its buffer holds no known state.
+    state ``state`` holds, ``None`` while it holds no known state.
+
+    With ``keep_best`` a third half-size buffer, ``kept``, holds the
+    state of the best circuit simulated so far (``kept_circuit``, with
+    value ``best``): each simulation that beats it swaps the two state
+    buffers, so nothing is copied.  The final state is then prepared
+    again only when the best value came from a repeat, and
+    :meth:`probabilities` reads it from either buffer that holds it.
     """
 
-    def __init__(self, g: Graph):
+    def __init__(self, g: Graph, keep_best: bool = False):
         half = 1 << (g.n - 1)
         self.graph = g
         self.state = np.empty(half, dtype=np.complex128)
@@ -394,17 +398,91 @@ class FlipSymmetricWorkspace:
         np.conjugate(self.start, out=self.start)
         self.start /= math.sqrt(1 << g.n)
         self.values: dict[tuple, float] = {}
-        self.held = self.last = self.kept_circuit = None
-        self.kept: np.ndarray | None = None
+        self.held = self.kept_circuit = None
+        self.kept = np.empty_like(self.state) if keep_best else None
+        self.best = -math.inf
 
-    def keep(self):
-        """Keep the last evaluated state in ``kept``, if there is a kept
-        buffer and ``state`` still holds that state: the two buffers swap,
-        so nothing is copied, and ``state`` then holds the state kept
-        before."""
-        if self.kept is not None and self.held == self.last:
-            self.state, self.kept = self.kept, self.state
-            self.held, self.kept_circuit = self.kept_circuit, self.held
+    def _prepare(self, params: QaoaParams, circuit: tuple) -> tuple[np.ndarray, np.ndarray]:
+        """Prepare ``params``' state in ``state``, tagged with ``circuit``."""
+        self.held = None
+        self.state, self.scratch = _flip_symmetric_state(params, self)
+        self.held = circuit
+        return self.state, self.scratch
+
+    def expectation(self, params: QaoaParams) -> float:
+        """Expected cut of the ansatz state, simulated on half the register.
+
+        Since ``|w| = |a|`` and ``C(~b) = C(b)``, the expectation is ``2 *
+        sum_y |w_y|^2 C(y)`` over the low half (see
+        :func:`_flip_symmetric_state`).  A circuit already simulated here
+        returns its stored value and runs no kernel.
+        """
+        circuit = _circuit(params)
+        value = self.values.get(circuit)
+        if value is None:
+            w, scratch = self._prepare(params, circuit)
+            np.multiply(self.low_table, w, out=scratch)
+            value = self.values[circuit] = 2.0 * float(np.real(np.vdot(w, scratch)))
+            if self.kept is not None and value > self.best:
+                self.best = value
+                self.state, self.kept = self.kept, self.state
+                self.held, self.kept_circuit = self.kept_circuit, circuit
+        return value
+
+    def probabilities(self, params: QaoaParams) -> np.ndarray:
+        """Probabilities of all ``2**n`` basis states, ``concat(p, p[::-1])``.
+
+        ``p = |w|**2`` is the low half's (the frame's entries are exact
+        units, so ``|w| = |a|``); the full vector, ``2**n`` float64, fills a
+        spare half-state buffer exactly, so nothing state-sized is
+        allocated.  It is valid until another state is prepared here.  The
+        state is read from ``kept`` or ``state`` when either holds the same
+        circuit, and prepared otherwise.
+        """
+        circuit = _circuit(params)
+        if circuit == self.kept_circuit:
+            w, spare = self.kept, self.state
+            self.held = None
+        elif circuit == self.held:
+            w, spare = self.state, self.scratch
+        else:
+            w, spare = self._prepare(params, circuit)
+        probs = spare.view(np.float64)
+        low = probs[: w.size]
+        np.abs(w, out=low)
+        np.square(low, out=low)
+        probs[w.size :] = low[::-1]
+        return probs
+
+    def cut(
+        self, params: QaoaParams, shots: int = 0, rng: np.random.Generator | None = None
+    ) -> CutAssignment:
+        """The cut picked from ``params``' final state (see :meth:`probabilities`).
+
+        ``shots == 0``: best cut among basis states whose exact probability
+        is at least ``1 / 2**(n+1)`` (half the uniform weight; the set is
+        never empty).  ``shots > 0``: best cut among ``shots`` bitstrings
+        drawn by ``rng`` from all ``2**n`` probabilities.  Ties resolve to
+        the smallest basis index.  The state's probabilities and cut values
+        are both flip-symmetric, so the smallest index among tied maxima
+        always lies in the low half: the threshold scan reads the low half
+        alone, and a sampled index ``c`` reads the cut of ``min(c, ~c)``.
+        """
+        n, last, table = self.graph.n, (1 << self.graph.n) - 1, self.low_table
+        probs = self.probabilities(params)
+        if shots == 0:
+            # -1 is below every cut, so no state under the threshold wins.
+            values = np.where(probs[: table.size] >= 1.0 / (1 << (n + 1)), table, -1)
+            best = int(np.argmax(values))  # first max = smallest index
+        else:
+            # Sorted, so the first max is the smallest index (np.unique would
+            # also import numpy.ma, 23 ms, on its first call).
+            candidates = np.sort(_draw(probs, shots, rng))
+            values = table[np.minimum(candidates, last - candidates)]
+            best = int(candidates[int(np.argmax(values))])
+        return CutAssignment(
+            labels=labels_from_index(n, best), cut_value=int(table[min(best, last - best)])
+        )
 
 
 def _circuit(params: QaoaParams) -> tuple[tuple[int, float], ...]:
@@ -467,57 +545,6 @@ def _flip_symmetric_state(
             w *= math.cos(beta)
             w += scratch
     return w, scratch
-
-
-def _prepare(params: QaoaParams, circuit: tuple, ws: FlipSymmetricWorkspace):
-    """Prepare ``params``' state in ``ws.state``, tagged with ``circuit``."""
-    ws.held = None
-    ws.state, ws.scratch = _flip_symmetric_state(params, ws)
-    ws.held = circuit
-    return ws.state, ws.scratch
-
-
-def _flip_symmetric_expectation(params: QaoaParams, ws: FlipSymmetricWorkspace) -> float:
-    """Expected cut of the ansatz state, simulated on half the register.
-
-    Since ``|w| = |a|`` and ``C(~b) = C(b)``, the expectation is ``2 *
-    sum_y |w_y|^2 C(y)`` over the low half (see
-    :func:`_flip_symmetric_state`).  A circuit already simulated in
-    ``ws`` returns its stored value and runs no kernel.
-    """
-    circuit = ws.last = _circuit(params)
-    value = ws.values.get(circuit)
-    if value is None:
-        w, scratch = _prepare(params, circuit, ws)
-        np.multiply(ws.low_table, w, out=scratch)
-        value = ws.values[circuit] = 2.0 * float(np.real(np.vdot(w, scratch)))
-    return value
-
-
-def _flip_symmetric_probabilities(params: QaoaParams, ws: FlipSymmetricWorkspace) -> np.ndarray:
-    """Probabilities of all ``2**n`` basis states, ``concat(p, p[::-1])``.
-
-    ``p = |w|**2`` is the low half's (the frame's entries are exact units,
-    so ``|w| = |a|``); the full vector, ``2**n`` float64, fills a spare
-    half-state buffer of ``ws`` exactly, so nothing state-sized is
-    allocated.  It is valid until ``ws`` prepares another state.  The
-    state is read from ``ws.kept`` or ``ws.state`` when either holds the
-    same circuit, and prepared otherwise.
-    """
-    circuit = _circuit(params)
-    if circuit == ws.kept_circuit:
-        w, spare = ws.kept, ws.state
-        ws.held = None
-    elif circuit == ws.held:
-        w, spare = ws.state, ws.scratch
-    else:
-        w, spare = _prepare(params, circuit, ws)
-    probs = spare.view(np.float64)
-    low = probs[: w.size]
-    np.abs(w, out=low)
-    np.square(low, out=low)
-    probs[w.size :] = low[::-1]
-    return probs
 
 
 def expectation_cut(

@@ -1,12 +1,16 @@
+import argparse
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import qmaxcut
 from qmaxcut import parse_edge_list
+from qmaxcut.cli import _parse_depths, _parse_gen, _parse_sizes
 
 CSV_HEADER = "algorithm,n,m,depth,cut,runtime_s,seed,expectation"
 
@@ -213,6 +217,13 @@ class TestSolveErrors:
     def test_unknown_algorithm(self):
         assert run_cli("solve", "--gen", "3,2", "--algo", "anneal").returncode == 2
 
+    @pytest.mark.parametrize("latency", ["nan", "inf"])
+    def test_non_finite_latency(self, latency):
+        res = run_cli("solve", "--gen", "6,8", "--algo", "qaoa", "--latency", latency)
+        assert res.returncode == 2
+        assert "latency" in res.stderr
+        assert "Traceback" not in res.stderr
+
     def test_no_subcommand_is_usage_error(self):
         assert run_cli().returncode == 2
 
@@ -283,6 +294,61 @@ class TestBench:
     def test_bad_sizes_argument(self, tmp_path):
         res = run_cli("bench", "--sizes", "4-5", "--out", tmp_path / "x.csv")
         assert res.returncode == 2
+
+
+# Any text, and text from the characters the parsers split and convert on
+# (a non-ASCII digit and an underscore included, which ``int`` accepts).
+PARSER_TEXT = st.one_of(st.text(), st.text(alphabet="0123456789-+,: _\u0663x", max_size=12))
+
+
+def _parses_or_refuses(parse, text):
+    """``parse(text)``, or ``None`` where it raises ``ArgumentTypeError``;
+    any other exception propagates."""
+    try:
+        return parse(text)
+    except argparse.ArgumentTypeError:
+        return None
+
+
+def _is_int_tuple(value, length=None):
+    return (
+        isinstance(value, tuple)
+        and all(type(x) is int for x in value)
+        and (length is None or len(value) == length)
+    )
+
+
+class TestArgumentParsers:
+    """Every text either parses to integer tuples or raises
+    ``argparse.ArgumentTypeError`` (a usage error, exit 2), never another
+    exception (a traceback)."""
+
+    @given(PARSER_TEXT)
+    @example("4:5,6:9")
+    @example("4:5:6")
+    @example("")
+    @settings(max_examples=300, deadline=None)
+    def test_sizes(self, text):
+        sizes = _parses_or_refuses(_parse_sizes, text)
+        assert sizes is None or (sizes and all(_is_int_tuple(s, 2) for s in sizes))
+
+    @given(PARSER_TEXT)
+    @example("3,1,2,2")
+    @example("0,1")
+    @example(",")
+    @settings(max_examples=300, deadline=None)
+    def test_depths(self, text):
+        depths = _parses_or_refuses(_parse_depths, text)
+        assert depths is None or (_is_int_tuple(depths) and depths and depths[0] >= 1)
+
+    @given(PARSER_TEXT)
+    @example("6,8")
+    @example("6,8,1")
+    @example("1" * 5000 + ",2")  # past int's digit limit: a ValueError inside
+    @settings(max_examples=300, deadline=None)
+    def test_gen(self, text):
+        gen = _parses_or_refuses(_parse_gen, text)
+        assert gen is None or _is_int_tuple(gen, 2)
 
 
 class TestStartup:

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from qmaxcut import (
@@ -68,6 +70,12 @@ class TestPipelineConfig:
     def test_rejects_negative_latency(self):
         with pytest.raises(ValueError):
             PipelineConfig(qaoa=QaoaConfig(p=1), offload_latency=-0.1)
+
+    @pytest.mark.parametrize("latency", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_latency(self, latency):
+        # ``nan < 0`` is False, so a sign check alone lets NaN through.
+        with pytest.raises(ValueError):
+            PipelineConfig(qaoa=QaoaConfig(p=1), offload_latency=latency)
 
     def test_defaults(self):
         cfg = PipelineConfig(qaoa=QaoaConfig(p=1))

@@ -1,6 +1,8 @@
+import ast
 import itertools
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -46,6 +48,28 @@ def oracle_graphs(draw):
         low = (3 * top) // 4 if kind == "dense" else 0
         m = draw(st.integers(min_value=low, max_value=top))
     return generate_random_graph(n, m, draw(st.integers(min_value=0, max_value=2**32)))
+
+
+def _private_simulator_names(source):
+    """Private names that ``source`` takes from ``qmaxcut.simulator``: by
+    ``from .simulator import`` (or the absolute form), or as attributes of a
+    module bound to ``simulator``."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (node.module, node.level) in (
+            ("simulator", 1), ("qmaxcut.simulator", 0)
+        ):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "simulator":
+            names.add(node.attr)
+    return {name for name in names if name.startswith("_")}
+
+
+def test_qaoa_leaves_the_half_register_to_the_workspace():
+    # The variational driver chooses angles; every decision about the
+    # flip-symmetric half register belongs to FlipSymmetricWorkspace.
+    source = Path(qaoa.__file__).read_text(encoding="utf-8")
+    assert _private_simulator_names(source) <= {"_check_cap"}
 
 
 def _forbid_cut_table(monkeypatch):
@@ -246,8 +270,8 @@ def _half_outputs(g, params):
     """State, expectation ``repr`` and probability bytes on the half register."""
     ws = simulator.FlipSymmetricWorkspace(g)
     state = simulator._flip_symmetric_state(params, ws)[0].copy()
-    expectation = repr(simulator._flip_symmetric_expectation(params, ws))
-    return state, expectation, simulator._flip_symmetric_probabilities(params, ws).tobytes()
+    expectation = repr(ws.expectation(params))
+    return state, expectation, ws.probabilities(params).tobytes()
 
 
 class TestZeroAngleSkip:
@@ -307,15 +331,15 @@ class TestZeroAngleSkip:
         assert calls == [beta for kind, beta in simulator._circuit(params) if kind == 1]
 
 
-def _reference_expectation(params, ws):
-    """``simulator._flip_symmetric_expectation`` without the circuit memo."""
+def _reference_expectation(ws, params):
+    """``FlipSymmetricWorkspace.expectation`` without the circuit memo."""
     w, scratch = simulator._flip_symmetric_state(params, ws)
     np.multiply(ws.low_table, w, out=scratch)
     return 2.0 * float(np.real(np.vdot(w, scratch)))
 
 
-def _reference_probabilities(params, ws):
-    """``simulator._flip_symmetric_probabilities`` preparing every state."""
+def _reference_probabilities(ws, params):
+    """``FlipSymmetricWorkspace.probabilities`` preparing every state."""
     w, spare = simulator._flip_symmetric_state(params, ws)
     probs = spare.view(np.float64)
     probs[: w.size] = np.abs(w) ** 2
@@ -368,10 +392,23 @@ class TestSimulateEachCircuitOnce:
         assert log == ["prepare"]
         assert repr(values[1]) == repr(values[0]) == repr(expected)
 
-    @pytest.mark.parametrize(("shots", "after"), [(64, []), (0, ["prepare"])])
-    def test_sampled_run_keeps_its_best_state(self, monkeypatch, shots, after):
+    @pytest.mark.parametrize(
+        ("shots", "after", "mode"),
+        [
+            pytest.param(64, [], "cold", id="64-after0"),
+            pytest.param(0, ["prepare"], "cold", id="0-after1"),
+            # The best state is kept across rungs: a ladder's last rung
+            # starts from the previous rung's best, a circuit already kept.
+            pytest.param(64, [], "ladder", id="64-ladder"),
+            pytest.param(64, [], "warm", id="64-warm"),
+        ],
+    )
+    def test_sampled_run_keeps_its_best_state(self, monkeypatch, shots, after, mode):
         g = generate_random_graph(9, 16, 4)
-        cfg = QaoaConfig(p=2, budget=10, restarts=2, seed=3, shots=shots, warm_start=False)
+        p, budget = (3, 15) if mode == "ladder" else (2, 10)
+        cfg = QaoaConfig(p=p, budget=budget, restarts=2, seed=3, shots=shots,
+                         warm_start=mode == "ladder")
+        warm = QaoaParams(gammas=(0.4,), betas=(0.3,)) if mode == "warm" else None
         circuits = []
         circuit = simulator._circuit
 
@@ -381,12 +418,13 @@ class TestSimulateEachCircuitOnce:
 
         monkeypatch.setattr(simulator, "_circuit", recording)
         log = _prepare_log(monkeypatch)
-        result = run_qaoa(g, cfg)
+        result = run_qaoa(g, cfg, warm_params=warm)
         last = len(log) - log[::-1].index("eval")
-        assert log.count("eval") == result.n_evaluations == 10
+        assert log.count("eval") == result.n_evaluations == budget
         assert log[last:] == after
-        # Every distinct circuit evaluated is simulated exactly once.
-        evaluated = circuits[: result.n_evaluations]
+        # Every distinct circuit evaluated is simulated exactly once; the
+        # last circuit named is the extraction's.
+        evaluated = circuits[:-1]
         assert log[:last].count("prepare") == len(set(evaluated)) < len(evaluated)
 
     def test_scanned_run_reads_a_held_final_state(self, monkeypatch):
@@ -395,7 +433,7 @@ class TestSimulateEachCircuitOnce:
         g = generate_random_graph(9, 16, 2)
         cfg = QaoaConfig(p=2, budget=10, restarts=2, seed=3, warm_start=False)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(qaoa, "_flip_symmetric_probabilities", _reference_probabilities)
+            mp.setattr(simulator.FlipSymmetricWorkspace, "probabilities", _reference_probabilities)
             reference = run_qaoa(g, cfg)
         log = _prepare_log(monkeypatch)
         result = run_qaoa(g, cfg)
@@ -413,9 +451,9 @@ class TestSimulateEachCircuitOnce:
         cfg = QaoaConfig(p=p, budget=budget, restarts=2, seed=n + p, shots=shots)
         result = run_qaoa(g, cfg)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(qaoa, "_flip_symmetric_expectation", _reference_expectation)
-            mp.setattr(qaoa, "_flip_symmetric_probabilities", _reference_probabilities)
-            mp.setattr(qaoa, "_draw", _reference_draw)
+            mp.setattr(simulator.FlipSymmetricWorkspace, "expectation", _reference_expectation)
+            mp.setattr(simulator.FlipSymmetricWorkspace, "probabilities", _reference_probabilities)
+            mp.setattr(simulator, "_draw", _reference_draw)
             mp.setattr(simulator, "_PANEL_MIN_QUBITS", 64)  # whole blocks only
             reference = run_qaoa(g, cfg)
         fields = ("best_params", "best_expectation", "best_cut", "n_evaluations")
@@ -648,12 +686,15 @@ class TestRunOnTheHalf:
         sv = apply_qaoa_circuit(g, params)
         workspace = simulator.FlipSymmetricWorkspace(g)
         np.testing.assert_allclose(
-            simulator._flip_symmetric_probabilities(params, workspace),
+            workspace.probabilities(params),
             sv.probabilities(),
             rtol=0,
             atol=1e-12,
         )
-        assert qaoa._extract_cut(params, cfg, workspace) == _extract_assignment(sv, g, cfg, table)
+        rng = np.random.default_rng(
+            np.random.SeedSequence([cfg.seed & ((1 << 64) - 1), qaoa._STREAM_SHOTS])
+        )
+        assert workspace.cut(params, cfg.shots, rng) == _extract_assignment(sv, g, cfg, table)
         result = run_qaoa(g, cfg)
         full = apply_qaoa_circuit(g, result.best_params)
         assert result.best_cut == _extract_assignment(full, g, cfg, table)
