@@ -26,7 +26,7 @@ class SolveResult:
             raise ValueError("elapsed time cannot be negative")
 
 
-def brute_force_maxcut(g: Graph, cap: int | None = None) -> SolveResult:
+def brute_force_maxcut(g: Graph) -> SolveResult:
     """Exact maximum cut by exhaustive enumeration.
 
     Reads the shared cut table :func:`~qmaxcut.graph.cut_values_by_basis`
@@ -36,10 +36,10 @@ def brute_force_maxcut(g: Graph, cap: int | None = None) -> SolveResult:
     smallest such index, which makes the result fully deterministic.
     Cost is ``O(2**n * m)`` time and a ``2**n`` int32 table; graphs above
     the qubit cap are refused with :class:`ResourceLimitError` before
-    allocation.  The cap resolves as for the simulator: explicit
-    ``cap``, else ``QMAXCUT_QUBIT_CAP``, else 24.
+    allocation.  The cap is the simulator's one setting:
+    ``QMAXCUT_QUBIT_CAP``, else 24.
     """
-    _check_cap(g.n, cap)
+    _check_cap(g.n)
     t0 = time.perf_counter()
     table = cut_values_by_basis(g)
     best = 2 * int(np.argmax(table[::2]))

@@ -70,22 +70,22 @@ class BenchRecord:
         )
 
 
-def _parse_sizes(text: str) -> tuple[tuple[int, int], ...]:
-    sizes = []
-    for chunk in text.split(","):
-        parts = chunk.split(":")
+def _two_ints(text: str, sep: str, message: str) -> tuple[int, int]:
+    """``text`` as two integers joined by ``sep``; anything else raises ``message``."""
+    parts = text.split(sep)
+    if len(parts) == 2:
         try:
-            n, m = int(parts[0]), int(parts[1])
-        except (ValueError, IndexError):
-            raise argparse.ArgumentTypeError(
-                f"size entry {chunk!r} is not of the form n:m"
-            ) from None
-        if len(parts) != 2:
-            raise argparse.ArgumentTypeError(
-                f"size entry {chunk!r} is not of the form n:m"
-            )
-        sizes.append((n, m))
-    return tuple(sizes)
+            return int(parts[0]), int(parts[1])
+        except ValueError:
+            pass
+    raise argparse.ArgumentTypeError(message)
+
+
+def _parse_sizes(text: str) -> tuple[tuple[int, int], ...]:
+    return tuple(
+        _two_ints(chunk, ":", f"size entry {chunk!r} is not of the form n:m")
+        for chunk in text.split(",")
+    )
 
 
 def _parse_depths(text: str) -> tuple[int, ...]:
@@ -99,16 +99,7 @@ def _parse_depths(text: str) -> tuple[int, ...]:
 
 
 def _parse_gen(text: str) -> tuple[int, int]:
-    parts = text.split(",")
-    try:
-        n, m = int(parts[0]), int(parts[1])
-    except (ValueError, IndexError):
-        raise argparse.ArgumentTypeError(
-            f"--gen wants n,m (two integers), got {text!r}"
-        ) from None
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError(f"--gen wants n,m (two integers), got {text!r}")
-    return n, m
+    return _two_ints(text, ",", f"--gen wants n,m (two integers), got {text!r}")
 
 
 def _load_graph(args) -> Graph:
@@ -278,7 +269,7 @@ def _write_plot_data(out_path: str, records: list[BenchRecord]) -> list[str]:
 def cmd_bench(args) -> int:
     sizes = args.sizes if args.sizes is not None else DEFAULT_SCHEDULE
     depths = args.depth
-    cap = resolve_qubit_cap(None)
+    cap = resolve_qubit_cap()
     records: list[BenchRecord] = []
     failures = 0
 

@@ -89,7 +89,7 @@ def run_pipeline(g: Graph, cfg: PipelineConfig) -> PipelineReport:
     stage_timings: dict[str, float] = {}
 
     t0 = time.perf_counter()
-    _check_cap(g.n, cfg.qaoa.cap)
+    _check_cap(g.n)
     stage_timings["preprocess"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()

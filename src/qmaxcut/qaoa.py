@@ -32,10 +32,11 @@ With ``warm_start`` enabled and no explicit warm parameters, depths
 above 1 are optimized as a ladder: depth 1 first, each next depth
 seeded with the previous optimum padded by a zero-angle layer, the
 budget split evenly across stages.  The ladder only engages when every
-stage would get at least two evaluations; otherwise the full depth is
-optimized directly.  Its first rung runs on the closed form and the
-next on the simulator, so the padded depth-1 optimum can score lower at
-depth 2 by rounding, about 1e-14.
+stage would get at least two evaluations and one per restart
+(``budget // p >= max(2, restarts)``); otherwise the full depth is
+optimized directly.  Its first rung runs on the closed form and the next
+on the simulator, so the padded depth-1 optimum can score lower at depth
+2 by rounding, about 1e-14.
 
 Exact zero angles are common: the all-zero start is evaluated up front
 and again as Nelder-Mead's ``x0``, the initial simplex around it
@@ -78,8 +79,9 @@ class QaoaConfig:
     ``budget`` caps objective evaluations for the whole call (and must
     cover at least one evaluation per restart); ``shots`` selects the
     cut-extraction rule (0 = threshold scan of the exact distribution,
-    >0 = sampled bitstrings).  ``cap`` overrides the simulator qubit
-    cap for this run.
+    >0 = sampled bitstrings).  The qubit cap is not a field: every run
+    reads the one setting, ``QMAXCUT_QUBIT_CAP`` or else 24 (see
+    :func:`~qmaxcut.simulator.resolve_qubit_cap`).
     """
 
     p: int
@@ -88,7 +90,6 @@ class QaoaConfig:
     shots: int = 0
     seed: int = 0
     warm_start: bool = True
-    cap: int | None = None
 
     def __post_init__(self):
         if self.p < 1:
@@ -110,7 +111,6 @@ class QaoaResult:
     best_cut: CutAssignment
     n_evaluations: int
     elapsed: float
-    per_stage_timings: dict[str, float]
 
 
 def depth_one_expectation(g: Graph, gamma: float, beta: float) -> float:
@@ -137,17 +137,17 @@ def evaluate_params(
     g: Graph,
     params: QaoaParams,
     *,
-    cap: int | None = None,
     workspace: FlipSymmetricWorkspace | None = None,
     _cap_checked: bool = False,
 ) -> float:
     """Expected cut value of the ansatz state at the given angles.
 
-    The qubit cap is checked first, before any table or state exists,
-    so every depth refuses the same instances.  At depth 1 the value
-    then comes from :func:`depth_one_expectation` and no state or cut
-    table is built.  Deeper circuits are simulated on the half of the
-    register that the global bit flip maps onto the other half (see
+    The qubit cap (``QMAXCUT_QUBIT_CAP``, else 24; no argument sets it)
+    is checked first, before any table or state exists, so every depth
+    refuses the same instances.  At depth 1 the value then comes from
+    :func:`depth_one_expectation` and no state or cut table is built.
+    Deeper circuits are simulated on the half of the register that the
+    global bit flip maps onto the other half (see
     :meth:`qmaxcut.simulator.FlipSymmetricWorkspace.expectation`), in
     ``workspace`` when one is passed (it must have been built for ``g``)
     and otherwise in a fresh one; the cap is resolved only by the check
@@ -159,7 +159,7 @@ def evaluate_params(
     evaluation.
     """
     if not _cap_checked:
-        _check_cap(g.n, cap)
+        _check_cap(g.n)
     if params.p == 1:
         return depth_one_expectation(g, params.gammas[0], params.betas[0])
     if workspace is None:
@@ -297,7 +297,7 @@ def optimize_params(
     needs none.  No evaluation of the call checks the cap again.
     """
     if workspace is None:
-        _check_cap(g.n, cfg.cap)
+        _check_cap(g.n)
         workspace = FlipSymmetricWorkspace(g) if cfg.p > 1 else None
     for warm in extra_starts:
         if warm.p != cfg.p:
@@ -350,9 +350,7 @@ def run_qaoa(
     climbs.  ``n_evaluations`` counts objective evaluations only; the
     final state preparation is one further circuit application (one job
     in the pipeline's model), which this host skips when the workspace
-    still holds that state.  ``elapsed`` covers the whole call;
-    ``per_stage_timings`` splits it into the ``optimize`` and
-    ``extract`` stages.
+    still holds that state.  ``elapsed`` covers the whole call.
 
     The qubit cap is checked once, then one workspace (see
     :class:`~qmaxcut.simulator.FlipSymmetricWorkspace`) serves every
@@ -362,12 +360,12 @@ def run_qaoa(
     (tracemalloc, n=18).
     """
     t_start = time.perf_counter()
-    _check_cap(g.n, cfg.cap)
+    _check_cap(g.n)
     # Keep the best state only when sampling: the in-place draw allocates
     # nothing state-sized, where the threshold scan allocates a half table.
     keep_best = cfg.shots > 0
     workspace = FlipSymmetricWorkspace(g, keep_best)
-    ladder = warm_params is None and cfg.warm_start and cfg.budget // cfg.p >= 2
+    ladder = warm_params is None and cfg.warm_start and cfg.budget // cfg.p >= max(2, cfg.restarts)
     depths = range(1, cfg.p + 1) if ladder else (cfg.p,)
     per_rung = cfg.budget // len(depths)
     params, total_evals = warm_params, 0
@@ -378,22 +376,15 @@ def run_qaoa(
             g, replace(cfg, p=depth, budget=budget), extra_starts=extra, workspace=workspace
         )
         total_evals += used
-    t_optimized = time.perf_counter()
 
     rng = None
     if cfg.shots:
         rng = default_rng(SeedSequence([cfg.seed & ((1 << 64) - 1), _STREAM_SHOTS]))
     assignment = workspace.cut(params, cfg.shots, rng)
-    t_end = time.perf_counter()
-
     return QaoaResult(
         best_params=params,
         best_expectation=float(expectation),
         best_cut=assignment,
         n_evaluations=total_evals,
-        elapsed=t_end - t_start,
-        per_stage_timings={
-            "optimize": t_optimized - t_start,
-            "extract": t_end - t_optimized,
-        },
+        elapsed=time.perf_counter() - t_start,
     )

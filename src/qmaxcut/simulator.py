@@ -29,8 +29,9 @@ one add per edge.  An evaluation that builds its own workspace peaks at
 1.38 times that at n=18; one on a reused workspace allocates 0.06 times
 it.  The mixer's blocks above bit 3 run in real arithmetic, and from
 ``2**17`` amplitudes the large blocks multiply row panels that stay in
-cache (:func:`_mix`).  The ``QMAXCUT_QUBIT_CAP`` environment variable
-overrides the default; an explicit ``cap=`` argument beats both.  Brute
+cache (:func:`_mix`).  The cap has one setting, read only by
+:func:`resolve_qubit_cap`: the ``QMAXCUT_QUBIT_CAP`` environment
+variable, else the default; no function takes a cap argument.  Brute
 force's ``2**n`` cut table follows the same cap.
 """
 
@@ -76,10 +77,12 @@ _PANEL_MIN_QUBITS = 17
 _PANEL_MIN_LO = 12
 
 
-def resolve_qubit_cap(cap: int | None = None) -> int:
-    """Effective qubit cap: explicit arg, else env override, else default."""
-    if cap is not None:
-        return int(cap)
+def resolve_qubit_cap() -> int:
+    """The qubit cap: ``QMAXCUT_QUBIT_CAP`` if set, else :data:`DEFAULT_QUBIT_CAP`.
+
+    This is the only place the cap is read; every check in the package
+    resolves it here, at the time of the check.
+    """
     env = os.environ.get("QMAXCUT_QUBIT_CAP")
     if env is not None:
         try:
@@ -91,8 +94,8 @@ def resolve_qubit_cap(cap: int | None = None) -> int:
     return DEFAULT_QUBIT_CAP
 
 
-def _check_cap(n: int, cap: int | None):
-    limit = resolve_qubit_cap(cap)
+def _check_cap(n: int):
+    limit = resolve_qubit_cap()
     if n > limit:
         raise ResourceLimitError(
             f"state and cut table for n={n} exceed qubit cap {limit} "
@@ -160,11 +163,11 @@ class StateVector:
         return np.abs(self.amplitudes) ** 2
 
 
-def init_uniform(n: int, *, cap: int | None = None) -> StateVector:
+def init_uniform(n: int) -> StateVector:
     """Uniform superposition over all ``2**n`` basis states."""
     if n < 1:
         raise ValueError(f"need at least one qubit, got n={n}")
-    _check_cap(n, cap)
+    _check_cap(n)
     size = 1 << n
     amps = np.full(size, 1.0 / math.sqrt(size), dtype=np.complex128)
     return StateVector(n_qubits=n, amplitudes=amps)
@@ -331,21 +334,15 @@ def apply_mixer_layer(sv: StateVector, beta: float) -> StateVector:
     return sv
 
 
-def apply_qaoa_circuit(
-    g: Graph,
-    params: QaoaParams,
-    *,
-    cap: int | None = None,
-    cut_table: np.ndarray | None = None,
-) -> StateVector:
+def apply_qaoa_circuit(g: Graph, params: QaoaParams) -> StateVector:
     """Prepare the layered ansatz state for ``g`` at the given angles.
 
     Starts from the uniform superposition and applies ``p`` layers,
-    cost phase first and mixer second within each layer.
+    cost phase first and mixer second within each layer; the cut table
+    is built once and shared by every cost layer.
     """
-    sv = init_uniform(g.n, cap=cap)
-    if cut_table is None:
-        cut_table = cut_values_by_basis(g)
+    sv = init_uniform(g.n)
+    cut_table = cut_values_by_basis(g)
     for gamma, beta in zip(params.gammas, params.betas):
         apply_cost_layer(sv, g, gamma, cut_table=cut_table)
         apply_mixer_layer(sv, beta)
@@ -547,20 +544,13 @@ def _flip_symmetric_state(
     return w, scratch
 
 
-def expectation_cut(
-    sv: StateVector,
-    g: Graph,
-    *,
-    cut_table: np.ndarray | None = None,
-) -> float:
+def expectation_cut(sv: StateVector, g: Graph) -> float:
     """Expected cut value of the state: ``sum_b |amp_b|^2 * C(b)``."""
     if g.n != sv.n_qubits:
         raise ValueError(
             f"graph has {g.n} vertices but state has {sv.n_qubits} qubits"
         )
-    if cut_table is None:
-        cut_table = cut_values_by_basis(g)
-    return float(np.real(np.vdot(sv.amplitudes, cut_table * sv.amplitudes)))
+    return float(np.real(np.vdot(sv.amplitudes, cut_values_by_basis(g) * sv.amplitudes)))
 
 
 def sample_bitstrings(

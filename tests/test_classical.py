@@ -120,30 +120,25 @@ class TestBruteForce:
         g = generate_random_graph(8, 14, 3)
         assert brute_force_maxcut(g).assignment == brute_force_maxcut(g).assignment
 
-    def test_refuses_oversized_instance(self):
+    def test_refuses_oversized_instance(self, monkeypatch):
+        monkeypatch.setenv("QMAXCUT_QUBIT_CAP", "24")
         big = Graph(30, ((0, 1),))
         with pytest.raises(ResourceLimitError):
-            brute_force_maxcut(big, cap=24)
+            brute_force_maxcut(big)
 
-    def test_cap_is_inclusive(self):
+    def test_cap_is_inclusive(self, monkeypatch):
         g = generate_random_graph(10, 5, 0)
-        assert brute_force_maxcut(g, cap=10).assignment.cut_value >= 0
+        monkeypatch.setenv("QMAXCUT_QUBIT_CAP", "10")
+        assert brute_force_maxcut(g).assignment.cut_value >= 0
+        monkeypatch.setenv("QMAXCUT_QUBIT_CAP", "9")
         with pytest.raises(ResourceLimitError):
-            brute_force_maxcut(g, cap=9)
+            brute_force_maxcut(g)
 
     def test_env_cap_applies(self, monkeypatch):
         monkeypatch.setenv("QMAXCUT_QUBIT_CAP", "8")
         assert brute_force_maxcut(generate_random_graph(8, 10, 0)).assignment.cut_value > 0
         with pytest.raises(ResourceLimitError, match="cap 8"):
             brute_force_maxcut(generate_random_graph(9, 10, 0))
-
-    def test_explicit_cap_beats_env(self, monkeypatch):
-        monkeypatch.setenv("QMAXCUT_QUBIT_CAP", "8")
-        g = generate_random_graph(9, 10, 0)
-        assert brute_force_maxcut(g, cap=9).assignment.cut_value > 0
-        monkeypatch.setenv("QMAXCUT_QUBIT_CAP", "24")
-        with pytest.raises(ResourceLimitError):
-            brute_force_maxcut(g, cap=8)
 
 
 class TestGreedy:

@@ -228,6 +228,36 @@ class TestSolveErrors:
         assert run_cli().returncode == 2
 
 
+class TestEdgeCaseExitCodes:
+    """Edge cases exit with their documented code, never with a traceback."""
+
+    @pytest.mark.parametrize("args, env, code", [
+        pytest.param(("solve", "--gen", "5,4", "--algo", "qaoa"),
+                     {"QMAXCUT_QUBIT_CAP": "abc"}, 2, id="solve-unparsable-env-cap"),
+        pytest.param(("bench", "--sizes", "4:3", "--depth", "1"),
+                     {"QMAXCUT_QUBIT_CAP": "abc"}, 2, id="bench-unparsable-env-cap"),
+        pytest.param(("solve", "--gen", "3,3", "--algo", "all", "--depth", "1,2", "--shots", "100"),
+                     None, 0, id="solve-shots-above-2^n"),
+        pytest.param(("bench", "--sizes", "3:2", "--shots", "100"), None, 0,
+                     id="bench-shots-above-2^n"),
+        pytest.param(("bench", "--sizes", "6:0"), None, 0, id="bench-edgeless"),
+        pytest.param(("bench", "--sizes", "5:10"), None, 0, id="bench-complete"),
+        pytest.param(("solve", "--gen", "6,0", "--algo", "all", "--depth", "1,2"), None, 0,
+                     id="solve-edgeless"),
+        pytest.param(("solve", "--gen", "5,10", "--algo", "all", "--depth", "1,2"), None, 0,
+                     id="solve-complete"),
+        # budget // depth = 2 evaluations per ladder rung, fewer than the 3 restarts.
+        pytest.param(("solve", "--gen", "6,8", "--algo", "qaoa", "--depth", "3", "--budget", "6"),
+                     None, 0, id="solve-ladder-rung-below-restarts"),
+    ])
+    def test_exit_code(self, args, env, code):
+        res = run_cli(*args, env_extra=env)
+        assert res.returncode == code, res.stderr
+        assert "Traceback" not in res.stderr
+        if env:
+            assert "QMAXCUT_QUBIT_CAP must be an integer, got 'abc'" in res.stderr
+
+
 class TestBench:
     def test_row_count_and_schema(self, tmp_path):
         out = tmp_path / "bench.csv"

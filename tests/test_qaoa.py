@@ -115,15 +115,17 @@ class TestDepthOneClosedForm:
 
     def test_cap_is_checked_before_the_cut_table_at_every_depth(self, monkeypatch):
         _forbid_cut_table(monkeypatch)
+        monkeypatch.setenv("QMAXCUT_QUBIT_CAP", "7")
         g = Graph(8, ((0, 7),))
         for p in (1, 2):
             with pytest.raises(ResourceLimitError):
-                evaluate_params(g, QaoaParams(gammas=(0.1,) * p, betas=(0.1,) * p), cap=7)
+                evaluate_params(g, QaoaParams(gammas=(0.1,) * p, betas=(0.1,) * p))
 
     def test_optimizer_checks_the_cap_before_its_workspace(self, monkeypatch):
         _forbid_cut_table(monkeypatch)
+        monkeypatch.setenv("QMAXCUT_QUBIT_CAP", "7")
         with pytest.raises(ResourceLimitError):
-            optimize_params(Graph(8, ((0, 7),)), QaoaConfig(p=2, budget=10, cap=7))
+            optimize_params(Graph(8, ((0, 7),)), QaoaConfig(p=2, budget=10))
 
     def test_run_prepares_only_the_final_state(self, monkeypatch):
         prepared = []
@@ -234,9 +236,9 @@ class TestFlipSymmetricHalf:
         calls = []
         resolve = simulator.resolve_qubit_cap
 
-        def counting(cap=None):
-            calls.append(cap)
-            return resolve(cap)
+        def counting():
+            calls.append(None)
+            return resolve()
 
         monkeypatch.setattr(simulator, "resolve_qubit_cap", counting)
         evaluate_params(TRIANGLE, QaoaParams(gammas=(0.4, 0.1), betas=(0.3, 0.2)))
@@ -490,10 +492,11 @@ class TestEvaluateParams:
         expected = 0.5 * (1.0 + math.sin(4 * beta) * math.sin(gamma))
         assert evaluate_params(EDGE, params) == pytest.approx(expected, abs=1e-9)
 
-    def test_respects_cap(self):
+    def test_respects_cap(self, monkeypatch):
+        monkeypatch.setenv("QMAXCUT_QUBIT_CAP", "7")
         g = Graph(8, ((0, 7),))
         with pytest.raises(ResourceLimitError):
-            evaluate_params(g, QaoaParams(gammas=(0.1,), betas=(0.1,)), cap=7)
+            evaluate_params(g, QaoaParams(gammas=(0.1,), betas=(0.1,)))
 
 
 class TestQaoaConfig:
@@ -532,18 +535,19 @@ class TestOptimizeParams:
         calls = []
         resolve = simulator.resolve_qubit_cap
 
-        def counting(cap=None):
-            calls.append(cap)
-            return resolve(cap)
+        def counting():
+            calls.append(None)
+            return resolve()
 
         monkeypatch.setattr(simulator, "resolve_qubit_cap", counting)
         _, _, n_evals = optimize_params(TRIANGLE, QaoaConfig(p=p, budget=30, restarts=3, seed=0))
         assert n_evals > 1
         assert len(calls) == 1
 
-    def test_depth_one_above_the_cap_is_refused(self):
+    def test_depth_one_above_the_cap_is_refused(self, monkeypatch):
+        monkeypatch.setenv("QMAXCUT_QUBIT_CAP", "7")
         with pytest.raises(ResourceLimitError):
-            optimize_params(Graph(8, ((0, 7),)), QaoaConfig(p=1, budget=10, cap=7))
+            optimize_params(Graph(8, ((0, 7),)), QaoaConfig(p=1, budget=10))
 
     def test_depth_one_builds_no_cut_table(self, monkeypatch):
         _forbid_cut_table(monkeypatch)
@@ -602,9 +606,7 @@ class TestRunQaoa:
         assert evaluate_params(g, result.best_params) == pytest.approx(
             result.best_expectation, abs=1e-9
         )
-        assert set(result.per_stage_timings) == {"optimize", "extract"}
-        assert all(t >= 0.0 for t in result.per_stage_timings.values())
-        assert result.elapsed >= max(result.per_stage_timings.values())
+        assert result.elapsed >= 0.0
 
     def test_deterministic_up_to_timing(self):
         g = generate_random_graph(6, 8, 9)
@@ -640,6 +642,15 @@ class TestRunQaoa:
         cfg = QaoaConfig(p=3, budget=90, restarts=3, seed=1, warm_start=True)
         result = run_qaoa(TRIANGLE, cfg)
         assert result.n_evaluations <= 90
+
+    def test_ladder_stands_down_when_a_rung_cannot_cover_the_restarts(self):
+        # budget // p = 2 evaluations per rung cannot cover 3 restarts, so
+        # depth 3 is optimized directly, as with the ladder switched off.
+        g = generate_random_graph(6, 8, 0)
+        result = run_qaoa(g, QaoaConfig(p=3, budget=6, restarts=3, seed=0))
+        cold = run_qaoa(g, QaoaConfig(p=3, budget=6, restarts=3, seed=0, warm_start=False))
+        fields = ("best_params", "best_expectation", "best_cut", "n_evaluations")
+        assert [getattr(result, f) for f in fields] == [getattr(cold, f) for f in fields]
 
     def test_cold_start_supported(self):
         cfg = QaoaConfig(p=2, budget=60, restarts=3, seed=4, warm_start=False)

@@ -169,9 +169,10 @@ class TestInitUniform:
     def test_norm_is_one(self):
         assert init_uniform(6).norm() == pytest.approx(1.0, abs=1e-12)
 
-    def test_explicit_cap_refuses(self):
+    def test_explicit_cap_refuses(self, monkeypatch):
+        monkeypatch.setenv("QMAXCUT_QUBIT_CAP", "10")
         with pytest.raises(ResourceLimitError):
-            init_uniform(11, cap=10)
+            init_uniform(11)
 
     def test_env_cap(self, monkeypatch):
         monkeypatch.setenv("QMAXCUT_QUBIT_CAP", "4")
@@ -179,19 +180,14 @@ class TestInitUniform:
             init_uniform(5)
         assert init_uniform(4).n_qubits == 4
 
-    def test_explicit_cap_beats_env(self, monkeypatch):
-        monkeypatch.setenv("QMAXCUT_QUBIT_CAP", "2")
-        assert init_uniform(5, cap=8).n_qubits == 5
-
     def test_garbage_env_cap_rejected(self, monkeypatch):
         monkeypatch.setenv("QMAXCUT_QUBIT_CAP", "many")
         with pytest.raises(ValueError):
-            resolve_qubit_cap(None)
+            resolve_qubit_cap()
 
     def test_default_cap(self, monkeypatch):
         monkeypatch.delenv("QMAXCUT_QUBIT_CAP", raising=False)
-        assert resolve_qubit_cap(None) == 24
-        assert resolve_qubit_cap(6) == 6
+        assert resolve_qubit_cap() == 24
 
 
 class TestStateVector:
@@ -424,13 +420,10 @@ class TestCircuit:
         manual = apply_mixer_layer(apply_cost_layer(init_uniform(3), TRIANGLE, 0.8), 0.3)
         np.testing.assert_array_equal(auto.amplitudes, manual.amplitudes)
 
-    def test_cap_applies(self):
+    def test_cap_applies(self, monkeypatch):
+        monkeypatch.setenv("QMAXCUT_QUBIT_CAP", "5")
         with pytest.raises(ResourceLimitError):
-            apply_qaoa_circuit(
-                Graph(6, ((0, 1),)),
-                QaoaParams(gammas=(0.1,), betas=(0.1,)),
-                cap=5,
-            )
+            apply_qaoa_circuit(Graph(6, ((0, 1),)), QaoaParams(gammas=(0.1,), betas=(0.1,)))
 
     @given(graph_param_cases())
     @settings(max_examples=60, deadline=None)
