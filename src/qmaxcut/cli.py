@@ -17,8 +17,9 @@ plot-ready data sets are written next to it: ``<stem>.runtime_vs_n.
 <series>.dat`` (one two-column file per algorithm series) and
 ``<stem>.runtime_vs_p.dat`` (depth vs mean runtime).
 
-Exit codes: 0 success, 2 bad usage or malformed input, 3 resource
-limit exceeded, 4 benchmark completed with failed cells.
+Exit codes: 0 success, 2 bad usage, malformed input or a path that
+cannot be read or written (missing, a directory, no permission), 3
+resource limit exceeded, 4 benchmark completed with failed cells.
 """
 
 from __future__ import annotations
@@ -386,7 +387,7 @@ def main(argv=None) -> int:
         parser.error("--budget must be at least 1")
     try:
         return args.func(args)
-    except (UsageError, EdgeListParseError, ValueError, FileNotFoundError) as exc:
+    except (UsageError, EdgeListParseError, ValueError, OSError) as exc:
         print(f"qmaxcut: {exc}", file=sys.stderr)
         return 2
     except ResourceLimitError as exc:

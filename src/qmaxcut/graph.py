@@ -76,13 +76,17 @@ class Graph:
         return self.n * (self.n - 1) // 2
 
     @cached_property
-    def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        """Neighbours of each vertex; built once, since the graph is immutable."""
-        adj: list[list[int]] = [[] for _ in range(self.n)]
+    def neighbours(self) -> tuple[int, ...]:
+        """Each vertex's neighbours as a bit mask, built once (the graph is immutable).
+
+        Bit ``w`` of entry ``v`` is set when ``(v, w)`` is an edge.  Every
+        neighbour count in the package is a popcount of these masks.
+        """
+        masks = [0] * self.n
         for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        return tuple(map(tuple, adj))
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
+        return tuple(masks)
 
     @cached_property
     def edge_stats(self) -> np.ndarray:
@@ -90,11 +94,12 @@ class Graph:
 
         Rows follow ``edges``; the common neighbours of ``u`` and ``v``
         are the triangles through the edge.  A read-only ``(m, 3)`` int
-        array, built once from :attr:`adjacency`.
+        array, built once from the popcounts of :attr:`neighbours`.
         """
-        nbrs = [set(a) for a in self.adjacency]
+        nb = self.neighbours
         rows = [
-            (len(nbrs[u]) - 1, len(nbrs[v]) - 1, len(nbrs[u] & nbrs[v])) for u, v in self.edges
+            (nb[u].bit_count() - 1, nb[v].bit_count() - 1, (nb[u] & nb[v]).bit_count())
+            for u, v in self.edges
         ]
         stats = np.array(rows, dtype=np.int64).reshape(-1, 3)
         stats.flags.writeable = False
@@ -164,10 +169,11 @@ def half_cut_values_by_basis(g: Graph, scratch: np.ndarray) -> np.ndarray:
     clear, built vertex by vertex in ``O(2**n)`` exact integer steps,
     whatever the edge count.  After vertices ``0 .. v-1``, ``out[:2**v]``
     is the cut table of the edges among them.  Vertex ``v`` with lower
-    neighbours ``M`` (a bit mask) adds ``S[y] = popcount(y & M)`` to
-    ``out[:2**v]`` (``v`` labeled ``+1``, an edge cut where ``y`` is 1)
-    and writes ``out[2**v:2**(v+1)] = out[:2**v] + popcount(M) - S``
-    (``v`` labeled ``-1``).  The top vertex is clear throughout the half,
+    neighbours ``M`` (its :attr:`Graph.neighbours` mask below bit ``v``)
+    adds ``S[y] = popcount(y & M)`` to ``out[:2**v]`` (``v`` labeled
+    ``+1``, an edge cut where ``y`` is 1) and writes
+    ``out[2**v:2**(v+1)] = out[:2**v] + popcount(M) - S`` (``v`` labeled
+    ``-1``).  The top vertex is clear throughout the half,
     so it only adds its ``S`` to the whole of it.  ``S`` is built by
     doubling too, ``S[j:2j] = S[:j] + (1 if M & j else 0)`` for each
     power of two ``j``, into ``scratch``, an ``intp`` array of at least
@@ -176,11 +182,9 @@ def half_cut_values_by_basis(g: Graph, scratch: np.ndarray) -> np.ndarray:
     """
     half = 1 << (g.n - 1)
     out = np.zeros(half, dtype=np.intp)
-    masks = [0] * g.n
-    for u, v in g.edges:
-        masks[v] |= 1 << u
-    for v, mask in enumerate(masks):
+    for v, nb in enumerate(g.neighbours):
         k = 1 << v
+        mask = nb & (k - 1)
         top = k == half
         if not mask:
             if not top:

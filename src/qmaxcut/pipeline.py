@@ -23,7 +23,7 @@ import math
 import time
 from dataclasses import dataclass, field
 
-from .graph import CutAssignment, Graph
+from .graph import CutAssignment, Graph, labels_from_index
 from .qaoa import QaoaConfig, QaoaResult, run_qaoa
 from .simulator import _check_cap
 
@@ -69,19 +69,20 @@ def refine_assignment(g: Graph, assignment: CutAssignment) -> CutAssignment:
     Scans vertices in index order, flipping any vertex whose flip
     strictly increases the cut, and repeats until a full pass finds
     nothing.  The result is 1-flip locally optimal and never worse than
-    the input.  Deterministic.
+    the input.  Deterministic.  The ``-1`` side is a bit mask and each
+    count a popcount of :attr:`Graph.neighbours`.
     """
-    adj = g.adjacency
-    labels = list(assignment.labels)
+    minus = sum(1 << v for v, x in enumerate(assignment.labels) if x == -1)
     improved = True
     while improved:
         improved = False
-        for v in range(g.n):
-            crossing = sum(1 for w in adj[v] if labels[w] != labels[v])
-            if len(adj[v]) - 2 * crossing > 0:
-                labels[v] = -labels[v]
+        for v, nb in enumerate(g.neighbours):
+            # Neighbours on v's own side: flipping v cuts them and uncuts the rest.
+            same = (nb & minus if minus >> v & 1 else nb & ~minus).bit_count()
+            if 2 * same > nb.bit_count():
+                minus ^= 1 << v
                 improved = True
-    return CutAssignment.from_labels(g, labels)
+    return CutAssignment.from_labels(g, labels_from_index(g.n, minus))
 
 
 def run_pipeline(g: Graph, cfg: PipelineConfig) -> PipelineReport:

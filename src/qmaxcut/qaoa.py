@@ -17,16 +17,18 @@ Optimization is multi-start Nelder-Mead under a hard evaluation budget:
   [0, pi)) until ``restarts`` starts exist.  All draws come from a
   dedicated PCG64 stream derived from ``seed``, fixed before any
   optimization happens, so results are reproducible.
-* Every start point is evaluated once up front, then Nelder-Mead runs
+* Every start point is evaluated once up front (only the first
+  ``budget`` of them when they outnumber it), then Nelder-Mead runs
   from each in turn with whatever budget remains.  The optimizer is
   :func:`minimize`, in this module: it repeats scipy's Nelder-Mead
   steps exactly, so the package imports no scipy (``scipy.optimize``
   alone took about 0.5 s and 45 MiB of every process's start-up).  The
   best parameter vector ever *evaluated* is returned, so the result can
-  never be worse than the all-zero point -- whose state is the uniform
-  superposition with expectation ``m / 2``.
-* No call evaluates the objective more than ``budget`` times, enforced
-  by a counter around the objective itself.
+  never be worse than the all-zero point, whenever the budget reaches it
+  -- its state is the uniform superposition with expectation ``m / 2``.
+* No call evaluates the objective more than ``budget`` times: the up-front
+  pass stops at ``budget`` starts, and each polish gets what remains as
+  :func:`minimize`'s ``maxfev``, its one counter while polishing.
 
 With ``warm_start`` enabled and no explicit warm parameters, depths
 above 1 are optimized as a ladder: depth 1 first, each next depth
@@ -173,30 +175,6 @@ class _BudgetExhausted(Exception):
     pass
 
 
-class _Objective:
-    """Counting/recording wrapper around the expectation objective."""
-
-    def __init__(self, g: Graph, budget: int, workspace: FlipSymmetricWorkspace | None):
-        self._g = g
-        self._workspace = workspace
-        self.budget = budget
-        self.n_evaluations = 0
-        self.best_value = -np.inf
-        self.best_x: np.ndarray | None = None
-
-    def __call__(self, x: np.ndarray) -> float:
-        if self.n_evaluations >= self.budget:
-            raise _BudgetExhausted
-        self.n_evaluations += 1
-        value = evaluate_params(
-            self._g, QaoaParams.from_flat(x), workspace=self._workspace, _cap_checked=True
-        )
-        if value > self.best_value:
-            self.best_value = value
-            self.best_x = np.asarray(x, dtype=float).copy()
-        return -value  # minimize() minimizes
-
-
 def _by_value(sim: np.ndarray, fsim: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ind = np.argsort(fsim)
     return np.take(sim, ind, 0), np.take(fsim, ind, 0)
@@ -308,21 +286,25 @@ def optimize_params(
     n_draws = max(0, cfg.restarts - len(starts))
     starts.extend(_draw_starts(cfg.p, n_draws, cfg.seed))
 
-    objective = _Objective(g, cfg.budget, workspace)
-    try:
-        for x0 in starts:  # seed best-seen with every start before polishing any
-            objective(x0)
-        for x0 in starts:
-            remaining = objective.budget - objective.n_evaluations
-            if remaining < 1:
-                break
-            minimize(objective, x0, remaining)
-    except _BudgetExhausted:
-        pass
+    evaluations, best_value, best_x = 0, -np.inf, starts[0]
 
-    assert objective.best_x is not None, "budget permitted no evaluations"
-    params = QaoaParams.from_flat(objective.best_x)
-    return params, float(objective.best_value), objective.n_evaluations
+    def objective(x: np.ndarray) -> float:
+        nonlocal evaluations, best_value, best_x
+        evaluations += 1
+        value = evaluate_params(
+            g, QaoaParams.from_flat(x), workspace=workspace, _cap_checked=True
+        )
+        if value > best_value:
+            best_value, best_x = value, np.array(x, dtype=float)
+        return -value  # minimize() minimizes
+
+    for x0 in starts[: cfg.budget]:  # seed best-seen with the starts before polishing any
+        objective(x0)
+    for x0 in starts:
+        if evaluations == cfg.budget:
+            break
+        minimize(objective, x0, cfg.budget - evaluations)
+    return QaoaParams.from_flat(best_x), float(best_value), evaluations
 
 
 def _pad_params(params: QaoaParams, p: int) -> QaoaParams:

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmaxcut import (
+    CutAssignment,
     Graph,
     ResourceLimitError,
     SolveResult,
@@ -15,12 +16,69 @@ from qmaxcut import (
     generate_random_graph,
     greedy_maxcut,
     labels_from_index,
+    refine_assignment,
 )
 
 TRIANGLE = Graph(3, ((0, 1), (0, 2), (1, 2)))
 PATH3 = Graph(3, ((0, 1), (1, 2)))
 K4 = Graph(4, tuple(itertools.combinations(range(4), 2)))
 C4 = Graph(4, ((0, 1), (1, 2), (2, 3), (0, 3)))
+
+
+def neighbour_lists(g):
+    adj = [[] for _ in range(g.n)]
+    for u, v in g.edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    return adj
+
+
+def greedy_labels_reference(g):
+    """The list-based greedy that ``greedy_maxcut`` replaced: same rule, no masks."""
+    adj = neighbour_lists(g)
+    labels = [0] * g.n
+    labels[0] = 1
+    for v in range(1, g.n):
+        plus = sum(1 for w in adj[v] if labels[w] == 1)
+        minus = sum(1 for w in adj[v] if labels[w] == -1)
+        labels[v] = 1 if minus >= plus else -1
+    return tuple(labels)
+
+
+def refine_labels_reference(g, labels):
+    """The list-based single-flip climb that ``refine_assignment`` replaced."""
+    adj = neighbour_lists(g)
+    labels = list(labels)
+    improved = True
+    while improved:
+        improved = False
+        for v in range(g.n):
+            crossing = sum(1 for w in adj[v] if labels[w] != labels[v])
+            if len(adj[v]) - 2 * crossing > 0:
+                labels[v] = -labels[v]
+                improved = True
+    return tuple(labels)
+
+
+@st.composite
+def graphs_and_labels(draw):
+    n = draw(st.integers(1, 14))
+    m = draw(st.integers(0, n * (n - 1) // 2))
+    g = generate_random_graph(n, m, draw(st.integers(0, 2**63)))
+    return g, draw(st.tuples(*[st.sampled_from((1, -1))] * n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs_and_labels())
+def test_bit_mask_greedy_and_refinement_match_list_references(case):
+    g, labels = case
+    greedy = greedy_maxcut(g).assignment
+    assert greedy.labels == greedy_labels_reference(g)
+    assert greedy.cut_value == cut_value(g, greedy.labels)
+    for start in (labels, greedy.labels):
+        refined = refine_assignment(g, CutAssignment.from_labels(g, start))
+        assert refined.labels == refine_labels_reference(g, start)
+        assert refined.cut_value == cut_value(g, refined.labels)
 
 
 def exhaustive_best(g):

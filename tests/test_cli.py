@@ -181,6 +181,21 @@ class TestSolveErrors:
         res = run_cli("solve", "--graph", "no-such-file.txt", "--algo", "greedy")
         assert res.returncode == 2
 
+    @pytest.mark.parametrize("args", [
+        pytest.param(("solve", "--graph", "{dir}", "--algo", "greedy"), id="solve-graph"),
+        pytest.param(("solve", "--gen", "4,3", "--algo", "greedy", "--csv", "{dir}"),
+                     id="solve-csv"),
+        pytest.param(("gen", "--n", "4", "--m", "3", "--out", "{dir}"), id="gen-out"),
+        pytest.param(("bench", "--sizes", "4:3", "--depth", "1", "--out", "{dir}"),
+                     id="bench-out"),
+    ])
+    def test_directory_as_path(self, tmp_path, args):
+        res = run_cli(*(a.format(dir=tmp_path) for a in args))
+        assert res.returncode == 2
+        assert "Traceback" not in res.stderr
+        last = res.stderr.splitlines()[-1]
+        assert last.startswith("qmaxcut: ") and str(tmp_path) in last
+
     def test_malformed_file_reports_line(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("2 1\n0 0\n")

@@ -67,14 +67,21 @@ class TestGraphConstruction:
     def test_max_edges(self):
         assert Graph(5, ()).max_edges == 10
 
-    def test_adjacency_lists_both_endpoints(self):
+    def test_neighbours_set_one_bit_per_edge_end(self):
         g = Graph(4, ((0, 1), (0, 2), (1, 2)))
-        assert g.adjacency == ((1, 2), (0, 2), (0, 1), ())
+        assert g.neighbours == (0b110, 0b101, 0b011, 0)
 
-    def test_adjacency_cache_leaves_equality_and_hash_alone(self):
+    @given(random_graphs())
+    def test_neighbours_are_symmetric_masks_of_the_edges(self, g):
+        nb = g.neighbours
+        for u in range(g.n):
+            for v in range(g.n):
+                assert (nb[u] >> v & 1) == (nb[v] >> u & 1) == ((min(u, v), max(u, v)) in g.edges)
+
+    def test_neighbours_cache_leaves_equality_and_hash_alone(self):
         a, b = generate_random_graph(7, 10, 3), generate_random_graph(7, 10, 3)
         before = hash(a)
-        assert a.adjacency is a.adjacency
+        assert a.neighbours is a.neighbours
         assert a.edge_stats is a.edge_stats
         assert a == b and hash(a) == before == hash(b)
 

@@ -530,6 +530,25 @@ class TestOptimizeParams:
         assert params == QaoaParams(gammas=(0.0,), betas=(0.0,))
         assert value == pytest.approx(1.5, abs=1e-12)
 
+    def test_starts_beyond_the_budget_are_neither_evaluated_nor_polished(self, monkeypatch):
+        # Three starts (two warm ones, then zero) against a budget of two:
+        # only the warm starts are scored, so the zero point (1.5) never is.
+        worse, better = QaoaParams((1.0,), (-0.5,)), QaoaParams((1.0,), (0.5,))
+        seen = []
+        evaluate = qaoa.evaluate_params
+
+        def recording(g, params, **kwargs):
+            seen.append(params)
+            return evaluate(g, params, **kwargs)
+
+        monkeypatch.setattr(qaoa, "evaluate_params", recording)
+        cfg = QaoaConfig(p=1, budget=2, restarts=1, seed=0)
+        params, value, n_evals = optimize_params(TRIANGLE, cfg, extra_starts=(worse, better))
+        assert seen == [worse, better]
+        assert n_evals == 2
+        assert params == better
+        assert value == evaluate(TRIANGLE, better)
+
     @pytest.mark.parametrize("p", [1, 2])
     def test_cap_is_resolved_once_per_call(self, monkeypatch, p):
         calls = []
