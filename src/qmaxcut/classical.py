@@ -29,15 +29,16 @@ class SolveResult:
 def brute_force_maxcut(g: Graph) -> SolveResult:
     """Exact maximum cut by exhaustive enumeration.
 
-    Reads the shared cut table :func:`~qmaxcut.graph.cut_values_by_basis`
-    (the one QAOA uses) and takes its argmax over the even basis indices,
-    i.e. with vertex 0 fixed to ``+1`` (the global sign flip maps the
-    other half onto these, so nothing is lost).  Ties resolve to the
-    smallest such index, which makes the result fully deterministic.
-    Cost is ``O(2**n * m)`` time and a ``2**n`` int32 table; graphs above
-    the qubit cap are refused with :class:`ResourceLimitError` before
-    allocation.  The cap is the simulator's one setting:
-    ``QMAXCUT_QUBIT_CAP``, else 24.
+    Reads the full cut table :func:`~qmaxcut.graph.cut_values_by_basis`
+    (the one the full-register cost layer reads; QAOA reads only the low
+    half, :func:`~qmaxcut.graph.half_cut_values_by_basis`) and takes its
+    argmax over the even basis indices, i.e. with vertex 0 fixed to
+    ``+1`` (the global sign flip maps the other half onto these, so
+    nothing is lost).  Ties resolve to the smallest such index, which
+    makes the result fully deterministic.  Cost is ``O(2**n * m)`` time
+    and a ``2**n`` int32 table; graphs above the qubit cap are refused
+    with :class:`ResourceLimitError` before allocation.  The cap is the
+    simulator's one setting: ``QMAXCUT_QUBIT_CAP``, else 24.
     """
     _check_cap(g.n)
     t0 = time.perf_counter()

@@ -25,15 +25,16 @@ resource limit exceeded, 4 benchmark completed with failed cells.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
-import time
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import astuple, dataclass, replace
 from pathlib import Path
 
 from .classical import brute_force_maxcut, greedy_maxcut
-from .errors import EdgeListParseError, ResourceLimitError
+from .errors import ResourceLimitError
 from .graph import Graph, generate_random_graph, parse_edge_list, write_edge_list
-from .pipeline import STAGES, PipelineConfig, run_pipeline
+from .pipeline import PipelineConfig, run_pipeline
 from .qaoa import QaoaConfig, run_qaoa
 from .simulator import resolve_qubit_cap
 
@@ -43,13 +44,9 @@ DEFAULT_DEPTHS = (1, 2, 3)
 _TRIAL_SEED_STRIDE = 10_000
 
 
-class UsageError(Exception):
-    """Usage-level error discovered after argparse."""
-
-
 @dataclass(frozen=True)
 class BenchRecord:
-    """One CSV row.  ``None`` fields render as empty cells."""
+    """One CSV row.  ``None`` fields render as empty cells, floats as their ``repr``."""
 
     algorithm: str
     n: int
@@ -61,14 +58,7 @@ class BenchRecord:
     expectation: float | None
 
     def to_csv_row(self) -> str:
-        def num(x) -> str:
-            return "" if x is None else repr(float(x))
-
-        cut = "" if self.cut is None else str(self.cut)
-        return (
-            f"{self.algorithm},{self.n},{self.m},{self.depth},"
-            f"{cut},{num(self.runtime_s)},{self.seed},{num(self.expectation)}"
-        )
+        return ",".join("" if x is None else str(x) for x in astuple(self))
 
 
 def _two_ints(text: str, sep: str, message: str) -> tuple[int, int]:
@@ -105,34 +95,48 @@ def _parse_gen(text: str) -> tuple[int, int]:
 
 def _load_graph(args) -> Graph:
     if args.graph is not None and args.gen is not None:
-        raise UsageError("--graph cannot be combined with --gen")
+        raise ValueError("--graph cannot be combined with --gen")
     if args.graph is not None:
         return parse_edge_list(Path(args.graph).read_text())
     if args.gen is not None:
         n, m = args.gen
         return generate_random_graph(n, m, args.seed)
-    raise UsageError("either --graph FILE or --gen n,m is required")
+    raise ValueError("either --graph FILE or --gen n,m is required")
 
 
 def _labels_str(labels) -> str:
     return "".join("+" if x == 1 else "-" for x in labels)
 
 
+@contextmanager
+def _output(path: str | None, mode: str):
+    """``path`` opened for writing in ``mode``: ``None`` for no path, stdout
+    for ``-``.  Commands open their output before the first solver runs,
+    so a path that cannot be written fails at once; a file the command
+    created is removed again when the command fails."""
+    if path is None or path == "-":
+        yield None if path is None else sys.stdout
+        return
+    created = not os.path.exists(path)
+    with open(path, mode, newline="\n") as fh:
+        try:
+            yield fh
+        except BaseException:
+            if created:
+                fh.close()
+                os.remove(path)
+            raise
+
+
 def _write_text(path: str, text: str):
-    if path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", newline="\n") as fh:
-            fh.write(text)
+    with _output(path, "w") as fh:
+        fh.write(text)
 
 
-def _append_csv(path: str, records: list[BenchRecord]):
-    target = Path(path)
-    rows = [r.to_csv_row() for r in records]
-    if not (target.exists() and target.stat().st_size > 0):
-        rows.insert(0, CSV_HEADER)
-    with open(target, "a", newline="\n") as fh:
-        fh.write("\n".join(rows) + "\n")
+def _csv_text(records: list[BenchRecord], header: bool) -> str:
+    """One line per record, after :data:`CSV_HEADER` when ``header``."""
+    rows = [CSV_HEADER] * header + [r.to_csv_row() for r in records]
+    return "".join(f"{row}\n" for row in rows)
 
 
 def cmd_gen(args) -> int:
@@ -155,9 +159,6 @@ def _run_classical(g: Graph, algo: str, seed: int, trials: int = 1):
 def _solve_classical(g: Graph, algo: str, seed: int) -> tuple[list[str], BenchRecord]:
     res, record = _run_classical(g, algo, seed)
     lines = [
-        f"algorithm={algo}",
-        f"n={g.n}",
-        f"m={g.m}",
         f"cut={res.assignment.cut_value}",
         f"assignment={_labels_str(res.assignment.labels)}",
         f"runtime_s={res.elapsed!r}",
@@ -165,32 +166,18 @@ def _solve_classical(g: Graph, algo: str, seed: int) -> tuple[list[str], BenchRe
     return lines, record
 
 
-def _solve_qaoa(g: Graph, args, depth: int) -> tuple[list[str], BenchRecord]:
-    qcfg = QaoaConfig(
-        p=depth,
-        budget=args.budget,
-        restarts=args.restarts,
-        shots=args.shots,
-        seed=args.seed,
-        warm_start=not args.no_warm,
-    )
-    pcfg = PipelineConfig(
-        qaoa=qcfg, offload_latency=args.latency, postprocess_refine=not args.no_refine
-    )
-    report = run_pipeline(g, pcfg)
+def _solve_qaoa(g: Graph, cfg: PipelineConfig, depth: int) -> tuple[list[str], BenchRecord]:
+    report = run_pipeline(g, replace(cfg, qaoa=replace(cfg.qaoa, p=depth)))
     runtime = sum(report.stage_timings.values())
     lines = [
-        "algorithm=qaoa",
-        f"n={g.n}",
-        f"m={g.m}",
         f"depth={depth}",
         f"assignment={_labels_str(report.final_cut.labels)}",
+        *report.as_kv_lines(),
+        f"runtime_s={runtime!r}",
     ]
-    lines += report.as_kv_lines()
-    lines += [f"runtime_s={runtime!r}"]
     record = BenchRecord(
         "qaoa", g.n, g.m, depth, report.final_cut.cut_value,
-        runtime, args.seed, report.qaoa_result.best_expectation,
+        runtime, cfg.qaoa.seed, report.qaoa_result.best_expectation,
     )
     return lines, record
 
@@ -200,33 +187,41 @@ def cmd_solve(args) -> int:
     algos = ("brute_force", "greedy", "qaoa") if args.algo == "all" else (
         {"brute": "brute_force", "greedy": "greedy", "qaoa": "qaoa"}[args.algo],
     )
-    blocks: list[str] = []
-    records: list[BenchRecord] = []
-    for algo in algos:
-        if algo == "qaoa":
-            for depth in args.depth:
-                lines, record = _solve_qaoa(g, args, depth)
-                blocks.append("\n".join(lines))
+    cfg = None
+    if "qaoa" in algos:  # every setting is checked before the first solver runs
+        cfg = PipelineConfig(
+            qaoa=QaoaConfig(
+                p=args.depth[0],
+                budget=args.budget,
+                restarts=args.restarts,
+                shots=args.shots,
+                seed=args.seed,
+                warm_start=not args.no_warm,
+            ),
+            offload_latency=args.latency,
+            postprocess_refine=not args.no_refine,
+        )
+    with _output(args.csv, "a") as csv:
+        blocks, records = [], []
+        for algo in algos:
+            for depth in args.depth if algo == "qaoa" else (0,):
+                lines, record = (
+                    _solve_qaoa(g, cfg, depth) if depth else _solve_classical(g, algo, args.seed)
+                )
+                blocks.append("\n".join([f"algorithm={algo}", f"n={g.n}", f"m={g.m}", *lines]))
                 records.append(record)
-        else:
-            lines, record = _solve_classical(g, algo, args.seed)
-            blocks.append("\n".join(lines))
-            records.append(record)
-    print("\n\n".join(blocks))
-    if args.csv is not None:
-        _append_csv(args.csv, records)
+        print("\n\n".join(blocks))
+        if csv is not None:
+            csv.write(_csv_text(records, header=csv.tell() == 0))
     return 0
 
 
-def _bench_cell_qaoa(g, depths, budget, restarts, shots, solver_seed):
+def _bench_cell_qaoa(g, depths, cfg: QaoaConfig, solver_seed):
     """Run the depth chain once; returns {depth: (cut, expectation, runtime)}."""
     out = {}
     prev_params = None
     for depth in depths:
-        cfg = QaoaConfig(
-            p=depth, budget=budget, restarts=restarts, shots=shots, seed=solver_seed
-        )
-        result = run_qaoa(g, cfg, warm_params=prev_params)
+        result = run_qaoa(g, replace(cfg, p=depth, seed=solver_seed), warm_params=prev_params)
         out[depth] = (result.best_cut.cut_value, result.best_expectation, result.elapsed)
         prev_params = result.best_params
     return out
@@ -241,76 +236,71 @@ def _blank_rows(n, m, depths, graph_seed, classical=()) -> list[BenchRecord]:
 def _write_plot_data(out_path: str, records: list[BenchRecord]) -> list[str]:
     """Two-column gnuplot-style series files next to the CSV."""
     stem = str(Path(out_path).with_suffix(""))
-    written = []
-
-    series: dict[str, list[tuple[int, float]]] = {}
+    by_n: dict[str, list[tuple[int, float]]] = {}
+    by_depth: dict[int, list[float]] = {}
     for r in records:
         if r.runtime_s is None:
             continue
         key = f"qaoa_p{r.depth}" if r.algorithm == "qaoa" else r.algorithm
-        series.setdefault(key, []).append((r.n, r.runtime_s))
-    for key, rows in series.items():
-        path = f"{stem}.runtime_vs_n.{key}.dat"
-        _write_text(path, "".join(f"{n} {rt!r}\n" for n, rt in rows))
-        written.append(path)
-
-    by_depth: dict[int, list[float]] = {}
-    for r in records:
-        if r.algorithm == "qaoa" and r.runtime_s is not None:
+        by_n.setdefault(key, []).append((r.n, r.runtime_s))
+        if r.algorithm == "qaoa":
             by_depth.setdefault(r.depth, []).append(r.runtime_s)
+    files = {
+        f"{stem}.runtime_vs_n.{key}.dat": "".join(f"{n} {rt!r}\n" for n, rt in rows)
+        for key, rows in by_n.items()
+    }
     if by_depth:
-        path = f"{stem}.runtime_vs_p.dat"
-        _write_text(path, "".join(
+        files[f"{stem}.runtime_vs_p.dat"] = "".join(
             f"{d} {sum(v) / len(v)!r}\n" for d, v in sorted(by_depth.items())
-        ))
-        written.append(path)
-    return written
+        )
+    for path, text in files.items():
+        _write_text(path, text)
+    return list(files)
 
 
 def cmd_bench(args) -> int:
     sizes = args.sizes if args.sizes is not None else DEFAULT_SCHEDULE
     depths = args.depth
     cap = resolve_qubit_cap()
-    records: list[BenchRecord] = []
-    failures = 0
+    # Every setting is checked before the first solver runs.
+    cfg = QaoaConfig(p=depths[0], budget=args.budget, restarts=args.restarts, shots=args.shots)
+    with _output(args.out, "w") as out:
+        records: list[BenchRecord] = []
+        failures = 0
+        for cell_index, (n, m) in enumerate(sizes):
+            graph_seed = args.seed + cell_index
+            # Brute force resolves the same cap, so within it it cannot raise.
+            classical = ("brute_force", "greedy") if n <= cap else ("greedy",)
+            try:
+                g = generate_random_graph(n, m, graph_seed)
+            except ValueError as exc:
+                print(f"bench: skipping cell n={n} m={m}: {exc}", file=sys.stderr)
+                failures += 1
+                records.extend(_blank_rows(n, m, depths, graph_seed, classical))
+                continue
 
-    for cell_index, (n, m) in enumerate(sizes):
-        graph_seed = args.seed + cell_index
-        # Brute force resolves the same cap, so within it it cannot raise.
-        classical = ("brute_force", "greedy") if n <= cap else ("greedy",)
-        try:
-            g = generate_random_graph(n, m, graph_seed)
-        except ValueError as exc:
-            print(f"bench: skipping cell n={n} m={m}: {exc}", file=sys.stderr)
-            failures += 1
-            records.extend(_blank_rows(n, m, depths, graph_seed, classical))
-            continue
+            if n > cap:
+                print(f"bench: skipping brute_force on n={n} (cap {cap})", file=sys.stderr)
+            for algo in classical:
+                records.append(_run_classical(g, algo, graph_seed, args.trials)[1])
 
-        if n > cap:
-            print(f"bench: skipping brute_force on n={n} (cap {cap})", file=sys.stderr)
-        for algo in classical:
-            records.append(_run_classical(g, algo, graph_seed, args.trials)[1])
+            try:
+                trials = [
+                    _bench_cell_qaoa(g, depths, cfg, graph_seed + _TRIAL_SEED_STRIDE * t)
+                    for t in range(args.trials)
+                ]
+                for depth in depths:
+                    cut, expectation, _ = trials[0][depth]
+                    runtime = sum(tr[depth][2] for tr in trials) / len(trials)
+                    records.append(BenchRecord(
+                        "qaoa", n, m, depth, cut, runtime, graph_seed, expectation
+                    ))
+            except ResourceLimitError as exc:
+                print(f"bench: qaoa failed on n={n} m={m}: {exc}", file=sys.stderr)
+                failures += 1
+                records.extend(_blank_rows(n, m, depths, graph_seed))
+        out.write(_csv_text(records, header=True))
 
-        try:
-            trials = []
-            for t in range(args.trials):
-                solver_seed = graph_seed + _TRIAL_SEED_STRIDE * t
-                trials.append(_bench_cell_qaoa(
-                    g, depths, args.budget, args.restarts, args.shots, solver_seed
-                ))
-            for depth in depths:
-                cut, expectation, _ = trials[0][depth]
-                runtime = sum(tr[depth][2] for tr in trials) / len(trials)
-                records.append(BenchRecord(
-                    "qaoa", n, m, depth, cut, runtime, graph_seed, expectation
-                ))
-        except ResourceLimitError as exc:
-            print(f"bench: qaoa failed on n={n} m={m}: {exc}", file=sys.stderr)
-            failures += 1
-            records.extend(_blank_rows(n, m, depths, graph_seed))
-
-    text = "\n".join([CSV_HEADER] + [r.to_csv_row() for r in records]) + "\n"
-    _write_text(args.out, text)
     if args.out != "-":
         for path in _write_plot_data(args.out, records):
             print(f"bench: wrote {path}", file=sys.stderr)
@@ -387,7 +377,7 @@ def main(argv=None) -> int:
         parser.error("--budget must be at least 1")
     try:
         return args.func(args)
-    except (UsageError, EdgeListParseError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"qmaxcut: {exc}", file=sys.stderr)
         return 2
     except ResourceLimitError as exc:

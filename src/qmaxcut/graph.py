@@ -221,8 +221,7 @@ class _SplitMix64:
         return z ^ (z >> 31)
 
     def next_below(self, bound: int) -> int:
-        if bound <= 0:
-            raise ValueError("bound must be positive")
+        """Uniform draw from ``range(bound)``, for ``bound >= 1``."""
         limit = (1 << 64) - ((1 << 64) % bound)
         while True:
             z = self.next_u64()

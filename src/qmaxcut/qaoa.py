@@ -46,7 +46,7 @@ moves one coordinate at a time off 0, and the ladder pads each warm
 start with a zero layer.  On the n=20 benchmark workload 45% of the
 simulated cost and mixer half-layers have an exactly zero angle.  Each
 such half-layer is the identity, and the simulator skips it (see
-:func:`qmaxcut.simulator._flip_symmetric_state`); the evaluation still
+:func:`qmaxcut.simulator._circuit`); the evaluation still
 counts toward the budget, also when the workspace returns a stored
 value because skipping made it a circuit already simulated.
 """

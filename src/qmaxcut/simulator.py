@@ -11,7 +11,8 @@ every qubit after the phase ``exp(-i*gamma*C(b))`` on every amplitude.
 
 Allocation is gated by a qubit cap (default 24) to keep an accidental
 large ``n`` from taking the host down.  A full-state circuit (the
-public functions below, which the tests use as the reference) holds
+public functions below, which the tests use as the half register's
+reference; they run the same mixer kernel, :func:`_mix`) holds
 the state, one state-sized scratch buffer or temporary at a time (the
 mixer's second buffer, the cost layer's phase gather, the
 expectation's product) and the int32 cut table, a quarter of the
@@ -399,10 +400,10 @@ class FlipSymmetricWorkspace:
         self.kept = np.empty_like(self.state) if keep_best else None
         self.best = -math.inf
 
-    def _prepare(self, params: QaoaParams, circuit: tuple) -> tuple[np.ndarray, np.ndarray]:
-        """Prepare ``params``' state in ``state``, tagged with ``circuit``."""
+    def _prepare(self, circuit: tuple) -> tuple[np.ndarray, np.ndarray]:
+        """Prepare ``circuit``'s state in ``state``, tagged with ``circuit``."""
         self.held = None
-        self.state, self.scratch = _flip_symmetric_state(params, self)
+        self.state, self.scratch = _flip_symmetric_state(circuit, self)
         self.held = circuit
         return self.state, self.scratch
 
@@ -417,7 +418,7 @@ class FlipSymmetricWorkspace:
         circuit = _circuit(params)
         value = self.values.get(circuit)
         if value is None:
-            w, scratch = self._prepare(params, circuit)
+            w, scratch = self._prepare(circuit)
             np.multiply(self.low_table, w, out=scratch)
             value = self.values[circuit] = 2.0 * float(np.real(np.vdot(w, scratch)))
             if self.kept is not None and value > self.best:
@@ -443,7 +444,7 @@ class FlipSymmetricWorkspace:
         elif circuit == self.held:
             w, spare = self.state, self.scratch
         else:
-            w, spare = self._prepare(params, circuit)
+            w, spare = self._prepare(circuit)
         probs = spare.view(np.float64)
         low = probs[: w.size]
         np.abs(w, out=low)
@@ -483,11 +484,20 @@ class FlipSymmetricWorkspace:
 
 
 def _circuit(params: QaoaParams) -> tuple[tuple[int, float], ...]:
-    """The half-layers :func:`_flip_symmetric_state` runs for ``params``,
-    in order: ``(0, gamma)`` for a cost layer and ``(1, beta)`` for a
-    mixer layer, leaving out each angle that is exactly 0, as that
-    function does.  Equal circuits run the same kernels on the same
-    floats, so they prepare the same bits."""
+    """The half-layers that :func:`_flip_symmetric_state` runs for
+    ``params``, in order: ``(0, gamma)`` for a cost layer and ``(1,
+    beta)`` for a mixer layer.  This is the one place that decides which
+    half-layers run, so equal circuits run the same kernels on the same
+    floats and prepare the same bits.
+
+    A half-layer whose angle is exactly 0 (either sign) is left out.  That
+    is exact: at ``gamma = 0`` every phase is ``1 +- 0j``, and at ``beta
+    = 0`` every mixer block is an identity of 1s and signed 0s and the
+    top-qubit step is ``w * 1 + (+-0)``, so running them changes no
+    nonzero bit of the state; only the sign of a zero component may
+    differ, and nothing reads it.  Only exact zeros are left out, and
+    adjacent layers are never merged, which would change the rounding.
+    """
     return tuple(
         (kind, angle)
         for layer in zip(params.gammas, params.betas)
@@ -497,9 +507,10 @@ def _circuit(params: QaoaParams) -> tuple[tuple[int, float], ...]:
 
 
 def _flip_symmetric_state(
-    params: QaoaParams, ws: FlipSymmetricWorkspace
+    circuit: tuple[tuple[int, float], ...], ws: FlipSymmetricWorkspace
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The ansatz state's low half in the mixer's frame, prepared in ``ws``.
+    """The state of ``circuit`` (see :func:`_circuit`), its low half in the
+    mixer's frame, prepared in ``ws``.
 
     The cost operator and every ``X_q`` commute with the global flip
     ``X^{(x)n}``, and the uniform start is flip-invariant, so amplitude
@@ -507,39 +518,31 @@ def _flip_symmetric_state(
     as the pivot the full state is ``concat(a, a[::-1])`` for its low
     half ``a``.  The half is held in the mixer's frame, ``w = conj(e) *
     a`` (see :func:`_frame`); the cost layer is diagonal, so it commutes
-    with the frame.  Each layer phases ``w`` through the low half of the
-    cut table, mixes qubits ``0..n-2`` (:func:`_mix`), and rotates qubit
-    ``n - 1`` as ``w <- cos(b) w + sin(b) f * w[::-1]``, where ``f = -i
-    conj(e) e[::-1]`` (``ws.flip``) is ``-i`` seen through the frame, one
-    unit per row of 16 amplitudes.  Returns ``(w, spare)``: the two
-    buffers of ``ws``, whichever holds ``w`` first.  Nothing state-sized
-    is allocated.
-
-    A half-layer whose angle is exactly 0 (either sign) is skipped.  That
-    is exact: at ``gamma = 0`` every phase is ``1 +- 0j``, and at ``beta
-    = 0`` every mixer block is an identity of 1s and signed 0s and the
-    top-qubit step is ``w * 1 + (+-0)``, so running them changes no
-    nonzero bit of ``w``; only the sign of a zero component may differ,
-    and nothing reads it.  Only exact zeros are skipped, and adjacent
-    layers are never merged, which would change the rounding.
+    with the frame.  A cost half-layer phases ``w`` through the low half
+    of the cut table; a mixer half-layer mixes qubits ``0..n-2``
+    (:func:`_mix`) and rotates qubit ``n - 1`` as ``w <- cos(b) w +
+    sin(b) f * w[::-1]``, where ``f = -i conj(e) e[::-1]`` (``ws.flip``)
+    is ``-i`` seen through the frame, one unit per row of 16 amplitudes.
+    Returns ``(w, spare)``: the two buffers of ``ws``, whichever holds
+    ``w`` first.  Nothing state-sized is allocated.
     """
     g = ws.graph
     w, scratch = ws.state, ws.scratch
     rows = ws.start.size
     w.reshape(rows, -1)[...] = ws.start
     levels = np.arange(g.m + 1)
-    for gamma, beta in zip(params.gammas, params.betas):
-        if gamma:
-            np.take(np.exp(-1j * float(gamma) * levels), ws.low_table, out=scratch, mode="clip")
+    for kind, angle in circuit:
+        if kind == 0:
+            np.take(np.exp(-1j * angle * levels), ws.low_table, out=scratch, mode="clip")
             w *= scratch
-        if beta:
-            mixed = _mix(w, scratch, beta, g.n - 1)
+        else:
+            mixed = _mix(w, scratch, angle, g.n - 1)
             if mixed is not w:
                 w, scratch = mixed, w
             np.multiply(
-                w[::-1].reshape(rows, -1), math.sin(beta) * ws.flip, out=scratch.reshape(rows, -1)
+                w[::-1].reshape(rows, -1), math.sin(angle) * ws.flip, out=scratch.reshape(rows, -1)
             )
-            w *= math.cos(beta)
+            w *= math.cos(angle)
             w += scratch
     return w, scratch
 

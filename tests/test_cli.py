@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qmaxcut
-from qmaxcut import parse_edge_list
+from qmaxcut import cli, parse_edge_list
 from qmaxcut.cli import _parse_depths, _parse_gen, _parse_sizes
 
 CSV_HEADER = "algorithm,n,m,depth,cut,runtime_s,seed,expectation"
@@ -241,6 +241,49 @@ class TestSolveErrors:
 
     def test_no_subcommand_is_usage_error(self):
         assert run_cli().returncode == 2
+
+
+class TestChecksBeforeSolving:
+    """A bad setting or an output that cannot be written exits 2 before any
+    solver runs: nothing is printed and no output file is left."""
+
+    @pytest.mark.parametrize("args", [
+        pytest.param(("solve", "--csv", "{dir}"), id="solve-csv-directory"),
+        pytest.param(("solve", "--csv", "{out}", "--restarts", "0"), id="solve-restarts"),
+        pytest.param(("solve", "--csv", "{out}", "--shots", "-1"), id="solve-shots"),
+        pytest.param(("solve", "--csv", "{out}", "--budget", "2"), id="solve-budget-below-restarts"),
+        pytest.param(("solve", "--csv", "{out}", "--latency", "nan"), id="solve-latency"),
+        pytest.param(("bench", "--out", "{dir}"), id="bench-out-directory"),
+        pytest.param(("bench", "--out", "{out}", "--restarts", "0"), id="bench-restarts"),
+        pytest.param(("bench", "--out", "{out}", "--shots", "-1"), id="bench-shots"),
+        pytest.param(("bench", "--out", "{out}", "--budget", "2"), id="bench-budget-below-restarts"),
+    ])
+    def test_exits_before_any_solver_runs(self, tmp_path, monkeypatch, capsys, args):
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("a solver ran")
+
+        for name in ("brute_force_maxcut", "greedy_maxcut", "run_qaoa", "run_pipeline"):
+            monkeypatch.setattr(cli, name, refuse)
+        monkeypatch.delenv("QMAXCUT_QUBIT_CAP", raising=False)
+        out = tmp_path / "out.csv"
+        cell = {"solve": ("--gen", "6,8", "--algo", "all", "--depth", "1,2"),
+                "bench": ("--sizes", "4:3,6:8", "--depth", "1,2")}[args[0]]
+        argv = [args[0], *cell, *(a.format(dir=tmp_path, out=out) for a in args[1:])]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("qmaxcut: ")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_solve_removes_only_a_csv_it_created(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("QMAXCUT_QUBIT_CAP", "4")
+        new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+        old.write_text(CSV_HEADER + "\n")
+        for csv in (new, old):
+            assert cli.main(["solve", "--gen", "5,4", "--algo", "all", "--csv", str(csv)]) == 3
+        assert capsys.readouterr().out == ""
+        assert not new.exists()
+        assert old.read_text() == CSV_HEADER + "\n"
 
 
 class TestEdgeCaseExitCodes:

@@ -172,6 +172,10 @@ class TestCutAssignment:
         with pytest.raises(ValueError):
             CutAssignment(labels=(1, 0, -1), cut_value=0)
 
+    def test_rejects_negative_cut(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            CutAssignment(labels=(1, -1), cut_value=-1)
+
 
 class TestGeneration:
     def test_identical_seed_identical_graph(self):
@@ -191,6 +195,11 @@ class TestGeneration:
     def test_m_out_of_range(self):
         with pytest.raises(ValueError):
             generate_random_graph(3, 4, 0)
+
+    @pytest.mark.parametrize("n", [0, -2])
+    def test_rejects_no_vertices(self, n):
+        with pytest.raises(ValueError, match="vertex count must be positive"):
+            generate_random_graph(n, 0, 0)
 
     def test_known_value_frozen(self):
         # Pinned output guards the documented generation algorithm against

@@ -131,14 +131,14 @@ class TestDepthOneClosedForm:
         prepared = []
         prepare = simulator._flip_symmetric_state
 
-        def counting(params, ws):
-            prepared.append(params)
-            return prepare(params, ws)
+        def counting(circuit, ws):
+            prepared.append(circuit)
+            return prepare(circuit, ws)
 
         monkeypatch.setattr(simulator, "_flip_symmetric_state", counting)
         result = run_qaoa(TRIANGLE, QaoaConfig(p=1, budget=40, restarts=3, seed=0))
         assert result.n_evaluations > 1
-        assert prepared == [result.best_params]
+        assert prepared == [simulator._circuit(result.best_params)]
 
 
 @st.composite
@@ -271,7 +271,7 @@ def _every_kernel_state(params, ws):
 def _half_outputs(g, params):
     """State, expectation ``repr`` and probability bytes on the half register."""
     ws = simulator.FlipSymmetricWorkspace(g)
-    state = simulator._flip_symmetric_state(params, ws)[0].copy()
+    state = simulator._flip_symmetric_state(simulator._circuit(params), ws)[0].copy()
     expectation = repr(ws.expectation(params))
     return state, expectation, ws.probabilities(params).tobytes()
 
@@ -282,7 +282,9 @@ class TestZeroAngleSkip:
     def assert_matches_every_kernel(self, g, params):
         state, expectation, probs = _half_outputs(g, params)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(simulator, "_flip_symmetric_state", _every_kernel_state)
+            mp.setattr(
+                simulator, "_flip_symmetric_state", lambda circuit, ws: _every_kernel_state(params, ws)
+            )
             ref_state, ref_expectation, ref_probs = _half_outputs(g, params)
         # ``==``: a skipped kernel may leave a zero component with the other sign.
         assert np.array_equal(state, ref_state)
@@ -335,14 +337,14 @@ class TestZeroAngleSkip:
 
 def _reference_expectation(ws, params):
     """``FlipSymmetricWorkspace.expectation`` without the circuit memo."""
-    w, scratch = simulator._flip_symmetric_state(params, ws)
+    w, scratch = simulator._flip_symmetric_state(simulator._circuit(params), ws)
     np.multiply(ws.low_table, w, out=scratch)
     return 2.0 * float(np.real(np.vdot(w, scratch)))
 
 
 def _reference_probabilities(ws, params):
     """``FlipSymmetricWorkspace.probabilities`` preparing every state."""
-    w, spare = simulator._flip_symmetric_state(params, ws)
+    w, spare = simulator._flip_symmetric_state(simulator._circuit(params), ws)
     probs = spare.view(np.float64)
     probs[: w.size] = np.abs(w) ** 2
     probs[w.size :] = probs[: w.size][::-1]
@@ -361,9 +363,9 @@ def _prepare_log(monkeypatch):
     log = []
     prepare, evaluate = simulator._flip_symmetric_state, qaoa.evaluate_params
 
-    def preparing(params, ws):
+    def preparing(circuit, ws):
         log.append("prepare")
-        return prepare(params, ws)
+        return prepare(circuit, ws)
 
     def evaluating(*args, **kwargs):
         value = evaluate(*args, **kwargs)
@@ -548,6 +550,12 @@ class TestOptimizeParams:
         assert n_evals == 2
         assert params == better
         assert value == evaluate(TRIANGLE, better)
+
+    @pytest.mark.parametrize("depth", [1, 3])
+    def test_extra_start_of_another_depth_is_rejected(self, depth):
+        start = QaoaParams((0.1,) * depth, (0.2,) * depth)
+        with pytest.raises(ValueError, match=f"start has depth {depth}, expected 2"):
+            optimize_params(TRIANGLE, QaoaConfig(p=2, budget=10), extra_starts=(start,))
 
     @pytest.mark.parametrize("p", [1, 2])
     def test_cap_is_resolved_once_per_call(self, monkeypatch, p):

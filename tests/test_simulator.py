@@ -180,6 +180,11 @@ class TestInitUniform:
             init_uniform(5)
         assert init_uniform(4).n_qubits == 4
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_rejects_no_qubits(self, n):
+        with pytest.raises(ValueError, match="at least one qubit"):
+            init_uniform(n)
+
     def test_garbage_env_cap_rejected(self, monkeypatch):
         monkeypatch.setenv("QMAXCUT_QUBIT_CAP", "many")
         with pytest.raises(ValueError):
@@ -194,6 +199,10 @@ class TestStateVector:
     def test_rejects_wrong_length(self):
         with pytest.raises(ValueError):
             StateVector(n_qubits=2, amplitudes=np.zeros(3, dtype=np.complex128))
+
+    def test_rejects_no_qubits(self):
+        with pytest.raises(ValueError, match="at least one qubit"):
+            StateVector(n_qubits=0, amplitudes=np.ones(1, dtype=np.complex128))
 
     def test_probabilities_sum_to_one(self):
         sv = init_uniform(4)
@@ -229,6 +238,16 @@ class TestCostLayer:
         before = sv.probabilities()
         apply_cost_layer(sv, g, 1.234)
         np.testing.assert_allclose(sv.probabilities(), before, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "apply", [lambda sv, g: apply_cost_layer(sv, g, 0.3), expectation_cut],
+    ids=["apply_cost_layer", "expectation_cut"],
+)
+@pytest.mark.parametrize("n", [2, 4])
+def test_graph_of_another_size_is_refused(apply, n):
+    with pytest.raises(ValueError, match=f"graph has {n} vertices but state has 3 qubits"):
+        apply(init_uniform(3), Graph(n, ((0, 1),)))
 
 
 class TestMixerLayer:
@@ -499,6 +518,11 @@ class TestSampling:
         out = sample_bitstrings(sv, 16, seed=rng)
         assert out.shape == (16,)
         assert out.dtype == np.int64
+
+    @pytest.mark.parametrize("shots", [0, -1])
+    def test_rejects_non_positive_shots(self, shots):
+        with pytest.raises(ValueError, match="shots must be positive"):
+            sample_bitstrings(init_uniform(2), shots, seed=0)
 
     def test_basis_state_always_samples_itself(self):
         sv = basis_state(3, 5)
