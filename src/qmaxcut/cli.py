@@ -27,7 +27,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from dataclasses import astuple, dataclass, replace
 from pathlib import Path
 
@@ -113,7 +113,10 @@ def _output(path: str | None, mode: str):
     """``path`` opened for writing in ``mode``: ``None`` for no path, stdout
     for ``-``.  Commands open their output before the first solver runs,
     so a path that cannot be written fails at once; a file the command
-    created is removed again when the command fails."""
+    created is removed again when the command fails.  ``bench`` names its
+    plot files (``<stem>.runtime_vs_n.<series>.dat`` and
+    ``<stem>.runtime_vs_p.dat``) only after the sweep and opens them
+    inside the CSV's scope, so one failure removes every file it created."""
     if path is None or path == "-":
         yield None if path is None else sys.stdout
         return
@@ -128,11 +131,6 @@ def _output(path: str | None, mode: str):
             raise
 
 
-def _write_text(path: str, text: str):
-    with _output(path, "w") as fh:
-        fh.write(text)
-
-
 def _csv_text(records: list[BenchRecord], header: bool) -> str:
     """One line per record, after :data:`CSV_HEADER` when ``header``."""
     rows = [CSV_HEADER] * header + [r.to_csv_row() for r in records]
@@ -141,45 +139,18 @@ def _csv_text(records: list[BenchRecord], header: bool) -> str:
 
 def cmd_gen(args) -> int:
     g = generate_random_graph(args.n, args.m, args.seed)
-    _write_text(args.out, write_edge_list(g))
+    with _output(args.out, "w") as out:
+        out.write(write_edge_list(g))
     return 0
 
 
-def _run_classical(g: Graph, algo: str, seed: int, trials: int = 1):
-    """First of ``trials`` solver runs, and a row with its cut and the mean runtime."""
-    solver = brute_force_maxcut if algo == "brute_force" else greedy_maxcut
-    runs = [solver(g) for _ in range(trials)]
-    record = BenchRecord(
-        algo, g.n, g.m, 0, runs[0].assignment.cut_value,
-        sum(r.elapsed for r in runs) / trials, seed, None,
-    )
-    return runs[0], record
+def _first_and_mean(runs) -> tuple:
+    """The trials rule: a row reports the first run and the mean ``elapsed`` of all."""
+    return runs[0], sum(r.elapsed for r in runs) / len(runs)
 
 
-def _solve_classical(g: Graph, algo: str, seed: int) -> tuple[list[str], BenchRecord]:
-    res, record = _run_classical(g, algo, seed)
-    lines = [
-        f"cut={res.assignment.cut_value}",
-        f"assignment={_labels_str(res.assignment.labels)}",
-        f"runtime_s={res.elapsed!r}",
-    ]
-    return lines, record
-
-
-def _solve_qaoa(g: Graph, cfg: PipelineConfig, depth: int) -> tuple[list[str], BenchRecord]:
-    report = run_pipeline(g, replace(cfg, qaoa=replace(cfg.qaoa, p=depth)))
-    runtime = sum(report.stage_timings.values())
-    lines = [
-        f"depth={depth}",
-        f"assignment={_labels_str(report.final_cut.labels)}",
-        *report.as_kv_lines(),
-        f"runtime_s={runtime!r}",
-    ]
-    record = BenchRecord(
-        "qaoa", g.n, g.m, depth, report.final_cut.cut_value,
-        runtime, cfg.qaoa.seed, report.qaoa_result.best_expectation,
-    )
-    return lines, record
+def _classical_solver(algo: str):
+    return brute_force_maxcut if algo == "brute_force" else greedy_maxcut
 
 
 def cmd_solve(args) -> int:
@@ -189,52 +160,38 @@ def cmd_solve(args) -> int:
     )
     cfg = None
     if "qaoa" in algos:  # every setting is checked before the first solver runs
-        cfg = PipelineConfig(
-            qaoa=QaoaConfig(
-                p=args.depth[0],
-                budget=args.budget,
-                restarts=args.restarts,
-                shots=args.shots,
-                seed=args.seed,
-                warm_start=not args.no_warm,
-            ),
-            offload_latency=args.latency,
-            postprocess_refine=not args.no_refine,
-        )
+        qaoa = QaoaConfig(p=args.depth[0], budget=args.budget, restarts=args.restarts,
+                          shots=args.shots, seed=args.seed, warm_start=not args.no_warm)
+        cfg = PipelineConfig(qaoa, offload_latency=args.latency,
+                             postprocess_refine=not args.no_refine)
     with _output(args.csv, "a") as csv:
         blocks, records = [], []
         for algo in algos:
             for depth in args.depth if algo == "qaoa" else (0,):
-                lines, record = (
-                    _solve_qaoa(g, cfg, depth) if depth else _solve_classical(g, algo, args.seed)
-                )
-                blocks.append("\n".join([f"algorithm={algo}", f"n={g.n}", f"m={g.m}", *lines]))
-                records.append(record)
+                if depth:
+                    report = run_pipeline(g, replace(cfg, qaoa=replace(cfg.qaoa, p=depth)))
+                    cut, expectation = report.final_cut, report.qaoa_result.best_expectation
+                    runtime = sum(report.stage_timings.values())
+                    lines = [f"depth={depth}", f"assignment={_labels_str(cut.labels)}",
+                             *report.as_kv_lines()]
+                else:
+                    res = _classical_solver(algo)(g)
+                    cut, expectation, runtime = res.assignment, None, res.elapsed
+                    lines = [f"cut={cut.cut_value}", f"assignment={_labels_str(cut.labels)}"]
+                blocks.append("\n".join(
+                    [f"algorithm={algo}", f"n={g.n}", f"m={g.m}", *lines, f"runtime_s={runtime!r}"]
+                ))
+                records.append(BenchRecord(
+                    algo, g.n, g.m, depth, cut.cut_value, runtime, args.seed, expectation
+                ))
         print("\n\n".join(blocks))
-        if csv is not None:
-            csv.write(_csv_text(records, header=csv.tell() == 0))
+        if csv is not None:  # a stream gets its own header: there is no file to append to
+            csv.write(_csv_text(records, header=args.csv == "-" or csv.tell() == 0))
     return 0
 
 
-def _bench_cell_qaoa(g, depths, cfg: QaoaConfig, solver_seed):
-    """Run the depth chain once; returns {depth: (cut, expectation, runtime)}."""
-    out = {}
-    prev_params = None
-    for depth in depths:
-        result = run_qaoa(g, replace(cfg, p=depth, seed=solver_seed), warm_params=prev_params)
-        out[depth] = (result.best_cut.cut_value, result.best_expectation, result.elapsed)
-        prev_params = result.best_params
-    return out
-
-
-def _blank_rows(n, m, depths, graph_seed, classical=()) -> list[BenchRecord]:
-    """Rows with blank measurements: one per ``classical`` algorithm, then qaoa."""
-    cells = [(algo, 0) for algo in classical] + [("qaoa", d) for d in depths]
-    return [BenchRecord(algo, n, m, d, None, None, graph_seed, None) for algo, d in cells]
-
-
-def _write_plot_data(out_path: str, records: list[BenchRecord]) -> list[str]:
-    """Two-column gnuplot-style series files next to the CSV."""
+def _plot_data(out_path: str, records: list[BenchRecord]) -> dict[str, str]:
+    """Two-column gnuplot-style series files next to the CSV, as ``{path: text}``."""
     stem = str(Path(out_path).with_suffix(""))
     by_n: dict[str, list[tuple[int, float]]] = {}
     by_depth: dict[int, list[float]] = {}
@@ -253,57 +210,66 @@ def _write_plot_data(out_path: str, records: list[BenchRecord]) -> list[str]:
         files[f"{stem}.runtime_vs_p.dat"] = "".join(
             f"{d} {sum(v) / len(v)!r}\n" for d, v in sorted(by_depth.items())
         )
-    for path, text in files.items():
-        _write_text(path, text)
-    return list(files)
+    return files
 
 
 def cmd_bench(args) -> int:
-    sizes = args.sizes if args.sizes is not None else DEFAULT_SCHEDULE
     depths = args.depth
     cap = resolve_qubit_cap()
     # Every setting is checked before the first solver runs.
     cfg = QaoaConfig(p=depths[0], budget=args.budget, restarts=args.restarts, shots=args.shots)
     with _output(args.out, "w") as out:
-        records: list[BenchRecord] = []
-        failures = 0
-        for cell_index, (n, m) in enumerate(sizes):
+        cells, failures = [], 0  # (n, m, graph seed, rows) per cell
+        for cell_index, (n, m) in enumerate(args.sizes):
             graph_seed = args.seed + cell_index
             # Brute force resolves the same cap, so within it it cannot raise.
             classical = ("brute_force", "greedy") if n <= cap else ("greedy",)
+            # (cut, runtime_s, expectation) per row, blank until measured:
+            # the rows a failure leaves blank are emitted blank.
+            rows = dict.fromkeys(
+                [(algo, 0) for algo in classical] + [("qaoa", d) for d in depths], (None,) * 3
+            )
+            cells.append((n, m, graph_seed, rows))
             try:
                 g = generate_random_graph(n, m, graph_seed)
             except ValueError as exc:
                 print(f"bench: skipping cell n={n} m={m}: {exc}", file=sys.stderr)
                 failures += 1
-                records.extend(_blank_rows(n, m, depths, graph_seed, classical))
                 continue
 
             if n > cap:
                 print(f"bench: skipping brute_force on n={n} (cap {cap})", file=sys.stderr)
             for algo in classical:
-                records.append(_run_classical(g, algo, graph_seed, args.trials)[1])
+                runs = [_classical_solver(algo)(g) for _ in range(args.trials)]
+                res, runtime = _first_and_mean(runs)
+                rows[algo, 0] = (res.assignment.cut_value, runtime, None)
 
+            # Each trial's solver seed, and its optimum at the previous depth.
+            seeds = [graph_seed + _TRIAL_SEED_STRIDE * t for t in range(args.trials)]
+            warm = [None] * args.trials
             try:
-                trials = [
-                    _bench_cell_qaoa(g, depths, cfg, graph_seed + _TRIAL_SEED_STRIDE * t)
-                    for t in range(args.trials)
-                ]
                 for depth in depths:
-                    cut, expectation, _ = trials[0][depth]
-                    runtime = sum(tr[depth][2] for tr in trials) / len(trials)
-                    records.append(BenchRecord(
-                        "qaoa", n, m, depth, cut, runtime, graph_seed, expectation
-                    ))
+                    runs = [run_qaoa(g, replace(cfg, p=depth, seed=seed), warm_params=w)
+                            for seed, w in zip(seeds, warm)]
+                    warm = [r.best_params for r in runs]
+                    res, runtime = _first_and_mean(runs)
+                    rows["qaoa", depth] = (res.best_cut.cut_value, runtime, res.best_expectation)
             except ResourceLimitError as exc:
                 print(f"bench: qaoa failed on n={n} m={m}: {exc}", file=sys.stderr)
                 failures += 1
-                records.extend(_blank_rows(n, m, depths, graph_seed))
+        records = [
+            BenchRecord(algo, n, m, depth, cut, runtime, seed, expectation)
+            for n, m, seed, rows in cells
+            for (algo, depth), (cut, runtime, expectation) in rows.items()
+        ]
         out.write(_csv_text(records, header=True))
+        plots = _plot_data(args.out, records) if args.out != "-" else {}
+        with ExitStack() as files:
+            for path, text in plots.items():
+                files.enter_context(_output(path, "w")).write(text)
 
-    if args.out != "-":
-        for path in _write_plot_data(args.out, records):
-            print(f"bench: wrote {path}", file=sys.stderr)
+    for path in plots:
+        print(f"bench: wrote {path}", file=sys.stderr)
     print(f"bench: {len(records)} rows, {failures} failed cells", file=sys.stderr)
     return 4 if failures else 0
 
@@ -350,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.set_defaults(func=cmd_solve)
 
     p_bench = sub.add_parser("bench", help="sweep the size schedule, emit CSV")
-    p_bench.add_argument("--sizes", type=_parse_sizes, default=None,
+    p_bench.add_argument("--sizes", type=_parse_sizes, default=DEFAULT_SCHEDULE,
                          help="comma list of n:m cells, default "
                          + ",".join(f"{n}:{m}" for n, m in DEFAULT_SCHEDULE))
     p_bench.add_argument("--depth", type=_parse_depths, default=DEFAULT_DEPTHS,

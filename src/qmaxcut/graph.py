@@ -39,6 +39,22 @@ _MASK64 = (1 << 64) - 1
 _DIFFER = np.array([[0, 1], [1, 0]], np.int32).reshape(2, 1, 2, 1)
 
 
+def _canonical_edge(n: int, a: int, b: int, seen: set[tuple[int, int]]) -> tuple[int, int]:
+    """Edge ``(a, b)`` of an ``n``-vertex graph as ``(u, v)`` with ``u < v``,
+    added to ``seen``, the edges before it.  A self-loop, an endpoint
+    outside ``0 .. n-1`` or an edge already in ``seen`` raises
+    ``ValueError``, naming the pair as written."""
+    if a == b:
+        raise ValueError(f"self-loop at vertex {a}")
+    u, v = (a, b) if a < b else (b, a)
+    if not (0 <= u and v < n):
+        raise ValueError(f"edge ({a}, {b}) out of range for n={n}")
+    if (u, v) in seen:
+        raise ValueError(f"duplicate edge ({a}, {b})")
+    seen.add((u, v))
+    return u, v
+
+
 @dataclass(frozen=True)
 class Graph:
     """Immutable simple graph.  Edges are canonicalized on construction."""
@@ -49,23 +65,9 @@ class Graph:
     def __post_init__(self):
         if not isinstance(self.n, int) or self.n < 1:
             raise ValueError(f"vertex count must be a positive int, got {self.n!r}")
-        canon = []
-        seen = set()
-        for pair in self.edges:
-            u, v = pair
-            u, v = int(u), int(v)
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            if u > v:
-                u, v = v, u
-            if not (0 <= u and v < self.n):
-                raise ValueError(f"edge ({u}, {v}) out of range for n={self.n}")
-            if (u, v) in seen:
-                raise ValueError(f"duplicate edge ({u}, {v})")
-            seen.add((u, v))
-            canon.append((u, v))
-        canon.sort()
-        object.__setattr__(self, "edges", tuple(canon))
+        seen: set[tuple[int, int]] = set()
+        canon = [_canonical_edge(self.n, int(a), int(b), seen) for a, b in self.edges]
+        object.__setattr__(self, "edges", tuple(sorted(canon)))
 
     @property
     def m(self) -> int:
@@ -311,15 +313,10 @@ def parse_edge_list(text: str) -> Graph:
     seen: set[tuple[int, int]] = set()
     for lineno, raw in enumerate(lines[1:], start=2):
         a, b = _parse_int_pair(raw, lineno)
-        if a == b:
-            raise EdgeListParseError(f"self-loop at vertex {a}", lineno)
-        u, v = (a, b) if a < b else (b, a)
-        if not (0 <= u and v < n):
-            raise EdgeListParseError(f"edge ({a}, {b}) out of range for n={n}", lineno)
-        if (u, v) in seen:
-            raise EdgeListParseError(f"duplicate edge ({a}, {b})", lineno)
-        seen.add((u, v))
-        edges.append((u, v))
+        try:
+            edges.append(_canonical_edge(n, a, b, seen))
+        except ValueError as exc:
+            raise EdgeListParseError(str(exc), lineno) from None
     return Graph(n=n, edges=tuple(edges))
 
 

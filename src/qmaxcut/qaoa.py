@@ -5,10 +5,10 @@ which we maximize.  At depth 1 it is computed in closed form from
 per-edge degrees and triangle counts, in ``O(m)`` with no ``2**n``
 state, but under the same qubit cap.  Deeper objectives are simulated
 on the flip-symmetric half of the register, ``2**(n-1)`` amplitudes.
-:func:`run_qaoa` checks the cap once and builds one
-:class:`~qmaxcut.simulator.FlipSymmetricWorkspace`, which computes every
-simulated expectation of the run, on every rung of the ladder, keeps
-the best state and picks the cut; this module only chooses the angles.
+:func:`run_qaoa` builds one :class:`~qmaxcut.simulator.FlipSymmetricWorkspace`,
+which checks the cap and computes every simulated expectation of the
+run, on every rung of the ladder, keeps the best state and picks the
+cut; this module only chooses the angles.
 No full cut table or full-register state is built on any run path.
 Optimization is multi-start Nelder-Mead under a hard evaluation budget:
 
@@ -144,25 +144,24 @@ def evaluate_params(
 ) -> float:
     """Expected cut value of the ansatz state at the given angles.
 
-    The qubit cap (``QMAXCUT_QUBIT_CAP``, else 24; no argument sets it)
-    is checked first, before any table or state exists, so every depth
-    refuses the same instances.  At depth 1 the value then comes from
-    :func:`depth_one_expectation` and no state or cut table is built.
+    Every depth refuses the instances above the qubit cap
+    (``QMAXCUT_QUBIT_CAP``, else 24; no argument sets it) before any
+    table or state exists.  Depth 1 checks the cap here, then takes the
+    value from :func:`depth_one_expectation`, with no state or cut table.
     Deeper circuits are simulated on the half of the register that the
     global bit flip maps onto the other half (see
     :meth:`qmaxcut.simulator.FlipSymmetricWorkspace.expectation`), in
-    ``workspace`` when one is passed (it must have been built for ``g``)
-    and otherwise in a fresh one; the cap is resolved only by the check
-    above.  A circuit the workspace has already simulated returns the
-    value stored there, the same float, and runs no kernel.
-    ``_cap_checked`` is private to :func:`optimize_params`, which checks
-    the cap once per call: its evaluations skip the check but still run
-    through this function, so that tracing its calls counts every
-    evaluation.
+    ``workspace`` when one is passed (built for ``g``) and otherwise in
+    a fresh one; the workspace's constructor checks the cap.  A circuit
+    the workspace has already simulated returns the value stored there,
+    the same float, and runs no kernel.  ``_cap_checked`` is private to
+    :func:`optimize_params`, which checks the cap once per call: its
+    depth-1 evaluations skip the check but still run through this
+    function, so that tracing its calls counts every evaluation.
     """
-    if not _cap_checked:
-        _check_cap(g.n)
     if params.p == 1:
+        if not _cap_checked:
+            _check_cap(g.n)
         return depth_one_expectation(g, params.gammas[0], params.betas[0])
     if workspace is None:
         workspace = FlipSymmetricWorkspace(g)
@@ -269,14 +268,15 @@ def optimize_params(
     ``extra_starts`` are tried before the standard starts (this is the
     warm-start hook used by :func:`run_qaoa`).  At depth 2 or more every
     evaluation of the call runs in ``workspace``, the run's own (it must
-    have been built for ``g``, under the cap).  Without one, the qubit
-    cap is checked once, at every depth, and at depth 2 or more one
-    workspace is allocated for the call and freed on return; depth 1
-    needs none.  No evaluation of the call checks the cap again.
+    have been built for ``g``).  Without one, the qubit cap is checked
+    once: here at depth 1, which needs no workspace, and at depth 2 or
+    more by the one workspace allocated for the call and freed on
+    return.  No evaluation of the call checks the cap again.
     """
-    if workspace is None:
+    if workspace is None and cfg.p == 1:
         _check_cap(g.n)
-        workspace = FlipSymmetricWorkspace(g) if cfg.p > 1 else None
+    elif workspace is None:
+        workspace = FlipSymmetricWorkspace(g)
     for warm in extra_starts:
         if warm.p != cfg.p:
             raise ValueError(f"start has depth {warm.p}, expected {cfg.p}")
@@ -334,15 +334,14 @@ def run_qaoa(
     in the pipeline's model), which this host skips when the workspace
     still holds that state.  ``elapsed`` covers the whole call.
 
-    The qubit cap is checked once, then one workspace (see
-    :class:`~qmaxcut.simulator.FlipSymmetricWorkspace`) serves every
+    One workspace (see :class:`~qmaxcut.simulator.FlipSymmetricWorkspace`,
+    which checks the qubit cap once, as it is built) serves every
     evaluation, the final state, extraction and sampling: the run peaks
     at about 1.6 times the full state's ``2**n * 16`` bytes, or 1.85
     with ``shots``, where the workspace also keeps the best state
     (tracemalloc, n=18).
     """
     t_start = time.perf_counter()
-    _check_cap(g.n)
     # Keep the best state only when sampling: the in-place draw allocates
     # nothing state-sized, where the threshold scan allocates a half table.
     keep_best = cfg.shots > 0

@@ -362,8 +362,8 @@ class FlipSymmetricWorkspace:
     :func:`~qmaxcut.graph.half_cut_values_by_basis`, vertex by vertex in
     ``O(2**n)``, with the state buffer as its scratch (every state
     prepared here overwrites it first); no full table is built.  About
-    1.25 times the full state's ``2**n * 16`` bytes.  The caller checks
-    the qubit cap.
+    1.25 times the full state's ``2**n * 16`` bytes.  The constructor
+    checks the qubit cap before it allocates any of them.
 
     Skipping exact zero angles makes distinct angle vectors the same
     circuit (:func:`_circuit`): the optimizer's zero start evaluated
@@ -383,6 +383,7 @@ class FlipSymmetricWorkspace:
     """
 
     def __init__(self, g: Graph, keep_best: bool = False):
+        _check_cap(g.n)
         half = 1 << (g.n - 1)
         self.graph = g
         self.state = np.empty(half, dtype=np.complex128)

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qmaxcut
-from qmaxcut import cli, parse_edge_list
+from qmaxcut import CutAssignment, QaoaParams, QaoaResult, SolveResult, cli, parse_edge_list
 from qmaxcut.cli import _parse_depths, _parse_gen, _parse_sizes
 
 CSV_HEADER = "algorithm,n,m,depth,cut,runtime_s,seed,expectation"
@@ -163,6 +163,15 @@ class TestSolve:
         assert len(lines) == 3
         assert all(line.startswith("greedy,3,3,0,2,") for line in lines[1:])
 
+    def test_csv_to_a_pipe_gets_its_header(self):
+        # The child's stdout is a pipe, which cannot report a position.
+        res = run_cli("solve", "--gen", "5,4", "--algo", "greedy", "--csv", "-")
+        assert res.returncode == 0, res.stderr
+        (block,) = kv_blocks(res.stdout.split(CSV_HEADER)[0])
+        header, row = res.stdout.splitlines()[-2:]
+        assert header == CSV_HEADER
+        assert row.startswith(f"greedy,5,4,0,{block['cut']},{block['runtime_s']},0,")
+
     def test_classical_csv_rows_have_depth_zero_and_no_expectation(self, tmp_path):
         csv = tmp_path / "runs.csv"
         run_cli("solve", "--gen", "4,5", "--seed", 1, "--algo", "all",
@@ -285,6 +294,15 @@ class TestChecksBeforeSolving:
         assert not new.exists()
         assert old.read_text() == CSV_HEADER + "\n"
 
+    def test_failed_bench_removes_every_file_it_created(self, tmp_path, capsys):
+        blocker = tmp_path / "bench.runtime_vs_p.dat"  # the last plot file cannot be written
+        blocker.mkdir()
+        argv = ["bench", "--sizes", "4:3", "--depth", "1", "--budget", "10",
+                "--out", str(tmp_path / "bench.csv")]
+        assert cli.main(argv) == 2
+        assert str(blocker) in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [blocker]
+
 
 class TestEdgeCaseExitCodes:
     """Edge cases exit with their documented code, never with a traceback."""
@@ -378,6 +396,55 @@ class TestBench:
         greedy_row, qaoa_row = big
         assert greedy_row[4] != ""
         assert qaoa_row[4] == "" and qaoa_row[5] == "" and qaoa_row[7] == ""
+
+    def test_trials_report_the_first_trial_and_the_mean_runtime(self, tmp_path, monkeypatch):
+        """Trial ``t`` runs with solver seed ``graph seed + 10000 t``, each
+        depth warm-started from the same trial's previous depth; a row
+        takes its cut and expectation from trial 0, its runtime from the
+        mean over the trials."""
+        graph_seed, labels = 7, (1,) * 5
+        classical = {"brute_force": [(3, 1.0), (1, 2.0), (1, 6.0)],
+                     "greedy": [(2, 0.5), (0, 1.5), (0, 1.0)]}
+
+        def fake_solver(algo):
+            def solve(g):
+                cut, elapsed = classical[algo].pop(0)
+                return SolveResult(CutAssignment(labels, cut), elapsed, algo)
+            return solve
+
+        qaoa_runs = {}  # (trial, depth) -> (warm_params, result)
+
+        def fake_run_qaoa(g, cfg, warm_params=None):
+            trial, rest = divmod(cfg.seed - graph_seed, 10_000)
+            assert rest == 0
+            result = QaoaResult(
+                best_params=QaoaParams((float(trial),) * cfg.p, (float(cfg.p),) * cfg.p),
+                best_expectation=10.0 * cfg.p + trial,
+                best_cut=CutAssignment(labels, cfg.p + trial),
+                n_evaluations=1,
+                elapsed=float((trial + 1) * cfg.p),
+            )
+            qaoa_runs[trial, cfg.p] = (warm_params, result)
+            return result
+
+        for algo in classical:
+            monkeypatch.setattr(cli, f"{algo}_maxcut", fake_solver(algo))
+        monkeypatch.setattr(cli, "run_qaoa", fake_run_qaoa)
+        monkeypatch.delenv("QMAXCUT_QUBIT_CAP", raising=False)
+        out = tmp_path / "bench.csv"
+        assert cli.main(["bench", "--sizes", "5:4", "--depth", "1,2", "--trials", "3",
+                         "--seed", str(graph_seed), "--out", str(out)]) == 0
+
+        assert out.read_text().splitlines()[1:] == [
+            "brute_force,5,4,0,3,3.0,7,",
+            "greedy,5,4,0,2,1.0,7,",
+            "qaoa,5,4,1,1,2.0,7,10.0",
+            "qaoa,5,4,2,2,4.0,7,20.0",
+        ]
+        assert sorted(qaoa_runs) == [(t, d) for t in range(3) for d in (1, 2)]
+        for trial in range(3):
+            assert qaoa_runs[trial, 1][0] is None
+            assert qaoa_runs[trial, 2][0] == qaoa_runs[trial, 1][1].best_params
 
     def test_bad_sizes_argument(self, tmp_path):
         res = run_cli("bench", "--sizes", "4-5", "--out", tmp_path / "x.csv")

@@ -60,6 +60,21 @@ class TestGraphConstruction:
         with pytest.raises(ValueError, match="out of range"):
             Graph(3, ((0, 3),))
 
+    @pytest.mark.parametrize("pairs, message", [
+        (((1, 1),), "self-loop at vertex 1"),
+        (((3, 0),), "edge (3, 0) out of range for n=3"),
+        (((0, 1), (1, 0)), "duplicate edge (1, 0)"),
+    ])
+    def test_graph_and_parser_share_the_edge_rules(self, pairs, message):
+        # Both name the pair as written; the parser adds its line number.
+        with pytest.raises(ValueError) as refused:
+            Graph(3, pairs)
+        assert str(refused.value) == message
+        text = f"3 {len(pairs)}\n" + "".join(f"{a} {b}\n" for a, b in pairs)
+        with pytest.raises(EdgeListParseError) as parse_error:
+            parse_edge_list(text)
+        assert str(parse_error.value) == f"line {len(pairs) + 1}: {message}"
+
     def test_rejects_bad_vertex_count(self):
         with pytest.raises(ValueError):
             Graph(0, ())

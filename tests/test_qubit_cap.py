@@ -27,6 +27,7 @@ from qmaxcut import (
     run_pipeline,
     run_qaoa,
 )
+from qmaxcut.simulator import FlipSymmetricWorkspace
 
 PACKAGE = Path(qmaxcut.__file__).parent
 
@@ -69,6 +70,7 @@ ENTRY_POINTS = {
     "init_uniform": lambda n: init_uniform(n),
     "apply_qaoa_circuit": lambda n: apply_qaoa_circuit(_path(n), _angles(2)),
     "brute_force_maxcut": lambda n: brute_force_maxcut(_path(n)),
+    "FlipSymmetricWorkspace": lambda n: FlipSymmetricWorkspace(_path(n)),
     "evaluate_params_p1": lambda n: evaluate_params(_path(n), _angles(1)),
     "evaluate_params_p2": lambda n: evaluate_params(_path(n), _angles(2)),
     "optimize_params_p1": lambda n: optimize_params(_path(n), QaoaConfig(p=1, budget=4)),
