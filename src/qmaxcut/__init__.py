@@ -1,9 +1,9 @@
 """Max-Cut solvers and benchmarks with a simulated variational pipeline."""
 
 from .classical import SolveResult, brute_force_maxcut, greedy_maxcut
-from .errors import EdgeListParseError, ResourceLimitError
 from .graph import (
     CutAssignment,
+    EdgeListParseError,
     Graph,
     cut_value,
     cut_values_by_basis,
@@ -17,6 +17,7 @@ from .qaoa import QaoaConfig, QaoaResult, evaluate_params, optimize_params, run_
 from .simulator import (
     DEFAULT_QUBIT_CAP,
     QaoaParams,
+    ResourceLimitError,
     StateVector,
     apply_cost_layer,
     apply_mixer_layer,

@@ -12,10 +12,11 @@ and a blank expectation; rows whose solver failed keep their identity
 columns and leave cut/runtime_s/expectation blank (the reason goes to
 stderr).  Brute force is skipped, not failed, on cells above the qubit
 cap.  Reruns with identical arguments produce byte-identical output
-except for the runtime_s column.  When the CSV goes to a file, two
-plot-ready data sets are written next to it: ``<stem>.runtime_vs_n.
-<series>.dat`` (one two-column file per algorithm series) and
-``<stem>.runtime_vs_p.dat`` (depth vs mean runtime).
+except for the runtime_s column, at a fixed BLAS thread count.  When
+the CSV goes to a file, two plot-ready data sets are written next to
+it: ``<stem>.runtime_vs_n.<series>.dat`` (one two-column file per
+algorithm series) and ``<stem>.runtime_vs_p.dat`` (depth vs mean
+runtime).
 
 Exit codes: 0 success, 2 bad usage, malformed input or a path that
 cannot be read or written (missing, a directory, no permission), 3
@@ -32,11 +33,10 @@ from dataclasses import astuple, dataclass, replace
 from pathlib import Path
 
 from .classical import brute_force_maxcut, greedy_maxcut
-from .errors import ResourceLimitError
 from .graph import Graph, generate_random_graph, parse_edge_list, write_edge_list
 from .pipeline import PipelineConfig, run_pipeline
 from .qaoa import QaoaConfig, run_qaoa
-from .simulator import resolve_qubit_cap
+from .simulator import ResourceLimitError, resolve_qubit_cap
 
 CSV_HEADER = "algorithm,n,m,depth,cut,runtime_s,seed,expectation"
 DEFAULT_SCHEDULE = ((4, 5), (6, 9), (8, 12), (10, 15), (12, 20), (14, 25), (16, 30))

@@ -32,11 +32,36 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import EdgeListParseError
-
 _MASK64 = (1 << 64) - 1
 # 1 where bit v (axis 0) and bit u (axis 2) differ: an edge's cut indicator.
 _DIFFER = np.array([[0, 1], [1, 0]], np.int32).reshape(2, 1, 2, 1)
+
+
+class EdgeListParseError(ValueError):
+    """Raised on malformed edge-list input.
+
+    Carries the 1-based ``line`` number of the offending line when it is
+    known, so callers can point at the exact spot in the file.
+    """
+
+    def __init__(self, message: str, line: int | None = None):
+        if line is not None:
+            message = f"line {line}: {message}"
+        super().__init__(message)
+        self.line = line
+
+
+def _check_counts(n: int, m: int = 0) -> int:
+    """Refuse a vertex count ``n`` below 1 or an edge count ``m`` outside
+    ``[0, n(n-1)/2]``; returns that bound, the number of vertex pairs."""
+    if not isinstance(n, int):
+        raise ValueError(f"vertex count must be an int, got {n!r}")
+    if n < 1:
+        raise ValueError(f"vertex count must be positive, got {n}")
+    total = n * (n - 1) // 2
+    if not (0 <= m <= total):
+        raise ValueError(f"edge count {m} outside [0, {total}] for n={n}")
+    return total
 
 
 def _canonical_edge(n: int, a: int, b: int, seen: set[tuple[int, int]]) -> tuple[int, int]:
@@ -57,14 +82,13 @@ def _canonical_edge(n: int, a: int, b: int, seen: set[tuple[int, int]]) -> tuple
 
 @dataclass(frozen=True)
 class Graph:
-    """Immutable simple graph.  Edges are canonicalized on construction."""
+    """Immutable simple graph.  Edges, any iterable of pairs, are canonicalized on construction."""
 
     n: int
     edges: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ValueError(f"vertex count must be a positive int, got {self.n!r}")
+        _check_counts(self.n)
         seen: set[tuple[int, int]] = set()
         canon = [_canonical_edge(self.n, int(a), int(b), seen) for a, b in self.edges]
         object.__setattr__(self, "edges", tuple(sorted(canon)))
@@ -116,16 +140,15 @@ class CutAssignment:
     cut_value: int
 
     def __post_init__(self):
-        labels = tuple(int(x) for x in self.labels)
+        labels = tuple(self.labels)
         if any(x not in (1, -1) for x in labels):
             raise ValueError("labels must be +1 or -1")
         if self.cut_value < 0:
             raise ValueError(f"cut value must be non-negative, got {self.cut_value}")
-        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "labels", tuple(int(x) for x in labels))
 
     @classmethod
     def from_labels(cls, g: Graph, labels) -> "CutAssignment":
-        labels = tuple(int(x) for x in labels)
         return cls(labels=labels, cut_value=cut_value(g, labels))
 
 
@@ -250,11 +273,7 @@ def generate_random_graph(n: int, m: int, seed: int) -> Graph:
     (see the module docstring for the fixed algorithm).  Connectivity is
     not guaranteed.
     """
-    if n < 1:
-        raise ValueError(f"vertex count must be positive, got {n}")
-    total = n * (n - 1) // 2
-    if not (0 <= m <= total):
-        raise ValueError(f"edge count {m} outside [0, {total}] for n={n}")
+    total = _check_counts(n, m)
     rng = _SplitMix64(seed)
     swapped: dict[int, int] = {}
     edges = []
@@ -265,20 +284,16 @@ def generate_random_graph(n: int, m: int, seed: int) -> Graph:
     return Graph(n=n, edges=tuple(edges))
 
 
-def _parse_int_pair(raw: str, lineno: int) -> tuple[int, int]:
+def _parse_int_pair(raw: str) -> tuple[int, int]:
     # Exactly two base-10 integers separated by a single space, no other
     # whitespace: blank lines, comments, tabs, and padding are all malformed.
     fields = raw.split(" ")
-    if len(fields) != 2 or raw != " ".join(raw.split()):
-        raise EdgeListParseError(
-            f"expected two integers separated by one space, got {raw!r}", lineno
-        )
-    try:
-        return int(fields[0]), int(fields[1])
-    except ValueError:
-        raise EdgeListParseError(
-            f"expected two integers separated by one space, got {raw!r}", lineno
-        ) from None
+    if len(fields) == 2 and raw == " ".join(raw.split()):
+        try:
+            return int(fields[0]), int(fields[1])
+        except ValueError:
+            pass
+    raise ValueError(f"expected two integers separated by one space, got {raw!r}")
 
 
 def parse_edge_list(text: str) -> Graph:
@@ -287,20 +302,19 @@ def parse_edge_list(text: str) -> Graph:
     Line 1 is ``n m``; exactly ``m`` lines ``u v`` follow, then the
     trailing newline ends the file.  No comments, blank lines, or extra
     whitespace.  Malformed input raises :class:`EdgeListParseError`
-    naming the 1-based line number.
+    naming the 1-based line number; :class:`Graph` checks each edge line
+    as it is read, once, so the first bad line is the one named.
     """
     if not text:
         raise EdgeListParseError("empty input: missing 'n m' header line")
     if not text.endswith("\n"):
         raise EdgeListParseError("missing trailing newline")
     lines = text.split("\n")[:-1]
-    n, m = _parse_int_pair(lines[0], 1)
-    if n < 1:
-        raise EdgeListParseError(f"vertex count must be positive, got {n}", 1)
-    if m < 0 or m > n * (n - 1) // 2:
-        raise EdgeListParseError(
-            f"edge count {m} outside [0, {n * (n - 1) // 2}] for n={n}", 1
-        )
+    try:
+        n, m = _parse_int_pair(lines[0])
+        _check_counts(n, m)
+    except ValueError as exc:
+        raise EdgeListParseError(str(exc), 1) from None
     if len(lines) < m + 1:
         raise EdgeListParseError(
             f"header declared {m} edges but only {len(lines) - 1} lines follow"
@@ -309,15 +323,17 @@ def parse_edge_list(text: str) -> Graph:
         raise EdgeListParseError(
             f"unexpected extra line; header declared {m} edges", m + 2
         )
-    edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
-    for lineno, raw in enumerate(lines[1:], start=2):
-        a, b = _parse_int_pair(raw, lineno)
-        try:
-            edges.append(_canonical_edge(n, a, b, seen))
-        except ValueError as exc:
-            raise EdgeListParseError(str(exc), lineno) from None
-    return Graph(n=n, edges=tuple(edges))
+    lineno = 1  # the line pairs() last read: a ValueError from Graph is about it
+
+    def pairs():
+        nonlocal lineno
+        for lineno, raw in enumerate(lines[1:], start=2):
+            yield _parse_int_pair(raw)
+
+    try:
+        return Graph(n=n, edges=pairs())
+    except ValueError as exc:
+        raise EdgeListParseError(str(exc), lineno) from None
 
 
 def write_edge_list(g: Graph) -> str:

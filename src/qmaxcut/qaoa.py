@@ -334,6 +334,12 @@ def run_qaoa(
     in the pipeline's model), which this host skips when the workspace
     still holds that state.  ``elapsed`` covers the whole call.
 
+    Each rung scores its warm start first, then the all-zero start, so
+    ``best_expectation`` is at least the uniform state's ``m / 2`` (up
+    to rounding) when the budget exceeds the warm starts: always without
+    ``warm_params`` (a ladder rung gets two or more evaluations), from
+    ``cfg.budget = 2`` with it.
+
     One workspace (see :class:`~qmaxcut.simulator.FlipSymmetricWorkspace`,
     which checks the qubit cap once, as it is built) serves every
     evaluation, the final state, extraction and sampling: the run peaks

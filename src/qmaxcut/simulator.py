@@ -44,7 +44,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ResourceLimitError
 from .graph import (
     CutAssignment,
     Graph,
@@ -95,6 +94,10 @@ def resolve_qubit_cap() -> int:
     return DEFAULT_QUBIT_CAP
 
 
+class ResourceLimitError(RuntimeError):
+    """Raised when a request would exceed an exponential-cost safety cap."""
+
+
 def _check_cap(n: int):
     limit = resolve_qubit_cap()
     if n > limit:
@@ -133,11 +136,9 @@ class QaoaParams:
 
     @classmethod
     def from_flat(cls, x) -> "QaoaParams":
-        x = np.asarray(x, dtype=float)
-        if x.ndim != 1 or x.size == 0 or x.size % 2:
-            raise ValueError(f"flat parameter vector must have even length, got shape {x.shape}")
-        p = x.size // 2
-        return cls(gammas=tuple(x[:p]), betas=tuple(x[p:]))
+        """Inverse of :meth:`to_flat`; the layer rules refuse an odd or empty ``x``."""
+        flat = np.asarray(x, dtype=float).tolist()
+        return cls(gammas=flat[: len(flat) // 2], betas=flat[len(flat) // 2 :])
 
 
 @dataclass
@@ -166,12 +167,17 @@ class StateVector:
 
 def init_uniform(n: int) -> StateVector:
     """Uniform superposition over all ``2**n`` basis states."""
-    if n < 1:
-        raise ValueError(f"need at least one qubit, got n={n}")
     _check_cap(n)
-    size = 1 << n
+    size = 1 << max(n, 0)  # StateVector refuses n < 1
     amps = np.full(size, 1.0 / math.sqrt(size), dtype=np.complex128)
     return StateVector(n_qubits=n, amplitudes=amps)
+
+
+def _cut_table(sv: StateVector, g: Graph, table: np.ndarray | None = None) -> np.ndarray:
+    """``table``, else ``g``'s full cut table, for a state on ``g``'s vertices."""
+    if g.n != sv.n_qubits:
+        raise ValueError(f"graph has {g.n} vertices but state has {sv.n_qubits} qubits")
+    return cut_values_by_basis(g) if table is None else table
 
 
 def apply_cost_layer(
@@ -189,12 +195,7 @@ def apply_cost_layer(
     amortize the table across layers and evaluations.  Returns the
     mutated state for chaining.
     """
-    if g.n != sv.n_qubits:
-        raise ValueError(
-            f"graph has {g.n} vertices but state has {sv.n_qubits} qubits"
-        )
-    if cut_table is None:
-        cut_table = cut_values_by_basis(g)
+    cut_table = _cut_table(sv, g, cut_table)
     phases = np.exp(-1j * float(gamma) * np.arange(g.m + 1))
     sv.amplitudes *= phases[cut_table]
     return sv
@@ -550,11 +551,7 @@ def _flip_symmetric_state(
 
 def expectation_cut(sv: StateVector, g: Graph) -> float:
     """Expected cut value of the state: ``sum_b |amp_b|^2 * C(b)``."""
-    if g.n != sv.n_qubits:
-        raise ValueError(
-            f"graph has {g.n} vertices but state has {sv.n_qubits} qubits"
-        )
-    return float(np.real(np.vdot(sv.amplitudes, cut_values_by_basis(g) * sv.amplitudes)))
+    return float(np.real(np.vdot(sv.amplitudes, _cut_table(sv, g) * sv.amplitudes)))
 
 
 def sample_bitstrings(

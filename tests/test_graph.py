@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qmaxcut import graph
 from qmaxcut import (
     CutAssignment,
     EdgeListParseError,
@@ -270,9 +271,20 @@ class TestEdgeListFormat:
             ("3 2\n0 1\n", "only 1"),
             ("0 0\n", "positive"),
             ("2 9\n", "edge count 9"),
+            # The first bad line is named, whichever rule it breaks.
+            ("3 2\n0 0\nx y\n", "line 2: self-loop at vertex 0"),
+            ("3 2\nx y\n0 0\n", "line 2: expected two integers separated by one space"),
         ],
     )
     def test_malformed_inputs_name_the_problem(self, text, fragment):
         with pytest.raises(EdgeListParseError) as err:
             parse_edge_list(text)
         assert fragment in str(err.value)
+
+    def test_each_parsed_edge_is_checked_once(self, monkeypatch):
+        calls = []
+        check = graph._canonical_edge
+        monkeypatch.setattr(graph, "_canonical_edge", lambda *args: calls.append(args) or check(*args))
+        g = parse_edge_list("4 3\n0 1\n1 2\n2 3\n")
+        assert g.edges == ((0, 1), (1, 2), (2, 3))
+        assert len(calls) == g.m

@@ -1,7 +1,8 @@
-"""Every module of the package uses each name it imports (no linter is
-needed to run this check)."""
+"""Every module of the package uses each name it imports, and raises each
+error message from one place (no linter is needed to run these checks)."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -39,3 +40,37 @@ def test_finds_an_unused_import():
 def test_module_uses_every_import(module):
     unused = unused_imports((PACKAGE / f"{module}.py").read_text())
     assert [name for name in unused if (module, name) not in EXEMPT] == []
+
+
+def raised_messages(source: str) -> list[str]:
+    """The message of each ``raise X("...")`` in ``source`` whose first
+    argument is a string literal, f-string placeholders written ``{}``."""
+    messages = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call) and node.exc.args):
+            continue
+        text = node.exc.args[0]
+        if isinstance(text, ast.Constant) and isinstance(text.value, str):
+            messages.append(text.value)
+        elif isinstance(text, ast.JoinedStr):
+            messages.append("".join(
+                part.value if isinstance(part, ast.Constant) else "{}" for part in text.values
+            ))
+    return messages
+
+
+def test_finds_a_message_raised_twice():
+    source = (
+        "def f(n):\n"
+        "    if n < 0:\n        raise ValueError(f'bad n={n!r}')\n"
+        "    if n > 9:\n        raise KeyError(f'bad n={n + 1}')\n"
+        "    raise ValueError('other', n)\n"
+    )
+    assert sorted(raised_messages(source)) == ["bad n={}", "bad n={}", "other"]
+
+
+def test_each_error_message_is_raised_from_one_place():
+    counts = Counter(
+        message for path in PACKAGE.glob("*.py") for message in raised_messages(path.read_text())
+    )
+    assert sorted(message for message, count in counts.items() if count > 1) == []

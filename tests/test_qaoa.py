@@ -660,6 +660,21 @@ class TestRunQaoa:
             assert values[0] <= values[1] + 1e-9
             assert values[1] <= values[2] + 1e-9
 
+    @given(oracle_graphs(), st.integers(min_value=1, max_value=3), st.booleans(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_never_below_half_the_edges_when_the_budget_passes_the_warm_start(
+        self, g, p, ladder, data
+    ):
+        # The starts are scored in order, warm start first; any budget past
+        # it also scores the all-zero start, the uniform state's m / 2.
+        depth = data.draw(st.integers(min_value=0, max_value=p))
+        angles = st.lists(ANGLES, min_size=depth, max_size=depth)
+        warm = QaoaParams(data.draw(angles), data.draw(angles)) if depth else None
+        budget = (warm is not None) + data.draw(st.integers(min_value=1, max_value=4))
+        restarts = data.draw(st.integers(min_value=1, max_value=budget))
+        cfg = QaoaConfig(p=p, budget=budget, restarts=restarts, warm_start=ladder)
+        assert run_qaoa(g, cfg, warm_params=warm).best_expectation >= g.m / 2 - 1e-12
+
     def test_warm_params_deeper_than_target_rejected(self):
         deep = QaoaParams(gammas=(0.1, 0.2), betas=(0.3, 0.4))
         with pytest.raises(ValueError):
