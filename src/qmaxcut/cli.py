@@ -18,6 +18,11 @@ it: ``<stem>.runtime_vs_n.<series>.dat`` (one two-column file per
 algorithm series) and ``<stem>.runtime_vs_p.dat`` (depth vs mean
 runtime).
 
+Every integer in the arguments, in the lists ``--sizes``, ``--gen`` and
+``--depth`` and in the integer flags, is read by :func:`graph.parse_ints`,
+so it is ``-?[0-9]+`` in full, the edge-list format's syntax.  ``solve``
+takes exactly one of ``--graph`` and ``--gen``.
+
 Exit codes: 0 success, 2 bad usage, malformed input or a path that
 cannot be read or written (missing, a directory, no permission), 3
 resource limit exceeded, 4 benchmark completed with failed cells.
@@ -25,7 +30,7 @@ resource limit exceeded, 4 benchmark completed with failed cells.
 
 from __future__ import annotations
 
-import argparse
+from argparse import ArgumentParser, ArgumentTypeError
 import os
 import sys
 from contextlib import ExitStack, contextmanager
@@ -33,7 +38,7 @@ from dataclasses import astuple, dataclass, replace
 from pathlib import Path
 
 from .classical import brute_force_maxcut, greedy_maxcut
-from .graph import Graph, generate_random_graph, parse_edge_list, write_edge_list
+from .graph import Graph, generate_random_graph, parse_edge_list, parse_ints, write_edge_list
 from .pipeline import PipelineConfig, run_pipeline
 from .qaoa import QaoaConfig, run_qaoa
 from .simulator import ResourceLimitError, resolve_qubit_cap
@@ -61,47 +66,34 @@ class BenchRecord:
         return ",".join("" if x is None else str(x) for x in astuple(self))
 
 
-def _two_ints(text: str, sep: str, message: str) -> tuple[int, int]:
-    """``text`` as two integers joined by ``sep``; anything else raises ``message``."""
-    parts = text.split(sep)
-    if len(parts) == 2:
-        try:
-            return int(parts[0]), int(parts[1])
-        except ValueError:
-            pass
-    raise argparse.ArgumentTypeError(message)
+def _int(text: str) -> int:
+    return parse_ints(text, ArgumentTypeError(f"invalid int value: {text!r}"))[0]
 
 
 def _parse_sizes(text: str) -> tuple[tuple[int, int], ...]:
     return tuple(
-        _two_ints(chunk, ":", f"size entry {chunk!r} is not of the form n:m")
+        parse_ints(chunk, ArgumentTypeError(f"size entry {chunk!r} is not of the form n:m"), ":", 2)
         for chunk in text.split(",")
     )
 
 
 def _parse_depths(text: str) -> tuple[int, ...]:
-    try:
-        depths = sorted({int(x) for x in text.split(",")})
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad depth list {text!r}") from None
-    if not depths or depths[0] < 1:
-        raise argparse.ArgumentTypeError("depths must be positive integers")
+    error = ArgumentTypeError(f"bad depth list {text!r}")
+    depths = sorted(set(parse_ints(text, error, count=0)))
+    if depths[0] < 1:
+        raise ArgumentTypeError("depths must be positive integers")
     return tuple(depths)
 
 
 def _parse_gen(text: str) -> tuple[int, int]:
-    return _two_ints(text, ",", f"--gen wants n,m (two integers), got {text!r}")
+    error = ArgumentTypeError(f"--gen wants n,m (two integers), got {text!r}")
+    return parse_ints(text, error, count=2)
 
 
 def _load_graph(args) -> Graph:
-    if args.graph is not None and args.gen is not None:
-        raise ValueError("--graph cannot be combined with --gen")
     if args.graph is not None:
         return parse_edge_list(Path(args.graph).read_text())
-    if args.gen is not None:
-        n, m = args.gen
-        return generate_random_graph(n, m, args.seed)
-    raise ValueError("either --graph FILE or --gen n,m is required")
+    return generate_random_graph(*args.gen, args.seed)
 
 
 def _labels_str(labels) -> str:
@@ -274,8 +266,8 @@ def cmd_bench(args) -> int:
     return 4 if failures else 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+def build_parser() -> ArgumentParser:
+    parser = ArgumentParser(
         prog="qmaxcut",
         description="Max-Cut solvers and benchmarks: exhaustive search, a greedy "
         "heuristic, and a simulated variational pipeline.",
@@ -283,27 +275,27 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_gen = sub.add_parser("gen", help="generate a reproducible random graph")
-    p_gen.add_argument("--n", type=int, required=True, help="vertex count")
-    p_gen.add_argument("--m", type=int, required=True, help="edge count")
-    p_gen.add_argument("--seed", type=int, default=0)
+    p_gen.add_argument("--n", type=_int, required=True, help="vertex count")
+    p_gen.add_argument("--m", type=_int, required=True, help="edge count")
+    p_gen.add_argument("--seed", type=_int, default=0)
     p_gen.add_argument("--out", default="-", help="output path, - for stdout")
     p_gen.set_defaults(func=cmd_gen)
 
     p_solve = sub.add_parser("solve", help="solve one graph")
-    p_solve.add_argument("--graph", default=None, metavar="FILE",
-                         help="edge-list file (or use --gen)")
-    p_solve.add_argument("--gen", type=_parse_gen, default=None, metavar="N,M",
-                         help="generate a random graph with n vertices, m edges")
+    source = p_solve.add_mutually_exclusive_group(required=True)
+    source.add_argument("--graph", metavar="FILE", help="edge-list file (or use --gen)")
+    source.add_argument("--gen", type=_parse_gen, metavar="N,M",
+                        help="generate a random graph with n vertices, m edges")
     p_solve.add_argument("--algo", choices=("brute", "greedy", "qaoa", "all"),
                          default="qaoa")
     p_solve.add_argument("--depth", type=_parse_depths, default=(1,),
                          help="qaoa circuit depth(s), e.g. 2 or 1,2,3")
-    p_solve.add_argument("--budget", type=int, default=600,
+    p_solve.add_argument("--budget", type=_int, default=600,
                          help="objective-evaluation budget per qaoa run")
-    p_solve.add_argument("--restarts", type=int, default=3)
-    p_solve.add_argument("--shots", type=int, default=0,
+    p_solve.add_argument("--restarts", type=_int, default=3)
+    p_solve.add_argument("--shots", type=_int, default=0,
                          help="sampled extraction shots (0 = exact enumeration)")
-    p_solve.add_argument("--seed", type=int, default=0,
+    p_solve.add_argument("--seed", type=_int, default=0,
                          help="seed for --gen and the optimizer")
     p_solve.add_argument("--latency", type=float, default=0.0,
                          help="simulated per-offload latency in seconds")
@@ -321,14 +313,14 @@ def build_parser() -> argparse.ArgumentParser:
                          + ",".join(f"{n}:{m}" for n, m in DEFAULT_SCHEDULE))
     p_bench.add_argument("--depth", type=_parse_depths, default=DEFAULT_DEPTHS,
                          help="comma list of qaoa depths, default 1,2,3")
-    p_bench.add_argument("--budget", type=int, default=150,
+    p_bench.add_argument("--budget", type=_int, default=150,
                          help="objective-evaluation budget per depth")
-    p_bench.add_argument("--restarts", type=int, default=3)
-    p_bench.add_argument("--shots", type=int, default=0)
-    p_bench.add_argument("--trials", type=int, default=1,
+    p_bench.add_argument("--restarts", type=_int, default=3)
+    p_bench.add_argument("--shots", type=_int, default=0)
+    p_bench.add_argument("--trials", type=_int, default=1,
                          help="repeat solvers on the same graph; runtimes are "
                          "averaged, cuts come from the first trial")
-    p_bench.add_argument("--seed", type=int, default=0, help="base graph seed")
+    p_bench.add_argument("--seed", type=_int, default=0, help="base graph seed")
     p_bench.add_argument("--out", default="-", help="CSV path, - for stdout")
     p_bench.set_defaults(func=cmd_bench)
     return parser

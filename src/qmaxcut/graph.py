@@ -12,6 +12,9 @@ Conventions used throughout the package:
   (least significant bit first): bit ``0`` means label ``+1``, bit
   ``1`` means label ``-1``.
 
+Integers in text, the edge-list format's and every other the program
+reads, are ``-?[0-9]+`` in full, read by :func:`parse_ints` alone.
+
 Random-graph generation is deterministic and byte-stable across
 platforms and library versions.  It does not touch any global RNG.
 The algorithm, fixed for reproducibility:
@@ -27,6 +30,7 @@ The algorithm, fixed for reproducibility:
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -35,6 +39,8 @@ import numpy as np
 _MASK64 = (1 << 64) - 1
 # 1 where bit v (axis 0) and bit u (axis 2) differ: an edge's cut indicator.
 _DIFFER = np.array([[0, 1], [1, 0]], np.int32).reshape(2, 1, 2, 1)
+# [0-9], not \d: \d also matches the digits of other scripts.
+_INTEGER = re.compile("-?[0-9]+")
 
 
 class EdgeListParseError(ValueError):
@@ -284,34 +290,53 @@ def generate_random_graph(n: int, m: int, seed: int) -> Graph:
     return Graph(n=n, edges=tuple(edges))
 
 
-def _parse_int_pair(raw: str) -> tuple[int, int]:
-    # Exactly two base-10 integers separated by a single space, no other
-    # whitespace: blank lines, comments, tabs, and padding are all malformed.
-    fields = raw.split(" ")
-    if len(fields) == 2 and raw == " ".join(raw.split()):
+def parse_ints(text: str, error: Exception, sep: str = ",", count: int = 1) -> tuple[int, ...]:
+    """The integers in ``text`` between each ``sep``: ``count`` of them, or
+    any number when ``count`` is 0.  The one reader of integers in the
+    program's text input: edge-list lines, the CLI's integer arguments and
+    ``QMAXCUT_QUBIT_CAP``.
+
+    A field is an integer only if it matches ``-?[0-9]+`` in full: a
+    ``+`` sign, underscores, whitespace and non-ASCII digits are refused,
+    and so is a field with more digits than ``int`` converts.  Text that
+    is not ``count`` such fields raises ``error``.
+    """
+    fields = text.split(sep)
+    if count in (0, len(fields)) and all(_INTEGER.fullmatch(f) for f in fields):
         try:
-            return int(fields[0]), int(fields[1])
-        except ValueError:
+            return tuple(map(int, fields))
+        except ValueError:  # past int's digit limit
             pass
-    raise ValueError(f"expected two integers separated by one space, got {raw!r}")
+    raise error
 
 
 def parse_edge_list(text: str) -> Graph:
     """Parse the strict edge-list format into a :class:`Graph`.
 
     Line 1 is ``n m``; exactly ``m`` lines ``u v`` follow, then the
-    trailing newline ends the file.  No comments, blank lines, or extra
-    whitespace.  Malformed input raises :class:`EdgeListParseError`
-    naming the 1-based line number; :class:`Graph` checks each edge line
-    as it is read, once, so the first bad line is the one named.
+    trailing newline ends the file.  Each line is two integers (see
+    :func:`parse_ints`) separated by one space, with no other whitespace:
+    no comments, blank lines or padding.  Malformed input raises
+    :class:`EdgeListParseError` naming the 1-based line number;
+    :class:`Graph` checks each edge line as it is read, once, so the
+    first bad line is the one named.
     """
     if not text:
         raise EdgeListParseError("empty input: missing 'n m' header line")
     if not text.endswith("\n"):
         raise EdgeListParseError("missing trailing newline")
     lines = text.split("\n")[:-1]
+    lineno = 1  # the line pairs() last read: a ValueError is about it
+
+    def pairs():
+        nonlocal lineno
+        for lineno, raw in enumerate(lines, start=1):
+            error = ValueError(f"expected two integers separated by one space, got {raw!r}")
+            yield parse_ints(raw, error, " ", 2)
+
+    rows = pairs()
     try:
-        n, m = _parse_int_pair(lines[0])
+        n, m = next(rows)
         _check_counts(n, m)
     except ValueError as exc:
         raise EdgeListParseError(str(exc), 1) from None
@@ -323,15 +348,8 @@ def parse_edge_list(text: str) -> Graph:
         raise EdgeListParseError(
             f"unexpected extra line; header declared {m} edges", m + 2
         )
-    lineno = 1  # the line pairs() last read: a ValueError from Graph is about it
-
-    def pairs():
-        nonlocal lineno
-        for lineno, raw in enumerate(lines[1:], start=2):
-            yield _parse_int_pair(raw)
-
     try:
-        return Graph(n=n, edges=pairs())
+        return Graph(n=n, edges=rows)
     except ValueError as exc:
         raise EdgeListParseError(str(exc), lineno) from None
 

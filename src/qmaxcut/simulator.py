@@ -50,6 +50,7 @@ from .graph import (
     cut_values_by_basis,
     half_cut_values_by_basis,
     labels_from_index,
+    parse_ints,
 )
 
 DEFAULT_QUBIT_CAP = 24
@@ -84,14 +85,9 @@ def resolve_qubit_cap() -> int:
     resolves it here, at the time of the check.
     """
     env = os.environ.get("QMAXCUT_QUBIT_CAP")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValueError(
-                f"QMAXCUT_QUBIT_CAP must be an integer, got {env!r}"
-            ) from None
-    return DEFAULT_QUBIT_CAP
+    if env is None:
+        return DEFAULT_QUBIT_CAP
+    return parse_ints(env, ValueError(f"QMAXCUT_QUBIT_CAP must be an integer, got {env!r}"))[0]
 
 
 class ResourceLimitError(RuntimeError):
@@ -462,11 +458,12 @@ class FlipSymmetricWorkspace:
         ``shots == 0``: best cut among basis states whose exact probability
         is at least ``1 / 2**(n+1)`` (half the uniform weight; the set is
         never empty).  ``shots > 0``: best cut among ``shots`` bitstrings
-        drawn by ``rng`` from all ``2**n`` probabilities.  Ties resolve to
-        the smallest basis index.  The state's probabilities and cut values
-        are both flip-symmetric, so the smallest index among tied maxima
-        always lies in the low half: the threshold scan reads the low half
-        alone, and a sampled index ``c`` reads the cut of ``min(c, ~c)``.
+        drawn by ``rng``, then required, from all ``2**n`` probabilities.
+        Ties resolve to the smallest basis index.  The state's
+        probabilities and cut values are both flip-symmetric, so the
+        smallest index among tied maxima always lies in the low half: the
+        threshold scan reads the low half alone, and a sampled index ``c``
+        reads the cut of ``min(c, ~c)``.
         """
         n, last, table = self.graph.n, (1 << self.graph.n) - 1, self.low_table
         probs = self.probabilities(params)
@@ -475,6 +472,8 @@ class FlipSymmetricWorkspace:
             values = np.where(probs[: table.size] >= 1.0 / (1 << (n + 1)), table, -1)
             best = int(np.argmax(values))  # first max = smallest index
         else:
+            if rng is None:
+                raise ValueError(f"shots={shots} needs an rng to draw them")
             # Sorted, so the first max is the smallest index (np.unique would
             # also import numpy.ma, 23 ms, on its first call).
             candidates = np.sort(_draw(probs, shots, rng))

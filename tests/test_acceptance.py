@@ -47,6 +47,7 @@ from qmaxcut import (
     run_qaoa,
 )
 from qmaxcut.qaoa import evaluate_params, optimize_params
+from qmaxcut.simulator import FlipSymmetricWorkspace
 
 EDGE_GRAPH = generate_random_graph(2, 1, 0)
 
@@ -64,11 +65,13 @@ def _verdict(num, label, failures, extra=""):
 
 
 def test_criterion_01_exact_solver_and_expectation_identity():
-    """Brute force equals a bit-mask re-enumeration; expectation_cut equals
-    the probability-weighted cut sum within 1e-9; 200 graphs, under 60 s."""
+    """Brute force equals a bit-mask re-enumeration; expectation_cut, and a
+    flip-symmetric workspace's expectation of a circuit, equal the
+    probability-weighted cut sum within 1e-9; 200 graphs, under 60 s."""
     failures = []
     t0 = time.perf_counter()
     rng = np.random.default_rng(42)
+    angles = np.random.default_rng(43)  # apart from rng, so the graphs stay the same
     for i in range(200):
         n = 2 + i % 9
         m = int(rng.integers(0, n * (n - 1) // 2 + 1))
@@ -95,6 +98,22 @@ def test_criterion_01_exact_solver_and_expectation_identity():
         )
         if abs(expectation_cut(sv, g) - want) > 1e-9:
             failures.append(f"graph {i}: expectation off by >1e-9")
+
+        # The product path: the flip-symmetric workspace's expectation
+        # against the cut weighted by its own probabilities, copied because
+        # the next preparation reuses their buffer.
+        params = QaoaParams(
+            gammas=tuple(angles.uniform(-6.3, 6.3, 1 + i % 3)),
+            betas=tuple(angles.uniform(-6.3, 6.3, 1 + i % 3)),
+        )
+        ws = FlipSymmetricWorkspace(g)
+        probs = ws.probabilities(params).copy()
+        want = sum(
+            float(p) * cut_value(g, labels_from_index(n, b))
+            for b, p in enumerate(probs)
+        )
+        if abs(ws.expectation(params) - want) > 1e-9:
+            failures.append(f"graph {i}: workspace expectation off by >1e-9")
     elapsed = time.perf_counter() - t0
     if elapsed >= 60.0:
         failures.append(f"took {elapsed:.1f}s, limit 60s")
@@ -102,8 +121,9 @@ def test_criterion_01_exact_solver_and_expectation_identity():
 
 
 def test_criterion_02_circuit_is_norm_preserving_and_cost_layer_diagonal():
-    """500 (graph, params) pairs with n <= 12, p <= 3: norm within 1e-10 of
-    one, and a cost layer moves no basis probability by more than 1e-12."""
+    """500 (graph, params) pairs with n <= 12, p <= 3: norm, and the sum of a
+    flip-symmetric workspace's probabilities, within 1e-10 of one, and a
+    cost layer moves no basis probability by more than 1e-12."""
     failures = []
     rng = np.random.default_rng(7)
     for i in range(500):
@@ -118,6 +138,9 @@ def test_criterion_02_circuit_is_norm_preserving_and_cost_layer_diagonal():
         sv = apply_qaoa_circuit(g, params)
         if abs(sv.norm() - 1.0) > 1e-10:
             failures.append(f"pair {i}: norm drift {abs(sv.norm() - 1.0):.2e}")
+        total = float(FlipSymmetricWorkspace(g).probabilities(params).sum())
+        if abs(total - 1.0) > 1e-10:
+            failures.append(f"pair {i}: workspace probabilities sum to {total!r}")
         before = sv.probabilities()
         apply_cost_layer(sv, g, float(rng.uniform(-6.3, 6.3)))
         drift = float(np.max(np.abs(sv.probabilities() - before))) if n else 0.0
@@ -128,7 +151,8 @@ def test_criterion_02_circuit_is_norm_preserving_and_cost_layer_diagonal():
 
 def test_criterion_03_single_edge_depth_one_near_optimal():
     """One edge, p=1, budget 500: expectation >= 0.99 and the returned cut is
-    1, corroborated by a 100x100 closed-form grid over (gamma, beta)."""
+    1, corroborated by a 100x100 closed-form grid over (gamma, beta) whose
+    argmax the simulator, the full register and a workspace all reproduce."""
     failures = []
     t0 = time.perf_counter()
     result = run_qaoa(EDGE_GRAPH, QaoaConfig(p=1, budget=500, restarts=3, seed=0))
@@ -141,11 +165,14 @@ def test_criterion_03_single_edge_depth_one_near_optimal():
     probe = QaoaParams(gammas=(float(gammas[gi]),), betas=(float(betas[bi]),))
     simulated = evaluate_params(EDGE_GRAPH, probe)
     statevector = expectation_cut(apply_qaoa_circuit(EDGE_GRAPH, probe), EDGE_GRAPH)
+    workspace = FlipSymmetricWorkspace(EDGE_GRAPH).expectation(probe)
 
     if abs(simulated - grid_max) > 1e-9:
         failures.append(f"simulator {simulated} != closed form {grid_max} at grid argmax")
     if abs(statevector - grid_max) > 1e-9:
         failures.append(f"statevector {statevector} != closed form {grid_max} at grid argmax")
+    if abs(workspace - grid_max) > 1e-9:
+        failures.append(f"workspace {workspace} != closed form {grid_max} at grid argmax")
     if grid_max < 0.99:
         failures.append(f"grid oracle max {grid_max:.5f} below 0.99")
     if result.best_expectation < 0.99:

@@ -9,7 +9,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qmaxcut
-from qmaxcut import CutAssignment, QaoaParams, QaoaResult, SolveResult, cli, parse_edge_list
+from qmaxcut import (
+    CutAssignment,
+    EdgeListParseError,
+    QaoaParams,
+    QaoaResult,
+    SolveResult,
+    cli,
+    parse_edge_list,
+)
 from qmaxcut.cli import _parse_depths, _parse_gen, _parse_sizes
 
 CSV_HEADER = "algorithm,n,m,depth,cut,runtime_s,seed,expectation"
@@ -504,6 +512,47 @@ class TestArgumentParsers:
     def test_gen(self, text):
         gen = _parses_or_refuses(_parse_gen, text)
         assert gen is None or _is_int_tuple(gen, 2)
+
+
+# Spellings that int() accepts or strips but the integer syntax, -?[0-9]+ in
+# full, refuses; "\u0661" is ARABIC-INDIC DIGIT ONE.
+REFUSED_INTEGERS = ["+1", "1_0", "\u0661", " 1", "1 ", "0x1"]
+
+
+class TestOneIntegerSyntax:
+    """Every channel that reads an integer from text refuses the same spellings."""
+
+    @pytest.mark.parametrize("text", REFUSED_INTEGERS)
+    @pytest.mark.parametrize("line, edge_list", [
+        pytest.param(1, "{} 0\n", id="header"),
+        pytest.param(2, "2 1\n{} 0\n", id="edge-line"),
+    ])
+    def test_edge_list(self, line, edge_list, text):
+        with pytest.raises(EdgeListParseError) as err:
+            parse_edge_list(edge_list.format(text))
+        assert err.value.line == line
+        assert str(err.value).startswith(f"line {line}: expected two integers separated by")
+
+    @pytest.mark.parametrize("text", REFUSED_INTEGERS)
+    @pytest.mark.parametrize("argv", [
+        pytest.param(("solve", "--gen", "{},0", "--algo", "greedy"), id="gen"),
+        pytest.param(("bench", "--sizes", "{}:0", "--depth", "1", "--budget", "10"), id="sizes"),
+        pytest.param(("solve", "--gen", "3,2", "--algo", "greedy", "--depth", "{}"), id="depth"),
+        pytest.param(("gen", "--n", "3", "--m", "2", "--seed", "{}"), id="seed"),
+    ])
+    def test_cli_argument(self, argv, text, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            cli.main([a.format(text) for a in argv])
+        assert exit_.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: argument" in captured.err and "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("text", REFUSED_INTEGERS)
+    def test_qubit_cap_variable(self, text, monkeypatch, capsys):
+        monkeypatch.setenv("QMAXCUT_QUBIT_CAP", text)
+        assert cli.main(["solve", "--gen", "3,2", "--algo", "brute"]) == 2
+        assert f"QMAXCUT_QUBIT_CAP must be an integer, got {text!r}" in capsys.readouterr().err
 
 
 class TestStartup:

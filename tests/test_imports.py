@@ -1,5 +1,5 @@
-"""Every module of the package uses each name it imports, and raises each
-error message from one place (no linter is needed to run these checks)."""
+"""Every module of the package uses each name it imports, and builds each
+error message in one place (no linter is needed to run these checks)."""
 
 import ast
 from collections import Counter
@@ -43,13 +43,17 @@ def test_module_uses_every_import(module):
 
 
 def raised_messages(source: str) -> list[str]:
-    """The message of each ``raise X("...")`` in ``source`` whose first
-    argument is a string literal, f-string placeholders written ``{}``."""
+    """The message of each exception ``source`` builds, raised at once or
+    handed on to be raised (``graph.parse_ints`` raises the ``error`` it is
+    given): each call of a name ending in ``Error`` whose first argument is
+    a string literal, f-string placeholders written ``{}``."""
     messages = []
     for node in ast.walk(ast.parse(source)):
-        if not (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call) and node.exc.args):
+        func = getattr(node, "func", None)
+        name = getattr(func, "id", None) or getattr(func, "attr", "")
+        if not (isinstance(node, ast.Call) and name.endswith("Error") and node.args):
             continue
-        text = node.exc.args[0]
+        text = node.args[0]
         if isinstance(text, ast.Constant) and isinstance(text.value, str):
             messages.append(text.value)
         elif isinstance(text, ast.JoinedStr):
@@ -67,6 +71,15 @@ def test_finds_a_message_raised_twice():
         "    raise ValueError('other', n)\n"
     )
     assert sorted(raised_messages(source)) == ["bad n={}", "bad n={}", "other"]
+
+
+def test_finds_a_message_handed_on_to_be_raised():
+    source = (
+        "def f(text):\n"
+        "    n = parse(text, ValueError(f'bad n={text!r}'))\n"
+        "    if n > 9:\n        raise ValueError(f'bad n={n}')\n"
+    )
+    assert raised_messages(source) == ["bad n={}", "bad n={}"]
 
 
 def test_each_error_message_is_raised_from_one_place():

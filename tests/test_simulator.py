@@ -556,6 +556,13 @@ class TestSampling:
             # Draws rarely land in a few-ulp gap, so pin the distribution itself.
             assert left.tobytes() == cdf.tobytes()
 
+    def test_workspace_sampling_needs_an_rng(self):
+        ws = simulator.FlipSymmetricWorkspace(generate_random_graph(6, 8, 0))
+        params = QaoaParams(gammas=(0.5,), betas=(0.2,))
+        with pytest.raises(ValueError, match="rng"):
+            ws.cut(params, shots=16)
+        ws.cut(params)  # exact enumeration draws nothing
+
     def test_draw_refuses_a_state_of_zeros(self):
         with pytest.raises(ValueError, match="positive finite sum"):
             sample_bitstrings(StateVector(2, np.zeros(4)), 8, seed=0)
