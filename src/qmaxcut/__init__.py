@@ -2,29 +2,29 @@
 
 from .classical import SolveResult, brute_force_maxcut, greedy_maxcut
 from .graph import (
+    DEFAULT_QUBIT_CAP,
     CutAssignment,
     EdgeListParseError,
     Graph,
+    ResourceLimitError,
     cut_value,
     cut_values_by_basis,
     generate_random_graph,
     labels_from_index,
     parse_edge_list,
+    resolve_qubit_cap,
     write_edge_list,
 )
 from .pipeline import PipelineConfig, PipelineReport, refine_assignment, run_pipeline
 from .qaoa import QaoaConfig, QaoaResult, evaluate_params, optimize_params, run_qaoa
 from .simulator import (
-    DEFAULT_QUBIT_CAP,
     QaoaParams,
-    ResourceLimitError,
     StateVector,
     apply_cost_layer,
     apply_mixer_layer,
     apply_qaoa_circuit,
     expectation_cut,
     init_uniform,
-    resolve_qubit_cap,
     sample_bitstrings,
 )
 

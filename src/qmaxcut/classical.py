@@ -8,7 +8,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import CutAssignment, Graph, cut_values_by_basis, labels_from_index
-from .simulator import _check_cap
 
 
 @dataclass(frozen=True)
@@ -36,11 +35,9 @@ def brute_force_maxcut(g: Graph) -> SolveResult:
     ``+1`` (the global sign flip maps the other half onto these, so
     nothing is lost).  Ties resolve to the smallest such index, which
     makes the result fully deterministic.  Cost is ``O(2**n * m)`` time
-    and a ``2**n`` int32 table; graphs above the qubit cap are refused
-    with :class:`ResourceLimitError` before allocation.  The cap is the
-    simulator's one setting: ``QMAXCUT_QUBIT_CAP``, else 24.
+    and a ``2**n`` int32 table, which refuses graphs above the qubit cap
+    with :class:`~qmaxcut.graph.ResourceLimitError` before it allocates.
     """
-    _check_cap(g.n)
     t0 = time.perf_counter()
     table = cut_values_by_basis(g)
     best = 2 * int(np.argmax(table[::2]))

@@ -20,8 +20,9 @@ runtime).
 
 Every integer in the arguments, in the lists ``--sizes``, ``--gen`` and
 ``--depth`` and in the integer flags, is read by :func:`graph.parse_ints`,
-so it is ``-?[0-9]+`` in full, the edge-list format's syntax.  ``solve``
-takes exactly one of ``--graph`` and ``--gen``.
+so it is ``-?[0-9]+`` in full, the edge-list format's syntax; ``--latency``
+adds an optional fraction and exponent to it.  ``solve`` takes exactly one
+of ``--graph`` and ``--gen``.
 
 Exit codes: 0 success, 2 bad usage, malformed input or a path that
 cannot be read or written (missing, a directory, no permission), 3
@@ -32,21 +33,23 @@ from __future__ import annotations
 
 from argparse import ArgumentParser, ArgumentTypeError
 import os
+import re
 import sys
 from contextlib import ExitStack, contextmanager
 from dataclasses import astuple, dataclass, replace
 from pathlib import Path
 
 from .classical import brute_force_maxcut, greedy_maxcut
-from .graph import Graph, generate_random_graph, parse_edge_list, parse_ints, write_edge_list
+from .graph import (Graph, ResourceLimitError, generate_random_graph, parse_edge_list,
+                    parse_ints, resolve_qubit_cap, write_edge_list)
 from .pipeline import PipelineConfig, run_pipeline
 from .qaoa import QaoaConfig, run_qaoa
-from .simulator import ResourceLimitError, resolve_qubit_cap
 
 CSV_HEADER = "algorithm,n,m,depth,cut,runtime_s,seed,expectation"
 DEFAULT_SCHEDULE = ((4, 5), (6, 9), (8, 12), (10, 15), (12, 20), (14, 25), (16, 30))
 DEFAULT_DEPTHS = (1, 2, 3)
 _TRIAL_SEED_STRIDE = 10_000
+_DECIMAL = re.compile(r"-?[0-9]+(\.[0-9]+)?([eE]-?[0-9]+)?")
 
 
 @dataclass(frozen=True)
@@ -68,6 +71,12 @@ class BenchRecord:
 
 def _int(text: str) -> int:
     return parse_ints(text, ArgumentTypeError(f"invalid int value: {text!r}"))[0]
+
+
+def _decimal(text: str) -> float:
+    if not _DECIMAL.fullmatch(text):
+        raise ArgumentTypeError(f"invalid decimal value: {text!r}")
+    return float(text)
 
 
 def _parse_sizes(text: str) -> tuple[tuple[int, int], ...]:
@@ -297,7 +306,7 @@ def build_parser() -> ArgumentParser:
                          help="sampled extraction shots (0 = exact enumeration)")
     p_solve.add_argument("--seed", type=_int, default=0,
                          help="seed for --gen and the optimizer")
-    p_solve.add_argument("--latency", type=float, default=0.0,
+    p_solve.add_argument("--latency", type=_decimal, default=0.0,
                          help="simulated per-offload latency in seconds")
     p_solve.add_argument("--no-refine", action="store_true",
                          help="skip the local-flip refinement stage")

@@ -15,6 +15,11 @@ Conventions used throughout the package:
 Integers in text, the edge-list format's and every other the program
 reads, are ``-?[0-9]+`` in full, read by :func:`parse_ints` alone.
 
+The qubit cap (``QMAXCUT_QUBIT_CAP``, else :data:`DEFAULT_QUBIT_CAP`;
+no function takes one) is checked by :func:`_check_cap` just before
+each ``2**n`` allocation: the full cut table here, the simulator's
+state and its half-register workspace.
+
 Random-graph generation is deterministic and byte-stable across
 platforms and library versions.  It does not touch any global RNG.
 The algorithm, fixed for reproducibility:
@@ -30,12 +35,14 @@ The algorithm, fixed for reproducibility:
 
 from __future__ import annotations
 
+import os
 import re
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
+DEFAULT_QUBIT_CAP = 24
 _MASK64 = (1 << 64) - 1
 # 1 where bit v (axis 0) and bit u (axis 2) differ: an edge's cut indicator.
 _DIFFER = np.array([[0, 1], [1, 0]], np.int32).reshape(2, 1, 2, 1)
@@ -172,6 +179,34 @@ def labels_from_index(n: int, index: int) -> tuple[int, ...]:
     return tuple(1 - 2 * ((index >> i) & 1) for i in range(n))
 
 
+def resolve_qubit_cap() -> int:
+    """The qubit cap: ``QMAXCUT_QUBIT_CAP`` if set, else :data:`DEFAULT_QUBIT_CAP`.
+
+    The only reader of the variable, called at each check; a value that
+    is not an integer of at least 1 raises ``ValueError``.
+    """
+    env = os.environ.get("QMAXCUT_QUBIT_CAP")
+    if env is None:
+        return DEFAULT_QUBIT_CAP
+    cap = parse_ints(env, ValueError(f"QMAXCUT_QUBIT_CAP must be an integer, got {env!r}"))[0]
+    if cap < 1:
+        raise ValueError(f"QMAXCUT_QUBIT_CAP must be at least 1, got {cap}")
+    return cap
+
+
+class ResourceLimitError(RuntimeError):
+    """Raised when a request would exceed an exponential-cost safety cap."""
+
+
+def _check_cap(n: int):
+    limit = resolve_qubit_cap()
+    if n > limit:
+        raise ResourceLimitError(
+            f"state and cut table for n={n} exceed qubit cap {limit} "
+            f"(would allocate 2**{n} amplitudes or cut values)"
+        )
+
+
 def cut_values_by_basis(g: Graph) -> np.ndarray:
     """Cut value of every computational-basis state, as an int32 array.
 
@@ -185,8 +220,10 @@ def cut_values_by_basis(g: Graph) -> np.ndarray:
     than ``O(m * 2**n)``.  Brute force keeps these per-edge adds because
     acceptance criterion 8 asks its time to grow at least 16-fold from
     n=8 to n=16, and with a cheaper build fixed per-call costs dominate
-    at n=8, which leaves that ratio at the edge of the bound.
+    at n=8, which leaves that ratio at the edge of the bound.  Graphs
+    above the qubit cap are refused before the table is allocated.
     """
+    _check_cap(g.n)
     out = np.zeros(1 << g.n, dtype=np.int32)
     for u, v in g.edges:
         out.reshape(-1, 2, 1 << (v - u - 1), 2, 1 << u)[...] += _DIFFER

@@ -3,7 +3,7 @@
 The objective is the expected cut value of the layered ansatz state,
 which we maximize.  At depth 1 it is computed in closed form from
 per-edge degrees and triangle counts, in ``O(m)`` with no ``2**n``
-state, but under the same qubit cap.  Deeper objectives are simulated
+state, so no qubit cap applies to it.  Deeper objectives are simulated
 on the flip-symmetric half of the register, ``2**(n-1)`` amplitudes.
 :func:`run_qaoa` builds one :class:`~qmaxcut.simulator.FlipSymmetricWorkspace`,
 which checks the cap and computes every simulated expectation of the
@@ -65,7 +65,6 @@ from .graph import CutAssignment, Graph
 from .simulator import (
     FlipSymmetricWorkspace,
     QaoaParams,
-    _check_cap,
     # Unused, but bench/tests/test_bench_harness.py checks that the tracer rebinds it here.
     apply_qaoa_circuit,  # noqa: F401
 )
@@ -83,7 +82,7 @@ class QaoaConfig:
     cut-extraction rule (0 = threshold scan of the exact distribution,
     >0 = sampled bitstrings).  The qubit cap is not a field: every run
     reads the one setting, ``QMAXCUT_QUBIT_CAP`` or else 24 (see
-    :func:`~qmaxcut.simulator.resolve_qubit_cap`).
+    :func:`~qmaxcut.graph.resolve_qubit_cap`).
     """
 
     p: int
@@ -140,28 +139,20 @@ def evaluate_params(
     params: QaoaParams,
     *,
     workspace: FlipSymmetricWorkspace | None = None,
-    _cap_checked: bool = False,
 ) -> float:
     """Expected cut value of the ansatz state at the given angles.
 
-    Every depth refuses the instances above the qubit cap
-    (``QMAXCUT_QUBIT_CAP``, else 24; no argument sets it) before any
-    table or state exists.  Depth 1 checks the cap here, then takes the
-    value from :func:`depth_one_expectation`, with no state or cut table.
-    Deeper circuits are simulated on the half of the register that the
-    global bit flip maps onto the other half (see
+    Depth 1 takes the value from :func:`depth_one_expectation`, with no
+    state or cut table, so the qubit cap does not apply.  Deeper
+    circuits are simulated on the half of the register that the global
+    bit flip maps onto the other half (see
     :meth:`qmaxcut.simulator.FlipSymmetricWorkspace.expectation`), in
     ``workspace`` when one is passed (built for ``g``) and otherwise in
-    a fresh one; the workspace's constructor checks the cap.  A circuit
-    the workspace has already simulated returns the value stored there,
-    the same float, and runs no kernel.  ``_cap_checked`` is private to
-    :func:`optimize_params`, which checks the cap once per call: its
-    depth-1 evaluations skip the check but still run through this
-    function, so that tracing its calls counts every evaluation.
+    a fresh one, whose constructor refuses the instances above the cap.
+    A circuit the workspace has already simulated returns the value
+    stored there, the same float, and runs no kernel.
     """
     if params.p == 1:
-        if not _cap_checked:
-            _check_cap(g.n)
         return depth_one_expectation(g, params.gammas[0], params.betas[0])
     if workspace is None:
         workspace = FlipSymmetricWorkspace(g)
@@ -268,14 +259,11 @@ def optimize_params(
     ``extra_starts`` are tried before the standard starts (this is the
     warm-start hook used by :func:`run_qaoa`).  At depth 2 or more every
     evaluation of the call runs in ``workspace``, the run's own (it must
-    have been built for ``g``).  Without one, the qubit cap is checked
-    once: here at depth 1, which needs no workspace, and at depth 2 or
-    more by the one workspace allocated for the call and freed on
-    return.  No evaluation of the call checks the cap again.
+    have been built for ``g``), or else in one workspace allocated for
+    the call, which checks the qubit cap and is freed on return.  Depth
+    1 allocates nothing and meets no cap.
     """
-    if workspace is None and cfg.p == 1:
-        _check_cap(g.n)
-    elif workspace is None:
+    if workspace is None and cfg.p > 1:
         workspace = FlipSymmetricWorkspace(g)
     for warm in extra_starts:
         if warm.p != cfg.p:
@@ -291,9 +279,7 @@ def optimize_params(
     def objective(x: np.ndarray) -> float:
         nonlocal evaluations, best_value, best_x
         evaluations += 1
-        value = evaluate_params(
-            g, QaoaParams.from_flat(x), workspace=workspace, _cap_checked=True
-        )
+        value = evaluate_params(g, QaoaParams.from_flat(x), workspace=workspace)
         if value > best_value:
             best_value, best_x = value, np.array(x, dtype=float)
         return -value  # minimize() minimizes
@@ -341,11 +327,11 @@ def run_qaoa(
     ``cfg.budget = 2`` with it.
 
     One workspace (see :class:`~qmaxcut.simulator.FlipSymmetricWorkspace`,
-    which checks the qubit cap once, as it is built) serves every
-    evaluation, the final state, extraction and sampling: the run peaks
-    at about 1.6 times the full state's ``2**n * 16`` bytes, or 1.85
-    with ``shots``, where the workspace also keeps the best state
-    (tracemalloc, n=18).
+    built before any evaluation, so it refuses a run above the qubit cap
+    at every depth) serves every evaluation, the final state, extraction
+    and sampling: the run peaks at about 1.6 times the full state's
+    ``2**n * 16`` bytes, or 1.85 with ``shots``, where the workspace also
+    keeps the best state (tracemalloc, n=18).
     """
     t_start = time.perf_counter()
     # Keep the best state only when sampling: the in-place draw allocates

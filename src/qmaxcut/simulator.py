@@ -9,14 +9,15 @@ time (above bit 3 as real matrices, see :func:`_mixer_blocks`).  One
 layer with angles ``(gamma, beta)`` applies ``exp(-i*beta*X_q)`` on
 every qubit after the phase ``exp(-i*gamma*C(b))`` on every amplitude.
 
-Allocation is gated by a qubit cap (default 24) to keep an accidental
-large ``n`` from taking the host down.  A full-state circuit (the
-public functions below, which the tests use as the half register's
-reference; they run the same mixer kernel, :func:`_mix`) holds
-the state, one state-sized scratch buffer or temporary at a time (the
-mixer's second buffer, the cost layer's phase gather, the
-expectation's product) and the int32 cut table, a quarter of the
-state: about 2.25 times ``2**n * 16`` bytes (2.26 measured under
+The two ``2**n`` allocations here, :func:`init_uniform` and
+:class:`FlipSymmetricWorkspace`, check the qubit cap first (see
+:mod:`qmaxcut.graph`) to keep an accidental large ``n`` from taking the
+host down.  A full-state circuit (the public functions below, which the
+tests use as the half register's reference; they run the same mixer
+kernel, :func:`_mix`) holds the state, one state-sized scratch buffer
+or temporary at a time (the mixer's second buffer, the cost layer's
+phase gather, the expectation's product) and the int32 cut table, a
+quarter of the state: about 2.25 times ``2**n * 16`` bytes (2.26 measured under
 tracemalloc at n=20), so about 580 MiB at the default cap.
 ``run_qaoa`` uses none of them: its evaluations at depth 2 or more
 (depth 1 has a closed form in :mod:`qmaxcut.qaoa`), its final state,
@@ -30,16 +31,12 @@ one add per edge.  An evaluation that builds its own workspace peaks at
 1.38 times that at n=18; one on a reused workspace allocates 0.06 times
 it.  The mixer's blocks above bit 3 run in real arithmetic, and from
 ``2**17`` amplitudes the large blocks multiply row panels that stay in
-cache (:func:`_mix`).  The cap has one setting, read only by
-:func:`resolve_qubit_cap`: the ``QMAXCUT_QUBIT_CAP`` environment
-variable, else the default; no function takes a cap argument.  Brute
-force's ``2**n`` cut table follows the same cap.
+cache (:func:`_mix`).
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,13 +44,12 @@ import numpy as np
 from .graph import (
     CutAssignment,
     Graph,
+    _check_cap,
     cut_values_by_basis,
     half_cut_values_by_basis,
     labels_from_index,
-    parse_ints,
 )
 
-DEFAULT_QUBIT_CAP = 24
 MIXER_BLOCK_QUBITS = 4
 # Per block size k = 0..MIXER_BLOCK_QUBITS, the index of a block's entry
 # (i, j) into its weights [w_0..w_k] and their negations [-w_k..-w_0] (see
@@ -76,31 +72,6 @@ _NIBBLE_FRAME = _I_POWERS[_BLOCK_INDEX[-1][0] % 4]  # i**popcount(j)
 _PANEL_WIDTH = 256
 _PANEL_MIN_QUBITS = 17
 _PANEL_MIN_LO = 12
-
-
-def resolve_qubit_cap() -> int:
-    """The qubit cap: ``QMAXCUT_QUBIT_CAP`` if set, else :data:`DEFAULT_QUBIT_CAP`.
-
-    This is the only place the cap is read; every check in the package
-    resolves it here, at the time of the check.
-    """
-    env = os.environ.get("QMAXCUT_QUBIT_CAP")
-    if env is None:
-        return DEFAULT_QUBIT_CAP
-    return parse_ints(env, ValueError(f"QMAXCUT_QUBIT_CAP must be an integer, got {env!r}"))[0]
-
-
-class ResourceLimitError(RuntimeError):
-    """Raised when a request would exceed an exponential-cost safety cap."""
-
-
-def _check_cap(n: int):
-    limit = resolve_qubit_cap()
-    if n > limit:
-        raise ResourceLimitError(
-            f"state and cut table for n={n} exceed qubit cap {limit} "
-            f"(would allocate 2**{n} amplitudes or cut values)"
-        )
 
 
 @dataclass(frozen=True)

@@ -269,7 +269,7 @@ class TestChecksBeforeSolving:
         pytest.param(("solve", "--csv", "{out}", "--restarts", "0"), id="solve-restarts"),
         pytest.param(("solve", "--csv", "{out}", "--shots", "-1"), id="solve-shots"),
         pytest.param(("solve", "--csv", "{out}", "--budget", "2"), id="solve-budget-below-restarts"),
-        pytest.param(("solve", "--csv", "{out}", "--latency", "nan"), id="solve-latency"),
+        pytest.param(("solve", "--csv", "{out}", "--latency", "-1"), id="solve-latency"),
         pytest.param(("bench", "--out", "{dir}"), id="bench-out-directory"),
         pytest.param(("bench", "--out", "{out}", "--restarts", "0"), id="bench-restarts"),
         pytest.param(("bench", "--out", "{out}", "--shots", "-1"), id="bench-shots"),
@@ -340,6 +340,20 @@ class TestEdgeCaseExitCodes:
         assert "Traceback" not in res.stderr
         if env:
             assert "QMAXCUT_QUBIT_CAP must be an integer, got 'abc'" in res.stderr
+
+    @pytest.mark.parametrize("cap, argv", [
+        pytest.param("-5", ("solve", "--gen", "2,1", "--algo", "brute", "--csv", "{out}"),
+                     id="solve-brute"),
+        pytest.param("0", ("bench", "--sizes", "4:3", "--depth", "1", "--out", "{out}"),
+                     id="bench"),
+    ])
+    def test_qubit_cap_below_one(self, tmp_path, monkeypatch, capsys, cap, argv):
+        monkeypatch.setenv("QMAXCUT_QUBIT_CAP", cap)
+        assert cli.main([a.format(out=tmp_path / "out.csv") for a in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"qmaxcut: QMAXCUT_QUBIT_CAP must be at least 1, got {cap}" in captured.err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestBench:
@@ -553,6 +567,29 @@ class TestOneIntegerSyntax:
         monkeypatch.setenv("QMAXCUT_QUBIT_CAP", text)
         assert cli.main(["solve", "--gen", "3,2", "--algo", "brute"]) == 2
         assert f"QMAXCUT_QUBIT_CAP must be an integer, got {text!r}" in capsys.readouterr().err
+
+
+class TestLatencyFlag:
+    """``--latency`` is a decimal by the integer syntax's all-or-nothing rule."""
+
+    @pytest.mark.parametrize("text", [*REFUSED_INTEGERS, "\u0661_0", "nan", "inf", "1.", ".5"])
+    def test_refused(self, text, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(["solve", "--gen", "4,3", "--algo", "qaoa", "--latency", text,
+                      "--csv", str(out)])
+        assert exit_.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument --latency: invalid decimal value: {text!r}" in captured.err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("text", ["0", "0.5", "0.002", "1e-3"])
+    def test_accepted_spellings_read_as_float(self, text, capsys):
+        assert cli.main(["solve", "--gen", "4,3", "--algo", "qaoa", "--latency", text]) == 0
+        (block,) = kv_blocks(capsys.readouterr().out)
+        overhead = int(block["offload_count"]) * float(text)
+        assert block["simulated_comm_overhead"] == repr(overhead)
 
 
 class TestStartup:

@@ -69,7 +69,7 @@ def test_qaoa_leaves_the_half_register_to_the_workspace():
     # The variational driver chooses angles; every decision about the
     # flip-symmetric half register belongs to FlipSymmetricWorkspace.
     source = Path(qaoa.__file__).read_text(encoding="utf-8")
-    assert _private_simulator_names(source) <= {"_check_cap"}
+    assert _private_simulator_names(source) == set()
 
 
 def _forbid_cut_table(monkeypatch):
@@ -114,12 +114,15 @@ class TestDepthOneClosedForm:
         assert value == pytest.approx(1.0, abs=1e-12)
 
     def test_cap_is_checked_before_the_cut_table_at_every_depth(self, monkeypatch):
+        # Depth 2 is refused before any table exists; depth 1 builds none, so
+        # it meets no cap and gives the value it gives below the cap.
         _forbid_cut_table(monkeypatch)
-        monkeypatch.setenv("QMAXCUT_QUBIT_CAP", "7")
         g = Graph(8, ((0, 7),))
-        for p in (1, 2):
-            with pytest.raises(ResourceLimitError):
-                evaluate_params(g, QaoaParams(gammas=(0.1,) * p, betas=(0.1,) * p))
+        one, two = (QaoaParams(gammas=(0.1,) * p, betas=(0.1,) * p) for p in (1, 2))
+        monkeypatch.setenv("QMAXCUT_QUBIT_CAP", "7")
+        with pytest.raises(ResourceLimitError):
+            evaluate_params(g, two)
+        assert evaluate_params(g, one) == depth_one_expectation(g, 0.1, 0.1)
 
     def test_optimizer_checks_the_cap_before_its_workspace(self, monkeypatch):
         _forbid_cut_table(monkeypatch)
@@ -234,13 +237,13 @@ class TestFlipSymmetricHalf:
 
     def test_cap_is_resolved_once_per_evaluation(self, monkeypatch):
         calls = []
-        resolve = simulator.resolve_qubit_cap
+        resolve = graph.resolve_qubit_cap
 
         def counting():
             calls.append(None)
             return resolve()
 
-        monkeypatch.setattr(simulator, "resolve_qubit_cap", counting)
+        monkeypatch.setattr(graph, "resolve_qubit_cap", counting)
         evaluate_params(TRIANGLE, QaoaParams(gammas=(0.4, 0.1), betas=(0.3, 0.2)))
         assert len(calls) == 1
 
@@ -495,10 +498,15 @@ class TestEvaluateParams:
         assert evaluate_params(EDGE, params) == pytest.approx(expected, abs=1e-9)
 
     def test_respects_cap(self, monkeypatch):
+        # The cap bounds the simulated state: depth 2 up to n=7 under a cap of
+        # 7; depth 1 simulates nothing and runs above it too.
         monkeypatch.setenv("QMAXCUT_QUBIT_CAP", "7")
-        g = Graph(8, ((0, 7),))
-        with pytest.raises(ResourceLimitError):
-            evaluate_params(g, QaoaParams(gammas=(0.1,), betas=(0.1,)))
+        one, two = QaoaParams((0.1,), (0.1,)), QaoaParams((0.1, 0.2), (0.1, 0.2))
+        below, above = Graph(7, ((0, 6),)), Graph(8, ((0, 7),))
+        evaluate_params(below, two)
+        with pytest.raises(ResourceLimitError, match="n=8 exceed qubit cap 7"):
+            evaluate_params(above, two)
+        assert evaluate_params(above, one) == depth_one_expectation(above, 0.1, 0.1)
 
 
 class TestQaoaConfig:
@@ -559,22 +567,29 @@ class TestOptimizeParams:
 
     @pytest.mark.parametrize("p", [1, 2])
     def test_cap_is_resolved_once_per_call(self, monkeypatch, p):
+        # The run's workspace holds the one check; no optimize_params call of
+        # the run, on any rung of the ladder, resolves the cap again.
         calls = []
-        resolve = simulator.resolve_qubit_cap
+        resolve = graph.resolve_qubit_cap
 
         def counting():
             calls.append(None)
             return resolve()
 
-        monkeypatch.setattr(simulator, "resolve_qubit_cap", counting)
-        _, _, n_evals = optimize_params(TRIANGLE, QaoaConfig(p=p, budget=30, restarts=3, seed=0))
-        assert n_evals > 1
+        monkeypatch.setattr(graph, "resolve_qubit_cap", counting)
+        result = run_qaoa(TRIANGLE, QaoaConfig(p=p, budget=30, restarts=3, seed=0))
+        assert result.n_evaluations > 1
         assert len(calls) == 1
 
     def test_depth_one_above_the_cap_is_refused(self, monkeypatch):
+        # Its evaluations need no state, but the run's workspace (built
+        # before any of them) refuses the graph, so nothing is evaluated.
+        seen = []
+        monkeypatch.setattr(qaoa, "evaluate_params", lambda *args, **kwargs: seen.append(args))
         monkeypatch.setenv("QMAXCUT_QUBIT_CAP", "7")
         with pytest.raises(ResourceLimitError):
-            optimize_params(Graph(8, ((0, 7),)), QaoaConfig(p=1, budget=10))
+            run_qaoa(Graph(8, ((0, 7),)), QaoaConfig(p=1, budget=10))
+        assert seen == []
 
     def test_depth_one_builds_no_cut_table(self, monkeypatch):
         _forbid_cut_table(monkeypatch)
@@ -684,6 +699,22 @@ class TestRunQaoa:
         cfg = QaoaConfig(p=3, budget=90, restarts=3, seed=1, warm_start=True)
         result = run_qaoa(TRIANGLE, cfg)
         assert result.n_evaluations <= 90
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_last_rung_takes_what_the_others_leave(self, monkeypatch, seed):
+        # 40 // 3 = 13 evaluations per rung, and the last rung also gets the
+        # remainder, so the whole budget is offered and, on these graphs, spent.
+        budgets = []
+        optimize = qaoa.optimize_params
+
+        def recording(g, cfg, **kwargs):
+            budgets.append(cfg.budget)
+            return optimize(g, cfg, **kwargs)
+
+        monkeypatch.setattr(qaoa, "optimize_params", recording)
+        result = run_qaoa(generate_random_graph(12, 20, seed), QaoaConfig(p=3, budget=40))
+        assert budgets == [13, 13, 14]
+        assert result.n_evaluations == 40
 
     def test_ladder_stands_down_when_a_rung_cannot_cover_the_restarts(self):
         # budget // p = 2 evaluations per rung cannot cover 3 restarts, so
