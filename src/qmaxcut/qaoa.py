@@ -165,9 +165,9 @@ class _BudgetExhausted(Exception):
     pass
 
 
-def _by_value(sim: np.ndarray, fsim: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    ind = np.argsort(fsim)
-    return np.take(sim, ind, 0), np.take(fsim, ind, 0)
+def _by_value(sim: list, fsim: list) -> tuple[list, list]:
+    ind = np.array(fsim).argsort().tolist()
+    return [sim[i] for i in ind], [fsim[i] for i in ind]
 
 
 def minimize(fun, x0: np.ndarray, maxfev: int) -> tuple[np.ndarray, float]:
@@ -180,21 +180,27 @@ def minimize(fun, x0: np.ndarray, maxfev: int) -> tuple[np.ndarray, float]:
     first simplex is ``x0`` and ``x0`` with one coordinate scaled by
     1.05 (set to 0.00025 where it is 0); reflection 1, expansion 2,
     contraction and shrink 0.5; stop when every vertex is within 1e-4 of
-    the best in each coordinate and in value.  ``fun`` may be passed a
-    view of a simplex row, not a copy, so it must copy any point it keeps.
+    the best in each coordinate and in value.  The simplex is held as
+    Python floats, which round each step as numpy does (the centroid
+    sums the vertices in order from 0.0, as ``np.add.reduce`` does);
+    ``fun`` is passed each point as a new float64 array.  The vertices
+    are ordered by value with numpy's ``argsort``, as scipy orders them,
+    and ties follow it: its default sort is not stable, so tied vertices
+    may trade places, and the points ``fun`` sees depend on that order.
     """
     def f(x):
         nonlocal fev
         if fev >= maxfev:
             raise _BudgetExhausted
         fev += 1
-        return fun(x)
+        return fun(np.array(x))
 
+    x0 = np.asarray(x0, dtype=float).tolist()
     fev, n = 0, len(x0)
-    sim = np.tile(np.asarray(x0, dtype=float), (n + 1, 1))
-    for k in range(n):
-        sim[k + 1, k] = 1.05 * sim[0, k] if sim[0, k] != 0 else 0.00025
-    fsim = np.full(n + 1, np.inf)
+    sim = [x0] + [
+        x0[:k] + [1.05 * v if v != 0 else 0.00025] + x0[k + 1 :] for k, v in enumerate(x0)
+    ]
+    fsim = [math.inf] * (n + 1)
     try:
         for k in range(n + 1):
             fsim[k] = f(sim[k])
@@ -202,37 +208,44 @@ def minimize(fun, x0: np.ndarray, maxfev: int) -> tuple[np.ndarray, float]:
         pass
     sim, fsim = _by_value(*_by_value(sim, fsim))  # scipy sorts the first simplex twice
     while fev < maxfev:
-        if np.max(np.abs(sim[1:] - sim[0])) <= 1e-4 and np.max(np.abs(fsim[0] - fsim[1:])) <= 1e-4:
+        best = sim[0]
+        if all(abs(v - b) <= 1e-4 for x in sim[1:] for v, b in zip(x, best)) and all(
+            abs(fsim[0] - v) <= 1e-4 for v in fsim[1:]
+        ):
             break
         try:
-            xbar = np.add.reduce(sim[:-1], 0) / n
-            xr = 2 * xbar - sim[-1]
+            xbar = [0.0] * n
+            for x in sim[:-1]:
+                xbar = [a + v for a, v in zip(xbar, x)]
+            xbar = [a / n for a in xbar]
+            worst = sim[-1]
+            xr = [2 * a - v for a, v in zip(xbar, worst)]
             fxr = f(xr)
             if fxr < fsim[0]:
-                xe = 3 * xbar - 2 * sim[-1]
+                xe = [3 * a - 2 * v for a, v in zip(xbar, worst)]
                 fxe = f(xe)
                 sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
             elif fxr < fsim[-2]:
                 sim[-1], fsim[-1] = xr, fxr
             else:
                 if fxr < fsim[-1]:  # outside contraction
-                    xc = 1.5 * xbar - 0.5 * sim[-1]
+                    xc = [1.5 * a - 0.5 * v for a, v in zip(xbar, worst)]
                     fxc = f(xc)
                     accept = fxc <= fxr
                 else:  # inside contraction
-                    xc = 0.5 * xbar + 0.5 * sim[-1]
+                    xc = [0.5 * a + 0.5 * v for a, v in zip(xbar, worst)]
                     fxc = f(xc)
                     accept = fxc < fsim[-1]
                 if accept:
                     sim[-1], fsim[-1] = xc, fxc
                 else:  # shrink towards the best vertex
                     for j in range(1, n + 1):
-                        sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                        sim[j] = [b + 0.5 * (v - b) for b, v in zip(best, sim[j])]
                         fsim[j] = f(sim[j])
         except _BudgetExhausted:
             pass
         sim, fsim = _by_value(sim, fsim)
-    return sim[0], float(fsim[0])
+    return np.array(sim[0]), float(fsim[0])
 
 
 def _draw_starts(p: int, count: int, seed: int) -> list[np.ndarray]:
@@ -274,14 +287,16 @@ def optimize_params(
     n_draws = max(0, cfg.restarts - len(starts))
     starts.extend(_draw_starts(cfg.p, n_draws, cfg.seed))
 
-    evaluations, best_value, best_x = 0, -np.inf, starts[0]
+    p = cfg.p
+    evaluations, best_value, best_x = 0, -np.inf, starts[0].tolist()
 
     def objective(x: np.ndarray) -> float:
         nonlocal evaluations, best_value, best_x
         evaluations += 1
-        value = evaluate_params(g, QaoaParams.from_flat(x), workspace=workspace)
+        flat = x.tolist()
+        value = evaluate_params(g, QaoaParams(flat[:p], flat[p:]), workspace=workspace)
         if value > best_value:
-            best_value, best_x = value, np.array(x, dtype=float)
+            best_value, best_x = value, flat
         return -value  # minimize() minimizes
 
     for x0 in starts[: cfg.budget]:  # seed best-seen with the starts before polishing any
@@ -290,7 +305,7 @@ def optimize_params(
         if evaluations == cfg.budget:
             break
         minimize(objective, x0, cfg.budget - evaluations)
-    return QaoaParams.from_flat(best_x), float(best_value), evaluations
+    return QaoaParams(best_x[:p], best_x[p:]), float(best_value), evaluations
 
 
 def _pad_params(params: QaoaParams, p: int) -> QaoaParams:

@@ -5,7 +5,7 @@ encodes vertex ``i`` in bit ``i`` (see :mod:`qmaxcut.graph`).  The cost
 operator is diagonal in this basis -- basis state ``b`` has eigenvalue
 equal to its cut value -- so a cost layer is a pure phase multiply and
 a mixer layer is one 2x2 rotation per qubit, applied four qubits at a
-time (above bit 3 as real matrices, see :func:`_mixer_blocks`).  One
+time (above bit 3 as real matrices, see :class:`_Mixer`).  One
 layer with angles ``(gamma, beta)`` applies ``exp(-i*beta*X_q)`` on
 every qubit after the phase ``exp(-i*gamma*C(b))`` on every amplitude.
 
@@ -14,7 +14,7 @@ The two ``2**n`` allocations here, :func:`init_uniform` and
 :mod:`qmaxcut.graph`) to keep an accidental large ``n`` from taking the
 host down.  A full-state circuit (the public functions below, which the
 tests use as the half register's reference; they run the same mixer
-kernel, :func:`_mix`) holds the state, one state-sized scratch buffer
+kernel, :class:`_Mixer`) holds the state, one state-sized scratch buffer
 or temporary at a time (the mixer's second buffer, the cost layer's
 phase gather, the expectation's product) and the int32 cut table, a
 quarter of the state: about 2.25 times ``2**n * 16`` bytes (2.26 measured under
@@ -28,10 +28,16 @@ buffer and the low half of the cut table as ``intp``, 1.25 times
 ``2**n * 16`` bytes.  That table is built vertex by vertex in
 ``O(2**n)`` (:func:`qmaxcut.graph.half_cut_values_by_basis`), not by
 one add per edge.  An evaluation that builds its own workspace peaks at
-1.38 times that at n=18; one on a reused workspace allocates 0.06 times
-it.  The mixer's blocks above bit 3 run in real arithmetic, and from
-``2**17`` amplitudes the large blocks multiply row panels that stay in
-cache (:func:`_mix`).
+1.38 times that at n=18.  One on a reused workspace allocates 0.063
+times it, the same as before the workspace held its plan: both are the
+top qubit's rotation, its ``sin(b) * f`` (one entry per row of 16
+amplitudes) and the buffer numpy takes for that broadcast product
+(8,192 entries, so the whole half state below n=15).  The
+plan (the mixer's blocks and the views of each buffer, the phase
+table) is built with the workspace, so an evaluation rebuilds nothing
+that does not depend on its angles.  The mixer's blocks above bit 3 run
+in real arithmetic, and from ``2**17`` amplitudes the large blocks
+multiply row panels that stay in cache (:class:`_Mixer`).
 """
 
 from __future__ import annotations
@@ -53,22 +59,23 @@ from .graph import (
 MIXER_BLOCK_QUBITS = 4
 # Per block size k = 0..MIXER_BLOCK_QUBITS, the index of a block's entry
 # (i, j) into its weights [w_0..w_k] and their negations [-w_k..-w_0] (see
-# _mixer_blocks): for block 0 the bit difference d of i and j; for a real
-# block d, or ~d (that is -(d+1), reading -w_d) where the entry is negative,
-# which it is when an odd number of bits are set in i and clear in j.
+# _Mixer): for block 0 the bit difference d of i and j; for a real block d,
+# or 2k+1-d (reading -w_d) where the entry is negative, which it is when an
+# odd number of bits are set in i and clear in j.
 _BLOCK_INDEX = tuple(
     np.array([[bin(i ^ j).count("1") for j in range(1 << k)] for i in range(1 << k)])
     for k in range(MIXER_BLOCK_QUBITS + 1)
 )
 _REAL_BLOCK_INDEX = tuple(
-    np.where([[bin(i & ~j).count("1") % 2 for j in range(len(d))] for i in range(len(d))], ~d, d)
-    for d in _BLOCK_INDEX
+    np.where([[bin(i & ~j).count("1") % 2 for j in range(len(d))] for i in range(len(d))],
+             2 * k + 1 - d, d)
+    for k, d in enumerate(_BLOCK_INDEX)
 )
 _I_POWERS = np.array([1, 1j, -1, -1j])
 _NIBBLE_FRAME = _I_POWERS[_BLOCK_INDEX[-1][0] % 4]  # i**popcount(j)
-# Row panels for the large real mixer blocks (see _mix): their width in
+# Row panels for the large real mixer blocks (see _Mixer): their width in
 # float64 columns, and the smallest register and lowest block bit they
-# serve.  Chosen from the per-block timings in _mix's docstring.
+# serve.  Chosen from the per-block timings in _Mixer's docstring.
 _PANEL_WIDTH = 256
 _PANEL_MIN_QUBITS = 17
 _PANEL_MIN_LO = 12
@@ -82,8 +89,8 @@ class QaoaParams:
     betas: tuple[float, ...]
 
     def __post_init__(self):
-        gammas = tuple(float(x) for x in self.gammas)
-        betas = tuple(float(x) for x in self.betas)
+        gammas = tuple(map(float, self.gammas))
+        betas = tuple(map(float, self.betas))
         if len(gammas) != len(betas):
             raise ValueError(
                 f"need one beta per gamma, got {len(gammas)} gammas / {len(betas)} betas"
@@ -135,6 +142,10 @@ class StateVector:
 def init_uniform(n: int) -> StateVector:
     """Uniform superposition over all ``2**n`` basis states."""
     _check_cap(n)
+    return _uniform(n)
+
+
+def _uniform(n: int) -> StateVector:
     size = 1 << max(n, 0)  # StateVector refuses n < 1
     amps = np.full(size, 1.0 / math.sqrt(size), dtype=np.complex128)
     return StateVector(n_qubits=n, amplitudes=amps)
@@ -168,48 +179,35 @@ def apply_cost_layer(
     return sv
 
 
-def _mixer_blocks(beta: float, n: int) -> list[tuple[int, np.ndarray]]:
-    """``(lo, block)`` for each block of the ``n``-qubit mixer, bit 0 upward.
+class _Mixer:
+    """The mixer on ``n`` qubits, given in the frame, between any two of
+    ``buffers``: everything but the angle is built once, so a call only
+    weighs its blocks and multiplies.
 
+    The qubits are taken ``MIXER_BLOCK_QUBITS`` at a time, bit 0 upward,
+    and each block is one matrix product over the whole register, from
+    one buffer into the other, so a call reads and writes the register
+    ``ceil(n / 4)`` times and returns whichever buffer holds the result.
     Block 0 (bits 0-3) is ``R = [[cos b, -i sin b], [-i sin b, cos b]]``
     Kronecker-multiplied with itself ``k`` times, a complex symmetric
     matrix whose entry ``(i, j)`` is ``c**(k-d) * s**d`` for ``c = cos
     b``, ``s = -i sin b`` and ``d`` the number of bits in which ``i`` and
-    ``j`` differ.  The blocks above bit 3 act in the frame of
-    :func:`_frame`, where the qubit's rotation is the real ``r = [[cos b,
-    sin b], [-sin b, cos b]]`` (``R = E r E^-1`` with ``E = diag(1,
-    i)``): entry ``(i, j)`` of the power of ``r`` is ``cos**(k-d) *
-    sin**d`` times ``-1`` per bit set in ``i`` and clear in ``j``.  Each
-    block is one gather from its weights ``w_d`` (and, for a real block,
-    their negations) through a module-level index table.  A last block
-    of ``n mod MIXER_BLOCK_QUBITS`` qubits gets its own smaller power.
-    """
-    c, s = math.cos(beta), math.sin(beta)
-    blocks = []
-    for lo in range(0, n, MIXER_BLOCK_QUBITS):
-        k = min(MIXER_BLOCK_QUBITS, n - lo)
-        if lo == 0:
-            weights = [c ** (k - d) * (-1j * s) ** d for d in range(k + 1)]
-            block = np.array(weights)[_BLOCK_INDEX[k]]
-        elif lo > MIXER_BLOCK_QUBITS and k == MIXER_BLOCK_QUBITS:
-            block = blocks[-1][1]  # the full real block again
-        else:
-            weights = [c ** (k - d) * s**d for d in range(k + 1)]
-            block = np.array(weights + [-w for w in weights[::-1]])[_REAL_BLOCK_INDEX[k]]
-        blocks.append((lo, block))
-    return blocks
-
-
-def _mix(amps: np.ndarray, scratch: np.ndarray, beta: float, n: int) -> np.ndarray:
-    """The mixer on ``n`` qubits of ``amps``, given in the frame; returns
-    whichever of ``amps`` and ``scratch`` holds the result.
-
-    Each block is one matrix product over the whole register, from one
-    buffer into the other, so a layer reads and writes the register
-    ``ceil(n / 4)`` times.  Block 0 has stride 1: rows of 16 amplitudes
-    times the symmetric complex block.  A real block acts on the real
-    and imaginary parts alike, so it multiplies the float64 view, whose
+    ``j`` differ; it multiplies rows of 16 amplitudes, stride 1.  The
+    blocks above bit 3 act in the frame of :func:`_frame`, where the
+    qubit's rotation is the real ``r = [[cos b, sin b], [-sin b, cos
+    b]]`` (``R = E r E^-1`` with ``E = diag(1, i)``): entry ``(i, j)`` of
+    the power of ``r`` is ``cos**(k-d) * sin**d`` times ``-1`` per bit
+    set in ``i`` and clear in ``j``.  A real block acts on the real and
+    imaginary parts alike, so it multiplies the float64 view, whose
     innermost axis is twice as long: half the flops of a complex product.
+    A last block of ``n mod MIXER_BLOCK_QUBITS`` qubits gets its own
+    smaller power; every full real block is the same array.
+
+    A call computes each weight ``w_d`` (and, for a real block, its
+    negation) as one Python scalar and gathers each block size from them
+    with one ``np.take`` into a preallocated array; each buffer's operand
+    view for each block is built here, keyed by buffer, so the call
+    allocates nothing but the small weight arrays.
 
     A real block of at least 4 rows at bit ``_PANEL_MIN_LO`` or above, on
     a register of at least ``_PANEL_MIN_QUBITS`` qubits, multiplies row
@@ -241,34 +239,61 @@ def _mix(amps: np.ndarray, scratch: np.ndarray, beta: float, n: int) -> np.ndarr
     one-row-pair block at bit 20 (``n = 21``) read 0.83x in one series
     and 1.30x in another, so it stays whole.
     """
-    src, dst = amps, scratch
-    for lo, block in _mixer_blocks(beta, n):
-        size = block.shape[0]
+
+    def __init__(self, n: int, buffers) -> None:
+        self.qubits = [min(MIXER_BLOCK_QUBITS, n - lo) for lo in range(0, n, MIXER_BLOCK_QUBITS)]
+        self.real = {k: np.empty((1 << k, 1 << k)) for k in self.qubits[1:]}
+        self.blocks = [
+            (lo, self.real[k] if lo else np.empty((1 << k, 1 << k), dtype=np.complex128))
+            for lo, k in zip(range(0, n, MIXER_BLOCK_QUBITS), self.qubits)
+        ]
+        self.views = {id(b): [self._view(n, lo, b) for lo in range(0, n, MIXER_BLOCK_QUBITS)]
+                      for b in buffers}
+
+    @staticmethod
+    def _view(n: int, lo: int, buffer: np.ndarray) -> np.ndarray:
+        """``buffer`` shaped as the operand of the product of the block at bit ``lo``."""
+        size = 1 << min(MIXER_BLOCK_QUBITS, n - lo)
         if lo == 0:
-            np.matmul(src.reshape(-1, size), block, out=dst.reshape(-1, size))
-        elif n >= _PANEL_MIN_QUBITS and lo >= _PANEL_MIN_LO and size >= 4:
+            return buffer.reshape(-1, size)
+        if n >= _PANEL_MIN_QUBITS and lo >= _PANEL_MIN_LO and size >= 4:
             shape = (-1, size, (2 << lo) // _PANEL_WIDTH, _PANEL_WIDTH)
-            np.matmul(
-                block,
-                src.view(np.float64).reshape(shape).swapaxes(1, 2),
-                out=dst.view(np.float64).reshape(shape).swapaxes(1, 2),
+            return buffer.view(np.float64).reshape(shape).swapaxes(1, 2)
+        return buffer.view(np.float64).reshape(-1, size, 2 << lo)
+
+    def weigh(self, beta: float) -> list[tuple[int, np.ndarray]]:
+        """Fill the blocks for ``beta``; returns them as ``(lo, block)``."""
+        if not self.qubits:
+            return self.blocks
+        c, s = math.cos(beta), math.sin(beta)
+        k = self.qubits[0]
+        weights = [c ** (k - d) * (-1j * s) ** d for d in range(k + 1)]
+        np.array(weights).take(_BLOCK_INDEX[k], out=self.blocks[0][1], mode="clip")
+        for k, block in self.real.items():
+            weights = [c ** (k - d) * s**d for d in range(k + 1)]
+            np.array(weights + [-w for w in weights[::-1]]).take(
+                _REAL_BLOCK_INDEX[k], out=block, mode="clip"
             )
-        else:
-            shape = (-1, size, 2 << lo)
-            np.matmul(
-                block,
-                src.view(np.float64).reshape(shape),
-                out=dst.view(np.float64).reshape(shape),
-            )
-        src, dst = dst, src
-    return src
+        return self.blocks
+
+    def __call__(self, src: np.ndarray, dst: np.ndarray, beta: float) -> np.ndarray:
+        """Mix ``src`` through ``dst``; returns whichever holds the result."""
+        self.weigh(beta)
+        a, b = self.views[id(src)], self.views[id(dst)]
+        for i, (lo, block) in enumerate(self.blocks):
+            if lo == 0:
+                np.matmul(a[i], block, out=b[i])
+            else:
+                np.matmul(block, a[i], out=b[i])
+            a, b = b, a
+        return dst if len(self.blocks) % 2 else src
 
 
 def _frame(n: int) -> np.ndarray:
     """The mixer's frame ``e[y] = i**popcount(y >> 4)`` on ``n`` qubits.
 
     An amplitude ``a`` is held as ``conj(e) * a`` while the blocks above
-    bit 3 run (see :func:`_mixer_blocks`).  The frame depends only on
+    bit 3 run (see :class:`_Mixer`).  The frame depends only on
     those bits, so it has one entry per row of 16 amplitudes,
     ``2**max(0, n - 4)`` entries, built four bits at a time; its entries
     are exact units.  The array is new, so the caller may write to it.
@@ -286,17 +311,18 @@ def apply_mixer_layer(sv: StateVector, beta: float) -> StateVector:
 
     All rotations commute, so the qubits are taken in blocks of
     ``MIXER_BLOCK_QUBITS``, each applied as one matrix product (see
-    :func:`_mixer_blocks`).  The state is moved into the frame in place,
-    mixed through one state-sized scratch buffer, and moved back; the
-    frame is built again for the way back, so that it never coexists
-    with the scratch buffer.  ``sv.amplitudes`` keeps its array object.
-    Returns the mutated state for chaining.
+    :class:`_Mixer`, which the workspace runs too).  The state is moved
+    into the frame in place, mixed through one state-sized scratch
+    buffer, and moved back; the frame is built again for the way back,
+    so that it never coexists with the scratch buffer.
+    ``sv.amplitudes`` keeps its array object.  Returns the mutated state
+    for chaining.
     """
     n = sv.n_qubits
     rows = sv.amplitudes.reshape(1 << max(0, n - MIXER_BLOCK_QUBITS), -1)
     rows *= _frame(n).conj()[:, None]
     scratch = np.empty_like(sv.amplitudes)
-    if _mix(sv.amplitudes, scratch, beta, n) is scratch:
+    if _Mixer(n, (sv.amplitudes, scratch))(sv.amplitudes, scratch, beta) is scratch:
         sv.amplitudes[...] = scratch
     del scratch
     rows *= _frame(n)[:, None]
@@ -308,10 +334,11 @@ def apply_qaoa_circuit(g: Graph, params: QaoaParams) -> StateVector:
 
     Starts from the uniform superposition and applies ``p`` layers,
     cost phase first and mixer second within each layer; the cut table
-    is built once and shared by every cost layer.
+    is built once and shared by every cost layer; building it checks
+    the qubit cap for the state as well, once per call.
     """
-    sv = init_uniform(g.n)
     cut_table = cut_values_by_basis(g)
+    sv = _uniform(g.n)
     for gamma, beta in zip(params.gammas, params.betas):
         apply_cost_layer(sv, g, gamma, cut_table=cut_table)
         apply_mixer_layer(sv, beta)
@@ -332,6 +359,13 @@ class FlipSymmetricWorkspace:
     prepared here overwrites it first); no full table is built.  About
     1.25 times the full state's ``2**n * 16`` bytes.  The constructor
     checks the qubit cap before it allocates any of them.
+
+    It also builds the plan that every circuit run here shares, since
+    none of it depends on the angles: the mixer (:class:`_Mixer`, its
+    block arrays and each buffer's operand views), each buffer's rows of
+    16 amplitudes and their reverse, both keyed by buffer so they follow
+    the swaps below, the ``-i * levels`` vector of the cut values and the
+    phase table it fills.
 
     Skipping exact zero angles makes distinct angle vectors the same
     circuit (:func:`_circuit`): the optimizer's zero start evaluated
@@ -368,6 +402,12 @@ class FlipSymmetricWorkspace:
         self.held = self.kept_circuit = None
         self.kept = np.empty_like(self.state) if keep_best else None
         self.best = -math.inf
+        buffers = [b for b in (self.state, self.scratch, self.kept) if b is not None]
+        rows = self.start.size
+        self.rows = {id(b): (b.reshape(rows, -1), b[::-1].reshape(rows, -1)) for b in buffers}
+        self.mixer = _Mixer(g.n - 1, buffers)
+        self.levels = -1j * np.arange(g.m + 1)
+        self.phases = np.empty_like(self.levels)
 
     def _prepare(self, circuit: tuple) -> tuple[np.ndarray, np.ndarray]:
         """Prepare ``circuit``'s state in ``state``, tagged with ``circuit``."""
@@ -389,7 +429,7 @@ class FlipSymmetricWorkspace:
         if value is None:
             w, scratch = self._prepare(circuit)
             np.multiply(self.low_table, w, out=scratch)
-            value = self.values[circuit] = 2.0 * float(np.real(np.vdot(w, scratch)))
+            value = self.values[circuit] = 2.0 * float(np.vdot(w, scratch).real)
             if self.kept is not None and value > self.best:
                 self.best = value
                 self.state, self.kept = self.kept, self.state
@@ -470,12 +510,10 @@ def _circuit(params: QaoaParams) -> tuple[tuple[int, float], ...]:
     differ, and nothing reads it.  Only exact zeros are left out, and
     adjacent layers are never merged, which would change the rounding.
     """
-    return tuple(
-        (kind, angle)
-        for layer in zip(params.gammas, params.betas)
-        for kind, angle in enumerate(layer)
-        if angle
-    )
+    return tuple([
+        half for gamma, beta in zip(params.gammas, params.betas)
+        for half in ((0, gamma), (1, beta)) if half[1]
+    ])
 
 
 def _flip_symmetric_state(
@@ -492,28 +530,25 @@ def _flip_symmetric_state(
     a`` (see :func:`_frame`); the cost layer is diagonal, so it commutes
     with the frame.  A cost half-layer phases ``w`` through the low half
     of the cut table; a mixer half-layer mixes qubits ``0..n-2``
-    (:func:`_mix`) and rotates qubit ``n - 1`` as ``w <- cos(b) w +
+    (``ws.mixer``) and rotates qubit ``n - 1`` as ``w <- cos(b) w +
     sin(b) f * w[::-1]``, where ``f = -i conj(e) e[::-1]`` (``ws.flip``)
     is ``-i`` seen through the frame, one unit per row of 16 amplitudes.
-    Returns ``(w, spare)``: the two buffers of ``ws``, whichever holds
-    ``w`` first.  Nothing state-sized is allocated.
+    Returns ``(w, spare)``: two buffers of ``ws``, whichever holds ``w``
+    first.  Its buffers and views come from the workspace's plan: it
+    allocates only the top rotation's ``sin(b) * f``, one entry per row
+    of 16 amplitudes, beside the buffer numpy takes for that product.
     """
-    g = ws.graph
     w, scratch = ws.state, ws.scratch
-    rows = ws.start.size
-    w.reshape(rows, -1)[...] = ws.start
-    levels = np.arange(g.m + 1)
+    np.copyto(ws.rows[id(w)][0], ws.start)
     for kind, angle in circuit:
         if kind == 0:
-            np.take(np.exp(-1j * angle * levels), ws.low_table, out=scratch, mode="clip")
+            np.exp(np.multiply(ws.levels, angle, out=ws.phases), out=ws.phases)
+            ws.phases.take(ws.low_table, out=scratch, mode="clip")
             w *= scratch
         else:
-            mixed = _mix(w, scratch, angle, g.n - 1)
-            if mixed is not w:
-                w, scratch = mixed, w
-            np.multiply(
-                w[::-1].reshape(rows, -1), math.sin(angle) * ws.flip, out=scratch.reshape(rows, -1)
-            )
+            if ws.mixer(w, scratch, angle) is scratch:
+                w, scratch = scratch, w
+            np.multiply(ws.rows[id(w)][1], math.sin(angle) * ws.flip, out=ws.rows[id(scratch)][0])
             w *= math.cos(angle)
             w += scratch
     return w, scratch

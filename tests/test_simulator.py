@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+import kernel_oracle
 from qmaxcut import (
     Graph,
     QaoaParams,
@@ -19,6 +20,7 @@ from qmaxcut import (
     cut_values_by_basis,
     expectation_cut,
     generate_random_graph,
+    graph,
     init_uniform,
     labels_from_index,
     resolve_qubit_cap,
@@ -76,10 +78,10 @@ def reference_mixer_layer(amps, beta):
 
 
 def whole_block_mix(amps, scratch, beta, n):
-    """``simulator._mix`` before row panels: every block one matrix product
-    over the whole register."""
+    """The mixer before row panels: every block one matrix product over
+    the whole register."""
     src, dst = amps, scratch
-    for lo, block in simulator._mixer_blocks(beta, n):
+    for lo, block in kernel_oracle.mixer_blocks(beta, n):
         size = block.shape[0]
         if lo == 0:
             np.matmul(src.reshape(-1, size), block, out=dst.reshape(-1, size))
@@ -313,7 +315,7 @@ class TestMixerLayer:
                 out = np.kron(out, m)
             return out
 
-        blocks = simulator._mixer_blocks(beta, n)
+        blocks = simulator._Mixer(n, ()).weigh(beta)
         assert [lo for lo, _ in blocks] == list(range(0, n, 4))
         for lo, block in blocks:
             k = min(4, n - lo)
@@ -328,7 +330,7 @@ class TestMixerLayer:
     @pytest.mark.parametrize("n", range(1, 14))
     def test_blocks_match_the_reference_blocks_bit_for_bit(self, n, beta):
         expected = reference_mixer_blocks(beta, n)
-        blocks = simulator._mixer_blocks(beta, n)
+        blocks = simulator._Mixer(n, ()).weigh(beta)
         assert [lo for lo, _ in blocks] == [lo for lo, _ in expected]
         for (_, block), (_, want) in zip(blocks, expected):
             assert block.dtype == want.dtype and block.shape == want.shape
@@ -346,7 +348,8 @@ class TestMixerLayer:
         amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
         beta = rng.uniform(-3.0, 3.0)
         want = whole_block_mix(amps.copy(), np.empty_like(amps), beta, n)
-        got = simulator._mix(amps, np.empty_like(amps), beta, n)
+        scratch = np.empty_like(amps)
+        got = simulator._Mixer(n, (amps, scratch))(amps, scratch, beta)
         assert got.tobytes() == want.tobytes()
 
     def test_peak_memory_is_one_scratch_state(self):
@@ -443,6 +446,18 @@ class TestCircuit:
         monkeypatch.setenv("QMAXCUT_QUBIT_CAP", "5")
         with pytest.raises(ResourceLimitError):
             apply_qaoa_circuit(Graph(6, ((0, 1),)), QaoaParams(gammas=(0.1,), betas=(0.1,)))
+
+    def test_cap_is_resolved_once_per_call(self, monkeypatch):
+        calls = []
+        resolve = graph.resolve_qubit_cap
+
+        def counting():
+            calls.append(None)
+            return resolve()
+
+        monkeypatch.setattr(graph, "resolve_qubit_cap", counting)
+        apply_qaoa_circuit(TRIANGLE, QaoaParams(gammas=(0.4, 0.1), betas=(0.3, 0.2)))
+        assert len(calls) == 1
 
     @given(graph_param_cases())
     @settings(max_examples=60, deadline=None)
