@@ -42,6 +42,8 @@ class PipelineConfig:
         # ``not 0 <= x < inf`` also refuses NaN, for which every comparison is False.
         if not 0 <= self.offload_latency < math.inf:
             raise ValueError(f"latency must be finite and non-negative, got {self.offload_latency}")
+        # ``0 <= -0.0`` holds too; adding +0.0 turns -0.0 into 0.0 and nothing else.
+        object.__setattr__(self, "offload_latency", self.offload_latency + 0.0)
 
 
 @dataclass(frozen=True)

@@ -4,21 +4,27 @@ The register holds ``2**n`` complex128 amplitudes; basis index ``b``
 encodes vertex ``i`` in bit ``i`` (see :mod:`qmaxcut.graph`).  The cost
 operator is diagonal in this basis -- basis state ``b`` has eigenvalue
 equal to its cut value -- so a cost layer is a pure phase multiply and
-a mixer layer is one 2x2 rotation per qubit, applied four qubits at a
-time (above bit 3 as real matrices, see :class:`_Mixer`).  One
-layer with angles ``(gamma, beta)`` applies ``exp(-i*beta*X_q)`` on
-every qubit after the phase ``exp(-i*gamma*C(b))`` on every amplitude.
+a mixer layer is one 2x2 rotation per qubit.  One layer with angles
+``(gamma, beta)`` applies ``exp(-i*beta*X_q)`` on every qubit after the
+phase ``exp(-i*gamma*C(b))`` on every amplitude.
 
 The two ``2**n`` allocations here, :func:`init_uniform` and
 :class:`FlipSymmetricWorkspace`, check the qubit cap first (see
 :mod:`qmaxcut.graph`) to keep an accidental large ``n`` from taking the
-host down.  A full-state circuit (the public functions below, which the
-tests use as the half register's reference; they run the same mixer
-kernel, :class:`_Mixer`) holds the state, one state-sized scratch buffer
-or temporary at a time (the mixer's second buffer, the cost layer's
-phase gather, the expectation's product) and the int32 cut table, a
-quarter of the state: about 2.25 times ``2**n * 16`` bytes (2.26 measured under
-tracemalloc at n=20), so about 580 MiB at the default cap.
+host down.
+
+The public full-register functions (:func:`init_uniform`,
+:func:`apply_cost_layer`, :func:`apply_mixer_layer`,
+:func:`apply_qaoa_circuit`, :func:`expectation_cut`) are the
+first-principles reference that the tests hold the workspace to: one
+2x2 product per qubit and the full cut table, built on each call, with
+no kernel, frame or plan shared with the workspace.  A full-state
+circuit holds the state, one state-sized scratch buffer or temporary at
+a time (the mixer's second buffer, the cost layer's phase gather, the
+expectation's product) and the int32 cut table, a quarter of the state:
+about 2.25 times ``2**n * 16`` bytes (2.26 measured under tracemalloc at
+n=20), so about 580 MiB at the default cap.
+
 ``run_qaoa`` uses none of them: its evaluations at depth 2 or more
 (depth 1 has a closed form in :mod:`qmaxcut.qaoa`), its final state,
 the probabilities and the cut it picks from them are all prepared on
@@ -27,17 +33,18 @@ the flip-symmetric half of the register, by one
 buffer and the low half of the cut table as ``intp``, 1.25 times
 ``2**n * 16`` bytes.  That table is built vertex by vertex in
 ``O(2**n)`` (:func:`qmaxcut.graph.half_cut_values_by_basis`), not by
-one add per edge.  An evaluation that builds its own workspace peaks at
-1.38 times that at n=18.  One on a reused workspace allocates 0.063
-times it, the same as before the workspace held its plan: both are the
-top qubit's rotation, its ``sin(b) * f`` (one entry per row of 16
-amplitudes) and the buffer numpy takes for that broadcast product
-(8,192 entries, so the whole half state below n=15).  The
-plan (the mixer's blocks and the views of each buffer, the phase
-table) is built with the workspace, so an evaluation rebuilds nothing
-that does not depend on its angles.  The mixer's blocks above bit 3 run
-in real arithmetic, and from ``2**17`` amplitudes the large blocks
-multiply row panels that stay in cache (:class:`_Mixer`).
+one add per edge.  The workspace's mixer takes the qubits four at a
+time (:class:`_Mixer`).  An evaluation that builds its own workspace peaks at 1.38 times that at
+n=18.  One on a reused workspace allocates 0.063 times it, the same as
+before the workspace held its plan: both are the top qubit's rotation,
+its ``sin(b) * f`` (one entry per row of 16 amplitudes) and the buffer
+numpy takes for that broadcast product (8,192 entries, so the whole
+half state below n=15).  The plan (the mixer's blocks and the views of
+each buffer, the phase table) is built with the workspace, so an
+evaluation rebuilds nothing that does not depend on its angles.  The
+mixer's blocks above bit 3 run in real arithmetic, and from ``2**17``
+amplitudes the large blocks multiply row panels that stay in cache
+(:class:`_Mixer`).
 """
 
 from __future__ import annotations
@@ -142,40 +149,28 @@ class StateVector:
 def init_uniform(n: int) -> StateVector:
     """Uniform superposition over all ``2**n`` basis states."""
     _check_cap(n)
-    return _uniform(n)
-
-
-def _uniform(n: int) -> StateVector:
     size = 1 << max(n, 0)  # StateVector refuses n < 1
     amps = np.full(size, 1.0 / math.sqrt(size), dtype=np.complex128)
     return StateVector(n_qubits=n, amplitudes=amps)
 
 
-def _cut_table(sv: StateVector, g: Graph, table: np.ndarray | None = None) -> np.ndarray:
-    """``table``, else ``g``'s full cut table, for a state on ``g``'s vertices."""
+def _cut_table(sv: StateVector, g: Graph) -> np.ndarray:
+    """``g``'s full cut table, for a state on ``g``'s vertices."""
     if g.n != sv.n_qubits:
         raise ValueError(f"graph has {g.n} vertices but state has {sv.n_qubits} qubits")
-    return cut_values_by_basis(g) if table is None else table
+    return cut_values_by_basis(g)
 
 
-def apply_cost_layer(
-    sv: StateVector,
-    g: Graph,
-    gamma: float,
-    *,
-    cut_table: np.ndarray | None = None,
-) -> StateVector:
+def apply_cost_layer(sv: StateVector, g: Graph, gamma: float) -> StateVector:
     """Phase ``exp(-i*gamma*C(b))`` on every amplitude, in place.
 
-    Cut values are integers in ``[0, m]``, so the distinct phases are
-    precomputed once and gathered through the cut-value table.  Pass
-    ``cut_table`` (from :func:`qmaxcut.graph.cut_values_by_basis`) to
-    amortize the table across layers and evaluations.  Returns the
-    mutated state for chaining.
+    Cut values are integers in ``[0, m]``, so the ``m + 1`` distinct
+    phases are computed once and gathered through ``g``'s full cut table
+    (:func:`qmaxcut.graph.cut_values_by_basis`), built afresh on each
+    call.  Returns the mutated state for chaining.
     """
-    cut_table = _cut_table(sv, g, cut_table)
     phases = np.exp(-1j * float(gamma) * np.arange(g.m + 1))
-    sv.amplitudes *= phases[cut_table]
+    sv.amplitudes *= phases[_cut_table(sv, g)]
     return sv
 
 
@@ -309,39 +304,34 @@ def _frame(n: int) -> np.ndarray:
 def apply_mixer_layer(sv: StateVector, beta: float) -> StateVector:
     """``exp(-i*beta*X_q)`` on every qubit ``q``, in place.
 
-    All rotations commute, so the qubits are taken in blocks of
-    ``MIXER_BLOCK_QUBITS``, each applied as one matrix product (see
-    :class:`_Mixer`, which the workspace runs too).  The state is moved
-    into the frame in place, mixed through one state-sized scratch
-    buffer, and moved back; the frame is built again for the way back,
-    so that it never coexists with the scratch buffer.
-    ``sv.amplitudes`` keeps its array object.  Returns the mutated state
-    for chaining.
+    Per qubit, one product of ``R = [[cos b, -i sin b], [-i sin b, cos
+    b]]`` with the state viewed as ``(-1, 2, 2**q)``: the pairs of
+    amplitudes that differ in bit ``q`` alone.  The products alternate
+    between the state and one state-sized scratch buffer, and the result
+    is copied back when it ends in the scratch.  ``sv.amplitudes`` keeps
+    its array object.  Returns the mutated state for chaining.
     """
-    n = sv.n_qubits
-    rows = sv.amplitudes.reshape(1 << max(0, n - MIXER_BLOCK_QUBITS), -1)
-    rows *= _frame(n).conj()[:, None]
-    scratch = np.empty_like(sv.amplitudes)
-    if _Mixer(n, (sv.amplitudes, scratch))(sv.amplitudes, scratch, beta) is scratch:
-        sv.amplitudes[...] = scratch
-    del scratch
-    rows *= _frame(n)[:, None]
+    c, s = math.cos(beta), -1j * math.sin(beta)
+    rotation = np.array([[c, s], [s, c]])
+    src, dst = sv.amplitudes, np.empty_like(sv.amplitudes)
+    for q in range(sv.n_qubits):
+        np.matmul(rotation, src.reshape(-1, 2, 1 << q), out=dst.reshape(-1, 2, 1 << q))
+        src, dst = dst, src
+    if src is not sv.amplitudes:
+        sv.amplitudes[...] = src
     return sv
 
 
 def apply_qaoa_circuit(g: Graph, params: QaoaParams) -> StateVector:
     """Prepare the layered ansatz state for ``g`` at the given angles.
 
-    Starts from the uniform superposition and applies ``p`` layers,
-    cost phase first and mixer second within each layer; the cut table
-    is built once and shared by every cost layer; building it checks
-    the qubit cap for the state as well, once per call.
+    Starts from the uniform superposition (:func:`init_uniform`) and
+    applies ``p`` layers, :func:`apply_cost_layer` first and
+    :func:`apply_mixer_layer` second within each layer.
     """
-    cut_table = cut_values_by_basis(g)
-    sv = _uniform(g.n)
+    sv = init_uniform(g.n)
     for gamma, beta in zip(params.gammas, params.betas):
-        apply_cost_layer(sv, g, gamma, cut_table=cut_table)
-        apply_mixer_layer(sv, beta)
+        apply_mixer_layer(apply_cost_layer(sv, g, gamma), beta)
     return sv
 
 

@@ -591,11 +591,11 @@ class TestLatencyFlag:
         assert f"argument --latency: invalid decimal value: {text!r}" in captured.err
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("text", ["0", "0.5", "0.002", "1e-3"])
+    @pytest.mark.parametrize("text", ["0", "-0", "0.5", "0.002", "1e-3"])
     def test_accepted_spellings_read_as_float(self, text, capsys):
         assert cli.main(["solve", "--gen", "4,3", "--algo", "qaoa", "--latency", text]) == 0
         (block,) = kv_blocks(capsys.readouterr().out)
-        overhead = int(block["offload_count"]) * float(text)
+        overhead = int(block["offload_count"]) * abs(float(text))  # -0 reads as 0.0
         assert block["simulated_comm_overhead"] == repr(overhead)
 
 

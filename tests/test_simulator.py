@@ -1,5 +1,7 @@
+import ast
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +22,6 @@ from qmaxcut import (
     cut_values_by_basis,
     expectation_cut,
     generate_random_graph,
-    graph,
     init_uniform,
     labels_from_index,
     resolve_qubit_cap,
@@ -226,12 +227,6 @@ class TestCostLayer:
             expected = (-1.0) ** cut_value(EDGE, labels_from_index(2, index))
             assert sv.amplitudes[index] == pytest.approx(expected, abs=1e-12)
 
-    def test_accepts_precomputed_table(self):
-        table = cut_values_by_basis(TRIANGLE)
-        a = apply_cost_layer(init_uniform(3), TRIANGLE, 0.7, cut_table=table)
-        b = apply_cost_layer(init_uniform(3), TRIANGLE, 0.7)
-        np.testing.assert_array_equal(a.amplitudes, b.amplitudes)
-
     @given(graph_param_cases())
     @settings(max_examples=40, deadline=None)
     def test_probabilities_untouched(self, case):
@@ -250,6 +245,28 @@ class TestCostLayer:
 def test_graph_of_another_size_is_refused(apply, n):
     with pytest.raises(ValueError, match=f"graph has {n} vertices but state has 3 qubits"):
         apply(init_uniform(3), Graph(n, ((0, 1),)))
+
+
+REFERENCE = ("init_uniform", "apply_cost_layer", "apply_mixer_layer", "apply_qaoa_circuit",
+             "expectation_cut")
+WORKSPACE_ONLY = {"_Mixer", "_frame", "_NIBBLE_FRAME", "_flip_symmetric_state", "_circuit",
+                  "FlipSymmetricWorkspace", "half_cut_values_by_basis"}
+
+
+@pytest.mark.parametrize("name", REFERENCE)
+def test_the_full_register_reference_shares_no_kernel_with_the_workspace(name):
+    # The function and every module-level function it names, transitively,
+    # name nothing that the workspace runs.
+    tree = ast.parse(Path(simulator.__file__).read_text(encoding="utf-8"))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    names, todo = {name}, [name]
+    while todo:
+        found = {getattr(node, "id", None) or getattr(node, "attr", None)
+                 for node in ast.walk(functions[todo.pop()])}
+        todo += (found & functions.keys()) - names
+        names |= found
+    shared = names & WORKSPACE_ONLY
+    assert not shared, f"{name} reaches {sorted(shared)}"
 
 
 class TestMixerLayer:
@@ -290,6 +307,18 @@ class TestMixerLayer:
         assert sv.amplitudes is buffer
         expected = reference_mixer_layer(amps.copy(), beta)
         np.testing.assert_allclose(sv.amplitudes, expected, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_the_dense_exponential(self, n):
+        # exp(-i b sum_q X_q) as one dense 2**n x 2**n matrix; X_q acts on bit q.
+        x = np.array([[0.0, 1.0], [1.0, 0.0]])
+        mixer = sum(np.kron(np.kron(np.eye(1 << (n - 1 - q)), x), np.eye(1 << q)) for q in range(n))
+        rng = np.random.default_rng(n)
+        amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        amps /= np.linalg.norm(amps)
+        for beta in (0.37, -1.2, math.pi / 2, 2.9, float(rng.uniform(-7.0, 7.0))):
+            got = apply_mixer_layer(StateVector(n, amps.copy()), beta).amplitudes
+            np.testing.assert_allclose(got, expm(-1j * beta * mixer) @ amps, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("beta", [0.0, 0.37, -1.2, math.pi / 2, 2.9])
     def test_real_rotation_in_the_frame_is_the_qubit_mixer(self, beta):
@@ -353,9 +382,9 @@ class TestMixerLayer:
         assert got.tobytes() == want.tobytes()
 
     def test_peak_memory_is_one_scratch_state(self):
-        # n=16: the state is 1 MiB.  The fused layer allocates one
-        # state-sized scratch buffer and nothing else of that size; the
-        # per-qubit passes peaked at 1.63x.
+        # n=16: the state is 1 MiB.  The layer allocates one state-sized
+        # scratch buffer and nothing else of that size; per-qubit passes
+        # written as numpy expressions peaked at 1.63x.
         sv = init_uniform(16)
         apply_cost_layer(sv, generate_random_graph(16, 30, 0), 0.4)
         tracemalloc.start()
@@ -446,18 +475,6 @@ class TestCircuit:
         monkeypatch.setenv("QMAXCUT_QUBIT_CAP", "5")
         with pytest.raises(ResourceLimitError):
             apply_qaoa_circuit(Graph(6, ((0, 1),)), QaoaParams(gammas=(0.1,), betas=(0.1,)))
-
-    def test_cap_is_resolved_once_per_call(self, monkeypatch):
-        calls = []
-        resolve = graph.resolve_qubit_cap
-
-        def counting():
-            calls.append(None)
-            return resolve()
-
-        monkeypatch.setattr(graph, "resolve_qubit_cap", counting)
-        apply_qaoa_circuit(TRIANGLE, QaoaParams(gammas=(0.4, 0.1), betas=(0.3, 0.2)))
-        assert len(calls) == 1
 
     @given(graph_param_cases())
     @settings(max_examples=60, deadline=None)
