@@ -24,6 +24,7 @@ SRC = HERE.parents[1] / "src"
 
 RUNS = {
     **{f"bench_seed{seed}.csv": ("bench", "--seed", str(seed)) for seed in (0, 1, 2)},
+    "bench_seed0_shots64.csv": ("bench", "--seed", "0", "--shots", "64"),
     **{f"solve_{n}_{m}.txt": ("solve", "--gen", f"{n},{m}", "--algo", "all", "--depth", "1,2,3")
        for n, m in ((9, 14), (12, 20), (16, 30))},
 }
