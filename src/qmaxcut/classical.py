@@ -16,11 +16,8 @@ class SolveResult:
 
     assignment: CutAssignment
     elapsed: float
-    algorithm_tag: str
 
     def __post_init__(self):
-        if self.algorithm_tag not in ("brute_force", "greedy"):
-            raise ValueError(f"unknown algorithm tag {self.algorithm_tag!r}")
         if self.elapsed < 0:
             raise ValueError("elapsed time cannot be negative")
 
@@ -44,11 +41,7 @@ def brute_force_maxcut(g: Graph) -> SolveResult:
     assignment = CutAssignment(
         labels=labels_from_index(g.n, best), cut_value=int(table[best])
     )
-    return SolveResult(
-        assignment=assignment,
-        elapsed=time.perf_counter() - t0,
-        algorithm_tag="brute_force",
-    )
+    return SolveResult(assignment=assignment, elapsed=time.perf_counter() - t0)
 
 
 def greedy_maxcut(g: Graph) -> SolveResult:
@@ -69,8 +62,4 @@ def greedy_maxcut(g: Graph) -> SolveResult:
         if 2 * on_minus < placed.bit_count():
             minus |= 1 << v
     assignment = CutAssignment.from_labels(g, labels_from_index(g.n, minus))
-    return SolveResult(
-        assignment=assignment,
-        elapsed=time.perf_counter() - t0,
-        algorithm_tag="greedy",
-    )
+    return SolveResult(assignment=assignment, elapsed=time.perf_counter() - t0)

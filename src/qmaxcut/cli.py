@@ -352,7 +352,3 @@ def main(argv=None) -> int:
     except ResourceLimitError as exc:
         print(f"qmaxcut: {exc}", file=sys.stderr)
         return 3
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -5,6 +5,10 @@ Kept only as a bit-for-bit oracle for :mod:`qmaxcut.simulator`, whose
 workspace must prepare the same bits.  It reads the workspace's buffers,
 start vector, flip term and cut table, and the simulator's block-size
 and row-panel constants (which tests may patch), and nothing of its plan.
+The one exception, :func:`plan_mix`, is the subject, not the oracle: the
+plan's ``_Mixer`` in :func:`mix`'s signature.  :func:`mixer_layer` runs
+either on the whole register, so the tests check the plan's mixer against
+:func:`mix` and against the per-qubit ``simulator.apply_mixer_layer``.
 """
 
 import math
@@ -68,6 +72,24 @@ def mix(amps, scratch, beta, n):
             )
         src, dst = dst, src
     return src
+
+
+def plan_mix(amps, scratch, beta, n):
+    """The plan's mixer, ``simulator._Mixer``, built for ``amps`` and ``scratch``."""
+    return simulator._Mixer(n, (amps, scratch))(amps, scratch, beta)
+
+
+def mixer_layer(amps, beta, kernel):
+    """A full-register mixer layer through ``kernel(amps, scratch, beta, n)``
+    (:func:`mix` or :func:`plan_mix`), in the mixer's frame."""
+    n = amps.size.bit_length() - 1
+    rows = amps.reshape(1 << max(0, n - simulator.MIXER_BLOCK_QUBITS), -1)
+    rows *= simulator._frame(n).conj()[:, None]
+    scratch = np.empty_like(amps)
+    if kernel(amps, scratch, beta, n) is scratch:
+        amps[...] = scratch
+    rows *= simulator._frame(n)[:, None]
+    return amps
 
 
 def flip_symmetric_state(circuit, ws):

@@ -141,7 +141,6 @@ class TestBruteForce:
     def test_result_shape(self):
         res = brute_force_maxcut(TRIANGLE)
         assert isinstance(res, SolveResult)
-        assert res.algorithm_tag == "brute_force"
         assert res.elapsed >= 0.0
         assert cut_value(TRIANGLE, res.assignment.labels) == res.assignment.cut_value
 
@@ -218,7 +217,6 @@ class TestGreedy:
 
     def test_result_shape(self):
         res = greedy_maxcut(C4)
-        assert res.algorithm_tag == "greedy"
         assert res.elapsed >= 0.0
         assert cut_value(C4, res.assignment.labels) == res.assignment.cut_value
 
@@ -243,15 +241,10 @@ class TestGreedy:
 
 
 class TestSolveResultValidation:
-    def test_rejects_unknown_tag(self):
-        a = greedy_maxcut(TRIANGLE).assignment
-        with pytest.raises(ValueError):
-            SolveResult(assignment=a, elapsed=0.0, algorithm_tag="annealing")
-
     def test_rejects_negative_elapsed(self):
         a = greedy_maxcut(TRIANGLE).assignment
         with pytest.raises(ValueError):
-            SolveResult(assignment=a, elapsed=-1.0, algorithm_tag="greedy")
+            SolveResult(assignment=a, elapsed=-1.0)
 
 
 @pytest.mark.slow

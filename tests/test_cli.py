@@ -438,7 +438,7 @@ class TestBench:
         def fake_solver(algo):
             def solve(g):
                 cut, elapsed = classical[algo].pop(0)
-                return SolveResult(CutAssignment(labels, cut), elapsed, algo)
+                return SolveResult(CutAssignment(labels, cut), elapsed)
             return solve
 
         qaoa_runs = {}  # (trial, depth) -> (warm_params, result)

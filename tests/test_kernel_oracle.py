@@ -15,7 +15,7 @@ import pytest
 
 import kernel_oracle
 from qmaxcut import QaoaParams, generate_random_graph, simulator
-from qmaxcut.simulator import FlipSymmetricWorkspace, _circuit, _frame
+from qmaxcut.simulator import FlipSymmetricWorkspace, _circuit
 
 SIZES = [*range(1, 15), 17, 18]  # 17 and 18 take the row-panel products
 
@@ -91,23 +91,6 @@ def test_plan_matches_the_per_call_kernel_in_row_panels(monkeypatch, n):
     assert all(np.array_equal(a, b) for a, b in zip(states, want_states))
 
 
-def _mixer_layer(amps, beta, mix):
-    """A full-register mixer layer through ``mix(amps, scratch, beta, n)``, in
-    the mixer's frame."""
-    n = amps.size.bit_length() - 1
-    rows = amps.reshape(1 << max(0, n - simulator.MIXER_BLOCK_QUBITS), -1)
-    rows *= _frame(n).conj()[:, None]
-    scratch = np.empty_like(amps)
-    if mix(amps, scratch, beta, n) is scratch:
-        amps[...] = scratch
-    rows *= _frame(n)[:, None]
-    return amps
-
-
-def _plan_mix(amps, scratch, beta, n):
-    return simulator._Mixer(n, (amps, scratch))(amps, scratch, beta)
-
-
 @pytest.mark.parametrize("n", range(1, 15))
 def test_full_register_mixer_matches_the_per_call_kernel(n):
     # The plan's mixer (_Mixer) on the whole register, as the workspace
@@ -115,5 +98,5 @@ def test_full_register_mixer_matches_the_per_call_kernel(n):
     rng = np.random.default_rng(n)
     amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
     for beta in (0.0, -0.0, 0.37, -2.9, float(rng.uniform(-7.0, 7.0))):
-        got = _mixer_layer(amps.copy(), beta, _plan_mix)
-        assert np.array_equal(got, _mixer_layer(amps.copy(), beta, kernel_oracle.mix))
+        got = kernel_oracle.mixer_layer(amps.copy(), beta, kernel_oracle.plan_mix)
+        assert np.array_equal(got, kernel_oracle.mixer_layer(amps.copy(), beta, kernel_oracle.mix))

@@ -249,29 +249,6 @@ class TestFlipSymmetricHalf:
         assert len(calls) == 1
 
 
-def _every_kernel_state(params, ws):
-    """Reference for ``simulator._flip_symmetric_state``: the same layers,
-    with every cost phase, mixer and top-qubit rotation run, whatever the
-    angle."""
-    g = ws.graph
-    w, scratch = ws.state, ws.scratch
-    rows = ws.start.size
-    w.reshape(rows, -1)[...] = ws.start
-    levels = np.arange(g.m + 1)
-    for gamma, beta in zip(params.gammas, params.betas):
-        np.take(np.exp(-1j * float(gamma) * levels), ws.low_table, out=scratch, mode="clip")
-        w *= scratch
-        mixed = kernel_oracle.mix(w, scratch, beta, g.n - 1)
-        if mixed is not w:
-            w, scratch = mixed, w
-        np.multiply(
-            w[::-1].reshape(rows, -1), math.sin(beta) * ws.flip, out=scratch.reshape(rows, -1)
-        )
-        w *= math.cos(beta)
-        w += scratch
-    return w, scratch
-
-
 def _half_outputs(g, params):
     """State, expectation ``repr`` and probability bytes on the half register."""
     ws = simulator.FlipSymmetricWorkspace(g)
@@ -286,8 +263,11 @@ class TestZeroAngleSkip:
     def assert_matches_every_kernel(self, g, params):
         state, expectation, probs = _half_outputs(g, params)
         with pytest.MonkeyPatch.context() as mp:
+            # Every half-layer, zero angles included: each kernel runs whatever the angle.
+            every = tuple(h for gb in zip(params.gammas, params.betas) for h in enumerate(gb))
             mp.setattr(
-                simulator, "_flip_symmetric_state", lambda circuit, ws: _every_kernel_state(params, ws)
+                simulator, "_flip_symmetric_state",
+                lambda circuit, ws: kernel_oracle.flip_symmetric_state(every, ws),
             )
             ref_state, ref_expectation, ref_probs = _half_outputs(g, params)
         # ``==``: a skipped kernel may leave a zero component with the other sign.
@@ -828,15 +808,20 @@ class TestRunOnTheHalf:
         assert result.best_expectation == pytest.approx(expectation_cut(sv, g), abs=1e-12)
         assert result.best_cut == _extract_assignment(sv, g, cfg, cut_values_by_basis(g))
 
-    @pytest.mark.parametrize(("shots", "bound"), [(0, 1.7), (4096, 1.9)])
-    def test_run_peak_memory(self, shots, bound):
+    @pytest.mark.parametrize(
+        ("p", "shots", "bound"), [(2, 0, 1.7), (2, 4096, 1.9), (1, 64, 1.4)],
+        ids=["0-1.7", "4096-1.9", "p1-64-1.4"],
+    )
+    def test_run_peak_memory(self, p, shots, bound):
         # n=18: the full state would be 4 MiB.  The workspace is 1.25x; the
         # threshold scan adds one intp half table (reads 1.60x), a sampled
         # run the buffer that keeps its best state, 0.5x, where the sampler
-        # once copied its cumulative distribution (reads 1.85x).  The
-        # full-register final state peaked at 2.27x either way.
+        # once copied its cumulative distribution (reads 1.85x).  A depth-1
+        # run simulates no evaluation, so a sampled one keeps no state
+        # (reads 1.32x; 1.82x when it kept one).  The full-register final
+        # state peaked at 2.27x either way.
         g = generate_random_graph(18, 34, 0)
-        cfg = QaoaConfig(p=2, budget=6, restarts=2, seed=0, shots=shots)
+        cfg = QaoaConfig(p=p, budget=6, restarts=2, seed=0, shots=shots)
         full_state = (1 << g.n) * 16
         tracemalloc.start()
         try:

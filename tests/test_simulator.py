@@ -39,64 +39,6 @@ def basis_state(n, index):
     return StateVector(n_qubits=n, amplitudes=amps)
 
 
-def reference_mixer_blocks(beta, n):
-    """The mixer blocks as once built: per block, a weight array fancy-indexed
-    by bit difference, then multiplied by the signs for the real blocks."""
-    size = 1 << simulator.MIXER_BLOCK_QUBITS
-    diffs = np.array([[bin(i ^ j).count("1") for j in range(size)] for i in range(size)])
-    signs = np.array([[(-1.0) ** bin(i & ~j).count("1") for j in range(size)] for i in range(size)])
-
-    def power(c, s, k):
-        return np.array([c ** (k - d) * s**d for d in range(k + 1)])[diffs[: 1 << k, : 1 << k]]
-
-    c, s = math.cos(beta), math.sin(beta)
-    blocks = []
-    for lo in range(0, n, 4):
-        k = min(4, n - lo)
-        if lo == 0:
-            block = power(c, -1j * s, k)
-        elif lo > 4 and k == 4:
-            block = blocks[-1][1]
-        else:
-            block = power(c, s, k) * signs[: 1 << k, : 1 << k]
-        blocks.append((lo, block))
-    return blocks
-
-
-def reference_mixer_layer(amps, beta):
-    """The per-qubit mixer the fused kernel replaced: one strided 2x2 pass per qubit."""
-    c = math.cos(beta)
-    s = -1j * math.sin(beta)
-    for q in range(amps.size.bit_length() - 1):
-        block = amps.reshape(-1, 2, 1 << q)
-        lo = block[:, 0, :]
-        hi = block[:, 1, :]
-        new_lo = c * lo + s * hi
-        hi *= c
-        hi += s * lo
-        lo[:] = new_lo
-    return amps
-
-
-def whole_block_mix(amps, scratch, beta, n):
-    """The mixer before row panels: every block one matrix product over
-    the whole register."""
-    src, dst = amps, scratch
-    for lo, block in kernel_oracle.mixer_blocks(beta, n):
-        size = block.shape[0]
-        if lo == 0:
-            np.matmul(src.reshape(-1, size), block, out=dst.reshape(-1, size))
-        else:
-            shape = (-1, size, 2 << lo)
-            np.matmul(
-                block,
-                src.view(np.float64).reshape(shape),
-                out=dst.view(np.float64).reshape(shape),
-            )
-        src, dst = dst, src
-    return src
-
-
 def random_states():
     """Normalised complex states on 1..13 qubits (every ``n mod 4``)."""
 
@@ -305,7 +247,8 @@ class TestMixerLayer:
         buffer = sv.amplitudes
         assert apply_mixer_layer(sv, beta) is sv
         assert sv.amplitudes is buffer
-        expected = reference_mixer_layer(amps.copy(), beta)
+        # The workspace's fused mixer (_Mixer), run in its frame on the whole register.
+        expected = kernel_oracle.mixer_layer(amps.copy(), beta, kernel_oracle.plan_mix)
         np.testing.assert_allclose(sv.amplitudes, expected, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("n", range(1, 9))
@@ -358,7 +301,7 @@ class TestMixerLayer:
     @pytest.mark.parametrize("beta", [0.0, 0.37, math.pi / 2, 2.9])
     @pytest.mark.parametrize("n", range(1, 14))
     def test_blocks_match_the_reference_blocks_bit_for_bit(self, n, beta):
-        expected = reference_mixer_blocks(beta, n)
+        expected = kernel_oracle.mixer_blocks(beta, n)
         blocks = simulator._Mixer(n, ()).weigh(beta)
         assert [lo for lo, _ in blocks] == [lo for lo, _ in expected]
         for (_, block), (_, want) in zip(blocks, expected):
@@ -370,13 +313,15 @@ class TestMixerLayer:
     def test_row_panels_match_the_whole_block_product(self, monkeypatch, n, forced):
         # The rule leaves n <= 16 on whole blocks; forcing panels checks the
         # panel path at those sizes too.
-        if forced:
-            monkeypatch.setattr(simulator, "_PANEL_MIN_QUBITS", 0)
-            monkeypatch.setattr(simulator, "_PANEL_MIN_LO", 8)
         rng = np.random.default_rng(n)
         amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
         beta = rng.uniform(-3.0, 3.0)
-        want = whole_block_mix(amps.copy(), np.empty_like(amps), beta, n)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simulator, "_PANEL_MIN_QUBITS", 64)  # whole blocks only
+            want = kernel_oracle.mix(amps.copy(), np.empty_like(amps), beta, n)
+        if forced:
+            monkeypatch.setattr(simulator, "_PANEL_MIN_QUBITS", 0)
+            monkeypatch.setattr(simulator, "_PANEL_MIN_LO", 8)
         scratch = np.empty_like(amps)
         got = simulator._Mixer(n, (amps, scratch))(amps, scratch, beta)
         assert got.tobytes() == want.tobytes()
