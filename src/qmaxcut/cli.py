@@ -10,13 +10,13 @@ lines (cut, assignment, runtime, and pipeline accounting for qaoa).
 one row per (graph, solver, depth) cell: classical rows carry depth 0
 and a blank expectation; rows whose solver failed keep their identity
 columns and leave cut/runtime_s/expectation blank (the reason goes to
-stderr).  Brute force is skipped, not failed, on cells above the qubit
-cap.  Reruns with identical arguments produce byte-identical output
-except for the runtime_s column, at a fixed BLAS thread count.  When
-the CSV goes to a file, two plot-ready data sets are written next to
-it: ``<stem>.runtime_vs_n.<series>.dat`` (one two-column file per
-algorithm series) and ``<stem>.runtime_vs_p.dat`` (depth vs mean
-runtime).
+stderr).  Brute force is skipped, not failed, where it refuses a cell
+above the qubit cap: its row is left out.  Reruns with identical
+arguments produce byte-identical output except for the runtime_s
+column, at a fixed BLAS thread count.  When the CSV goes to a file, two
+plot-ready data sets are written next to it:
+``<stem>.runtime_vs_n.<series>.dat`` (one two-column file per algorithm
+series) and ``<stem>.runtime_vs_p.dat`` (depth vs mean runtime).
 
 Every integer in the arguments, in the lists ``--sizes``, ``--gen`` and
 ``--depth`` and in the integer flags, is read by :func:`graph.parse_ints`,
@@ -48,7 +48,7 @@ from pathlib import Path
 
 from .classical import brute_force_maxcut, greedy_maxcut
 from .graph import (Graph, ResourceLimitError, generate_random_graph, parse_edge_list,
-                    parse_ints, resolve_qubit_cap, write_edge_list)
+                    parse_ints, write_edge_list)
 from .pipeline import PipelineConfig, run_pipeline
 from .qaoa import QaoaConfig, run_qaoa
 
@@ -175,7 +175,7 @@ def cmd_solve(args) -> int:
                 if depth:
                     report = run_pipeline(g, replace(cfg, qaoa=replace(cfg.qaoa, p=depth)))
                     cut, expectation = report.final_cut, report.qaoa_result.best_expectation
-                    runtime = sum(report.stage_timings.values())
+                    runtime = report.qaoa_result.elapsed + report.postprocess_s
                     lines = [f"depth={depth}", f"assignment={_labels_str(cut.labels)}",
                              *report.as_kv_lines()]
                 else:
@@ -219,7 +219,6 @@ def _plot_data(out_path: str, records: list[BenchRecord]) -> dict[str, str]:
 
 def cmd_bench(args) -> int:
     depths = args.depth
-    cap = resolve_qubit_cap()
     # Every setting is checked before the first solver runs; no config owns --trials.
     cfg = QaoaConfig(p=depths[0], budget=args.budget, restarts=args.restarts, shots=args.shots)
     if args.trials < 1:
@@ -228,12 +227,10 @@ def cmd_bench(args) -> int:
         cells, failures = [], 0  # (n, m, graph seed, rows) per cell
         for cell_index, (n, m) in enumerate(args.sizes):
             graph_seed = args.seed + cell_index
-            # Brute force resolves the same cap, so within it it cannot raise.
-            classical = ("brute_force", "greedy") if n <= cap else ("greedy",)
             # (cut, runtime_s, expectation) per row, blank until measured:
             # the rows a failure leaves blank are emitted blank.
             rows = dict.fromkeys(
-                [(algo, 0) for algo in classical] + [("qaoa", d) for d in depths], (None,) * 3
+                [("brute_force", 0), ("greedy", 0)] + [("qaoa", d) for d in depths], (None,) * 3
             )
             cells.append((n, m, graph_seed, rows))
             try:
@@ -243,10 +240,13 @@ def cmd_bench(args) -> int:
                 failures += 1
                 continue
 
-            if n > cap:
-                print(f"bench: skipping brute_force on n={n} (cap {cap})", file=sys.stderr)
-            for algo in classical:
-                runs = [_classical_solver(algo)(g) for _ in range(args.trials)]
+            for algo in ("brute_force", "greedy"):
+                try:
+                    runs = [_classical_solver(algo)(g) for _ in range(args.trials)]
+                except ResourceLimitError as exc:  # brute force above the cap: skipped, not failed
+                    print(f"bench: skipping {algo} on n={n}: {exc}", file=sys.stderr)
+                    del rows[algo, 0]
+                    continue
                 res, runtime = _first_and_mean(runs)
                 rows[algo, 0] = (res.assignment.cut_value, runtime, None)
 

@@ -35,6 +35,7 @@ The algorithm, fixed for reproducibility:
 
 from __future__ import annotations
 
+import operator
 import os
 import re
 from dataclasses import dataclass
@@ -64,24 +65,36 @@ class EdgeListParseError(ValueError):
         self.line = line
 
 
-def _check_counts(n: int, m: int = 0) -> int:
-    """Refuse a vertex count ``n`` below 1 or an edge count ``m`` outside
-    ``[0, n(n-1)/2]``; returns that bound, the number of vertex pairs."""
-    if not isinstance(n, int):
-        raise ValueError(f"vertex count must be an int, got {n!r}")
+def _index(value, what: str) -> int:
+    """``value`` as a Python ``int``, so that ``1 << n`` stays exact: the one
+    integer rule for vertex counts, edge counts, endpoints and seeds.  Whatever
+    ``operator.index`` refuses, a float or a string, raises ``ValueError``
+    naming it; nothing is truncated."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an int, got {value!r}") from None
+
+
+def _check_counts(n, m=0) -> tuple[int, int, int]:
+    """``n`` and ``m`` as ints, refusing a vertex count ``n`` below 1 or an
+    edge count ``m`` outside ``[0, n(n-1)/2]``; returns them and that
+    bound, the number of vertex pairs."""
+    n, m = _index(n, "vertex count"), _index(m, "edge count")
     if n < 1:
         raise ValueError(f"vertex count must be positive, got {n}")
     total = n * (n - 1) // 2
     if not (0 <= m <= total):
         raise ValueError(f"edge count {m} outside [0, {total}] for n={n}")
-    return total
+    return n, m, total
 
 
-def _canonical_edge(n: int, a: int, b: int, seen: set[tuple[int, int]]) -> tuple[int, int]:
+def _canonical_edge(n: int, a, b, seen: set[tuple[int, int]]) -> tuple[int, int]:
     """Edge ``(a, b)`` of an ``n``-vertex graph as ``(u, v)`` with ``u < v``,
-    added to ``seen``, the edges before it.  A self-loop, an endpoint
-    outside ``0 .. n-1`` or an edge already in ``seen`` raises
-    ``ValueError``, naming the pair as written."""
+    added to ``seen``, the edges before it.  An endpoint that is not an
+    int, a self-loop, an endpoint outside ``0 .. n-1`` or an edge already
+    in ``seen`` raises ``ValueError``, naming the pair as written."""
+    a, b = _index(a, "edge endpoint"), _index(b, "edge endpoint")
     if a == b:
         raise ValueError(f"self-loop at vertex {a}")
     u, v = (a, b) if a < b else (b, a)
@@ -101,18 +114,15 @@ class Graph:
     edges: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
-        _check_counts(self.n)
+        n = _check_counts(self.n)[0]
         seen: set[tuple[int, int]] = set()
-        canon = [_canonical_edge(self.n, int(a), int(b), seen) for a, b in self.edges]
+        canon = [_canonical_edge(n, a, b, seen) for a, b in self.edges]
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", tuple(sorted(canon)))
 
     @property
     def m(self) -> int:
         return len(self.edges)
-
-    @property
-    def max_edges(self) -> int:
-        return self.n * (self.n - 1) // 2
 
     @cached_property
     def neighbours(self) -> tuple[int, ...]:
@@ -316,8 +326,8 @@ def generate_random_graph(n: int, m: int, seed: int) -> Graph:
     (see the module docstring for the fixed algorithm).  Connectivity is
     not guaranteed.
     """
-    total = _check_counts(n, m)
-    rng = _SplitMix64(seed)
+    n, m, total = _check_counts(n, m)
+    rng = _SplitMix64(_index(seed, "seed"))
     swapped: dict[int, int] = {}
     edges = []
     for i in range(m):

@@ -115,12 +115,6 @@ class QaoaParams:
         """Flat vector ``[g1..gp, b1..bp]`` for the classical optimizer."""
         return np.array(self.gammas + self.betas, dtype=float)
 
-    @classmethod
-    def from_flat(cls, x) -> "QaoaParams":
-        """Inverse of :meth:`to_flat`; the layer rules refuse an odd or empty ``x``."""
-        flat = np.asarray(x, dtype=float).tolist()
-        return cls(gammas=flat[: len(flat) // 2], betas=flat[len(flat) // 2 :])
-
 
 @dataclass
 class StateVector:

@@ -180,6 +180,16 @@ class TestSolve:
         assert header == CSV_HEADER
         assert row.startswith(f"greedy,5,4,0,{block['cut']},{block['runtime_s']},0,")
 
+    def test_qaoa_runtime_is_the_sum_of_its_stage_times(self):
+        res = run_cli("solve", "--gen", "5,4", "--algo", "qaoa", "--depth", "1,2",
+                      "--budget", 20, "--csv", "-")
+        assert res.returncode == 0, res.stderr
+        blocks = kv_blocks(res.stdout.split(CSV_HEADER)[0])
+        rows = [row.split(",") for row in res.stdout.splitlines()[-2:]]
+        for block, row in zip(blocks, rows, strict=True):
+            runtime = float(block["quantum_s"]) + float(block["postprocess_s"])
+            assert block["runtime_s"] == row[5] == repr(runtime)
+
     def test_classical_csv_rows_have_depth_zero_and_no_expectation(self, tmp_path):
         csv = tmp_path / "runs.csv"
         run_cli("solve", "--gen", "4,5", "--seed", 1, "--algo", "all",
@@ -425,6 +435,28 @@ class TestBench:
         greedy_row, qaoa_row = big
         assert greedy_row[4] != ""
         assert qaoa_row[4] == "" and qaoa_row[5] == "" and qaoa_row[7] == ""
+        # The skip line quotes brute force's own refusal.
+        assert ("bench: skipping brute_force on n=8: state and cut table for n=8 exceed "
+                "qubit cap 6 (would allocate 2**8 amplitudes or cut values)\n") in res.stderr
+        assert res.stderr.endswith("bench: 5 rows, 1 failed cells\n")
+
+    def test_a_cell_that_cannot_be_generated_keeps_every_row_blank(self, tmp_path,
+                                                                    monkeypatch, capsys):
+        # No solver ran on n=30, so none refused it: its brute_force row stays, blank.
+        monkeypatch.setenv("QMAXCUT_QUBIT_CAP", "6")
+        out = tmp_path / "bench.csv"
+        assert cli.main(["bench", "--sizes", "4:3,8:10,30:1000", "--depth", "1",
+                         "--budget", "10", "--out", str(out)]) == 4
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert [(r[0], r[1]) for r in rows] == [
+            ("brute_force", "4"), ("greedy", "4"), ("qaoa", "4"),
+            ("greedy", "8"), ("qaoa", "8"),
+            ("brute_force", "30"), ("greedy", "30"), ("qaoa", "30"),
+        ]
+        assert all(r[4] == r[5] == r[7] == "" for r in rows[-3:])
+        err = capsys.readouterr().err
+        assert "bench: skipping cell n=30 m=1000: edge count 1000 outside [0, 435] for n=30" in err
+        assert err.endswith("bench: 8 rows, 2 failed cells\n")
 
     def test_trials_report_the_first_trial_and_the_mean_runtime(self, tmp_path, monkeypatch):
         """Trial ``t`` runs with solver seed ``graph seed + 10000 t``, each

@@ -33,7 +33,7 @@ def random_graphs():
         lambda g: st.builds(
             generate_random_graph,
             st.just(g.n),
-            st.integers(min_value=0, max_value=g.max_edges),
+            st.integers(min_value=0, max_value=g.n * (g.n - 1) // 2),
             st.integers(min_value=0, max_value=2**63),
         )
     )
@@ -80,8 +80,26 @@ class TestGraphConstruction:
         with pytest.raises(ValueError):
             Graph(0, ())
 
-    def test_max_edges(self):
-        assert Graph(5, ()).max_edges == 10
+    @pytest.mark.parametrize("build, message", [
+        (lambda: Graph(4, (("0", "3"), (1.9, 2.2))), "edge endpoint must be an int, got '0'"),
+        (lambda: Graph(4, ((1.9, 2.2),)), "edge endpoint must be an int, got 1.9"),
+        (lambda: Graph(4.0), "vertex count must be an int, got 4.0"),
+        (lambda: generate_random_graph(6.0, 5, 0), "vertex count must be an int, got 6.0"),
+        (lambda: generate_random_graph(6, 2.5, 0), "edge count must be an int, got 2.5"),
+        (lambda: generate_random_graph(6, 5, 1.5), "seed must be an int, got 1.5"),
+    ], ids=["string-endpoint", "float-endpoint", "float-n", "generated-float-n", "generated-float-m",
+            "float-seed"])
+    def test_non_integers_are_refused_not_truncated(self, build, message):
+        with pytest.raises(ValueError) as refused:
+            build()
+        assert str(refused.value) == message
+
+    def test_numpy_integers_are_read_as_python_ints(self):
+        g = Graph(np.int64(4), ((np.int64(0), np.uint8(3)),))
+        assert g == Graph(4, ((0, 3),))
+        assert type(g.n) is int and {type(x) for edge in g.edges for x in edge} == {int}
+        assert generate_random_graph(np.int64(6), np.int64(5), np.int64(3)) == \
+            generate_random_graph(6, 5, 3)
 
     def test_neighbours_set_one_bit_per_edge_end(self):
         g = Graph(4, ((0, 1), (0, 2), (1, 2)))

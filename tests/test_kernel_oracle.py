@@ -25,7 +25,7 @@ def _angles(rng, p):
     x = rng.uniform(-2 * math.pi, 2 * math.pi, 2 * p)
     zero = rng.random(2 * p) < 0.3
     x[zero] = rng.choice([0.0, -0.0], int(zero.sum()))
-    return QaoaParams.from_flat(x)
+    return QaoaParams(x[:p], x[p:])
 
 
 def _schedule(g, seed, count):

@@ -60,7 +60,7 @@ def test_qaoa_objective(n, p, start, maxfev):
     ws = FlipSymmetricWorkspace(g)
 
     def objective(x):
-        return -evaluate_params(g, QaoaParams.from_flat(x), workspace=ws)
+        return -evaluate_params(g, QaoaParams(x[:p], x[p:]), workspace=ws)
 
     assert_same_steps(objective, x0, maxfev)
 

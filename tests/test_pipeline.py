@@ -12,7 +12,7 @@ from qmaxcut import (
     labels_from_index,
     run_pipeline,
 )
-from qmaxcut.pipeline import STAGES, refine_assignment
+from qmaxcut.pipeline import refine_assignment
 
 TRIANGLE = Graph(3, ((0, 1), (0, 2), (1, 2)))
 PATH3 = Graph(3, ((0, 1), (1, 2)))
@@ -85,9 +85,12 @@ class TestPipelineConfig:
 
 class TestRunPipeline:
     def test_stage_timings_complete_and_nonnegative(self):
+        # Each stage's time is stored once and printed under its kv name.
         report = run_pipeline(TRIANGLE, small_cfg())
-        assert tuple(report.stage_timings) == STAGES == ("quantum", "postprocess")
-        assert all(t >= 0.0 for t in report.stage_timings.values())
+        assert report.qaoa_result.elapsed >= 0.0 and report.postprocess_s >= 0.0
+        values = dict(line.split("=", 1) for line in report.as_kv_lines())
+        assert values["quantum_s"] == repr(report.qaoa_result.elapsed)
+        assert values["postprocess_s"] == repr(report.postprocess_s)
 
     def test_offload_count_is_evaluations_plus_final_readout(self):
         report = run_pipeline(TRIANGLE, small_cfg())

@@ -33,6 +33,12 @@ ANGLES = st.floats(min_value=-2 * math.pi, max_value=2 * math.pi, allow_nan=Fals
 ANGLES_OR_ZERO = st.one_of(st.just(0.0), st.just(-0.0), ANGLES)
 
 
+def _params(x):
+    """The angles of the flat vector ``x = [g1..gp, b1..bp]``."""
+    p = len(x) // 2
+    return QaoaParams(x[:p], x[p:])
+
+
 @st.composite
 def oracle_graphs(draw):
     """Graphs on 1-10 vertices, biased toward m=0, complete and triangle-rich."""
@@ -163,7 +169,7 @@ class TestFlipSymmetricHalf:
     @example(Graph(1, ()), [0.3, 0.7, 0.2, 0.5])  # no low qubits for the mixer
     @settings(max_examples=200, deadline=None)
     def test_matches_full_statevector(self, g, angles):
-        params = QaoaParams.from_flat(angles)
+        params = _params(angles)
         sv = apply_qaoa_circuit(g, params)
         # The invariant the half path rests on: amp[b] == amp[~b].
         np.testing.assert_allclose(sv.amplitudes, sv.amplitudes[::-1], rtol=0, atol=1e-12)
@@ -176,7 +182,7 @@ class TestFlipSymmetricHalf:
         # n=9, 10: the last real block full, then one qubit past it.
         g = generate_random_graph(n, min(2 * n, n * (n - 1) // 2), n)
         angles = np.random.default_rng(10 * n + p).uniform(-2 * math.pi, 2 * math.pi, 2 * p)
-        params = QaoaParams.from_flat(angles)
+        params = _params(angles)
         expected = expectation_cut(apply_qaoa_circuit(g, params), g)
         assert evaluate_params(g, params) == pytest.approx(expected, abs=1e-10)
 
@@ -285,7 +291,7 @@ class TestZeroAngleSkip:
     @example(Graph(3, ()), [0.0, 0.0, 0.0, 0.0])
     @settings(max_examples=200, deadline=None)
     def test_matches_every_kernel_run(self, g, angles):
-        self.assert_matches_every_kernel(g, QaoaParams.from_flat(angles))
+        self.assert_matches_every_kernel(g, _params(angles))
 
     @pytest.mark.slow
     @pytest.mark.parametrize(
@@ -294,7 +300,7 @@ class TestZeroAngleSkip:
     @pytest.mark.parametrize("n", [16, 18])
     def test_matches_every_kernel_run_at_large_n(self, n, angles):
         g = generate_random_graph(n, 2 * n, n)
-        self.assert_matches_every_kernel(g, QaoaParams.from_flat(angles))
+        self.assert_matches_every_kernel(g, _params(angles))
 
     @pytest.mark.parametrize(
         ("angles", "mixes"),
@@ -313,7 +319,7 @@ class TestZeroAngleSkip:
             return mix(self, src, dst, beta)
 
         monkeypatch.setattr(simulator._Mixer, "__call__", counting)
-        params = QaoaParams.from_flat(angles)
+        params = _params(angles)
         evaluate_params(generate_random_graph(7, 12, 3), params)
         assert len(calls) == mixes
         assert calls == [beta for kind, beta in simulator._circuit(params) if kind == 1]
@@ -372,10 +378,10 @@ class TestSimulateEachCircuitOnce:
         g = generate_random_graph(9, 16, 2)
         first, second = np.zeros(4), np.zeros(4)
         first[twins[0]] = second[twins[1]] = 0.00025
-        expected = evaluate_params(g, QaoaParams.from_flat(second))
+        expected = evaluate_params(g, _params(second))
         log = _prepare_log(monkeypatch)
         workspace = simulator.FlipSymmetricWorkspace(g)
-        values = [evaluate_params(g, QaoaParams.from_flat(x), workspace=workspace)
+        values = [evaluate_params(g, _params(x), workspace=workspace)
                   for x in (first, second)]
         assert log == ["prepare"]
         assert repr(values[1]) == repr(values[0]) == repr(expected)
@@ -745,7 +751,7 @@ class TestRunOnTheHalf:
     @example(Graph(1, ()), [0.3, 0.7], 5, 0)
     @settings(max_examples=150, deadline=None)
     def test_extraction_matches_full_register_reference(self, g, angles, shots, seed):
-        params = QaoaParams.from_flat(angles)
+        params = _params(angles)
         cfg = QaoaConfig(p=params.p, budget=8, restarts=2, shots=shots, seed=seed)
         table = cut_values_by_basis(g)
         sv = apply_qaoa_circuit(g, params)
@@ -799,7 +805,7 @@ class TestRunOnTheHalf:
     def test_tiny_registers_match_the_full_register(self, g, p, shots):
         # n=1: the table is one entry and vertex 0 is the top vertex;
         # n=2: one low vertex, then the top one with or without its edge.
-        params = QaoaParams.from_flat(np.random.default_rng(p).uniform(-3.0, 3.0, 2 * p))
+        params = _params(np.random.default_rng(p).uniform(-3.0, 3.0, 2 * p))
         full = expectation_cut(apply_qaoa_circuit(g, params), g)
         assert evaluate_params(g, params) == pytest.approx(full, abs=1e-12)
         cfg = QaoaConfig(p=p, budget=12, restarts=2, seed=p, shots=shots)

@@ -2,8 +2,9 @@
 
 No public callable and no config field takes a cap, only
 ``graph.resolve_qubit_cap`` reads the variable, the cap is checked only
-where ``2**n`` is allocated, and every entry point that allocates it
-refuses the same instances with the same message.
+where ``2**n`` is allocated, no other module decides whether an instance
+passes it, and every entry point that allocates it refuses the same
+instances with the same message.
 """
 
 import ast
@@ -87,12 +88,14 @@ def test_the_cap_is_checked_only_where_two_to_the_n_is_allocated():
         ("simulator", "init_uniform"),
         ("simulator", "FlipSymmetricWorkspace.__init__"),
     }
-    for module in ("qaoa", "classical", "pipeline"):
+    # cli catches ResourceLimitError (exit 3, and bench's skip) but decides nothing.
+    allowed = {"qaoa": set(), "classical": set(), "pipeline": set(), "cli": {"ResourceLimitError"}}
+    for module, names_allowed in allowed.items():
         names = {
             getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
             for node in ast.walk(trees[module])
         }
-        assert not names & CAP_NAMES, module
+        assert names & CAP_NAMES == names_allowed, module
 
 
 def _path(n):

@@ -89,7 +89,6 @@ class TestQaoaParams:
         params = QaoaParams(gammas=(0.1, 0.2), betas=(0.3, 0.4))
         assert params.p == 2
         np.testing.assert_array_equal(params.to_flat(), [0.1, 0.2, 0.3, 0.4])
-        assert QaoaParams.from_flat([0.1, 0.2, 0.3, 0.4]) == params
 
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError):
@@ -98,10 +97,6 @@ class TestQaoaParams:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             QaoaParams(gammas=(), betas=())
-
-    def test_from_flat_rejects_odd_length(self):
-        with pytest.raises(ValueError):
-            QaoaParams.from_flat([0.1, 0.2, 0.3])
 
 
 class TestInitUniform:

@@ -31,9 +31,7 @@ Run from anywhere: ``python tools/eval_pieces.py [--json]``.  Each
 with two, for a before/after pair, both are loaded into one process
 (each package copied under its own name) and their batches interleave,
 so drift on the host and the process's memory layout weigh on both
-alike.  A checkout from before the workspace built its mixer plan is
-timed through its per-call ``_mixer_blocks`` and ``_mix``; that branch
-exists only to time such a commit as the ``before`` of a pair.
+alike.  Each checkout must build its mixer plan in the workspace.
 """
 
 import argparse
@@ -91,13 +89,7 @@ def timed_calls(pkg, n: int, m: int) -> tuple[dict, int]:
     gamma, beta = params.gammas[0], params.betas[0]
     w, scratch = ws.state, ws.scratch
     prepare = simulator._flip_symmetric_state
-    mixer = getattr(ws, "mixer", None)
-    if mixer is not None:
-        build = lambda: mixer.weigh(beta)  # noqa: E731
-        mix = lambda: mixer(w, scratch, beta)  # noqa: E731
-    else:
-        build = lambda: simulator._mixer_blocks(beta, n - 1)  # noqa: E731
-        mix = lambda: simulator._mix(w, scratch, beta, n - 1)  # noqa: E731
+    mixer = ws.mixer
 
     def evaluation():
         ws.values.clear()
@@ -110,8 +102,8 @@ def timed_calls(pkg, n: int, m: int) -> tuple[dict, int]:
         "fill": lambda: prepare((), ws),
         "cost": lambda: prepare(((0, gamma),), ws),
         "mixer": lambda: prepare(((1, beta),), ws),
-        "build": build,
-        "mix": mix,
+        "build": lambda: mixer.weigh(beta),
+        "mix": lambda: mixer(w, scratch, beta),
         "prepare": lambda: ws._prepare(circuit),
         "wrapper": lambda: qaoa.optimize_params(g, cfg, workspace=memo),
         "evaluation": evaluation,
