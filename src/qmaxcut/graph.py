@@ -67,9 +67,10 @@ class EdgeListParseError(ValueError):
 
 def _index(value, what: str) -> int:
     """``value`` as a Python ``int``, so that ``1 << n`` stays exact: the one
-    integer rule for vertex counts, edge counts, endpoints and seeds.  Whatever
-    ``operator.index`` refuses, a float or a string, raises ``ValueError``
-    naming it; nothing is truncated."""
+    integer rule for vertex counts, edge counts, endpoints, seeds, labels,
+    cut values, basis indices and the integer fields of a QAOA config.
+    Whatever ``operator.index`` refuses, a float or a string, raises
+    ``ValueError`` naming it; nothing is truncated."""
     try:
         return operator.index(value)
     except TypeError:
@@ -163,12 +164,14 @@ class CutAssignment:
     cut_value: int
 
     def __post_init__(self):
-        labels = tuple(self.labels)
+        labels = tuple(_index(x, "label") for x in self.labels)
         if any(x not in (1, -1) for x in labels):
             raise ValueError("labels must be +1 or -1")
-        if self.cut_value < 0:
-            raise ValueError(f"cut value must be non-negative, got {self.cut_value}")
-        object.__setattr__(self, "labels", tuple(int(x) for x in labels))
+        cut = _index(self.cut_value, "cut value")
+        if cut < 0:
+            raise ValueError(f"cut value must be non-negative, got {cut}")
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "cut_value", cut)
 
     @classmethod
     def from_labels(cls, g: Graph, labels) -> "CutAssignment":
@@ -184,6 +187,7 @@ def cut_value(g: Graph, labels) -> int:
 
 def labels_from_index(n: int, index: int) -> tuple[int, ...]:
     """Decode basis index ``index`` into labels (bit i: 0 -> +1, 1 -> -1)."""
+    n, index = _index(n, "vertex count"), _index(index, "basis index")
     if not (0 <= index < (1 << n)):
         raise ValueError(f"index {index} out of range for n={n}")
     return tuple(1 - 2 * ((index >> i) & 1) for i in range(n))

@@ -12,9 +12,9 @@ cut; this module only chooses the angles.
 No full cut table or full-register state is built on any run path.
 Optimization is multi-start Nelder-Mead under a hard evaluation budget:
 
-* Start points are, in order: any warm-start vectors, the all-zero
-  vector, then uniform random draws (gamma in [0, 2*pi), beta in
-  [0, pi)) until ``restarts`` starts exist.  All draws come from a
+* Start points are, in order: the warm start, zero-padded to depth p,
+  the all-zero vector, then uniform random draws (gamma in [0, 2*pi),
+  beta in [0, pi)) until ``restarts`` starts exist.  All draws come from a
   dedicated PCG64 stream derived from ``seed``, fixed before any
   optimization happens, so results are reproducible.
 * Every start point is evaluated once up front (only the first
@@ -61,7 +61,7 @@ import numpy as np
 # numpy loads numpy.random lazily; load it with the package, not in a first run.
 from numpy.random import SeedSequence, default_rng
 
-from .graph import CutAssignment, Graph
+from .graph import CutAssignment, Graph, _index
 from .simulator import (
     FlipSymmetricWorkspace,
     QaoaParams,
@@ -93,6 +93,8 @@ class QaoaConfig:
     warm_start: bool = True
 
     def __post_init__(self):
+        for name in ("p", "budget", "restarts", "shots", "seed"):
+            object.__setattr__(self, name, _index(getattr(self, name), name))
         if self.p < 1:
             raise ValueError(f"depth must be at least 1, got {self.p}")
         if self.restarts < 1:
@@ -170,9 +172,10 @@ def _by_value(sim: list, fsim: list) -> tuple[list, list]:
     return [sim[i] for i in ind], [fsim[i] for i in ind]
 
 
-def minimize(fun, x0: np.ndarray, maxfev: int) -> tuple[np.ndarray, float]:
+def minimize(fun, x0, maxfev: int) -> tuple[list[float], float]:
     """Nelder-Mead (Comput. J. 7:308, 1965): minimize ``fun`` from ``x0``
-    with at most ``maxfev`` evaluations; returns the best vertex and its value.
+    with at most ``maxfev`` evaluations; returns the best vertex, a list of
+    floats, and its value as ``fun`` returned it.
 
     These are the steps of scipy's ``minimize(method="Nelder-Mead")``
     with its defaults, in the same floating-point operations and sorts,
@@ -183,7 +186,8 @@ def minimize(fun, x0: np.ndarray, maxfev: int) -> tuple[np.ndarray, float]:
     the best in each coordinate and in value.  The simplex is held as
     Python floats, which round each step as numpy does (the centroid
     sums the vertices in order from 0.0, as ``np.add.reduce`` does);
-    ``fun`` is passed each point as a new float64 array.  The vertices
+    ``fun`` is passed each point as a new list of floats, which is never
+    written to afterwards, so ``fun`` may keep it.  The vertices
     are ordered by value with numpy's ``argsort``, as scipy orders them,
     and ties follow it: its default sort is not stable, so tied vertices
     may trade places, and the points ``fun`` sees depend on that order.
@@ -193,9 +197,9 @@ def minimize(fun, x0: np.ndarray, maxfev: int) -> tuple[np.ndarray, float]:
         if fev >= maxfev:
             raise _BudgetExhausted
         fev += 1
-        return fun(np.array(x))
+        return fun(x)
 
-    x0 = np.asarray(x0, dtype=float).tolist()
+    x0 = [float(v) for v in x0]
     fev, n = 0, len(x0)
     sim = [x0] + [
         x0[:k] + [1.05 * v if v != 0 else 0.00025] + x0[k + 1 :] for k, v in enumerate(x0)
@@ -245,58 +249,51 @@ def minimize(fun, x0: np.ndarray, maxfev: int) -> tuple[np.ndarray, float]:
         except _BudgetExhausted:
             pass
         sim, fsim = _by_value(sim, fsim)
-    return np.array(sim[0]), float(fsim[0])
-
-
-def _draw_starts(p: int, count: int, seed: int) -> list[np.ndarray]:
-    rng = default_rng(SeedSequence([seed & ((1 << 64) - 1), _STREAM_DRAWS, p]))
-    starts = []
-    for _ in range(count):
-        gammas = rng.uniform(0.0, 2.0 * np.pi, size=p)
-        betas = rng.uniform(0.0, np.pi, size=p)
-        starts.append(np.concatenate([gammas, betas]))
-    return starts
+    return sim[0], fsim[0]
 
 
 def optimize_params(
     g: Graph,
     cfg: QaoaConfig,
     *,
-    extra_starts: tuple[QaoaParams, ...] = (),
+    warm: QaoaParams | None = None,
     workspace: FlipSymmetricWorkspace | None = None,
 ) -> tuple[QaoaParams, float, int]:
     """Maximize the expected cut over angles at depth ``cfg.p``.
 
     Returns ``(best_params, best_expectation, n_evaluations)``.  See
     the module docstring for the start schedule and budget rules.
-    ``extra_starts`` are tried before the standard starts (this is the
-    warm-start hook used by :func:`run_qaoa`).  At depth 2 or more every
-    evaluation of the call runs in ``workspace``, the run's own (it must
-    have been built for ``g``), or else in one workspace allocated for
-    the call, which checks the qubit cap and is freed on return.  Depth
-    1 allocates nothing and meets no cap.
+    ``warm``, of any depth up to ``cfg.p``, is zero-padded to depth
+    ``cfg.p`` and tried first (this is the warm-start hook used by
+    :func:`run_qaoa`); a deeper one raises ``ValueError``.  At depth 2
+    or more every evaluation of the call runs in ``workspace``, the
+    run's own (it must have been built for ``g``), or else in one
+    workspace allocated for the call, which checks the qubit cap and is
+    freed on return.  Depth 1 allocates nothing and meets no cap.
     """
-    if workspace is None and cfg.p > 1:
-        workspace = FlipSymmetricWorkspace(g)
-    for warm in extra_starts:
-        if warm.p != cfg.p:
-            raise ValueError(f"start has depth {warm.p}, expected {cfg.p}")
-
-    starts = [w.to_flat() for w in extra_starts]
-    starts.append(np.zeros(2 * cfg.p))
-    n_draws = max(0, cfg.restarts - len(starts))
-    starts.extend(_draw_starts(cfg.p, n_draws, cfg.seed))
-
     p = cfg.p
-    evaluations, best_value, best_x = 0, -np.inf, starts[0].tolist()
+    starts = []  # each a list [g1..gp, b1..bp], the one layout of a point
+    if warm is not None:
+        if warm.p > p:
+            raise ValueError(f"warm-start depth {warm.p} exceeds target depth {p}")
+        pad = [0.0] * (p - warm.p)
+        starts.append([*warm.gammas, *pad, *warm.betas, *pad])
+    starts.append([0.0] * (2 * p))
+    rng = default_rng(SeedSequence([cfg.seed & ((1 << 64) - 1), _STREAM_DRAWS, p]))
+    while len(starts) < cfg.restarts:
+        gammas = rng.uniform(0.0, 2.0 * np.pi, size=p).tolist()
+        starts.append(gammas + rng.uniform(0.0, np.pi, size=p).tolist())
+    if workspace is None and p > 1:
+        workspace = FlipSymmetricWorkspace(g)
 
-    def objective(x: np.ndarray) -> float:
+    evaluations, best_value, best_x = 0, -np.inf, starts[0]
+
+    def objective(x: list[float]) -> float:
         nonlocal evaluations, best_value, best_x
         evaluations += 1
-        flat = x.tolist()
-        value = evaluate_params(g, QaoaParams(flat[:p], flat[p:]), workspace=workspace)
+        value = evaluate_params(g, QaoaParams(x[:p], x[p:]), workspace=workspace)
         if value > best_value:
-            best_value, best_x = value, flat
+            best_value, best_x = value, x
         return -value  # minimize() minimizes
 
     for x0 in starts[: cfg.budget]:  # seed best-seen with the starts before polishing any
@@ -306,13 +303,6 @@ def optimize_params(
             break
         minimize(objective, x0, cfg.budget - evaluations)
     return QaoaParams(best_x[:p], best_x[p:]), float(best_value), evaluations
-
-
-def _pad_params(params: QaoaParams, p: int) -> QaoaParams:
-    if params.p > p:
-        raise ValueError(f"warm-start depth {params.p} exceeds target depth {p}")
-    pad = (0.0,) * (p - params.p)
-    return QaoaParams(gammas=params.gammas + pad, betas=params.betas + pad)
 
 
 def run_qaoa(
@@ -337,7 +327,7 @@ def run_qaoa(
 
     Each rung scores its warm start first, then the all-zero start, so
     ``best_expectation`` is at least the uniform state's ``m / 2`` (up
-    to rounding) when the budget exceeds the warm starts: always without
+    to rounding) when the budget reaches that start: always without
     ``warm_params`` (a ladder rung gets two or more evaluations), from
     ``cfg.budget = 2`` with it.
 
@@ -363,9 +353,8 @@ def run_qaoa(
     params, total_evals = warm_params, 0
     for depth in depths:
         budget = per_rung if depth < cfg.p else cfg.budget - per_rung * (len(depths) - 1)
-        extra = (_pad_params(params, depth),) if params is not None else ()
         params, expectation, used = optimize_params(
-            g, replace(cfg, p=depth, budget=budget), extra_starts=extra, workspace=workspace
+            g, replace(cfg, p=depth, budget=budget), warm=params, workspace=workspace
         )
         total_evals += used
 

@@ -111,10 +111,6 @@ class QaoaParams:
     def p(self) -> int:
         return len(self.gammas)
 
-    def to_flat(self) -> np.ndarray:
-        """Flat vector ``[g1..gp, b1..bp]`` for the classical optimizer."""
-        return np.array(self.gammas + self.betas, dtype=float)
-
 
 @dataclass
 class StateVector:

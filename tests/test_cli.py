@@ -12,11 +12,15 @@ import qmaxcut
 from qmaxcut import (
     CutAssignment,
     EdgeListParseError,
+    PipelineConfig,
+    QaoaConfig,
     QaoaParams,
     QaoaResult,
     SolveResult,
     cli,
+    generate_random_graph,
     parse_edge_list,
+    run_pipeline,
 )
 from qmaxcut.cli import _parse_depths, _parse_gen, _parse_sizes
 
@@ -189,6 +193,28 @@ class TestSolve:
         for block, row in zip(blocks, rows, strict=True):
             runtime = float(block["quantum_s"]) + float(block["postprocess_s"])
             assert block["runtime_s"] == row[5] == repr(runtime)
+
+    @staticmethod
+    def _solve_and_run(flag, capsys, *, warm_start=True, refine=True):
+        """``solve --gen 12,20 --depth 2 --seed 3 FLAG``'s block, and the
+        report of ``run_pipeline`` on that run with the given settings."""
+        assert cli.main(["solve", "--gen", "12,20", "--depth", "2", "--seed", "3", flag]) == 0
+        (block,) = kv_blocks(capsys.readouterr().out)
+        cfg = PipelineConfig(QaoaConfig(p=2, seed=3, warm_start=warm_start),
+                             postprocess_refine=refine)
+        return block, run_pipeline(generate_random_graph(12, 20, 3), cfg)
+
+    def test_no_warm_turns_off_the_depth_ladder(self, capsys):
+        block, report = self._solve_and_run("--no-warm", capsys, warm_start=False)
+        assert block["expectation"] == repr(report.qaoa_result.best_expectation)
+        assert block["n_evaluations"] == str(report.qaoa_result.n_evaluations)
+
+    def test_no_refine_prints_the_unrefined_cut(self, capsys):
+        # Refinement moves no cut of this run, so the warm run's expectation is
+        # what tells the flag apart from --no-warm.
+        block, report = self._solve_and_run("--no-refine", capsys, refine=False)
+        assert block["cut"] == str(report.qaoa_result.best_cut.cut_value)
+        assert block["expectation"] == repr(report.qaoa_result.best_expectation)
 
     def test_classical_csv_rows_have_depth_zero_and_no_expectation(self, tmp_path):
         csv = tmp_path / "runs.csv"

@@ -87,8 +87,12 @@ class TestGraphConstruction:
         (lambda: generate_random_graph(6.0, 5, 0), "vertex count must be an int, got 6.0"),
         (lambda: generate_random_graph(6, 2.5, 0), "edge count must be an int, got 2.5"),
         (lambda: generate_random_graph(6, 5, 1.5), "seed must be an int, got 1.5"),
+        (lambda: CutAssignment((1.0, True, -1), 1), "label must be an int, got 1.0"),
+        (lambda: CutAssignment((1, True, -1), 1.5), "cut value must be an int, got 1.5"),
+        (lambda: labels_from_index(3, 2.0), "basis index must be an int, got 2.0"),
+        (lambda: labels_from_index(3.0, 2), "vertex count must be an int, got 3.0"),
     ], ids=["string-endpoint", "float-endpoint", "float-n", "generated-float-n", "generated-float-m",
-            "float-seed"])
+            "float-seed", "float-label", "float-cut", "float-basis-index", "float-basis-n"])
     def test_non_integers_are_refused_not_truncated(self, build, message):
         with pytest.raises(ValueError) as refused:
             build()
@@ -209,6 +213,11 @@ class TestCutAssignment:
     def test_rejects_negative_cut(self):
         with pytest.raises(ValueError, match="non-negative"):
             CutAssignment(labels=(1, -1), cut_value=-1)
+
+    def test_labels_and_cut_are_read_as_python_ints(self):
+        a = CutAssignment((np.int8(1), True, np.int64(-1)), np.int64(2))
+        assert a == CutAssignment((1, 1, -1), 2)
+        assert {type(x) for x in a.labels} == {int} and type(a.cut_value) is int
 
 
 class TestGeneration:

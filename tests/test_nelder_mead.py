@@ -10,7 +10,7 @@ import pytest
 from scipy.optimize import minimize as scipy_minimize
 
 from qmaxcut import QaoaConfig, QaoaParams, generate_random_graph
-from qmaxcut.qaoa import _pad_params, evaluate_params, minimize, optimize_params
+from qmaxcut.qaoa import evaluate_params, minimize, optimize_params
 from qmaxcut.simulator import FlipSymmetricWorkspace
 
 
@@ -20,7 +20,8 @@ def assert_same_steps(fun, x0, maxfev):
 
     def recording(points):
         def wrapped(x):
-            points.append(np.asarray(x).tobytes())
+            x = np.asarray(x)
+            points.append(x.tobytes())
             return fun(x)
 
         return wrapped
@@ -31,7 +32,7 @@ def assert_same_steps(fun, x0, maxfev):
     )
     assert len(ours) == len(theirs) <= maxfev
     assert ours == theirs
-    assert x.tobytes() == res.x.tobytes()
+    assert np.asarray(x).tobytes() == res.x.tobytes()
     assert repr(value) == repr(float(res.fun))
     return len(ours)
 
@@ -56,7 +57,8 @@ def test_qaoa_objective(n, p, start, maxfev):
         x0 = np.concatenate([draws.uniform(0, 2 * np.pi, p), draws.uniform(0, np.pi, p)])
     else:  # the ladder's start: the shallower optimum padded by zero layers
         shallower, _, _ = optimize_params(g, QaoaConfig(p=max(1, p - 1), budget=20, restarts=1))
-        x0 = _pad_params(shallower, p).to_flat()
+        pad = [0.0] * (p - shallower.p)
+        x0 = np.array([*shallower.gammas, *pad, *shallower.betas, *pad])
     ws = FlipSymmetricWorkspace(g)
 
     def objective(x):

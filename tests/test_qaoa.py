@@ -516,6 +516,30 @@ class TestQaoaConfig:
         with pytest.raises(ValueError):
             QaoaConfig(**kwargs)
 
+    @pytest.mark.parametrize(("kwargs", "message"), [
+        ({"p": 1, "seed": 1.5}, "seed must be an int, got 1.5"),
+        ({"p": 1, "budget": 6.5}, "budget must be an int, got 6.5"),
+        ({"p": 1, "restarts": 2.0}, "restarts must be an int, got 2.0"),
+        ({"p": 1, "shots": 2.5}, "shots must be an int, got 2.5"),
+        ({"p": "2"}, "p must be an int, got '2'"),
+    ], ids=["float-seed", "float-budget", "float-restarts", "float-shots", "string-p"])
+    def test_non_integers_are_refused_not_truncated(self, kwargs, message):
+        with pytest.raises(ValueError) as refused:
+            QaoaConfig(**kwargs)
+        assert str(refused.value) == message
+
+    def test_numpy_integers_are_read_as_python_ints(self):
+        # A graph seed of this type is accepted; a run seed is too, and runs as its int.
+        g = generate_random_graph(6, 8, 1)
+        fields = ("p", "budget", "restarts", "shots", "seed")
+        cfg = QaoaConfig(**{name: np.int64(v) for name, v in zip(fields, (1, 6, 3, 0, 5))})
+        assert cfg == QaoaConfig(p=1, budget=6, restarts=3, shots=0, seed=5)
+        assert {type(getattr(cfg, name)) for name in fields} == {int}
+        a, b = run_qaoa(g, cfg), run_qaoa(g, QaoaConfig(p=1, budget=6, seed=5))
+        assert (a.best_params, a.best_expectation, a.best_cut) == (
+            b.best_params, b.best_expectation, b.best_cut
+        )
+
 
 class TestOptimizeParams:
     def test_budget_of_one_start_each_returns_zero_point(self):
@@ -527,10 +551,8 @@ class TestOptimizeParams:
         assert params == QaoaParams(gammas=(0.0,), betas=(0.0,))
         assert value == pytest.approx(1.5, abs=1e-12)
 
-    def test_starts_beyond_the_budget_are_neither_evaluated_nor_polished(self, monkeypatch):
-        # Three starts (two warm ones, then zero) against a budget of two:
-        # only the warm starts are scored, so the zero point (1.5) never is.
-        worse, better = QaoaParams((1.0,), (-0.5,)), QaoaParams((1.0,), (0.5,))
+    @staticmethod
+    def _record_evaluations(monkeypatch) -> list:
         seen = []
         evaluate = qaoa.evaluate_params
 
@@ -539,18 +561,37 @@ class TestOptimizeParams:
             return evaluate(g, params, **kwargs)
 
         monkeypatch.setattr(qaoa, "evaluate_params", recording)
-        cfg = QaoaConfig(p=1, budget=2, restarts=1, seed=0)
-        params, value, n_evals = optimize_params(TRIANGLE, cfg, extra_starts=(worse, better))
-        assert seen == [worse, better]
-        assert n_evals == 2
-        assert params == better
-        assert value == evaluate(TRIANGLE, better)
+        return seen
 
-    @pytest.mark.parametrize("depth", [1, 3])
-    def test_extra_start_of_another_depth_is_rejected(self, depth):
-        start = QaoaParams((0.1,) * depth, (0.2,) * depth)
-        with pytest.raises(ValueError, match=f"start has depth {depth}, expected 2"):
-            optimize_params(TRIANGLE, QaoaConfig(p=2, budget=10), extra_starts=(start,))
+    def test_starts_beyond_the_budget_are_neither_evaluated_nor_polished(self, monkeypatch):
+        # Two starts (the warm one, then zero) against a budget of one: only
+        # the warm start is scored, so the zero point (1.5) never is.  Draws
+        # come only past these two starts, up to ``restarts <= budget``.
+        warm = QaoaParams((1.0,), (0.5,))
+        seen = self._record_evaluations(monkeypatch)
+        cfg = QaoaConfig(p=1, budget=1, restarts=1, seed=0)
+        params, value, n_evals = optimize_params(TRIANGLE, cfg, warm=warm)
+        assert seen == [warm]
+        assert n_evals == 1
+        assert params == warm
+        assert value == qaoa.evaluate_params(TRIANGLE, warm) < 1.5
+
+    def test_shallower_warm_start_is_padded_and_scored_first(self, monkeypatch):
+        # Gammas then the zero pad, betas then the zero pad; the zero start follows.
+        seen = self._record_evaluations(monkeypatch)
+        cfg = QaoaConfig(p=3, budget=10, restarts=3, seed=0)
+        optimize_params(TRIANGLE, cfg, warm=QaoaParams((0.1,), (0.2,)))
+        assert seen[:2] == [
+            QaoaParams((0.1, 0.0, 0.0), (0.2, 0.0, 0.0)),
+            QaoaParams((0.0,) * 3, (0.0,) * 3),
+        ]
+
+    def test_deeper_warm_start_is_rejected(self, monkeypatch):
+        seen = self._record_evaluations(monkeypatch)
+        warm = QaoaParams((0.1,) * 3, (0.2,) * 3)
+        with pytest.raises(ValueError, match="^warm-start depth 3 exceeds target depth 2$"):
+            optimize_params(TRIANGLE, QaoaConfig(p=2, budget=10), warm=warm)
+        assert seen == []
 
     @pytest.mark.parametrize("p", [1, 2])
     def test_cap_is_resolved_once_per_call(self, monkeypatch, p):

