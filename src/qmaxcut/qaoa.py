@@ -149,8 +149,9 @@ def evaluate_params(
     circuits are simulated on the half of the register that the global
     bit flip maps onto the other half (see
     :meth:`qmaxcut.simulator.FlipSymmetricWorkspace.expectation`), in
-    ``workspace`` when one is passed (built for ``g``) and otherwise in
-    a fresh one, whose constructor refuses the instances above the cap.
+    ``workspace`` when one is passed (built for a graph equal to ``g``)
+    and otherwise in a fresh one, whose constructor refuses the
+    instances above the cap.
     A circuit the workspace has already simulated returns the value
     stored there, the same float, and runs no kernel.
     """
@@ -158,7 +159,7 @@ def evaluate_params(
         return depth_one_expectation(g, params.gammas[0], params.betas[0])
     if workspace is None:
         workspace = FlipSymmetricWorkspace(g)
-    elif workspace.graph is not g:
+    elif workspace.graph != g:
         raise ValueError("workspace was built for a different graph")
     return workspace.expectation(params)
 

@@ -31,20 +31,20 @@ the probabilities and the cut it picks from them are all prepared on
 the flip-symmetric half of the register, by one
 :class:`FlipSymmetricWorkspace`: the half state, one half-size scratch
 buffer and the low half of the cut table as ``intp``, 1.25 times
-``2**n * 16`` bytes.  That table is built vertex by vertex in
-``O(2**n)`` (:func:`qmaxcut.graph.half_cut_values_by_basis`), not by
-one add per edge.  The workspace's mixer takes the qubits four at a
-time (:class:`_Mixer`).  An evaluation that builds its own workspace peaks at 1.38 times that at
-n=18.  One on a reused workspace allocates 0.063 times it, the same as
-before the workspace held its plan: both are the top qubit's rotation,
-its ``sin(b) * f`` (one entry per row of 16 amplitudes) and the buffer
-numpy takes for that broadcast product (8,192 entries, so the whole
-half state below n=15).  The plan (the mixer's blocks and the views of
-each buffer, the phase table) is built with the workspace, so an
-evaluation rebuilds nothing that does not depend on its angles.  The
-mixer's blocks above bit 3 run in real arithmetic, and from ``2**17``
-amplitudes the large blocks multiply row panels that stay in cache
-(:class:`_Mixer`).
+``2**n * 16`` bytes (its docstring says which buffer holds which
+state).  That table is built vertex by vertex in ``O(2**n)``
+(:func:`qmaxcut.graph.half_cut_values_by_basis`), not by one add per
+edge.  The workspace's mixer takes the qubits four at a time
+(:class:`_Mixer`).  An evaluation that builds its own workspace peaks
+at 1.38 times that at n=18.  One on a reused workspace allocates 0.063
+times it: the top qubit's rotation, its ``sin(b) * f`` (one entry per
+row of 16 amplitudes) and the buffer numpy takes for that broadcast
+product (8,192 entries, so the whole half state below n=15).  The plan
+(the mixer's blocks and the views of each buffer, the phase table) is
+built with the workspace, so an evaluation rebuilds nothing that does
+not depend on its angles.  The mixer's blocks above bit 3 run in real
+arithmetic, and from ``2**17`` amplitudes the large blocks multiply row
+panels that stay in cache (:class:`_Mixer`).
 """
 
 from __future__ import annotations
@@ -353,15 +353,20 @@ class FlipSymmetricWorkspace:
     ``gamma_1`` or ``gamma_2`` (``beta_1`` or ``beta_2``) alone.
     ``values`` maps each circuit simulated here to its expectation, so a
     repeat returns the same float without running a kernel; it grows by
-    one entry per distinct circuit.  ``held`` names the circuit whose
-    state ``state`` holds, ``None`` while it holds no known state.
+    one entry per distinct circuit.
+
+    The buffer rule: ``state`` holds the last circuit prepared here
+    (``held``, ``None`` while it holds no known state), ``kept`` the best
+    one (below), and ``scratch`` is the only spare, the one buffer
+    written outside a preparation.  :meth:`_state_of` is the one lookup:
+    a circuit's state is read from ``kept`` or ``state`` when either
+    holds it, and prepared into ``state`` only when neither does.
 
     With ``keep_best`` a third half-size buffer, ``kept``, holds the
     state of the best circuit simulated so far (``kept_circuit``, whose
     value ``values`` holds): each simulation that beats it swaps the two
     state buffers, so nothing is copied.  The final state is then prepared
-    again only when the best value came from a repeat, and
-    :meth:`probabilities` reads it from either buffer that holds it.
+    again only when the best value came from a repeat.
     """
 
     def __init__(self, g: Graph, keep_best: bool = False):
@@ -388,12 +393,16 @@ class FlipSymmetricWorkspace:
         self.levels = -1j * np.arange(g.m + 1)
         self.phases = np.empty_like(self.levels)
 
-    def _prepare(self, circuit: tuple) -> tuple[np.ndarray, np.ndarray]:
-        """Prepare ``circuit``'s state in ``state``, tagged with ``circuit``."""
-        self.held = None
-        self.state, self.scratch = _flip_symmetric_state(circuit, self)
-        self.held = circuit
-        return self.state, self.scratch
+    def _state_of(self, circuit: tuple) -> np.ndarray:
+        """The buffer that holds ``circuit``'s state: ``kept`` or ``state``
+        when either holds it, else ``state`` once it is prepared there."""
+        if circuit == self.kept_circuit:
+            return self.kept
+        if circuit != self.held:
+            self.held = None
+            self.state, self.scratch = _flip_symmetric_state(circuit, self)
+            self.held = circuit
+        return self.state
 
     def expectation(self, params: QaoaParams) -> float:
         """Expected cut of the ansatz state, simulated on half the register.
@@ -401,14 +410,15 @@ class FlipSymmetricWorkspace:
         Since ``|w| = |a|`` and ``C(~b) = C(b)``, the expectation is ``2 *
         sum_y |w_y|^2 C(y)`` over the low half (see
         :func:`_flip_symmetric_state`).  A circuit already simulated here
-        returns its stored value and runs no kernel.
+        returns its stored value and runs no kernel; any other reads its
+        state by the class docstring's buffer rule.
         """
         circuit = _circuit(params)
         value = self.values.get(circuit)
         if value is None:
-            w, scratch = self._prepare(circuit)
-            np.multiply(self.low_table, w, out=scratch)
-            value = self.values[circuit] = 2.0 * float(np.vdot(w, scratch).real)
+            w = self._state_of(circuit)
+            np.multiply(self.low_table, w, out=self.scratch)
+            value = self.values[circuit] = 2.0 * float(np.vdot(w, self.scratch).real)
             if self.kept is not None and value > self.values.get(self.kept_circuit, -math.inf):
                 self.state, self.kept = self.kept, self.state
                 self.held, self.kept_circuit = self.kept_circuit, circuit
@@ -418,21 +428,13 @@ class FlipSymmetricWorkspace:
         """Probabilities of all ``2**n`` basis states, ``concat(p, p[::-1])``.
 
         ``p = |w|**2`` is the low half's (the frame's entries are exact
-        units, so ``|w| = |a|``); the full vector, ``2**n`` float64, fills a
-        spare half-state buffer exactly, so nothing state-sized is
-        allocated.  It is valid until another state is prepared here.  The
-        state is read from ``kept`` or ``state`` when either holds the same
-        circuit, and prepared otherwise.
+        units, so ``|w| = |a|``); the full vector, ``2**n`` float64, fills
+        ``scratch`` exactly, so nothing state-sized is allocated.  It is
+        valid until the workspace's next call.  The state is found by the
+        class docstring's buffer rule.
         """
-        circuit = _circuit(params)
-        if circuit == self.kept_circuit:
-            w, spare = self.kept, self.state
-            self.held = None
-        elif circuit == self.held:
-            w, spare = self.state, self.scratch
-        else:
-            w, spare = self._prepare(circuit)
-        probs = spare.view(np.float64)
+        w = self._state_of(_circuit(params))
+        probs = self.scratch.view(np.float64)
         low = probs[: w.size]
         np.abs(w, out=low)
         np.square(low, out=low)

@@ -195,24 +195,30 @@ class TestSolve:
             assert block["runtime_s"] == row[5] == repr(runtime)
 
     @staticmethod
-    def _solve_and_run(flag, capsys, *, warm_start=True, refine=True):
-        """``solve --gen 12,20 --depth 2 --seed 3 FLAG``'s block, and the
+    def _solve_and_run(capsys, seed, *flags, shots=0, warm_start=True, refine=True):
+        """``solve --gen 12,20 --depth 2 --seed SEED FLAGS``'s block, and the
         report of ``run_pipeline`` on that run with the given settings."""
-        assert cli.main(["solve", "--gen", "12,20", "--depth", "2", "--seed", "3", flag]) == 0
+        argv = ["solve", "--gen", "12,20", "--depth", "2", "--seed", str(seed), *flags]
+        assert cli.main(argv) == 0
         (block,) = kv_blocks(capsys.readouterr().out)
-        cfg = PipelineConfig(QaoaConfig(p=2, seed=3, warm_start=warm_start),
+        cfg = PipelineConfig(QaoaConfig(p=2, seed=seed, shots=shots, warm_start=warm_start),
                              postprocess_refine=refine)
-        return block, run_pipeline(generate_random_graph(12, 20, 3), cfg)
+        return block, run_pipeline(generate_random_graph(12, 20, seed), cfg)
 
     def test_no_warm_turns_off_the_depth_ladder(self, capsys):
-        block, report = self._solve_and_run("--no-warm", capsys, warm_start=False)
+        block, report = self._solve_and_run(capsys, 3, "--no-warm", warm_start=False)
         assert block["expectation"] == repr(report.qaoa_result.best_expectation)
         assert block["n_evaluations"] == str(report.qaoa_result.n_evaluations)
 
     def test_no_refine_prints_the_unrefined_cut(self, capsys):
-        # Refinement moves no cut of this run, so the warm run's expectation is
-        # what tells the flag apart from --no-warm.
-        block, report = self._solve_and_run("--no-refine", capsys, refine=False)
+        # A sampled run, whose cut refinement moves, so a flag that is ignored
+        # prints the refined cut; the warm run's expectation tells the flag
+        # apart from --no-warm.
+        block, report = self._solve_and_run(capsys, 5, "--shots", "4", "--no-refine",
+                                            shots=4, refine=False)
+        refined = run_pipeline(generate_random_graph(12, 20, 5),
+                               PipelineConfig(QaoaConfig(p=2, seed=5, shots=4)))
+        assert refined.final_cut.cut_value > report.qaoa_result.best_cut.cut_value
         assert block["cut"] == str(report.qaoa_result.best_cut.cut_value)
         assert block["expectation"] == repr(report.qaoa_result.best_expectation)
 

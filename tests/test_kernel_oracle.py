@@ -57,7 +57,7 @@ def _outputs(g, keep_best, schedule, prepare):
                 reprs.append(ws.probabilities(params).tobytes())
                 reprs.append(repr(ws.cut(params)))
                 reprs.append(repr(ws.cut(params, 64, np.random.default_rng(i))))
-                states.append(ws._prepare(_circuit(params))[0].copy())
+                states.append(ws._state_of(_circuit(params)).copy())
     return states, reprs, swaps
 
 

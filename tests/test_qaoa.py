@@ -190,8 +190,7 @@ class TestFlipSymmetricHalf:
         # n=18: the full state would be 4 MiB.  A fresh workspace holds the
         # half state, one half-size scratch buffer and the intp low half of
         # the cut table (1.25x; it builds the table itself), plus frame
-        # vectors of 1/32 each.  Fresh buffers per call peaked at 1.53x,
-        # the full-state evaluation at 2.03x.
+        # vectors of 1/32 each.
         g = generate_random_graph(18, 34, 0)
         params = QaoaParams(gammas=(0.3, 0.5), betas=(0.2, 0.7))
         full_state = (1 << g.n) * 16
@@ -226,6 +225,13 @@ class TestFlipSymmetricHalf:
         other = Graph(3, ((0, 1),))
         with pytest.raises(ValueError):
             evaluate_params(other, QaoaParams((0.1, 0.2), (0.3, 0.4)), workspace=workspace)
+
+    def test_workspace_of_an_equal_graph_is_used(self):
+        params = QaoaParams((0.1, 0.2), (0.3, 0.4))
+        workspace = simulator.FlipSymmetricWorkspace(generate_random_graph(6, 8, 1))
+        value = evaluate_params(generate_random_graph(6, 8, 1), params, workspace=workspace)
+        assert workspace.values
+        assert repr(value) == repr(evaluate_params(generate_random_graph(6, 8, 1), params))
 
     def test_optimizer_allocates_one_workspace_per_call(self, monkeypatch):
         built = []
@@ -420,6 +426,29 @@ class TestSimulateEachCircuitOnce:
         # last circuit named is the extraction's.
         evaluated = circuits[:-1]
         assert log[:last].count("prepare") == len(set(evaluated)) < len(evaluated)
+
+    def test_a_prepared_state_is_valued_without_preparing_it_again(self, monkeypatch):
+        g = generate_random_graph(9, 16, 2)
+        params = QaoaParams((0.4, 0.1), (0.3, 0.2))
+        want = _reference_expectation(simulator.FlipSymmetricWorkspace(g), params)
+        workspace = simulator.FlipSymmetricWorkspace(g)
+        log = _prepare_log(monkeypatch)
+        workspace.probabilities(params)
+        assert repr(workspace.expectation(params)) == repr(want)
+        assert log == ["prepare"]
+
+    def test_kept_and_held_states_are_read_without_preparing(self, monkeypatch):
+        # The best circuit's state is kept, the last one's is held: reading
+        # either leaves the other in its buffer.
+        g = generate_random_graph(9, 16, 2)
+        best, other = QaoaParams((0.4, 0.1), (0.3, 0.2)), QaoaParams((0.1, 0.2), (0.5, 0.1))
+        want = [_reference_probabilities(simulator.FlipSymmetricWorkspace(g), x).tobytes()
+                for x in (best, other)]
+        workspace = simulator.FlipSymmetricWorkspace(g, keep_best=True)
+        assert workspace.expectation(best) > workspace.expectation(other)
+        log = _prepare_log(monkeypatch)
+        assert [workspace.probabilities(x).tobytes() for x in (best, other)] == want
+        assert log == []
 
     def test_scanned_run_reads_a_held_final_state(self, monkeypatch):
         # Here the best circuit is also the last one simulated, so the
@@ -862,11 +891,9 @@ class TestRunOnTheHalf:
     def test_run_peak_memory(self, p, shots, bound):
         # n=18: the full state would be 4 MiB.  The workspace is 1.25x; the
         # threshold scan adds one intp half table (reads 1.60x), a sampled
-        # run the buffer that keeps its best state, 0.5x, where the sampler
-        # once copied its cumulative distribution (reads 1.85x).  A depth-1
-        # run simulates no evaluation, so a sampled one keeps no state
-        # (reads 1.32x; 1.82x when it kept one).  The full-register final
-        # state peaked at 2.27x either way.
+        # run the buffer that keeps its best state, 0.5x (reads 1.85x).  A
+        # depth-1 run simulates no evaluation, so a sampled one keeps no
+        # state (reads 1.32x).
         g = generate_random_graph(18, 34, 0)
         cfg = QaoaConfig(p=p, budget=6, restarts=2, seed=0, shots=shots)
         full_state = (1 << g.n) * 16

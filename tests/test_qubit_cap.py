@@ -122,15 +122,18 @@ ENTRY_POINTS = {
 }
 
 
-@pytest.mark.parametrize("entry", ENTRY_POINTS)
-def test_every_entry_point_has_the_same_boundary(monkeypatch, entry):
-    monkeypatch.setenv("QMAXCUT_QUBIT_CAP", "7")
-    ENTRY_POINTS[entry](7)
+@pytest.mark.parametrize(("entry", "cap"), [
+    pytest.param(entry, cap, id=entry if cap == 7 else f"{entry}-cap{cap}")
+    for cap in (7, 4) for entry in ENTRY_POINTS
+])
+def test_every_entry_point_has_the_same_boundary(monkeypatch, entry, cap):
+    monkeypatch.setenv("QMAXCUT_QUBIT_CAP", str(cap))
+    ENTRY_POINTS[entry](cap)
     with pytest.raises(ResourceLimitError) as refused:
-        ENTRY_POINTS[entry](8)
+        ENTRY_POINTS[entry](cap + 1)
     assert str(refused.value) == (
-        "state and cut table for n=8 exceed qubit cap 7 "
-        "(would allocate 2**8 amplitudes or cut values)"
+        f"state and cut table for n={cap + 1} exceed qubit cap {cap} "
+        f"(would allocate 2**{cap + 1} amplitudes or cut values)"
     )
 
 

@@ -9,12 +9,15 @@ mean time per call of:
 * ``block build``: the mixer blocks for one angle;
 * ``block products``: the mixer's matrix products, the blocks given;
 * ``top rotation``: the top qubit's rotation that ends a mixer half-layer;
-* ``expectation``: an evaluation less its state preparation, that is
-  the workspace's product with the cut table, its ``vdot`` and the memo;
+* ``expectation``: an evaluation less its state preparation
+  (``simulator._flip_symmetric_state``), that is the workspace's lookup,
+  its product with the cut table, its ``vdot`` and the memo;
 * ``objective wrapper``: one evaluation of ``optimize_params`` whose
   circuit the workspace has already simulated: Nelder-Mead's steps,
   the objective closure, ``evaluate_params`` and the circuit memo;
-* ``evaluation``: one whole evaluation of a circuit not simulated before.
+* ``evaluation``: one whole evaluation of a circuit not simulated before:
+  each call clears the workspace's memo and the state it holds, so the
+  state is prepared again.
 
 Each batch times every piece in turn, ``BATCHES`` batches.  The fill,
 the mixer's block build and the state preparation are taken off the
@@ -93,6 +96,7 @@ def timed_calls(pkg, n: int, m: int) -> tuple[dict, int]:
 
     def evaluation():
         ws.values.clear()
+        ws.held = None
         ws.expectation(params)
 
     cfg = pkg.QaoaConfig(p=2, budget=40, restarts=2, seed=n)
@@ -104,7 +108,7 @@ def timed_calls(pkg, n: int, m: int) -> tuple[dict, int]:
         "mixer": lambda: prepare(((1, beta),), ws),
         "build": lambda: mixer.weigh(beta),
         "mix": lambda: mixer(w, scratch, beta),
-        "prepare": lambda: ws._prepare(circuit),
+        "prepare": lambda: prepare(circuit, ws),
         "wrapper": lambda: qaoa.optimize_params(g, cfg, workspace=memo),
         "evaluation": evaluation,
     }, cfg.budget
