@@ -32,7 +32,8 @@ before a graph is read, an output is opened or a solver runs.
 
 Exit codes: 0 success, 2 bad usage, malformed input or a path that
 cannot be read or written (missing, a directory, no permission), 3
-resource limit exceeded, 4 benchmark completed with failed cells.
+resource limit exceeded (the qubit cap, or an allocation the host
+cannot make), 4 benchmark completed with failed cells.
 """
 
 from __future__ import annotations
@@ -119,10 +120,10 @@ def _output(path: str | None, mode: str):
     """``path`` opened for writing in ``mode``: ``None`` for no path, stdout
     for ``-``.  Commands open their output before the first solver runs,
     so a path that cannot be written fails at once; a file the command
-    created is removed again when the command fails.  ``bench`` names its
-    plot files (``<stem>.runtime_vs_n.<series>.dat`` and
-    ``<stem>.runtime_vs_p.dat``) only after the sweep and opens them
-    inside the CSV's scope, so one failure removes every file it created."""
+    created is removed again when the command fails.  ``bench`` opens
+    its files to append and rewrites them only once every one is open
+    (see :func:`cmd_bench`), so a failure leaves a file that was there
+    before as it was."""
     if path is None or path == "-":
         yield None if path is None else sys.stdout
         return
@@ -223,7 +224,7 @@ def cmd_bench(args) -> int:
     cfg = QaoaConfig(p=depths[0], budget=args.budget, restarts=args.restarts, shots=args.shots)
     if args.trials < 1:
         raise ValueError(f"trials must be at least 1, got {args.trials}")
-    with _output(args.out, "w") as out:
+    with _output(args.out, "a") as out:
         cells, failures = [], 0  # (n, m, graph seed, rows) per cell
         for cell_index, (n, m) in enumerate(args.sizes):
             graph_seed = args.seed + cell_index
@@ -260,7 +261,7 @@ def cmd_bench(args) -> int:
                     warm = [r.best_params for r in runs]
                     res, runtime = _first_and_mean(runs)
                     rows["qaoa", depth] = (res.best_cut.cut_value, runtime, res.best_expectation)
-            except ResourceLimitError as exc:
+            except (ResourceLimitError, MemoryError) as exc:
                 print(f"bench: qaoa failed on n={n} m={m}: {exc}", file=sys.stderr)
                 failures += 1
         records = [
@@ -268,11 +269,17 @@ def cmd_bench(args) -> int:
             for n, m, seed, rows in cells
             for (algo, depth), (cut, runtime, expectation) in rows.items()
         ]
-        out.write(_csv_text(records, header=True))
         plots = _plot_data(args.out, records) if args.out != "-" else {}
         with ExitStack() as files:
-            for path, text in plots.items():
-                files.enter_context(_output(path, "w")).write(text)
+            texts = {out: _csv_text(records, header=True)}
+            texts.update((files.enter_context(_output(path, "a")), text)
+                         for path, text in plots.items())
+            # Every output is open, so a plot path that cannot be written
+            # has failed before any file that was there is rewritten.
+            for fh, text in texts.items():
+                if fh is not sys.stdout:
+                    fh.truncate(0)
+                fh.write(text)
 
     for path in plots:
         print(f"bench: wrote {path}", file=sys.stderr)
@@ -349,6 +356,6 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"qmaxcut: {exc}", file=sys.stderr)
         return 2
-    except ResourceLimitError as exc:
+    except (ResourceLimitError, MemoryError) as exc:
         print(f"qmaxcut: {exc}", file=sys.stderr)
         return 3

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from qmaxcut import (
     CutAssignment,
     Graph,
-    ResourceLimitError,
     SolveResult,
     brute_force_maxcut,
     cut_value,
@@ -156,16 +155,6 @@ class TestBruteForce:
         # qualifying basis index is 2 -> labels (+1, -1, +1).
         assert brute_force_maxcut(TRIANGLE).assignment.labels == (1, -1, 1)
 
-    @pytest.mark.parametrize("seed", range(25))
-    def test_matches_exhaustive_oracle(self, seed):
-        n = 2 + seed % 7
-        m = min((seed * 5) % 17, n * (n - 1) // 2)
-        g = generate_random_graph(n, m, seed)
-        expected, _ = exhaustive_best(g)
-        res = brute_force_maxcut(g).assignment
-        assert res.cut_value == expected
-        assert (res.labels, res.cut_value) == reference_brute_force(g)
-
     @settings(max_examples=200, deadline=None)
     @given(small_graphs())
     def test_labels_match_reference_including_ties(self, g):
@@ -176,26 +165,6 @@ class TestBruteForce:
     def test_deterministic(self):
         g = generate_random_graph(8, 14, 3)
         assert brute_force_maxcut(g).assignment == brute_force_maxcut(g).assignment
-
-    def test_refuses_oversized_instance(self, monkeypatch):
-        monkeypatch.setenv("QMAXCUT_QUBIT_CAP", "24")
-        big = Graph(30, ((0, 1),))
-        with pytest.raises(ResourceLimitError):
-            brute_force_maxcut(big)
-
-    def test_cap_is_inclusive(self, monkeypatch):
-        g = generate_random_graph(10, 5, 0)
-        monkeypatch.setenv("QMAXCUT_QUBIT_CAP", "10")
-        assert brute_force_maxcut(g).assignment.cut_value >= 0
-        monkeypatch.setenv("QMAXCUT_QUBIT_CAP", "9")
-        with pytest.raises(ResourceLimitError):
-            brute_force_maxcut(g)
-
-    def test_env_cap_applies(self, monkeypatch):
-        monkeypatch.setenv("QMAXCUT_QUBIT_CAP", "8")
-        assert brute_force_maxcut(generate_random_graph(8, 10, 0)).assignment.cut_value > 0
-        with pytest.raises(ResourceLimitError, match="cap 8"):
-            brute_force_maxcut(generate_random_graph(9, 10, 0))
 
 
 class TestGreedy:
@@ -219,21 +188,6 @@ class TestGreedy:
         res = greedy_maxcut(C4)
         assert res.elapsed >= 0.0
         assert cut_value(C4, res.assignment.labels) == res.assignment.cut_value
-
-    @pytest.mark.parametrize("seed", range(40))
-    def test_half_edges_guarantee(self, seed):
-        n = 3 + seed % 12
-        m = min(2 * n, n * (n - 1) // 2)
-        g = generate_random_graph(n, m, seed ^ 0xBEEF)
-        assert greedy_maxcut(g).assignment.cut_value >= (g.m + 1) // 2
-
-    @pytest.mark.parametrize("seed", range(15))
-    def test_never_beats_brute_force(self, seed):
-        g = generate_random_graph(8, 16, seed)
-        assert (
-            greedy_maxcut(g).assignment.cut_value
-            <= brute_force_maxcut(g).assignment.cut_value
-        )
 
     def test_deterministic(self):
         g = generate_random_graph(40, 100, 11)

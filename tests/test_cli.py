@@ -360,6 +360,37 @@ class TestChecksBeforeSolving:
         assert str(blocker) in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [blocker]
 
+    @pytest.mark.parametrize("cap, blocker", [
+        pytest.param("abc", None, id="unparsable-env-cap"),
+        pytest.param(None, "bench.runtime_vs_p.dat", id="plot-path-is-a-directory"),
+    ])
+    def test_failed_bench_leaves_earlier_files_as_they_were(self, tmp_path, monkeypatch, capsys,
+                                                            cap, blocker):
+        earlier = {tmp_path / "bench.csv": b"earlier,csv\n",
+                   tmp_path / "bench.runtime_vs_n.greedy.dat": b"4 earlier\n"}
+        for path, data in earlier.items():
+            path.write_bytes(data)
+        if blocker:
+            (tmp_path / blocker).mkdir()
+        before = sorted(tmp_path.iterdir())
+        monkeypatch.delenv("QMAXCUT_QUBIT_CAP", raising=False)
+        if cap:
+            monkeypatch.setenv("QMAXCUT_QUBIT_CAP", cap)
+        argv = ["bench", "--sizes", "4:3", "--depth", "1", "--budget", "10",
+                "--out", str(tmp_path / "bench.csv")]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().out == ""
+        assert sorted(tmp_path.iterdir()) == before
+        assert {path: path.read_bytes() for path in earlier} == earlier
+
+        # A run that succeeds rewrites each of them whole.
+        monkeypatch.delenv("QMAXCUT_QUBIT_CAP", raising=False)
+        if blocker:
+            (tmp_path / blocker).rmdir()
+        assert cli.main(argv) == 0
+        assert all(b"earlier" not in path.read_bytes() for path in earlier)
+        assert (tmp_path / "bench.csv").read_text().startswith(CSV_HEADER + "\n")
+
 
 class TestEdgeCaseExitCodes:
     """Edge cases exit with their documented code, never with a traceback."""
@@ -389,6 +420,23 @@ class TestEdgeCaseExitCodes:
         assert "Traceback" not in res.stderr
         if env:
             assert "QMAXCUT_QUBIT_CAP must be an integer, got 'abc'" in res.stderr
+
+    # 10**17 shots need 711 PiB of draws, beyond every 64-bit address space:
+    # numpy refuses the allocation at once, so nothing is allocated.
+    @pytest.mark.parametrize("command, code", [("solve", 3), ("bench", 4)])
+    def test_an_allocation_the_host_cannot_make(self, tmp_path, capsys, command, code):
+        out = tmp_path / "out.csv"
+        argv = {"solve": ["solve", "--gen", "3,2", "--algo", "qaoa", "--csv", str(out)],
+                "bench": ["bench", "--sizes", "3:2", "--out", str(out)]}[command]
+        assert cli.main([*argv, "--depth", "1", "--budget", "5", "--shots", str(10**17)]) == code
+        err = capsys.readouterr().err
+        if command == "solve":
+            assert err.startswith("qmaxcut: ") and not out.exists()
+        else:  # a failed cell: its qaoa row is blank, the classical rows are filled
+            assert "bench: qaoa failed on n=3 m=2: " in err
+            rows = [row.split(",") for row in out.read_text().splitlines()[1:]]
+            assert [(r[0], r[4] != "") for r in rows] == [
+                ("brute_force", True), ("greedy", True), ("qaoa", False)]
 
     @pytest.mark.parametrize("cap, argv", [
         pytest.param("-5", ("solve", "--gen", "2,1", "--algo", "brute", "--csv", "{out}"),

@@ -1,5 +1,6 @@
-"""Every module of the package uses each name it imports, and builds each
-error message in one place (no linter is needed to run these checks)."""
+"""Every module of the package, every test file and every tool uses each
+name it imports, and each package module builds each error message in one
+place (no linter is needed to run these checks)."""
 
 import ast
 from collections import Counter
@@ -10,6 +11,13 @@ import pytest
 import qmaxcut
 
 PACKAGE = Path(qmaxcut.__file__).parent
+ROOT = Path(__file__).resolve().parents[1]
+# Package modules by name, the tests and tools by their path in the checkout.
+SOURCES = {
+    **{p.stem: p for p in PACKAGE.glob("*.py") if p.stem != "__init__"},
+    **{p.relative_to(ROOT).as_posix(): p
+       for p in [*ROOT.glob("tests/**/*.py"), *ROOT.glob("tools/*.py")]},
+}
 # Imported on purpose and not used: bench/tests/test_bench_harness.py checks
 # that the tracer rebinds apply_qaoa_circuit in qaoa.  __init__, which
 # re-exports the API, is not checked.
@@ -34,11 +42,9 @@ def test_finds_an_unused_import():
     assert unused_imports(source) == ["time", "z"]
 
 
-@pytest.mark.parametrize(
-    "module", sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
-)
+@pytest.mark.parametrize("module", sorted(SOURCES))
 def test_module_uses_every_import(module):
-    unused = unused_imports((PACKAGE / f"{module}.py").read_text())
+    unused = unused_imports(SOURCES[module].read_text())
     assert [name for name in unused if (module, name) not in EXEMPT] == []
 
 

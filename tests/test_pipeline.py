@@ -96,21 +96,10 @@ class TestRunPipeline:
         report = run_pipeline(TRIANGLE, small_cfg())
         assert report.offload_count == report.qaoa_result.n_evaluations + 1
 
-    def test_comm_overhead_is_exact_product(self):
-        for latency in (0.0, 0.001, 0.25, 1.5):
-            report = run_pipeline(TRIANGLE, small_cfg(offload_latency=latency))
-            assert report.simulated_comm_overhead == report.offload_count * latency
-
     def test_comm_overhead_scales_linearly(self):
         a = run_pipeline(TRIANGLE, small_cfg(offload_latency=0.001))
         b = run_pipeline(TRIANGLE, small_cfg(offload_latency=0.002))
         assert b.simulated_comm_overhead == 2 * a.simulated_comm_overhead
-
-    def test_refinement_never_loses_cut_weight(self):
-        for seed in range(10):
-            g = generate_random_graph(7, 12, seed)
-            report = run_pipeline(g, small_cfg(seed=seed))
-            assert report.final_cut.cut_value >= report.qaoa_result.best_cut.cut_value
 
     def test_refinement_can_be_disabled(self):
         g = generate_random_graph(7, 12, 3)

@@ -513,17 +513,6 @@ class TestEvaluateParams:
         expected = 0.5 * (1.0 + math.sin(4 * beta) * math.sin(gamma))
         assert evaluate_params(EDGE, params) == pytest.approx(expected, abs=1e-9)
 
-    def test_respects_cap(self, monkeypatch):
-        # The cap bounds the simulated state: depth 2 up to n=7 under a cap of
-        # 7; depth 1 simulates nothing and runs above it too.
-        monkeypatch.setenv("QMAXCUT_QUBIT_CAP", "7")
-        one, two = QaoaParams((0.1,), (0.1,)), QaoaParams((0.1, 0.2), (0.1, 0.2))
-        below, above = Graph(7, ((0, 6),)), Graph(8, ((0, 7),))
-        evaluate_params(below, two)
-        with pytest.raises(ResourceLimitError, match="n=8 exceed qubit cap 7"):
-            evaluate_params(above, two)
-        assert evaluate_params(above, one) == depth_one_expectation(above, 0.1, 0.1)
-
 
 class TestQaoaConfig:
     def test_defaults(self):
@@ -654,13 +643,6 @@ class TestOptimizeParams:
         _, value, _ = optimize_params(g, QaoaConfig(p=1, budget=20, restarts=3, seed=0))
         assert value >= g.m / 2 - 1e-9
 
-    @pytest.mark.parametrize("seed", range(12))
-    def test_never_below_random_assignment_baseline(self, seed):
-        n = 4 + seed % 5
-        g = generate_random_graph(n, min(2 * n, n * (n - 1) // 2), seed)
-        _, value, _ = optimize_params(g, QaoaConfig(p=1, budget=30, restarts=3, seed=seed))
-        assert value >= g.m / 2 - 1e-9
-
     def test_evaluation_budget_is_hard(self):
         for budget in (5, 17, 60):
             cfg = QaoaConfig(p=2, budget=budget, restarts=4, seed=2)
@@ -683,11 +665,6 @@ class TestRunQaoa:
     def test_triangle_depth_one_finds_maximum_cut(self):
         result = run_qaoa(TRIANGLE, QaoaConfig(p=1, budget=500, restarts=3, seed=0))
         assert result.best_cut.cut_value == 2
-
-    def test_single_edge_reaches_near_optimal_expectation(self):
-        result = run_qaoa(EDGE, QaoaConfig(p=1, budget=500, restarts=3, seed=0))
-        assert result.best_expectation >= 0.99
-        assert result.best_cut.cut_value == 1
 
     def test_edgeless_graph(self):
         result = run_qaoa(Graph(3, ()), QaoaConfig(p=1, budget=10, restarts=2, seed=0))
@@ -716,21 +693,6 @@ class TestRunQaoa:
         assert a.best_expectation == b.best_expectation
         assert a.best_cut == b.best_cut
         assert a.n_evaluations == b.n_evaluations
-
-    def test_warm_chain_never_loses_ground(self):
-        # Feeding depth-p parameters into a depth-(p+1) run must not hurt:
-        # the old point padded with zero-angle layers is evaluated as-is.
-        for seed in (0, 1, 2):
-            g = generate_random_graph(8, 14, seed)
-            prev = None
-            values = []
-            for p in (1, 2, 3):
-                cfg = QaoaConfig(p=p, budget=60, restarts=3, seed=seed, warm_start=True)
-                result = run_qaoa(g, cfg, warm_params=prev)
-                values.append(result.best_expectation)
-                prev = result.best_params
-            assert values[0] <= values[1] + 1e-9
-            assert values[1] <= values[2] + 1e-9
 
     @given(oracle_graphs(), st.integers(min_value=1, max_value=3), st.booleans(), st.data())
     @settings(max_examples=60, deadline=None)
