@@ -189,6 +189,14 @@ class TestGreedy:
         assert res.elapsed >= 0.0
         assert cut_value(C4, res.assignment.labels) == res.assignment.cut_value
 
+    @pytest.mark.parametrize("seed", range(15))
+    def test_never_beats_brute_force(self, seed):
+        g = generate_random_graph(8, 16, seed)
+        assert (
+            greedy_maxcut(g).assignment.cut_value
+            <= brute_force_maxcut(g).assignment.cut_value
+        )
+
     def test_deterministic(self):
         g = generate_random_graph(40, 100, 11)
         assert greedy_maxcut(g).assignment == greedy_maxcut(g).assignment
