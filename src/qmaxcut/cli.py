@@ -43,7 +43,7 @@ import os
 import re
 import sys
 from contextlib import ExitStack, contextmanager
-from dataclasses import astuple, dataclass, replace
+from dataclasses import astuple, dataclass, fields, replace
 from functools import cache
 from pathlib import Path
 
@@ -53,7 +53,6 @@ from .graph import (Graph, ResourceLimitError, generate_random_graph, parse_edge
 from .pipeline import PipelineConfig, run_pipeline
 from .qaoa import QaoaConfig, run_qaoa
 
-CSV_HEADER = "algorithm,n,m,depth,cut,runtime_s,seed,expectation"
 DEFAULT_SCHEDULE = ((4, 5), (6, 9), (8, 12), (10, 15), (12, 20), (14, 25), (16, 30))
 DEFAULT_DEPTHS = (1, 2, 3)
 _TRIAL_SEED_STRIDE = 10_000
@@ -75,6 +74,9 @@ class BenchRecord:
 
     def to_csv_row(self) -> str:
         return ",".join("" if x is None else str(x) for x in astuple(self))
+
+
+CSV_HEADER = ",".join(field.name for field in fields(BenchRecord))
 
 
 def _int(text: str) -> int:

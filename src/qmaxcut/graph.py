@@ -178,10 +178,15 @@ class CutAssignment:
         return cls(labels=labels, cut_value=cut_value(g, labels))
 
 
-def cut_value(g: Graph, labels) -> int:
-    """Number of edges of ``g`` crossing the partition given by ``labels``."""
+def _check_labels(g: Graph, labels) -> None:
+    """Refuse ``labels`` unless they hold one label per vertex of ``g``."""
     if len(labels) != g.n:
         raise ValueError(f"expected {g.n} labels, got {len(labels)}")
+
+
+def cut_value(g: Graph, labels) -> int:
+    """Number of edges of ``g`` crossing the partition given by ``labels``."""
+    _check_labels(g, labels)
     return sum(1 for u, v in g.edges if labels[u] != labels[v])
 
 

@@ -26,7 +26,7 @@ import math
 import time
 from dataclasses import dataclass
 
-from .graph import CutAssignment, Graph, labels_from_index
+from .graph import CutAssignment, Graph, _check_labels, labels_from_index
 from .qaoa import QaoaConfig, QaoaResult, run_qaoa
 
 
@@ -72,8 +72,10 @@ def refine_assignment(g: Graph, assignment: CutAssignment) -> CutAssignment:
     strictly increases the cut, and repeats until a full pass finds
     nothing.  The result is 1-flip locally optimal and never worse than
     the input.  Deterministic.  The ``-1`` side is a bit mask and each
-    count a popcount of :attr:`Graph.neighbours`.
+    count a popcount of :attr:`Graph.neighbours`.  Labels of another
+    length than ``g``'s vertex count raise ``ValueError``.
     """
+    _check_labels(g, assignment.labels)
     minus = sum(1 << v for v, x in enumerate(assignment.labels) if x == -1)
     improved = True
     while improved:

@@ -97,6 +97,6 @@ def test_full_register_mixer_matches_the_per_call_kernel(n):
     # runs it on the half, against the oracle's kernel.
     rng = np.random.default_rng(n)
     amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
-    for beta in (0.0, -0.0, 0.37, -2.9, float(rng.uniform(-7.0, 7.0))):
+    for beta in (0.0, -0.0, 0.37, math.pi / 2, 2.9, -2.9, float(rng.uniform(-7.0, 7.0))):
         got = kernel_oracle.mixer_layer(amps.copy(), beta, kernel_oracle.plan_mix)
         assert np.array_equal(got, kernel_oracle.mixer_layer(amps.copy(), beta, kernel_oracle.mix))

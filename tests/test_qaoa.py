@@ -167,6 +167,7 @@ class TestFlipSymmetricHalf:
         ),
     )
     @example(Graph(1, ()), [0.3, 0.7, 0.2, 0.5])  # no low qubits for the mixer
+    @example(generate_random_graph(6, 9, 1), [0.8, 0.3])  # depth 1
     @settings(max_examples=200, deadline=None)
     def test_matches_full_statevector(self, g, angles):
         params = _params(angles)

@@ -1,6 +1,7 @@
-"""Line counts of the ``src/qmaxcut`` modules.
+"""Line counts of the ``src/qmaxcut`` modules and of ``tests/``.
 
-Prints each module's total lines and code lines, then the totals.  A code
+Prints each module's total lines and code lines, then the totals, then
+one row for all the Python files under ``tests/``, counted alike.  A code
 line holds at least one token that is not a comment; the lines of a
 docstring (the leading string of a module, class or function body) and
 blank lines are not code.  Run from anywhere: ``python tools/src_lines.py``.
@@ -11,7 +12,8 @@ import io
 import tokenize
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "qmaxcut"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "qmaxcut"
 _NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
              tokenize.DEDENT, tokenize.ENDMARKER}
 
@@ -36,6 +38,8 @@ def main() -> None:
     rows = [(path.name, *counts(path.read_text(encoding="utf-8")))
             for path in sorted(SRC.glob("*.py"))]
     rows.append(("total", sum(r[1] for r in rows), sum(r[2] for r in rows)))
+    tests = [counts(path.read_text(encoding="utf-8")) for path in (ROOT / "tests").rglob("*.py")]
+    rows.append(("tests/", sum(t[0] for t in tests), sum(t[1] for t in tests)))
     print(f"{'module':<16}{'lines':>7}{'code':>7}")
     for name, total, code in rows:
         print(f"{name:<16}{total:>7,}{code:>7,}")
