@@ -227,7 +227,7 @@ def cmd_bench(args) -> int:
     if args.trials < 1:
         raise ValueError(f"trials must be at least 1, got {args.trials}")
     with _output(args.out, "a") as out:
-        cells, failures = [], 0  # (n, m, graph seed, rows) per cell
+        cells = []  # (n, m, graph seed, rows) per cell
         for cell_index, (n, m) in enumerate(args.sizes):
             graph_seed = args.seed + cell_index
             # (cut, runtime_s, expectation) per row, blank until measured:
@@ -240,7 +240,6 @@ def cmd_bench(args) -> int:
                 g = generate_random_graph(n, m, graph_seed)
             except ValueError as exc:
                 print(f"bench: skipping cell n={n} m={m}: {exc}", file=sys.stderr)
-                failures += 1
                 continue
 
             for algo in ("brute_force", "greedy"):
@@ -249,6 +248,9 @@ def cmd_bench(args) -> int:
                 except ResourceLimitError as exc:  # brute force above the cap: skipped, not failed
                     print(f"bench: skipping {algo} on n={n}: {exc}", file=sys.stderr)
                     del rows[algo, 0]
+                    continue
+                except MemoryError as exc:
+                    print(f"bench: {algo} failed on n={n} m={m}: {exc}", file=sys.stderr)
                     continue
                 res, runtime = _first_and_mean(runs)
                 rows[algo, 0] = (res.assignment.cut_value, runtime, None)
@@ -265,7 +267,8 @@ def cmd_bench(args) -> int:
                     rows["qaoa", depth] = (res.best_cut.cut_value, runtime, res.best_expectation)
             except (ResourceLimitError, MemoryError) as exc:
                 print(f"bench: qaoa failed on n={n} m={m}: {exc}", file=sys.stderr)
-                failures += 1
+        # A failed cell is one with a blank row: its graph or one of its solvers failed.
+        failures = sum(any(cut is None for cut, _, _ in rows.values()) for *_, rows in cells)
         records = [
             BenchRecord(algo, n, m, depth, cut, runtime, seed, expectation)
             for n, m, seed, rows in cells

@@ -3,8 +3,8 @@
 Each file beside this script is one command's stdout with its timings
 taken out: a ``bench`` CSV loses its ``runtime_s`` column, and every
 ``*_s=`` value in ``solve``'s ``key=value`` lines reads ``*``.  Each
-command runs in a child ``python -m qmaxcut`` on one BLAS thread
-(``OPENBLAS_NUM_THREADS=OMP_NUM_THREADS=1``), under the default qubit cap.
+command runs in a child ``python -m qmaxcut`` whose environment is
+:func:`child_env`'s: one BLAS thread and the default qubit cap.
 ``tests/test_golden.py`` runs the commands again and compares the bytes.
 
 A change that moves a run output on purpose writes the files again and
@@ -33,13 +33,28 @@ _RUNTIME_COLUMN = 5  # of cli.CSV_HEADER
 _TIMING = re.compile(r"^(\w+_s)=.*$", re.MULTILINE)
 
 
+# Each thread-count variable of the BLAS and OpenMP runtimes numpy may load,
+# pinned to one thread: the outputs depend on the thread count.
+ONE_THREAD = dict.fromkeys(("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"), "1")
+
+
+def child_env(extra: dict | None = None) -> dict:
+    """The environment of a child ``python`` that runs this checkout's
+    ``qmaxcut`` in any directory: this process's less ``QMAXCUT_QUBIT_CAP``,
+    with :data:`ONE_THREAD`, ``src/`` first on ``PYTHONPATH`` (the inherited
+    entries made absolute) and then ``extra``."""
+    env = {k: v for k, v in os.environ.items() if k != "QMAXCUT_QUBIT_CAP"}
+    inherited = env.get("PYTHONPATH")
+    entries = [str(Path(e).resolve()) for e in inherited.split(os.pathsep)] if inherited else []
+    env.update(ONE_THREAD, PYTHONPATH=os.pathsep.join([str(SRC), *entries]))
+    env.update(extra or {})
+    return env
+
+
 def output(name: str) -> str:
     """The masked stdout of the command that writes ``name``."""
-    env = {k: v for k, v in os.environ.items() if k != "QMAXCUT_QUBIT_CAP"}
-    env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-               PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")])))
     args = RUNS[name]
-    stdout = subprocess.run([sys.executable, "-m", "qmaxcut", *args], env=env,
+    stdout = subprocess.run([sys.executable, "-m", "qmaxcut", *args], env=child_env(),
                             capture_output=True, text=True, check=True).stdout
     if args[0] == "bench":
         rows = (line.split(",") for line in stdout.splitlines())

@@ -1,14 +1,16 @@
 import argparse
+import io
 import os
 import subprocess
 import sys
-from pathlib import Path
+from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import qmaxcut
+from golden.regenerate import child_env
 from qmaxcut import (
     CutAssignment,
     EdgeListParseError,
@@ -26,34 +28,31 @@ from qmaxcut.cli import _parse_depths, _parse_gen, _parse_sizes
 
 CSV_HEADER = "algorithm,n,m,depth,cut,runtime_s,seed,expectation"
 
-# Directory holding the package this test process imported (``src/`` in a
-# checkout), so a child started in another ``cwd`` finds the same code.
-PACKAGE_ROOT = Path(qmaxcut.__file__).resolve().parents[1]
-
 
 def run_cli(*args, env_extra=None, cwd=None):
-    return run_python("-m", "qmaxcut", *map(str, args), env_extra=env_extra, cwd=cwd)
+    """``qmaxcut ARGS`` run by ``cli.main`` in this process, as a
+    ``CompletedProcess``; argparse's ``SystemExit`` gives the exit code.
+    ``QMAXCUT_QUBIT_CAP`` is cleared, ``env_extra`` set and ``cwd`` entered
+    for this call only."""
+    argv = [str(a) for a in args]
+    out, err, previous = io.StringIO(), io.StringIO(), os.getcwd()
+    with mock.patch.dict(os.environ), redirect_stdout(out), redirect_stderr(err):
+        os.environ.pop("QMAXCUT_QUBIT_CAP", None)
+        os.environ.update(env_extra or {})
+        try:
+            os.chdir(cwd or previous)
+            code = cli.main(argv)
+        except SystemExit as exit_:
+            code = exit_.code
+        finally:
+            os.chdir(previous)
+    return subprocess.CompletedProcess(argv, code, out.getvalue(), err.getvalue())
 
 
-def run_python(*argv, env_extra=None, cwd=None):
-    env = {k: v for k, v in os.environ.items() if k != "QMAXCUT_QUBIT_CAP"}
-    # A relative PYTHONPATH entry (e.g. ``src``) means nothing once the
-    # child runs in ``cwd``; pin the imported package first and make the
-    # inherited entries absolute.
-    inherited = env.get("PYTHONPATH")
-    entries = inherited.split(os.pathsep) if inherited else []
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(PACKAGE_ROOT), *(str(Path(e).resolve()) for e in entries)]
-    )
-    if env_extra:
-        env.update(env_extra)
-    return subprocess.run(
-        [sys.executable, *argv],
-        capture_output=True,
-        text=True,
-        env=env,
-        cwd=cwd,
-    )
+def run_child(*argv, cwd, env_extra=None):
+    """``python ARGV`` in a fresh interpreter, for the tests whose subject is one."""
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, cwd=cwd,
+                          env=child_env(env_extra))
 
 
 def kv_blocks(stdout):
@@ -176,7 +175,8 @@ class TestSolve:
         assert all(line.startswith("greedy,3,3,0,2,") for line in lines[1:])
 
     def test_csv_to_a_pipe_gets_its_header(self):
-        # The child's stdout is a pipe, which cannot report a position.
+        # stdout already holds the stanzas: a stream's rows get their header
+        # by the rule for streams, not by an empty file's position.
         res = run_cli("solve", "--gen", "5,4", "--algo", "greedy", "--csv", "-")
         assert res.returncode == 0, res.stderr
         (block,) = kv_blocks(res.stdout.split(CSV_HEADER)[0])
@@ -195,27 +195,26 @@ class TestSolve:
             assert block["runtime_s"] == row[5] == repr(runtime)
 
     @staticmethod
-    def _solve_and_run(capsys, seed, *flags, shots=0, warm_start=True, refine=True):
+    def _solve_and_run(seed, *flags, shots=0, warm_start=True, refine=True):
         """``solve --gen 12,20 --depth 2 --seed SEED FLAGS``'s block, and the
         report of ``run_pipeline`` on that run with the given settings."""
-        argv = ["solve", "--gen", "12,20", "--depth", "2", "--seed", str(seed), *flags]
-        assert cli.main(argv) == 0
-        (block,) = kv_blocks(capsys.readouterr().out)
+        res = run_cli("solve", "--gen", "12,20", "--depth", 2, "--seed", seed, *flags)
+        assert res.returncode == 0
+        (block,) = kv_blocks(res.stdout)
         cfg = PipelineConfig(QaoaConfig(p=2, seed=seed, shots=shots, warm_start=warm_start),
                              postprocess_refine=refine)
         return block, run_pipeline(generate_random_graph(12, 20, seed), cfg)
 
-    def test_no_warm_turns_off_the_depth_ladder(self, capsys):
-        block, report = self._solve_and_run(capsys, 3, "--no-warm", warm_start=False)
+    def test_no_warm_turns_off_the_depth_ladder(self):
+        block, report = self._solve_and_run(3, "--no-warm", warm_start=False)
         assert block["expectation"] == repr(report.qaoa_result.best_expectation)
         assert block["n_evaluations"] == str(report.qaoa_result.n_evaluations)
 
-    def test_no_refine_prints_the_unrefined_cut(self, capsys):
+    def test_no_refine_prints_the_unrefined_cut(self):
         # A sampled run, whose cut refinement moves, so a flag that is ignored
         # prints the refined cut; the warm run's expectation tells the flag
         # apart from --no-warm.
-        block, report = self._solve_and_run(capsys, 5, "--shots", "4", "--no-refine",
-                                            shots=4, refine=False)
+        block, report = self._solve_and_run(5, "--shots", 4, "--no-refine", shots=4, refine=False)
         refined = run_pipeline(generate_random_graph(12, 20, 5),
                                PipelineConfig(QaoaConfig(p=2, seed=5, shots=4)))
         assert refined.final_cut.cut_value > report.qaoa_result.best_cut.cut_value
@@ -324,48 +323,46 @@ class TestChecksBeforeSolving:
           for flag, value in (("--restarts", "0"), ("--shots", "-1"), ("--latency", "-1"),
                               ("--budget", "2"), ("--budget", "0"), ("--depth", "0,1"))),
     ])
-    def test_exits_before_any_solver_runs(self, tmp_path, monkeypatch, capsys, args):
+    def test_exits_before_any_solver_runs(self, tmp_path, monkeypatch, args):
         def refuse(*_args, **_kwargs):
             raise AssertionError("a solver ran")
 
         for name in ("brute_force_maxcut", "greedy_maxcut", "run_qaoa", "run_pipeline"):
             monkeypatch.setattr(cli, name, refuse)
-        monkeypatch.delenv("QMAXCUT_QUBIT_CAP", raising=False)
         out = tmp_path / "out.csv"
         cell = {"solve": ("--gen", "6,8", "--algo", "all", "--depth", "1,2"),
                 "bench": ("--sizes", "4:3,6:8", "--depth", "1,2")}[args[0]]
-        argv = [args[0], *cell, *(a.format(dir=tmp_path, out=out) for a in args[1:])]
-        assert cli.main(argv) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("qmaxcut: ")
+        res = run_cli(args[0], *cell, *(a.format(dir=tmp_path, out=out) for a in args[1:]))
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr.startswith("qmaxcut: ")
         assert list(tmp_path.iterdir()) == []
 
-    def test_failed_solve_removes_only_a_csv_it_created(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("QMAXCUT_QUBIT_CAP", "4")
+    def test_failed_solve_removes_only_a_csv_it_created(self, tmp_path):
         new, old = tmp_path / "new.csv", tmp_path / "old.csv"
         old.write_text(CSV_HEADER + "\n")
         for csv in (new, old):
-            assert cli.main(["solve", "--gen", "5,4", "--algo", "all", "--csv", str(csv)]) == 3
-        assert capsys.readouterr().out == ""
+            res = run_cli("solve", "--gen", "5,4", "--algo", "all", "--csv", csv,
+                          env_extra={"QMAXCUT_QUBIT_CAP": "4"})
+            assert res.returncode == 3
+            assert res.stdout == ""
         assert not new.exists()
         assert old.read_text() == CSV_HEADER + "\n"
 
-    def test_failed_bench_removes_every_file_it_created(self, tmp_path, capsys):
+    def test_failed_bench_removes_every_file_it_created(self, tmp_path):
         blocker = tmp_path / "bench.runtime_vs_p.dat"  # the last plot file cannot be written
         blocker.mkdir()
-        argv = ["bench", "--sizes", "4:3", "--depth", "1", "--budget", "10",
-                "--out", str(tmp_path / "bench.csv")]
-        assert cli.main(argv) == 2
-        assert str(blocker) in capsys.readouterr().err
+        res = run_cli("bench", "--sizes", "4:3", "--depth", 1, "--budget", 10,
+                      "--out", tmp_path / "bench.csv")
+        assert res.returncode == 2
+        assert str(blocker) in res.stderr
         assert list(tmp_path.iterdir()) == [blocker]
 
     @pytest.mark.parametrize("cap, blocker", [
         pytest.param("abc", None, id="unparsable-env-cap"),
         pytest.param(None, "bench.runtime_vs_p.dat", id="plot-path-is-a-directory"),
     ])
-    def test_failed_bench_leaves_earlier_files_as_they_were(self, tmp_path, monkeypatch, capsys,
-                                                            cap, blocker):
+    def test_failed_bench_leaves_earlier_files_as_they_were(self, tmp_path, cap, blocker):
         earlier = {tmp_path / "bench.csv": b"earlier,csv\n",
                    tmp_path / "bench.runtime_vs_n.greedy.dat": b"4 earlier\n"}
         for path, data in earlier.items():
@@ -373,21 +370,18 @@ class TestChecksBeforeSolving:
         if blocker:
             (tmp_path / blocker).mkdir()
         before = sorted(tmp_path.iterdir())
-        monkeypatch.delenv("QMAXCUT_QUBIT_CAP", raising=False)
-        if cap:
-            monkeypatch.setenv("QMAXCUT_QUBIT_CAP", cap)
-        argv = ["bench", "--sizes", "4:3", "--depth", "1", "--budget", "10",
-                "--out", str(tmp_path / "bench.csv")]
-        assert cli.main(argv) == 2
-        assert capsys.readouterr().out == ""
+        argv = ("bench", "--sizes", "4:3", "--depth", 1, "--budget", 10,
+                "--out", tmp_path / "bench.csv")
+        res = run_cli(*argv, env_extra=cap and {"QMAXCUT_QUBIT_CAP": cap})
+        assert res.returncode == 2
+        assert res.stdout == ""
         assert sorted(tmp_path.iterdir()) == before
         assert {path: path.read_bytes() for path in earlier} == earlier
 
         # A run that succeeds rewrites each of them whole.
-        monkeypatch.delenv("QMAXCUT_QUBIT_CAP", raising=False)
         if blocker:
             (tmp_path / blocker).rmdir()
-        assert cli.main(argv) == 0
+        assert run_cli(*argv).returncode == 0
         assert all(b"earlier" not in path.read_bytes() for path in earlier)
         assert (tmp_path / "bench.csv").read_text().startswith(CSV_HEADER + "\n")
 
@@ -424,12 +418,13 @@ class TestEdgeCaseExitCodes:
     # 10**17 shots need 711 PiB of draws, beyond every 64-bit address space:
     # numpy refuses the allocation at once, so nothing is allocated.
     @pytest.mark.parametrize("command, code", [("solve", 3), ("bench", 4)])
-    def test_an_allocation_the_host_cannot_make(self, tmp_path, capsys, command, code):
+    def test_an_allocation_the_host_cannot_make(self, tmp_path, command, code):
         out = tmp_path / "out.csv"
-        argv = {"solve": ["solve", "--gen", "3,2", "--algo", "qaoa", "--csv", str(out)],
-                "bench": ["bench", "--sizes", "3:2", "--out", str(out)]}[command]
-        assert cli.main([*argv, "--depth", "1", "--budget", "5", "--shots", str(10**17)]) == code
-        err = capsys.readouterr().err
+        argv = {"solve": ("solve", "--gen", "3,2", "--algo", "qaoa", "--csv", out),
+                "bench": ("bench", "--sizes", "3:2", "--out", out)}[command]
+        res = run_cli(*argv, "--depth", 1, "--budget", 5, "--shots", 10**17)
+        assert res.returncode == code
+        err = res.stderr
         if command == "solve":
             assert err.startswith("qmaxcut: ") and not out.exists()
         else:  # a failed cell: its qaoa row is blank, the classical rows are filled
@@ -444,12 +439,12 @@ class TestEdgeCaseExitCodes:
         pytest.param("0", ("bench", "--sizes", "4:3", "--depth", "1", "--out", "{out}"),
                      id="bench"),
     ])
-    def test_qubit_cap_below_one(self, tmp_path, monkeypatch, capsys, cap, argv):
-        monkeypatch.setenv("QMAXCUT_QUBIT_CAP", cap)
-        assert cli.main([a.format(out=tmp_path / "out.csv") for a in argv]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert f"qmaxcut: QMAXCUT_QUBIT_CAP must be at least 1, got {cap}" in captured.err
+    def test_qubit_cap_below_one(self, tmp_path, cap, argv):
+        res = run_cli(*(a.format(out=tmp_path / "out.csv") for a in argv),
+                      env_extra={"QMAXCUT_QUBIT_CAP": cap})
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert f"qmaxcut: QMAXCUT_QUBIT_CAP must be at least 1, got {cap}" in res.stderr
         assert list(tmp_path.iterdir()) == []
 
 
@@ -520,13 +515,12 @@ class TestBench:
                 "qubit cap 6 (would allocate 2**8 amplitudes or cut values)\n") in res.stderr
         assert res.stderr.endswith("bench: 5 rows, 1 failed cells\n")
 
-    def test_a_cell_that_cannot_be_generated_keeps_every_row_blank(self, tmp_path,
-                                                                    monkeypatch, capsys):
+    def test_a_cell_that_cannot_be_generated_keeps_every_row_blank(self, tmp_path):
         # No solver ran on n=30, so none refused it: its brute_force row stays, blank.
-        monkeypatch.setenv("QMAXCUT_QUBIT_CAP", "6")
         out = tmp_path / "bench.csv"
-        assert cli.main(["bench", "--sizes", "4:3,8:10,30:1000", "--depth", "1",
-                         "--budget", "10", "--out", str(out)]) == 4
+        res = run_cli("bench", "--sizes", "4:3,8:10,30:1000", "--depth", 1, "--budget", 10,
+                      "--out", out, env_extra={"QMAXCUT_QUBIT_CAP": "6"})
+        assert res.returncode == 4
         rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
         assert [(r[0], r[1]) for r in rows] == [
             ("brute_force", "4"), ("greedy", "4"), ("qaoa", "4"),
@@ -534,9 +528,32 @@ class TestBench:
             ("brute_force", "30"), ("greedy", "30"), ("qaoa", "30"),
         ]
         assert all(r[4] == r[5] == r[7] == "" for r in rows[-3:])
-        err = capsys.readouterr().err
+        err = res.stderr
         assert "bench: skipping cell n=30 m=1000: edge count 1000 outside [0, 435] for n=30" in err
         assert err.endswith("bench: 8 rows, 2 failed cells\n")
+
+    @pytest.mark.parametrize("algo", ["brute_force", "greedy"])
+    def test_a_classical_solver_out_of_memory_fails_only_its_row(self, tmp_path, monkeypatch,
+                                                                 algo):
+        # The cell's other rows are measured and the sweep goes on to n=6.
+        solve = getattr(cli, f"{algo}_maxcut")
+
+        def fail_on_8(g):
+            if g.n == 8:
+                raise MemoryError("no room on n=8")
+            return solve(g)
+
+        monkeypatch.setattr(cli, f"{algo}_maxcut", fail_on_8)
+        out = tmp_path / "bench.csv"
+        res = run_cli("bench", "--sizes", "4:3,8:10,6:8", "--depth", 1, "--budget", 10,
+                      "--out", out)
+        assert res.returncode == 4, res.stderr
+        assert f"bench: {algo} failed on n=8 m=10: no room on n=8\n" in res.stderr
+        assert res.stderr.endswith("bench: 9 rows, 1 failed cells\n")
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert [(r[0], r[1]) for r in rows] == [
+            (a, n) for n in "486" for a in ("brute_force", "greedy", "qaoa")]
+        assert [r for r in rows if "" in r[4:6]] == [[algo, "8", "10", "0", "", "", "1", ""]]
 
     def test_trials_report_the_first_trial_and_the_mean_runtime(self, tmp_path, monkeypatch):
         """Trial ``t`` runs with solver seed ``graph seed + 10000 t``, each
@@ -571,10 +588,9 @@ class TestBench:
         for algo in classical:
             monkeypatch.setattr(cli, f"{algo}_maxcut", fake_solver(algo))
         monkeypatch.setattr(cli, "run_qaoa", fake_run_qaoa)
-        monkeypatch.delenv("QMAXCUT_QUBIT_CAP", raising=False)
         out = tmp_path / "bench.csv"
-        assert cli.main(["bench", "--sizes", "5:4", "--depth", "1,2", "--trials", "3",
-                         "--seed", str(graph_seed), "--out", str(out)]) == 0
+        assert run_cli("bench", "--sizes", "5:4", "--depth", "1,2", "--trials", 3,
+                       "--seed", graph_seed, "--out", out).returncode == 0
 
         assert out.read_text().splitlines()[1:] == [
             "brute_force,5,4,0,3,3.0,7,",
@@ -673,40 +689,37 @@ class TestOneIntegerSyntax:
         pytest.param(("solve", "--gen", "3,2", "--algo", "greedy", "--depth", "{}"), id="depth"),
         pytest.param(("gen", "--n", "3", "--m", "2", "--seed", "{}"), id="seed"),
     ])
-    def test_cli_argument(self, argv, text, capsys):
-        with pytest.raises(SystemExit) as exit_:
-            cli.main([a.format(text) for a in argv])
-        assert exit_.value.code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "error: argument" in captured.err and "Traceback" not in captured.err
+    def test_cli_argument(self, argv, text):
+        res = run_cli(*(a.format(text) for a in argv))
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert "error: argument" in res.stderr and "Traceback" not in res.stderr
 
     @pytest.mark.parametrize("text", REFUSED_INTEGERS)
-    def test_qubit_cap_variable(self, text, monkeypatch, capsys):
-        monkeypatch.setenv("QMAXCUT_QUBIT_CAP", text)
-        assert cli.main(["solve", "--gen", "3,2", "--algo", "brute"]) == 2
-        assert f"QMAXCUT_QUBIT_CAP must be an integer, got {text!r}" in capsys.readouterr().err
+    def test_qubit_cap_variable(self, text):
+        res = run_cli("solve", "--gen", "3,2", "--algo", "brute",
+                      env_extra={"QMAXCUT_QUBIT_CAP": text})
+        assert res.returncode == 2
+        assert f"QMAXCUT_QUBIT_CAP must be an integer, got {text!r}" in res.stderr
 
 
 class TestLatencyFlag:
     """``--latency`` is a decimal by the integer syntax's all-or-nothing rule."""
 
     @pytest.mark.parametrize("text", [*REFUSED_INTEGERS, "\u0661_0", "nan", "inf", "1.", ".5"])
-    def test_refused(self, text, tmp_path, capsys):
-        out = tmp_path / "out.csv"
-        with pytest.raises(SystemExit) as exit_:
-            cli.main(["solve", "--gen", "4,3", "--algo", "qaoa", "--latency", text,
-                      "--csv", str(out)])
-        assert exit_.value.code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert f"argument --latency: invalid decimal value: {text!r}" in captured.err
+    def test_refused(self, text, tmp_path):
+        res = run_cli("solve", "--gen", "4,3", "--algo", "qaoa", "--latency", text,
+                      "--csv", tmp_path / "out.csv")
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert f"argument --latency: invalid decimal value: {text!r}" in res.stderr
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("text", ["0", "-0", "0.5", "0.002", "1e-3"])
-    def test_accepted_spellings_read_as_float(self, text, capsys):
-        assert cli.main(["solve", "--gen", "4,3", "--algo", "qaoa", "--latency", text]) == 0
-        (block,) = kv_blocks(capsys.readouterr().out)
+    def test_accepted_spellings_read_as_float(self, text):
+        res = run_cli("solve", "--gen", "4,3", "--algo", "qaoa", "--latency", text)
+        assert res.returncode == 0
+        (block,) = kv_blocks(res.stdout)
         overhead = int(block["offload_count"]) * abs(float(text))  # -0 reads as 0.0
         assert block["simulated_comm_overhead"] == repr(overhead)
 
@@ -724,9 +737,22 @@ class TestStartup:
             " '--out', 'bench.csv']) == 0",
             "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))",
         ])
-        res = run_python("-c", code, cwd=tmp_path)
+        res = run_child("-c", code, cwd=tmp_path)
         assert res.returncode == 0, res.stderr
         assert res.stdout.splitlines()[-1] == "[]"
+
+    # The golden runs see only exit 0; each code is returned by ``main``.
+    @pytest.mark.parametrize("code, args, cap", [
+        pytest.param(0, ("solve", "--gen", "3,2", "--algo", "greedy"), None, id="success"),
+        pytest.param(2, ("gen", "--n", "3", "--m", "9"), None, id="usage"),
+        pytest.param(3, ("solve", "--gen", "5,4", "--algo", "brute"), "4", id="resource-limit"),
+        pytest.param(4, ("bench", "--sizes", "4:3,8:10", "--depth", "1", "--budget", "10"), "6",
+                     id="failed-cells"),
+    ])
+    def test_exit_code_reaches_the_shell(self, tmp_path, code, args, cap):
+        res = run_child("-m", "qmaxcut", *args, cwd=tmp_path,
+                        env_extra=cap and {"QMAXCUT_QUBIT_CAP": cap})
+        assert res.returncode == code, res.stderr
 
 
 @pytest.mark.slow

@@ -14,8 +14,9 @@ won.  With ``--pieces N`` it also runs ``tools/eval_pieces.py`` N times
 on both sides at once (their batches interleave in one process), naming
 the parent first in every other run, and keeps each piece's median.
 The output names the machine: nproc, CPU model, Python and numpy
-versions, and the BLAS library and its thread count (the benchmark pins
-it to one thread).
+versions, the BLAS library and its thread count (the benchmark pins it
+to one thread), and the OpenBLAS kernel that ``tools/blas_kernel.py``
+reads in a child process, so this script itself imports no numpy.
 
 Standard library only; run from anywhere, for example
 
@@ -98,13 +99,15 @@ def _summary(values: list[float]) -> dict:
 def _provenance() -> dict:
     info = json.loads(subprocess.run([sys.executable, "-c", _NUMPY_INFO], check=True,
                                      capture_output=True, text=True).stdout)
+    kernel = subprocess.run([sys.executable, str(ROOT / "tools" / "blas_kernel.py")],
+                            capture_output=True, text=True).stdout.strip()
     model = ""
     cpuinfo = Path("/proc/cpuinfo")
     if cpuinfo.is_file():
         model = next((line.split(":", 1)[1].strip() for line in cpuinfo.read_text().splitlines()
                       if line.startswith("model name")), "")
     return {"nproc": os.cpu_count(), "cpu_model": model or platform.processor(),
-            "python": platform.python_version(), **info,
+            "python": platform.python_version(), **info, "blas_kernel": kernel or "unknown",
             "blas_threads": 1, "machine": platform.machine()}
 
 

@@ -49,10 +49,13 @@ import tempfile
 import time
 from pathlib import Path
 
-for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"  # before numpy loads
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "tests" / "golden"))
+from regenerate import ONE_THREAD  # noqa: E402
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+os.environ.update(ONE_THREAD)  # before numpy loads
+
+SRC = ROOT / "src"
 SIZES = ((12, 20), (16, 30), (20, 60))
 ANGLES = ((0.7, 0.45), (0.31, 0.22))  # gammas, betas: no angle is 0
 BATCH_S = 0.005  # seconds per batch, roughly

@@ -64,7 +64,6 @@ def runs(tmp: Path) -> dict:
                 return cli.main(list(argv))
         return run
 
-    sys.path[:0] = [str(ROOT / "tests" / "golden"), str(ROOT / "bench")]
     golden = importlib.import_module("regenerate")
     out = {" ".join(argv): command(*argv) for argv in golden.RUNS.values()}
     graph = str(tmp / "graph.txt")
@@ -134,10 +133,10 @@ def merged(statements: list) -> list:
 
 
 def main() -> None:
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[var] = "1"  # before numpy loads
-    os.environ.pop("QMAXCUT_QUBIT_CAP", None)
     sys.dont_write_bytecode = True  # bench/ and tests/ are imported, not written
+    sys.path[:0] = [str(ROOT / "tests" / "golden"), str(ROOT / "bench")]
+    os.environ.update(importlib.import_module("regenerate").ONE_THREAD)  # before numpy loads
+    os.environ.pop("QMAXCUT_QUBIT_CAP", None)
     sys.path.insert(0, str(ROOT / "src"))
     ignore = {sys.prefix, sys.exec_prefix, sys.base_prefix, sys.base_exec_prefix}
     tracer = trace.Trace(count=1, trace=0, ignoredirs=sorted(ignore))
