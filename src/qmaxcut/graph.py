@@ -35,6 +35,7 @@ The algorithm, fixed for reproducibility:
 
 from __future__ import annotations
 
+import math
 import operator
 import os
 import re
@@ -317,14 +318,13 @@ class _SplitMix64:
 
 
 def _unrank_pair(n: int, k: int) -> tuple[int, int]:
-    # Lexicographic rank k over pairs (0,1),(0,2),...,(n-2,n-1).
-    u = 0
-    row = n - 1
-    while k >= row:
-        k -= row
-        u += 1
-        row -= 1
-    return u, u + 1 + k
+    # Lexicographic rank k over pairs (0,1),(0,2),...,(n-2,n-1).  Counted
+    # from the last pair its rank is j, and the r+1 pairs of row u = n-2-r
+    # take ranks r(r+1)/2 onward, so r is the integer triangular root of j,
+    # which isqrt gives exactly.
+    j = n * (n - 1) // 2 - 1 - k
+    r = (math.isqrt(8 * j + 1) - 1) // 2
+    return n - 2 - r, n - 1 - (j - r * (r + 1) // 2)
 
 
 def generate_random_graph(n: int, m: int, seed: int) -> Graph:

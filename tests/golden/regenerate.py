@@ -1,11 +1,11 @@
 """Golden run outputs: what ``qmaxcut bench`` and ``qmaxcut solve`` print.
 
 Each file beside this script is one command's stdout with its timings
-taken out: a ``bench`` CSV loses its ``runtime_s`` column, and every
-``*_s=`` value in ``solve``'s ``key=value`` lines reads ``*``.  Each
-command runs in a child ``python -m qmaxcut`` whose environment is
-:func:`child_env`'s: one BLAS thread and the default qubit cap.
-``tests/test_golden.py`` runs the commands again and compares the bytes.
+taken out by :func:`mask_timings`.  Each command runs in a child
+``python -m qmaxcut`` started by :func:`run_child`: one BLAS thread and
+the default qubit cap.  ``tests/test_golden.py`` runs the commands again
+and compares the bytes.  The tests start every child process and mask
+every timing through these two functions.
 
 A change that moves a run output on purpose writes the files again and
 commits the diff::
@@ -51,15 +51,30 @@ def child_env(extra: dict | None = None) -> dict:
     return env
 
 
+def run_child(*argv: str, cwd=None, env_extra: dict | None = None,
+              check: bool = False) -> subprocess.CompletedProcess:
+    """``python ARGV`` in a fresh interpreter with :func:`child_env`'s
+    environment (``env_extra`` added), in ``cwd``; its output as text."""
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, cwd=cwd,
+                          env=child_env(env_extra), check=check)
+
+
+def mask_timings(name: str, text: str) -> str:
+    """``text``, an output named ``name``, without its timings: a ``.csv``
+    (a ``bench`` CSV) loses its ``runtime_s`` column, a ``.dat`` plot file
+    its second (runtime) column, and anything else reads ``*`` for every
+    ``*_s=`` value of ``solve``'s ``key=value`` lines."""
+    if name.endswith(".csv"):
+        rows = (line.split(",") for line in text.splitlines())
+        return "".join(",".join(r[:_RUNTIME_COLUMN] + r[_RUNTIME_COLUMN + 1:]) + "\n" for r in rows)
+    if name.endswith(".dat"):
+        return "".join(line.split()[0] + "\n" for line in text.splitlines())
+    return _TIMING.sub(r"\1=*", text)
+
+
 def output(name: str) -> str:
     """The masked stdout of the command that writes ``name``."""
-    args = RUNS[name]
-    stdout = subprocess.run([sys.executable, "-m", "qmaxcut", *args], env=child_env(),
-                            capture_output=True, text=True, check=True).stdout
-    if args[0] == "bench":
-        rows = (line.split(",") for line in stdout.splitlines())
-        return "".join(",".join(r[:_RUNTIME_COLUMN] + r[_RUNTIME_COLUMN + 1:]) + "\n" for r in rows)
-    return _TIMING.sub(r"\1=*", stdout)
+    return mask_timings(name, run_child("-m", "qmaxcut", *RUNS[name], check=True).stdout)
 
 
 if __name__ == "__main__":

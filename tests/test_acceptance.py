@@ -23,13 +23,12 @@ modelled counts.
 """
 
 import statistics
-import subprocess
-import sys
 import time
-from pathlib import Path
 
 import numpy as np
 
+from golden.regenerate import mask_timings, run_child
+from harness import EDGE
 from qmaxcut import (
     QaoaConfig,
     QaoaParams,
@@ -48,8 +47,6 @@ from qmaxcut import (
 )
 from qmaxcut.qaoa import evaluate_params, optimize_params
 from qmaxcut.simulator import FlipSymmetricWorkspace
-
-EDGE_GRAPH = generate_random_graph(2, 1, 0)
 
 
 def _verdict(num, label, failures, extra=""):
@@ -155,7 +152,7 @@ def test_criterion_03_single_edge_depth_one_near_optimal():
     argmax the simulator, the full register and a workspace all reproduce."""
     failures = []
     t0 = time.perf_counter()
-    result = run_qaoa(EDGE_GRAPH, QaoaConfig(p=1, budget=500, restarts=3, seed=0))
+    result = run_qaoa(EDGE, QaoaConfig(p=1, budget=500, restarts=3, seed=0))
 
     gammas = np.linspace(0.0, 2 * np.pi, 100, endpoint=False)
     betas = np.linspace(0.0, np.pi, 100, endpoint=False)
@@ -163,9 +160,9 @@ def test_criterion_03_single_edge_depth_one_near_optimal():
     grid_max = float(closed_form.max())
     gi, bi = np.unravel_index(closed_form.argmax(), closed_form.shape)
     probe = QaoaParams(gammas=(float(gammas[gi]),), betas=(float(betas[bi]),))
-    simulated = evaluate_params(EDGE_GRAPH, probe)
-    statevector = expectation_cut(apply_qaoa_circuit(EDGE_GRAPH, probe), EDGE_GRAPH)
-    workspace = FlipSymmetricWorkspace(EDGE_GRAPH).expectation(probe)
+    simulated = evaluate_params(EDGE, probe)
+    statevector = expectation_cut(apply_qaoa_circuit(EDGE, probe), EDGE)
+    workspace = FlipSymmetricWorkspace(EDGE).expectation(probe)
 
     if abs(simulated - grid_max) > 1e-9:
         failures.append(f"simulator {simulated} != closed form {grid_max} at grid argmax")
@@ -356,34 +353,14 @@ def test_criterion_09_benchmark_rerun_reproducible(tmp_path):
     def run_bench(directory):
         directory.mkdir()
         out = directory / "bench.csv"
-        res = subprocess.run(
-            [sys.executable, "-m", "qmaxcut", "bench", "--seed", "0", "--out", str(out)],
-            capture_output=True,
-            text=True,
-        )
+        res = run_child("-m", "qmaxcut", "bench", "--seed", "0", "--out", str(out))
         if res.returncode != 0:
             failures.append(f"bench exited {res.returncode}: {res.stderr[:200]}")
-        return directory
+        return {path.name: mask_timings(path.name, path.read_text())
+                for path in sorted(directory.iterdir())}
 
-    def masked(directory):
-        snapshot = {}
-        for path in sorted(Path(directory).iterdir()):
-            lines = path.read_text().splitlines()
-            rows = []
-            for line in lines:
-                if path.suffix == ".csv" and "," in line and not line.startswith("algorithm"):
-                    fields = line.split(",")
-                    fields[5] = "X"
-                    rows.append(",".join(fields))
-                elif path.suffix == ".dat":
-                    rows.append(line.split()[0] + " X")
-                else:
-                    rows.append(line)
-            snapshot[path.name] = "\n".join(rows)
-        return snapshot
-
-    first = masked(run_bench(tmp_path / "a"))
-    second = masked(run_bench(tmp_path / "b"))
+    first = run_bench(tmp_path / "a")
+    second = run_bench(tmp_path / "b")
     if set(first) != set(second):
         failures.append(f"artifact sets differ: {sorted(first)} vs {sorted(second)}")
     else:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from harness import EDGE, TRIANGLE
 from qmaxcut import (
     CutAssignment,
     Graph,
@@ -18,7 +19,6 @@ from qmaxcut import (
     refine_assignment,
 )
 
-TRIANGLE = Graph(3, ((0, 1), (0, 2), (1, 2)))
 PATH3 = Graph(3, ((0, 1), (1, 2)))
 K4 = Graph(4, tuple(itertools.combinations(range(4), 2)))
 C4 = Graph(4, ((0, 1), (1, 2), (2, 3), (0, 3)))
@@ -148,7 +148,7 @@ class TestBruteForce:
     @example(PATH3)
     @example(K4)
     @example(TRIANGLE)  # ties: every optimum cuts 2, the lowest is (+1, -1, +1)
-    @example(Graph(2, ((0, 1),)))
+    @example(EDGE)
     @example(Graph(4, ()))
     @example(generate_random_graph(7, 12, 0))
     def test_labels_match_reference_including_ties(self, g):

@@ -2,7 +2,6 @@ import argparse
 import io
 import os
 import subprocess
-import sys
 from contextlib import redirect_stderr, redirect_stdout
 from unittest import mock
 
@@ -10,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from golden.regenerate import child_env
+from golden.regenerate import mask_timings, run_child
 from qmaxcut import (
     CutAssignment,
     EdgeListParseError,
@@ -32,12 +31,10 @@ CSV_HEADER = "algorithm,n,m,depth,cut,runtime_s,seed,expectation"
 def run_cli(*args, env_extra=None, cwd=None):
     """``qmaxcut ARGS`` run by ``cli.main`` in this process, as a
     ``CompletedProcess``; argparse's ``SystemExit`` gives the exit code.
-    ``QMAXCUT_QUBIT_CAP`` is cleared, ``env_extra`` set and ``cwd`` entered
-    for this call only."""
+    ``env_extra`` is set and ``cwd`` entered for this call only."""
     argv = [str(a) for a in args]
     out, err, previous = io.StringIO(), io.StringIO(), os.getcwd()
     with mock.patch.dict(os.environ), redirect_stdout(out), redirect_stderr(err):
-        os.environ.pop("QMAXCUT_QUBIT_CAP", None)
         os.environ.update(env_extra or {})
         try:
             os.chdir(cwd or previous)
@@ -49,28 +46,12 @@ def run_cli(*args, env_extra=None, cwd=None):
     return subprocess.CompletedProcess(argv, code, out.getvalue(), err.getvalue())
 
 
-def run_child(*argv, cwd, env_extra=None):
-    """``python ARGV`` in a fresh interpreter, for the tests whose subject is one."""
-    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, cwd=cwd,
-                          env=child_env(env_extra))
-
-
 def kv_blocks(stdout):
     """Parse `key=value` stanza output into a list of dicts."""
     blocks = []
     for chunk in stdout.strip().split("\n\n"):
         blocks.append(dict(line.split("=", 1) for line in chunk.splitlines()))
     return blocks
-
-
-def mask_runtime_csv(text):
-    rows = text.splitlines()
-    out = [rows[0]]
-    for row in rows[1:]:
-        fields = row.split(",")
-        fields[5] = "X"
-        out.append(",".join(fields))
-    return "\n".join(out)
 
 
 class TestGen:
@@ -470,7 +451,7 @@ class TestBench:
         run_cli(*args, "--out", a)
         run_cli(*args, "--out", b)
         assert a.read_text() != ""
-        assert mask_runtime_csv(a.read_text()) == mask_runtime_csv(b.read_text())
+        assert mask_timings(a.name, a.read_text()) == mask_timings(b.name, b.read_text())
 
     def test_plot_data_files(self, tmp_path):
         out = tmp_path / "bench.csv"

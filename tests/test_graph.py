@@ -1,11 +1,11 @@
 import itertools
-import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from harness import TRIANGLE, peak_bytes, spy
 from qmaxcut import graph
 from qmaxcut import (
     CutAssignment,
@@ -18,8 +18,6 @@ from qmaxcut import (
     parse_edge_list,
     write_edge_list,
 )
-
-TRIANGLE = Graph(3, ((0, 1), (0, 2), (1, 2)))
 
 
 def random_graphs():
@@ -181,12 +179,7 @@ class TestBasisEncoding:
         # n=18: the int32 output is 1 MiB; building it must allocate no
         # further 2**n arrays, such as an index array or per-edge masks.
         g = generate_random_graph(18, 40, 0)
-        tracemalloc.start()
-        try:
-            table = cut_values_by_basis(g)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak, table = peak_bytes(cut_values_by_basis, g)
         assert peak <= 1.25 * table.nbytes, f"peak {peak / 2**20:.2f} MiB"
 
 
@@ -253,6 +246,31 @@ class TestGeneration:
         assert all(0 <= u < v < n for u, v in g.edges)
 
 
+def _unrank_pair_by_rows(n, k):
+    """``graph._unrank_pair`` as it was: a walk down the rows, the reference."""
+    u = 0
+    row = n - 1
+    while k >= row:
+        k -= row
+        u += 1
+        row -= 1
+    return u, u + 1 + k
+
+
+class TestUnrankPair:
+    def test_matches_the_row_walk_on_every_rank(self):
+        for n in range(2, 65):
+            for k in range(n * (n - 1) // 2):
+                assert graph._unrank_pair(n, k) == _unrank_pair_by_rows(n, k), (n, k)
+
+    @pytest.mark.parametrize("n", [10**5, 10**6 + 7])
+    def test_matches_the_row_walk_at_row_boundaries(self, n):
+        # Row u's first rank is u(2n-u-1)/2; its last is one before the next row's.
+        for u in (0, 1, n // 2, n - 2):
+            for k in (u * (2 * n - u - 1) // 2, (u + 1) * (2 * n - u - 2) // 2 - 1):
+                assert graph._unrank_pair(n, k) == _unrank_pair_by_rows(n, k), (u, k)
+
+
 class TestEdgeListFormat:
     def test_parse_triangle(self):
         assert parse_edge_list("3 3\n0 1\n0 2\n1 2\n") == TRIANGLE
@@ -298,9 +316,7 @@ class TestEdgeListFormat:
         assert fragment in str(err.value)
 
     def test_each_parsed_edge_is_checked_once(self, monkeypatch):
-        calls = []
-        check = graph._canonical_edge
-        monkeypatch.setattr(graph, "_canonical_edge", lambda *args: calls.append(args) or check(*args))
+        calls = spy(monkeypatch, graph, "_canonical_edge")
         g = parse_edge_list("4 3\n0 1\n1 2\n2 3\n")
         assert g.edges == ((0, 1), (1, 2), (2, 3))
         assert len(calls) == g.m

@@ -2,9 +2,9 @@ import math
 
 import pytest
 
+from harness import TRIANGLE
 from qmaxcut import (
     CutAssignment,
-    Graph,
     PipelineConfig,
     QaoaConfig,
     cut_value,
@@ -13,8 +13,6 @@ from qmaxcut import (
     run_pipeline,
 )
 from qmaxcut.pipeline import refine_assignment
-
-TRIANGLE = Graph(3, ((0, 1), (0, 2), (1, 2)))
 
 
 def small_cfg(seed=0, **kwargs):

@@ -1,7 +1,6 @@
 import ast
 import itertools
 import math
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import kernel_oracle
+from harness import EDGE, TRIANGLE, peak_bytes, spy
 from qmaxcut import (
     Graph,
     QaoaConfig,
@@ -25,8 +25,6 @@ from qmaxcut.graph import CutAssignment, labels_from_index
 from qmaxcut.qaoa import depth_one_expectation, evaluate_params, optimize_params
 from qmaxcut.simulator import apply_qaoa_circuit, expectation_cut, sample_bitstrings
 
-TRIANGLE = Graph(3, ((0, 1), (0, 2), (1, 2)))
-EDGE = Graph(2, ((0, 1),))
 ANGLES = st.floats(min_value=-2 * math.pi, max_value=2 * math.pi, allow_nan=False)
 # The optimizer's zero start, its initial simplex and the ladder's padding
 # all evaluate exact zeros, which the half-register kernel skips.
@@ -138,14 +136,8 @@ class TestDepthOneClosedForm:
             optimize_params(Graph(8, ((0, 7),)), QaoaConfig(p=2, budget=10))
 
     def test_run_prepares_only_the_final_state(self, monkeypatch):
-        prepared = []
-        prepare = simulator._flip_symmetric_state
-
-        def counting(circuit, ws):
-            prepared.append(circuit)
-            return prepare(circuit, ws)
-
-        monkeypatch.setattr(simulator, "_flip_symmetric_state", counting)
+        prepared = spy(monkeypatch, simulator, "_flip_symmetric_state",
+                       record=lambda circuit, ws: circuit)
         result = run_qaoa(TRIANGLE, QaoaConfig(p=1, budget=40, restarts=3, seed=0))
         assert result.n_evaluations > 1
         assert prepared == [simulator._circuit(result.best_params)]
@@ -195,12 +187,7 @@ class TestFlipSymmetricHalf:
         g = generate_random_graph(18, 34, 0)
         params = QaoaParams(gammas=(0.3, 0.5), betas=(0.2, 0.7))
         full_state = (1 << g.n) * 16
-        tracemalloc.start()
-        try:
-            evaluate_params(g, params)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak, _ = peak_bytes(evaluate_params, g, params)
         assert peak <= 1.4 * full_state, f"peak {peak / full_state:.2f}x the state"
 
     def test_reused_workspace_allocates_no_state_sized_buffer(self):
@@ -212,12 +199,7 @@ class TestFlipSymmetricHalf:
         evaluate_params(g, QaoaParams(gammas=(0.3, 0.5), betas=(0.2, 0.7)), workspace=workspace)
         params = QaoaParams(gammas=(0.3, 0.6), betas=(0.2, 0.7))
         full_state = (1 << g.n) * 16
-        tracemalloc.start()
-        try:
-            second = evaluate_params(g, params, workspace=workspace)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak, second = peak_bytes(evaluate_params, g, params, workspace=workspace)
         assert second == evaluate_params(g, params)
         assert peak <= 0.1 * full_state, f"peak {peak / full_state:.3f}x the state"
 
@@ -235,13 +217,7 @@ class TestFlipSymmetricHalf:
         assert repr(value) == repr(evaluate_params(generate_random_graph(6, 8, 1), params))
 
     def test_optimizer_allocates_one_workspace_per_call(self, monkeypatch):
-        built = []
-
-        def counting(g):
-            built.append(g.n)
-            return simulator.FlipSymmetricWorkspace(g)
-
-        monkeypatch.setattr(qaoa, "FlipSymmetricWorkspace", counting)
+        built = spy(monkeypatch, qaoa, "FlipSymmetricWorkspace", record=lambda g, *args: g.n)
         g = generate_random_graph(7, 12, 1)
         _, _, n_evals = optimize_params(g, QaoaConfig(p=2, budget=40, restarts=3, seed=0))
         assert n_evals > 1
@@ -250,14 +226,7 @@ class TestFlipSymmetricHalf:
         assert built == [7]
 
     def test_cap_is_resolved_once_per_evaluation(self, monkeypatch):
-        calls = []
-        resolve = graph.resolve_qubit_cap
-
-        def counting():
-            calls.append(None)
-            return resolve()
-
-        monkeypatch.setattr(graph, "resolve_qubit_cap", counting)
+        calls = spy(monkeypatch, graph, "resolve_qubit_cap")
         evaluate_params(TRIANGLE, QaoaParams(gammas=(0.4, 0.1), betas=(0.3, 0.2)))
         assert len(calls) == 1
 
@@ -318,14 +287,8 @@ class TestZeroAngleSkip:
         ],
     )
     def test_mixer_runs_only_for_nonzero_beta(self, monkeypatch, angles, mixes):
-        calls = []
-        mix = simulator._Mixer.__call__
-
-        def counting(self, src, dst, beta):
-            calls.append(beta)
-            return mix(self, src, dst, beta)
-
-        monkeypatch.setattr(simulator._Mixer, "__call__", counting)
+        calls = spy(monkeypatch, simulator._Mixer, "__call__",
+                    record=lambda self, src, dst, beta: beta)
         params = _params(angles)
         evaluate_params(generate_random_graph(7, 12, 3), params)
         assert len(calls) == mixes
@@ -357,21 +320,8 @@ def _reference_draw(probs, shots, rng):
 def _prepare_log(monkeypatch):
     """Log ``"prepare"`` per state preparation and ``"eval"`` as each
     objective evaluation returns, in order."""
-    log = []
-    prepare, evaluate = simulator._flip_symmetric_state, qaoa.evaluate_params
-
-    def preparing(circuit, ws):
-        log.append("prepare")
-        return prepare(circuit, ws)
-
-    def evaluating(*args, **kwargs):
-        value = evaluate(*args, **kwargs)
-        log.append("eval")
-        return value
-
-    monkeypatch.setattr(simulator, "_flip_symmetric_state", preparing)
-    monkeypatch.setattr(qaoa, "evaluate_params", evaluating)
-    return log
+    log = spy(monkeypatch, simulator, "_flip_symmetric_state", record=lambda *args: "prepare")
+    return spy(monkeypatch, qaoa, "evaluate_params", log, record=lambda *args, **kwargs: "eval")
 
 
 class TestSimulateEachCircuitOnce:
@@ -410,14 +360,8 @@ class TestSimulateEachCircuitOnce:
         cfg = QaoaConfig(p=p, budget=budget, restarts=2, seed=3, shots=shots,
                          warm_start=mode == "ladder")
         warm = QaoaParams(gammas=(0.4,), betas=(0.3,)) if mode == "warm" else None
-        circuits = []
-        circuit = simulator._circuit
-
-        def recording(params):
-            circuits.append(circuit(params))
-            return circuits[-1]
-
-        monkeypatch.setattr(simulator, "_circuit", recording)
+        # _circuit is pure: recording it again of each call's params records its result.
+        circuits = spy(monkeypatch, simulator, "_circuit", record=simulator._circuit)
         log = _prepare_log(monkeypatch)
         result = run_qaoa(g, cfg, warm_params=warm)
         last = len(log) - log[::-1].index("eval")
@@ -572,15 +516,7 @@ class TestOptimizeParams:
 
     @staticmethod
     def _record_evaluations(monkeypatch) -> list:
-        seen = []
-        evaluate = qaoa.evaluate_params
-
-        def recording(g, params, **kwargs):
-            seen.append(params)
-            return evaluate(g, params, **kwargs)
-
-        monkeypatch.setattr(qaoa, "evaluate_params", recording)
-        return seen
+        return spy(monkeypatch, qaoa, "evaluate_params", record=lambda g, params, **kwargs: params)
 
     def test_starts_beyond_the_budget_are_neither_evaluated_nor_polished(self, monkeypatch):
         # Two starts (the warm one, then zero) against a budget of one: only
@@ -616,14 +552,7 @@ class TestOptimizeParams:
     def test_cap_is_resolved_once_per_call(self, monkeypatch, p):
         # The run's workspace holds the one check; no optimize_params call of
         # the run, on any rung of the ladder, resolves the cap again.
-        calls = []
-        resolve = graph.resolve_qubit_cap
-
-        def counting():
-            calls.append(None)
-            return resolve()
-
-        monkeypatch.setattr(graph, "resolve_qubit_cap", counting)
+        calls = spy(monkeypatch, graph, "resolve_qubit_cap")
         result = run_qaoa(TRIANGLE, QaoaConfig(p=p, budget=30, restarts=3, seed=0))
         assert result.n_evaluations > 1
         assert len(calls) == 1
@@ -631,8 +560,7 @@ class TestOptimizeParams:
     def test_depth_one_above_the_cap_is_refused(self, monkeypatch):
         # Its evaluations need no state, but the run's workspace (built
         # before any of them) refuses the graph, so nothing is evaluated.
-        seen = []
-        monkeypatch.setattr(qaoa, "evaluate_params", lambda *args, **kwargs: seen.append(args))
+        seen = spy(monkeypatch, qaoa, "evaluate_params")
         monkeypatch.setenv("QMAXCUT_QUBIT_CAP", "7")
         with pytest.raises(ResourceLimitError):
             run_qaoa(Graph(8, ((0, 7),)), QaoaConfig(p=1, budget=10))
@@ -724,14 +652,8 @@ class TestRunQaoa:
     def test_last_rung_takes_what_the_others_leave(self, monkeypatch, seed):
         # 40 // 3 = 13 evaluations per rung, and the last rung also gets the
         # remainder, so the whole budget is offered and, on these graphs, spent.
-        budgets = []
-        optimize = qaoa.optimize_params
-
-        def recording(g, cfg, **kwargs):
-            budgets.append(cfg.budget)
-            return optimize(g, cfg, **kwargs)
-
-        monkeypatch.setattr(qaoa, "optimize_params", recording)
+        budgets = spy(monkeypatch, qaoa, "optimize_params",
+                      record=lambda g, cfg, **kwargs: cfg.budget)
         result = run_qaoa(generate_random_graph(12, 20, seed), QaoaConfig(p=3, budget=40))
         assert budgets == [13, 13, 14]
         assert result.n_evaluations == 40
@@ -816,16 +738,10 @@ class TestRunOnTheHalf:
 
     @pytest.mark.parametrize("p", [1, 2, 3])
     def test_run_allocates_one_workspace_and_no_full_state(self, monkeypatch, p):
-        built = []
-
-        def counting(g, *args):
-            built.append(g.n)
-            return simulator.FlipSymmetricWorkspace(g, *args)
-
         def forbidden(*args, **kwargs):
             raise AssertionError("full-register state allocated")
 
-        monkeypatch.setattr(qaoa, "FlipSymmetricWorkspace", counting)
+        built = spy(monkeypatch, qaoa, "FlipSymmetricWorkspace", record=lambda g, *args: g.n)
         monkeypatch.setattr(simulator, "init_uniform", forbidden)
         g = generate_random_graph(7, 12, 1)
         result = run_qaoa(g, QaoaConfig(p=p, budget=30, restarts=3, seed=0, shots=32))
@@ -860,12 +776,7 @@ class TestRunOnTheHalf:
         g = generate_random_graph(18, 34, 0)
         cfg = QaoaConfig(p=p, budget=6, restarts=2, seed=0, shots=shots)
         full_state = (1 << g.n) * 16
-        tracemalloc.start()
-        try:
-            run_qaoa(g, cfg)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak, _ = peak_bytes(run_qaoa, g, cfg)
         assert peak <= bound * full_state, f"peak {peak / full_state:.2f}x the state"
 
 

@@ -10,12 +10,12 @@ instances with the same message.
 import ast
 import dataclasses
 import inspect
-import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import qmaxcut
+from harness import peak_bytes
 from qmaxcut import (
     Graph,
     PipelineConfig,
@@ -147,16 +147,10 @@ DEPTH_ONE = {
 @pytest.mark.parametrize("entry", DEPTH_ONE)
 def test_depth_one_allocates_nothing_and_meets_no_cap(monkeypatch, entry):
     g = generate_random_graph(8, 12, 0)
-    monkeypatch.delenv("QMAXCUT_QUBIT_CAP", raising=False)
     uncapped = DEPTH_ONE[entry](g)
     monkeypatch.setenv("QMAXCUT_QUBIT_CAP", "7")
     assert DEPTH_ONE[entry](g) == uncapped
 
     large = generate_random_graph(40, 60, 0)
-    tracemalloc.start()
-    try:
-        DEPTH_ONE[entry](large)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak, _ = peak_bytes(DEPTH_ONE[entry], large)
     assert peak < 1 << 20

@@ -6,7 +6,6 @@ from pathlib import Path
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-def test_library_tour_runs(monkeypatch):
-    monkeypatch.delenv("QMAXCUT_QUBIT_CAP", raising=False)
+def test_library_tour_runs():
     (tour,) = re.findall(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"), re.M | re.S)
     exec(compile(tour, str(README), "exec"), {})

@@ -1,6 +1,5 @@
 import ast
 import math
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 import kernel_oracle
+from harness import EDGE, TRIANGLE, peak_bytes
 from qmaxcut import (
     Graph,
     QaoaParams,
@@ -27,9 +27,6 @@ from qmaxcut import (
     sample_bitstrings,
     simulator,
 )
-
-TRIANGLE = Graph(3, ((0, 1), (0, 2), (1, 2)))
-EDGE = Graph(2, ((0, 1),))
 
 
 def basis_state(n, index):
@@ -92,8 +89,7 @@ class TestInitUniform:
         with pytest.raises(ValueError, match="at least one qubit"):
             init_uniform(n)
 
-    def test_default_cap(self, monkeypatch):
-        monkeypatch.delenv("QMAXCUT_QUBIT_CAP", raising=False)
+    def test_default_cap(self):
         assert resolve_qubit_cap() == 24
 
 
@@ -254,12 +250,7 @@ class TestMixerLayer:
         # written as numpy expressions peaked at 1.63x.
         sv = init_uniform(16)
         apply_cost_layer(sv, generate_random_graph(16, 30, 0), 0.4)
-        tracemalloc.start()
-        try:
-            apply_mixer_layer(sv, 0.7)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak, _ = peak_bytes(apply_mixer_layer, sv, 0.7)
         assert peak <= 1.1 * sv.amplitudes.nbytes, (
             f"peak {peak / sv.amplitudes.nbytes:.2f}x the state"
         )
@@ -317,12 +308,7 @@ class TestHalfCutTable:
         # be 1.5x.
         g = generate_random_graph(18, 34, 0)
         full_state = (1 << g.n) * 16
-        tracemalloc.start()
-        try:
-            simulator.FlipSymmetricWorkspace(g)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak, _ = peak_bytes(simulator.FlipSymmetricWorkspace, g)
         assert peak <= 1.32 * full_state, f"peak {peak / full_state:.4f}x the state"
 
 

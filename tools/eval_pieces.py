@@ -25,9 +25,12 @@ timings that include them: the cost half-layer, block products, top
 rotation and expectation are differences of two minima, which noise on
 a shared host can push below zero.  The pieces are timed
 apart, so they need not add up to the evaluation.  BLAS runs on one
-thread.  The buffers are filled with finite values first: a fresh
-workspace's buffers hold its cut table's integers, which read as
-denormals and slow in-place arithmetic 10-50 times.
+thread and the qubit cap is the default, whatever ``QMAXCUT_QUBIT_CAP``
+the shell holds.  The buffers are filled with finite values first: a
+fresh workspace's buffers hold its cut table's integers, which read as
+denormals and slow in-place arithmetic 10-50 times.  The output names
+numpy, Python, nproc and the OpenBLAS kernel picked at run time
+(``tools/blas_kernel.py``).
 
 Run from anywhere: ``python tools/eval_pieces.py [--json]``.  Each
 ``--src`` names a ``src`` directory to time instead of this checkout's;
@@ -54,6 +57,7 @@ sys.path.insert(0, str(ROOT / "tests" / "golden"))
 from regenerate import ONE_THREAD  # noqa: E402
 
 os.environ.update(ONE_THREAD)  # before numpy loads
+os.environ.pop("QMAXCUT_QUBIT_CAP", None)  # n=20 needs the default cap
 
 SRC = ROOT / "src"
 SIZES = ((12, 20), (16, 30), (20, 60))
@@ -159,17 +163,20 @@ def main(argv=None) -> None:
     args = ap.parse_args(argv)
     srcs = [p.resolve() for p in args.src or [SRC]]
     import numpy as np
+    from blas_kernel import kernel
 
     out = {
         "unit": "us",
         "numpy": np.__version__,
         "python": platform.python_version(),
         "nproc": os.cpu_count(),
+        "blas_kernel": kernel(),
         "sizes": measure(srcs),
     }
     if args.json:
         print(json.dumps(out, indent=1))
         return
+    print(", ".join(f"{key} {out[key]}" for key in ("numpy", "python", "nproc", "blas_kernel")))
     for src in map(str, srcs):
         rows = {n: by_src[src] for n, by_src in out["sizes"].items()}
         if len(srcs) > 1:
