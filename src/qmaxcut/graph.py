@@ -31,6 +31,10 @@ The algorithm, fixed for reproducibility:
    partial Fisher-Yates shuffle over the virtual array of all pair
    indices, then each index is unranked to the edge ``(u, v)`` in
    lexicographic order.
+
+The optimizer's start angles and the sampler's shots come from
+:class:`_PCG64`, numpy's default generator spelled out here, so the
+package imports no ``numpy.random`` and its draws do not depend on it.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ from functools import cached_property
 import numpy as np
 
 DEFAULT_QUBIT_CAP = 24
-_MASK64 = (1 << 64) - 1
+_MASK32, _MASK64, _MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
 # 1 where bit v (axis 0) and bit u (axis 2) differ: an edge's cut indicator.
 _DIFFER = np.array([[0, 1], [1, 0]], np.int32).reshape(2, 1, 2, 1)
 # [0-9], not \d: \d also matches the digits of other scripts.
@@ -315,6 +319,85 @@ class _SplitMix64:
             z = self.next_u64()
             if z < limit:
                 return z % bound
+
+
+def _hasher(const: int, mult: int):
+    """SeedSequence's hash of one uint32 word, its constant advancing per call."""
+    def hash_word(value: int) -> int:
+        nonlocal const
+        value ^= const
+        const = const * mult & _MASK32
+        value = value * const & _MASK32
+        return value ^ value >> 16
+    return hash_word
+
+
+def _mix(x: int, y: int) -> int:
+    r = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
+    return r ^ r >> 16
+
+
+class _PCG64:
+    """numpy's ``default_rng(SeedSequence(entropy))`` stream, bit for bit,
+    without ``numpy.random``: :meth:`uniform` and :meth:`random` draw what
+    numpy's ``Generator`` methods of those names draw.
+
+    ``entropy`` is a list of non-negative ints, each read as little-endian
+    uint32 words (0 as one word).  SeedSequence hashes the words into a
+    pool of 4 and expands the pool into the 128-bit ``state`` and odd
+    ``inc``; each draw steps the LCG, ``state = state * mult + inc``, and
+    outputs the XSL-RR permutation of the new state, whose top 53 bits
+    make a double in ``[0, 1)``.
+    """
+
+    _MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+    def __init__(self, entropy: list[int]):
+        words = []
+        for value in entropy:
+            if value < 0:
+                raise ValueError(f"entropy must be non-negative, got {value}")
+            words.append(value & _MASK32)
+            while value := value >> 32:
+                words.append(value & _MASK32)
+        hash_word = _hasher(0x43B0D7E5, 0x931E8875)
+        pool = [hash_word(w) for w in (words + [0] * 4)[:4]]
+        for src in range(4):
+            for dst in range(4):
+                if src != dst:
+                    pool[dst] = _mix(pool[dst], hash_word(pool[src]))
+        for word in words[4:]:
+            for dst in range(4):
+                pool[dst] = _mix(pool[dst], hash_word(word))
+        hash_word = _hasher(0x8B51F9DD, 0x58F38DED)
+        state = [hash_word(pool[i % 4]) for i in range(8)]  # 4 uint64s, low word first
+        s0, s1, s2, s3 = (lo | hi << 32 for lo, hi in zip(state[::2], state[1::2]))
+        # Seeding steps from state 0, adds the initial state, steps again.
+        self.inc = ((s2 << 64 | s3) << 1 | 1) & _MASK128
+        self.state = ((self.inc + (s0 << 64 | s1)) * self._MULT + self.inc) & _MASK128
+
+    def _words(self, k: int) -> list[int]:
+        """The next ``k`` outputs, each cut to its top 53 bits."""
+        s, inc, mult, words = self.state, self.inc, self._MULT, []
+        for _ in range(k):
+            s = s * mult + inc & _MASK128
+            x = s >> 64 ^ s & _MASK64
+            words.append(((x | x << 64) >> (s >> 122) & _MASK64) >> 11)
+        self.state = s
+        return words
+
+    def uniform(self, lo: float, hi: float, k: int) -> list[float]:
+        return [lo + (hi - lo) * (w * 2.0**-53) for w in self._words(k)]
+
+    def random(self, k: int) -> np.ndarray:
+        # The whole output first, so a draw the host cannot hold fails at
+        # once, then filled in chunks, so the words' Python ints stay few.
+        out = np.empty(k)
+        for start in range(0, k, 1 << 16):
+            chunk = out[start : start + (1 << 16)]
+            chunk[:] = self._words(chunk.size)
+        out *= 2.0**-53
+        return out
 
 
 def _unrank_pair(n: int, k: int) -> tuple[int, int]:

@@ -15,8 +15,12 @@ Optimization is multi-start Nelder-Mead under a hard evaluation budget:
 * Start points are, in order: the warm start, zero-padded to depth p,
   the all-zero vector, then uniform random draws (gamma in [0, 2*pi),
   beta in [0, pi)) until ``restarts`` starts exist.  All draws come from a
-  dedicated PCG64 stream derived from ``seed``, fixed before any
-  optimization happens, so results are reproducible.
+  dedicated PCG64 stream (:class:`~qmaxcut.graph._PCG64`, numpy's
+  ``default_rng(SeedSequence([seed mod 2**64, 1, p]))`` bit for bit, with
+  no ``numpy.random`` import), fixed before any optimization happens, so
+  results are reproducible and do not move with numpy's RNG.  A sampled
+  extraction draws its shots from a second stream, entropy ``[seed mod
+  2**64, 2]``.
 * Every start point is evaluated once up front (only the first
   ``budget`` of them when they outnumber it), then Nelder-Mead runs
   from each in turn with whatever budget remains.  The optimizer is
@@ -58,10 +62,8 @@ import time
 from dataclasses import dataclass, replace
 
 import numpy as np
-# numpy loads numpy.random lazily; load it with the package, not in a first run.
-from numpy.random import SeedSequence, default_rng
 
-from .graph import CutAssignment, Graph, _index
+from .graph import _PCG64, CutAssignment, Graph, _index
 from .simulator import (
     FlipSymmetricWorkspace,
     QaoaParams,
@@ -280,10 +282,10 @@ def optimize_params(
         pad = [0.0] * (p - warm.p)
         starts.append([*warm.gammas, *pad, *warm.betas, *pad])
     starts.append([0.0] * (2 * p))
-    rng = default_rng(SeedSequence([cfg.seed & ((1 << 64) - 1), _STREAM_DRAWS, p]))
+    rng = _PCG64([cfg.seed & ((1 << 64) - 1), _STREAM_DRAWS, p])
     while len(starts) < cfg.restarts:
-        gammas = rng.uniform(0.0, 2.0 * np.pi, size=p).tolist()
-        starts.append(gammas + rng.uniform(0.0, np.pi, size=p).tolist())
+        gammas = rng.uniform(0.0, 2.0 * math.pi, p)
+        starts.append(gammas + rng.uniform(0.0, math.pi, p))
     if workspace is None and p > 1:
         workspace = FlipSymmetricWorkspace(g)
 
@@ -359,9 +361,7 @@ def run_qaoa(
         )
         total_evals += used
 
-    rng = None
-    if cfg.shots:
-        rng = default_rng(SeedSequence([cfg.seed & ((1 << 64) - 1), _STREAM_SHOTS]))
+    rng = _PCG64([cfg.seed & ((1 << 64) - 1), _STREAM_SHOTS]) if cfg.shots else None
     assignment = workspace.cut(params, cfg.shots, rng)
     return QaoaResult(
         best_params=params,

@@ -55,6 +55,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import (
+    _PCG64,
     CutAssignment,
     Graph,
     _check_cap,
@@ -442,14 +443,16 @@ class FlipSymmetricWorkspace:
         return probs
 
     def cut(
-        self, params: QaoaParams, shots: int = 0, rng: np.random.Generator | None = None
+        self, params: QaoaParams, shots: int = 0, rng: _PCG64 | None = None
     ) -> CutAssignment:
         """The cut picked from ``params``' final state (see :meth:`probabilities`).
 
         ``shots == 0``: best cut among basis states whose exact probability
         is at least ``1 / 2**(n+1)`` (half the uniform weight; the set is
         never empty).  ``shots > 0``: best cut among ``shots`` bitstrings
-        drawn by ``rng``, then required, from all ``2**n`` probabilities.
+        drawn by ``rng``, then required, from all ``2**n`` probabilities;
+        ``rng`` is a :class:`~qmaxcut.graph._PCG64` stream or any object
+        whose ``random(k)`` returns ``k`` uniform floats (see :func:`_draw`).
         Ties resolve to the smallest basis index.  The state's
         probabilities and cut values are both flip-symmetric, so the
         smallest index among tied maxima always lies in the low half: the
@@ -542,26 +545,31 @@ def expectation_cut(sv: StateVector, g: Graph) -> float:
 def sample_bitstrings(
     sv: StateVector,
     shots: int,
-    seed: int | np.random.Generator,
+    seed: int | _PCG64,
 ) -> np.ndarray:
     """Draw ``shots`` basis indices from the state's probabilities.
 
-    ``seed`` is an integer (or a ready numpy Generator); identical
-    ``(state, shots, seed)`` give identical draws.  Returns an int64
-    array of length ``shots``.
+    ``seed`` is a non-negative integer, read as the stream
+    ``_PCG64([seed])``, which draws what numpy's ``default_rng(seed)``
+    draws, or a ready stream: any object with ``random(k)``, a numpy
+    ``Generator`` included.  Identical ``(state, shots, seed)`` give
+    identical draws.  Returns an int64 array of length ``shots``.
     """
     if shots < 1:
         raise ValueError(f"shots must be positive, got {shots}")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(int(seed))
+    rng = seed if hasattr(seed, "random") else _PCG64([int(seed)])
     return _draw(sv.probabilities(), shots, rng)
 
 
-def _draw(probs: np.ndarray, shots: int, rng: np.random.Generator) -> np.ndarray:
-    """``shots`` indices drawn from ``probs``, which is overwritten.
+def _draw(probs: np.ndarray, shots: int, rng: _PCG64) -> np.ndarray:
+    """``shots`` indices drawn from ``probs``, which is overwritten, with
+    the uniform floats of ``rng.random(shots)`` (``rng`` a
+    :class:`~qmaxcut.graph._PCG64` or a numpy ``Generator``).
 
-    The same draws as ``rng.choice(probs.size, shots, p=probs / sum)``,
-    whose steps these are (numpy 2.x), without its copies: the
-    normalized ``probs`` becomes its own cumulative distribution.
+    The same draws as numpy's ``Generator.choice(probs.size, shots,
+    p=probs / sum)`` on the same stream, whose steps these are (numpy
+    2.x), without its copies: the normalized ``probs`` becomes its own
+    cumulative distribution.
     """
     total = probs.sum()
     if not 0.0 < total < math.inf:

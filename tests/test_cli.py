@@ -706,8 +706,9 @@ class TestLatencyFlag:
 
 
 class TestStartup:
-    def test_no_command_imports_scipy(self, tmp_path):
-        # scipy.optimize alone once took ~0.5 s and 45 MiB of every start-up.
+    def test_no_command_imports_scipy_or_numpy_random(self, tmp_path):
+        # scipy.optimize alone once took ~0.5 s and 45 MiB of every start-up,
+        # numpy.random 6 MiB of every import of the package.
         code = "\n".join([
             "import sys",
             "import qmaxcut",
@@ -716,7 +717,8 @@ class TestStartup:
             " '--budget', '20', '--shots', '16']) == 0",
             "assert main(['bench', '--sizes', '4:5,6:9', '--depth', '1,2', '--budget', '12',"
             " '--out', 'bench.csv']) == 0",
-            "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))",
+            "print(sorted(name for name in sys.modules"
+            " if name.split('.')[0] == 'scipy' or name.split('.')[:2] == ['numpy', 'random']))",
         ])
         res = run_child("-c", code, cwd=tmp_path)
         assert res.returncode == 0, res.stderr

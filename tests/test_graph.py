@@ -1,4 +1,6 @@
 import itertools
+import math
+import random
 
 import numpy as np
 import pytest
@@ -269,6 +271,52 @@ class TestUnrankPair:
         for u in (0, 1, n // 2, n - 2):
             for k in (u * (2 * n - u - 1) // 2, (u + 1) * (2 * n - u - 2) // 2 - 1):
                 assert graph._unrank_pair(n, k) == _unrank_pair_by_rows(n, k), (u, k)
+
+
+def _entropy_lists():
+    """1,024 entropy lists in the shapes the program seeds its streams
+    with: ``[s, 1, p]`` for the start angles at depths 1 to 3 and ``[s,
+    2]`` for the shots, over six edge-case seeds and 250 random 8- to 64-bit
+    ones."""
+    rng = random.Random(33)
+    seeds = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+    seeds += [rng.getrandbits(rng.randint(8, 64)) for _ in range(250)]
+    return [[s, *tail] for s in seeds for tail in ([1, 1], [1, 2], [1, 3], [2])]
+
+
+class TestPCG64:
+    """The in-package stream against numpy's ``default_rng(SeedSequence(entropy))``."""
+
+    def test_draws_are_numpy_default_rng_draws(self):
+        lists = _entropy_lists()
+        assert len(lists) >= 1000
+        for i, entropy in enumerate(lists):
+            ours = graph._PCG64(entropy)
+            want = np.random.default_rng(np.random.SeedSequence(entropy))
+            p = entropy[2] if len(entropy) == 3 else 4
+            for hi in (2 * math.pi, math.pi):
+                got = np.array(ours.uniform(0.0, hi, p))
+                assert got.tobytes() == want.uniform(0.0, hi, p).tobytes(), entropy
+            k = i % 97
+            assert ours.random(k).tobytes() == want.random(k).tobytes(), entropy
+
+    def test_state_is_numpy_pcg64_state_across_chunks(self):
+        ours = graph._PCG64([2**64 - 1, 2])
+        want = np.random.default_rng(np.random.SeedSequence([2**64 - 1, 2]))
+        assert ours.random(70_000).tobytes() == want.random(70_000).tobytes()
+        assert (ours.state, ours.inc) == tuple(want.bit_generator.state["state"].values())
+
+    def test_long_entropy_and_empty_draws(self):
+        # Entropy past the 4-word pool is mixed in after it.
+        entropy = [2**200 + 12345, 7, 0, 2**40]
+        want = np.random.default_rng(np.random.SeedSequence(entropy)).random(5)
+        assert graph._PCG64(entropy).random(5).tobytes() == want.tobytes()
+        assert graph._PCG64([3]).random(0).shape == (0,)
+        assert graph._PCG64([3]).uniform(0.0, 1.0, 0) == []
+
+    def test_negative_entropy_is_refused(self):
+        with pytest.raises(ValueError, match="^entropy must be non-negative, got -1$"):
+            graph._PCG64([5, -1])
 
 
 class TestEdgeListFormat:

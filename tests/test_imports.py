@@ -12,11 +12,12 @@ import qmaxcut
 
 PACKAGE = Path(qmaxcut.__file__).parent
 ROOT = Path(__file__).resolve().parents[1]
-# Package modules by name, the tests and tools by their path in the checkout.
+# Package modules by name; the tests, the tools and the files at the
+# checkout's root (conftest.py) by their path in the checkout.
 SOURCES = {
     **{p.stem: p for p in PACKAGE.glob("*.py") if p.stem != "__init__"},
     **{p.relative_to(ROOT).as_posix(): p
-       for p in [*ROOT.glob("tests/**/*.py"), *ROOT.glob("tools/*.py")]},
+       for p in [*ROOT.glob("tests/**/*.py"), *ROOT.glob("tools/*.py"), *ROOT.glob("*.py")]},
 }
 # Imported on purpose and not used: bench/tests/test_bench_harness.py checks
 # that the tracer rebinds apply_qaoa_circuit in qaoa.  __init__, which

@@ -312,9 +312,13 @@ def _reference_probabilities(ws, params):
 
 
 def _reference_draw(probs, shots, rng):
-    """The sampler as ``rng.choice``, with its copies."""
+    """The sampler as numpy's ``Generator.choice``, with its copies, on a
+    numpy PCG64 set to the state of ``rng``, the run's stream."""
+    bits = np.random.PCG64()
+    bits.state = {"bit_generator": "PCG64", "state": {"state": rng.state, "inc": rng.inc},
+                  "has_uint32": 0, "uinteger": 0}
     probs /= probs.sum()
-    return rng.choice(probs.size, size=shots, p=probs).astype(np.int64)
+    return np.random.Generator(bits).choice(probs.size, size=shots, p=probs).astype(np.int64)
 
 
 def _prepare_log(monkeypatch):
@@ -540,6 +544,21 @@ class TestOptimizeParams:
             QaoaParams((0.1, 0.0, 0.0), (0.2, 0.0, 0.0)),
             QaoaParams((0.0,) * 3, (0.0,) * 3),
         ]
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**64 + 5, -3])
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_random_starts_are_the_seeded_stream_draws(self, monkeypatch, p, seed):
+        # After the zero start, each start draws its gammas, then its betas,
+        # from numpy's default_rng(SeedSequence([seed mod 2**64, 1, p])): an
+        # unseeded or re-seeded optimizer fails here.
+        seen = self._record_evaluations(monkeypatch)
+        optimize_params(TRIANGLE, QaoaConfig(p=p, budget=4, restarts=4, seed=seed))
+        rng = np.random.default_rng(np.random.SeedSequence([seed % 2**64, 1, p]))
+        draws = [
+            QaoaParams(rng.uniform(0.0, 2 * np.pi, p).tolist(), rng.uniform(0.0, np.pi, p).tolist())
+            for _ in range(3)
+        ]
+        assert seen == [QaoaParams((0.0,) * p, (0.0,) * p), *draws]
 
     def test_deeper_warm_start_is_rejected(self, monkeypatch):
         seen = self._record_evaluations(monkeypatch)

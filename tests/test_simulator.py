@@ -21,6 +21,7 @@ from qmaxcut import (
     cut_values_by_basis,
     expectation_cut,
     generate_random_graph,
+    graph,
     init_uniform,
     labels_from_index,
     resolve_qubit_cap,
@@ -357,6 +358,15 @@ class TestSampling:
         assert out.shape == (16,)
         assert out.dtype == np.int64
 
+    def test_int_seed_draws_what_default_rng_draws(self):
+        sv = apply_qaoa_circuit(TRIANGLE, QaoaParams(gammas=(0.5,), betas=(0.2,)))
+        probs = sv.probabilities()
+        for seed in (0, 1, 2**32, 2**64 - 1, 2**70 + 3):
+            want = np.random.default_rng(seed).choice(8, 64, p=probs / probs.sum())
+            np.testing.assert_array_equal(sample_bitstrings(sv, 64, seed=seed), want)
+        with pytest.raises(ValueError, match="non-negative"):
+            sample_bitstrings(sv, 64, seed=-1)
+
     @pytest.mark.parametrize("shots", [0, -1])
     def test_rejects_non_positive_shots(self, shots):
         with pytest.raises(ValueError, match="shots must be positive"):
@@ -384,13 +394,13 @@ class TestSampling:
         cdf = (probs / probs.sum()).cumsum()
         cdf /= cdf[-1]
         for seed in range(20):
-            want_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            want_rng, rng = np.random.default_rng(seed), graph._PCG64([seed])
             want = want_rng.choice(size, 4096, p=probs / probs.sum())
             left = probs.copy()
             got = simulator._draw(left, 4096, rng)
             assert got.dtype == np.int64
             assert np.array_equal(got, want)
-            assert rng.random() == want_rng.random()
+            assert rng.random(1)[0] == want_rng.random()
             # Draws rarely land in a few-ulp gap, so pin the distribution itself.
             assert left.tobytes() == cdf.tobytes()
 

@@ -5,8 +5,9 @@ directory, then, for every seed and workload, runs
 
     python3 bench/run.py --workload W --seed S --seconds T --trace 0
 
-with every workload and the run length ``T`` that ``BENCHMARK.json``
-names, in the parent's tree and in this checkout, alternating which
+with the run length ``T`` that ``BENCHMARK.json`` names, on every
+workload it names or on those that ``--workloads`` picks, in the
+parent's tree and in this checkout, alternating which
 side runs first from one seed to the next.  For each workload and side
 it writes the median and quartiles of every end-to-end metric that
 ``BENCHMARK.json`` gates, and per metric how many seeds the checkout
@@ -21,6 +22,7 @@ reads in a child process, so this script itself imports no numpy.
 Standard library only; run from anywhere, for example
 
     python3 tools/bench_pairs.py --parent HEAD~1 --seeds 101-110 --out BENCH.json
+    python3 tools/bench_pairs.py --workloads bench-cli,qaoa-n20 --out BENCH.json
 
 Pick seeds that were not used while the change was built.
 """
@@ -115,6 +117,8 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", default="HEAD", help="the commit to compare against")
     ap.add_argument("--seeds", type=_seeds, default=_seeds("101-110"))
+    ap.add_argument("--workloads", type=lambda text: text.split(","),
+                    help="comma-separated workloads (default: every one in BENCHMARK.json)")
     ap.add_argument("--pieces", type=int, default=0, help="eval_pieces.py rounds per side")
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args(argv)
@@ -122,6 +126,10 @@ def main(argv=None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     gated = {m["name"]: m["better"] for m in spec["end_to_end"]}
     workloads = [w["name"] for w in spec["workloads"]]
+    unknown = sorted(set(args.workloads or ()) - set(workloads))
+    if unknown:
+        ap.error(f"unknown workloads {', '.join(unknown)}; BENCHMARK.json names {', '.join(workloads)}")
+    workloads = args.workloads or workloads
     seconds = spec["run_seconds"]
     runs = {w: {"parent": [], "head": []} for w in workloads}
     pieces = {"parent": [], "head": []}

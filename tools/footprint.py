@@ -1,0 +1,79 @@
+"""Start-up time and memory of the package, in fresh interpreters.
+
+Runs two commands, each in 7 fresh interpreters one after another, with
+this checkout's ``src`` first on ``PYTHONPATH``:
+
+    python -c "import qmaxcut"
+    python -m qmaxcut solve --gen 12,20 --depth 2 --shots 64
+
+and prints, per command, the median wall time of the whole process and
+the median of its peak resident set size (``ru_maxrss`` of that child
+alone, from ``os.wait4``).  One more run of each under ``-X importtime``
+names which of ``numpy.random``, ``numpy.ma`` and ``scipy`` it loaded.
+The first line names the machine.  Standard library only; Linux or
+macOS; run from anywhere: ``python3 tools/footprint.py``.
+"""
+
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import time
+from importlib import metadata
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+RUNS = 7
+COMMANDS = {
+    "import qmaxcut": ["-c", "import qmaxcut"],
+    "solve --gen 12,20 --depth 2 --shots 64":
+        ["-m", "qmaxcut", "solve", "--gen", "12,20", "--depth", "2", "--shots", "64"],
+}
+WATCHED = ("numpy.random", "numpy.ma", "scipy")
+# ru_maxrss is in KiB on Linux and in bytes on macOS.
+_RSS_UNIT = 1 if sys.platform == "darwin" else 1024
+
+
+def _env() -> dict:
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": str(ROOT / "src") + (os.pathsep + path if path else "")}
+
+
+def measure(args: list[str]) -> tuple[float, float]:
+    """``(wall seconds, peak RSS in MiB)`` of one fresh interpreter."""
+    start = time.perf_counter()
+    proc = subprocess.Popen([sys.executable, *args], env=_env(), cwd=ROOT,
+                            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    _, status, usage = os.wait4(proc.pid, 0)
+    wall = time.perf_counter() - start
+    # Reaped here, so tell Popen, which would otherwise wait for it again.
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    if proc.returncode:
+        sys.exit(f"footprint: {' '.join(args)} exited {proc.returncode}")
+    return wall, usage.ru_maxrss * _RSS_UNIT / 2**20
+
+
+def loaded(args: list[str]) -> list[str]:
+    """Which of ``WATCHED`` one run of ``args`` imports."""
+    err = subprocess.run([sys.executable, "-X", "importtime", *args], env=_env(), cwd=ROOT,
+                         stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+                         check=True).stderr
+    names = {line.rpartition("|")[2].strip() for line in err.splitlines()}
+    return [w for w in WATCHED if any(n == w or n.startswith(w + ".") for n in names)]
+
+
+def main() -> None:
+    print(f"footprint: medians of {RUNS} fresh interpreters; {platform.machine()},"
+          f" nproc {os.cpu_count()}, Python {platform.python_version()},"
+          f" numpy {metadata.version('numpy')}")
+    print(f"{'command':<40}{'wall_s':>8}{'peak_rss_mib':>14}  loaded")
+    for name, args in COMMANDS.items():
+        walls, peaks = zip(*(measure(args) for _ in range(RUNS)))
+        mods = ", ".join(loaded(args)) or "none of " + ", ".join(WATCHED)
+        print(f"{name:<40}{statistics.median(walls):>8.3f}"
+              f"{statistics.median(peaks):>14.1f}  {mods}")
+
+
+if __name__ == "__main__":
+    main()

@@ -1,8 +1,9 @@
 """Line counts of the ``src/qmaxcut`` modules, of ``tests/`` and of ``tools/``.
 
 Prints each module's total lines and code lines, then the totals, then
-one row for all the Python files under ``tests/`` and one for those
-under ``tools/``, counted alike.  A code line holds at least one token
+one row for all the Python files under ``tests/``, with those at the
+checkout's root (``conftest.py``), and one for those under ``tools/``,
+counted alike.  A code line holds at least one token
 that is not a comment; the lines of a docstring (the leading string of a
 module, class or function body) and blank lines are not code.  Run from
 anywhere: ``python tools/src_lines.py``.
@@ -39,8 +40,10 @@ def main() -> None:
     rows = [(path.name, *counts(path.read_text(encoding="utf-8")))
             for path in sorted(SRC.glob("*.py"))]
     rows.append(("total", sum(r[1] for r in rows), sum(r[2] for r in rows)))
-    for tree in ("tests", "tools"):
-        files = [counts(path.read_text(encoding="utf-8")) for path in (ROOT / tree).rglob("*.py")]
+    trees = {"tests": [*(ROOT / "tests").rglob("*.py"), *ROOT.glob("*.py")],
+             "tools": (ROOT / "tools").rglob("*.py")}
+    for tree, paths in trees.items():
+        files = [counts(path.read_text(encoding="utf-8")) for path in paths]
         rows.append((f"{tree}/", sum(f[0] for f in files), sum(f[1] for f in files)))
     print(f"{'module':<16}{'lines':>7}{'code':>7}")
     for name, total, code in rows:
