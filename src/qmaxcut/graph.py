@@ -35,6 +35,8 @@ The algorithm, fixed for reproducibility:
 The optimizer's start angles and the sampler's shots come from
 :class:`_PCG64`, numpy's default generator spelled out here, so the
 package imports no ``numpy.random`` and its draws do not depend on it.
+Each is its own stream, built from the seed where it is drawn from:
+:func:`qmaxcut.qaoa.optimize_params` and :func:`qmaxcut.simulator._draw`.
 """
 
 from __future__ import annotations
@@ -338,28 +340,25 @@ def _mix(x: int, y: int) -> int:
 
 
 class _PCG64:
-    """numpy's ``default_rng(SeedSequence(entropy))`` stream, bit for bit,
-    without ``numpy.random``: :meth:`uniform` and :meth:`random` draw what
-    numpy's ``Generator`` methods of those names draw.
+    """numpy's ``default_rng(SeedSequence([seed mod 2**64, *tags]))``
+    stream, bit for bit, without ``numpy.random``: :meth:`uniform` and
+    :meth:`random` draw what numpy's ``Generator`` methods of those names
+    draw.  The seed is taken modulo 2**64, as :class:`_SplitMix64` takes
+    it; the non-negative int ``tags`` name the stream's purpose.
 
-    ``entropy`` is a list of non-negative ints, each read as little-endian
-    uint32 words (0 as one word).  SeedSequence hashes the words into a
-    pool of 4 and expands the pool into the 128-bit ``state`` and odd
-    ``inc``; each draw steps the LCG, ``state = state * mult + inc``, and
-    outputs the XSL-RR permutation of the new state, whose top 53 bits
-    make a double in ``[0, 1)``.
+    Each entropy int is read as little-endian uint32 words (0 as one
+    word).  SeedSequence hashes the words into a pool of 4 and expands the
+    pool into the 128-bit ``state`` and odd ``inc``; each draw steps the
+    LCG, ``state = state * mult + inc``, and outputs the XSL-RR
+    permutation of the new state, whose top 53 bits make a double in
+    ``[0, 1)``.
     """
 
     _MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
-    def __init__(self, entropy: list[int]):
-        words = []
-        for value in entropy:
-            if value < 0:
-                raise ValueError(f"entropy must be non-negative, got {value}")
-            words.append(value & _MASK32)
-            while value := value >> 32:
-                words.append(value & _MASK32)
+    def __init__(self, seed: int, *tags: int):
+        words = [value >> shift & _MASK32 for value in (seed & _MASK64, *tags)
+                 for shift in range(0, max(value.bit_length(), 1), 32)]
         hash_word = _hasher(0x43B0D7E5, 0x931E8875)
         pool = [hash_word(w) for w in (words + [0] * 4)[:4]]
         for src in range(4):

@@ -19,8 +19,8 @@ Optimization is multi-start Nelder-Mead under a hard evaluation budget:
   ``default_rng(SeedSequence([seed mod 2**64, 1, p]))`` bit for bit, with
   no ``numpy.random`` import), fixed before any optimization happens, so
   results are reproducible and do not move with numpy's RNG.  A sampled
-  extraction draws its shots from a second stream, entropy ``[seed mod
-  2**64, 2]``.
+  extraction draws its shots from a second stream, which
+  :func:`qmaxcut.simulator._draw` alone builds from the seed.
 * Every start point is evaluated once up front (only the first
   ``budget`` of them when they outnumber it), then Nelder-Mead runs
   from each in turn with whatever budget remains.  The optimizer is
@@ -72,7 +72,6 @@ from .simulator import (
 )
 
 _STREAM_DRAWS = 1
-_STREAM_SHOTS = 2
 
 
 @dataclass(frozen=True)
@@ -282,7 +281,7 @@ def optimize_params(
         pad = [0.0] * (p - warm.p)
         starts.append([*warm.gammas, *pad, *warm.betas, *pad])
     starts.append([0.0] * (2 * p))
-    rng = _PCG64([cfg.seed & ((1 << 64) - 1), _STREAM_DRAWS, p])
+    rng = _PCG64(cfg.seed, _STREAM_DRAWS, p)
     while len(starts) < cfg.restarts:
         gammas = rng.uniform(0.0, 2.0 * math.pi, p)
         starts.append(gammas + rng.uniform(0.0, math.pi, p))
@@ -361,8 +360,7 @@ def run_qaoa(
         )
         total_evals += used
 
-    rng = _PCG64([cfg.seed & ((1 << 64) - 1), _STREAM_SHOTS]) if cfg.shots else None
-    assignment = workspace.cut(params, cfg.shots, rng)
+    assignment = workspace.cut(params, cfg.shots, cfg.seed)
     return QaoaResult(
         best_params=params,
         best_expectation=float(expectation),

@@ -59,6 +59,7 @@ from .graph import (
     CutAssignment,
     Graph,
     _check_cap,
+    _index,
     cut_values_by_basis,
     half_cut_values_by_basis,
     labels_from_index,
@@ -87,11 +88,14 @@ _NIBBLE_FRAME = _I_POWERS[_BLOCK_INDEX[-1][0] % 4]  # i**popcount(j)
 _PANEL_WIDTH = 256
 _PANEL_MIN_QUBITS = 17
 _PANEL_MIN_LO = 12
+# The shots stream's tag (see _draw); the optimizer's starts use tag 1.
+_STREAM_SHOTS = 2
 
 
 @dataclass(frozen=True)
 class QaoaParams:
-    """Layer angles: ``gammas[l]`` drives cost layer ``l``, ``betas[l]`` the mixer."""
+    """Layer angles: ``gammas[l]`` drives cost layer ``l``, ``betas[l]`` the
+    mixer.  Every angle must be finite: NaN or inf would yield a NaN state."""
 
     gammas: tuple[float, ...]
     betas: tuple[float, ...]
@@ -105,6 +109,8 @@ class QaoaParams:
             )
         if not gammas:
             raise ValueError("at least one layer required")
+        if not all(map(math.isfinite, gammas + betas)):
+            raise ValueError(f"angles must be finite, got gammas {gammas}, betas {betas}")
         object.__setattr__(self, "gammas", gammas)
         object.__setattr__(self, "betas", betas)
 
@@ -442,17 +448,14 @@ class FlipSymmetricWorkspace:
         probs[w.size :] = low[::-1]
         return probs
 
-    def cut(
-        self, params: QaoaParams, shots: int = 0, rng: _PCG64 | None = None
-    ) -> CutAssignment:
+    def cut(self, params: QaoaParams, shots: int = 0, seed: int = 0) -> CutAssignment:
         """The cut picked from ``params``' final state (see :meth:`probabilities`).
 
         ``shots == 0``: best cut among basis states whose exact probability
         is at least ``1 / 2**(n+1)`` (half the uniform weight; the set is
-        never empty).  ``shots > 0``: best cut among ``shots`` bitstrings
-        drawn by ``rng``, then required, from all ``2**n`` probabilities;
-        ``rng`` is a :class:`~qmaxcut.graph._PCG64` stream or any object
-        whose ``random(k)`` returns ``k`` uniform floats (see :func:`_draw`).
+        never empty); ``seed`` is not read.  ``shots > 0``: best cut among
+        ``shots`` bitstrings drawn from all ``2**n`` probabilities with the
+        shots stream of ``seed`` (see :func:`_draw`).
         Ties resolve to the smallest basis index.  The state's
         probabilities and cut values are both flip-symmetric, so the
         smallest index among tied maxima always lies in the low half: the
@@ -466,11 +469,9 @@ class FlipSymmetricWorkspace:
             values = np.where(probs[: table.size] >= 1.0 / (1 << (n + 1)), table, -1)
             best = int(np.argmax(values))  # first max = smallest index
         else:
-            if rng is None:
-                raise ValueError(f"shots={shots} needs an rng to draw them")
             # Sorted, so the first max is the smallest index (np.unique would
             # also import numpy.ma, 23 ms, on its first call).
-            candidates = np.sort(_draw(probs, shots, rng))
+            candidates = np.sort(_draw(probs, shots, seed))
             values = table[np.minimum(candidates, last - candidates)]
             best = int(candidates[int(np.argmax(values))])
         return CutAssignment(
@@ -542,35 +543,31 @@ def expectation_cut(sv: StateVector, g: Graph) -> float:
     return float(np.real(np.vdot(sv.amplitudes, _cut_table(sv, g) * sv.amplitudes)))
 
 
-def sample_bitstrings(
-    sv: StateVector,
-    shots: int,
-    seed: int | _PCG64,
-) -> np.ndarray:
-    """Draw ``shots`` basis indices from the state's probabilities.
-
-    ``seed`` is a non-negative integer, read as the stream
-    ``_PCG64([seed])``, which draws what numpy's ``default_rng(seed)``
-    draws, or a ready stream: any object with ``random(k)``, a numpy
-    ``Generator`` included.  Identical ``(state, shots, seed)`` give
-    identical draws.  Returns an int64 array of length ``shots``.
+def sample_bitstrings(sv: StateVector, shots: int, seed: int) -> np.ndarray:
+    """Draw ``shots`` basis indices from the state's probabilities, with
+    the shots stream of the int ``seed`` (see :func:`_draw`): the draws
+    that ``run_qaoa`` with ``QaoaConfig(seed=seed, shots=shots)`` makes
+    from the same state.  Returns an int64 array of length ``shots``.
     """
+    return _draw(sv.probabilities(), shots, seed)
+
+
+def _draw(probs: np.ndarray, shots: int, seed: int) -> np.ndarray:
+    """``shots`` indices drawn from ``probs``, which is overwritten, with
+    the uniform floats of the shots stream of ``seed``.
+
+    This is the one place a seed becomes the shots stream: ``shots`` and
+    ``seed`` are read by :func:`~qmaxcut.graph._index` (a float or a
+    string is refused), ``shots`` must be positive, and the stream is
+    ``_PCG64(seed, _STREAM_SHOTS)``, numpy's ``default_rng(SeedSequence(
+    [seed mod 2**64, 2]))``.  The same draws as that ``Generator``'s
+    ``choice(probs.size, shots, p=probs / sum)``, whose steps these are
+    (numpy 2.x), without its copies: the normalized ``probs`` becomes its
+    own cumulative distribution.
+    """
+    shots, rng = _index(shots, "shots"), _PCG64(_index(seed, "seed"), _STREAM_SHOTS)
     if shots < 1:
         raise ValueError(f"shots must be positive, got {shots}")
-    rng = seed if hasattr(seed, "random") else _PCG64([int(seed)])
-    return _draw(sv.probabilities(), shots, rng)
-
-
-def _draw(probs: np.ndarray, shots: int, rng: _PCG64) -> np.ndarray:
-    """``shots`` indices drawn from ``probs``, which is overwritten, with
-    the uniform floats of ``rng.random(shots)`` (``rng`` a
-    :class:`~qmaxcut.graph._PCG64` or a numpy ``Generator``).
-
-    The same draws as numpy's ``Generator.choice(probs.size, shots,
-    p=probs / sum)`` on the same stream, whose steps these are (numpy
-    2.x), without its copies: the normalized ``probs`` becomes its own
-    cumulative distribution.
-    """
     total = probs.sum()
     if not 0.0 < total < math.inf:
         raise ValueError(f"probabilities must have a positive finite sum, got {total}")

@@ -1,6 +1,8 @@
+import ast
 import itertools
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -285,13 +287,14 @@ def _entropy_lists():
 
 
 class TestPCG64:
-    """The in-package stream against numpy's ``default_rng(SeedSequence(entropy))``."""
+    """The in-package stream against numpy's ``default_rng(SeedSequence([seed mod
+    2**64, *tags]))``."""
 
     def test_draws_are_numpy_default_rng_draws(self):
         lists = _entropy_lists()
         assert len(lists) >= 1000
         for i, entropy in enumerate(lists):
-            ours = graph._PCG64(entropy)
+            ours = graph._PCG64(*entropy)
             want = np.random.default_rng(np.random.SeedSequence(entropy))
             p = entropy[2] if len(entropy) == 3 else 4
             for hi in (2 * math.pi, math.pi):
@@ -301,22 +304,55 @@ class TestPCG64:
             assert ours.random(k).tobytes() == want.random(k).tobytes(), entropy
 
     def test_state_is_numpy_pcg64_state_across_chunks(self):
-        ours = graph._PCG64([2**64 - 1, 2])
+        ours = graph._PCG64(2**64 - 1, 2)
         want = np.random.default_rng(np.random.SeedSequence([2**64 - 1, 2]))
         assert ours.random(70_000).tobytes() == want.random(70_000).tobytes()
         assert (ours.state, ours.inc) == tuple(want.bit_generator.state["state"].values())
 
     def test_long_entropy_and_empty_draws(self):
-        # Entropy past the 4-word pool is mixed in after it.
-        entropy = [2**200 + 12345, 7, 0, 2**40]
+        # Entropy past the 4-word pool is mixed in after it: here 11 words.
+        entropy = [7, 2**200 + 12345, 0, 2**40]
         want = np.random.default_rng(np.random.SeedSequence(entropy)).random(5)
-        assert graph._PCG64(entropy).random(5).tobytes() == want.tobytes()
-        assert graph._PCG64([3]).random(0).shape == (0,)
-        assert graph._PCG64([3]).uniform(0.0, 1.0, 0) == []
+        assert graph._PCG64(*entropy).random(5).tobytes() == want.tobytes()
+        assert graph._PCG64(3).random(0).shape == (0,)
+        assert graph._PCG64(3).uniform(0.0, 1.0, 0) == []
 
-    def test_negative_entropy_is_refused(self):
-        with pytest.raises(ValueError, match="^entropy must be non-negative, got -1$"):
-            graph._PCG64([5, -1])
+    @pytest.mark.parametrize("seed", [-1, 2**64 - 1, 2**64, 2**70 + 3])
+    @pytest.mark.parametrize("tags", [(), (2,), (1, 3)])
+    def test_the_seed_is_taken_modulo_two_to_the_64(self, seed, tags):
+        want = np.random.default_rng(np.random.SeedSequence([seed % 2**64, *tags]))
+        assert graph._PCG64(seed, *tags).random(9).tobytes() == want.random(9).tobytes()
+
+
+def _calls(node, scope=(), params=frozenset()):
+    """``(function, call, parameters)`` for every call under ``node``: the
+    qualified name of the function around it and the names of the
+    parameters of that function and of those around it."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        scope = (*scope, node.name)
+    if isinstance(node, ast.FunctionDef):
+        params = params | {a.arg for a in ast.walk(node.args) if isinstance(a, ast.arg)}
+    if isinstance(node, ast.Call):
+        yield ".".join(scope), node, params
+    for child in ast.iter_child_nodes(node):
+        yield from _calls(child, scope, params)
+
+
+def test_one_owner_per_stream():
+    # A seed becomes a stream in two places, one per purpose: the optimizer's
+    # start angles and the sampler's shots.  No function draws from a
+    # stream that its caller passed in.
+    built, drawn = set(), set()
+    for path in Path(graph.__file__).parent.glob("*.py"):
+        for function, call, params in _calls(ast.parse(path.read_text(encoding="utf-8"))):
+            func = call.func
+            if getattr(func, "id", None) == "_PCG64":
+                built.add((path.stem, function))
+            on = getattr(getattr(func, "value", None), "id", None)
+            if getattr(func, "attr", None) == "random" and on in params:
+                drawn.add((path.stem, function))
+    assert built == {("qaoa", "optimize_params"), ("simulator", "_draw")}
+    assert drawn == set()
 
 
 class TestEdgeListFormat:

@@ -56,7 +56,7 @@ def _outputs(g, keep_best, schedule, prepare):
             if i % 4 == 3:
                 reprs.append(ws.probabilities(params).tobytes())
                 reprs.append(repr(ws.cut(params)))
-                reprs.append(repr(ws.cut(params, 64, np.random.default_rng(i))))
+                reprs.append(repr(ws.cut(params, 64, i)))
                 states.append(ws._state_of(_circuit(params)).copy())
     return states, reprs, swaps
 

@@ -1,6 +1,7 @@
 import ast
 import itertools
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -92,10 +93,7 @@ def _extract_assignment(sv, g, cfg, cut_table):
     if cfg.shots == 0:
         candidates = np.flatnonzero(sv.probabilities() >= 1.0 / (1 << (g.n + 1)))
     else:
-        rng = np.random.default_rng(
-            np.random.SeedSequence([cfg.seed & ((1 << 64) - 1), qaoa._STREAM_SHOTS])
-        )
-        candidates = np.unique(sample_bitstrings(sv, cfg.shots, rng))
+        candidates = np.unique(sample_bitstrings(sv, cfg.shots, cfg.seed))
     values = cut_table[candidates]
     best = int(candidates[int(np.argmax(values))])
     return CutAssignment(labels=labels_from_index(g.n, best), cut_value=int(cut_table[best]))
@@ -311,14 +309,12 @@ def _reference_probabilities(ws, params):
     return probs
 
 
-def _reference_draw(probs, shots, rng):
-    """The sampler as numpy's ``Generator.choice``, with its copies, on a
-    numpy PCG64 set to the state of ``rng``, the run's stream."""
-    bits = np.random.PCG64()
-    bits.state = {"bit_generator": "PCG64", "state": {"state": rng.state, "inc": rng.inc},
-                  "has_uint32": 0, "uinteger": 0}
+def _reference_draw(probs, shots, seed):
+    """The sampler as numpy's ``Generator.choice``, with its copies, on
+    numpy's own shots stream of ``seed``."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed % 2**64, 2]))
     probs /= probs.sum()
-    return np.random.Generator(bits).choice(probs.size, size=shots, p=probs).astype(np.int64)
+    return rng.choice(probs.size, size=shots, p=probs).astype(np.int64)
 
 
 def _prepare_log(monkeypatch):
@@ -706,6 +702,38 @@ class TestRunQaoa:
         result = run_qaoa(g, cfg)
         assert result.best_cut.cut_value <= 7
 
+    @pytest.mark.parametrize("seed", [7, -3])
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_seeds_equal_modulo_two_to_the_64_run_alike(self, p, seed):
+        # Both streams, the random starts and the shots, take the seed mod 2**64.
+        g = generate_random_graph(8, 14, 2)
+        runs = [run_qaoa(g, QaoaConfig(p=p, budget=30, restarts=4, seed=s, shots=64))
+                for s in (seed, seed + 2**64)]
+        fields = ("best_params", "best_expectation", "best_cut", "n_evaluations")
+        assert [repr(getattr(runs[0], f)) for f in fields] == [
+            repr(getattr(runs[1], f)) for f in fields
+        ]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("p", [1, 2])
+def test_angles_that_are_not_finite_are_refused(p, bad):
+    # Unchecked, NaN picked a cut of 0 and valued the angles at nan, and inf
+    # raised a math domain error at depth 1 and gave nan at depth 2.
+    g = generate_random_graph(6, 8, 1)
+    workspace = simulator.FlipSymmetricWorkspace(g)
+    uses = (
+        lambda params: evaluate_params(g, params),
+        workspace.cut,
+        lambda params: run_qaoa(g, QaoaConfig(p=p, budget=4), warm_params=params),
+    )
+    finite = (0.1,) * (p - 1)
+    for gammas, betas in (((bad, *finite), (0.2,) * p), ((0.2,) * p, (*finite, bad))):
+        message = f"angles must be finite, got gammas {gammas}, betas {betas}"
+        for use in uses:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                use(QaoaParams(gammas, betas))
+
 
 class TestRunOnTheHalf:
     """``run_qaoa`` on one half-register workspace, against the full register."""
@@ -736,10 +764,7 @@ class TestRunOnTheHalf:
             rtol=0,
             atol=1e-12,
         )
-        rng = np.random.default_rng(
-            np.random.SeedSequence([cfg.seed & ((1 << 64) - 1), qaoa._STREAM_SHOTS])
-        )
-        assert workspace.cut(params, cfg.shots, rng) == _extract_assignment(sv, g, cfg, table)
+        assert workspace.cut(params, cfg.shots, cfg.seed) == _extract_assignment(sv, g, cfg, table)
         result = run_qaoa(g, cfg)
         full = apply_qaoa_circuit(g, result.best_params)
         assert result.best_cut == _extract_assignment(full, g, cfg, table)

@@ -21,7 +21,6 @@ from qmaxcut import (
     cut_values_by_basis,
     expectation_cut,
     generate_random_graph,
-    graph,
     init_uniform,
     labels_from_index,
     resolve_qubit_cap,
@@ -351,26 +350,35 @@ class TestSampling:
             sample_bitstrings(sv, 64, seed=9), sample_bitstrings(sv, 64, seed=9)
         )
 
-    def test_accepts_generator(self):
-        sv = init_uniform(2)
-        rng = np.random.default_rng(5)
-        out = sample_bitstrings(sv, 16, seed=rng)
-        assert out.shape == (16,)
-        assert out.dtype == np.int64
-
     def test_int_seed_draws_what_default_rng_draws(self):
+        # The shots stream: default_rng(SeedSequence([seed mod 2**64, 2])).
         sv = apply_qaoa_circuit(TRIANGLE, QaoaParams(gammas=(0.5,), betas=(0.2,)))
         probs = sv.probabilities()
-        for seed in (0, 1, 2**32, 2**64 - 1, 2**70 + 3):
-            want = np.random.default_rng(seed).choice(8, 64, p=probs / probs.sum())
-            np.testing.assert_array_equal(sample_bitstrings(sv, 64, seed=seed), want)
-        with pytest.raises(ValueError, match="non-negative"):
-            sample_bitstrings(sv, 64, seed=-1)
+        for seed in (0, 1, 2**32, 2**64 - 1, 2**70 + 3, -1):
+            rng = np.random.default_rng(np.random.SeedSequence([seed % 2**64, 2]))
+            want = rng.choice(8, 64, p=probs / probs.sum())
+            out = sample_bitstrings(sv, 64, seed=seed)
+            assert out.dtype == np.int64
+            np.testing.assert_array_equal(out, want)
+
+    def test_a_seed_or_shots_that_is_not_an_int_is_refused(self):
+        # Read by the one integer rule, not truncated: 9.7 is not seed 9.
+        ws = simulator.FlipSymmetricWorkspace(TRIANGLE)
+        params = QaoaParams(gammas=(0.5,), betas=(0.2,))
+        for sample in (lambda shots, seed: sample_bitstrings(init_uniform(3), shots, seed=seed),
+                       lambda shots, seed: ws.cut(params, shots, seed=seed)):
+            with pytest.raises(ValueError, match=r"^seed must be an int, got 9\.7$"):
+                sample(4, 9.7)
+            with pytest.raises(ValueError, match=r"^shots must be an int, got 2\.5$"):
+                sample(2.5, 0)
 
     @pytest.mark.parametrize("shots", [0, -1])
     def test_rejects_non_positive_shots(self, shots):
         with pytest.raises(ValueError, match="shots must be positive"):
             sample_bitstrings(init_uniform(2), shots, seed=0)
+        if shots:  # the workspace scans at shots=0
+            with pytest.raises(ValueError, match="shots must be positive"):
+                simulator.FlipSymmetricWorkspace(TRIANGLE).cut(QaoaParams((0.5,), (0.2,)), shots)
 
     def test_basis_state_always_samples_itself(self):
         sv = basis_state(3, 5)
@@ -394,22 +402,14 @@ class TestSampling:
         cdf = (probs / probs.sum()).cumsum()
         cdf /= cdf[-1]
         for seed in range(20):
-            want_rng, rng = np.random.default_rng(seed), graph._PCG64([seed])
+            want_rng = np.random.default_rng(np.random.SeedSequence([seed, 2]))
             want = want_rng.choice(size, 4096, p=probs / probs.sum())
             left = probs.copy()
-            got = simulator._draw(left, 4096, rng)
+            got = simulator._draw(left, 4096, seed)
             assert got.dtype == np.int64
             assert np.array_equal(got, want)
-            assert rng.random(1)[0] == want_rng.random()
             # Draws rarely land in a few-ulp gap, so pin the distribution itself.
             assert left.tobytes() == cdf.tobytes()
-
-    def test_workspace_sampling_needs_an_rng(self):
-        ws = simulator.FlipSymmetricWorkspace(generate_random_graph(6, 8, 0))
-        params = QaoaParams(gammas=(0.5,), betas=(0.2,))
-        with pytest.raises(ValueError, match="rng"):
-            ws.cut(params, shots=16)
-        ws.cut(params)  # exact enumeration draws nothing
 
     def test_draw_refuses_a_state_of_zeros(self):
         with pytest.raises(ValueError, match="positive finite sum"):

@@ -1,9 +1,10 @@
-"""Line counts of the ``src/qmaxcut`` modules, of ``tests/`` and of ``tools/``.
+"""Line counts of the ``src/qmaxcut`` modules, of ``tests/``, ``tools/`` and ``bench/``.
 
 Prints each module's total lines and code lines, then the totals, then
 one row for all the Python files under ``tests/``, with those at the
-checkout's root (``conftest.py``), and one for those under ``tools/``,
-counted alike.  A code line holds at least one token
+checkout's root (``conftest.py``), one for those under ``tools/`` and one
+for those under ``bench/``, its tests included, counted alike.  It only
+reads the files.  A code line holds at least one token
 that is not a comment; the lines of a docstring (the leading string of a
 module, class or function body) and blank lines are not code.  Run from
 anywhere: ``python tools/src_lines.py``.
@@ -41,7 +42,8 @@ def main() -> None:
             for path in sorted(SRC.glob("*.py"))]
     rows.append(("total", sum(r[1] for r in rows), sum(r[2] for r in rows)))
     trees = {"tests": [*(ROOT / "tests").rglob("*.py"), *ROOT.glob("*.py")],
-             "tools": (ROOT / "tools").rglob("*.py")}
+             "tools": (ROOT / "tools").rglob("*.py"),
+             "bench": (ROOT / "bench").rglob("*.py")}
     for tree, paths in trees.items():
         files = [counts(path.read_text(encoding="utf-8")) for path in paths]
         rows.append((f"{tree}/", sum(f[0] for f in files), sum(f[1] for f in files)))
