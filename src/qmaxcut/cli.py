@@ -10,11 +10,9 @@ lines (cut, assignment, runtime, and pipeline accounting for qaoa).
 one row per (graph, solver, depth) cell: classical rows carry depth 0
 and a blank expectation; rows whose solver failed keep their identity
 columns and leave cut/runtime_s/expectation blank (the reason goes to
-stderr).  Brute force is skipped, not failed, where it refuses a cell
-above the qubit cap: its row is left out.  Reruns with identical
-arguments produce byte-identical output except for the runtime_s
-column, at a fixed BLAS thread count.  When the CSV goes to a file, two
-plot-ready data sets are written next to it:
+stderr).  Reruns with identical arguments produce byte-identical output
+except for the runtime_s column, at a fixed BLAS thread count.  When the
+CSV goes to a file, two plot-ready data sets are written next to it:
 ``<stem>.runtime_vs_n.<series>.dat`` (one two-column file per algorithm
 series) and ``<stem>.runtime_vs_p.dat`` (depth vs mean runtime).
 
@@ -245,11 +243,7 @@ def cmd_bench(args) -> int:
             for algo in ("brute_force", "greedy"):
                 try:
                     runs = [_classical_solver(algo)(g) for _ in range(args.trials)]
-                except ResourceLimitError as exc:  # brute force above the cap: skipped, not failed
-                    print(f"bench: skipping {algo} on n={n}: {exc}", file=sys.stderr)
-                    del rows[algo, 0]
-                    continue
-                except MemoryError as exc:
+                except (ResourceLimitError, MemoryError) as exc:
                     print(f"bench: {algo} failed on n={n} m={m}: {exc}", file=sys.stderr)
                     continue
                 res, runtime = _first_and_mean(runs)

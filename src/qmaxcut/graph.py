@@ -341,10 +341,11 @@ def _mix(x: int, y: int) -> int:
 
 class _PCG64:
     """numpy's ``default_rng(SeedSequence([seed mod 2**64, *tags]))``
-    stream, bit for bit, without ``numpy.random``: :meth:`uniform` and
-    :meth:`random` draw what numpy's ``Generator`` methods of those names
-    draw.  The seed is taken modulo 2**64, as :class:`_SplitMix64` takes
-    it; the non-negative int ``tags`` name the stream's purpose.
+    stream, bit for bit, without ``numpy.random``: :meth:`random` draws
+    what numpy's ``Generator.random`` draws, and a draw scaled by ``hi``
+    is numpy's ``uniform(0, hi)``.  The seed is taken modulo 2**64, as
+    :class:`_SplitMix64` takes it; the non-negative int ``tags`` name the
+    stream's purpose.
 
     Each entropy int is read as little-endian uint32 words (0 as one
     word).  SeedSequence hashes the words into a pool of 4 and expands the
@@ -384,9 +385,6 @@ class _PCG64:
             words.append(((x | x << 64) >> (s >> 122) & _MASK64) >> 11)
         self.state = s
         return words
-
-    def uniform(self, lo: float, hi: float, k: int) -> list[float]:
-        return [lo + (hi - lo) * (w * 2.0**-53) for w in self._words(k)]
 
     def random(self, k: int) -> np.ndarray:
         # The whole output first, so a draw the host cannot hold fails at

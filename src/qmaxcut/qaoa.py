@@ -283,8 +283,7 @@ def optimize_params(
     starts.append([0.0] * (2 * p))
     rng = _PCG64(cfg.seed, _STREAM_DRAWS, p)
     while len(starts) < cfg.restarts:
-        gammas = rng.uniform(0.0, 2.0 * math.pi, p)
-        starts.append(gammas + rng.uniform(0.0, math.pi, p))
+        starts.append((rng.random(2 * p) * np.repeat([2.0 * math.pi, math.pi], p)).tolist())
     if workspace is None and p > 1:
         workspace = FlipSymmetricWorkspace(g)
 

@@ -477,27 +477,35 @@ class TestBench:
         assert res.stdout.splitlines()[0] == CSV_HEADER
         assert list(tmp_path.iterdir()) == []
 
-    def test_oversized_cells_skip_brute_and_blank_qaoa(self, tmp_path):
+    @pytest.mark.parametrize("depths", ["1", "1,2"])
+    def test_oversized_cells_blank_brute_and_qaoa(self, tmp_path, depths):
+        # Brute force and qaoa refuse n=8 under cap 6 by one rule: each
+        # fails its rows, which stay blank, and says so on stderr.
         out = tmp_path / "bench.csv"
         res = run_cli(
-            "bench", "--sizes", "4:3,8:10", "--depth", 1, "--budget", 20,
+            "bench", "--sizes", "4:3,8:10", "--depth", depths, "--budget", 20,
             "--trials", 1, "--seed", 2, "--out", out,
             env_extra={"QMAXCUT_QUBIT_CAP": "6"},
         )
         assert res.returncode == 4
+        qaoa = [("qaoa", d) for d in depths.split(",")]
         rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
-        big = [r for r in rows if r[1] == "8"]
-        assert [r[0] for r in big] == ["greedy", "qaoa"]
-        greedy_row, qaoa_row = big
-        assert greedy_row[4] != ""
-        assert qaoa_row[4] == "" and qaoa_row[5] == "" and qaoa_row[7] == ""
-        # The skip line quotes brute force's own refusal.
-        assert ("bench: skipping brute_force on n=8: state and cut table for n=8 exceed "
+        assert [(r[0], r[3]) for r in rows] == 2 * [("brute_force", "0"), ("greedy", "0"), *qaoa]
+        big = {r[0] for r in rows if r[1] == "8" and r[4] == r[5] == r[7] == ""}
+        assert big == {"brute_force", "qaoa"}
+        assert all(r[4] != "" for r in rows if r[1] == "4" or r[0] == "greedy")
+        # The failure line quotes brute force's own refusal.
+        assert ("bench: brute_force failed on n=8 m=10: state and cut table for n=8 exceed "
                 "qubit cap 6 (would allocate 2**8 amplitudes or cut values)\n") in res.stderr
-        assert res.stderr.endswith("bench: 5 rows, 1 failed cells\n")
+        assert "skipping brute_force" not in res.stderr
+        assert res.stderr.endswith(f"bench: {len(rows)} rows, 1 failed cells\n")
+        # Only greedy's series has an n=8 point: a blank row plots nothing.
+        series = {path.name.split(".")[2]: [row.split()[0] for row in path.open()]
+                  for path in tmp_path.glob("bench.runtime_vs_n.*.dat")}
+        assert series == {"brute_force": ["4"], "greedy": ["4", "8"],
+                          **{f"qaoa_p{d}": ["4"] for _, d in qaoa}}
 
     def test_a_cell_that_cannot_be_generated_keeps_every_row_blank(self, tmp_path):
-        # No solver ran on n=30, so none refused it: its brute_force row stays, blank.
         out = tmp_path / "bench.csv"
         res = run_cli("bench", "--sizes", "4:3,8:10,30:1000", "--depth", 1, "--budget", 10,
                       "--out", out, env_extra={"QMAXCUT_QUBIT_CAP": "6"})
@@ -505,13 +513,13 @@ class TestBench:
         rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
         assert [(r[0], r[1]) for r in rows] == [
             ("brute_force", "4"), ("greedy", "4"), ("qaoa", "4"),
-            ("greedy", "8"), ("qaoa", "8"),
+            ("brute_force", "8"), ("greedy", "8"), ("qaoa", "8"),
             ("brute_force", "30"), ("greedy", "30"), ("qaoa", "30"),
         ]
         assert all(r[4] == r[5] == r[7] == "" for r in rows[-3:])
         err = res.stderr
         assert "bench: skipping cell n=30 m=1000: edge count 1000 outside [0, 435] for n=30" in err
-        assert err.endswith("bench: 8 rows, 2 failed cells\n")
+        assert err.endswith("bench: 9 rows, 2 failed cells\n")
 
     @pytest.mark.parametrize("algo", ["brute_force", "greedy"])
     def test_a_classical_solver_out_of_memory_fails_only_its_row(self, tmp_path, monkeypatch,

@@ -298,7 +298,7 @@ class TestPCG64:
             want = np.random.default_rng(np.random.SeedSequence(entropy))
             p = entropy[2] if len(entropy) == 3 else 4
             for hi in (2 * math.pi, math.pi):
-                got = np.array(ours.uniform(0.0, hi, p))
+                got = ours.random(p) * hi
                 assert got.tobytes() == want.uniform(0.0, hi, p).tobytes(), entropy
             k = i % 97
             assert ours.random(k).tobytes() == want.random(k).tobytes(), entropy
@@ -315,7 +315,6 @@ class TestPCG64:
         want = np.random.default_rng(np.random.SeedSequence(entropy)).random(5)
         assert graph._PCG64(*entropy).random(5).tobytes() == want.tobytes()
         assert graph._PCG64(3).random(0).shape == (0,)
-        assert graph._PCG64(3).uniform(0.0, 1.0, 0) == []
 
     @pytest.mark.parametrize("seed", [-1, 2**64 - 1, 2**64, 2**70 + 3])
     @pytest.mark.parametrize("tags", [(), (2,), (1, 3)])

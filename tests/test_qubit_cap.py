@@ -88,7 +88,7 @@ def test_the_cap_is_checked_only_where_two_to_the_n_is_allocated():
         ("simulator", "init_uniform"),
         ("simulator", "FlipSymmetricWorkspace.__init__"),
     }
-    # cli catches ResourceLimitError (exit 3, and bench's skip) but decides nothing.
+    # cli catches ResourceLimitError (exit 3, or a failed bench row) but decides nothing.
     allowed = {"qaoa": set(), "classical": set(), "pipeline": set(), "cli": {"ResourceLimitError"}}
     for module, names_allowed in allowed.items():
         names = {

@@ -1,7 +1,9 @@
 """Start-up time and memory of the package, in fresh interpreters.
 
-Runs two commands, each in 7 fresh interpreters one after another, with
-this checkout's ``src`` first on ``PYTHONPATH``:
+Runs two commands, each in 7 fresh interpreters one after another, in
+the environment of ``tests/golden/regenerate.child_env``: this checkout's
+``src`` first on ``PYTHONPATH``, one BLAS thread and the default qubit
+cap, whatever the shell holds:
 
     python -c "import qmaxcut"
     python -m qmaxcut solve --gen 12,20 --depth 2 --shots 64
@@ -24,6 +26,9 @@ from importlib import metadata
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "tests" / "golden"))
+from regenerate import child_env  # noqa: E402
+
 RUNS = 7
 COMMANDS = {
     "import qmaxcut": ["-c", "import qmaxcut"],
@@ -35,15 +40,10 @@ WATCHED = ("numpy.random", "numpy.ma", "scipy")
 _RSS_UNIT = 1 if sys.platform == "darwin" else 1024
 
 
-def _env() -> dict:
-    path = os.environ.get("PYTHONPATH")
-    return {**os.environ, "PYTHONPATH": str(ROOT / "src") + (os.pathsep + path if path else "")}
-
-
 def measure(args: list[str]) -> tuple[float, float]:
     """``(wall seconds, peak RSS in MiB)`` of one fresh interpreter."""
     start = time.perf_counter()
-    proc = subprocess.Popen([sys.executable, *args], env=_env(), cwd=ROOT,
+    proc = subprocess.Popen([sys.executable, *args], env=child_env(), cwd=ROOT,
                             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
     _, status, usage = os.wait4(proc.pid, 0)
     wall = time.perf_counter() - start
@@ -56,7 +56,7 @@ def measure(args: list[str]) -> tuple[float, float]:
 
 def loaded(args: list[str]) -> list[str]:
     """Which of ``WATCHED`` one run of ``args`` imports."""
-    err = subprocess.run([sys.executable, "-X", "importtime", *args], env=_env(), cwd=ROOT,
+    err = subprocess.run([sys.executable, "-X", "importtime", *args], env=child_env(), cwd=ROOT,
                          stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
                          check=True).stderr
     names = {line.rpartition("|")[2].strip() for line in err.splitlines()}
