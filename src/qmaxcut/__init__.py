@@ -17,16 +17,7 @@ from .graph import (
 )
 from .pipeline import PipelineConfig, PipelineReport, refine_assignment, run_pipeline
 from .qaoa import QaoaConfig, QaoaResult, evaluate_params, optimize_params, run_qaoa
-from .simulator import (
-    QaoaParams,
-    StateVector,
-    apply_cost_layer,
-    apply_mixer_layer,
-    apply_qaoa_circuit,
-    expectation_cut,
-    init_uniform,
-    sample_bitstrings,
-)
+from .simulator import QaoaParams
 
 __version__ = "0.1.0"
 
@@ -42,14 +33,7 @@ __all__ = [
     "SolveResult",
     "brute_force_maxcut",
     "greedy_maxcut",
-    "StateVector",
     "QaoaParams",
-    "init_uniform",
-    "apply_cost_layer",
-    "apply_mixer_layer",
-    "apply_qaoa_circuit",
-    "expectation_cut",
-    "sample_bitstrings",
     "resolve_qubit_cap",
     "DEFAULT_QUBIT_CAP",
     "QaoaConfig",

@@ -13,17 +13,17 @@ The two ``2**n`` allocations here, :func:`init_uniform` and
 :mod:`qmaxcut.graph`) to keep an accidental large ``n`` from taking the
 host down.
 
-The public full-register functions (:func:`init_uniform`,
+The full-register functions (:class:`StateVector`, :func:`init_uniform`,
 :func:`apply_cost_layer`, :func:`apply_mixer_layer`,
-:func:`apply_qaoa_circuit`, :func:`expectation_cut`) are the
-first-principles reference that the tests hold the workspace to: one
-2x2 product per qubit and the full cut table, built on each call, with
-no kernel, frame or plan shared with the workspace.  A full-state
-circuit holds the state, one state-sized scratch buffer or temporary at
-a time (the mixer's second buffer, the cost layer's phase gather, the
-expectation's product) and the int32 cut table, a quarter of the state:
-about 2.25 times ``2**n * 16`` bytes (2.26 measured under tracemalloc at
-n=20), so about 580 MiB at the default cap.
+:func:`apply_qaoa_circuit`, :func:`expectation_cut`,
+:func:`sample_bitstrings`) are not API: the package does not export
+them.  They are the tests' first-principles oracle for the workspace,
+kept here because the benchmark's tracer resolves them in this module:
+one 2x2 product per qubit and the full cut table, built on each call,
+with no kernel, frame or plan shared with the workspace.  A full-state
+circuit holds the state, one state-sized scratch buffer or temporary
+and the int32 cut table: about 2.25 times ``2**n * 16`` bytes (2.26
+under tracemalloc at n=20), so about 580 MiB at the default cap.
 
 ``run_qaoa`` uses none of them: its evaluations at depth 2 or more
 (depth 1 has a closed form in :mod:`qmaxcut.qaoa`), its final state,

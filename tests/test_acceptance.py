@@ -33,12 +33,8 @@ from qmaxcut import (
     QaoaConfig,
     QaoaParams,
     PipelineConfig,
-    StateVector,
-    apply_cost_layer,
-    apply_qaoa_circuit,
     brute_force_maxcut,
     cut_value,
-    expectation_cut,
     generate_random_graph,
     greedy_maxcut,
     labels_from_index,
@@ -46,7 +42,13 @@ from qmaxcut import (
     run_qaoa,
 )
 from qmaxcut.qaoa import evaluate_params, optimize_params
-from qmaxcut.simulator import FlipSymmetricWorkspace
+from qmaxcut.simulator import (
+    FlipSymmetricWorkspace,
+    StateVector,
+    apply_cost_layer,
+    apply_qaoa_circuit,
+    expectation_cut,
+)
 
 
 def _verdict(num, label, failures, extra=""):

@@ -9,7 +9,9 @@ instances with the same message.
 
 import ast
 import dataclasses
+import importlib
 import inspect
+import pkgutil
 from pathlib import Path
 
 import pytest
@@ -22,17 +24,15 @@ from qmaxcut import (
     QaoaConfig,
     QaoaParams,
     ResourceLimitError,
-    apply_qaoa_circuit,
     brute_force_maxcut,
     cut_values_by_basis,
     evaluate_params,
     generate_random_graph,
-    init_uniform,
     optimize_params,
     run_pipeline,
     run_qaoa,
 )
-from qmaxcut.simulator import FlipSymmetricWorkspace
+from qmaxcut.simulator import FlipSymmetricWorkspace, apply_qaoa_circuit, init_uniform
 
 PACKAGE = Path(qmaxcut.__file__).parent
 CAP_NAMES = {"DEFAULT_QUBIT_CAP", "ResourceLimitError", "_check_cap", "resolve_qubit_cap"}
@@ -54,13 +54,30 @@ def _env_readers(node, module, function=None):
         yield from _env_readers(child, module, function)
 
 
+def _public_definitions():
+    """``(qualified name, object)`` for every public function and class
+    defined in a module of the package, exported or not."""
+    for info in pkgutil.iter_modules(qmaxcut.__path__):
+        if info.name == "__main__":  # runs the CLI on import; defines nothing
+            continue
+        module = importlib.import_module(f"qmaxcut.{info.name}")
+        for name, obj in vars(module).items():
+            if not name.startswith("_") and getattr(obj, "__module__", None) == module.__name__:
+                yield f"{info.name}.{name}", obj
+
+
 def test_one_qubit_cap_setting():
-    for name in qmaxcut.__all__:  # functions' parameters, configs' and results' fields
-        obj = getattr(qmaxcut, name)
+    # functions' parameters, constructors' parameters, configs' and results' fields
+    walked = dict(_public_definitions())
+    assert {"simulator.init_uniform", "simulator.FlipSymmetricWorkspace", "cli.main"} <= set(walked)
+    for name, obj in walked.items():
         if inspect.isfunction(obj):
             assert "cap" not in inspect.signature(obj).parameters, name
-        elif dataclasses.is_dataclass(obj):
-            assert "cap" not in {f.name for f in dataclasses.fields(obj)}, name
+        elif inspect.isclass(obj):
+            if "__init__" in vars(obj):
+                assert "cap" not in inspect.signature(obj.__init__).parameters, name
+            if dataclasses.is_dataclass(obj):
+                assert "cap" not in {f.name for f in dataclasses.fields(obj)}, name
 
     readers = set()
     for module, tree in _trees().items():

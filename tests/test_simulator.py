@@ -13,19 +13,21 @@ from harness import EDGE, TRIANGLE, peak_bytes
 from qmaxcut import (
     Graph,
     QaoaParams,
+    cut_value,
+    cut_values_by_basis,
+    generate_random_graph,
+    labels_from_index,
+    resolve_qubit_cap,
+    simulator,
+)
+from qmaxcut.simulator import (
     StateVector,
     apply_cost_layer,
     apply_mixer_layer,
     apply_qaoa_circuit,
-    cut_value,
-    cut_values_by_basis,
     expectation_cut,
-    generate_random_graph,
     init_uniform,
-    labels_from_index,
-    resolve_qubit_cap,
     sample_bitstrings,
-    simulator,
 )
 
 

@@ -3,11 +3,12 @@
 Prints each module's total lines and code lines, then the totals, then
 one row for all the Python files under ``tests/``, with those at the
 checkout's root (``conftest.py``), one for those under ``tools/`` and one
-for those under ``bench/``, its tests included, counted alike.  It only
-reads the files.  A code line holds at least one token
-that is not a comment; the lines of a docstring (the leading string of a
-module, class or function body) and blank lines are not code.  Run from
-anywhere: ``python tools/src_lines.py``.
+for those under ``bench/``, its tests included, counted alike, and last
+how many names ``__all__`` lists in ``qmaxcut/__init__.py``, the package's
+public surface.  It only reads the files.  A code line holds at least one
+token that is not a comment; the lines of a docstring (the leading string
+of a module, class or function body) and blank lines are not code.  Run
+from anywhere: ``python tools/src_lines.py``.
 """
 
 import ast
@@ -37,6 +38,13 @@ def counts(text: str) -> tuple[int, int]:
     return text.count("\n"), len(code - docstrings)
 
 
+def exported(text: str) -> int:
+    """How many names the module-level ``__all__`` of one module's source lists."""
+    (names,) = [node.value for node in ast.parse(text).body if isinstance(node, ast.Assign)
+                and any(getattr(target, "id", None) == "__all__" for target in node.targets)]
+    return len(names.elts)
+
+
 def main() -> None:
     rows = [(path.name, *counts(path.read_text(encoding="utf-8")))
             for path in sorted(SRC.glob("*.py"))]
@@ -50,6 +58,7 @@ def main() -> None:
     print(f"{'module':<16}{'lines':>7}{'code':>7}")
     for name, total, code in rows:
         print(f"{name:<16}{total:>7,}{code:>7,}")
+    print(f"__all__ lists {exported((SRC / '__init__.py').read_text(encoding='utf-8'))} names")
 
 
 if __name__ == "__main__":
