@@ -32,9 +32,13 @@ the flip-symmetric half of the register, by one
 :class:`FlipSymmetricWorkspace`: the half state, one half-size scratch
 buffer and the low half of the cut table as ``intp``, 1.25 times
 ``2**n * 16`` bytes (its docstring says which buffer holds which
-state).  That table is built vertex by vertex in ``O(2**n)``
-(:func:`qmaxcut.graph.half_cut_values_by_basis`), not by one add per
-edge.  The workspace's mixer takes the qubits four at a time
+state).  A sampled run at depth 2 or more adds the float64 ``|w|`` of
+its best state, 0.25 times; the cut is picked inside the scratch
+buffer, so extraction allocates nothing state-sized.  A whole run
+peaks at 1.35 times (threshold) or 1.62 times (sampled, depth 2 or
+more) under tracemalloc at n=18.  The table is built vertex by vertex
+in ``O(2**n)`` (:func:`qmaxcut.graph.half_cut_values_by_basis`), not
+by one add per edge.  The workspace's mixer takes the qubits four at a time
 (:class:`_Mixer`).  An evaluation that builds its own workspace peaks
 at 1.38 times that at n=18.  One on a reused workspace allocates 0.063
 times it: the top qubit's rotation, its ``sin(b) * f`` (one entry per
@@ -351,8 +355,8 @@ class FlipSymmetricWorkspace:
     none of it depends on the angles: the mixer (:class:`_Mixer`, its
     block arrays and each buffer's operand views), each buffer's rows of
     16 amplitudes and their reverse, both keyed by buffer so they follow
-    the swaps below, the ``-i * levels`` vector of the cut values and the
-    phase table it fills.
+    the swaps of a preparation, the ``-i * levels`` vector of the cut
+    values and the phase table it fills.
 
     Skipping exact zero angles makes distinct angle vectors the same
     circuit (:func:`_circuit`): the optimizer's zero start evaluated
@@ -363,17 +367,17 @@ class FlipSymmetricWorkspace:
     one entry per distinct circuit.
 
     The buffer rule: ``state`` holds the last circuit prepared here
-    (``held``, ``None`` while it holds no known state), ``kept`` the best
-    one (below), and ``scratch`` is the only spare, the one buffer
-    written outside a preparation.  :meth:`_state_of` is the one lookup:
-    a circuit's state is read from ``kept`` or ``state`` when either
-    holds it, and prepared into ``state`` only when neither does.
+    (``held``, ``None`` while it holds no known state), and ``scratch``
+    is the only spare, the one buffer written outside a preparation.
+    :meth:`_state_of` is the one lookup: a circuit's state is read from
+    ``state`` when it holds it, and prepared there otherwise.
 
-    With ``keep_best`` a third half-size buffer, ``kept``, holds the
-    state of the best circuit simulated so far (``kept_circuit``, whose
-    value ``values`` holds): each simulation that beats it swaps the two
-    state buffers, so nothing is copied.  The final state is then prepared
-    again only when the best value came from a repeat.
+    With ``keep_best``, ``kept`` holds ``|w|`` of the best circuit
+    simulated so far (``kept_circuit``, whose value ``values`` holds):
+    ``2**(n-1)`` float64, 0.25 times the full state, written by one
+    ``np.abs`` pass each time a simulation beats it.  The probabilities
+    read only ``|w|``, so the final state is prepared again only when
+    the best value came from a repeat.
     """
 
     def __init__(self, g: Graph, keep_best: bool = False):
@@ -392,8 +396,8 @@ class FlipSymmetricWorkspace:
         self.start /= math.sqrt(1 << g.n)
         self.values: dict[tuple, float] = {}
         self.held = self.kept_circuit = None
-        self.kept = np.empty_like(self.state) if keep_best else None
-        buffers = [b for b in (self.state, self.scratch, self.kept) if b is not None]
+        self.kept = np.empty(half) if keep_best else None
+        buffers = (self.state, self.scratch)
         rows = self.start.size
         self.rows = {id(b): (b.reshape(rows, -1), b[::-1].reshape(rows, -1)) for b in buffers}
         self.mixer = _Mixer(g.n - 1, buffers)
@@ -401,10 +405,8 @@ class FlipSymmetricWorkspace:
         self.phases = np.empty_like(self.levels)
 
     def _state_of(self, circuit: tuple) -> np.ndarray:
-        """The buffer that holds ``circuit``'s state: ``kept`` or ``state``
-        when either holds it, else ``state`` once it is prepared there."""
-        if circuit == self.kept_circuit:
-            return self.kept
+        """``state``, once it holds ``circuit``'s state: prepared there
+        unless it already held it."""
         if circuit != self.held:
             self.held = None
             self.state, self.scratch = _flip_symmetric_state(circuit, self)
@@ -427,25 +429,37 @@ class FlipSymmetricWorkspace:
             np.multiply(self.low_table, w, out=self.scratch)
             value = self.values[circuit] = 2.0 * float(np.vdot(w, self.scratch).real)
             if self.kept is not None and value > self.values.get(self.kept_circuit, -math.inf):
-                self.state, self.kept = self.kept, self.state
-                self.held, self.kept_circuit = self.kept_circuit, circuit
+                np.abs(w, out=self.kept)
+                self.kept_circuit = circuit
         return value
 
-    def probabilities(self, params: QaoaParams) -> np.ndarray:
-        """Probabilities of all ``2**n`` basis states, ``concat(p, p[::-1])``.
-
-        ``p = |w|**2`` is the low half's (the frame's entries are exact
-        units, so ``|w| = |a|``); the full vector, ``2**n`` float64, fills
-        ``scratch`` exactly, so nothing state-sized is allocated.  It is
-        valid until the workspace's next call.  The state is found by the
-        class docstring's buffer rule.
-        """
-        w = self._state_of(_circuit(params))
+    def _low_probabilities(self, params: QaoaParams) -> np.ndarray:
+        """``scratch`` as ``2**n`` float64 whose low half holds ``p =
+        |w|**2`` of ``params``' state (the frame's entries are exact units,
+        so ``|w| = |a|``); the high half is left unwritten.  ``|w|`` is read
+        from ``kept`` when it holds that circuit, else taken from ``state``
+        by the same ``np.abs``, so the bits are the same either way."""
+        circuit = _circuit(params)
+        magnitudes = self.kept if circuit == self.kept_circuit else self._state_of(circuit)
+        # Only now: preparing a state may swap ``state`` and ``scratch``.
         probs = self.scratch.view(np.float64)
-        low = probs[: w.size]
-        np.abs(w, out=low)
-        np.square(low, out=low)
-        probs[w.size :] = low[::-1]
+        low = probs[: probs.size // 2]
+        if magnitudes is not self.kept:
+            magnitudes = np.abs(magnitudes, out=low)
+        np.square(magnitudes, out=low)
+        return probs
+
+    def probabilities(self, params: QaoaParams) -> np.ndarray:
+        """Probabilities of all ``2**n`` basis states, ``concat(p, p[::-1])``
+        for the low half's ``p`` (see :meth:`_low_probabilities`).
+
+        The full vector, ``2**n`` float64, fills ``scratch`` exactly, so
+        nothing state-sized is allocated.  It is valid until the
+        workspace's next call.
+        """
+        probs = self._low_probabilities(params)
+        half = probs.size // 2
+        probs[half:] = probs[:half][::-1]
         return probs
 
     def cut(self, params: QaoaParams, shots: int = 0, seed: int = 0) -> CutAssignment:
@@ -460,18 +474,22 @@ class FlipSymmetricWorkspace:
         probabilities and cut values are both flip-symmetric, so the
         smallest index among tied maxima always lies in the low half: the
         threshold scan reads the low half alone, and a sampled index ``c``
-        reads the cut of ``min(c, ~c)``.
+        reads the cut of ``min(c, ~c)``.  The scan writes its masked
+        table, ``intp``, over the unused high half of the probabilities,
+        so it allocates only its boolean mask.
         """
         n, last, table = self.graph.n, (1 << self.graph.n) - 1, self.low_table
-        probs = self.probabilities(params)
         if shots == 0:
             # -1 is below every cut, so no state under the threshold wins.
-            values = np.where(probs[: table.size] >= 1.0 / (1 << (n + 1)), table, -1)
+            probs = self._low_probabilities(params)
+            values = probs[table.size :].view(np.intp)[: table.size]
+            values.fill(-1)
+            np.copyto(values, table, where=probs[: table.size] >= 1.0 / (1 << (n + 1)))
             best = int(np.argmax(values))  # first max = smallest index
         else:
             # Sorted, so the first max is the smallest index (np.unique would
             # also import numpy.ma, 23 ms, on its first call).
-            candidates = np.sort(_draw(probs, shots, seed))
+            candidates = np.sort(_draw(self.probabilities(params), shots, seed))
             values = table[np.minimum(candidates, last - candidates)]
             best = int(candidates[int(np.argmax(values))])
         return CutAssignment(

@@ -341,7 +341,7 @@ def test_criterion_08_runtime_ordering_across_algorithms():
         failures,
         f"brute ratio {brute16 / brute8:.0f}x, greedy {greedy_worst * 1e3:.3f}ms; "
         f"n=16 measured greedy {greedy_median[16]:.6f}s, qaoa(p={p}) {qaoa16:.3f}s, "
-        f"brute {brute16:.3f}s; modelled ops greedy {greedy_ops}, "
+        f"brute {brute16 * 1e3:.3f}ms; modelled ops greedy {greedy_ops}, "
         f"qaoa(p={p}) {qaoa_ops} ({report.offload_count} jobs x {gates_per_job}), "
         f"brute {brute_ops}",
     )

@@ -30,8 +30,8 @@ def _angles(rng, p):
 
 def _schedule(g, seed, count):
     """``count`` circuits of depth 1-3 with repeats.  The first half is in
-    rising order of value, so a workspace that keeps its best state swaps
-    buffers on each of them."""
+    rising order of value, so a workspace that keeps its best state takes
+    a new snapshot on each of them."""
     rng = np.random.default_rng(seed)
     circuits = [_angles(rng, int(rng.integers(1, 4))) for _ in range(count)]
     values = {}
@@ -46,19 +46,19 @@ def _schedule(g, seed, count):
 def _outputs(g, keep_best, schedule, prepare):
     """Every output of one workspace that prepares its states with ``prepare``."""
     ws = FlipSymmetricWorkspace(g, keep_best)
-    states, reprs, swaps = [], [], 0
+    states, reprs, snapshots = [], [], 0
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simulator, "_flip_symmetric_state", prepare)
         for i, params in enumerate(schedule):
-            state = ws.state
+            kept = ws.kept_circuit
             reprs.append(repr(ws.expectation(params)))
-            swaps += ws.state is not state
+            snapshots += ws.kept_circuit != kept
             if i % 4 == 3:
                 reprs.append(ws.probabilities(params).tobytes())
                 reprs.append(repr(ws.cut(params)))
                 reprs.append(repr(ws.cut(params, 64, i)))
                 states.append(ws._state_of(_circuit(params)).copy())
-    return states, reprs, swaps
+    return states, reprs, snapshots
 
 
 @pytest.mark.parametrize("keep_best", [False, True], ids=["scan", "keep-best"])
@@ -66,15 +66,15 @@ def _outputs(g, keep_best, schedule, prepare):
 def test_plan_matches_the_per_call_kernel(n, keep_best):
     g = generate_random_graph(n, min(n * (n - 1) // 2, 2 * n), n)
     schedule = _schedule(g, 100 * n + keep_best, 16 if n <= 14 else 6)
-    states, reprs, swaps = _outputs(g, keep_best, schedule, simulator._flip_symmetric_state)
+    states, reprs, snapshots = _outputs(g, keep_best, schedule, simulator._flip_symmetric_state)
     oracle = kernel_oracle.flip_symmetric_state
     want_states, want_reprs, _ = _outputs(g, keep_best, schedule, oracle)
     assert reprs == want_reprs
     assert len(states) == len(want_states) > 0
     for state, want in zip(states, want_states):
         assert np.array_equal(state, want)
-    if keep_best and g.m:  # with no edge every circuit's value is 0: one swap
-        assert swaps >= 2
+    if keep_best and g.m:  # with no edge every circuit's value is 0: one snapshot
+        assert snapshots >= 2
 
 
 @pytest.mark.parametrize("n", [13, 14])

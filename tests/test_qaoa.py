@@ -201,6 +201,21 @@ class TestFlipSymmetricHalf:
         assert second == evaluate_params(g, params)
         assert peak <= 0.1 * full_state, f"peak {peak / full_state:.3f}x the state"
 
+    @pytest.mark.parametrize("shots", [0, 4096])
+    def test_cut_on_a_held_state_allocates_no_state_sized_buffer(self, shots):
+        # n=18: the state would be 4 MiB.  The threshold scan writes its
+        # masked table over the unused high half of the probabilities, so
+        # its bool mask (1/32x) is all it allocates; the draws' arrays are
+        # shots-sized.  An intp table of its own read 0.28x.
+        g = generate_random_graph(18, 34, 0)
+        params = QaoaParams(gammas=(0.3, 0.5), betas=(0.2, 0.7))
+        workspace = simulator.FlipSymmetricWorkspace(g)
+        workspace.expectation(params)
+        full_state = (1 << g.n) * 16
+        peak, cut = peak_bytes(workspace.cut, params, shots, 1)
+        assert cut == simulator.FlipSymmetricWorkspace(g).cut(params, shots, 1)
+        assert peak <= 0.1 * full_state, f"peak {peak / full_state:.3f}x the state"
+
     def test_workspace_of_another_graph_is_refused(self):
         workspace = simulator.FlipSymmetricWorkspace(TRIANGLE)
         other = Graph(3, ((0, 1),))
@@ -808,15 +823,16 @@ class TestRunOnTheHalf:
         assert result.best_cut == _extract_assignment(sv, g, cfg, cut_values_by_basis(g))
 
     @pytest.mark.parametrize(
-        ("p", "shots", "bound"), [(2, 0, 1.7), (2, 4096, 1.9), (1, 64, 1.4)],
-        ids=["0-1.7", "4096-1.9", "p1-64-1.4"],
+        ("p", "shots", "bound"), [(2, 0, 1.45), (2, 4096, 1.7), (1, 64, 1.4)],
+        ids=["0-1.45", "4096-1.7", "p1-64-1.4"],
     )
     def test_run_peak_memory(self, p, shots, bound):
-        # n=18: the full state would be 4 MiB.  The workspace is 1.25x; the
-        # threshold scan adds one intp half table (reads 1.60x), a sampled
-        # run the buffer that keeps its best state, 0.5x (reads 1.85x).  A
-        # depth-1 run simulates no evaluation, so a sampled one keeps no
-        # state (reads 1.32x).
+        # n=18: the full state would be 4 MiB.  The workspace is 1.25x, and
+        # the cut is picked inside its scratch buffer: a threshold run
+        # reads 1.35x.  A sampled run at depth 2 or more adds the float64
+        # |w| of its best state, 0.25x (reads 1.62x).  A depth-1 run
+        # simulates no evaluation, so a sampled one keeps none (reads
+        # 1.32x).
         g = generate_random_graph(18, 34, 0)
         cfg = QaoaConfig(p=p, budget=6, restarts=2, seed=0, shots=shots)
         full_state = (1 << g.n) * 16

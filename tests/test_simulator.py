@@ -264,6 +264,12 @@ def assert_low_table_is_the_half(g):
     assert np.array_equal(table, cut_values_by_basis(g)[: 1 << (g.n - 1)])
 
 
+def assert_workspace_peak(g, keep_best, bound):
+    full_state = (1 << g.n) * 16
+    peak, _ = peak_bytes(simulator.FlipSymmetricWorkspace, g, keep_best)
+    assert peak <= bound * full_state, f"peak {peak / full_state:.4f}x the state"
+
+
 def explicit_table_graphs(n):
     """Edgeless, complete, a star on each end and the one edge between them."""
     return {
@@ -304,14 +310,16 @@ class TestHalfCutTable:
     def test_workspace_peak_memory(self):
         # n=18: the full state would be 4 MiB.  The half state, the scratch
         # buffer and the intp table are 1.25x, the two frame vectors
-        # 0.0625x, built in place (reads 1.3129x; building them from
+        # 0.0625x, built in place (reads 1.3153x; building them from
         # frame-sized temporaries read 1.375x).  The table's popcounts
         # borrow the state buffer: a separate intp array for them would
         # be 1.5x.
-        g = generate_random_graph(18, 34, 0)
-        full_state = (1 << g.n) * 16
-        peak, _ = peak_bytes(simulator.FlipSymmetricWorkspace, g)
-        assert peak <= 1.32 * full_state, f"peak {peak / full_state:.4f}x the state"
+        assert_workspace_peak(generate_random_graph(18, 34, 0), False, 1.32)
+
+    def test_keep_best_workspace_peak_memory(self):
+        # Keeping the best state adds its float64 |w|, 0.25x (reads
+        # 1.5655x; its complex amplitudes read 1.8158x).
+        assert_workspace_peak(generate_random_graph(18, 34, 0), True, 1.57)
 
 
 class TestCircuit:

@@ -12,6 +12,9 @@ mean time per call of:
 * ``expectation``: an evaluation less its state preparation
   (``simulator._flip_symmetric_state``), that is the workspace's lookup,
   its product with the cut table, its ``vdot`` and the memo;
+* ``best-state snapshot``: the ``np.abs`` pass that writes a new best
+  state's ``|w|`` into a keep-best workspace's ``kept``, here into a
+  float64 array of the same size, so every checkout times the same pass;
 * ``objective wrapper``: one evaluation of ``optimize_params`` whose
   circuit the workspace has already simulated: Nelder-Mead's steps,
   the objective closure, ``evaluate_params`` and the circuit memo;
@@ -59,6 +62,8 @@ from regenerate import ONE_THREAD  # noqa: E402
 os.environ.update(ONE_THREAD)  # before numpy loads
 os.environ.pop("QMAXCUT_QUBIT_CAP", None)  # n=20 needs the default cap
 
+import numpy as np  # noqa: E402
+
 SRC = ROOT / "src"
 SIZES = ((12, 20), (16, 30), (20, 60))
 ANGLES = ((0.7, 0.45), (0.31, 0.22))  # gammas, betas: no angle is 0
@@ -98,6 +103,7 @@ def timed_calls(pkg, n: int, m: int) -> tuple[dict, int]:
     circuit = simulator._circuit(params)
     gamma, beta = params.gammas[0], params.betas[0]
     w, scratch = ws.state, ws.scratch
+    kept = np.empty(w.size)
     prepare = simulator._flip_symmetric_state
     mixer = ws.mixer
 
@@ -116,6 +122,7 @@ def timed_calls(pkg, n: int, m: int) -> tuple[dict, int]:
         "build": lambda: mixer.weigh(beta),
         "mix": lambda: mixer(w, scratch, beta),
         "prepare": lambda: prepare(circuit, ws),
+        "snapshot": lambda: np.abs(w, out=kept),
         "wrapper": lambda: qaoa.optimize_params(g, cfg, workspace=memo),
         "evaluation": evaluation,
     }, cfg.budget
@@ -130,6 +137,7 @@ def pieces(t: dict, budget: int) -> dict:
         "block products": t["mix"] - t["build"],
         "top rotation": t["mixer"] - t["fill"] - t["mix"],
         "expectation": t["evaluation"] - t["prepare"],
+        "best-state snapshot": t["snapshot"],
         "objective wrapper": t["wrapper"] / budget,
         "evaluation": t["evaluation"],
     }
@@ -162,7 +170,6 @@ def main(argv=None) -> None:
     ap.add_argument("--json", action="store_true", help="print one JSON object instead")
     args = ap.parse_args(argv)
     srcs = [p.resolve() for p in args.src or [SRC]]
-    import numpy as np
     from blas_kernel import kernel
 
     out = {

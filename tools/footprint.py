@@ -1,19 +1,23 @@
 """Start-up time and memory of the package, in fresh interpreters.
 
-Runs two commands, each in 7 fresh interpreters one after another, in
+Runs three commands, each in 7 fresh interpreters one after another, in
 the environment of ``tests/golden/regenerate.child_env``: this checkout's
 ``src`` first on ``PYTHONPATH``, one BLAS thread and the default qubit
 cap, whatever the shell holds:
 
     python -c "import qmaxcut"
     python -m qmaxcut solve --gen 12,20 --depth 2 --shots 64
+    python -m qmaxcut solve --gen 18,40 --depth 2 --shots 64 --budget 20
 
-and prints, per command, the median wall time of the whole process and
-the median of its peak resident set size (``ru_maxrss`` of that child
-alone, from ``os.wait4``).  One more run of each under ``-X importtime``
-names which of ``numpy.random``, ``numpy.ma`` and ``scipy`` it loaded.
-The first line names the machine.  Standard library only; Linux or
-macOS; run from anywhere: ``python3 tools/footprint.py``.
+The interpreter and numpy set the first two peaks; the third adds the
+n=18 run's workspace, 1.5 times its 4 MiB full state with the best
+state's ``|w|``.  It prints, per command, the median wall time of the
+whole process and the median of its peak resident set size
+(``ru_maxrss`` of that child alone, from ``os.wait4``).  One more run of
+each under ``-X importtime`` names which of ``numpy.random``,
+``numpy.ma`` and ``scipy`` it loaded.  The first line names the
+machine.  Standard library only; Linux or macOS; run from anywhere:
+``python3 tools/footprint.py``.
 """
 
 import os
@@ -34,6 +38,9 @@ COMMANDS = {
     "import qmaxcut": ["-c", "import qmaxcut"],
     "solve --gen 12,20 --depth 2 --shots 64":
         ["-m", "qmaxcut", "solve", "--gen", "12,20", "--depth", "2", "--shots", "64"],
+    "solve --gen 18,40 --depth 2 --shots 64 --budget 20":
+        ["-m", "qmaxcut", "solve", "--gen", "18,40", "--depth", "2", "--shots", "64",
+         "--budget", "20"],
 }
 WATCHED = ("numpy.random", "numpy.ma", "scipy")
 # ru_maxrss is in KiB on Linux and in bytes on macOS.
@@ -67,11 +74,12 @@ def main() -> None:
     print(f"footprint: medians of {RUNS} fresh interpreters; {platform.machine()},"
           f" nproc {os.cpu_count()}, Python {platform.python_version()},"
           f" numpy {metadata.version('numpy')}")
-    print(f"{'command':<40}{'wall_s':>8}{'peak_rss_mib':>14}  loaded")
+    width = max(map(len, COMMANDS)) + 2
+    print(f"{'command':<{width}}{'wall_s':>8}{'peak_rss_mib':>14}  loaded")
     for name, args in COMMANDS.items():
         walls, peaks = zip(*(measure(args) for _ in range(RUNS)))
         mods = ", ".join(loaded(args)) or "none of " + ", ".join(WATCHED)
-        print(f"{name:<40}{statistics.median(walls):>8.3f}"
+        print(f"{name:<{width}}{statistics.median(walls):>8.3f}"
               f"{statistics.median(peaks):>14.1f}  {mods}")
 
 
