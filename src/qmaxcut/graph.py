@@ -257,7 +257,7 @@ def cut_values_by_basis(g: Graph) -> np.ndarray:
 
 
 def half_cut_values_by_basis(g: Graph, scratch: np.ndarray) -> np.ndarray:
-    """The low half of :func:`cut_values_by_basis`, as an ``intp`` array.
+    """The low half of :func:`cut_values_by_basis`, in ``scratch``'s dtype.
 
     Entries ``0 .. 2**(n-1) - 1``, the basis states with bit ``n - 1``
     clear, built vertex by vertex in ``O(2**n)`` exact integer steps,
@@ -270,12 +270,17 @@ def half_cut_values_by_basis(g: Graph, scratch: np.ndarray) -> np.ndarray:
     ``-1``).  The top vertex is clear throughout the half,
     so it only adds its ``S`` to the whole of it.  ``S`` is built by
     doubling too, ``S[j:2j] = S[:j] + (1 if M & j else 0)`` for each
-    power of two ``j``, into ``scratch``, an ``intp`` array of at least
+    power of two ``j``, into ``scratch``, an integer array of at least
     ``2**(n-1)`` entries that is overwritten; nothing but the table is
-    allocated.
+    allocated.  The dtype must hold ``m`` (``np.min_scalar_type(g.m)``,
+    one byte up to 255 edges, does): a difference may wrap around below
+    zero on the way, but integer arithmetic is exact modulo ``2**bits``
+    and every final entry is a cut value in ``[0, m]``.
     """
+    if np.iinfo(scratch.dtype).max < g.m:
+        raise ValueError(f"{scratch.dtype} cannot hold the cut values of {g.m} edges")
     half = 1 << (g.n - 1)
-    out = np.zeros(half, dtype=np.intp)
+    out = np.zeros(half, dtype=scratch.dtype)
     for v, nb in enumerate(g.neighbours):
         k = 1 << v
         mask = nb & (k - 1)

@@ -335,12 +335,13 @@ def run_qaoa(
     One workspace (see :class:`~qmaxcut.simulator.FlipSymmetricWorkspace`,
     built before any evaluation, so it refuses a run above the qubit cap
     at every depth) serves every evaluation, the final state, extraction
-    and sampling.  The workspace is 1.25 times the full state's ``2**n *
-    16`` bytes, and extraction picks the cut inside its scratch buffer,
-    so the run peaks at about 1.35 times, or 1.62 with ``shots`` at depth
-    2 or more, where the workspace also keeps the best state's ``|w|``,
-    0.25 times (tracemalloc, n=18).  A depth-1 run evaluates only in
-    closed form, so it keeps no state and a sampled one peaks at 1.32.
+    and sampling.  The workspace is 1.09 times the full state's ``2**n *
+    16`` bytes (the byte model is in :mod:`qmaxcut.simulator`), and
+    extraction picks the cut inside its scratch buffer, so the run peaks
+    at about 1.13 times, or 1.40 with ``shots`` at depth 2 or more, where
+    the workspace also keeps the best state's ``|w|``, 0.25 times
+    (tracemalloc, n=18).  A depth-1 run evaluates only in closed form,
+    so it keeps no state and a sampled one peaks at 1.10.
     """
     t_start = time.perf_counter()
     # Keep the best state's |w| only when sampling at depth 2 or more: a

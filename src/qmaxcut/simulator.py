@@ -29,26 +29,38 @@ under tracemalloc at n=20), so about 580 MiB at the default cap.
 (depth 1 has a closed form in :mod:`qmaxcut.qaoa`), its final state,
 the probabilities and the cut it picks from them are all prepared on
 the flip-symmetric half of the register, by one
-:class:`FlipSymmetricWorkspace`: the half state, one half-size scratch
-buffer and the low half of the cut table as ``intp``, 1.25 times
-``2**n * 16`` bytes (its docstring says which buffer holds which
-state).  A sampled run at depth 2 or more adds the float64 ``|w|`` of
-its best state, 0.25 times; the cut is picked inside the scratch
-buffer, so extraction allocates nothing state-sized.  A whole run
-peaks at 1.35 times (threshold) or 1.62 times (sampled, depth 2 or
-more) under tracemalloc at n=18.  The table is built vertex by vertex
-in ``O(2**n)`` (:func:`qmaxcut.graph.half_cut_values_by_basis`), not
-by one add per edge.  The workspace's mixer takes the qubits four at a time
-(:class:`_Mixer`).  An evaluation that builds its own workspace peaks
-at 1.38 times that at n=18.  One on a reused workspace allocates 0.063
-times it: the top qubit's rotation, its ``sin(b) * f`` (one entry per
-row of 16 amplitudes) and the buffer numpy takes for that broadcast
-product (8,192 entries, so the whole half state below n=15).  The plan
-(the mixer's blocks and the views of each buffer, the phase table) is
-built with the workspace, so an evaluation rebuilds nothing that does
-not depend on its angles.  The mixer's blocks above bit 3 run in real
-arithmetic, and from ``2**17`` amplitudes the large blocks multiply row
-panels that stay in cache (:class:`_Mixer`).
+:class:`FlipSymmetricWorkspace` (its docstring says which buffer holds
+which state).  The table is built vertex by vertex in ``O(2**n)``
+(:func:`qmaxcut.graph.half_cut_values_by_basis`), not by one add per
+edge.  The workspace's mixer takes the qubits four at a time
+(:class:`_Mixer`).
+
+The byte model, in units of the full state's ``2**n * 16`` bytes: the
+workspace holds the half state and one half-size scratch buffer, 1; the
+low half of the cut table in ``np.min_scalar_type(m)``, one byte per
+entry up to 255 edges, 1/32 (two bytes, 1/16, above); and per row of
+16 amplitudes the start state and the top rotation's flip term, one
+complex each, 1/32 each.  That is 1.09 in all.  A sampled run at depth
+2 or more adds the float64 ``|w|`` of its best state, 0.25, so 1.34.
+Nothing else state-sized is kept or allocated: a cost half-layer
+gathers its phases ``_GATHER_CHUNK`` table entries at a time, since
+``np.take`` copies each chunk's indices into ``intp``, the cut is
+picked inside the scratch buffer, and each of numpy's buffers for a
+broadcast or a cast holds at most 8,192 complex entries (128 KiB).  A
+table of one chunk or less (``n <= 15``) is also kept as ``intp``,
+0.25 more but at most 128 KiB, so that its gathers convert nothing.  Under tracemalloc at
+n=18 the workspace peaks at 1.098 (1.348 keeping the best state), an
+evaluation that builds its own at 1.129, a whole run at 1.131
+(threshold) or 1.399 (sampled, depth 2 or more); one evaluation on a
+reused workspace allocates 0.032, one numpy buffer (0.52 at n=12,
+where that buffer is the whole half state).  At n=20 a sampled run
+peaks at 1.358.
+
+The plan (the mixer's blocks and the views of each buffer, the phase
+table) is built with the workspace, so an evaluation rebuilds nothing
+that does not depend on its angles.  The mixer's blocks above bit 3 run
+in real arithmetic, and from ``2**17`` amplitudes the large blocks
+multiply row panels that stay in cache (:class:`_Mixer`).
 """
 
 from __future__ import annotations
@@ -94,6 +106,10 @@ _PANEL_MIN_QUBITS = 17
 _PANEL_MIN_LO = 12
 # The shots stream's tag (see _draw); the optimizer's starts use tag 1.
 _STREAM_SHOTS = 2
+# Entries per phase gather of a cost half-layer: np.take copies its index
+# into a fresh intp array, so the narrow cut table is read in chunks.  At
+# 2**14, the copy is no larger than numpy's own buffers (8,192 complex).
+_GATHER_CHUNK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -341,22 +357,26 @@ class FlipSymmetricWorkspace:
     register: their expectations, final probabilities and picked cut.
 
     Holds the half state and one half-size scratch buffer, the low half
-    of the cut table as ``intp`` (``np.take`` would copy an int32 index
-    array into a fresh ``intp`` one on every call), and two frame
-    vectors of ``2**max(0, n - 5)`` entries: the start state in the
-    frame, and the top qubit's flip term.  The table is built here by
+    of the cut table in the narrowest unsigned dtype that holds ``m``
+    (``np.min_scalar_type(m)``), and two frame vectors of ``2**max(0,
+    n - 5)`` entries, one per row of 16 amplitudes: the start state in
+    the frame, and the top qubit's flip term, rescaled by each mixer
+    half-layer.  The table is built here by
     :func:`~qmaxcut.graph.half_cut_values_by_basis`, vertex by vertex in
-    ``O(2**n)``, with the state buffer as its scratch (every state
-    prepared here overwrites it first); no full table is built.  About
-    1.25 times the full state's ``2**n * 16`` bytes.  The constructor
+    ``O(2**n)``, in its own dtype with the state buffer as its scratch
+    (every state prepared here overwrites it first); no full table is
+    built, nor any ``intp`` one above ``_GATHER_CHUNK`` entries.  About 1.09 times the full state's ``2**n * 16``
+    bytes (the module docstring gives the byte model).  The constructor
     checks the qubit cap before it allocates any of them.
 
     It also builds the plan that every circuit run here shares, since
     none of it depends on the angles: the mixer (:class:`_Mixer`, its
     block arrays and each buffer's operand views), each buffer's rows of
     16 amplitudes and their reverse, both keyed by buffer so they follow
-    the swaps of a preparation, the ``-i * levels`` vector of the cut
-    values and the phase table it fills.
+    the swaps of a preparation, each buffer's chunks of
+    ``_GATHER_CHUNK`` entries beside the table's (an ``intp`` copy of
+    the table when it is one chunk), the ``-i * levels`` vector of the
+    cut values and the phase table it fills.
 
     Skipping exact zero angles makes distinct angle vectors the same
     circuit (:func:`_circuit`): the optimizer's zero start evaluated
@@ -386,20 +406,29 @@ class FlipSymmetricWorkspace:
         self.graph = g
         self.state = np.empty(half, dtype=np.complex128)
         self.scratch = np.empty_like(self.state)
-        self.low_table = half_cut_values_by_basis(g, self.state.view(np.intp))
+        self.low_table = half_cut_values_by_basis(g, self.state.view(np.min_scalar_type(g.m)))
         # Built in place: no frame-sized temporary beside the two vectors.
-        # conj(e[y]) * e[~y] = i**bits * e[y]**2 over the frame's bits above bit 3.
+        # f[y] = -i * conj(e[y]) * e[~y] = unit * e[y]**2, for the unit -i *
+        # i**bits over the frame's bits above bit 3, real or imaginary: one
+        # part of ``flip`` is nonzero, and its signs are f's.
+        unit = -1j * _I_POWERS[max(0, g.n - 1 - MIXER_BLOCK_QUBITS) % 4]
         self.start = _frame(g.n - 1)[:, None]
         self.flip = np.square(self.start)
-        self.flip *= -1j * _I_POWERS[max(0, g.n - 1 - MIXER_BLOCK_QUBITS) % 4]
+        self.flip *= unit
+        self.flip_part = self.flip.view(np.float64)[:, int(unit.real == 0)]
         np.conjugate(self.start, out=self.start)
         self.start /= math.sqrt(1 << g.n)
+        rows = self.start.size
         self.values: dict[tuple, float] = {}
         self.held = self.kept_circuit = None
         self.kept = np.empty(half) if keep_best else None
         buffers = (self.state, self.scratch)
-        rows = self.start.size
         self.rows = {id(b): (b.reshape(rows, -1), b[::-1].reshape(rows, -1)) for b in buffers}
+        # A table of one chunk or less is kept as intp too, no larger than
+        # the copy each of its gathers would make: they then convert nothing.
+        index = self.low_table if half > _GATHER_CHUNK else self.low_table.astype(np.intp)
+        self.gathers = {id(b): [(index[i : i + _GATHER_CHUNK], b[i : i + _GATHER_CHUNK])
+                                for i in range(0, half, _GATHER_CHUNK)] for b in buffers}
         self.mixer = _Mixer(g.n - 1, buffers)
         self.levels = -1j * np.arange(g.m + 1)
         self.phases = np.empty_like(self.levels)
@@ -533,26 +562,46 @@ def _flip_symmetric_state(
     with the frame.  A cost half-layer phases ``w`` through the low half
     of the cut table; a mixer half-layer mixes qubits ``0..n-2``
     (``ws.mixer``) and rotates qubit ``n - 1`` as ``w <- cos(b) w +
-    sin(b) f * w[::-1]``, where ``f = -i conj(e) e[::-1]`` (``ws.flip``)
-    is ``-i`` seen through the frame, one unit per row of 16 amplitudes.
+    sin(b) f * w[::-1]``, where ``f = -i conj(e) e[::-1]`` is ``-i``
+    seen through the frame, one unit per row of 16 amplitudes: one real
+    or imaginary unit for the whole register times the row's sign ``e**2
+    = +-1``.  ``ws.flip`` keeps the signs of ``f`` in its one nonzero
+    part; each mixer half-layer sets that part's magnitude to ``|sin b|``
+    and adds the product to ``cos(b) w``, or subtracts it when ``sin b <
+    0``.  A circuit that opens with a cost half-layer gathers its phases
+    straight into ``w`` and multiplies them by the start state; any
+    other writes the start state first.  These products have the
+    operands of ``start * phases`` and ``sin(b) f * w[::-1]`` up to the
+    order of a product and exact signs, so the bits are theirs.
+
     Returns ``(w, spare)``: two buffers of ``ws``, whichever holds ``w``
     first.  Its buffers and views come from the workspace's plan: it
-    allocates only the top rotation's ``sin(b) * f``, one entry per row
-    of 16 amplitudes, beside the buffer numpy takes for that product.
+    allocates only what numpy takes for its own use: an ``intp`` copy of
+    each gather chunk's indices, when the table is more than one chunk,
+    and the buffer of a broadcast product.
     """
     w, scratch = ws.state, ws.scratch
-    np.copyto(ws.rows[id(w)][0], ws.start)
-    for kind, angle in circuit:
+    if not circuit or circuit[0][0]:  # no cost half-layer to write the start state
+        np.copyto(ws.rows[id(w)][0], ws.start)
+    for i, (kind, angle) in enumerate(circuit):
         if kind == 0:
             np.exp(np.multiply(ws.levels, angle, out=ws.phases), out=ws.phases)
-            ws.phases.take(ws.low_table, out=scratch, mode="clip")
-            w *= scratch
+            for table, phases in ws.gathers[id(scratch if i else w)]:
+                # Every index is in range; numpy's "wrap" loop is the faster one.
+                ws.phases.take(table, out=phases, mode="wrap")
+            if i:
+                w *= scratch
+            else:  # the phases times the start state: no fill pass
+                rows = ws.rows[id(w)][0]
+                np.multiply(rows, ws.start, out=rows)
         else:
             if ws.mixer(w, scratch, angle) is scratch:
                 w, scratch = scratch, w
-            np.multiply(ws.rows[id(w)][1], math.sin(angle) * ws.flip, out=ws.rows[id(scratch)][0])
+            s = math.sin(angle)
+            np.copysign(abs(s), ws.flip_part, out=ws.flip_part)  # |sin(b)| * f
+            np.multiply(ws.rows[id(w)][1], ws.flip, out=ws.rows[id(scratch)][0])
             w *= math.cos(angle)
-            w += scratch
+            (np.add if s > 0 else np.subtract)(w, scratch, out=w)
     return w, scratch
 
 

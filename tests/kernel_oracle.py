@@ -3,8 +3,9 @@ every call builds its mixer blocks, views and phase table afresh.
 
 Kept only as a bit-for-bit oracle for :mod:`qmaxcut.simulator`, whose
 workspace must prepare the same bits.  It reads the workspace's buffers,
-start vector, flip term and cut table, and the simulator's block-size
-and row-panel constants (which tests may patch), and nothing of its plan.
+start vector and cut table, the simulator's frame (from which it builds
+the top qubit's flip term) and its block-size and row-panel constants
+(which tests may patch), and nothing of its plan.
 The one exception, :func:`plan_mix`, is the subject, not the oracle: the
 plan's ``_Mixer`` in :func:`mix`'s signature.  :func:`mixer_layer` runs
 either on the whole register, so the tests check the plan's mixer against
@@ -99,6 +100,8 @@ def flip_symmetric_state(circuit, ws):
     w, scratch = ws.state, ws.scratch
     rows = ws.start.size
     w.reshape(rows, -1)[...] = ws.start
+    frame = simulator._frame(g.n - 1)
+    flip = (-1j * frame.conj() * frame[::-1])[:, None]  # -i through the frame
     levels = np.arange(g.m + 1)
     for kind, angle in circuit:
         if kind == 0:
@@ -109,7 +112,7 @@ def flip_symmetric_state(circuit, ws):
             if mixed is not w:
                 w, scratch = mixed, w
             np.multiply(
-                w[::-1].reshape(rows, -1), math.sin(angle) * ws.flip, out=scratch.reshape(rows, -1)
+                w[::-1].reshape(rows, -1), math.sin(angle) * flip, out=scratch.reshape(rows, -1)
             )
             w *= math.cos(angle)
             w += scratch

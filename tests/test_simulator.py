@@ -20,6 +20,7 @@ from qmaxcut import (
     resolve_qubit_cap,
     simulator,
 )
+from qmaxcut.graph import half_cut_values_by_basis
 from qmaxcut.simulator import (
     StateVector,
     apply_cost_layer,
@@ -260,21 +261,29 @@ class TestMixerLayer:
 
 def assert_low_table_is_the_half(g):
     table = simulator.FlipSymmetricWorkspace(g).low_table
-    assert table.dtype == np.intp
+    assert table.dtype == np.min_scalar_type(g.m)
     assert np.array_equal(table, cut_values_by_basis(g)[: 1 << (g.n - 1)])
 
 
-def assert_workspace_peak(g, keep_best, bound):
+def assert_workspace_peak(g, keep_best, model, bound):
+    """The workspace's tracemalloc peak lies between 0.97 times the
+    ``model`` (in full states) and ``bound``."""
     full_state = (1 << g.n) * 16
     peak, _ = peak_bytes(simulator.FlipSymmetricWorkspace, g, keep_best)
-    assert peak <= bound * full_state, f"peak {peak / full_state:.4f}x the state"
+    assert 0.97 * model * full_state <= peak <= bound * full_state, (
+        f"peak {peak / full_state:.4f}x the state"
+    )
+
+
+def complete_graph(n):
+    return Graph(n, tuple((u, v) for v in range(n) for u in range(v)))
 
 
 def explicit_table_graphs(n):
     """Edgeless, complete, a star on each end and the one edge between them."""
     return {
         "empty": Graph(n, ()),
-        "complete": Graph(n, tuple((u, v) for v in range(n) for u in range(v))),
+        "complete": complete_graph(n),
         "star on 0": Graph(n, tuple((0, v) for v in range(1, n))),
         "star on n-1": Graph(n, tuple((u, n - 1) for u in range(n - 1))),
         "edge (0, n-1)": Graph(n, ((0, n - 1),) if n > 1 else ()),
@@ -308,18 +317,47 @@ class TestHalfCutTable:
         assert_low_table_is_the_half(generate_random_graph(18, 60, 18))
 
     def test_workspace_peak_memory(self):
-        # n=18: the full state would be 4 MiB.  The half state, the scratch
-        # buffer and the intp table are 1.25x, the two frame vectors
-        # 0.0625x, built in place (reads 1.3153x; building them from
-        # frame-sized temporaries read 1.375x).  The table's popcounts
-        # borrow the state buffer: a separate intp array for them would
-        # be 1.5x.
-        assert_workspace_peak(generate_random_graph(18, 34, 0), False, 1.32)
+        # n=18: the full state would be 4 MiB.  The module docstring's byte
+        # model: the half state and the scratch buffer 1x, the one-byte
+        # table 1/32x, the start state and the flip term 1/32x each,
+        # 1.0938x in all, built in place (reads 1.0976x; bound: the
+        # reading plus about 0.007x).  The table's popcounts borrow the
+        # state buffer, and it is built in its own dtype: with the intp
+        # table and a flip term beside the start, it read 1.3153x.
+        assert_workspace_peak(generate_random_graph(18, 34, 0), False, 1.09375, 1.105)
 
     def test_keep_best_workspace_peak_memory(self):
-        # Keeping the best state adds its float64 |w|, 0.25x (reads
-        # 1.5655x; its complex amplitudes read 1.8158x).
-        assert_workspace_peak(generate_random_graph(18, 34, 0), True, 1.57)
+        # Keeping the best state adds its float64 |w|, 0.25x: the model is
+        # 1.3438x (reads 1.3477x; complex amplitudes would be 0.5x).
+        assert_workspace_peak(generate_random_graph(18, 34, 0), True, 1.34375, 1.355)
+
+    def test_one_byte_table_wraps_around_exactly(self):
+        # K_23 (m = 253) is the complete graph with the most edges a
+        # one-byte table holds, so the doubling's differences wrap below
+        # zero the most.  Its cut values have a closed form,
+        # popcount(y) * (23 - popcount(y)), so no full table is needed.
+        g = complete_graph(23)
+        half = 1 << 22
+        table = half_cut_values_by_basis(g, np.empty(half, dtype=np.uint8))
+        assert table.dtype == np.uint8
+        ones = np.zeros(half, dtype=np.uint8)
+        j = 1
+        while j < half:
+            np.add(ones[:j], 1, out=ones[j : 2 * j])
+            j *= 2
+        ones = ones.astype(np.int16)
+        assert np.array_equal(table, ones * (23 - ones))
+
+    def test_two_byte_table_matches_the_full_table(self):
+        g = generate_random_graph(11, 40, 5)
+        table = half_cut_values_by_basis(g, np.empty(1 << 10, dtype=np.uint16))
+        assert table.dtype == np.uint16
+        assert np.array_equal(table, cut_values_by_basis(g)[: 1 << 10])
+
+    def test_a_dtype_that_cannot_hold_m_is_refused(self):
+        # m = 276 needs two bytes; refused before the table is allocated.
+        with pytest.raises(ValueError, match="cannot hold"):
+            half_cut_values_by_basis(complete_graph(24), np.empty(0, dtype=np.uint8))
 
 
 class TestCircuit:

@@ -4,8 +4,14 @@ For each register size (n=12, 16 and 20 on the benchmark's graphs: m=20,
 30 and 60) it prints, in microseconds, the minimum over batches of the
 mean time per call of:
 
-* ``fill``: writing the start state into the half register;
-* ``cost half-layer``: one phase layer (phase table, gather, multiply);
+* ``fill``: writing the start state into the half register, as a
+  circuit that opens with a mixer half-layer does;
+* ``first cost half-layer``: a circuit of one phase layer, start state
+  included, so it times the same work on a checkout that fills the
+  state first and on one that multiplies the gathered phases by the
+  start state instead;
+* ``cost half-layer``: one phase layer after the first (phase table,
+  gather, multiply): two phase layers less one;
 * ``block build``: the mixer blocks for one angle;
 * ``block products``: the mixer's matrix products, the blocks given;
 * ``top rotation``: the top qubit's rotation that ends a mixer half-layer;
@@ -23,9 +29,10 @@ mean time per call of:
   state is prepared again.
 
 Each batch times every piece in turn, ``BATCHES`` batches.  The fill,
-the mixer's block build and the state preparation are taken off the
-timings that include them: the cost half-layer, block products, top
-rotation and expectation are differences of two minima, which noise on
+the first phase layer, the mixer's block build and the state
+preparation are taken off the timings that include them: the cost
+half-layer, block products, top rotation and expectation are
+differences of two minima, which noise on
 a shared host can push below zero.  The pieces are timed
 apart, so they need not add up to the evaluation.  BLAS runs on one
 thread and the qubit cap is the default, whatever ``QMAXCUT_QUBIT_CAP``
@@ -118,6 +125,7 @@ def timed_calls(pkg, n: int, m: int) -> tuple[dict, int]:
     return {
         "fill": lambda: prepare((), ws),
         "cost": lambda: prepare(((0, gamma),), ws),
+        "cost2": lambda: prepare(((0, gamma), (0, gamma)), ws),
         "mixer": lambda: prepare(((1, beta),), ws),
         "build": lambda: mixer.weigh(beta),
         "mix": lambda: mixer(w, scratch, beta),
@@ -132,7 +140,8 @@ def pieces(t: dict, budget: int) -> dict:
     """Microseconds per piece from the seconds per call ``t`` of each call."""
     times = {
         "fill": t["fill"],
-        "cost half-layer": t["cost"] - t["fill"],
+        "first cost half-layer": t["cost"],
+        "cost half-layer": t["cost2"] - t["cost"],
         "block build": t["build"],
         "block products": t["mix"] - t["build"],
         "top rotation": t["mixer"] - t["fill"] - t["mix"],

@@ -1,6 +1,6 @@
 """Start-up time and memory of the package, in fresh interpreters.
 
-Runs three commands, each in 7 fresh interpreters one after another, in
+Runs four commands, each in 7 fresh interpreters one after another, in
 the environment of ``tests/golden/regenerate.child_env``: this checkout's
 ``src`` first on ``PYTHONPATH``, one BLAS thread and the default qubit
 cap, whatever the shell holds:
@@ -8,11 +8,16 @@ cap, whatever the shell holds:
     python -c "import qmaxcut"
     python -m qmaxcut solve --gen 12,20 --depth 2 --shots 64
     python -m qmaxcut solve --gen 18,40 --depth 2 --shots 64 --budget 20
+    python -m qmaxcut solve --gen 20,60 --depth 2 --budget 10 --restarts 2 \
+        --shots 4096 --no-warm
 
 The interpreter and numpy set the first two peaks; the third adds the
-n=18 run's workspace, 1.5 times its 4 MiB full state with the best
-state's ``|w|``.  It prints, per command, the median wall time of the
-whole process and the median of its peak resident set size
+n=18 run's workspace with the best state's ``|w|``, 1.34 times its 4
+MiB full state (the byte model in ``qmaxcut.simulator``'s docstring).
+The fourth has the shape of one operation of the benchmark's
+``qaoa-n20`` workload, whose peak its ``peak_rss_mib`` reads: the same
+model on a 16 MiB state.  It prints, per command, the median wall time
+of the whole process and the median of its peak resident set size
 (``ru_maxrss`` of that child alone, from ``os.wait4``).  One more run of
 each under ``-X importtime`` names which of ``numpy.random``,
 ``numpy.ma`` and ``scipy`` it loaded.  The first line names the
@@ -41,6 +46,9 @@ COMMANDS = {
     "solve --gen 18,40 --depth 2 --shots 64 --budget 20":
         ["-m", "qmaxcut", "solve", "--gen", "18,40", "--depth", "2", "--shots", "64",
          "--budget", "20"],
+    "solve --gen 20,60 --depth 2 --budget 10 --restarts 2 --shots 4096 --no-warm":
+        ["-m", "qmaxcut", "solve", "--gen", "20,60", "--depth", "2", "--budget", "10",
+         "--restarts", "2", "--shots", "4096", "--no-warm"],
 }
 WATCHED = ("numpy.random", "numpy.ma", "scipy")
 # ru_maxrss is in KiB on Linux and in bytes on macOS.
