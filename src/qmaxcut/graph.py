@@ -36,7 +36,7 @@ The optimizer's start angles and the sampler's shots come from
 :class:`_PCG64`, numpy's default generator spelled out here, so the
 package imports no ``numpy.random`` and its draws do not depend on it.
 Each is its own stream, built from the seed where it is drawn from:
-:func:`qmaxcut.qaoa.optimize_params` and :func:`qmaxcut.simulator._draw`.
+:func:`qmaxcut.qaoa.optimize_params` and :func:`qmaxcut.simulator._uniforms`.
 """
 
 from __future__ import annotations

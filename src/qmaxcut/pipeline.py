@@ -13,7 +13,7 @@ preparation, so ``offload_count = n_evaluations + 1``.  That holds
 whatever computed the value on this host: a depth-1 evaluation done in
 closed form still counts as one job, as it would on hardware, and so does
 one whose zero-angle layers ran no kernel, one whose circuit the host had
-already simulated, and a final state the host kept from the best
+already simulated, and a final cut the host drew during the best
 evaluation (see :class:`qmaxcut.simulator.FlipSymmetricWorkspace`).
 The report prices that traffic at a configurable per-offload latency:
 ``simulated_comm_overhead = offload_count * offload_latency``.  The

@@ -20,7 +20,7 @@ Optimization is multi-start Nelder-Mead under a hard evaluation budget:
   no ``numpy.random`` import), fixed before any optimization happens, so
   results are reproducible and do not move with numpy's RNG.  A sampled
   extraction draws its shots from a second stream, which
-  :func:`qmaxcut.simulator._draw` alone builds from the seed.
+  :func:`qmaxcut.simulator._uniforms` alone builds from the seed.
 * Every start point is evaluated once up front (only the first
   ``budget`` of them when they outnumber it), then Nelder-Mead runs
   from each in turn with whatever budget remains.  The optimizer is
@@ -338,18 +338,15 @@ def run_qaoa(
     and sampling.  The workspace is 1.09 times the full state's ``2**n *
     16`` bytes (the byte model is in :mod:`qmaxcut.simulator`), and
     extraction picks the cut inside its scratch buffer, so the run peaks
-    at about 1.13 times, or 1.40 with ``shots`` at depth 2 or more, where
-    the workspace also keeps the best state's ``|w|``, 0.25 times
-    (tracemalloc, n=18).  A depth-1 run evaluates only in closed form,
-    so it keeps no state and a sampled one peaks at 1.10.
+    at about 1.13 times (tracemalloc, n=18).  With ``shots`` at depth 2
+    or more it adds only its uniforms, 8 bytes per shot, since the
+    workspace keeps the cut it drew from the best state, not the state:
+    1.14 with 4,096 shots.  A depth-1 run evaluates only in closed form,
+    so a sampled one draws only at the end and peaks at 1.10.
     """
     t_start = time.perf_counter()
-    # Keep the best state's |w| only when sampling at depth 2 or more: a
-    # threshold run prepares its final state again rather than hold 0.25x
-    # the state for the whole run, and a depth-1 run simulates no
-    # evaluation whose state could be kept.
-    keep_best = cfg.shots > 0 and cfg.p > 1
-    workspace = FlipSymmetricWorkspace(g, keep_best)
+    # A depth-1 run simulates no evaluation to draw from as it goes.
+    workspace = FlipSymmetricWorkspace(g, cfg.shots if cfg.p > 1 else 0, cfg.seed)
     ladder = warm_params is None and cfg.warm_start and cfg.budget // cfg.p >= max(2, cfg.restarts)
     depths = range(1, cfg.p + 1) if ladder else (cfg.p,)
     per_rung = cfg.budget // len(depths)

@@ -41,7 +41,8 @@ low half of the cut table in ``np.min_scalar_type(m)``, one byte per
 entry up to 255 edges, 1/32 (two bytes, 1/16, above); and per row of
 16 amplitudes the start state and the top rotation's flip term, one
 complex each, 1/32 each.  That is 1.09 in all.  A sampled run at depth
-2 or more adds the float64 ``|w|`` of its best state, 0.25, so 1.34.
+2 or more adds only its uniforms, 8 bytes per shot: it keeps the cut it
+drew from its best state, not the state.
 Nothing else state-sized is kept or allocated: a cost half-layer
 gathers its phases ``_GATHER_CHUNK`` table entries at a time, since
 ``np.take`` copies each chunk's indices into ``intp``, the cut is
@@ -49,12 +50,12 @@ picked inside the scratch buffer, and each of numpy's buffers for a
 broadcast or a cast holds at most 8,192 complex entries (128 KiB).  A
 table of one chunk or less (``n <= 15``) is also kept as ``intp``,
 0.25 more but at most 128 KiB, so that its gathers convert nothing.  Under tracemalloc at
-n=18 the workspace peaks at 1.098 (1.348 keeping the best state), an
+n=18 the workspace peaks at 1.098 (1.105 sampling 4,096 shots), an
 evaluation that builds its own at 1.129, a whole run at 1.131
-(threshold) or 1.399 (sampled, depth 2 or more); one evaluation on a
+(threshold) or 1.138 (4,096 shots, depth 2 or more); one evaluation on a
 reused workspace allocates 0.032, one numpy buffer (0.52 at n=12,
 where that buffer is the whole half state).  At n=20 a sampled run
-peaks at 1.358.
+peaks at 1.106.
 
 The plan (the mixer's blocks and the views of each buffer, the phase
 table) is built with the workspace, so an evaluation rebuilds nothing
@@ -104,7 +105,7 @@ _NIBBLE_FRAME = _I_POWERS[_BLOCK_INDEX[-1][0] % 4]  # i**popcount(j)
 _PANEL_WIDTH = 256
 _PANEL_MIN_QUBITS = 17
 _PANEL_MIN_LO = 12
-# The shots stream's tag (see _draw); the optimizer's starts use tag 1.
+# The shots stream's tag (see _uniforms); the optimizer's starts use tag 1.
 _STREAM_SHOTS = 2
 # Entries per phase gather of a cost half-layer: np.take copies its index
 # into a fresh intp array, so the narrow cut table is read in chunks.  At
@@ -392,16 +393,20 @@ class FlipSymmetricWorkspace:
     :meth:`_state_of` is the one lookup: a circuit's state is read from
     ``state`` when it holds it, and prepared there otherwise.
 
-    With ``keep_best``, ``kept`` holds ``|w|`` of the best circuit
-    simulated so far (``kept_circuit``, whose value ``values`` holds):
-    ``2**(n-1)`` float64, 0.25 times the full state, written by one
-    ``np.abs`` pass each time a simulation beats it.  The probabilities
-    read only ``|w|``, so the final state is prepared again only when
-    the best value came from a repeat.
+    With ``shots > 0`` it samples as a run with that ``shots`` and
+    ``seed`` does: it draws the stream's uniforms once, sorted
+    (``uniforms``, 8 bytes per shot, all it adds), and when a simulation
+    beats the best circuit so far (``best``) it draws that state's cut
+    while ``state`` holds it and keeps the winning index (``drawn``).  A
+    best with no mixer half-layer, such as the empty circuit, costs less
+    to prepare again than a draw, and is not drawn from.
     """
 
-    def __init__(self, g: Graph, keep_best: bool = False):
+    def __init__(self, g: Graph, shots: int = 0, seed: int = 0):
         _check_cap(g.n)
+        # Drawn first, so the stream's Python ints never sit beside the state.
+        self.uniforms = np.sort(_uniforms(shots, seed)) if shots else None
+        self.stream = shots, seed
         half = 1 << (g.n - 1)
         self.graph = g
         self.state = np.empty(half, dtype=np.complex128)
@@ -420,8 +425,7 @@ class FlipSymmetricWorkspace:
         self.start /= math.sqrt(1 << g.n)
         rows = self.start.size
         self.values: dict[tuple, float] = {}
-        self.held = self.kept_circuit = None
-        self.kept = np.empty(half) if keep_best else None
+        self.held = self.best = self.drawn = None
         buffers = (self.state, self.scratch)
         self.rows = {id(b): (b.reshape(rows, -1), b[::-1].reshape(rows, -1)) for b in buffers}
         # A table of one chunk or less is kept as intp too, no larger than
@@ -457,39 +461,44 @@ class FlipSymmetricWorkspace:
             w = self._state_of(circuit)
             np.multiply(self.low_table, w, out=self.scratch)
             value = self.values[circuit] = 2.0 * float(np.vdot(w, self.scratch).real)
-            if self.kept is not None and value > self.values.get(self.kept_circuit, -math.inf):
-                np.abs(w, out=self.kept)
-                self.kept_circuit = circuit
+            if self.uniforms is not None and value > self.values.get(self.best, -math.inf):
+                self.best, self.drawn = circuit, None
+                if any(kind for kind, _ in circuit):
+                    probs = self._probabilities(circuit)
+                    self.drawn = self._best_drawn(_draw(probs, *self.stream, self.uniforms))
         return value
 
-    def _low_probabilities(self, params: QaoaParams) -> np.ndarray:
+    def _probabilities(self, circuit: tuple, mirror: bool = True) -> np.ndarray:
         """``scratch`` as ``2**n`` float64 whose low half holds ``p =
-        |w|**2`` of ``params``' state (the frame's entries are exact units,
-        so ``|w| = |a|``); the high half is left unwritten.  ``|w|`` is read
-        from ``kept`` when it holds that circuit, else taken from ``state``
-        by the same ``np.abs``, so the bits are the same either way."""
-        circuit = _circuit(params)
-        magnitudes = self.kept if circuit == self.kept_circuit else self._state_of(circuit)
+        |w|**2`` of ``circuit``'s state (the frame's entries are exact
+        units, so ``|w| = |a|``) and, with ``mirror``, whose high half
+        holds ``p[::-1]``; without it the high half is left unwritten."""
+        w = self._state_of(circuit)
         # Only now: preparing a state may swap ``state`` and ``scratch``.
         probs = self.scratch.view(np.float64)
-        low = probs[: probs.size // 2]
-        if magnitudes is not self.kept:
-            magnitudes = np.abs(magnitudes, out=low)
-        np.square(magnitudes, out=low)
+        low = probs[: w.size]
+        np.square(np.abs(w, out=low), out=low)
+        if mirror:
+            probs[w.size :] = low[::-1]
         return probs
 
     def probabilities(self, params: QaoaParams) -> np.ndarray:
         """Probabilities of all ``2**n`` basis states, ``concat(p, p[::-1])``
-        for the low half's ``p`` (see :meth:`_low_probabilities`).
+        for the low half's ``p = |w|**2``.
 
         The full vector, ``2**n`` float64, fills ``scratch`` exactly, so
         nothing state-sized is allocated.  It is valid until the
         workspace's next call.
         """
-        probs = self._low_probabilities(params)
-        half = probs.size // 2
-        probs[half:] = probs[:half][::-1]
-        return probs
+        return self._probabilities(_circuit(params))
+
+    def _best_drawn(self, candidates: np.ndarray) -> int:
+        """The basis index of the best cut among the sorted ``candidates``,
+        the smallest among ties: a sampled index ``c`` reads the cut of
+        ``min(c, ~c)`` (see :meth:`cut`)."""
+        last = (1 << self.graph.n) - 1
+        values = self.low_table[np.minimum(candidates, last - candidates)]
+        return int(candidates[int(np.argmax(values))])  # first max = smallest index
 
     def cut(self, params: QaoaParams, shots: int = 0, seed: int = 0) -> CutAssignment:
         """The cut picked from ``params``' final state (see :meth:`probabilities`).
@@ -498,7 +507,9 @@ class FlipSymmetricWorkspace:
         is at least ``1 / 2**(n+1)`` (half the uniform weight; the set is
         never empty); ``seed`` is not read.  ``shots > 0``: best cut among
         ``shots`` bitstrings drawn from all ``2**n`` probabilities with the
-        shots stream of ``seed`` (see :func:`_draw`).
+        shots stream of ``seed`` (see :func:`_draw`), searched as sorted
+        uniforms, so the candidates come sorted; ``drawn`` for ``best`` at
+        the workspace's own ``shots`` and ``seed``.
         Ties resolve to the smallest basis index.  The state's
         probabilities and cut values are both flip-symmetric, so the
         smallest index among tied maxima always lies in the low half: the
@@ -508,19 +519,21 @@ class FlipSymmetricWorkspace:
         so it allocates only its boolean mask.
         """
         n, last, table = self.graph.n, (1 << self.graph.n) - 1, self.low_table
+        circuit = _circuit(params)
         if shots == 0:
             # -1 is below every cut, so no state under the threshold wins.
-            probs = self._low_probabilities(params)
+            probs = self._probabilities(circuit, mirror=False)
             values = probs[table.size :].view(np.intp)[: table.size]
             values.fill(-1)
             np.copyto(values, table, where=probs[: table.size] >= 1.0 / (1 << (n + 1)))
             best = int(np.argmax(values))  # first max = smallest index
         else:
-            # Sorted, so the first max is the smallest index (np.unique would
-            # also import numpy.ma, 23 ms, on its first call).
-            candidates = np.sort(_draw(self.probabilities(params), shots, seed))
-            values = table[np.minimum(candidates, last - candidates)]
-            best = int(candidates[int(np.argmax(values))])
+            same_stream = (_index(shots, "shots"), _index(seed, "seed")) == self.stream
+            if same_stream and self.drawn is not None and circuit == self.best:
+                best = self.drawn
+            else:
+                uniforms = self.uniforms if same_stream else np.sort(_uniforms(shots, seed))
+                best = self._best_drawn(_draw(self.probabilities(params), shots, seed, uniforms))
         return CutAssignment(
             labels=labels_from_index(n, best), cut_value=int(table[min(best, last - best)])
         )
@@ -619,26 +632,40 @@ def sample_bitstrings(sv: StateVector, shots: int, seed: int) -> np.ndarray:
     return _draw(sv.probabilities(), shots, seed)
 
 
-def _draw(probs: np.ndarray, shots: int, seed: int) -> np.ndarray:
-    """``shots`` indices drawn from ``probs``, which is overwritten, with
-    the uniform floats of the shots stream of ``seed``.
+def _uniforms(shots: int, seed: int) -> np.ndarray:
+    """The ``shots`` uniform floats of the shots stream of ``seed``.
 
     This is the one place a seed becomes the shots stream: ``shots`` and
     ``seed`` are read by :func:`~qmaxcut.graph._index` (a float or a
     string is refused), ``shots`` must be positive, and the stream is
     ``_PCG64(seed, _STREAM_SHOTS)``, numpy's ``default_rng(SeedSequence(
-    [seed mod 2**64, 2]))``.  The same draws as that ``Generator``'s
-    ``choice(probs.size, shots, p=probs / sum)``, whose steps these are
-    (numpy 2.x), without its copies: the normalized ``probs`` becomes its
-    own cumulative distribution.
+    [seed mod 2**64, 2]))``.
     """
     shots, rng = _index(shots, "shots"), _PCG64(_index(seed, "seed"), _STREAM_SHOTS)
     if shots < 1:
         raise ValueError(f"shots must be positive, got {shots}")
+    return rng.random(shots)
+
+
+def _draw(
+    probs: np.ndarray, shots: int, seed: int, uniforms: np.ndarray | None = None
+) -> np.ndarray:
+    """``shots`` indices drawn from ``probs``, which is overwritten, with
+    the uniform floats of the shots stream of ``seed`` (:func:`_uniforms`),
+    or with ``uniforms``, those floats drawn already: the indices come in
+    their order, so sorted floats give sorted indices.
+
+    The same draws as that stream's ``Generator.choice(probs.size,
+    shots, p=probs / sum)``, whose steps these are (numpy 2.x), without
+    its copies: the normalized ``probs`` becomes its own cumulative
+    distribution.
+    """
+    if uniforms is None:
+        uniforms = _uniforms(shots, seed)
     total = probs.sum()
     if not 0.0 < total < math.inf:
         raise ValueError(f"probabilities must have a positive finite sum, got {total}")
     probs /= total
     np.cumsum(probs, out=probs)
     probs /= probs[-1]
-    return probs.searchsorted(rng.random(shots), side="right").astype(np.int64, copy=False)
+    return probs.searchsorted(uniforms, side="right").astype(np.int64, copy=False)

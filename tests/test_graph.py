@@ -350,7 +350,7 @@ def test_one_owner_per_stream():
             on = getattr(getattr(func, "value", None), "id", None)
             if getattr(func, "attr", None) == "random" and on in params:
                 drawn.add((path.stem, function))
-    assert built == {("qaoa", "optimize_params"), ("simulator", "_draw")}
+    assert built == {("qaoa", "optimize_params"), ("simulator", "_uniforms")}
     assert drawn == set()
 
 

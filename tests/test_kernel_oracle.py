@@ -5,7 +5,8 @@ and phase table afresh on every half-layer.  The same schedule of circuits
 runs through two workspaces for the same graph, one preparing its states
 with the plan and one with the oracle, and every output must agree: the
 prepared states under ``==`` (which ignores the sign of a zero), and the
-``repr`` of every expectation, probability vector and cut.
+``repr`` of every expectation, probability vector and cut, the cuts that a
+sampling workspace draws from its new best states included.
 """
 
 import math
@@ -30,8 +31,8 @@ def _angles(rng, p):
 
 def _schedule(g, seed, count):
     """``count`` circuits of depth 1-3 with repeats.  The first half is in
-    rising order of value, so a workspace that keeps its best state takes
-    a new snapshot on each of them."""
+    rising order of value, so a sampling workspace draws the cut of each
+    of them that has a mixer half-layer."""
     rng = np.random.default_rng(seed)
     circuits = [_angles(rng, int(rng.integers(1, 4))) for _ in range(count)]
     values = {}
@@ -43,38 +44,44 @@ def _schedule(g, seed, count):
     return rising + circuits[half:] + circuits[::3]
 
 
-def _outputs(g, keep_best, schedule, prepare):
-    """Every output of one workspace that prepares its states with ``prepare``."""
-    ws = FlipSymmetricWorkspace(g, keep_best)
-    states, reprs, snapshots = [], [], 0
+def _outputs(g, shots, schedule, prepare):
+    """Every output of one workspace that prepares its states with
+    ``prepare`` and, with ``shots``, draws the cuts of its new best states
+    from the shots stream of seed 7; and the number of those draws."""
+    ws = FlipSymmetricWorkspace(g, shots, 7)
+    states, reprs, draws = [], [], 0
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simulator, "_flip_symmetric_state", prepare)
         for i, params in enumerate(schedule):
-            kept = ws.kept_circuit
+            best = ws.best
             reprs.append(repr(ws.expectation(params)))
-            snapshots += ws.kept_circuit != kept
+            if ws.best != best:
+                draws += ws.drawn is not None
+                reprs.append(repr(ws.drawn))
             if i % 4 == 3:
                 reprs.append(ws.probabilities(params).tobytes())
                 reprs.append(repr(ws.cut(params)))
                 reprs.append(repr(ws.cut(params, 64, i)))
+                reprs.append(repr(ws.cut(params, 64, 7)))
                 states.append(ws._state_of(_circuit(params)).copy())
-    return states, reprs, snapshots
+    return states, reprs, draws
 
 
-@pytest.mark.parametrize("keep_best", [False, True], ids=["scan", "keep-best"])
+@pytest.mark.parametrize("shots", [0, 64], ids=["scan", "keep-best"])
 @pytest.mark.parametrize("n", SIZES)
-def test_plan_matches_the_per_call_kernel(n, keep_best):
+def test_plan_matches_the_per_call_kernel(n, shots):
     g = generate_random_graph(n, min(n * (n - 1) // 2, 2 * n), n)
-    schedule = _schedule(g, 100 * n + keep_best, 16 if n <= 14 else 6)
-    states, reprs, snapshots = _outputs(g, keep_best, schedule, simulator._flip_symmetric_state)
+    schedule = _schedule(g, 100 * n + bool(shots), 16 if n <= 14 else 6)
+    states, reprs, draws = _outputs(g, shots, schedule, simulator._flip_symmetric_state)
     oracle = kernel_oracle.flip_symmetric_state
-    want_states, want_reprs, _ = _outputs(g, keep_best, schedule, oracle)
+    want_states, want_reprs, want_draws = _outputs(g, shots, schedule, oracle)
     assert reprs == want_reprs
     assert len(states) == len(want_states) > 0
     for state, want in zip(states, want_states):
         assert np.array_equal(state, want)
-    if keep_best and g.m:  # with no edge every circuit's value is 0: one snapshot
-        assert snapshots >= 2
+    assert draws == want_draws
+    if shots and g.m:  # with no edge every circuit's value is 0: one best, never beaten
+        assert draws >= 2
 
 
 @pytest.mark.parametrize("n", [13, 14])
@@ -85,8 +92,8 @@ def test_plan_matches_the_per_call_kernel_in_row_panels(monkeypatch, n):
     monkeypatch.setattr(simulator, "_PANEL_MIN_LO", 8)
     g = generate_random_graph(n, 2 * n, n)
     schedule = _schedule(g, n, 8)
-    states, reprs, _ = _outputs(g, True, schedule, simulator._flip_symmetric_state)
-    want_states, want_reprs, _ = _outputs(g, True, schedule, kernel_oracle.flip_symmetric_state)
+    states, reprs, _ = _outputs(g, 64, schedule, simulator._flip_symmetric_state)
+    want_states, want_reprs, _ = _outputs(g, 64, schedule, kernel_oracle.flip_symmetric_state)
     assert reprs == want_reprs
     assert all(np.array_equal(a, b) for a, b in zip(states, want_states))
 

@@ -328,12 +328,14 @@ def _reference_probabilities(ws, params):
     return probs
 
 
-def _reference_draw(probs, shots, seed):
+def _reference_draw(probs, shots, seed, uniforms=None):
     """The sampler as numpy's ``Generator.choice``, with its copies, on
-    numpy's own shots stream of ``seed``."""
+    numpy's own shots stream of ``seed``; sorted when the workspace
+    passes its sorted ``uniforms``, which it does not read."""
     rng = np.random.default_rng(np.random.SeedSequence([seed % 2**64, 2]))
     probs /= probs.sum()
-    return rng.choice(probs.size, size=shots, p=probs).astype(np.int64)
+    draws = rng.choice(probs.size, size=shots, p=probs).astype(np.int64)
+    return draws if uniforms is None else np.sort(draws)
 
 
 def _prepare_log(monkeypatch):
@@ -402,17 +404,46 @@ class TestSimulateEachCircuitOnce:
         assert log == ["prepare"]
 
     def test_kept_and_held_states_are_read_without_preparing(self, monkeypatch):
-        # The best circuit's state is kept, the last one's is held: reading
-        # either leaves the other in its buffer.
+        # The best circuit's cut is drawn and kept, the last one's state is
+        # held: reading either prepares nothing.
         g = generate_random_graph(9, 16, 2)
         best, other = QaoaParams((0.4, 0.1), (0.3, 0.2)), QaoaParams((0.1, 0.2), (0.5, 0.1))
-        want = [_reference_probabilities(simulator.FlipSymmetricWorkspace(g), x).tobytes()
-                for x in (best, other)]
-        workspace = simulator.FlipSymmetricWorkspace(g, keep_best=True)
+        want = [repr(simulator.FlipSymmetricWorkspace(g).cut(best, 64, 5)),
+                _reference_probabilities(simulator.FlipSymmetricWorkspace(g), other).tobytes()]
+        workspace = simulator.FlipSymmetricWorkspace(g, 64, 5)
         assert workspace.expectation(best) > workspace.expectation(other)
         log = _prepare_log(monkeypatch)
-        assert [workspace.probabilities(x).tobytes() for x in (best, other)] == want
+        assert [repr(workspace.cut(best, 64, 5)), workspace.probabilities(other).tobytes()] == want
         assert log == []
+
+    @pytest.mark.parametrize(
+        ("p", "mode", "g", "budget", "drawn"),
+        [
+            pytest.param(p, mode, generate_random_graph(9, 16, 4), 15, True, id=f"{mode}-p{p}")
+            for p in (2, 3) for mode in ("ladder", "cold", "warm")
+        ] + [
+            # The empty circuit ends best: every value is 0, or it is the
+            # only circuit the budget reaches.
+            pytest.param(2, "ladder", Graph(9, ()), 12, False, id="edgeless"),
+            pytest.param(2, "cold", generate_random_graph(9, 16, 2), 1, False, id="budget-1"),
+        ],
+    )
+    def test_run_keeps_the_cut_a_fresh_workspace_draws(self, monkeypatch, p, mode, g, budget,
+                                                       drawn):
+        cfg = QaoaConfig(p=p, budget=budget, restarts=1 if budget == 1 else 2, seed=3,
+                         shots=64, warm_start=mode == "ladder")
+        warm = QaoaParams(gammas=(0.4,), betas=(0.3,)) if mode == "warm" else None
+        log = _prepare_log(monkeypatch)
+        spy(monkeypatch, simulator, "_draw", log, record=lambda *args: "draw")
+        result = run_qaoa(g, cfg, warm_params=warm)
+        extraction = log[len(log) - log[::-1].index("eval") :]
+        # A drawn best is extracted with no preparation and no draw; the
+        # empty circuit is drawn from at extraction, prepared unless held.
+        assert extraction == [] if drawn else extraction in (["draw"], ["prepare", "draw"])
+        circuit = simulator._circuit(result.best_params)
+        assert any(kind for kind, _ in circuit) == drawn
+        fresh = simulator.FlipSymmetricWorkspace(g).cut(result.best_params, cfg.shots, cfg.seed)
+        assert repr(result.best_cut) == repr(fresh)
 
     def test_scanned_run_reads_a_held_final_state(self, monkeypatch):
         # Here the best circuit is also the last one simulated, so the
@@ -827,21 +858,31 @@ class TestRunOnTheHalf:
         assert result.best_cut == _extract_assignment(sv, g, cfg, cut_values_by_basis(g))
 
     @pytest.mark.parametrize(
-        ("p", "shots", "model", "bound"),
-        [(2, 0, 1.09375, 1.145), (2, 4096, 1.34375, 1.415), (1, 64, 1.09375, 1.115)],
-        ids=["threshold-p2", "sampled-p2", "sampled-p1"],
+        ("n", "m", "cfg", "model", "bound"),
+        [
+            (18, 34, QaoaConfig(p=2, budget=6, restarts=2, seed=0), 1.09375, 1.145),
+            (18, 34, QaoaConfig(p=2, budget=6, restarts=2, seed=0, shots=4096),
+             1.09375 + 2**-7, 1.15),
+            (18, 34, QaoaConfig(p=1, budget=6, restarts=2, seed=0, shots=64), 1.09375, 1.115),
+            (20, 60, QaoaConfig(p=2, budget=10, restarts=2, seed=7, shots=4096,
+                                warm_start=False), 1.09375 + 2**-9, 1.115),
+        ],
+        ids=["threshold-p2", "sampled-p2", "sampled-p1", "sampled-p2-n20"],
     )
-    def test_run_peak_memory(self, p, shots, model, bound):
+    def test_run_peak_memory(self, n, m, cfg, model, bound):
         # n=18: the full state would be 4 MiB.  The workspace is 1.0938x
         # (simulator's byte model), and the cut is picked inside its
         # scratch buffer: a threshold run reads 1.1306x.  A sampled run at
-        # depth 2 or more adds the float64 |w| of its best state, 0.25x
-        # (reads 1.3987x).  A depth-1 run simulates no evaluation, so a
-        # sampled one keeps none (reads 1.0995x).  Each bound is the
-        # reading plus about 0.015x; the peak must also reach 0.97 times
-        # the model, so the model cannot drift below what is held.
-        g = generate_random_graph(18, 34, 0)
-        cfg = QaoaConfig(p=p, budget=6, restarts=2, seed=0, shots=shots)
+        # depth 2 or more adds its sorted uniforms, 8 bytes per shot (2**-7x
+        # for 4,096 shots at n=18, 2**-9x at n=20), and draws each new best
+        # state's cut inside the scratch buffer: it reads 1.1378x, and a
+        # run shaped as the qaoa-n20 benchmark's reads 1.1056x (1.3992x and
+        # 1.3583x keeping the best state's float64 |w|).  A depth-1 run
+        # simulates no evaluation, so a sampled one draws only at the end
+        # (reads 1.0999x).  Each bound is the reading plus 0.01-0.015x; the
+        # peak must also reach 0.97 times the model, so the model cannot
+        # drift below what is held.
+        g = generate_random_graph(n, m, 0)
         full_state = (1 << g.n) * 16
         peak, _ = peak_bytes(run_qaoa, g, cfg)
         assert 0.97 * model * full_state <= peak <= bound * full_state, (

@@ -265,11 +265,11 @@ def assert_low_table_is_the_half(g):
     assert np.array_equal(table, cut_values_by_basis(g)[: 1 << (g.n - 1)])
 
 
-def assert_workspace_peak(g, keep_best, model, bound):
-    """The workspace's tracemalloc peak lies between 0.97 times the
-    ``model`` (in full states) and ``bound``."""
+def assert_workspace_peak(g, shots, model, bound):
+    """The tracemalloc peak of a workspace sampling ``shots`` lies between
+    0.97 times the ``model`` (in full states) and ``bound``."""
     full_state = (1 << g.n) * 16
-    peak, _ = peak_bytes(simulator.FlipSymmetricWorkspace, g, keep_best)
+    peak, _ = peak_bytes(simulator.FlipSymmetricWorkspace, g, shots)
     assert 0.97 * model * full_state <= peak <= bound * full_state, (
         f"peak {peak / full_state:.4f}x the state"
     )
@@ -324,12 +324,15 @@ class TestHalfCutTable:
         # reading plus about 0.007x).  The table's popcounts borrow the
         # state buffer, and it is built in its own dtype: with the intp
         # table and a flip term beside the start, it read 1.3153x.
-        assert_workspace_peak(generate_random_graph(18, 34, 0), False, 1.09375, 1.105)
+        assert_workspace_peak(generate_random_graph(18, 34, 0), 0, 1.09375, 1.105)
 
     def test_keep_best_workspace_peak_memory(self):
-        # Keeping the best state adds its float64 |w|, 0.25x: the model is
-        # 1.3438x (reads 1.3477x; complex amplitudes would be 0.5x).
-        assert_workspace_peak(generate_random_graph(18, 34, 0), True, 1.34375, 1.355)
+        # A sampling workspace adds only its sorted uniforms, 8 bytes per
+        # shot: 4,096 shots are 2**-7x, so the model is 1.1016x (reads
+        # 1.1054x; bound: the reading plus about 0.007x).  They are drawn
+        # before the state: the stream's Python ints (about 0.04x) beside
+        # it read 1.1449x.  Keeping the best state's float64 |w| read 1.3477x.
+        assert_workspace_peak(generate_random_graph(18, 34, 0), 4096, 1.09375 + 2**-7, 1.1125)
 
     def test_one_byte_table_wraps_around_exactly(self):
         # K_23 (m = 253) is the complete graph with the most edges a
@@ -458,6 +461,24 @@ class TestSampling:
             assert np.array_equal(got, want)
             # Draws rarely land in a few-ulp gap, so pin the distribution itself.
             assert left.tobytes() == cdf.tobytes()
+
+    @given(
+        st.integers(min_value=0, max_value=7).flatmap(
+            lambda bits: st.lists(st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1.0)),
+                                  min_size=1 << bits, max_size=1 << bits)
+        ).filter(any),
+        st.integers(min_value=1, max_value=300),
+        st.integers(min_value=0, max_value=2**64 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_sorted_uniforms_draw_the_sorted_draws(self, probs, shots, seed):
+        # The workspace searches its uniforms in sorted order: the same
+        # candidates as a draw in stream order, sorted.
+        probs = np.array(probs)
+        uniforms = np.sort(simulator._uniforms(shots, seed))
+        got = simulator._draw(probs.copy(), shots, seed, uniforms)
+        assert got.dtype == np.int64
+        assert got.tobytes() == np.sort(simulator._draw(probs.copy(), shots, seed)).tobytes()
 
     def test_draw_refuses_a_state_of_zeros(self):
         with pytest.raises(ValueError, match="positive finite sum"):

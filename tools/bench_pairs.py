@@ -10,8 +10,13 @@ workload it names or on those that ``--workloads`` picks, in the
 parent's tree and in this checkout, alternating which
 side runs first from one seed to the next.  For each workload and side
 it writes the median and quartiles of every end-to-end metric that
-``BENCHMARK.json`` gates, and per metric how many seeds the checkout
-won.  With ``--pieces N`` it also runs ``tools/eval_pieces.py`` N times
+``BENCHMARK.json`` gates, per metric how many seeds the checkout won,
+and two verdicts per metric: ``gain``, when the checkout won at least
+nine tenths of the pairs (a tie counts for neither side) and its median
+is better than the parent's by more than the parent's interquartile
+range, and ``within_bound``, when its median is no worse than the
+parent's by more than the metric's ``bound``, a fraction of the
+parent's median.  With ``--pieces N`` it also runs ``tools/eval_pieces.py`` N times
 on both sides at once (their batches interleave in one process), naming
 the parent first in every other run, and keeps each piece's median.
 The output names the machine: nproc, CPU model, Python and numpy
@@ -98,6 +103,19 @@ def _summary(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "values": values}
 
 
+def _verdicts(parent: dict, head: dict, better: str, bound: float) -> tuple[str, dict]:
+    """How many pairs the checkout won, and its ``gain`` and
+    ``within_bound`` verdicts (see the module docstring), from the two
+    sides' summaries of one metric."""
+    sign = 1 if better == "lower" else -1  # sign * (parent - head) > 0: the checkout is better
+    won = [sign * (p - h) > 0 for p, h in zip(parent["values"], head["values"])]
+    gain = sign * (parent["median"] - head["median"])
+    return f"{sum(won)} of {len(won)}", {
+        "gain": bool(won) and 10 * sum(won) >= 9 * len(won) and gain > parent["q3"] - parent["q1"],
+        "within_bound": -gain <= bound * abs(parent["median"]),
+    }
+
+
 def _provenance() -> dict:
     info = json.loads(subprocess.run([sys.executable, "-c", _NUMPY_INFO], check=True,
                                      capture_output=True, text=True).stdout)
@@ -125,6 +143,7 @@ def main(argv=None) -> int:
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     gated = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     workloads = [w["name"] for w in spec["workloads"]]
     unknown = sorted(set(args.workloads or ()) - set(workloads))
     if unknown:
@@ -172,12 +191,12 @@ def main(argv=None) -> int:
             entry[side] = {name: _summary([r["metrics"][name] for r in ok]) for name in gated}
             entry[side]["failed_runs"] = len(results) - len(ok)
             entry[side]["incorrect_runs"] = sum(not r["correct"] for r in ok)
-        wins = {}
+        wins, verdicts = {}, {}
         for name, better in gated.items():
-            pairs = zip(entry["parent"][name]["values"], entry["head"][name]["values"])
-            won = [(h < p) if better == "lower" else (h > p) for p, h in pairs]
-            wins[name] = f"{sum(won)} of {len(won)}"
+            wins[name], verdicts[name] = _verdicts(entry["parent"][name], entry["head"][name],
+                                                   better, bounds[name])
         entry["head_better"] = wins
+        entry["verdicts"] = verdicts
         out["workloads"][workload] = entry
     if args.pieces:
         out["eval_pieces_us"] = {

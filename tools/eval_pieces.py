@@ -1,8 +1,10 @@
 """Per-piece timings of one depth-2 QAOA evaluation on a reused workspace.
 
 For each register size (n=12, 16 and 20 on the benchmark's graphs: m=20,
-30 and 60) it prints, in microseconds, the minimum over batches of the
-mean time per call of:
+30 and 60) it prints, in microseconds, per piece the mean time per call
+in each batch, the minimum over batches (a piece timed on its own) or
+the median over batches of the difference within each batch (a piece
+that is one timed call less others):
 
 * ``fill``: writing the start state into the half register, as a
   circuit that opens with a mixer half-layer does;
@@ -18,9 +20,12 @@ mean time per call of:
 * ``expectation``: an evaluation less its state preparation
   (``simulator._flip_symmetric_state``), that is the workspace's lookup,
   its product with the cut table, its ``vdot`` and the memo;
-* ``best-state snapshot``: the ``np.abs`` pass that writes a new best
-  state's ``|w|`` into a keep-best workspace's ``kept``, here into a
-  float64 array of the same size, so every checkout times the same pass;
+* ``best-state snapshot``: what a sampled run pays when a simulation
+  beats its best, on a state the workspace holds: a 4,096-shot draw of
+  the cut on a checkout whose workspace draws as it goes (it has
+  ``simulator._uniforms``), else the ``np.abs`` pass that writes the
+  state's ``|w|`` into a float64 array, as a workspace that keeps the
+  best state's ``|w|`` does;
 * ``objective wrapper``: one evaluation of ``optimize_params`` whose
   circuit the workspace has already simulated: Nelder-Mead's steps,
   the objective closure, ``evaluate_params`` and the circuit memo;
@@ -30,11 +35,12 @@ mean time per call of:
 
 Each batch times every piece in turn, ``BATCHES`` batches.  The fill,
 the first phase layer, the mixer's block build and the state
-preparation are taken off the timings that include them: the cost
-half-layer, block products, top rotation and expectation are
-differences of two minima, which noise on
-a shared host can push below zero.  The pieces are timed
-apart, so they need not add up to the evaluation.  BLAS runs on one
+preparation are taken off the timings that include them within each
+batch: the cost half-layer, block products, top rotation and
+expectation are medians of those same-batch differences, so drift
+between batches cancels and one noisy batch cannot push a piece below
+zero.  The pieces are timed apart, so they need not add up to the
+evaluation.  BLAS runs on one
 thread and the qubit cap is the default, whatever ``QMAXCUT_QUBIT_CAP``
 the shell holds.  The buffers are filled with finite values first: a
 fresh workspace's buffers hold its cut table's integers, which read as
@@ -57,6 +63,7 @@ import math
 import os
 import platform
 import shutil
+import statistics
 import sys
 import tempfile
 import time
@@ -76,26 +83,27 @@ SIZES = ((12, 20), (16, 30), (20, 60))
 ANGLES = ((0.7, 0.45), (0.31, 0.22))  # gammas, betas: no angle is 0
 BATCH_S = 0.005  # seconds per batch, roughly
 BATCHES = 40
+SHOTS = 4096  # a sampled run's shots, as in the benchmark's qaoa-n20 workload
 
 
-def best_of(fns: dict) -> dict:
-    """Per key, the minimum over ``BATCHES`` of the mean seconds per call
-    of ``fns[key]``.  Each batch times every function in turn, so a
-    difference of two minima is taken over the same stretch of time."""
+def batch_means(fns: dict) -> dict:
+    """Per key, the mean seconds per call of ``fns[key]`` in each of
+    ``BATCHES`` batches.  Each batch times every function in turn, so the
+    ``i``-th means of two keys were taken over the same stretch of time."""
     reps = {}
     for key, fn in fns.items():
         fn()
         start = time.perf_counter()
         fn()
         reps[key] = max(1, int(BATCH_S / max(time.perf_counter() - start, 1e-7)))
-    best = dict.fromkeys(fns, math.inf)
+    means = {key: [] for key in fns}
     for _ in range(BATCHES):
         for key, fn in fns.items():
             start = time.perf_counter()
             for _ in range(reps[key]):
                 fn()
-            best[key] = min(best[key], (time.perf_counter() - start) / reps[key])
-    return best
+            means[key].append((time.perf_counter() - start) / reps[key])
+    return means
 
 
 def timed_calls(pkg, n: int, m: int) -> tuple[dict, int]:
@@ -110,9 +118,20 @@ def timed_calls(pkg, n: int, m: int) -> tuple[dict, int]:
     circuit = simulator._circuit(params)
     gamma, beta = params.gammas[0], params.betas[0]
     w, scratch = ws.state, ws.scratch
-    kept = np.empty(w.size)
     prepare = simulator._flip_symmetric_state
     mixer = ws.mixer
+    if hasattr(simulator, "_uniforms"):  # the workspace draws each new best's cut
+        sampled = simulator.FlipSymmetricWorkspace(g, SHOTS, 0)
+        sampled.expectation(params)  # now held
+
+        def snapshot():
+            probs = sampled._probabilities(circuit)
+            sampled._best_drawn(simulator._draw(probs, SHOTS, 0, sampled.uniforms))
+    else:  # the workspace keeps the best state's |w|
+        kept = np.empty(w.size)
+
+        def snapshot():
+            np.abs(w, out=kept)
 
     def evaluation():
         ws.values.clear()
@@ -130,25 +149,33 @@ def timed_calls(pkg, n: int, m: int) -> tuple[dict, int]:
         "build": lambda: mixer.weigh(beta),
         "mix": lambda: mixer(w, scratch, beta),
         "prepare": lambda: prepare(circuit, ws),
-        "snapshot": lambda: np.abs(w, out=kept),
+        "snapshot": snapshot,
         "wrapper": lambda: qaoa.optimize_params(g, cfg, workspace=memo),
         "evaluation": evaluation,
     }, cfg.budget
 
 
 def pieces(t: dict, budget: int) -> dict:
-    """Microseconds per piece from the seconds per call ``t`` of each call."""
+    """Microseconds per piece from the per-batch seconds per call ``t``
+    of each call."""
+    low = {name: min(means) for name, means in t.items()}
+
+    def less(name, *others):
+        """The median over batches of ``name`` less ``others`` in that batch."""
+        return statistics.median(
+            mean - sum(t[other][i] for other in others) for i, mean in enumerate(t[name]))
+
     times = {
-        "fill": t["fill"],
-        "first cost half-layer": t["cost"],
-        "cost half-layer": t["cost2"] - t["cost"],
-        "block build": t["build"],
-        "block products": t["mix"] - t["build"],
-        "top rotation": t["mixer"] - t["fill"] - t["mix"],
-        "expectation": t["evaluation"] - t["prepare"],
-        "best-state snapshot": t["snapshot"],
-        "objective wrapper": t["wrapper"] / budget,
-        "evaluation": t["evaluation"],
+        "fill": low["fill"],
+        "first cost half-layer": low["cost"],
+        "cost half-layer": less("cost2", "cost"),
+        "block build": low["build"],
+        "block products": less("mix", "build"),
+        "top rotation": less("mixer", "fill", "mix"),
+        "expectation": less("evaluation", "prepare"),
+        "best-state snapshot": low["snapshot"],
+        "objective wrapper": low["wrapper"] / budget,
+        "evaluation": low["evaluation"],
     }
     return {name: round(1e6 * s, 2) for name, s in times.items()}
 
@@ -164,7 +191,7 @@ def measure(srcs: list[Path]) -> dict:
             pkgs[str(src)] = importlib.import_module(f"qmaxcut_{i}")
         for n, m in SIZES:
             calls = {label: timed_calls(pkg, n, m) for label, pkg in pkgs.items()}
-            t = best_of({(label, name): fn for label, (fns, _) in calls.items()
+            t = batch_means({(label, name): fn for label, (fns, _) in calls.items()
                          for name, fn in fns.items()})
             out[str(n)] = {label: pieces({name: t[label, name] for name in fns}, budget)
                            for label, (fns, budget) in calls.items()}

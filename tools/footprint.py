@@ -12,8 +12,8 @@ cap, whatever the shell holds:
         --shots 4096 --no-warm
 
 The interpreter and numpy set the first two peaks; the third adds the
-n=18 run's workspace with the best state's ``|w|``, 1.34 times its 4
-MiB full state (the byte model in ``qmaxcut.simulator``'s docstring).
+n=18 run's sampling workspace, 1.09 times its 4 MiB full state plus 8
+bytes per shot (the byte model in ``qmaxcut.simulator``'s docstring).
 The fourth has the shape of one operation of the benchmark's
 ``qaoa-n20`` workload, whose peak its ``peak_rss_mib`` reads: the same
 model on a 16 MiB state.  It prints, per command, the median wall time
