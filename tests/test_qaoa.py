@@ -422,17 +422,20 @@ class TestSimulateEachCircuitOnce:
             pytest.param(p, mode, generate_random_graph(9, 16, 4), 15, True, id=f"{mode}-p{p}")
             for p in (2, 3) for mode in ("ladder", "cold", "warm")
         ] + [
-            # The empty circuit ends best: every value is 0, or it is the
-            # only circuit the budget reaches.
+            # The empty circuit ends best: every value is 0, it is the only
+            # circuit the budget reaches, or it beats a drawn warm start.
             pytest.param(2, "ladder", Graph(9, ()), 12, False, id="edgeless"),
             pytest.param(2, "cold", generate_random_graph(9, 16, 2), 1, False, id="budget-1"),
+            pytest.param(2, "worse", generate_random_graph(9, 16, 2), 2, False, id="worse-warm"),
         ],
     )
     def test_run_keeps_the_cut_a_fresh_workspace_draws(self, monkeypatch, p, mode, g, budget,
                                                        drawn):
         cfg = QaoaConfig(p=p, budget=budget, restarts=1 if budget == 1 else 2, seed=3,
                          shots=64, warm_start=mode == "ladder")
-        warm = QaoaParams(gammas=(0.4,), betas=(0.3,)) if mode == "warm" else None
+        # The worse warm start's value is 5.43, below the empty circuit's m / 2 = 8.
+        warm = {"warm": QaoaParams(gammas=(0.4,), betas=(0.3,)),
+                "worse": QaoaParams(gammas=(0.4,), betas=(-0.3,))}.get(mode)
         log = _prepare_log(monkeypatch)
         spy(monkeypatch, simulator, "_draw", log, record=lambda *args: "draw")
         result = run_qaoa(g, cfg, warm_params=warm)

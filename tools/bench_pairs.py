@@ -16,9 +16,11 @@ nine tenths of the pairs (a tie counts for neither side) and its median
 is better than the parent's by more than the parent's interquartile
 range, and ``within_bound``, when its median is no worse than the
 parent's by more than the metric's ``bound``, a fraction of the
-parent's median.  With ``--pieces N`` it also runs ``tools/eval_pieces.py`` N times
-on both sides at once (their batches interleave in one process), naming
-the parent first in every other run, and keeps each piece's median.
+parent's median.  With ``--pieces N`` it also runs
+``tools/eval_pieces.py`` N times on both sides at once (their batches
+interleave in one process), naming the parent first in every other run,
+and keeps each piece's median and the median of the runs' per-batch
+ratios of the checkout's evaluation time over the parent's.
 The output names the machine: nproc, CPU model, Python and numpy
 versions, the BLAS library and its thread count (the benchmark pins it
 to one thread), and the OpenBLAS kernel that ``tools/blas_kernel.py``
@@ -87,15 +89,17 @@ def _run_bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
             "metrics": {k: v["value"] for k, v in result["metrics"].items()}}
 
 
-def _run_pieces(trees: dict, order: tuple) -> dict:
-    """``{side: {size: pieces}}`` from one ``eval_pieces.py`` run of both sides."""
+def _run_pieces(trees: dict, order: tuple) -> tuple[dict, dict]:
+    """``{side: {size: pieces}}`` from one ``eval_pieces.py`` run of both
+    sides, and ``{size: ratio}``, the median of its per-batch ratios of the
+    checkout's evaluation time over the parent's."""
     cmd = [sys.executable, str(ROOT / "tools" / "eval_pieces.py"), "--json"]
     for side in order:
         cmd += ["--src", str(trees[side] / "src")]
-    sizes = json.loads(subprocess.run(cmd, capture_output=True, text=True,
-                                      check=True).stdout)["sizes"]
-    return {side: {n: by_src[str((trees[side] / "src").resolve())] for n, by_src in sizes.items()}
-            for side in order}
+    run = json.loads(subprocess.run(cmd, capture_output=True, text=True, check=True).stdout)
+    ratios = {n: r if order[0] == "parent" else 1 / r for n, r in run["evaluation_ratio"].items()}
+    return {side: {n: by_src[str((trees[side] / "src").resolve())]
+                   for n, by_src in run["sizes"].items()} for side in order}, ratios
 
 
 def _summary(values: list[float]) -> dict:
@@ -151,7 +155,7 @@ def main(argv=None) -> int:
     workloads = args.workloads or workloads
     seconds = spec["run_seconds"]
     runs = {w: {"parent": [], "head": []} for w in workloads}
-    pieces = {"parent": [], "head": []}
+    pieces, ratios = {"parent": [], "head": []}, []
     started = time.time()
     with tempfile.TemporaryDirectory() as tmp:
         parent_tree = Path(tmp)
@@ -166,7 +170,8 @@ def main(argv=None) -> int:
                     print(f"seed {seed} {workload} {side}: {result.get('metrics', result)}",
                           file=sys.stderr, flush=True)
         for i in range(args.pieces):
-            run = _run_pieces(trees, ("parent", "head") if i % 2 == 0 else ("head", "parent"))
+            run, ratio = _run_pieces(trees, ("parent", "head") if i % 2 == 0 else ("head", "parent"))
+            ratios.append(ratio)
             for side in pieces:
                 pieces[side].append(run[side])
 
@@ -206,6 +211,8 @@ def main(argv=None) -> int:
             for side, rounds in pieces.items()
         }
         out["eval_pieces_rounds"] = args.pieces
+        out["evaluation_ratio_head_over_parent"] = {
+            size: round(statistics.median(r[size] for r in ratios), 4) for size in ratios[0]}
     args.out.write_text(json.dumps(out, indent=1) + "\n")
     return 0
 

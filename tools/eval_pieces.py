@@ -51,9 +51,15 @@ numpy, Python, nproc and the OpenBLAS kernel picked at run time
 Run from anywhere: ``python tools/eval_pieces.py [--json]``.  Each
 ``--src`` names a ``src`` directory to time instead of this checkout's;
 with two, for a before/after pair, both are loaded into one process
-(each package copied under its own name) and their batches interleave,
-so drift on the host and the process's memory layout weigh on both
-alike.  Each checkout must build its mixer plan in the workspace.
+(each package copied under its own name) and each batch times a piece
+of one right after the same piece of the other, which goes first in
+every other batch, so drift on the host and the process's memory layout
+weigh on both alike.  It also prints the median over batches of the
+second's evaluation time over the first's in the same batch (with the
+same ``src`` twice it read 1.002, 0.993 and 1.003 at n=12 in three
+runs; timing all of one package's pieces before the other's read the
+second 1-4% slower).  Each checkout must build its mixer plan in the
+workspace.
 """
 
 import argparse
@@ -87,22 +93,29 @@ SHOTS = 4096  # a sampled run's shots, as in the benchmark's qaoa-n20 workload
 
 
 def batch_means(fns: dict) -> dict:
-    """Per key, the mean seconds per call of ``fns[key]`` in each of
-    ``BATCHES`` batches.  Each batch times every function in turn, so the
-    ``i``-th means of two keys were taken over the same stretch of time."""
+    """Per ``(label, name)`` key, the mean seconds per call of its
+    function in each of ``BATCHES`` batches.  A batch times each name's
+    functions back to back, one per label, the labels in turn first from
+    one batch to the next, so two labels' ``i``-th means of one name were
+    taken side by side and neither always runs second."""
     reps = {}
     for key, fn in fns.items():
         fn()
         start = time.perf_counter()
         fn()
         reps[key] = max(1, int(BATCH_S / max(time.perf_counter() - start, 1e-7)))
+    labels = list(dict.fromkeys(label for label, _ in fns))
+    names = list(dict.fromkeys(name for _, name in fns))
     means = {key: [] for key in fns}
-    for _ in range(BATCHES):
-        for key, fn in fns.items():
-            start = time.perf_counter()
-            for _ in range(reps[key]):
-                fn()
-            means[key].append((time.perf_counter() - start) / reps[key])
+    for batch in range(BATCHES):
+        shift = batch % len(labels)
+        for name in names:
+            for label in labels[shift:] + labels[:shift]:
+                fn, n = fns[label, name], reps[label, name]
+                start = time.perf_counter()
+                for _ in range(n):
+                    fn()
+                means[label, name].append((time.perf_counter() - start) / n)
     return means
 
 
@@ -180,9 +193,11 @@ def pieces(t: dict, budget: int) -> dict:
     return {name: round(1e6 * s, 2) for name, s in times.items()}
 
 
-def measure(srcs: list[Path]) -> dict:
-    """``{size: {src: pieces}}``, the calls of all ``srcs`` interleaved."""
-    out = {}
+def measure(srcs: list[Path]) -> tuple[dict, dict]:
+    """``{size: {src: pieces}}``, the calls of all ``srcs`` interleaved,
+    and with two ``srcs`` ``{size: ratio}``: the median over batches of
+    the second's evaluation time over the first's in the same batch."""
+    out, ratios = {}, {}
     with tempfile.TemporaryDirectory() as tmp:
         sys.path.insert(0, tmp)
         pkgs = {}
@@ -192,11 +207,14 @@ def measure(srcs: list[Path]) -> dict:
         for n, m in SIZES:
             calls = {label: timed_calls(pkg, n, m) for label, pkg in pkgs.items()}
             t = batch_means({(label, name): fn for label, (fns, _) in calls.items()
-                         for name, fn in fns.items()})
+                             for name, fn in fns.items()})
             out[str(n)] = {label: pieces({name: t[label, name] for name in fns}, budget)
                            for label, (fns, budget) in calls.items()}
+            if len(srcs) == 2:
+                first, second = (t[str(src), "evaluation"] for src in srcs)
+                ratios[str(n)] = round(statistics.median(b / a for a, b in zip(first, second)), 4)
             del calls  # frees the workspaces before the next size
-    return out
+    return out, ratios
 
 
 def main(argv=None) -> None:
@@ -208,13 +226,15 @@ def main(argv=None) -> None:
     srcs = [p.resolve() for p in args.src or [SRC]]
     from blas_kernel import kernel
 
+    sizes, ratios = measure(srcs)
     out = {
         "unit": "us",
         "numpy": np.__version__,
         "python": platform.python_version(),
         "nproc": os.cpu_count(),
         "blas_kernel": kernel(),
-        "sizes": measure(srcs),
+        "sizes": sizes,
+        "evaluation_ratio": ratios,
     }
     if args.json:
         print(json.dumps(out, indent=1))
@@ -227,6 +247,9 @@ def main(argv=None) -> None:
         print(f"{'piece (us)':<20}" + "".join(f"{'n=' + n:>11}" for n in rows))
         for name in next(iter(rows.values())):
             print(f"{name:<20}" + "".join(f"{row[name]:>11,.1f}" for row in rows.values()))
+    if ratios:
+        print("evaluation, second over first (median of per-batch ratios): "
+              + ", ".join(f"n={n} {ratio:.4f}" for n, ratio in ratios.items()))
 
 
 if __name__ == "__main__":
