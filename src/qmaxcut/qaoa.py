@@ -6,9 +6,9 @@ per-edge degrees and triangle counts, in ``O(m)`` with no ``2**n``
 state, so no qubit cap applies to it.  Deeper objectives are simulated
 on the flip-symmetric half of the register, ``2**(n-1)`` amplitudes.
 :func:`run_qaoa` builds one :class:`~qmaxcut.simulator.FlipSymmetricWorkspace`,
-which checks the cap and computes every simulated expectation of the
-run, on every rung of the ladder, keeps the best state and picks the
-cut; this module only chooses the angles.
+which checks the cap, computes every simulated expectation of the
+run, on every rung of the ladder, and picks the cut, drawn with the
+run's shots or scanned; this module only chooses the angles.
 No full cut table or full-register state is built on any run path.
 Optimization is multi-start Nelder-Mead under a hard evaluation budget:
 
@@ -338,15 +338,13 @@ def run_qaoa(
     and sampling.  The workspace is 1.09 times the full state's ``2**n *
     16`` bytes (the byte model is in :mod:`qmaxcut.simulator`), and
     extraction picks the cut inside its scratch buffer, so the run peaks
-    at about 1.13 times (tracemalloc, n=18).  With ``shots`` at depth 2
-    or more it adds only its uniforms, 8 bytes per shot, since the
-    workspace keeps the cut it drew from the best state, not the state:
-    1.14 with 4,096 shots.  A depth-1 run evaluates only in closed form,
-    so a sampled one draws only at the end and peaks at 1.10.
+    at about 1.13 times (tracemalloc, n=18).  With ``shots``, at any
+    depth, it adds its uniforms, 8 bytes per shot, and 24 more per shot
+    while it draws, since the workspace keeps the cut it drew from the
+    best state, not the state: 1.13-1.14 with 4,096 shots.
     """
     t_start = time.perf_counter()
-    # A depth-1 run simulates no evaluation to draw from as it goes.
-    workspace = FlipSymmetricWorkspace(g, cfg.shots if cfg.p > 1 else 0, cfg.seed)
+    workspace = FlipSymmetricWorkspace(g, cfg.shots, cfg.seed)
     ladder = warm_params is None and cfg.warm_start and cfg.budget // cfg.p >= max(2, cfg.restarts)
     depths = range(1, cfg.p + 1) if ladder else (cfg.p,)
     per_rung = cfg.budget // len(depths)
@@ -358,7 +356,7 @@ def run_qaoa(
         )
         total_evals += used
 
-    assignment = workspace.cut(params, cfg.shots, cfg.seed)
+    assignment = workspace.cut(params)
     return QaoaResult(
         best_params=params,
         best_expectation=float(expectation),

@@ -40,9 +40,9 @@ workspace holds the half state and one half-size scratch buffer, 1; the
 low half of the cut table in ``np.min_scalar_type(m)``, one byte per
 entry up to 255 edges, 1/32 (two bytes, 1/16, above); and per row of
 16 amplitudes the start state and the top rotation's flip term, one
-complex each, 1/32 each.  That is 1.09 in all.  A sampled run at depth
-2 or more adds only its uniforms, 8 bytes per shot: it keeps the cut it
-drew from its best state, not the state.
+complex each, 1/32 each.  That is 1.09 in all.  A sampled run adds its
+uniforms, 8 bytes per shot, and 24 more per shot while it draws: it
+keeps the cut it drew from its best state, not the state.
 Nothing else state-sized is kept or allocated: a cost half-layer
 gathers its phases ``_GATHER_CHUNK`` table entries at a time, since
 ``np.take`` copies each chunk's indices into ``intp``, the cut is
@@ -52,7 +52,7 @@ table of one chunk or less (``n <= 15``) is also kept as ``intp``,
 0.25 more but at most 128 KiB, so that its gathers convert nothing.  Under tracemalloc at
 n=18 the workspace peaks at 1.098 (1.105 sampling 4,096 shots), an
 evaluation that builds its own at 1.129, a whole run at 1.131
-(threshold) or 1.138 (4,096 shots, depth 2 or more); one evaluation on a
+(threshold) or 1.129-1.138 (4,096 shots); one evaluation on a
 reused workspace allocates 0.032, one numpy buffer (0.52 at n=12,
 where that buffer is the whole half state).  At n=20 a sampled run
 peaks at 1.106.
@@ -393,20 +393,20 @@ class FlipSymmetricWorkspace:
     :meth:`_state_of` is the one lookup: a circuit's state is read from
     ``state`` when it holds it, and prepared there otherwise.
 
-    With ``shots > 0`` it samples as a run with that ``shots`` and
-    ``seed`` does: it draws the stream's uniforms once, sorted
-    (``uniforms``, 8 bytes per shot, all it adds), and when a simulation
-    beats the best circuit so far (``best``) it draws that state's cut
-    while ``state`` holds it and keeps the winning index (``drawn``).  A
-    best with no mixer half-layer, such as the empty circuit, costs less
-    to prepare again than a draw, and is not drawn from.
+    With ``shots > 0`` it owns the shots stream of a run with that
+    ``shots`` and ``seed``: it draws the uniforms once, sorted
+    (``uniforms``, 8 bytes per shot), :meth:`cut` draws with them, and
+    when a simulation beats the best circuit so far (``best``) it draws
+    that state's cut while ``state`` holds it and keeps the winning
+    index (``drawn``).  A best with no mixer half-layer, such as the
+    empty circuit, costs less to prepare again than a draw, and is not
+    drawn from.
     """
 
     def __init__(self, g: Graph, shots: int = 0, seed: int = 0):
         _check_cap(g.n)
         # Drawn first, so the stream's Python ints never sit beside the state.
         self.uniforms = np.sort(_uniforms(shots, seed)) if shots else None
-        self.stream = shots, seed
         half = 1 << (g.n - 1)
         self.graph = g
         self.state = np.empty(half, dtype=np.complex128)
@@ -464,8 +464,7 @@ class FlipSymmetricWorkspace:
             if self.uniforms is not None and value > self.values.get(self.best, -math.inf):
                 self.best, self.drawn = circuit, None
                 if any(kind for kind, _ in circuit):
-                    probs = self._probabilities(circuit)
-                    self.drawn = self._best_drawn(_draw(probs, *self.stream, self.uniforms))
+                    self.drawn = self._drawn_cut(circuit)
         return value
 
     def _probabilities(self, circuit: tuple, mirror: bool = True) -> np.ndarray:
@@ -492,24 +491,24 @@ class FlipSymmetricWorkspace:
         """
         return self._probabilities(_circuit(params))
 
-    def _best_drawn(self, candidates: np.ndarray) -> int:
-        """The basis index of the best cut among the sorted ``candidates``,
-        the smallest among ties: a sampled index ``c`` reads the cut of
+    def _drawn_cut(self, circuit: tuple) -> int:
+        """The basis index of the best cut among those drawn from
+        ``circuit``'s probabilities with the sorted ``uniforms``, the
+        smallest among ties: a drawn index ``c`` reads the cut of
         ``min(c, ~c)`` (see :meth:`cut`)."""
+        candidates = _draw(self._probabilities(circuit), self.uniforms)
         last = (1 << self.graph.n) - 1
         values = self.low_table[np.minimum(candidates, last - candidates)]
         return int(candidates[int(np.argmax(values))])  # first max = smallest index
 
-    def cut(self, params: QaoaParams, shots: int = 0, seed: int = 0) -> CutAssignment:
+    def cut(self, params: QaoaParams) -> CutAssignment:
         """The cut picked from ``params``' final state (see :meth:`probabilities`).
 
-        ``shots == 0``: best cut among basis states whose exact probability
+        Without shots: best cut among basis states whose exact probability
         is at least ``1 / 2**(n+1)`` (half the uniform weight; the set is
-        never empty); ``seed`` is not read.  ``shots > 0``: best cut among
-        ``shots`` bitstrings drawn from all ``2**n`` probabilities with the
-        shots stream of ``seed`` (see :func:`_draw`), searched as sorted
-        uniforms, so the candidates come sorted; ``drawn`` for ``best`` at
-        the workspace's own ``shots`` and ``seed``.
+        never empty).  With shots: best cut among the bitstrings drawn
+        from all ``2**n`` probabilities with the sorted ``uniforms`` (see
+        :func:`_draw`), so the candidates come sorted; ``drawn`` for ``best``.
         Ties resolve to the smallest basis index.  The state's
         probabilities and cut values are both flip-symmetric, so the
         smallest index among tied maxima always lies in the low half: the
@@ -520,20 +519,17 @@ class FlipSymmetricWorkspace:
         """
         n, last, table = self.graph.n, (1 << self.graph.n) - 1, self.low_table
         circuit = _circuit(params)
-        if shots == 0:
+        if self.uniforms is None:
             # -1 is below every cut, so no state under the threshold wins.
             probs = self._probabilities(circuit, mirror=False)
             values = probs[table.size :].view(np.intp)[: table.size]
             values.fill(-1)
             np.copyto(values, table, where=probs[: table.size] >= 1.0 / (1 << (n + 1)))
             best = int(np.argmax(values))  # first max = smallest index
+        elif circuit == self.best and self.drawn is not None:
+            best = self.drawn
         else:
-            same_stream = (_index(shots, "shots"), _index(seed, "seed")) == self.stream
-            if same_stream and self.drawn is not None and circuit == self.best:
-                best = self.drawn
-            else:
-                uniforms = self.uniforms if same_stream else np.sort(_uniforms(shots, seed))
-                best = self._best_drawn(_draw(self.probabilities(params), shots, seed, uniforms))
+            best = self._drawn_cut(circuit)
         return CutAssignment(
             labels=labels_from_index(n, best), cut_value=int(table[min(best, last - best)])
         )
@@ -629,7 +625,7 @@ def sample_bitstrings(sv: StateVector, shots: int, seed: int) -> np.ndarray:
     that ``run_qaoa`` with ``QaoaConfig(seed=seed, shots=shots)`` makes
     from the same state.  Returns an int64 array of length ``shots``.
     """
-    return _draw(sv.probabilities(), shots, seed)
+    return _draw(sv.probabilities(), _uniforms(shots, seed))
 
 
 def _uniforms(shots: int, seed: int) -> np.ndarray:
@@ -647,21 +643,16 @@ def _uniforms(shots: int, seed: int) -> np.ndarray:
     return rng.random(shots)
 
 
-def _draw(
-    probs: np.ndarray, shots: int, seed: int, uniforms: np.ndarray | None = None
-) -> np.ndarray:
-    """``shots`` indices drawn from ``probs``, which is overwritten, with
-    the uniform floats of the shots stream of ``seed`` (:func:`_uniforms`),
-    or with ``uniforms``, those floats drawn already: the indices come in
-    their order, so sorted floats give sorted indices.
+def _draw(probs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """One index drawn from ``probs``, which is overwritten, per float of
+    ``uniforms`` (:func:`_uniforms`), in their order: sorted floats give
+    sorted indices.
 
-    The same draws as that stream's ``Generator.choice(probs.size,
+    The same draws as the stream's ``Generator.choice(probs.size,
     shots, p=probs / sum)``, whose steps these are (numpy 2.x), without
     its copies: the normalized ``probs`` becomes its own cumulative
     distribution.
     """
-    if uniforms is None:
-        uniforms = _uniforms(shots, seed)
     total = probs.sum()
     if not 0.0 < total < math.inf:
         raise ValueError(f"probabilities must have a positive finite sum, got {total}")

@@ -340,17 +340,23 @@ def _calls(node, scope=(), params=frozenset()):
 def test_one_owner_per_stream():
     # A seed becomes a stream in two places, one per purpose: the optimizer's
     # start angles and the sampler's shots.  No function draws from a
-    # stream that its caller passed in.
-    built, drawn = set(), set()
+    # stream that its caller passed in.  The shots stream's uniforms are
+    # drawn by a sampling workspace as it is built, and by the full-register
+    # oracle's sampler: no cut or draw takes a stream of its own.
+    built, drawn, shots = set(), set(), set()
     for path in Path(graph.__file__).parent.glob("*.py"):
         for function, call, params in _calls(ast.parse(path.read_text(encoding="utf-8"))):
             func = call.func
             if getattr(func, "id", None) == "_PCG64":
                 built.add((path.stem, function))
+            if getattr(func, "id", None) == "_uniforms":
+                shots.add((path.stem, function))
             on = getattr(getattr(func, "value", None), "id", None)
             if getattr(func, "attr", None) == "random" and on in params:
                 drawn.add((path.stem, function))
     assert built == {("qaoa", "optimize_params"), ("simulator", "_uniforms")}
+    assert shots == {("simulator", "FlipSymmetricWorkspace.__init__"),
+                     ("simulator", "sample_bitstrings")}
     assert drawn == set()
 
 

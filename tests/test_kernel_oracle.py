@@ -47,7 +47,8 @@ def _schedule(g, seed, count):
 def _outputs(g, shots, schedule, prepare):
     """Every output of one workspace that prepares its states with
     ``prepare`` and, with ``shots``, draws the cuts of its new best states
-    from the shots stream of seed 7; and the number of those draws."""
+    from the shots stream of seed 7, with the cuts that fresh workspaces
+    scan or draw from the same circuits; and the number of those draws."""
     ws = FlipSymmetricWorkspace(g, shots, 7)
     states, reprs, draws = [], [], 0
     with pytest.MonkeyPatch.context() as mp:
@@ -61,8 +62,8 @@ def _outputs(g, shots, schedule, prepare):
             if i % 4 == 3:
                 reprs.append(ws.probabilities(params).tobytes())
                 reprs.append(repr(ws.cut(params)))
-                reprs.append(repr(ws.cut(params, 64, i)))
-                reprs.append(repr(ws.cut(params, 64, 7)))
+                for stream in ((0, 0), (64, i), (64, 7)):
+                    reprs.append(repr(FlipSymmetricWorkspace(g, *stream).cut(params)))
                 states.append(ws._state_of(_circuit(params)).copy())
     return states, reprs, draws
 

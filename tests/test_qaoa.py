@@ -210,14 +210,17 @@ class TestFlipSymmetricHalf:
         # n=18: the state would be 4 MiB.  The threshold scan writes its
         # masked table over the unused high half of the probabilities, so
         # its bool mask (1/32x) is all it allocates; the draws' arrays are
-        # shots-sized.  An intp table of its own read 0.28x.
+        # shots-sized.  An intp table of its own read 0.28x.  The held
+        # state is not the best, so a sampling workspace draws its cut.
         g = generate_random_graph(18, 34, 0)
+        best = QaoaParams(gammas=(0.4, 0.1), betas=(0.3, 0.2))
         params = QaoaParams(gammas=(0.3, 0.5), betas=(0.2, 0.7))
-        workspace = simulator.FlipSymmetricWorkspace(g)
-        workspace.expectation(params)
+        workspace = simulator.FlipSymmetricWorkspace(g, shots, 1)
+        workspace.expectation(best)
+        assert workspace.expectation(params) < workspace.expectation(best)
         full_state = (1 << g.n) * 16
-        peak, cut = peak_bytes(workspace.cut, params, shots, 1)
-        assert cut == simulator.FlipSymmetricWorkspace(g).cut(params, shots, 1)
+        peak, cut = peak_bytes(workspace.cut, params)
+        assert cut == simulator.FlipSymmetricWorkspace(g, shots, 1).cut(params)
         assert peak <= 0.1 * full_state, f"peak {peak / full_state:.3f}x the state"
 
     def test_workspace_of_another_graph_is_refused(self):
@@ -328,14 +331,17 @@ def _reference_probabilities(ws, params):
     return probs
 
 
-def _reference_draw(probs, shots, seed, uniforms=None):
-    """The sampler as numpy's ``Generator.choice``, with its copies, on
-    numpy's own shots stream of ``seed``; sorted when the workspace
-    passes its sorted ``uniforms``, which it does not read."""
-    rng = np.random.default_rng(np.random.SeedSequence([seed % 2**64, 2]))
-    probs /= probs.sum()
-    draws = rng.choice(probs.size, size=shots, p=probs).astype(np.int64)
-    return draws if uniforms is None else np.sort(draws)
+def _reference_uniforms(shots, seed):
+    """The shots stream of ``seed`` as numpy's own generator draws it."""
+    return np.random.default_rng(np.random.SeedSequence([seed % 2**64, 2])).random(shots)
+
+
+def _reference_draw(probs, uniforms):
+    """The sampler as the steps of numpy's ``Generator.choice``, with its
+    copies: the cumulative distribution of ``probs / sum``, searched."""
+    cdf = (probs / probs.sum()).cumsum()
+    cdf /= cdf[-1]
+    return cdf.searchsorted(uniforms, side="right").astype(np.int64)
 
 
 def _prepare_log(monkeypatch):
@@ -346,8 +352,9 @@ def _prepare_log(monkeypatch):
 
 
 class TestSimulateEachCircuitOnce:
-    """The circuit memo and the kept best state, against a reference that
-    prepares every state, memoizes nothing and multiplies whole blocks."""
+    """The circuit memo and the best state's drawn cut, against a
+    reference that prepares every state, memoizes nothing and multiplies
+    whole blocks."""
 
     @pytest.mark.parametrize("twins", [(0, 1), (2, 3)], ids=["cost", "mixer"])
     def test_simplex_twins_run_the_kernels_once(self, monkeypatch, twins):
@@ -408,12 +415,12 @@ class TestSimulateEachCircuitOnce:
         # held: reading either prepares nothing.
         g = generate_random_graph(9, 16, 2)
         best, other = QaoaParams((0.4, 0.1), (0.3, 0.2)), QaoaParams((0.1, 0.2), (0.5, 0.1))
-        want = [repr(simulator.FlipSymmetricWorkspace(g).cut(best, 64, 5)),
+        want = [repr(simulator.FlipSymmetricWorkspace(g, 64, 5).cut(best)),
                 _reference_probabilities(simulator.FlipSymmetricWorkspace(g), other).tobytes()]
         workspace = simulator.FlipSymmetricWorkspace(g, 64, 5)
         assert workspace.expectation(best) > workspace.expectation(other)
         log = _prepare_log(monkeypatch)
-        assert [repr(workspace.cut(best, 64, 5)), workspace.probabilities(other).tobytes()] == want
+        assert [repr(workspace.cut(best)), workspace.probabilities(other).tobytes()] == want
         assert log == []
 
     @pytest.mark.parametrize(
@@ -445,7 +452,7 @@ class TestSimulateEachCircuitOnce:
         assert extraction == [] if drawn else extraction in (["draw"], ["prepare", "draw"])
         circuit = simulator._circuit(result.best_params)
         assert any(kind for kind, _ in circuit) == drawn
-        fresh = simulator.FlipSymmetricWorkspace(g).cut(result.best_params, cfg.shots, cfg.seed)
+        fresh = simulator.FlipSymmetricWorkspace(g, cfg.shots, cfg.seed).cut(result.best_params)
         assert repr(result.best_cut) == repr(fresh)
 
     def test_scanned_run_reads_a_held_final_state(self, monkeypatch):
@@ -474,6 +481,7 @@ class TestSimulateEachCircuitOnce:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(simulator.FlipSymmetricWorkspace, "expectation", _reference_expectation)
             mp.setattr(simulator.FlipSymmetricWorkspace, "probabilities", _reference_probabilities)
+            mp.setattr(simulator, "_uniforms", _reference_uniforms)
             mp.setattr(simulator, "_draw", _reference_draw)
             mp.setattr(simulator, "_PANEL_MIN_QUBITS", 64)  # whole blocks only
             reference = run_qaoa(g, cfg)
@@ -810,14 +818,14 @@ class TestRunOnTheHalf:
         cfg = QaoaConfig(p=params.p, budget=8, restarts=2, shots=shots, seed=seed)
         table = cut_values_by_basis(g)
         sv = apply_qaoa_circuit(g, params)
-        workspace = simulator.FlipSymmetricWorkspace(g)
+        workspace = simulator.FlipSymmetricWorkspace(g, cfg.shots, cfg.seed)
         np.testing.assert_allclose(
             workspace.probabilities(params),
             sv.probabilities(),
             rtol=0,
             atol=1e-12,
         )
-        assert workspace.cut(params, cfg.shots, cfg.seed) == _extract_assignment(sv, g, cfg, table)
+        assert workspace.cut(params) == _extract_assignment(sv, g, cfg, table)
         result = run_qaoa(g, cfg)
         full = apply_qaoa_circuit(g, result.best_params)
         assert result.best_cut == _extract_assignment(full, g, cfg, table)
@@ -861,32 +869,34 @@ class TestRunOnTheHalf:
         assert result.best_cut == _extract_assignment(sv, g, cfg, cut_values_by_basis(g))
 
     @pytest.mark.parametrize(
-        ("n", "m", "cfg", "model", "bound"),
+        ("n", "m", "cfg", "bound"),
         [
-            (18, 34, QaoaConfig(p=2, budget=6, restarts=2, seed=0), 1.09375, 1.145),
-            (18, 34, QaoaConfig(p=2, budget=6, restarts=2, seed=0, shots=4096),
-             1.09375 + 2**-7, 1.15),
-            (18, 34, QaoaConfig(p=1, budget=6, restarts=2, seed=0, shots=64), 1.09375, 1.115),
+            (18, 34, QaoaConfig(p=2, budget=6, restarts=2, seed=0), 1.145),
+            (18, 34, QaoaConfig(p=2, budget=6, restarts=2, seed=0, shots=4096), 1.15),
+            (18, 34, QaoaConfig(p=1, budget=6, restarts=2, seed=0, shots=64), 1.115),
+            (18, 34, QaoaConfig(p=1, budget=6, restarts=2, seed=0, shots=65536), 1.61),
             (20, 60, QaoaConfig(p=2, budget=10, restarts=2, seed=7, shots=4096,
-                                warm_start=False), 1.09375 + 2**-9, 1.115),
+                                warm_start=False), 1.115),
         ],
-        ids=["threshold-p2", "sampled-p2", "sampled-p1", "sampled-p2-n20"],
+        ids=["threshold-p2", "sampled-p2", "sampled-p1", "sampled-p1-65536", "sampled-p2-n20"],
     )
-    def test_run_peak_memory(self, n, m, cfg, model, bound):
+    def test_run_peak_memory(self, n, m, cfg, bound):
         # n=18: the full state would be 4 MiB.  The workspace is 1.0938x
         # (simulator's byte model), and the cut is picked inside its
-        # scratch buffer: a threshold run reads 1.1306x.  A sampled run at
-        # depth 2 or more adds its sorted uniforms, 8 bytes per shot (2**-7x
-        # for 4,096 shots at n=18, 2**-9x at n=20), and draws each new best
-        # state's cut inside the scratch buffer: it reads 1.1378x, and a
-        # run shaped as the qaoa-n20 benchmark's reads 1.1056x (1.3992x and
-        # 1.3583x keeping the best state's float64 |w|).  A depth-1 run
-        # simulates no evaluation, so a sampled one draws only at the end
-        # (reads 1.0999x).  Each bound is the reading plus 0.01-0.015x; the
+        # scratch buffer: a threshold run reads 1.1311x.  A sampled run, at
+        # any depth, draws its sorted uniforms before the workspace's
+        # buffers, and each draw inside the scratch buffer holds 32 bytes
+        # per shot: the uniforms, the candidates, their mirror indices and
+        # the minimum (2**-5x for 4,096 shots at n=18, 2**-7x at n=20).  It
+        # reads 1.1378x at depth 2, 1.1000x and 1.5982x at depth 1 with 64
+        # and 65,536 shots (1.9159x with 65,536 when a depth-1 run drew its
+        # uniforms at the end), and 1.1056x shaped as the qaoa-n20
+        # benchmark's run.  Each bound is the reading plus 0.01-0.015x; the
         # peak must also reach 0.97 times the model, so the model cannot
         # drift below what is held.
         g = generate_random_graph(n, m, 0)
         full_state = (1 << g.n) * 16
+        model = 1.09375 + 32 * cfg.shots / full_state
         peak, _ = peak_bytes(run_qaoa, g, cfg)
         assert 0.97 * model * full_state <= peak <= bound * full_state, (
             f"peak {peak / full_state:.4f}x the state"

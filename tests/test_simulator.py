@@ -414,10 +414,8 @@ class TestSampling:
 
     def test_a_seed_or_shots_that_is_not_an_int_is_refused(self):
         # Read by the one integer rule, not truncated: 9.7 is not seed 9.
-        ws = simulator.FlipSymmetricWorkspace(TRIANGLE)
-        params = QaoaParams(gammas=(0.5,), betas=(0.2,))
         for sample in (lambda shots, seed: sample_bitstrings(init_uniform(3), shots, seed=seed),
-                       lambda shots, seed: ws.cut(params, shots, seed=seed)):
+                       lambda shots, seed: simulator.FlipSymmetricWorkspace(TRIANGLE, shots, seed)):
             with pytest.raises(ValueError, match=r"^seed must be an int, got 9\.7$"):
                 sample(4, 9.7)
             with pytest.raises(ValueError, match=r"^shots must be an int, got 2\.5$"):
@@ -427,9 +425,26 @@ class TestSampling:
     def test_rejects_non_positive_shots(self, shots):
         with pytest.raises(ValueError, match="shots must be positive"):
             sample_bitstrings(init_uniform(2), shots, seed=0)
-        if shots:  # the workspace scans at shots=0
+        if shots:  # a workspace built with shots=0 scans
             with pytest.raises(ValueError, match="shots must be positive"):
-                simulator.FlipSymmetricWorkspace(TRIANGLE).cut(QaoaParams((0.5,), (0.2,)), shots)
+                simulator.FlipSymmetricWorkspace(TRIANGLE, shots)
+
+    def test_a_sampling_workspace_cuts_with_its_own_shots(self):
+        # An evaluated workspace built with 8 shots and seed 0 picks the best
+        # cut among the 8 indices that numpy's choice draws on that stream,
+        # 17, not the threshold scan's 18.
+        g = generate_random_graph(12, 24, 0)
+        params = QaoaParams((0.4, 0.2), (0.3, 0.1))
+        workspace = simulator.FlipSymmetricWorkspace(g, 8, 0)
+        workspace.expectation(params)
+        probs = simulator.FlipSymmetricWorkspace(g).probabilities(params)
+        rng = np.random.default_rng(np.random.SeedSequence([0, 2]))
+        candidates = np.unique(rng.choice(1 << g.n, 8, p=probs / probs.sum()))
+        table = cut_values_by_basis(g)
+        best = int(candidates[np.argmax(table[candidates])])
+        assert workspace.cut(params).labels == labels_from_index(g.n, best)
+        assert workspace.cut(params).cut_value == table[best] == 17
+        assert simulator.FlipSymmetricWorkspace(g).cut(params).cut_value == 18
 
     def test_basis_state_always_samples_itself(self):
         sv = basis_state(3, 5)
@@ -456,7 +471,7 @@ class TestSampling:
             want_rng = np.random.default_rng(np.random.SeedSequence([seed, 2]))
             want = want_rng.choice(size, 4096, p=probs / probs.sum())
             left = probs.copy()
-            got = simulator._draw(left, 4096, seed)
+            got = simulator._draw(left, simulator._uniforms(4096, seed))
             assert got.dtype == np.int64
             assert np.array_equal(got, want)
             # Draws rarely land in a few-ulp gap, so pin the distribution itself.
@@ -475,10 +490,10 @@ class TestSampling:
         # The workspace searches its uniforms in sorted order: the same
         # candidates as a draw in stream order, sorted.
         probs = np.array(probs)
-        uniforms = np.sort(simulator._uniforms(shots, seed))
-        got = simulator._draw(probs.copy(), shots, seed, uniforms)
+        uniforms = simulator._uniforms(shots, seed)
+        got = simulator._draw(probs.copy(), np.sort(uniforms))
         assert got.dtype == np.int64
-        assert got.tobytes() == np.sort(simulator._draw(probs.copy(), shots, seed)).tobytes()
+        assert got.tobytes() == np.sort(simulator._draw(probs.copy(), uniforms)).tobytes()
 
     def test_draw_refuses_a_state_of_zeros(self):
         with pytest.raises(ValueError, match="positive finite sum"):

@@ -137,9 +137,13 @@ def timed_calls(pkg, n: int, m: int) -> tuple[dict, int]:
         sampled = simulator.FlipSymmetricWorkspace(g, SHOTS, 0)
         sampled.expectation(params)  # now held
 
-        def snapshot():
-            probs = sampled._probabilities(circuit)
-            sampled._best_drawn(simulator._draw(probs, SHOTS, 0, sampled.uniforms))
+        if hasattr(sampled, "_drawn_cut"):
+            def snapshot():
+                sampled._drawn_cut(circuit)
+        else:  # a checkout whose draw and pick are two calls
+            def snapshot():
+                probs = sampled._probabilities(circuit)
+                sampled._best_drawn(simulator._draw(probs, SHOTS, 0, sampled.uniforms))
     else:  # the workspace keeps the best state's |w|
         kept = np.empty(w.size)
 
