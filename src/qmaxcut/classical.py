@@ -31,9 +31,10 @@ def brute_force_maxcut(g: Graph) -> SolveResult:
     argmax over the even basis indices, i.e. with vertex 0 fixed to
     ``+1`` (the global sign flip maps the other half onto these, so
     nothing is lost).  Ties resolve to the smallest such index, which
-    makes the result fully deterministic.  Cost is ``O(2**n * m)`` time
-    and a ``2**n`` int32 table, which refuses graphs above the qubit cap
-    with :class:`~qmaxcut.graph.ResourceLimitError` before it allocates.
+    makes the result fully deterministic.  Cost is ``O(2**n * m)`` time,
+    and the bytes of the ``2**n`` int32 table and of the copy of its even
+    entries that the argmax takes (:func:`~qmaxcut.graph.peak_bytes`);
+    the table refuses graphs above the qubit cap before it allocates.
     """
     t0 = time.perf_counter()
     table = cut_values_by_basis(g)

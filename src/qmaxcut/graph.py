@@ -17,8 +17,9 @@ reads, are ``-?[0-9]+`` in full, read by :func:`parse_ints` alone.
 
 The qubit cap (``QMAXCUT_QUBIT_CAP``, else :data:`DEFAULT_QUBIT_CAP`;
 no function takes one) is checked by :func:`_check_cap` just before
-each ``2**n`` allocation: the full cut table here, the simulator's
-state and its half-register workspace.
+each ``2**n`` allocation: the full cut table here, the simulator's state
+and its half-register workspace.  A refusal names the bytes that
+:func:`peak_bytes`, the one byte model, gives the call at ``n`` and at the cap.
 
 Random-graph generation is deterministic and byte-stable across
 platforms and library versions.  It does not touch any global RNG.
@@ -51,6 +52,9 @@ from functools import cached_property
 import numpy as np
 
 DEFAULT_QUBIT_CAP = 24
+# Entries per phase gather of a cost half-layer: np.take copies each chunk's
+# indices into intp, at 2**14 no larger than numpy's own buffers (8,192 complex).
+_GATHER_CHUNK = 1 << 14
 _MASK32, _MASK64, _MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
 # 1 where bit v (axis 0) and bit u (axis 2) differ: an edge's cut indicator.
 _DIFFER = np.array([[0, 1], [1, 0]], np.int32).reshape(2, 1, 2, 1)
@@ -224,12 +228,45 @@ class ResourceLimitError(RuntimeError):
     """Raised when a request would exceed an exponential-cost safety cap."""
 
 
-def _check_cap(n: int):
+def peak_bytes(kind: str, n: int, m: int = 0, shots: int = 0) -> int:
+    """The bytes ``kind`` holds at its peak for ``n`` vertices, ``m`` edges
+    and ``shots``: the package's one byte model, which the qubit cap's
+    refusal quotes and the peak-memory tests and ``tools/footprint.py`` read.
+
+    * ``"brute force"``: the ``2**n`` int32 cut table and the contiguous
+      copy of its even entries that ``np.argmax`` of the strided view makes.
+    * ``"full state"``: the full-register reference's state, one
+      state-sized scratch buffer or temporary and the int32 cut table.
+    * ``"workspace"`` (:class:`~qmaxcut.simulator.FlipSymmetricWorkspace`):
+      the half state and its scratch buffer; the low half of the cut
+      table in ``np.min_scalar_type(m)``, and its ``intp`` copy when it
+      is one gather chunk or less (``n <= 15``); the start state and the
+      top rotation's flip term, one complex per row of 16 half amplitudes
+      each; the sorted uniforms, 8 bytes per shot.
+    * ``"run"`` (``run_qaoa``): the workspace and the largest phase of its
+      extraction, not their sum: 24 bytes per shot while a draw holds its
+      candidates, their mirrors and their minimum, or without shots the
+      threshold scan's boolean mask, one byte per half entry.
+
+    Left out: numpy's own buffer for a broadcast or a cast, ``16 *
+    min(np.getbufsize(), 2**(n-1))`` bytes, and Python objects, which
+    dominate below n=14.
+    """
+    size, half = 1 << n, 1 << (n - 1)
+    table = np.min_scalar_type(m).itemsize + (8 if half <= _GATHER_CHUNK else 0)
+    held = 16 * size + table * half + 32 * (1 << max(0, n - 5)) + 8 * shots
+    return {"brute force": 6 * size, "full state": 36 * size, "workspace": held,
+            "run": held + (24 * shots if shots else half)}[kind]
+
+
+def _check_cap(n: int, kind: str, m: int = 0, shots: int = 0):
+    """Refuse ``n`` above the qubit cap, naming ``kind``'s :func:`peak_bytes`."""
     limit = resolve_qubit_cap()
     if n > limit:
+        need, at_cap = (f"{b / 2**20:.1f} MiB" if b >> 20 else f"{b:,} B"
+                        for b in (peak_bytes(kind, k, m, shots) for k in (n, limit)))
         raise ResourceLimitError(
-            f"state and cut table for n={n} exceed qubit cap {limit} "
-            f"(would allocate 2**{n} amplitudes or cut values)"
+            f"n={n} exceeds qubit cap {limit}: {kind} needs {need}, {at_cap} at the cap"
         )
 
 
@@ -249,7 +286,7 @@ def cut_values_by_basis(g: Graph) -> np.ndarray:
     at n=8, which leaves that ratio at the edge of the bound.  Graphs
     above the qubit cap are refused before the table is allocated.
     """
-    _check_cap(g.n)
+    _check_cap(g.n, "brute force")
     out = np.zeros(1 << g.n, dtype=np.int32)
     for u, v in g.edges:
         out.reshape(-1, 2, 1 << (v - u - 1), 2, 1 << u)[...] += _DIFFER

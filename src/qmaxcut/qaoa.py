@@ -335,13 +335,8 @@ def run_qaoa(
     One workspace (see :class:`~qmaxcut.simulator.FlipSymmetricWorkspace`,
     built before any evaluation, so it refuses a run above the qubit cap
     at every depth) serves every evaluation, the final state, extraction
-    and sampling.  The workspace is 1.09 times the full state's ``2**n *
-    16`` bytes (the byte model is in :mod:`qmaxcut.simulator`), and
-    extraction picks the cut inside its scratch buffer, so the run peaks
-    at about 1.13 times (tracemalloc, n=18).  With ``shots``, at any
-    depth, it adds its uniforms, 8 bytes per shot, and 24 more per shot
-    while it draws, since the workspace keeps the cut it drew from the
-    best state, not the state: 1.13-1.14 with 4,096 shots.
+    and sampling; :func:`~qmaxcut.graph.peak_bytes`' ``"run"`` gives the
+    run's bytes.
     """
     t_start = time.perf_counter()
     workspace = FlipSymmetricWorkspace(g, cfg.shots, cfg.seed)

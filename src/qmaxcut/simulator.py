@@ -11,7 +11,7 @@ phase ``exp(-i*gamma*C(b))`` on every amplitude.
 The two ``2**n`` allocations here, :func:`init_uniform` and
 :class:`FlipSymmetricWorkspace`, check the qubit cap first (see
 :mod:`qmaxcut.graph`) to keep an accidental large ``n`` from taking the
-host down.
+host down; :func:`~qmaxcut.graph.peak_bytes` gives the bytes of each.
 
 The full-register functions (:class:`StateVector`, :func:`init_uniform`,
 :func:`apply_cost_layer`, :func:`apply_mixer_layer`,
@@ -20,48 +20,19 @@ The full-register functions (:class:`StateVector`, :func:`init_uniform`,
 them.  They are the tests' first-principles oracle for the workspace,
 kept here because the benchmark's tracer resolves them in this module:
 one 2x2 product per qubit and the full cut table, built on each call,
-with no kernel, frame or plan shared with the workspace.  A full-state
-circuit holds the state, one state-sized scratch buffer or temporary
-and the int32 cut table: about 2.25 times ``2**n * 16`` bytes (2.26
-under tracemalloc at n=20), so about 580 MiB at the default cap.
+with no kernel, frame or plan shared with the workspace.
 
 ``run_qaoa`` uses none of them: its evaluations at depth 2 or more
 (depth 1 has a closed form in :mod:`qmaxcut.qaoa`), its final state,
 the probabilities and the cut it picks from them are all prepared on
 the flip-symmetric half of the register, by one
 :class:`FlipSymmetricWorkspace` (its docstring says which buffer holds
-which state).  The table is built vertex by vertex in ``O(2**n)``
-(:func:`qmaxcut.graph.half_cut_values_by_basis`), not by one add per
-edge.  The workspace's mixer takes the qubits four at a time
-(:class:`_Mixer`).
-
-The byte model, in units of the full state's ``2**n * 16`` bytes: the
-workspace holds the half state and one half-size scratch buffer, 1; the
-low half of the cut table in ``np.min_scalar_type(m)``, one byte per
-entry up to 255 edges, 1/32 (two bytes, 1/16, above); and per row of
-16 amplitudes the start state and the top rotation's flip term, one
-complex each, 1/32 each.  That is 1.09 in all.  A sampled run adds its
-uniforms, 8 bytes per shot, and 24 more per shot while it draws: it
-keeps the cut it drew from its best state, not the state.
-Nothing else state-sized is kept or allocated: a cost half-layer
-gathers its phases ``_GATHER_CHUNK`` table entries at a time, since
-``np.take`` copies each chunk's indices into ``intp``, the cut is
-picked inside the scratch buffer, and each of numpy's buffers for a
-broadcast or a cast holds at most 8,192 complex entries (128 KiB).  A
-table of one chunk or less (``n <= 15``) is also kept as ``intp``,
-0.25 more but at most 128 KiB, so that its gathers convert nothing.  Under tracemalloc at
-n=18 the workspace peaks at 1.098 (1.105 sampling 4,096 shots), an
-evaluation that builds its own at 1.129, a whole run at 1.131
-(threshold) or 1.129-1.138 (4,096 shots); one evaluation on a
-reused workspace allocates 0.032, one numpy buffer (0.52 at n=12,
-where that buffer is the whole half state).  At n=20 a sampled run
-peaks at 1.106.
-
-The plan (the mixer's blocks and the views of each buffer, the phase
-table) is built with the workspace, so an evaluation rebuilds nothing
-that does not depend on its angles.  The mixer's blocks above bit 3 run
-in real arithmetic, and from ``2**17`` amplitudes the large blocks
-multiply row panels that stay in cache (:class:`_Mixer`).
+which state, and which plan it builds once).  Nothing state-sized is
+kept or allocated beyond its buffers: a cost half-layer gathers its
+phases ``_GATHER_CHUNK`` table entries at a time, since ``np.take``
+copies each chunk's indices into ``intp``, a sampled run keeps the cut
+it drew from its best state, not the state, and the cut is picked
+inside the scratch buffer.
 """
 
 from __future__ import annotations
@@ -72,6 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import (
+    _GATHER_CHUNK,
     _PCG64,
     CutAssignment,
     Graph,
@@ -107,10 +79,6 @@ _PANEL_MIN_QUBITS = 17
 _PANEL_MIN_LO = 12
 # The shots stream's tag (see _uniforms); the optimizer's starts use tag 1.
 _STREAM_SHOTS = 2
-# Entries per phase gather of a cost half-layer: np.take copies its index
-# into a fresh intp array, so the narrow cut table is read in chunks.  At
-# 2**14, the copy is no larger than numpy's own buffers (8,192 complex).
-_GATHER_CHUNK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -166,7 +134,7 @@ class StateVector:
 
 def init_uniform(n: int) -> StateVector:
     """Uniform superposition over all ``2**n`` basis states."""
-    _check_cap(n)
+    _check_cap(n, "full state")
     size = 1 << max(n, 0)  # StateVector refuses n < 1
     amps = np.full(size, 1.0 / math.sqrt(size), dtype=np.complex128)
     return StateVector(n_qubits=n, amplitudes=amps)
@@ -358,17 +326,14 @@ class FlipSymmetricWorkspace:
     register: their expectations, final probabilities and picked cut.
 
     Holds the half state and one half-size scratch buffer, the low half
-    of the cut table in the narrowest unsigned dtype that holds ``m``
-    (``np.min_scalar_type(m)``), and two frame vectors of ``2**max(0,
-    n - 5)`` entries, one per row of 16 amplitudes: the start state in
-    the frame, and the top qubit's flip term, rescaled by each mixer
-    half-layer.  The table is built here by
-    :func:`~qmaxcut.graph.half_cut_values_by_basis`, vertex by vertex in
-    ``O(2**n)``, in its own dtype with the state buffer as its scratch
-    (every state prepared here overwrites it first); no full table is
-    built, nor any ``intp`` one above ``_GATHER_CHUNK`` entries.  About 1.09 times the full state's ``2**n * 16``
-    bytes (the module docstring gives the byte model).  The constructor
-    checks the qubit cap before it allocates any of them.
+    of the cut table in the narrowest unsigned dtype that holds ``m``,
+    and two frame vectors, one entry per row of 16 amplitudes: the start
+    state in the frame, and the top qubit's flip term, rescaled by each
+    mixer half-layer.  The table is built here by
+    :func:`~qmaxcut.graph.half_cut_values_by_basis` with the state buffer
+    as its scratch (every state prepared here overwrites it first).  The
+    qubit cap check names their bytes (:func:`~qmaxcut.graph.peak_bytes`)
+    before any is allocated.
 
     It also builds the plan that every circuit run here shares, since
     none of it depends on the angles: the mixer (:class:`_Mixer`, its
@@ -379,13 +344,10 @@ class FlipSymmetricWorkspace:
     the table when it is one chunk), the ``-i * levels`` vector of the
     cut values and the phase table it fills.
 
-    Skipping exact zero angles makes distinct angle vectors the same
-    circuit (:func:`_circuit`): the optimizer's zero start evaluated
-    again as Nelder-Mead's ``x0``, and the simplex points that move
-    ``gamma_1`` or ``gamma_2`` (``beta_1`` or ``beta_2``) alone.
-    ``values`` maps each circuit simulated here to its expectation, so a
-    repeat returns the same float without running a kernel; it grows by
-    one entry per distinct circuit.
+    ``values`` maps each circuit simulated here (:func:`_circuit`, which
+    skips exact zero angles, so distinct angle vectors can be one
+    circuit) to its expectation, so a repeat returns the same float
+    without running a kernel; it grows by one entry per distinct circuit.
 
     The buffer rule: ``state`` holds the last circuit prepared here
     (``held``, ``None`` while it holds no known state), and ``scratch``
@@ -395,7 +357,7 @@ class FlipSymmetricWorkspace:
 
     With ``shots > 0`` it owns the shots stream of a run with that
     ``shots`` and ``seed``: it draws the uniforms once, sorted
-    (``uniforms``, 8 bytes per shot), :meth:`cut` draws with them, and
+    (``uniforms``, empty without shots), :meth:`cut` draws with them, and
     when a simulation beats the best circuit so far (``best``) it draws
     that state's cut while ``state`` holds it and keeps the winning
     index (``drawn``).  A best with no mixer half-layer, such as the
@@ -404,9 +366,10 @@ class FlipSymmetricWorkspace:
     """
 
     def __init__(self, g: Graph, shots: int = 0, seed: int = 0):
-        _check_cap(g.n)
-        # Drawn first, so the stream's Python ints never sit beside the state.
-        self.uniforms = np.sort(_uniforms(shots, seed)) if shots else None
+        # Drawn first, so the stream's Python ints never sit beside the
+        # state; they are shots-sized, not 2**n, so the cap comes after.
+        self.uniforms = np.sort(_uniforms(shots, seed))
+        _check_cap(g.n, "workspace", g.m, self.uniforms.size)
         half = 1 << (g.n - 1)
         self.graph = g
         self.state = np.empty(half, dtype=np.complex128)
@@ -461,7 +424,7 @@ class FlipSymmetricWorkspace:
             w = self._state_of(circuit)
             np.multiply(self.low_table, w, out=self.scratch)
             value = self.values[circuit] = 2.0 * float(np.vdot(w, self.scratch).real)
-            if self.uniforms is not None and value > self.values.get(self.best, -math.inf):
+            if self.uniforms.size and value > self.values.get(self.best, -math.inf):
                 self.best, self.drawn = circuit, None
                 if any(kind for kind, _ in circuit):
                     self.drawn = self._drawn_cut(circuit)
@@ -519,7 +482,7 @@ class FlipSymmetricWorkspace:
         """
         n, last, table = self.graph.n, (1 << self.graph.n) - 1, self.low_table
         circuit = _circuit(params)
-        if self.uniforms is None:
+        if not self.uniforms.size:
             # -1 is below every cut, so no state under the threshold wins.
             probs = self._probabilities(circuit, mirror=False)
             values = probs[table.size :].view(np.intp)[: table.size]
@@ -625,21 +588,24 @@ def sample_bitstrings(sv: StateVector, shots: int, seed: int) -> np.ndarray:
     that ``run_qaoa`` with ``QaoaConfig(seed=seed, shots=shots)`` makes
     from the same state.  Returns an int64 array of length ``shots``.
     """
-    return _draw(sv.probabilities(), _uniforms(shots, seed))
+    uniforms = _uniforms(shots, seed)
+    if not uniforms.size:
+        raise ValueError("shots must be positive to sample, got 0")
+    return _draw(sv.probabilities(), uniforms)
 
 
 def _uniforms(shots: int, seed: int) -> np.ndarray:
-    """The ``shots`` uniform floats of the shots stream of ``seed``.
-
-    This is the one place a seed becomes the shots stream: ``shots`` and
-    ``seed`` are read by :func:`~qmaxcut.graph._index` (a float or a
-    string is refused), ``shots`` must be positive, and the stream is
-    ``_PCG64(seed, _STREAM_SHOTS)``, numpy's ``default_rng(SeedSequence(
-    [seed mod 2**64, 2]))``.
+    """The ``shots`` uniform floats of the shots stream of ``seed``: the one
+    place a seed becomes that stream, and the one reader of ``shots`` and
+    ``seed`` for a workspace and :func:`sample_bitstrings`, whatever
+    ``shots`` is.  Both are read by :func:`~qmaxcut.graph._index` (a float
+    or a string is refused), ``shots`` must not be negative (0 draws
+    none), and the stream is ``_PCG64(seed, _STREAM_SHOTS)``, numpy's
+    ``default_rng(SeedSequence([seed mod 2**64, 2]))``.
     """
     shots, rng = _index(shots, "shots"), _PCG64(_index(seed, "seed"), _STREAM_SHOTS)
-    if shots < 1:
-        raise ValueError(f"shots must be positive, got {shots}")
+    if shots < 0:
+        raise ValueError(f"shots must be positive, or 0 for none, got {shots}")
     return rng.random(shots)
 
 

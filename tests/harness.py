@@ -9,7 +9,7 @@ TRIANGLE = Graph(3, ((0, 1), (0, 2), (1, 2)))
 EDGE = Graph(2, ((0, 1),))
 
 
-def peak_bytes(fn, *args, **kwargs):
+def traced_peak(fn, *args, **kwargs):
     """``(peak, result)``: the peak bytes that ``tracemalloc`` traces while
     ``fn(*args, **kwargs)`` runs, read before the call's result is freed,
     and that result."""

@@ -24,6 +24,7 @@ from qmaxcut import (
     run_pipeline,
 )
 from qmaxcut.cli import _parse_depths, _parse_gen, _parse_sizes
+from qmaxcut.graph import peak_bytes
 
 CSV_HEADER = "algorithm,n,m,depth,cut,runtime_s,seed,expectation"
 
@@ -265,8 +266,10 @@ class TestSolveErrors:
             env_extra={"QMAXCUT_QUBIT_CAP": "4"},
         )
         assert res.returncode == 3
-        assert "cap 4" in res.stderr
-        assert "Traceback" not in res.stderr
+        # Brute force's own bytes, at n=5 and at the cap.
+        assert res.stderr == (f"qmaxcut: n=5 exceeds qubit cap 4: brute force needs "
+                              f"{peak_bytes('brute force', 5):,} B, "
+                              f"{peak_bytes('brute force', 4):,} B at the cap\n")
 
     def test_unknown_algorithm(self):
         assert run_cli("solve", "--gen", "3,2", "--algo", "anneal").returncode == 2
@@ -494,9 +497,10 @@ class TestBench:
         big = {r[0] for r in rows if r[1] == "8" and r[4] == r[5] == r[7] == ""}
         assert big == {"brute_force", "qaoa"}
         assert all(r[4] != "" for r in rows if r[1] == "4" or r[0] == "greedy")
-        # The failure line quotes brute force's own refusal.
-        assert ("bench: brute_force failed on n=8 m=10: state and cut table for n=8 exceed "
-                "qubit cap 6 (would allocate 2**8 amplitudes or cut values)\n") in res.stderr
+        # The failure line quotes brute force's own refusal: n, the cap and its bytes.
+        assert (f"bench: brute_force failed on n=8 m=10: n=8 exceeds qubit cap 6: brute force "
+                f"needs {peak_bytes('brute force', 8):,} B, {peak_bytes('brute force', 6):,} B "
+                f"at the cap\n") in res.stderr
         assert "skipping brute_force" not in res.stderr
         assert res.stderr.endswith(f"bench: {len(rows)} rows, 1 failed cells\n")
         # Only greedy's series has an n=8 point: a blank row plots nothing.

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from harness import TRIANGLE, peak_bytes, spy
+from harness import TRIANGLE, spy, traced_peak
 from qmaxcut import graph
 from qmaxcut import (
     CutAssignment,
@@ -183,7 +183,7 @@ class TestBasisEncoding:
         # n=18: the int32 output is 1 MiB; building it must allocate no
         # further 2**n arrays, such as an index array or per-edge masks.
         g = generate_random_graph(18, 40, 0)
-        peak, table = peak_bytes(cut_values_by_basis, g)
+        peak, table = traced_peak(cut_values_by_basis, g)
         assert peak <= 1.25 * table.nbytes, f"peak {peak / 2**20:.2f} MiB"
 
 

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import kernel_oracle
-from harness import EDGE, TRIANGLE, peak_bytes, spy
+from harness import EDGE, TRIANGLE, spy, traced_peak
 from qmaxcut import (
     Graph,
     QaoaConfig,
@@ -22,7 +22,7 @@ from qmaxcut import (
     run_qaoa,
 )
 from qmaxcut import graph, qaoa, simulator
-from qmaxcut.graph import CutAssignment, labels_from_index
+from qmaxcut.graph import CutAssignment, labels_from_index, peak_bytes
 from qmaxcut.qaoa import depth_one_expectation, evaluate_params, optimize_params
 from qmaxcut.simulator import apply_qaoa_circuit, expectation_cut, sample_bitstrings
 
@@ -177,16 +177,16 @@ class TestFlipSymmetricHalf:
         expected = expectation_cut(apply_qaoa_circuit(g, params), g)
         assert evaluate_params(g, params) == pytest.approx(expected, abs=1e-10)
 
-    def test_peak_memory_is_one_and_a_half_states(self):
-        # n=18: the full state would be 4 MiB.  A fresh workspace holds the
-        # half state, one half-size scratch buffer, the one-byte low half
-        # of the cut table (it builds the table itself) and two frame
-        # vectors, 1.09x (simulator's byte model; reads 1.1290x).
+    def test_evaluation_with_its_own_workspace_peak_memory(self):
+        # n=18: the full state would be 4 MiB.  A fresh workspace builds the
+        # table itself; the evaluation adds one numpy buffer (reads 1.1290x).
         g = generate_random_graph(18, 34, 0)
         params = QaoaParams(gammas=(0.3, 0.5), betas=(0.2, 0.7))
         full_state = (1 << g.n) * 16
-        peak, _ = peak_bytes(evaluate_params, g, params)
-        assert peak <= 1.145 * full_state, f"peak {peak / full_state:.2f}x the state"
+        peak, _ = traced_peak(evaluate_params, g, params)
+        assert 0.97 * peak_bytes("workspace", g.n, g.m) <= peak <= 1.145 * full_state, (
+            f"peak {peak / full_state:.4f}x the state"
+        )
 
     def test_reused_workspace_allocates_no_state_sized_buffer(self):
         # Only what numpy takes for itself, one array at a time: the buffer
@@ -201,7 +201,7 @@ class TestFlipSymmetricHalf:
             workspace = simulator.FlipSymmetricWorkspace(g)
             evaluate_params(g, QaoaParams((0.3, 0.5), (0.2, 0.7)), workspace=workspace)
             params = QaoaParams(gammas=(0.3, 0.6), betas=(0.2, 0.7))
-            peak, second = peak_bytes(evaluate_params, g, params, workspace=workspace)
+            peak, second = traced_peak(evaluate_params, g, params, workspace=workspace)
             assert second == evaluate_params(g, params)
             assert peak <= 16 * min(np.getbufsize(), 1 << (n - 1)) + 4096, f"n={n}: {peak} B"
 
@@ -209,7 +209,7 @@ class TestFlipSymmetricHalf:
     def test_cut_on_a_held_state_allocates_no_state_sized_buffer(self, shots):
         # n=18: the state would be 4 MiB.  The threshold scan writes its
         # masked table over the unused high half of the probabilities, so
-        # its bool mask (1/32x) is all it allocates; the draws' arrays are
+        # its bool mask is all it allocates; the draws' arrays are
         # shots-sized.  An intp table of its own read 0.28x.  The held
         # state is not the best, so a sampling workspace draws its cut.
         g = generate_random_graph(18, 34, 0)
@@ -219,7 +219,7 @@ class TestFlipSymmetricHalf:
         workspace.expectation(best)
         assert workspace.expectation(params) < workspace.expectation(best)
         full_state = (1 << g.n) * 16
-        peak, cut = peak_bytes(workspace.cut, params)
+        peak, cut = traced_peak(workspace.cut, params)
         assert cut == simulator.FlipSymmetricWorkspace(g, shots, 1).cut(params)
         assert peak <= 0.1 * full_state, f"peak {peak / full_state:.3f}x the state"
 
@@ -881,24 +881,20 @@ class TestRunOnTheHalf:
         ids=["threshold-p2", "sampled-p2", "sampled-p1", "sampled-p1-65536", "sampled-p2-n20"],
     )
     def test_run_peak_memory(self, n, m, cfg, bound):
-        # n=18: the full state would be 4 MiB.  The workspace is 1.0938x
-        # (simulator's byte model), and the cut is picked inside its
-        # scratch buffer: a threshold run reads 1.1311x.  A sampled run, at
-        # any depth, draws its sorted uniforms before the workspace's
-        # buffers, and each draw inside the scratch buffer holds 32 bytes
-        # per shot: the uniforms, the candidates, their mirror indices and
-        # the minimum (2**-5x for 4,096 shots at n=18, 2**-7x at n=20).  It
-        # reads 1.1378x at depth 2, 1.1000x and 1.5982x at depth 1 with 64
-        # and 65,536 shots (1.9159x with 65,536 when a depth-1 run drew its
-        # uniforms at the end), and 1.1056x shaped as the qaoa-n20
-        # benchmark's run.  Each bound is the reading plus 0.01-0.015x; the
-        # peak must also reach 0.97 times the model, so the model cannot
-        # drift below what is held.
+        # n=18: the full state would be 4 MiB.  The run's byte model is
+        # graph.peak_bytes("run"): the cut is picked inside the workspace's
+        # scratch buffer, and a sampled run, at any depth, draws its sorted
+        # uniforms before the workspace's buffers.  A threshold run reads
+        # 1.1311x; a sampled one 1.1378x at depth 2, 1.1000x and 1.5982x at
+        # depth 1 with 64 and 65,536 shots (1.9159x with 65,536 when a
+        # depth-1 run drew its uniforms at the end), and 1.1056x shaped as
+        # the qaoa-n20 benchmark's run.  Each bound is the reading plus
+        # 0.01-0.015x; the peak must also reach 0.97 times the model, so the
+        # model cannot drift below what is held.
         g = generate_random_graph(n, m, 0)
         full_state = (1 << g.n) * 16
-        model = 1.09375 + 32 * cfg.shots / full_state
-        peak, _ = peak_bytes(run_qaoa, g, cfg)
-        assert 0.97 * model * full_state <= peak <= bound * full_state, (
+        peak, _ = traced_peak(run_qaoa, g, cfg)
+        assert 0.97 * peak_bytes("run", n, m, cfg.shots) <= peak <= bound * full_state, (
             f"peak {peak / full_state:.4f}x the state"
         )
 

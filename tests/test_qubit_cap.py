@@ -4,7 +4,8 @@ No public callable and no config field takes a cap, only
 ``graph.resolve_qubit_cap`` reads the variable, the cap is checked only
 where ``2**n`` is allocated, no other module decides whether an instance
 passes it, and every entry point that allocates it refuses the same
-instances with the same message.
+instances, naming the bytes of ``graph.peak_bytes``, the byte model that
+the peaks measured here follow.
 """
 
 import ast
@@ -14,10 +15,11 @@ import inspect
 import pkgutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import qmaxcut
-from harness import peak_bytes
+from harness import traced_peak
 from qmaxcut import (
     Graph,
     PipelineConfig,
@@ -32,6 +34,7 @@ from qmaxcut import (
     run_pipeline,
     run_qaoa,
 )
+from qmaxcut.graph import peak_bytes
 from qmaxcut.simulator import FlipSymmetricWorkspace, apply_qaoa_circuit, init_uniform
 
 PACKAGE = Path(qmaxcut.__file__).parent
@@ -137,6 +140,9 @@ ENTRY_POINTS = {
     "run_qaoa_p1": lambda n: run_qaoa(_path(n), QaoaConfig(p=1, budget=6)),
     "run_pipeline_p1": lambda n: run_pipeline(_path(n), PipelineConfig(QaoaConfig(p=1, budget=6))),
 }
+# The byte model each entry point's refusal names; the others build a workspace.
+KINDS = {"init_uniform": "full state", "apply_qaoa_circuit": "full state",
+         "cut_values_by_basis": "brute force", "brute_force_maxcut": "brute force"}
 
 
 @pytest.mark.parametrize(("entry", "cap"), [
@@ -148,9 +154,12 @@ def test_every_entry_point_has_the_same_boundary(monkeypatch, entry, cap):
     ENTRY_POINTS[entry](cap)
     with pytest.raises(ResourceLimitError) as refused:
         ENTRY_POINTS[entry](cap + 1)
+    # It names n, the cap and the model's bytes for that entry point (the
+    # path on n vertices has n - 1 edges), at n and at the cap.
+    kind = KINDS.get(entry, "workspace")
+    need, at_cap = (f"{peak_bytes(kind, k, cap, 0):,} B" for k in (cap + 1, cap))
     assert str(refused.value) == (
-        f"state and cut table for n={cap + 1} exceed qubit cap {cap} "
-        f"(would allocate 2**{cap + 1} amplitudes or cut values)"
+        f"n={cap + 1} exceeds qubit cap {cap}: {kind} needs {need}, {at_cap} at the cap"
     )
 
 
@@ -169,5 +178,44 @@ def test_depth_one_allocates_nothing_and_meets_no_cap(monkeypatch, entry):
     assert DEPTH_ONE[entry](g) == uncapped
 
     large = generate_random_graph(40, 60, 0)
-    peak, _ = peak_bytes(DEPTH_ONE[entry], large)
+    peak, _ = traced_peak(DEPTH_ONE[entry], large)
     assert peak < 1 << 20
+
+
+def _allowance(n):
+    """What the byte model leaves out, stated once: numpy's buffer for a
+    broadcast or a cast, and 64 KiB of Python objects.  The objects are the
+    plan's views, the optimizer's and the shots stream's Python ints,
+    about 60 KB above the model at n=12 with 4,096 shots."""
+    return 16 * min(np.getbufsize(), 1 << (n - 1)) + (64 << 10)
+
+
+def _run(p):
+    return lambda g, shots: run_qaoa(g, QaoaConfig(p=p, budget=6, restarts=2, shots=shots))
+
+
+# Per case: the byte model's kind, the shots and the call on (graph, shots).
+PEAKS = {
+    "workspace": ("workspace", 0, FlipSymmetricWorkspace),
+    "workspace-sampled": ("workspace", 4096, FlipSymmetricWorkspace),
+    "threshold": ("run", 0, _run(2)),
+    "sampled-p1": ("run", 4096, _run(1)),
+    "sampled-p2": ("run", 4096, _run(2)),
+    "brute_force_maxcut": ("brute force", 0, lambda g, _: brute_force_maxcut(g)),
+}
+
+
+@pytest.mark.parametrize("n", [12, 14, 16, 18, 20])
+@pytest.mark.parametrize("case", PEAKS)
+def test_peaks_follow_the_byte_model(case, n):
+    # From n=14 the tracemalloc peak lies between 0.97 times the model and
+    # the model plus the allowance (n=18: 1.0004-1.0108 times the model);
+    # at n=12 Python objects weigh as much as the state, so only the upper
+    # bound holds.  Brute force reads 0.375 times the state from n=16 up.
+    kind, shots, call = PEAKS[case]
+    g = generate_random_graph(n, 2 * n, n)
+    model = peak_bytes(kind, n, g.m, shots)
+    peak, _ = traced_peak(call, g, shots)
+    assert (n <= 12 or 0.97 * model <= peak) and peak <= model + _allowance(n), (
+        f"n={n}: peak {peak:,} B, model {model:,} B"
+    )

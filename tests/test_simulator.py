@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 import kernel_oracle
-from harness import EDGE, TRIANGLE, peak_bytes
+from harness import EDGE, TRIANGLE, traced_peak
 from qmaxcut import (
     Graph,
     QaoaParams,
@@ -20,7 +20,7 @@ from qmaxcut import (
     resolve_qubit_cap,
     simulator,
 )
-from qmaxcut.graph import half_cut_values_by_basis
+from qmaxcut.graph import half_cut_values_by_basis, peak_bytes
 from qmaxcut.simulator import (
     StateVector,
     apply_cost_layer,
@@ -253,7 +253,7 @@ class TestMixerLayer:
         # written as numpy expressions peaked at 1.63x.
         sv = init_uniform(16)
         apply_cost_layer(sv, generate_random_graph(16, 30, 0), 0.4)
-        peak, _ = peak_bytes(apply_mixer_layer, sv, 0.7)
+        peak, _ = traced_peak(apply_mixer_layer, sv, 0.7)
         assert peak <= 1.1 * sv.amplitudes.nbytes, (
             f"peak {peak / sv.amplitudes.nbytes:.2f}x the state"
         )
@@ -265,12 +265,12 @@ def assert_low_table_is_the_half(g):
     assert np.array_equal(table, cut_values_by_basis(g)[: 1 << (g.n - 1)])
 
 
-def assert_workspace_peak(g, shots, model, bound):
+def assert_workspace_peak(g, shots, bound):
     """The tracemalloc peak of a workspace sampling ``shots`` lies between
-    0.97 times the ``model`` (in full states) and ``bound``."""
+    0.97 times its byte model and ``bound`` full states."""
     full_state = (1 << g.n) * 16
-    peak, _ = peak_bytes(simulator.FlipSymmetricWorkspace, g, shots)
-    assert 0.97 * model * full_state <= peak <= bound * full_state, (
+    peak, _ = traced_peak(simulator.FlipSymmetricWorkspace, g, shots)
+    assert 0.97 * peak_bytes("workspace", g.n, g.m, shots) <= peak <= bound * full_state, (
         f"peak {peak / full_state:.4f}x the state"
     )
 
@@ -317,22 +317,20 @@ class TestHalfCutTable:
         assert_low_table_is_the_half(generate_random_graph(18, 60, 18))
 
     def test_workspace_peak_memory(self):
-        # n=18: the full state would be 4 MiB.  The module docstring's byte
-        # model: the half state and the scratch buffer 1x, the one-byte
-        # table 1/32x, the start state and the flip term 1/32x each,
-        # 1.0938x in all, built in place (reads 1.0976x; bound: the
-        # reading plus about 0.007x).  The table's popcounts borrow the
-        # state buffer, and it is built in its own dtype: with the intp
-        # table and a flip term beside the start, it read 1.3153x.
-        assert_workspace_peak(generate_random_graph(18, 34, 0), 0, 1.09375, 1.105)
+        # n=18: the full state would be 4 MiB.  Built in place, the
+        # workspace reads 1.0976x (bound: the reading plus about 0.007x).
+        # The table's popcounts borrow the state buffer, and it is built in
+        # its own dtype: with the intp table and a flip term beside the
+        # start, it read 1.3153x.
+        assert_workspace_peak(generate_random_graph(18, 34, 0), 0, 1.105)
 
     def test_keep_best_workspace_peak_memory(self):
-        # A sampling workspace adds only its sorted uniforms, 8 bytes per
-        # shot: 4,096 shots are 2**-7x, so the model is 1.1016x (reads
-        # 1.1054x; bound: the reading plus about 0.007x).  They are drawn
-        # before the state: the stream's Python ints (about 0.04x) beside
-        # it read 1.1449x.  Keeping the best state's float64 |w| read 1.3477x.
-        assert_workspace_peak(generate_random_graph(18, 34, 0), 4096, 1.09375 + 2**-7, 1.1125)
+        # A sampling workspace adds only its sorted uniforms: with 4,096
+        # shots it reads 1.1054x (bound: the reading plus about 0.007x).
+        # They are drawn before the state: the stream's Python ints (about
+        # 0.04x) beside it read 1.1449x.  Keeping the best state's float64
+        # |w| read 1.3477x.
+        assert_workspace_peak(generate_random_graph(18, 34, 0), 4096, 1.1125)
 
     def test_one_byte_table_wraps_around_exactly(self):
         # K_23 (m = 253) is the complete graph with the most edges a
@@ -414,12 +412,18 @@ class TestSampling:
 
     def test_a_seed_or_shots_that_is_not_an_int_is_refused(self):
         # Read by the one integer rule, not truncated: 9.7 is not seed 9.
+        # Both are read whatever shots is: a scanning workspace refuses shots
+        # 0.0, and seed "x" beside shots False, and takes any int seed.
         for sample in (lambda shots, seed: sample_bitstrings(init_uniform(3), shots, seed=seed),
                        lambda shots, seed: simulator.FlipSymmetricWorkspace(TRIANGLE, shots, seed)):
             with pytest.raises(ValueError, match=r"^seed must be an int, got 9\.7$"):
                 sample(4, 9.7)
-            with pytest.raises(ValueError, match=r"^shots must be an int, got 2\.5$"):
-                sample(2.5, 0)
+            with pytest.raises(ValueError, match=r"^seed must be an int, got 'x'$"):
+                sample(False, "x")
+            for shots in (2.5, 0.0):
+                with pytest.raises(ValueError, match=rf"^shots must be an int, got {shots}$"):
+                    sample(shots, 9.7)
+        assert simulator.FlipSymmetricWorkspace(TRIANGLE, 0, -1).uniforms.size == 0
 
     @pytest.mark.parametrize("shots", [0, -1])
     def test_rejects_non_positive_shots(self, shots):

@@ -22,10 +22,7 @@ that is one timed call less others):
   its product with the cut table, its ``vdot`` and the memo;
 * ``best-state snapshot``: what a sampled run pays when a simulation
   beats its best, on a state the workspace holds: a 4,096-shot draw of
-  the cut on a checkout whose workspace draws as it goes (it has
-  ``simulator._uniforms``), else the ``np.abs`` pass that writes the
-  state's ``|w|`` into a float64 array, as a workspace that keeps the
-  best state's ``|w|`` does;
+  its cut (``FlipSymmetricWorkspace._drawn_cut``);
 * ``objective wrapper``: one evaluation of ``optimize_params`` whose
   circuit the workspace has already simulated: Nelder-Mead's steps,
   the objective closure, ``evaluate_params`` and the circuit memo;
@@ -59,7 +56,7 @@ second's evaluation time over the first's in the same batch (with the
 same ``src`` twice it read 1.002, 0.993 and 1.003 at n=12 in three
 runs; timing all of one package's pieces before the other's read the
 second 1-4% slower).  Each checkout must build its mixer plan in the
-workspace.
+workspace and draw a new best's cut with ``_drawn_cut``.
 """
 
 import argparse
@@ -133,22 +130,11 @@ def timed_calls(pkg, n: int, m: int) -> tuple[dict, int]:
     w, scratch = ws.state, ws.scratch
     prepare = simulator._flip_symmetric_state
     mixer = ws.mixer
-    if hasattr(simulator, "_uniforms"):  # the workspace draws each new best's cut
-        sampled = simulator.FlipSymmetricWorkspace(g, SHOTS, 0)
-        sampled.expectation(params)  # now held
+    sampled = simulator.FlipSymmetricWorkspace(g, SHOTS, 0)
+    sampled.expectation(params)  # now held
 
-        if hasattr(sampled, "_drawn_cut"):
-            def snapshot():
-                sampled._drawn_cut(circuit)
-        else:  # a checkout whose draw and pick are two calls
-            def snapshot():
-                probs = sampled._probabilities(circuit)
-                sampled._best_drawn(simulator._draw(probs, SHOTS, 0, sampled.uniforms))
-    else:  # the workspace keeps the best state's |w|
-        kept = np.empty(w.size)
-
-        def snapshot():
-            np.abs(w, out=kept)
+    def snapshot():
+        sampled._drawn_cut(circuit)
 
     def evaluation():
         ws.values.clear()
