@@ -161,14 +161,14 @@ def apply_cost_layer(sv: StateVector, g: Graph, gamma: float) -> StateVector:
 
 
 class _Mixer:
-    """The mixer on ``n`` qubits, given in the frame, between any two of
-    ``buffers``: everything but the angle is built once, so a call only
+    """The mixer on ``n`` qubits, given in the frame, on ``state`` through
+    ``scratch``: everything but the angle is built once, so a call only
     weighs its blocks and multiplies.
 
     The qubits are taken ``MIXER_BLOCK_QUBITS`` at a time, bit 0 upward,
     and each block is one matrix product over the whole register, from
-    one buffer into the other, so a call reads and writes the register
-    ``ceil(n / 4)`` times and returns whichever buffer holds the result.
+    one buffer into the other, ``state`` first: a call reads and writes
+    the register ``ceil(n / 4)`` times and always ends in ``out``.
     Block 0 (bits 0-3) is ``R = [[cos b, -i sin b], [-i sin b, cos b]]``
     Kronecker-multiplied with itself ``k`` times, a complex symmetric
     matrix whose entry ``(i, j)`` is ``c**(k-d) * s**d`` for ``c = cos
@@ -186,9 +186,9 @@ class _Mixer:
 
     A call computes each weight ``w_d`` (and, for a real block, its
     negation) as one Python scalar and gathers each block size from them
-    with one ``np.take`` into a preallocated array; each buffer's operand
-    view for each block is built here, keyed by buffer, so the call
-    allocates nothing but the small weight arrays.
+    with one ``np.take`` into a preallocated array; each block's operand
+    and output views are built here, so the call allocates nothing but
+    the small weight arrays.
 
     A real block of at least 4 rows at bit ``_PANEL_MIN_LO`` or above, on
     a register of at least ``_PANEL_MIN_QUBITS`` qubits, multiplies row
@@ -221,15 +221,17 @@ class _Mixer:
     and 1.30x in another, so it stays whole.
     """
 
-    def __init__(self, n: int, buffers) -> None:
+    def __init__(self, n: int, state: np.ndarray, scratch: np.ndarray) -> None:
         self.qubits = [min(MIXER_BLOCK_QUBITS, n - lo) for lo in range(0, n, MIXER_BLOCK_QUBITS)]
         self.real = {k: np.empty((1 << k, 1 << k)) for k in self.qubits[1:]}
         self.blocks = [
             (lo, self.real[k] if lo else np.empty((1 << k, 1 << k), dtype=np.complex128))
             for lo, k in zip(range(0, n, MIXER_BLOCK_QUBITS), self.qubits)
         ]
-        self.views = {id(b): [self._view(n, lo, b) for lo in range(0, n, MIXER_BLOCK_QUBITS)]
-                      for b in buffers}
+        buffers = (state, scratch)
+        self.views = [(self._view(n, lo, buffers[i % 2]), self._view(n, lo, buffers[1 - i % 2]))
+                      for i, (lo, _) in enumerate(self.blocks)]
+        self.out = buffers[len(self.blocks) % 2]
 
     @staticmethod
     def _view(n: int, lo: int, buffer: np.ndarray) -> np.ndarray:
@@ -257,17 +259,14 @@ class _Mixer:
             )
         return self.blocks
 
-    def __call__(self, src: np.ndarray, dst: np.ndarray, beta: float) -> np.ndarray:
-        """Mix ``src`` through ``dst``; returns whichever holds the result."""
-        self.weigh(beta)
-        a, b = self.views[id(src)], self.views[id(dst)]
-        for i, (lo, block) in enumerate(self.blocks):
+    def __call__(self, beta: float) -> np.ndarray:
+        """Mix ``state`` by ``beta``; returns ``out``, which holds the result."""
+        for (lo, block), (a, b) in zip(self.weigh(beta), self.views):
             if lo == 0:
-                np.matmul(a[i], block, out=b[i])
+                np.matmul(a, block, out=b)
             else:
-                np.matmul(block, a[i], out=b[i])
-            a, b = b, a
-        return dst if len(self.blocks) % 2 else src
+                np.matmul(block, a, out=b)
+        return self.out
 
 
 def _frame(n: int) -> np.ndarray:
@@ -337,23 +336,26 @@ class FlipSymmetricWorkspace:
 
     It also builds the plan that every circuit run here shares, since
     none of it depends on the angles: the mixer (:class:`_Mixer`, its
-    block arrays and each buffer's operand views), each buffer's rows of
-    16 amplitudes and their reverse, both keyed by buffer so they follow
-    the swaps of a preparation, each buffer's chunks of
-    ``_GATHER_CHUNK`` entries beside the table's (an ``intp`` copy of
-    the table when it is one chunk), the ``-i * levels`` vector of the
-    cut values and the phase table it fills.
+    block arrays and their operand views), the rows of 16 amplitudes
+    that the start state and the top rotation write and read (``rows``),
+    each buffer's chunks of ``_GATHER_CHUNK`` entries beside the table's
+    (an ``intp`` copy of the table when it is one chunk), the ``-i *
+    levels`` vector of the cut values and the phase table it fills.
 
     ``values`` maps each circuit simulated here (:func:`_circuit`, which
     skips exact zero angles, so distinct angle vectors can be one
     circuit) to its expectation, so a repeat returns the same float
     without running a kernel; it grows by one entry per distinct circuit.
 
-    The buffer rule: ``state`` holds the last circuit prepared here
-    (``held``, ``None`` while it holds no known state), and ``scratch``
-    is the only spare, the one buffer written outside a preparation.
-    :meth:`_state_of` is the one lookup: a circuit's state is read from
-    ``state`` when it holds it, and prepared there otherwise.
+    The buffer roles, the same for every circuit: every preparation
+    (:func:`_flip_symmetric_state`) ends in ``state``, which holds the
+    last circuit prepared here (``held``, ``None`` while it holds no
+    known state).  ``scratch`` takes the phases of any cost half-layer
+    but the first and every other mixer block's product; the top
+    rotation reads the mixer's result (``mixer.out``) and writes its
+    flipped half into the other buffer (``flipped``).  Only ``scratch``
+    is written outside a preparation; :meth:`_state_of`, the one lookup,
+    reads a circuit's state from ``state``, prepared there unless held.
 
     With ``shots > 0`` it owns the shots stream of a run with that
     ``shots`` and ``seed``: it draws the uniforms once, sorted
@@ -386,17 +388,18 @@ class FlipSymmetricWorkspace:
         self.flip_part = self.flip.view(np.float64)[:, int(unit.real == 0)]
         np.conjugate(self.start, out=self.start)
         self.start /= math.sqrt(1 << g.n)
-        rows = self.start.size
         self.values: dict[tuple, float] = {}
         self.held = self.best = self.drawn = None
-        buffers = (self.state, self.scratch)
-        self.rows = {id(b): (b.reshape(rows, -1), b[::-1].reshape(rows, -1)) for b in buffers}
+        self.mixer = _Mixer(g.n - 1, self.state, self.scratch)
+        mixed = self.mixer.out
+        self.flipped = flipped = self.state if mixed is self.scratch else self.scratch
+        self.rows = [b.reshape(self.start.size, -1) for b in (self.state, mixed[::-1], flipped)]
         # A table of one chunk or less is kept as intp too, no larger than
         # the copy each of its gathers would make: they then convert nothing.
         index = self.low_table if half > _GATHER_CHUNK else self.low_table.astype(np.intp)
-        self.gathers = {id(b): [(index[i : i + _GATHER_CHUNK], b[i : i + _GATHER_CHUNK])
-                                for i in range(0, half, _GATHER_CHUNK)] for b in buffers}
-        self.mixer = _Mixer(g.n - 1, buffers)
+        self.gathers = [[(index[i : i + _GATHER_CHUNK], b[i : i + _GATHER_CHUNK])
+                         for i in range(0, half, _GATHER_CHUNK)]
+                        for b in (self.state, self.scratch)]
         self.levels = -1j * np.arange(g.m + 1)
         self.phases = np.empty_like(self.levels)
 
@@ -405,7 +408,7 @@ class FlipSymmetricWorkspace:
         unless it already held it."""
         if circuit != self.held:
             self.held = None
-            self.state, self.scratch = _flip_symmetric_state(circuit, self)
+            _flip_symmetric_state(circuit, self)
             self.held = circuit
         return self.state
 
@@ -436,7 +439,6 @@ class FlipSymmetricWorkspace:
         units, so ``|w| = |a|``) and, with ``mirror``, whose high half
         holds ``p[::-1]``; without it the high half is left unwritten."""
         w = self._state_of(circuit)
-        # Only now: preparing a state may swap ``state`` and ``scratch``.
         probs = self.scratch.view(np.float64)
         low = probs[: w.size]
         np.square(np.abs(w, out=low), out=low)
@@ -519,9 +521,8 @@ def _circuit(params: QaoaParams) -> tuple[tuple[int, float], ...]:
     ])
 
 
-def _flip_symmetric_state(
-    circuit: tuple[tuple[int, float], ...], ws: FlipSymmetricWorkspace
-) -> tuple[np.ndarray, np.ndarray]:
+def _flip_symmetric_state(circuit: tuple[tuple[int, float], ...],
+                          ws: FlipSymmetricWorkspace) -> None:
     """The state of ``circuit`` (see :func:`_circuit`), its low half in the
     mixer's frame, prepared in ``ws``.
 
@@ -546,35 +547,32 @@ def _flip_symmetric_state(
     operands of ``start * phases`` and ``sin(b) f * w[::-1]`` up to the
     order of a product and exact signs, so the bits are theirs.
 
-    Returns ``(w, spare)``: two buffers of ``ws``, whichever holds ``w``
-    first.  Its buffers and views come from the workspace's plan: it
-    allocates only what numpy takes for its own use: an ``intp`` copy of
-    each gather chunk's indices, when the table is more than one chunk,
-    and the buffer of a broadcast product.
+    ``w`` ends in ``ws.state`` (see the workspace's buffer roles).  Its
+    buffers and views come from the workspace's plan: it allocates only
+    what numpy takes for its own use: an ``intp`` copy of each gather
+    chunk's indices, when the table is more than one chunk, and the
+    buffer of a broadcast product.
     """
-    w, scratch = ws.state, ws.scratch
+    rows, mixed_reversed, flipped_rows = ws.rows
     if not circuit or circuit[0][0]:  # no cost half-layer to write the start state
-        np.copyto(ws.rows[id(w)][0], ws.start)
+        np.copyto(rows, ws.start)
     for i, (kind, angle) in enumerate(circuit):
         if kind == 0:
             np.exp(np.multiply(ws.levels, angle, out=ws.phases), out=ws.phases)
-            for table, phases in ws.gathers[id(scratch if i else w)]:
+            for table, phases in ws.gathers[i > 0]:  # the first into state, later ones scratch
                 # Every index is in range; numpy's "wrap" loop is the faster one.
                 ws.phases.take(table, out=phases, mode="wrap")
             if i:
-                w *= scratch
+                ws.state *= ws.scratch
             else:  # the phases times the start state: no fill pass
-                rows = ws.rows[id(w)][0]
                 np.multiply(rows, ws.start, out=rows)
         else:
-            if ws.mixer(w, scratch, angle) is scratch:
-                w, scratch = scratch, w
+            mixed = ws.mixer(angle)
             s = math.sin(angle)
             np.copysign(abs(s), ws.flip_part, out=ws.flip_part)  # |sin(b)| * f
-            np.multiply(ws.rows[id(w)][1], ws.flip, out=ws.rows[id(scratch)][0])
-            w *= math.cos(angle)
-            (np.add if s > 0 else np.subtract)(w, scratch, out=w)
-    return w, scratch
+            np.multiply(mixed_reversed, ws.flip, out=flipped_rows)
+            mixed *= math.cos(angle)
+            (np.add if s > 0 else np.subtract)(mixed, ws.flipped, out=ws.state)
 
 
 def expectation_cut(sv: StateVector, g: Graph) -> float:

@@ -5,7 +5,9 @@ Kept only as a bit-for-bit oracle for :mod:`qmaxcut.simulator`, whose
 workspace must prepare the same bits.  It reads the workspace's buffers,
 start vector and cut table, the simulator's frame (from which it builds
 the top qubit's flip term) and its block-size and row-panel constants
-(which tests may patch), and nothing of its plan.
+(which tests may patch), and nothing of its plan.  Its kernel swaps the
+two buffers as it goes, and copies its result into ``state``, where the
+workspace's buffer roles (its docstring) put every prepared state.
 The one exception, :func:`plan_mix`, is the subject, not the oracle: the
 plan's ``_Mixer`` in :func:`mix`'s signature.  :func:`mixer_layer` runs
 either on the whole register, so the tests check the plan's mixer against
@@ -76,8 +78,8 @@ def mix(amps, scratch, beta, n):
 
 
 def plan_mix(amps, scratch, beta, n):
-    """The plan's mixer, ``simulator._Mixer``, built for ``amps`` and ``scratch``."""
-    return simulator._Mixer(n, (amps, scratch))(amps, scratch, beta)
+    """The plan's mixer, ``simulator._Mixer``, built on ``amps`` and ``scratch``."""
+    return simulator._Mixer(n, amps, scratch)(beta)
 
 
 def mixer_layer(amps, beta, kernel):
@@ -95,7 +97,8 @@ def mixer_layer(amps, beta, kernel):
 
 def flip_symmetric_state(circuit, ws):
     """``circuit``'s low half in the mixer's frame, prepared in ``ws``'s
-    ``state`` and ``scratch``; returns ``(w, spare)``."""
+    ``state`` and ``scratch``, which this kernel swaps as it goes; the
+    result is copied into ``state``, where the workspace reads it."""
     g = ws.graph
     w, scratch = ws.state, ws.scratch
     rows = ws.start.size
@@ -116,4 +119,5 @@ def flip_symmetric_state(circuit, ws):
             )
             w *= math.cos(angle)
             w += scratch
-    return w, scratch
+    if w is not ws.state:
+        ws.state[...] = w

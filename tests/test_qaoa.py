@@ -254,7 +254,8 @@ class TestFlipSymmetricHalf:
 def _half_outputs(g, params):
     """State, expectation ``repr`` and probability bytes on the half register."""
     ws = simulator.FlipSymmetricWorkspace(g)
-    state = simulator._flip_symmetric_state(simulator._circuit(params), ws)[0].copy()
+    simulator._flip_symmetric_state(simulator._circuit(params), ws)
+    state = ws.state.copy()
     expectation = repr(ws.expectation(params))
     return state, expectation, ws.probabilities(params).tobytes()
 
@@ -308,7 +309,7 @@ class TestZeroAngleSkip:
     )
     def test_mixer_runs_only_for_nonzero_beta(self, monkeypatch, angles, mixes):
         calls = spy(monkeypatch, simulator._Mixer, "__call__",
-                    record=lambda self, src, dst, beta: beta)
+                    record=lambda self, beta: beta)
         params = _params(angles)
         evaluate_params(generate_random_graph(7, 12, 3), params)
         assert len(calls) == mixes
@@ -317,15 +318,15 @@ class TestZeroAngleSkip:
 
 def _reference_expectation(ws, params):
     """``FlipSymmetricWorkspace.expectation`` without the circuit memo."""
-    w, scratch = simulator._flip_symmetric_state(simulator._circuit(params), ws)
-    np.multiply(ws.low_table, w, out=scratch)
-    return 2.0 * float(np.real(np.vdot(w, scratch)))
+    simulator._flip_symmetric_state(simulator._circuit(params), ws)
+    np.multiply(ws.low_table, ws.state, out=ws.scratch)
+    return 2.0 * float(np.real(np.vdot(ws.state, ws.scratch)))
 
 
 def _reference_probabilities(ws, params):
     """``FlipSymmetricWorkspace.probabilities`` preparing every state."""
-    w, spare = simulator._flip_symmetric_state(simulator._circuit(params), ws)
-    probs = spare.view(np.float64)
+    simulator._flip_symmetric_state(simulator._circuit(params), ws)
+    w, probs = ws.state, ws.scratch.view(np.float64)
     probs[: w.size] = np.abs(w) ** 2
     probs[w.size :] = probs[: w.size][::-1]
     return probs

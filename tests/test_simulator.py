@@ -218,7 +218,7 @@ class TestMixerLayer:
                 out = np.kron(out, m)
             return out
 
-        blocks = simulator._Mixer(n, ()).weigh(beta)
+        blocks = simulator._Mixer(n, *np.empty((2, 1 << n), dtype=np.complex128)).weigh(beta)
         assert [lo for lo, _ in blocks] == list(range(0, n, 4))
         for lo, block in blocks:
             k = min(4, n - lo)
@@ -243,8 +243,7 @@ class TestMixerLayer:
         if forced:
             monkeypatch.setattr(simulator, "_PANEL_MIN_QUBITS", 0)
             monkeypatch.setattr(simulator, "_PANEL_MIN_LO", 8)
-        scratch = np.empty_like(amps)
-        got = simulator._Mixer(n, (amps, scratch))(amps, scratch, beta)
+        got = simulator._Mixer(n, amps, np.empty_like(amps))(beta)
         assert got.tobytes() == want.tobytes()
 
     def test_peak_memory_is_one_scratch_state(self):
@@ -359,6 +358,25 @@ class TestHalfCutTable:
         # m = 276 needs two bytes; refused before the table is allocated.
         with pytest.raises(ValueError, match="cannot hold"):
             half_cut_values_by_basis(complete_graph(24), np.empty(0, dtype=np.uint8))
+
+
+@pytest.mark.parametrize("shots", [0, 64], ids=["scan", "sampled"])
+@pytest.mark.parametrize("n", [1, 5, 9])  # 0, 1 and 2 mixer blocks
+def test_the_buffers_keep_their_roles(n, shots):
+    # Every preparation ends in ``state``, whichever buffer the mixer's
+    # blocks end in: the workspace never trades one buffer for the other.
+    g = generate_random_graph(n, min(n * (n - 1) // 2, 2 * n), n)
+    ws = simulator.FlipSymmetricWorkspace(g, shots, 3)
+    state, scratch = ws.state, ws.scratch
+    circuits = [QaoaParams((0.4, 0.1), (0.3, 0.2)), QaoaParams((0.7,), (-0.5,)),
+                QaoaParams((0.0,), (0.9,)), QaoaParams((0.2,), (0.0,))]
+    for params in circuits:
+        ws.expectation(params)
+        ws.cut(params)
+        ws.probabilities(params)
+        ws.cut(circuits[0])
+        assert ws.state is state and ws.scratch is scratch
+        assert ws._state_of(simulator._circuit(params)) is state
 
 
 class TestCircuit:

@@ -55,12 +55,17 @@ weigh on both alike.  It also prints the median over batches of the
 second's evaluation time over the first's in the same batch (with the
 same ``src`` twice it read 1.002, 0.993 and 1.003 at n=12 in three
 runs; timing all of one package's pieces before the other's read the
-second 1-4% slower).  Each checkout must build its mixer plan in the
-workspace and draw a new best's cut with ``_drawn_cut``.
+second 1-4% slower).  Each ``src`` is timed by the ``timed_calls`` of
+the ``tools/eval_pieces.py`` beside it when there is one, so a pair may
+span a change of the workspace's private API; a ``src`` with none is
+timed by this file's, which needs its mixer plan in the workspace, the
+mixer called with the angle alone and a new best's cut drawn with
+``_drawn_cut``.
 """
 
 import argparse
 import importlib
+import importlib.util
 import json
 import math
 import os
@@ -127,7 +132,6 @@ def timed_calls(pkg, n: int, m: int) -> tuple[dict, int]:
     params = pkg.QaoaParams(*ANGLES)
     circuit = simulator._circuit(params)
     gamma, beta = params.gammas[0], params.betas[0]
-    w, scratch = ws.state, ws.scratch
     prepare = simulator._flip_symmetric_state
     mixer = ws.mixer
     sampled = simulator.FlipSymmetricWorkspace(g, SHOTS, 0)
@@ -150,7 +154,7 @@ def timed_calls(pkg, n: int, m: int) -> tuple[dict, int]:
         "cost2": lambda: prepare(((0, gamma), (0, gamma)), ws),
         "mixer": lambda: prepare(((1, beta),), ws),
         "build": lambda: mixer.weigh(beta),
-        "mix": lambda: mixer(w, scratch, beta),
+        "mix": lambda: mixer(beta),
         "prepare": lambda: prepare(circuit, ws),
         "snapshot": snapshot,
         "wrapper": lambda: qaoa.optimize_params(g, cfg, workspace=memo),
@@ -183,6 +187,20 @@ def pieces(t: dict, budget: int) -> dict:
     return {name: round(1e6 * s, 2) for name, s in times.items()}
 
 
+def own_timed_calls(src: Path, i: int):
+    """The ``timed_calls`` of the ``tools/eval_pieces.py`` beside ``src``,
+    which knows its tree's private API, or this one's if there is none."""
+    path = src.parent / "tools" / "eval_pieces.py"
+    if not path.is_file():
+        return timed_calls
+    spec = importlib.util.spec_from_file_location(f"eval_pieces_{i}", path)
+    module = importlib.util.module_from_spec(spec)
+    saved = sys.path[:]
+    spec.loader.exec_module(module)
+    sys.path[:] = saved
+    return module.timed_calls
+
+
 def measure(srcs: list[Path]) -> tuple[dict, dict]:
     """``{size: {src: pieces}}``, the calls of all ``srcs`` interleaved,
     and with two ``srcs`` ``{size: ratio}``: the median over batches of
@@ -193,9 +211,9 @@ def measure(srcs: list[Path]) -> tuple[dict, dict]:
         pkgs = {}
         for i, src in enumerate(srcs):
             shutil.copytree(src / "qmaxcut", Path(tmp) / f"qmaxcut_{i}")
-            pkgs[str(src)] = importlib.import_module(f"qmaxcut_{i}")
+            pkgs[str(src)] = importlib.import_module(f"qmaxcut_{i}"), own_timed_calls(src, i)
         for n, m in SIZES:
-            calls = {label: timed_calls(pkg, n, m) for label, pkg in pkgs.items()}
+            calls = {label: calls_of(pkg, n, m) for label, (pkg, calls_of) in pkgs.items()}
             t = batch_means({(label, name): fn for label, (fns, _) in calls.items()
                              for name, fn in fns.items()})
             out[str(n)] = {label: pieces({name: t[label, name] for name in fns}, budget)

@@ -6,7 +6,9 @@ Runs these in this process, under the stdlib :mod:`trace` module:
 * ``gen``, then ``solve --graph FILE --csv FILE --latency 0.001`` on the
   graph it wrote;
 * one operation of each workload in ``bench/workloads.py``, imported
-  read-only: no bytecode is written and nothing under ``bench/`` changes.
+  read-only: no bytecode is written and nothing under ``bench/`` changes;
+* README's library tour, the block that ``tests/test_readme.py`` runs,
+  so a line that only the documented API reaches counts as run.
 
 Then prints a table of unexecuted lines per module and each unexecuted
 statement inside a function, adjacent ones of one class joined, with the
@@ -73,6 +75,8 @@ def runs(tmp: Path) -> dict:
     workloads = importlib.import_module("workloads")
     for name, workload in workloads.WORKLOADS.items():
         out[f"workload {name}"] = _operation(workload, workload.make_inputs(0, 0, tmp / name)[0])
+    tour = importlib.import_module("test_readme").library_tour()
+    out["README library tour"] = lambda: exec(tour, {}) or 0  # exec returns None
     return out
 
 
@@ -134,7 +138,7 @@ def merged(statements: list) -> list:
 
 def main() -> None:
     sys.dont_write_bytecode = True  # bench/ and tests/ are imported, not written
-    sys.path[:0] = [str(ROOT / "tests" / "golden"), str(ROOT / "bench")]
+    sys.path[:0] = [str(ROOT / "tests" / "golden"), str(ROOT / "tests"), str(ROOT / "bench")]
     os.environ.update(importlib.import_module("regenerate").ONE_THREAD)  # before numpy loads
     os.environ.pop("QMAXCUT_QUBIT_CAP", None)
     sys.path.insert(0, str(ROOT / "src"))
