@@ -7,17 +7,9 @@ stage before them: the configs check themselves when built, and
 stored once: ``quantum`` is ``qaoa_result.elapsed``, :func:`run_qaoa`'s
 own, and ``postprocess_s`` is timed here with ``time.perf_counter``.
 
-Every objective evaluation inside the quantum stage stands for one
-circuit job handed to an accelerator, plus one more for the final state
-preparation, so ``offload_count = n_evaluations + 1``.  That holds
-whatever computed the value on this host: a depth-1 evaluation done in
-closed form still counts as one job, as it would on hardware, and so does
-one whose zero-angle layers ran no kernel, one whose circuit the host had
-already simulated, and a final cut the host drew during the best
-evaluation (see :class:`qmaxcut.simulator.FlipSymmetricWorkspace`).
-The report prices that traffic at a configurable per-offload latency:
-``simulated_comm_overhead = offload_count * offload_latency``.  The
-overhead is bookkeeping only; nothing sleeps.
+The report's ``offload_count`` and ``simulated_comm_overhead`` are the
+jobs and overhead of :func:`hybrid_cost`, the hybrid cost model's one
+statement.  The overhead is bookkeeping only; nothing sleeps.
 """
 
 from __future__ import annotations
@@ -89,6 +81,32 @@ def refine_assignment(g: Graph, assignment: CutAssignment) -> CutAssignment:
     return CutAssignment.from_labels(g, labels_from_index(g.n, minus))
 
 
+def hybrid_cost(g: Graph, p: int, n_evaluations: int, offload_latency: float) -> dict:
+    """The hybrid cost model of a depth-``p`` run on ``g`` that evaluated
+    its objective ``n_evaluations`` times, in elementary operations:
+
+    * ``"jobs"``: ``n_evaluations + 1`` circuit jobs handed to an
+      accelerator, one per objective evaluation and one for the final
+      state preparation.  That holds whatever computed the value on this
+      host: a depth-1 evaluation done in closed form still counts as one
+      job, as it would on hardware, and so does one whose zero-angle
+      layers ran no kernel, one whose circuit the host had already
+      simulated, and a final cut the host drew during the best
+      evaluation (see :class:`qmaxcut.simulator.FlipSymmetricWorkspace`);
+    * ``"overhead"``: ``jobs * offload_latency`` seconds of traffic;
+    * ``"greedy"``: ``n + m`` steps of the greedy heuristic;
+    * ``"gates per job"``: ``n + p*(m + n)`` gates, the initial Hadamards,
+      then per layer one ZZ phase per edge and one X rotation per qubit
+      (a warm-start ladder's lower rungs are counted at depth ``p`` too);
+    * ``"qaoa"``: ``jobs * gates per job`` gates;
+    * ``"brute force"``: ``2**(n-1) * m`` edge checks, every cut with
+      vertex 0's side fixed.
+    """
+    jobs, gates = n_evaluations + 1, g.n + p * (g.m + g.n)
+    return {"jobs": jobs, "overhead": jobs * offload_latency, "greedy": g.n + g.m,
+            "gates per job": gates, "qaoa": jobs * gates, "brute force": (1 << (g.n - 1)) * g.m}
+
+
 def run_pipeline(g: Graph, cfg: PipelineConfig) -> PipelineReport:
     """Execute the two-stage pipeline and return the instrumented report."""
     result = run_qaoa(g, cfg.qaoa)
@@ -97,14 +115,13 @@ def run_pipeline(g: Graph, cfg: PipelineConfig) -> PipelineReport:
     final_cut = result.best_cut
     if cfg.postprocess_refine:
         final_cut = refine_assignment(g, final_cut)
-    offload_count = result.n_evaluations + 1
-    overhead = offload_count * cfg.offload_latency
+    cost = hybrid_cost(g, cfg.qaoa.p, result.n_evaluations, cfg.offload_latency)
     postprocess_s = time.perf_counter() - t0
 
     return PipelineReport(
         final_cut=final_cut,
         qaoa_result=result,
-        offload_count=offload_count,
-        simulated_comm_overhead=overhead,
+        offload_count=cost["jobs"],
+        simulated_comm_overhead=cost["overhead"],
         postprocess_s=postprocess_s,
     )

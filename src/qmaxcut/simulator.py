@@ -433,17 +433,15 @@ class FlipSymmetricWorkspace:
                     self.drawn = self._drawn_cut(circuit)
         return value
 
-    def _probabilities(self, circuit: tuple, mirror: bool = True) -> np.ndarray:
+    def _probabilities(self, circuit: tuple) -> np.ndarray:
         """``scratch`` as ``2**n`` float64 whose low half holds ``p =
         |w|**2`` of ``circuit``'s state (the frame's entries are exact
-        units, so ``|w| = |a|``) and, with ``mirror``, whose high half
-        holds ``p[::-1]``; without it the high half is left unwritten."""
+        units, so ``|w| = |a|``) and whose high half holds ``p[::-1]``."""
         w = self._state_of(circuit)
         probs = self.scratch.view(np.float64)
         low = probs[: w.size]
         np.square(np.abs(w, out=low), out=low)
-        if mirror:
-            probs[w.size :] = low[::-1]
+        probs[w.size :] = low[::-1]
         return probs
 
     def probabilities(self, params: QaoaParams) -> np.ndarray:
@@ -479,14 +477,14 @@ class FlipSymmetricWorkspace:
         smallest index among tied maxima always lies in the low half: the
         threshold scan reads the low half alone, and a sampled index ``c``
         reads the cut of ``min(c, ~c)``.  The scan writes its masked
-        table, ``intp``, over the unused high half of the probabilities,
-        so it allocates only its boolean mask.
+        table, ``intp``, over the high half of the probabilities, which it
+        does not read, so it allocates only its boolean mask.
         """
         n, last, table = self.graph.n, (1 << self.graph.n) - 1, self.low_table
         circuit = _circuit(params)
         if not self.uniforms.size:
             # -1 is below every cut, so no state under the threshold wins.
-            probs = self._probabilities(circuit, mirror=False)
+            probs = self._probabilities(circuit)
             values = probs[table.size :].view(np.intp)[: table.size]
             values.fill(-1)
             np.copyto(values, table, where=probs[: table.size] >= 1.0 / (1 << (n + 1)))

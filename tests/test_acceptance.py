@@ -7,19 +7,16 @@ test prints a single ``criterion NN ... PASS/FAIL`` line (visible in verbose
 runs and in captured output) and pins its numeric tolerances inline.
 
 Criterion 8 checks the runtime ordering greedy < depth-2 QAOA < brute force
-at n=16 in the hybrid cost model: greedy's ``n + m`` steps, the pipeline's
-``offload_count`` circuit jobs of ``n + p*(m + n)`` gates each, and brute
-force's ``2**(n-1) * m`` edge checks.  On measured wall time it asserts only
-greedy < QAOA.  Simulated QAOA is not timed against brute force: one
-dense-statevector evaluation at depth >= 2 costs about as much as one
-exhaustive sweep (at n=16 on a 2-vCPU Xeon, ~1 ms at p=2 on the
-flip-symmetric half in the optimizer's reused workspace, ~4 ms on the
-full register, against ~2.5 ms for the cut table whose argmax is the
-whole brute force), so any useful budget of evaluations puts it far
-above.  Depth-1 evaluations use a closed form (~0.03 ms), but the
-ladder's depth-2 half still simulates.  The measured
-n=16 times of all three solvers are printed on every run next to the
-modelled counts.
+at n=16 in the hybrid cost model, :func:`qmaxcut.pipeline.hybrid_cost`.  On
+measured wall time it asserts only greedy < QAOA.  Simulated QAOA is not
+timed against brute force: one dense-statevector evaluation at depth >= 2
+costs about as much as one exhaustive sweep (at n=16 on a 2-vCPU Xeon,
+~1 ms at p=2 on the flip-symmetric half in the optimizer's reused workspace,
+~4 ms on the full register, against ~2.5 ms for the cut table whose argmax
+is the whole brute force), so any useful budget of evaluations puts it far
+above.  Depth-1 evaluations use a closed form (~0.03 ms), but the ladder's
+depth-2 half still simulates.  The measured n=16 times of all three solvers
+are printed on every run next to the modelled counts.
 """
 
 import statistics
@@ -41,6 +38,7 @@ from qmaxcut import (
     run_pipeline,
     run_qaoa,
 )
+from qmaxcut.pipeline import hybrid_cost
 from qmaxcut.qaoa import evaluate_params, optimize_params
 from qmaxcut.simulator import (
     FlipSymmetricWorkspace,
@@ -273,16 +271,10 @@ def test_criterion_08_runtime_ordering_across_algorithms():
     greedy stays under 10 ms everywhere, and depth-2 QAOA at n=16 lands
     between greedy and brute force.
 
-    The QAOA clause is checked in the hybrid cost model the code documents,
-    counted in elementary operations at n=16, m=30:
-
-    * greedy: ``n + m`` (its docstring);
-    * QAOA: the circuit jobs ``run_pipeline`` prices, ``offload_count =
-      n_evaluations + 1`` from a real run with ``QaoaConfig(p=2,
-      budget=150, restarts=3, seed=0)``, each costing ``n + p*(m + n)``
-      gates (initial Hadamards, then per layer one ZZ phase per edge and
-      one X rotation per qubit);
-    * brute force: ``2**(n-1) * m`` edge checks (its docstring).
+    The QAOA clause is checked in the hybrid cost model,
+    :func:`qmaxcut.pipeline.hybrid_cost`, at n=16, m=30, for the
+    evaluations of a real run with ``QaoaConfig(p=2, budget=150,
+    restarts=3, seed=0)``.
 
     On measured wall time only greedy < QAOA is asserted.  Simulated QAOA is
     not compared with brute force: on a dense exact statevector one
@@ -322,10 +314,8 @@ def test_criterion_08_runtime_ordering_across_algorithms():
         g16, PipelineConfig(qaoa=QaoaConfig(p=p, budget=150, restarts=3, seed=0))
     )
     qaoa16 = report.qaoa_result.elapsed
-    gates_per_job = g16.n + p * (g16.m + g16.n)
-    greedy_ops = g16.n + g16.m
-    qaoa_ops = report.offload_count * gates_per_job
-    brute_ops = (1 << (g16.n - 1)) * g16.m
+    cost = hybrid_cost(g16, p, report.qaoa_result.n_evaluations, 0.0)
+    greedy_ops, qaoa_ops, brute_ops = cost["greedy"], cost["qaoa"], cost["brute force"]
     if not greedy_ops < qaoa_ops < brute_ops:
         failures.append(
             f"modelled ordering violated: greedy {greedy_ops}, "
@@ -342,7 +332,7 @@ def test_criterion_08_runtime_ordering_across_algorithms():
         f"brute ratio {brute16 / brute8:.0f}x, greedy {greedy_worst * 1e3:.3f}ms; "
         f"n=16 measured greedy {greedy_median[16]:.6f}s, qaoa(p={p}) {qaoa16:.3f}s, "
         f"brute {brute16 * 1e3:.3f}ms; modelled ops greedy {greedy_ops}, "
-        f"qaoa(p={p}) {qaoa_ops} ({report.offload_count} jobs x {gates_per_job}), "
+        f"qaoa(p={p}) {qaoa_ops} ({cost['jobs']} jobs x {cost['gates per job']}), "
         f"brute {brute_ops}",
     )
 

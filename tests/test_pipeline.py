@@ -12,7 +12,7 @@ from qmaxcut import (
     labels_from_index,
     run_pipeline,
 )
-from qmaxcut.pipeline import refine_assignment
+from qmaxcut.pipeline import hybrid_cost, refine_assignment
 
 
 def small_cfg(seed=0, **kwargs):
@@ -37,6 +37,13 @@ class TestRefine:
                 flipped = list(out.labels)
                 flipped[v] = -flipped[v]
                 assert cut_value(g, tuple(flipped)) <= out.cut_value
+
+
+def test_hybrid_cost_matches_hand_counts():
+    # n=3, m=3, p=1: 3 + 1 jobs; 3 + 1*(3 + 3) gates each; 2**2 cuts of 3 edges.
+    assert hybrid_cost(TRIANGLE, 1, 3, 0.5) == {
+        "jobs": 4, "overhead": 2.0, "greedy": 6, "gates per job": 9, "qaoa": 36, "brute force": 12,
+    }
 
 
 class TestPipelineConfig:

@@ -55,12 +55,13 @@ weigh on both alike.  It also prints the median over batches of the
 second's evaluation time over the first's in the same batch (with the
 same ``src`` twice it read 1.002, 0.993 and 1.003 at n=12 in three
 runs; timing all of one package's pieces before the other's read the
-second 1-4% slower).  Each ``src`` is timed by the ``timed_calls`` of
-the ``tools/eval_pieces.py`` beside it when there is one, so a pair may
-span a change of the workspace's private API; a ``src`` with none is
-timed by this file's, which needs its mixer plan in the workspace, the
-mixer called with the angle alone and a new best's cut drawn with
-``_drawn_cut``.
+second 1-4% slower), and the quartiles of those ratios, so one run shows
+whether a difference of a few percent lies inside their spread.  Each
+``src`` is timed by the ``timed_calls`` of the ``tools/eval_pieces.py``
+beside it when there is one, so a pair may span a change of the
+workspace's private API; a ``src`` with none is timed by this file's,
+which needs its mixer plan in the workspace, the mixer called with the
+angle alone and a new best's cut drawn with ``_drawn_cut``.
 """
 
 import argparse
@@ -201,11 +202,12 @@ def own_timed_calls(src: Path, i: int):
     return module.timed_calls
 
 
-def measure(srcs: list[Path]) -> tuple[dict, dict]:
+def measure(srcs: list[Path]) -> tuple[dict, dict, dict]:
     """``{size: {src: pieces}}``, the calls of all ``srcs`` interleaved,
-    and with two ``srcs`` ``{size: ratio}``: the median over batches of
-    the second's evaluation time over the first's in the same batch."""
-    out, ratios = {}, {}
+    and with two ``srcs`` ``{size: ratio}`` and ``{size: [q1, q3]}``: the
+    median and quartiles over batches of the second's evaluation time
+    over the first's in the same batch."""
+    out, ratios, quartiles = {}, {}, {}
     with tempfile.TemporaryDirectory() as tmp:
         sys.path.insert(0, tmp)
         pkgs = {}
@@ -220,9 +222,12 @@ def measure(srcs: list[Path]) -> tuple[dict, dict]:
                            for label, (fns, budget) in calls.items()}
             if len(srcs) == 2:
                 first, second = (t[str(src), "evaluation"] for src in srcs)
-                ratios[str(n)] = round(statistics.median(b / a for a, b in zip(first, second)), 4)
+                per_batch = [b / a for a, b in zip(first, second)]
+                ratios[str(n)] = round(statistics.median(per_batch), 4)
+                q1, _, q3 = statistics.quantiles(per_batch, n=4)
+                quartiles[str(n)] = [round(q1, 4), round(q3, 4)]
             del calls  # frees the workspaces before the next size
-    return out, ratios
+    return out, ratios, quartiles
 
 
 def main(argv=None) -> None:
@@ -234,7 +239,7 @@ def main(argv=None) -> None:
     srcs = [p.resolve() for p in args.src or [SRC]]
     from blas_kernel import kernel
 
-    sizes, ratios = measure(srcs)
+    sizes, ratios, quartiles = measure(srcs)
     out = {
         "unit": "us",
         "numpy": np.__version__,
@@ -243,6 +248,7 @@ def main(argv=None) -> None:
         "blas_kernel": kernel(),
         "sizes": sizes,
         "evaluation_ratio": ratios,
+        "evaluation_ratio_quartiles": quartiles,
     }
     if args.json:
         print(json.dumps(out, indent=1))
@@ -256,8 +262,9 @@ def main(argv=None) -> None:
         for name in next(iter(rows.values())):
             print(f"{name:<20}" + "".join(f"{row[name]:>11,.1f}" for row in rows.values()))
     if ratios:
-        print("evaluation, second over first (median of per-batch ratios): "
-              + ", ".join(f"n={n} {ratio:.4f}" for n, ratio in ratios.items()))
+        print("evaluation, second over first (median [quartiles] of per-batch ratios): "
+              + ", ".join(f"n={n} {ratio:.4f} [{quartiles[n][0]:.4f}, {quartiles[n][1]:.4f}]"
+                          for n, ratio in ratios.items()))
 
 
 if __name__ == "__main__":

@@ -18,8 +18,10 @@ not listed.  Each statement is classed as
 * ``reference``: in the full-register reference (:data:`REFERENCE`), which
   the tests check the workspace against and no run calls;
 * ``error``: a ``raise``, an ``except`` clause, an exception class (named
-  ``*Error``), anything inside one, or a statement of a block that ends in
-  ``raise``;
+  ``*Error``), anything inside one, a statement of a block that ends in
+  ``raise``, or a function (not a dunder) whose name ``src/`` uses only
+  in ``error`` statements, such as a helper that only a refusal's
+  message calls;
 * ``neither``: anything else.  Each such line needs a reason to stay.
 
 A compound statement counts as executed when its header or any statement
@@ -94,8 +96,20 @@ def _children(node):
         yield from getattr(node, name, ())
 
 
-def unexecuted(tree: ast.Module, hit: set, reference: set) -> list:
-    """``(lines, class)`` of each statement in a function that no run executed."""
+def _names(node):
+    """The names that ``node`` uses outside the statements it contains."""
+    for child in ast.iter_child_nodes(node):
+        if not isinstance(child, (ast.stmt, ast.ExceptHandler)):
+            for sub in ast.walk(child):
+                if isinstance(sub, (ast.Name, ast.Attribute)):
+                    yield getattr(sub, "id", None) or sub.attr
+
+
+def unexecuted(tree: ast.Module, hit: set, reference: set, errors=frozenset(), uses=None) -> list:
+    """``(lines, class)`` of each statement in a function that no run
+    executed; the functions named in ``errors`` are ``error``.  With
+    ``uses``, adds each statement's class to the set under every name it
+    uses."""
     out = []
 
     def visit(body, inside, kind):
@@ -109,10 +123,13 @@ def unexecuted(tree: ast.Module, hit: set, reference: set) -> list:
             own = kind
             if own is None and getattr(node, "name", None) in reference and not inside:
                 own = "reference"
-            if own is None and (isinstance(node, (ast.Raise, ast.ExceptHandler)) or ends_in_raise
-                                or isinstance(node, ast.ClassDef) and node.name.endswith("Error")):
-                own = "error"
             function = isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            if own is None and (isinstance(node, (ast.Raise, ast.ExceptHandler)) or ends_in_raise
+                                or isinstance(node, ast.ClassDef) and node.name.endswith("Error")
+                                or function and node.name in errors):
+                own = "error"
+            for name in _names(node) if uses is not None else ():
+                uses.setdefault(name, set()).add(own)
             lines = _own_lines(node)
             nested = visit(list(_children(node)), inside or function, own)
             ran = (not function and nested) or any(line in hit for line in lines)
@@ -156,12 +173,22 @@ def main() -> None:
     for filename, line in tracer.results().counts:
         hit.setdefault(str(Path(filename).resolve()), set()).add(line)
 
-    report = {}
-    for path in sorted(PACKAGE.glob("*.py")):
-        lines = path.read_text(encoding="utf-8").splitlines()
-        reference = REFERENCE if path.stem == "simulator" else set()
-        statements = unexecuted(ast.parse("\n".join(lines)), hit.get(str(path), set()), reference)
-        report[path.name] = (lines, statements)
+    sources = {path: path.read_text(encoding="utf-8").splitlines()
+               for path in sorted(PACKAGE.glob("*.py"))}
+    errors = set()
+    while True:  # a function used only by error-only functions is error-only too
+        uses, report = {}, {}
+        for path, lines in sources.items():
+            reference = REFERENCE if path.stem == "simulator" else set()
+            statements = unexecuted(ast.parse("\n".join(lines)), hit.get(str(path), set()),
+                                    reference, errors, uses)
+            report[path.name] = (lines, statements)
+        # Python calls dunders itself, so their uses in src/ are not all their calls.
+        used_in_errors = {name for name, kinds in uses.items()
+                          if kinds == {"error"} and not name.startswith("__")}
+        if used_in_errors == errors:
+            break
+        errors = used_in_errors
 
     print(f"src/ lines that none of {len(todo)} runs executed ({elapsed:.1f} s traced)")
     print(f"{'module':<16}" + "".join(f"{c:>11}" for c in CLASSES))
