@@ -55,6 +55,9 @@ DEFAULT_QUBIT_CAP = 24
 # Entries per phase gather of a cost half-layer: np.take copies each chunk's
 # indices into intp, at 2**14 no larger than numpy's own buffers (8,192 complex).
 _GATHER_CHUNK = 1 << 14
+# Complex entries of the workspace's scratch buffer at most (512 KiB): a
+# larger half state (n >= 17) runs its kernels chunk by chunk through it.
+_SCRATCH_ENTRIES = 1 << 15
 _MASK32, _MASK64, _MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
 # 1 where bit v (axis 0) and bit u (axis 2) differ: an edge's cut indicator.
 _DIFFER = np.array([[0, 1], [1, 0]], np.int32).reshape(2, 1, 2, 1)
@@ -238,15 +241,17 @@ def peak_bytes(kind: str, n: int, m: int = 0, shots: int = 0) -> int:
     * ``"full state"``: the full-register reference's state, one
       state-sized scratch buffer or temporary and the int32 cut table.
     * ``"workspace"`` (:class:`~qmaxcut.simulator.FlipSymmetricWorkspace`):
-      the half state and its scratch buffer; the low half of the cut
-      table in ``np.min_scalar_type(m)``, and its ``intp`` copy when it
-      is one gather chunk or less (``n <= 15``); the start state and the
-      top rotation's flip term, one complex per row of 16 half amplitudes
-      each; the sorted uniforms, 8 bytes per shot.
+      the half state and its scratch buffer, as large as the half state
+      up to ``n = 16`` and 512 KiB (``_SCRATCH_ENTRIES``) above; the low
+      half of the cut table in ``np.min_scalar_type(m)``, and its ``intp``
+      copy when it is one gather chunk or less (``n <= 15``); the start
+      state and the top rotation's flip term, one complex per row of 16
+      half amplitudes each; the sorted uniforms, 8 bytes per shot.
     * ``"run"`` (``run_qaoa``): the workspace and the largest phase of its
       extraction, not their sum: 24 bytes per shot while a draw holds its
       candidates, their mirrors and their minimum, or without shots the
-      threshold scan's boolean mask, one byte per half entry.
+      threshold scan's boolean mask, one byte per half entry.  The
+      probabilities they read fill the state buffer.
 
     Left out: numpy's own buffer for a broadcast or a cast, ``16 *
     min(np.getbufsize(), 2**(n-1))`` bytes, and Python objects, which
@@ -255,7 +260,8 @@ def peak_bytes(kind: str, n: int, m: int = 0, shots: int = 0) -> int:
     """
     size, half = 1 << n, 1 << (n - 1)
     table = np.min_scalar_type(m).itemsize + (8 if half <= _GATHER_CHUNK else 0)
-    held = 16 * size + table * half + 32 * (1 << max(0, n - 5)) + 8 * shots
+    buffers = 16 * (half + min(half, _SCRATCH_ENTRIES))
+    held = buffers + table * half + 32 * (1 << max(0, n - 5)) + 8 * shots
     return {"brute force": 6 * size, "full state": 36 * size, "workspace": held,
             "run": held + (24 * shots if shots else half)}[kind]
 
@@ -279,7 +285,9 @@ def cut_values_by_basis(g: Graph) -> np.ndarray:
     exactly when the endpoint bits of ``b`` differ.  Built in place, one
     broadcast add per edge on a view with bits ``u`` and ``v`` as axes.
 
-    It serves brute force and the full-state functions alone; ``run_qaoa``
+    It serves brute force alone; the full-state functions of
+    :mod:`qmaxcut.simulator` build the same table with :func:`_cut_values`
+    after a check of their own, and ``run_qaoa``
     reads :func:`half_cut_values_by_basis`, built in ``O(2**n)`` rather
     than ``O(m * 2**n)``.  Brute force keeps these per-edge adds because
     acceptance criterion 8 asks its time to grow at least 16-fold from
@@ -288,6 +296,12 @@ def cut_values_by_basis(g: Graph) -> np.ndarray:
     above the qubit cap are refused before the table is allocated.
     """
     _check_cap(g.n, "brute force")
+    return _cut_values(g)
+
+
+def _cut_values(g: Graph) -> np.ndarray:
+    """:func:`cut_values_by_basis` without the cap check, for a caller
+    that has checked the cap under its own model."""
     out = np.zeros(1 << g.n, dtype=np.int32)
     for u, v in g.edges:
         out.reshape(-1, 2, 1 << (v - u - 1), 2, 1 << u)[...] += _DIFFER

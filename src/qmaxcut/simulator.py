@@ -28,11 +28,13 @@ the probabilities and the cut it picks from them are all prepared on
 the flip-symmetric half of the register, by one
 :class:`FlipSymmetricWorkspace` (its docstring says which buffer holds
 which state, and which plan it builds once).  Nothing state-sized is
-kept or allocated beyond its buffers: a cost half-layer gathers its
-phases ``_GATHER_CHUNK`` table entries at a time, since ``np.take``
-copies each chunk's indices into ``intp``, a sampled run keeps the cut
-it drew from its best state, not the state, and the cut is picked
-inside the scratch buffer.
+kept or allocated beyond its half state: its scratch buffer is as large
+only up to ``n = 16`` and 512 KiB above, where every kernel runs chunk
+by chunk through it; a cost half-layer gathers its phases
+``_GATHER_CHUNK`` table entries at a time, since ``np.take`` copies
+each chunk's indices into ``intp``; a sampled run keeps the cut it drew
+from its best state, not the state; and the cut is picked inside the
+state buffer, which the probabilities overwrite.
 """
 
 from __future__ import annotations
@@ -45,11 +47,12 @@ import numpy as np
 from .graph import (
     _GATHER_CHUNK,
     _PCG64,
+    _SCRATCH_ENTRIES,
     CutAssignment,
     Graph,
     _check_cap,
+    _cut_values,
     _index,
-    cut_values_by_basis,
     half_cut_values_by_basis,
     labels_from_index,
 )
@@ -141,10 +144,12 @@ def init_uniform(n: int) -> StateVector:
 
 
 def _cut_table(sv: StateVector, g: Graph) -> np.ndarray:
-    """``g``'s full cut table, for a state on ``g``'s vertices."""
+    """``g``'s full cut table, for a state on ``g``'s vertices; a graph
+    above the qubit cap is refused with the full state's bytes."""
     if g.n != sv.n_qubits:
         raise ValueError(f"graph has {g.n} vertices but state has {sv.n_qubits} qubits")
-    return cut_values_by_basis(g)
+    _check_cap(g.n, "full state")
+    return _cut_values(g)
 
 
 def apply_cost_layer(sv: StateVector, g: Graph, gamma: float) -> StateVector:
@@ -152,11 +157,15 @@ def apply_cost_layer(sv: StateVector, g: Graph, gamma: float) -> StateVector:
 
     Cut values are integers in ``[0, m]``, so the ``m + 1`` distinct
     phases are computed once and gathered through ``g``'s full cut table
-    (:func:`qmaxcut.graph.cut_values_by_basis`), built afresh on each
-    call.  Returns the mutated state for chaining.
+    (that of :func:`qmaxcut.graph.cut_values_by_basis`), built afresh on
+    each call.  Returns the mutated state for chaining.
     """
-    phases = np.exp(-1j * float(gamma) * np.arange(g.m + 1))
-    sv.amplitudes *= phases[_cut_table(sv, g)]
+    return _phase(sv, g, _cut_table(sv, g), gamma)
+
+
+def _phase(sv: StateVector, g: Graph, table: np.ndarray, gamma: float) -> StateVector:
+    """:func:`apply_cost_layer` through ``g``'s full cut table ``table``."""
+    sv.amplitudes *= np.exp(-1j * float(gamma) * np.arange(g.m + 1))[table]
     return sv
 
 
@@ -168,7 +177,11 @@ class _Mixer:
     The qubits are taken ``MIXER_BLOCK_QUBITS`` at a time, bit 0 upward,
     and each block is one matrix product over the whole register, from
     one buffer into the other, ``state`` first: a call reads and writes
-    the register ``ceil(n / 4)`` times and always ends in ``out``.
+    the register ``ceil(n / 4)`` times and always ends in ``out``.  A
+    ``scratch`` smaller than ``state`` makes each block a run of products
+    of slices of its operand (:func:`_pieces`) into ``scratch``, each
+    copied back, so ``out`` is ``state``; every output entry is the same
+    sum over the same products, so the bits do not change.
     Block 0 (bits 0-3) is ``R = [[cos b, -i sin b], [-i sin b, cos b]]``
     Kronecker-multiplied with itself ``k`` times, a complex symmetric
     matrix whose entry ``(i, j)`` is ``c**(k-d) * s**d`` for ``c = cos
@@ -228,10 +241,16 @@ class _Mixer:
             (lo, self.real[k] if lo else np.empty((1 << k, 1 << k), dtype=np.complex128))
             for lo, k in zip(range(0, n, MIXER_BLOCK_QUBITS), self.qubits)
         ]
-        buffers = (state, scratch)
-        self.views = [(self._view(n, lo, buffers[i % 2]), self._view(n, lo, buffers[1 - i % 2]))
-                      for i, (lo, _) in enumerate(self.blocks)]
-        self.out = buffers[len(self.blocks) % 2]
+        self.in_place = scratch.size < state.size
+        if self.in_place:
+            self.views = [_pieces(self._view(n, lo, state), scratch) for lo, _ in self.blocks]
+            self.out = state
+        else:
+            buffers = (state, scratch)
+            self.views = [[(self._view(n, lo, buffers[i % 2]),
+                            self._view(n, lo, buffers[1 - i % 2]))]
+                          for i, (lo, _) in enumerate(self.blocks)]
+            self.out = buffers[len(self.blocks) % 2]
 
     @staticmethod
     def _view(n: int, lo: int, buffer: np.ndarray) -> np.ndarray:
@@ -261,12 +280,39 @@ class _Mixer:
 
     def __call__(self, beta: float) -> np.ndarray:
         """Mix ``state`` by ``beta``; returns ``out``, which holds the result."""
-        for (lo, block), (a, b) in zip(self.weigh(beta), self.views):
-            if lo == 0:
-                np.matmul(a, block, out=b)
-            else:
-                np.matmul(block, a, out=b)
+        for (lo, block), pieces in zip(self.weigh(beta), self.views):
+            for a, b in pieces:
+                if lo == 0:
+                    np.matmul(a, block, out=b)
+                else:
+                    np.matmul(block, a, out=b)
+                if self.in_place:
+                    a[...] = b
         return self.out
+
+
+def _pieces(view: np.ndarray, scratch: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """A mixer block's operand ``view`` on the state, cut into the slices
+    whose products fit in ``scratch``, each beside an array of its shape
+    there: runs of rows for block 0 (``(rows, 16)``, whose product mixes
+    each row), else runs of the matrices along the last batch axis of
+    ``(..., matrices, size, columns)``, or runs of columns of each matrix
+    when one matrix alone does not fit."""
+    room = scratch.view(view.dtype)
+    if view.ndim == 2:
+        step = room.size // view.shape[1]
+        slices = [view[i : i + step] for i in range(0, len(view), step)]
+    else:
+        *lead, count, size, columns = view.shape
+        step = room.size // (size * columns)
+        if step:
+            slices = [view[i][j : j + step] for i in np.ndindex(*lead)
+                      for j in range(0, count, step)]
+        else:
+            step = room.size // size
+            slices = [view[i][:, j : j + step] for i in np.ndindex(*lead, count)
+                      for j in range(0, columns, step)]
+    return [(piece, room[: piece.size].reshape(piece.shape)) for piece in slices]
 
 
 def _frame(n: int) -> np.ndarray:
@@ -312,11 +358,13 @@ def apply_qaoa_circuit(g: Graph, params: QaoaParams) -> StateVector:
 
     Starts from the uniform superposition (:func:`init_uniform`) and
     applies ``p`` layers, :func:`apply_cost_layer` first and
-    :func:`apply_mixer_layer` second within each layer.
+    :func:`apply_mixer_layer` second within each layer.  The cut table is
+    built once, and the cap is checked once, by :func:`init_uniform`:
+    its ``"full state"`` model counts the table.
     """
-    sv = init_uniform(g.n)
+    sv, table = init_uniform(g.n), _cut_values(g)
     for gamma, beta in zip(params.gammas, params.betas):
-        apply_mixer_layer(apply_cost_layer(sv, g, gamma), beta)
+        apply_mixer_layer(_phase(sv, g, table, gamma), beta)
     return sv
 
 
@@ -324,11 +372,12 @@ class FlipSymmetricWorkspace:
     """One graph's circuits simulated on the flip-symmetric half of the
     register: their expectations, final probabilities and picked cut.
 
-    Holds the half state and one half-size scratch buffer, the low half
-    of the cut table in the narrowest unsigned dtype that holds ``m``,
-    and two frame vectors, one entry per row of 16 amplitudes: the start
-    state in the frame, and the top qubit's flip term, rescaled by each
-    mixer half-layer.  The table is built here by
+    Holds the half state and one scratch buffer of ``min(2**(n-1),
+    _SCRATCH_ENTRIES)`` complex entries (512 KiB from ``n = 17``), the
+    low half of the cut table in the narrowest unsigned dtype that holds
+    ``m``, and two frame vectors, one entry per row of 16 amplitudes: the
+    start state in the frame, and the top qubit's flip term, rescaled by
+    each mixer half-layer.  The table is built here by
     :func:`~qmaxcut.graph.half_cut_values_by_basis` with the state buffer
     as its scratch (every state prepared here overwrites it first).  The
     qubit cap check names their bytes (:func:`~qmaxcut.graph.peak_bytes`)
@@ -336,11 +385,13 @@ class FlipSymmetricWorkspace:
 
     It also builds the plan that every circuit run here shares, since
     none of it depends on the angles: the mixer (:class:`_Mixer`, its
-    block arrays and their operand views), the rows of 16 amplitudes
-    that the start state and the top rotation write and read (``rows``),
-    each buffer's chunks of ``_GATHER_CHUNK`` entries beside the table's
-    (an ``intp`` copy of the table when it is one chunk), the ``-i *
-    levels`` vector of the cut values and the phase table it fills.
+    block arrays and their operand views), the state's rows of 16
+    amplitudes that the start state writes (``rows``), the top rotation's
+    products and sums (:func:`_top_rotation`, ``top``), the state's
+    chunks of ``_GATHER_CHUNK`` entries beside the table's and a chunk
+    of ``scratch`` (``gathers``; an ``intp`` copy of the table when it is
+    one chunk), the ``-i * levels`` vector of the cut values and the
+    phase table it fills.
 
     ``values`` maps each circuit simulated here (:func:`_circuit`, which
     skips exact zero angles, so distinct angle vectors can be one
@@ -350,21 +401,29 @@ class FlipSymmetricWorkspace:
     The buffer roles, the same for every circuit: every preparation
     (:func:`_flip_symmetric_state`) ends in ``state``, which holds the
     last circuit prepared here (``held``, ``None`` while it holds no
-    known state).  ``scratch`` takes the phases of any cost half-layer
-    but the first and every other mixer block's product; the top
-    rotation reads the mixer's result (``mixer.out``) and writes its
-    flipped half into the other buffer (``flipped``).  Only ``scratch``
-    is written outside a preparation; :meth:`_state_of`, the one lookup,
-    reads a circuit's state from ``state``, prepared there unless held.
+    known state).  ``scratch`` takes each chunk of phases of any cost
+    half-layer but the first.  Up to ``n = 16`` it also takes every
+    other mixer block's product, and the top rotation reads the mixer's
+    result (``mixer.out``) and writes its flipped half into the other
+    buffer.  From ``n = 17``, where it is smaller than ``state``, every
+    block's product goes through it slice by slice and back into
+    ``state``, the top rotation's products take its two halves, and the
+    expectation's chunks of ``|w|**2`` take its first ``_GATHER_CHUNK``
+    float64.  The probabilities that a draw, a scan or
+    :meth:`probabilities` reads are written over ``state`` itself,
+    ``|w|`` going through ``scratch``, after which it holds no state;
+    only then is ``state`` written outside a preparation.
+    :meth:`_state_of`, the one lookup, reads a circuit's state from
+    ``state``, prepared there unless held.
 
     With ``shots > 0`` it owns the shots stream of a run with that
     ``shots`` and ``seed``: it draws the uniforms once, sorted
     (``uniforms``, empty without shots), :meth:`cut` draws with them, and
     when a simulation beats the best circuit so far (``best``) it draws
     that state's cut while ``state`` holds it and keeps the winning
-    index (``drawn``).  A best with no mixer half-layer, such as the
-    empty circuit, costs less to prepare again than a draw, and is not
-    drawn from.
+    index (``drawn``), which is all a sampled run keeps of it.  A best
+    with no mixer half-layer, such as the empty circuit, costs less to
+    prepare again than a draw, and is not drawn from.
     """
 
     def __init__(self, g: Graph, shots: int = 0, seed: int = 0):
@@ -375,7 +434,7 @@ class FlipSymmetricWorkspace:
         half = 1 << (g.n - 1)
         self.graph = g
         self.state = np.empty(half, dtype=np.complex128)
-        self.scratch = np.empty_like(self.state)
+        self.scratch = np.empty(min(half, _SCRATCH_ENTRIES), dtype=np.complex128)
         self.low_table = half_cut_values_by_basis(g, self.state.view(np.min_scalar_type(g.m)))
         # Built in place: no frame-sized temporary beside the two vectors.
         # f[y] = -i * conj(e[y]) * e[~y] = unit * e[y]**2, for the unit -i *
@@ -391,15 +450,14 @@ class FlipSymmetricWorkspace:
         self.values: dict[tuple, float] = {}
         self.held = self.best = self.drawn = None
         self.mixer = _Mixer(g.n - 1, self.state, self.scratch)
-        mixed = self.mixer.out
-        self.flipped = flipped = self.state if mixed is self.scratch else self.scratch
-        self.rows = [b.reshape(self.start.size, -1) for b in (self.state, mixed[::-1], flipped)]
+        self.rows = self.state.reshape(self.start.size, -1)
+        self.top = _top_rotation(self.mixer.out, self.state, self.scratch, self.flip)
         # A table of one chunk or less is kept as intp too, no larger than
         # the copy each of its gathers would make: they then convert nothing.
         index = self.low_table if half > _GATHER_CHUNK else self.low_table.astype(np.intp)
-        self.gathers = [[(index[i : i + _GATHER_CHUNK], b[i : i + _GATHER_CHUNK])
-                         for i in range(0, half, _GATHER_CHUNK)]
-                        for b in (self.state, self.scratch)]
+        self.gathers = [(index[i : i + _GATHER_CHUNK], self.state[i : i + _GATHER_CHUNK],
+                         self.scratch[: min(half, _GATHER_CHUNK)])
+                        for i in range(0, half, _GATHER_CHUNK)]
         self.levels = -1j * np.arange(g.m + 1)
         self.phases = np.empty_like(self.levels)
 
@@ -417,40 +475,70 @@ class FlipSymmetricWorkspace:
 
         Since ``|w| = |a|`` and ``C(~b) = C(b)``, the expectation is ``2 *
         sum_y |w_y|^2 C(y)`` over the low half (see
-        :func:`_flip_symmetric_state`).  A circuit already simulated here
-        returns its stored value and runs no kernel; any other reads its
-        state by the class docstring's buffer rule.
+        :func:`_flip_symmetric_state`): one ``vdot`` up to ``n = 16``, the
+        order-fixed sum of :meth:`_chunked_sum` above.  A circuit already
+        simulated here returns its stored value and runs no kernel; any
+        other reads its state by the class docstring's buffer rule.
         """
         circuit = _circuit(params)
         value = self.values.get(circuit)
         if value is None:
             w = self._state_of(circuit)
-            np.multiply(self.low_table, w, out=self.scratch)
-            value = self.values[circuit] = 2.0 * float(np.vdot(w, self.scratch).real)
+            if w.size > self.scratch.size:
+                value = self.values[circuit] = 2.0 * self._chunked_sum()
+            else:
+                np.multiply(self.low_table, w, out=self.scratch)
+                value = self.values[circuit] = 2.0 * float(np.vdot(w, self.scratch).real)
             if self.uniforms.size and value > self.values.get(self.best, -math.inf):
                 self.best, self.drawn = circuit, None
                 if any(kind for kind, _ in circuit):
                     self.drawn = self._drawn_cut(circuit)
         return value
 
+    def _chunked_sum(self) -> float:
+        """``sum_y |w_y|^2 C(y)`` over the state held, chunk by chunk
+        through ``scratch``: ``p = |w|**2`` as :meth:`_probabilities`
+        writes it, times the table, each ``_GATHER_CHUNK`` entries summed
+        by ``np.add.reduce`` and the sums added pairwise, neighbours first.
+        That is numpy's own pairwise order on a power-of-two array, so the
+        value equals ``np.add.reduce(low_table * p)`` over the whole half,
+        bit for bit, and it does not depend on the BLAS or its threads."""
+        p = self.scratch.view(np.float64)[:_GATHER_CHUNK]
+        sums = []
+        for table, w, _ in self.gathers:
+            np.square(np.abs(w, out=p), out=p)
+            p *= table
+            sums.append(float(np.add.reduce(p)))
+        while len(sums) > 1:
+            sums = [a + b for a, b in zip(sums[::2], sums[1::2])]
+        return sums[0]
+
     def _probabilities(self, circuit: tuple) -> np.ndarray:
-        """``scratch`` as ``2**n`` float64 whose low half holds ``p =
+        """The state buffer as ``2**n`` float64 whose low half holds ``p =
         |w|**2`` of ``circuit``'s state (the frame's entries are exact
-        units, so ``|w| = |a|``) and whose high half holds ``p[::-1]``."""
+        units, so ``|w| = |a|``) and whose high half holds ``p[::-1]``.
+
+        ``|w|`` goes through ``scratch`` chunk by chunk, and each chunk of
+        ``p`` lands on amplitudes already read, so no state is read after
+        it: the workspace then holds none (``held`` is ``None``)."""
         w = self._state_of(circuit)
-        probs = self.scratch.view(np.float64)
-        low = probs[: w.size]
-        np.square(np.abs(w, out=low), out=low)
-        probs[w.size :] = low[::-1]
+        self.held = None
+        probs, magnitudes = self.state.view(np.float64), self.scratch.view(np.float64)
+        for i in range(0, w.size, _GATHER_CHUNK):
+            chunk = w[i : i + _GATHER_CHUNK]
+            np.abs(chunk, out=magnitudes[: chunk.size])
+            np.square(magnitudes[: chunk.size], out=probs[i : i + chunk.size])
+        probs[w.size :] = probs[: w.size][::-1]
         return probs
 
     def probabilities(self, params: QaoaParams) -> np.ndarray:
         """Probabilities of all ``2**n`` basis states, ``concat(p, p[::-1])``
         for the low half's ``p = |w|**2``.
 
-        The full vector, ``2**n`` float64, fills ``scratch`` exactly, so
-        nothing state-sized is allocated.  It is valid until the
-        workspace's next call.
+        The full vector, ``2**n`` float64, is the state buffer's float64
+        view, so nothing state-sized is allocated.  It is valid until the
+        workspace's next call, and it replaces the state the workspace
+        held, so a later read of that circuit's state prepares it again.
         """
         return self._probabilities(_circuit(params))
 
@@ -539,38 +627,77 @@ def _flip_symmetric_state(circuit: tuple[tuple[int, float], ...],
     = +-1``.  ``ws.flip`` keeps the signs of ``f`` in its one nonzero
     part; each mixer half-layer sets that part's magnitude to ``|sin b|``
     and adds the product to ``cos(b) w``, or subtracts it when ``sin b <
-    0``.  A circuit that opens with a cost half-layer gathers its phases
-    straight into ``w`` and multiplies them by the start state; any
-    other writes the start state first.  These products have the
+    0`` (``ws.top``, :func:`_top_rotation`).  A circuit that opens with a
+    cost half-layer gathers its phases straight into ``w`` and multiplies
+    them by the start state; any other writes the start state first.  These products have the
     operands of ``start * phases`` and ``sin(b) f * w[::-1]`` up to the
     order of a product and exact signs, so the bits are theirs.
 
-    ``w`` ends in ``ws.state`` (see the workspace's buffer roles).  Its
-    buffers and views come from the workspace's plan: it allocates only
-    what numpy takes for its own use: an ``intp`` copy of each gather
-    chunk's indices, when the table is more than one chunk, and the
-    buffer of a broadcast product.
+    ``w`` ends in ``ws.state`` (see the workspace's buffer roles), and a
+    later cost half-layer multiplies it chunk by chunk.  Its buffers and
+    views come from the workspace's plan: it allocates only what numpy
+    takes for its own use: an ``intp`` copy of each gather chunk's
+    indices, when the table is more than one chunk, and the buffer of a
+    broadcast product.
     """
-    rows, mixed_reversed, flipped_rows = ws.rows
+    rows = ws.rows
     if not circuit or circuit[0][0]:  # no cost half-layer to write the start state
         np.copyto(rows, ws.start)
     for i, (kind, angle) in enumerate(circuit):
         if kind == 0:
             np.exp(np.multiply(ws.levels, angle, out=ws.phases), out=ws.phases)
-            for table, phases in ws.gathers[i > 0]:  # the first into state, later ones scratch
-                # Every index is in range; numpy's "wrap" loop is the faster one.
-                ws.phases.take(table, out=phases, mode="wrap")
-            if i:
-                ws.state *= ws.scratch
-            else:  # the phases times the start state: no fill pass
+            # Every index is in range; numpy's "wrap" loop is the faster one.
+            for table, state, phases in ws.gathers:
+                if i:  # a later half-layer: each chunk's phases through scratch
+                    ws.phases.take(table, out=phases, mode="wrap")
+                    state *= phases
+                else:
+                    ws.phases.take(table, out=state, mode="wrap")
+            if not i:  # the phases times the start state: no fill pass
                 np.multiply(rows, ws.start, out=rows)
         else:
-            mixed = ws.mixer(angle)
-            s = math.sin(angle)
+            ws.mixer(angle)
+            s, c = math.sin(angle), math.cos(angle)
             np.copysign(abs(s), ws.flip_part, out=ws.flip_part)  # |sin(b)| * f
-            np.multiply(mixed_reversed, ws.flip, out=flipped_rows)
-            mixed *= math.cos(angle)
-            (np.add if s > 0 else np.subtract)(mixed, ws.flipped, out=ws.state)
+            add = np.add if s > 0 else np.subtract
+            for products, sums in ws.top:
+                for mirror, flip, flipped in products:
+                    np.multiply(mirror, flip, out=flipped)
+                for mixed, flipped, out in sums:
+                    mixed *= c
+                    add(mixed, flipped, out=out)
+
+
+def _top_rotation(mixed: np.ndarray, state: np.ndarray, scratch: np.ndarray,
+                  flip: np.ndarray) -> list[tuple[list, list]]:
+    """The top qubit's rotation on the mixer's result ``mixed``, ending in
+    ``state``, as groups of products ``(mirror, flip, flipped)``, each
+    written ``flipped = mirror * flip``, then sums ``(mixed, flipped,
+    out)``, each ``out = mixed * cos(b) +- flipped``.
+
+    With a half-size ``scratch``, one group over the whole register:
+    ``mixed`` reversed times ``flip`` into the other buffer, then the sum
+    into ``state``.  With a smaller one, ``mixed`` is ``state``, and each
+    group takes a run of rows ``A`` and its mirror run ``B``: the
+    products of ``A``'s and ``B``'s reversed rows go into the two halves
+    of ``scratch`` before either run is written, the runs taken from the
+    ends inward.  Either way every entry is the same product and sum of
+    the same operands in the same order, so the bits do not depend on
+    the layout."""
+    rows = flip.size
+    if scratch.size == state.size:
+        flipped = state if mixed is scratch else scratch
+        return [([(mixed[::-1].reshape(rows, -1), flip, flipped.reshape(rows, -1))],
+                 [(mixed, flipped, state)])]
+    step = scratch.size // 32  # rows of 16 amplitudes in half of scratch
+    w, mirror = state.reshape(rows, -1), state[::-1].reshape(rows, -1)
+    halves = scratch.reshape(2, step, -1)
+    groups = []
+    for r in range(0, rows // 2, step):
+        a, b = slice(r, r + step), slice(rows - r - step, rows - r)
+        groups.append(([(mirror[a], flip[a], halves[0]), (mirror[b], flip[b], halves[1])],
+                       [(w[a], halves[0], w[a]), (w[b], halves[1], w[b])]))
+    return groups
 
 
 def expectation_cut(sv: StateVector, g: Graph) -> float:

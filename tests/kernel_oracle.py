@@ -5,9 +5,11 @@ Kept only as a bit-for-bit oracle for :mod:`qmaxcut.simulator`, whose
 workspace must prepare the same bits.  It reads the workspace's buffers,
 start vector and cut table, the simulator's frame (from which it builds
 the top qubit's flip term) and its block-size and row-panel constants
-(which tests may patch), and nothing of its plan.  Its kernel swaps the
-two buffers as it goes, and copies its result into ``state``, where the
-workspace's buffer roles (its docstring) put every prepared state.
+(which tests may patch), and nothing of its plan.  Its kernel swaps two
+half-size buffers as it goes, the workspace's state and scratch, or its
+own array where the workspace's scratch is smaller than the state (from
+n=17), and copies its result into ``state``, where the workspace's
+buffer roles (its docstring) put every prepared state.
 The one exception, :func:`plan_mix`, is the subject, not the oracle: the
 plan's ``_Mixer`` in :func:`mix`'s signature.  :func:`mixer_layer` runs
 either on the whole register, so the tests check the plan's mixer against
@@ -97,10 +99,12 @@ def mixer_layer(amps, beta, kernel):
 
 def flip_symmetric_state(circuit, ws):
     """``circuit``'s low half in the mixer's frame, prepared in ``ws``'s
-    ``state`` and ``scratch``, which this kernel swaps as it goes; the
-    result is copied into ``state``, where the workspace reads it."""
+    ``state`` and a half-size scratch buffer (``ws.scratch`` when it is
+    one), which this kernel swaps as it goes; the result is copied into
+    ``state``, where the workspace reads it."""
     g = ws.graph
-    w, scratch = ws.state, ws.scratch
+    w = ws.state
+    scratch = ws.scratch if ws.scratch.size == w.size else np.empty_like(w)
     rows = ws.start.size
     w.reshape(rows, -1)[...] = ws.start
     frame = simulator._frame(g.n - 1)

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 import qmaxcut
-from harness import traced_peak
+from harness import spy, traced_peak
 from qmaxcut import (
     Graph,
     PipelineConfig,
@@ -30,12 +30,20 @@ from qmaxcut import (
     cut_values_by_basis,
     evaluate_params,
     generate_random_graph,
+    graph,
     optimize_params,
     run_pipeline,
     run_qaoa,
 )
 from qmaxcut.graph import peak_bytes
-from qmaxcut.simulator import FlipSymmetricWorkspace, apply_qaoa_circuit, init_uniform
+from qmaxcut.simulator import (
+    FlipSymmetricWorkspace,
+    StateVector,
+    apply_cost_layer,
+    apply_qaoa_circuit,
+    expectation_cut,
+    init_uniform,
+)
 
 PACKAGE = Path(qmaxcut.__file__).parent
 CAP_NAMES = {"DEFAULT_QUBIT_CAP", "ResourceLimitError", "_check_cap", "resolve_qubit_cap"}
@@ -105,6 +113,7 @@ def test_the_cap_is_checked_only_where_two_to_the_n_is_allocated():
     checks = {(module, where) for module, tree in trees.items() for where in _cap_checks(tree)}
     assert checks == {
         ("graph", "cut_values_by_basis"),
+        ("simulator", "_cut_table"),
         ("simulator", "init_uniform"),
         ("simulator", "FlipSymmetricWorkspace.__init__"),
     }
@@ -126,9 +135,16 @@ def _angles(p):
     return QaoaParams(gammas=(0.3,) * p, betas=(0.2,) * p)
 
 
+def _hand_built(n):
+    """A state on ``n`` qubits built without ``init_uniform``, so no cap is checked."""
+    return StateVector(n, np.full(1 << n, 2 ** (-n / 2)))
+
+
 ENTRY_POINTS = {
     "init_uniform": lambda n: init_uniform(n),
     "apply_qaoa_circuit": lambda n: apply_qaoa_circuit(_path(n), _angles(2)),
+    "apply_cost_layer": lambda n: apply_cost_layer(_hand_built(n), _path(n), 0.3),
+    "expectation_cut": lambda n: expectation_cut(_hand_built(n), _path(n)),
     "cut_values_by_basis": lambda n: cut_values_by_basis(_path(n)),
     "brute_force_maxcut": lambda n: brute_force_maxcut(_path(n)),
     "FlipSymmetricWorkspace": lambda n: FlipSymmetricWorkspace(_path(n)),
@@ -142,6 +158,7 @@ ENTRY_POINTS = {
 }
 # The byte model each entry point's refusal names; the others build a workspace.
 KINDS = {"init_uniform": "full state", "apply_qaoa_circuit": "full state",
+         "apply_cost_layer": "full state", "expectation_cut": "full state",
          "cut_values_by_basis": "brute force", "brute_force_maxcut": "brute force"}
 
 
@@ -161,6 +178,15 @@ def test_every_entry_point_has_the_same_boundary(monkeypatch, entry, cap):
     assert str(refused.value) == (
         f"n={cap + 1} exceeds qubit cap {cap}: {kind} needs {need}, {at_cap} at the cap"
     )
+
+
+@pytest.mark.parametrize("entry", [entry for entry, kind in KINDS.items() if kind == "full state"])
+def test_the_reference_resolves_the_cap_once_per_call(monkeypatch, entry):
+    # The full-register reference's table is checked under the full
+    # state's model, not brute force's, and a circuit checks it once.
+    calls = spy(monkeypatch, graph, "resolve_qubit_cap")
+    ENTRY_POINTS[entry](5)
+    assert len(calls) == 1
 
 
 # Depth 1 is computed in closed form, in O(m): no 2**n allocation, so no cap.
@@ -211,7 +237,7 @@ PEAKS = {
 @pytest.mark.parametrize("case", PEAKS)
 def test_peaks_follow_the_byte_model(case, n):
     # From n=14 the tracemalloc peak lies between 0.97 times the model and
-    # the model plus the allowance (n=18: 1.0004-1.0108 times the model);
+    # the model plus the allowance (n=18: 1.0004-1.0099 times the model);
     # up to n=12 Python objects weigh as much as the state, so only the
     # upper bound holds.  Brute force reads 0.375 times the state from n=16 up.
     kind, shots, call = PEAKS[case]

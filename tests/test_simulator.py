@@ -11,6 +11,7 @@ from scipy.linalg import expm
 import kernel_oracle
 from harness import EDGE, TRIANGLE, traced_peak
 from qmaxcut import (
+    CutAssignment,
     Graph,
     QaoaParams,
     cut_value,
@@ -317,19 +318,17 @@ class TestHalfCutTable:
 
     def test_workspace_peak_memory(self):
         # n=18: the full state would be 4 MiB.  Built in place, the
-        # workspace reads 1.0976x (bound: the reading plus about 0.007x).
+        # workspace reads 0.7247x (bound: the reading plus about 0.01x).
         # The table's popcounts borrow the state buffer, and it is built in
-        # its own dtype: with the intp table and a flip term beside the
-        # start, it read 1.3153x.
-        assert_workspace_peak(generate_random_graph(18, 34, 0), 0, 1.105)
+        # its own dtype.
+        assert_workspace_peak(generate_random_graph(18, 34, 0), 0, 0.735)
 
     def test_keep_best_workspace_peak_memory(self):
         # A sampling workspace adds only its sorted uniforms: with 4,096
-        # shots it reads 1.1054x (bound: the reading plus about 0.007x).
-        # They are drawn before the state: the stream's Python ints (about
-        # 0.04x) beside it read 1.1449x.  Keeping the best state's float64
-        # |w| read 1.3477x.
-        assert_workspace_peak(generate_random_graph(18, 34, 0), 4096, 1.1125)
+        # shots it reads 0.7326x (bound: the reading plus about 0.01x).
+        # They are drawn before the state, so the stream's Python ints
+        # (about 0.04x) never sit beside it.
+        assert_workspace_peak(generate_random_graph(18, 34, 0), 4096, 0.745)
 
     def test_one_byte_table_wraps_around_exactly(self):
         # K_23 (m = 253) is the complete graph with the most edges a
@@ -361,13 +360,15 @@ class TestHalfCutTable:
 
 
 @pytest.mark.parametrize("shots", [0, 64], ids=["scan", "sampled"])
-@pytest.mark.parametrize("n", [1, 5, 9])  # 0, 1 and 2 mixer blocks
+@pytest.mark.parametrize("n", [1, 5, 9, 17])  # 0, 1, 2 and 4 mixer blocks, the last chunked
 def test_the_buffers_keep_their_roles(n, shots):
     # Every preparation ends in ``state``, whichever buffer the mixer's
     # blocks end in: the workspace never trades one buffer for the other.
+    # From n=17 the scratch buffer is 512 KiB, less than the half state.
     g = generate_random_graph(n, min(n * (n - 1) // 2, 2 * n), n)
     ws = simulator.FlipSymmetricWorkspace(g, shots, 3)
     state, scratch = ws.state, ws.scratch
+    assert scratch.size == min(state.size, 1 << 15)
     circuits = [QaoaParams((0.4, 0.1), (0.3, 0.2)), QaoaParams((0.7,), (-0.5,)),
                 QaoaParams((0.0,), (0.9,)), QaoaParams((0.2,), (0.0,))]
     for params in circuits:
@@ -377,6 +378,71 @@ def test_the_buffers_keep_their_roles(n, shots):
         ws.cut(circuits[0])
         assert ws.state is state and ws.scratch is scratch
         assert ws._state_of(simulator._circuit(params)) is state
+
+
+# Circuits for the chunked layout: depth 2 and 3, one with zero angles,
+# and one near the uniform state, a corner where the optimizer's first
+# simplex lies at small budgets.
+CHUNKED_CIRCUITS = [QaoaParams((0.7, 0.31), (0.45, 0.22)),
+                    QaoaParams((0.2, -1.3, 0.5), (-0.4, 0.9, 1.7)),
+                    QaoaParams((0.0, 0.3), (0.5, 0.0)),
+                    QaoaParams((3.125e-05, 3.125e-05), (3.125e-05, 0.000125))]
+
+
+@pytest.mark.parametrize("n", [17, 18, 20])
+class TestOneBufferLayout:
+    """From n=17 the workspace runs its kernels chunk by chunk through a
+    512 KiB scratch buffer and reads probabilities in the state buffer:
+    each output against its whole-array formula on a copy of the state."""
+
+    def test_draws_and_scans_read_the_full_probabilities(self, n):
+        g = generate_random_graph(n, 3 * n, n)
+        low = simulator.FlipSymmetricWorkspace(g).low_table
+        table = np.concatenate([low, low[::-1]])
+        for params in CHUNKED_CIRCUITS:
+            sampled, scanned = (simulator.FlipSymmetricWorkspace(g, *s) for s in ((4096, n), (0,)))
+            w = sampled._state_of(simulator._circuit(params)).copy()
+            p = np.square(np.abs(w))
+            probs = np.concatenate([p, p[::-1]])
+            drawn = simulator._draw(probs.copy(), sampled.uniforms)
+            want = int(drawn[np.argmax(table[drawn])])
+            assert sampled._drawn_cut(simulator._circuit(params)) == want
+            candidates = np.flatnonzero(probs >= 1.0 / (1 << (n + 1)))
+            best = int(candidates[np.argmax(table[candidates])])
+            assert scanned.cut(params) == CutAssignment(labels_from_index(n, best),
+                                                        int(table[best]))
+
+    def test_expectation_is_the_order_fixed_sum(self, n):
+        # Against the same sum in extended precision, the value errs by at
+        # most 1.0 eps relative on these circuits.  The vdot differs from it
+        # by up to 1,272.5 eps on one BLAS thread and 128 eps on two (n=20,
+        # near the uniform state; 14.3 eps at most over 30 random circuits
+        # at n=17-20, one thread).  The bounds leave 4x and 1.6x those.
+        g = generate_random_graph(n, 3 * n, n)
+        ws = simulator.FlipSymmetricWorkspace(g)
+        eps = np.finfo(float).eps
+        for params in CHUNKED_CIRCUITS:
+            value = ws.expectation(params)
+            w = ws.state
+            assert value == 2.0 * float(np.add.reduce(ws.low_table * np.square(np.abs(w))))
+            re, im = w.real.astype(np.longdouble), w.imag.astype(np.longdouble)
+            exact = 2 * float(np.sum(ws.low_table * (re * re + im * im)))
+            assert abs(value - exact) <= 4 * eps * exact
+            dot = 2.0 * float(np.vdot(w, ws.low_table * w).real)
+            assert abs(value - dot) <= 2048 * eps * abs(dot)
+
+
+@pytest.mark.parametrize("bits", range(14, 23))
+def test_chunk_sums_added_pairwise_are_numpys_sum(bits):
+    # The order-fixed expectation rests on numpy's pairwise summation: over
+    # a power-of-two float64 array, np.add.reduce equals the sums of its
+    # 2**14-entry chunks added pairwise, neighbours first, bit for bit.
+    rng = np.random.default_rng(bits)
+    for a in (rng.random(1 << bits), rng.normal(size=1 << bits)):
+        sums = [float(np.add.reduce(a[i : i + (1 << 14)])) for i in range(0, a.size, 1 << 14)]
+        while len(sums) > 1:
+            sums = [x + y for x, y in zip(sums[::2], sums[1::2])]
+        assert sums[0] == float(np.add.reduce(a))
 
 
 class TestCircuit:

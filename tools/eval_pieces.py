@@ -19,10 +19,12 @@ that is one timed call less others):
 * ``top rotation``: the top qubit's rotation that ends a mixer half-layer;
 * ``expectation``: an evaluation less its state preparation
   (``simulator._flip_symmetric_state``), that is the workspace's lookup,
-  its product with the cut table, its ``vdot`` and the memo;
+  its sum of ``|w|**2`` over the cut table (one ``vdot``, or from n=17
+  the order-fixed sum chunk by chunk) and the memo;
 * ``best-state snapshot``: what a sampled run pays when a simulation
   beats its best, on a state the workspace holds: a 4,096-shot draw of
-  its cut (``FlipSymmetricWorkspace._drawn_cut``);
+  its cut (``FlipSymmetricWorkspace._drawn_cut``), less the copy that
+  puts the state back before each draw, since a draw may overwrite it;
 * ``objective wrapper``: one evaluation of ``optimize_params`` whose
   circuit the workspace has already simulated: Nelder-Mead's steps,
   the objective closure, ``evaluate_params`` and the circuit memo;
@@ -31,10 +33,10 @@ that is one timed call less others):
   state is prepared again.
 
 Each batch times every piece in turn, ``BATCHES`` batches.  The fill,
-the first phase layer, the mixer's block build and the state
-preparation are taken off the timings that include them within each
-batch: the cost half-layer, block products, top rotation and
-expectation are medians of those same-batch differences, so drift
+the first phase layer, the mixer's block build, the state preparation
+and the state copy are taken off the timings that include them within
+each batch: the cost half-layer, block products, top rotation,
+expectation and snapshot are medians of those same-batch differences, so drift
 between batches cancels and one noisy batch cannot push a piece below
 zero.  The pieces are timed apart, so they need not add up to the
 evaluation.  BLAS runs on one
@@ -61,7 +63,8 @@ whether a difference of a few percent lies inside their spread.  Each
 beside it when there is one, so a pair may span a change of the
 workspace's private API; a ``src`` with none is timed by this file's,
 which needs its mixer plan in the workspace, the mixer called with the
-angle alone and a new best's cut drawn with ``_drawn_cut``.
+angle alone and a new best's cut drawn with ``_drawn_cut``; it times a
+workspace whose scratch buffer is half the register or smaller alike.
 """
 
 import argparse
@@ -114,6 +117,8 @@ def batch_means(fns: dict) -> dict:
         shift = batch % len(labels)
         for name in names:
             for label in labels[shift:] + labels[:shift]:
+                if (label, name) not in fns:  # a call that one tree's timings lack
+                    continue
                 fn, n = fns[label, name], reps[label, name]
                 start = time.perf_counter()
                 for _ in range(n):
@@ -136,9 +141,15 @@ def timed_calls(pkg, n: int, m: int) -> tuple[dict, int]:
     prepare = simulator._flip_symmetric_state
     mixer = ws.mixer
     sampled = simulator.FlipSymmetricWorkspace(g, SHOTS, 0)
-    sampled.expectation(params)  # now held
+    sampled.expectation(params)
+    kept = sampled._state_of(circuit).copy()
+
+    def restore():
+        sampled.state[...] = kept
+        sampled.held = circuit
 
     def snapshot():
+        restore()
         sampled._drawn_cut(circuit)
 
     def evaluation():
@@ -157,6 +168,7 @@ def timed_calls(pkg, n: int, m: int) -> tuple[dict, int]:
         "build": lambda: mixer.weigh(beta),
         "mix": lambda: mixer(beta),
         "prepare": lambda: prepare(circuit, ws),
+        "restore": restore,
         "snapshot": snapshot,
         "wrapper": lambda: qaoa.optimize_params(g, cfg, workspace=memo),
         "evaluation": evaluation,
@@ -169,9 +181,11 @@ def pieces(t: dict, budget: int) -> dict:
     low = {name: min(means) for name, means in t.items()}
 
     def less(name, *others):
-        """The median over batches of ``name`` less ``others`` in that batch."""
+        """The median over batches of ``name`` less ``others`` in that
+        batch; one that a tree's timings lack counts as 0."""
         return statistics.median(
-            mean - sum(t[other][i] for other in others) for i, mean in enumerate(t[name]))
+            mean - sum(t[other][i] for other in others if other in t)
+            for i, mean in enumerate(t[name]))
 
     times = {
         "fill": low["fill"],
@@ -181,7 +195,7 @@ def pieces(t: dict, budget: int) -> dict:
         "block products": less("mix", "build"),
         "top rotation": less("mixer", "fill", "mix"),
         "expectation": less("evaluation", "prepare"),
-        "best-state snapshot": low["snapshot"],
+        "best-state snapshot": less("snapshot", "restore"),
         "objective wrapper": low["wrapper"] / budget,
         "evaluation": low["evaluation"],
     }
