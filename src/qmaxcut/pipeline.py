@@ -88,11 +88,13 @@ def hybrid_cost(g: Graph, p: int, n_evaluations: int, offload_latency: float) ->
     * ``"jobs"``: ``n_evaluations + 1`` circuit jobs handed to an
       accelerator, one per objective evaluation and one for the final
       state preparation.  That holds whatever computed the value on this
-      host: a depth-1 evaluation done in closed form still counts as one
-      job, as it would on hardware, and so does one whose zero-angle
-      layers ran no kernel, one whose circuit the host had already
-      simulated, and a final cut the host drew during the best
-      evaluation (see :class:`qmaxcut.simulator.FlipSymmetricWorkspace`);
+      host: an evaluation whose canonical form
+      (:func:`qmaxcut.simulator._circuit`) has at most one (cost, mixer)
+      pair, valued in closed form, still counts as one job, as it would
+      on hardware, and so does one whose form ran fewer half-layers than
+      its angles name, one whose form the host had already valued, and a
+      final cut the host drew during the best evaluation (see
+      :class:`qmaxcut.simulator.FlipSymmetricWorkspace`);
     * ``"overhead"``: ``jobs * offload_latency`` seconds of traffic;
     * ``"greedy"``: ``n + m`` steps of the greedy heuristic;
     * ``"gates per job"``: ``n + p*(m + n)`` gates, the initial Hadamards,

@@ -2,13 +2,17 @@
 
 The objective is the expected cut value of the layered ansatz state,
 which we maximize.  At depth 1 it is computed in closed form from
-per-edge degrees and triangle counts, in ``O(m)`` with no ``2**n``
-state, so no qubit cap applies to it.  Deeper objectives are simulated
-on the flip-symmetric half of the register, ``2**(n-1)`` amplitudes.
-:func:`run_qaoa` builds one :class:`~qmaxcut.simulator.FlipSymmetricWorkspace`,
-which checks the cap, computes every simulated expectation of the
-run, on every rung of the ladder, and picks the cut, drawn with the
-run's shots or scanned; this module only chooses the angles.
+per-edge degrees and triangle counts
+(:func:`~qmaxcut.simulator.depth_one_expectation`), in ``O(m)`` with no
+``2**n`` state, so no qubit cap applies to it.  Deeper objectives are
+taken in their canonical form (:func:`qmaxcut.simulator._circuit`) and
+simulated on the flip-symmetric half of the register, ``2**(n-1)``
+amplitudes, unless that form has at most one (cost, mixer) pair, which
+the same closed form values.  :func:`run_qaoa` builds one
+:class:`~qmaxcut.simulator.FlipSymmetricWorkspace`, which checks the
+cap, computes every deeper expectation of the run, on every rung of the
+ladder, and picks the cut, drawn with the run's shots or scanned; this
+module only chooses the angles.
 No full cut table or full-register state is built on any run path.
 Optimization is multi-start Nelder-Mead under a hard evaluation budget:
 
@@ -40,19 +44,20 @@ seeded with the previous optimum padded by a zero-angle layer, the
 budget split evenly across stages.  The ladder only engages when every
 stage would get at least two evaluations and one per restart
 (``budget // p >= max(2, restarts)``); otherwise the full depth is
-optimized directly.  Its first rung runs on the closed form and the next
-on the simulator, so the padded depth-1 optimum can score lower at depth
-2 by rounding, about 1e-14.
+optimized directly.  A padded optimum's canonical form is that of the
+optimum itself, so the next rung scores it exactly as the last one did:
+the padded depth-1 optimum by the same closed form.
 
 Exact zero angles are common: the all-zero start is evaluated up front
 and again as Nelder-Mead's ``x0``, the initial simplex around it
 moves one coordinate at a time off 0, and the ladder pads each warm
-start with a zero layer.  On the n=20 benchmark workload 45% of the
-simulated cost and mixer half-layers have an exactly zero angle.  Each
-such half-layer is the identity, and the simulator skips it (see
-:func:`qmaxcut.simulator._circuit`); the evaluation still
-counts toward the budget, also when the workspace returns a stored
-value because skipping made it a circuit already simulated.
+start with a zero layer.  On the n=20 benchmark workload (p=2, budget
+10, no ladder) half of the evaluated angles are exactly 0, and 6 of
+every 10 evaluations have a canonical form of at most one pair: the
+all-zero start and its simplex are all the uniform state.  The rule
+for which half-layers run is :func:`qmaxcut.simulator._circuit`'s; an
+evaluation counts toward the budget whatever its form, also when the
+workspace returns a stored value because the form was valued before.
 """
 
 from __future__ import annotations
@@ -67,6 +72,7 @@ from .graph import _PCG64, CutAssignment, Graph, _index
 from .simulator import (
     FlipSymmetricWorkspace,
     QaoaParams,
+    depth_one_expectation,
     # Unused, but bench/tests/test_bench_harness.py checks that the tracer rebinds it here.
     apply_qaoa_circuit,  # noqa: F401
 )
@@ -117,26 +123,6 @@ class QaoaResult:
     elapsed: float
 
 
-def depth_one_expectation(g: Graph, gamma: float, beta: float) -> float:
-    """Expected cut of the depth-1 ansatz state, in closed form.
-
-    Wang, Hadfield, Jiang & Rieffel (PRA 97, 022304, 2018) give each
-    edge's term from its endpoint degrees and triangle count alone.
-    With ``d_u = deg(u) - 1``, ``d_v = deg(v) - 1`` and ``f`` the common
-    neighbours of ``u`` and ``v`` (see :attr:`Graph.edge_stats`), the
-    edge contributes ``1/2 + 1/4 sin(4b) sin(g) (cos(g)**d_u +
-    cos(g)**d_v) - 1/4 sin(2b)**2 cos(g)**(d_u + d_v - 2f) (1 -
-    cos(2g)**f)``, under this package's layer convention (cost phase
-    first, then the mixer).  Costs ``O(m)`` and allocates no state.
-    """
-    d_u, d_v, f = g.edge_stats.T
-    c = math.cos(gamma)
-    linear = 0.25 * math.sin(4 * beta) * math.sin(gamma) * (c**d_u + c**d_v)
-    quadratic = 0.25 * math.sin(2 * beta) ** 2 * c ** (d_u + d_v - 2 * f)
-    triangles = 1.0 - math.cos(2 * gamma) ** f
-    return 0.5 * g.m + float(np.sum(linear - quadratic * triangles))
-
-
 def evaluate_params(
     g: Graph,
     params: QaoaParams,
@@ -147,14 +133,14 @@ def evaluate_params(
 
     Depth 1 takes the value from :func:`depth_one_expectation`, with no
     state or cut table, so the qubit cap does not apply.  Deeper
-    circuits are simulated on the half of the register that the global
-    bit flip maps onto the other half (see
+    circuits are valued by their canonical form (see
     :meth:`qmaxcut.simulator.FlipSymmetricWorkspace.expectation`), in
-    ``workspace`` when one is passed (built for a graph equal to ``g``)
-    and otherwise in a fresh one, whose constructor refuses the
-    instances above the cap.
-    A circuit the workspace has already simulated returns the value
-    stored there, the same float, and runs no kernel.
+    closed form or simulated on the half of the register that the global
+    bit flip maps onto the other half, in ``workspace`` when one is
+    passed (built for a graph equal to ``g``) and otherwise in a fresh
+    one, whose constructor refuses the instances above the cap.
+    A form the workspace has already valued returns the value stored
+    there, the same float, and runs no kernel.
     """
     if params.p == 1:
         return depth_one_expectation(g, params.gammas[0], params.betas[0])
@@ -316,19 +302,21 @@ def run_qaoa(
     ``warm_params`` (any depth up to ``cfg.p``) is zero-padded to depth
     ``cfg.p`` and tried as the first start; passing the previous
     depth's optimum guarantees the expectation is non-decreasing in
-    depth, because the padded point is itself evaluated (up to rounding,
-    about 1e-14, when the previous depth was 1 and so evaluated in
-    closed form).  Without it, ``cfg.warm_start`` controls the internal
+    depth, because the padded point is itself evaluated, and its
+    canonical form (:func:`qmaxcut.simulator._circuit`) is the
+    optimum's, valued as the previous depth valued it, bit for bit.
+    Without it, ``cfg.warm_start`` controls the internal
     depth ladder (see module docstring); either way the run is one loop
     over its rungs, a lone rung at depth ``cfg.p`` when no ladder
     climbs.  ``n_evaluations`` counts objective evaluations only; the
     final state preparation is one further circuit application (one job
     in the pipeline's model), which this host skips when the workspace
-    still holds that state.  ``elapsed`` covers the whole call.
+    still holds that state or drew its cut when it became the best.
+    ``elapsed`` covers the whole call.
 
     Each rung scores its warm start first, then the all-zero start, so
-    ``best_expectation`` is at least the uniform state's ``m / 2`` (up
-    to rounding) when the budget reaches that start: always without
+    ``best_expectation`` is at least the uniform state's ``m / 2``,
+    exactly, when the budget reaches that start: always without
     ``warm_params`` (a ladder rung gets two or more evaluations), from
     ``cfg.budget = 2`` with it.
 

@@ -22,9 +22,9 @@ kept here because the benchmark's tracer resolves them in this module:
 one 2x2 product per qubit and the full cut table, built on each call,
 with no kernel, frame or plan shared with the workspace.
 
-``run_qaoa`` uses none of them: its evaluations at depth 2 or more
-(depth 1 has a closed form in :mod:`qmaxcut.qaoa`), its final state,
-the probabilities and the cut it picks from them are all prepared on
+``run_qaoa`` uses none of them: its evaluations at depth 2 or more,
+its final state, the probabilities and the cut it picks from them are
+all computed for each circuit's canonical form (:func:`_circuit`) on
 the flip-symmetric half of the register, by one
 :class:`FlipSymmetricWorkspace` (its docstring says which buffer holds
 which state, and which plan it builds once).  Nothing state-sized is
@@ -368,6 +368,26 @@ def apply_qaoa_circuit(g: Graph, params: QaoaParams) -> StateVector:
     return sv
 
 
+def depth_one_expectation(g: Graph, gamma: float, beta: float) -> float:
+    """Expected cut of the depth-1 ansatz state, in closed form.
+
+    Wang, Hadfield, Jiang & Rieffel (PRA 97, 022304, 2018) give each
+    edge's term from its endpoint degrees and triangle count alone.
+    With ``d_u = deg(u) - 1``, ``d_v = deg(v) - 1`` and ``f`` the common
+    neighbours of ``u`` and ``v`` (see :attr:`Graph.edge_stats`), the
+    edge contributes ``1/2 + 1/4 sin(4b) sin(g) (cos(g)**d_u +
+    cos(g)**d_v) - 1/4 sin(2b)**2 cos(g)**(d_u + d_v - 2f) (1 -
+    cos(2g)**f)``, under this package's layer convention (cost phase
+    first, then the mixer).  Costs ``O(m)`` and allocates no state.
+    """
+    d_u, d_v, f = g.edge_stats.T
+    c = math.cos(gamma)
+    linear = 0.25 * math.sin(4 * beta) * math.sin(gamma) * (c**d_u + c**d_v)
+    quadratic = 0.25 * math.sin(2 * beta) ** 2 * c ** (d_u + d_v - 2 * f)
+    triangles = 1.0 - math.cos(2 * gamma) ** f
+    return 0.5 * g.m + float(np.sum(linear - quadratic * triangles))
+
+
 class FlipSymmetricWorkspace:
     """One graph's circuits simulated on the flip-symmetric half of the
     register: their expectations, final probabilities and picked cut.
@@ -393,10 +413,10 @@ class FlipSymmetricWorkspace:
     one chunk), the ``-i * levels`` vector of the cut values and the
     phase table it fills.
 
-    ``values`` maps each circuit simulated here (:func:`_circuit`, which
-    skips exact zero angles, so distinct angle vectors can be one
-    circuit) to its expectation, so a repeat returns the same float
-    without running a kernel; it grows by one entry per distinct circuit.
+    ``values`` maps each canonical form valued here (:func:`_circuit`,
+    so distinct angle vectors can be one form) to its expectation, so a
+    repeat returns the same float without running a kernel; it grows by
+    one entry per distinct form.
 
     The buffer roles, the same for every circuit: every preparation
     (:func:`_flip_symmetric_state`) ends in ``state``, which holds the
@@ -421,9 +441,10 @@ class FlipSymmetricWorkspace:
     (``uniforms``, empty without shots), :meth:`cut` draws with them, and
     when a simulation beats the best circuit so far (``best``) it draws
     that state's cut while ``state`` holds it and keeps the winning
-    index (``drawn``), which is all a sampled run keeps of it.  A best
-    with no mixer half-layer, such as the empty circuit, costs less to
-    prepare again than a draw, and is not drawn from.
+    index (``drawn``), which is all a sampled run keeps of it.  Only a
+    simulated best is drawn from at once: one valued in closed form (see
+    :meth:`expectation`) has no state here, and is prepared and drawn
+    from at :meth:`cut`, should it still be the best then.
     """
 
     def __init__(self, g: Graph, shots: int = 0, seed: int = 0):
@@ -471,28 +492,36 @@ class FlipSymmetricWorkspace:
         return self.state
 
     def expectation(self, params: QaoaParams) -> float:
-        """Expected cut of the ansatz state, simulated on half the register.
+        """Expected cut of the ansatz state, valued by its canonical form
+        (:func:`_circuit`).
 
-        Since ``|w| = |a|`` and ``C(~b) = C(b)``, the expectation is ``2 *
-        sum_y |w_y|^2 C(y)`` over the low half (see
-        :func:`_flip_symmetric_state`): one ``vdot`` up to ``n = 16``, the
-        order-fixed sum of :meth:`_chunked_sum` above.  A circuit already
-        simulated here returns its stored value and runs no kernel; any
-        other reads its state by the class docstring's buffer rule.
+        The empty form is the uniform state, ``m / 2``; one (cost, mixer)
+        pair is valued by :func:`depth_one_expectation`.  Any other is
+        simulated on half the register: since ``|w| = |a|`` and ``C(~b) =
+        C(b)``, the expectation is ``2 * sum_y |w_y|^2 C(y)`` over the low
+        half (see :func:`_flip_symmetric_state`), one ``vdot`` up to ``n =
+        16``, the order-fixed sum of :meth:`_chunked_sum` above; it reads
+        its state by the class docstring's buffer rule.  A form already
+        valued here returns its stored value and runs no kernel.
         """
         circuit = _circuit(params)
         value = self.values.get(circuit)
         if value is None:
-            w = self._state_of(circuit)
-            if w.size > self.scratch.size:
-                value = self.values[circuit] = 2.0 * self._chunked_sum()
+            if not circuit:
+                value = 0.5 * self.graph.m
+            elif len(circuit) == 2:
+                value = depth_one_expectation(self.graph, circuit[0][1], circuit[1][1])
             else:
-                np.multiply(self.low_table, w, out=self.scratch)
-                value = self.values[circuit] = 2.0 * float(np.vdot(w, self.scratch).real)
+                w = self._state_of(circuit)
+                if w.size > self.scratch.size:
+                    value = 2.0 * self._chunked_sum()
+                else:
+                    np.multiply(self.low_table, w, out=self.scratch)
+                    value = 2.0 * float(np.vdot(w, self.scratch).real)
+            self.values[circuit] = value
             if self.uniforms.size and value > self.values.get(self.best, -math.inf):
-                self.best, self.drawn = circuit, None
-                if any(kind for kind, _ in circuit):
-                    self.drawn = self._drawn_cut(circuit)
+                self.best = circuit
+                self.drawn = self._drawn_cut(circuit) if len(circuit) > 2 else None
         return value
 
     def _chunked_sum(self) -> float:
@@ -587,30 +616,49 @@ class FlipSymmetricWorkspace:
 
 
 def _circuit(params: QaoaParams) -> tuple[tuple[int, float], ...]:
-    """The half-layers that :func:`_flip_symmetric_state` runs for
-    ``params``, in order: ``(0, gamma)`` for a cost layer and ``(1,
-    beta)`` for a mixer layer.  This is the one place that decides which
-    half-layers run, so equal circuits run the same kernels on the same
-    floats and prepare the same bits.
+    """The canonical form of ``params``' circuit: the half-layers that
+    the workspace runs, in order, ``(0, gamma)`` for a cost layer and
+    ``(1, beta)`` for a mixer layer.  This is the one place that decides
+    which half-layers run, so equal circuits run the same kernels on the
+    same floats, prepare the same bits and share one stored value.
 
-    A half-layer whose angle is exactly 0 (either sign) is left out.  That
-    is exact: at ``gamma = 0`` every phase is ``1 +- 0j``, and at ``beta
-    = 0`` every mixer block is an identity of 1s and signed 0s and the
-    top-qubit step is ``w * 1 + (+-0)``, so running them changes no
-    nonzero bit of the state; only the sign of a zero component may
-    differ, and nothing reads it.  Only exact zeros are left out, and
-    adjacent layers are never merged, which would change the rounding.
+    Four identities define it.  A half-layer whose angle is exactly 0
+    (either sign) is left out, which changes no bit: its phases are ``1
+    +- 0j`` and its mixer blocks identities of 1s and signed 0s, so only
+    the sign of a zero component may differ, and nothing reads it.
+    Adjacent half-layers of one kind commute, so they merge into one of
+    their summed angle, left out when the sum is exactly 0 (``gamma``,
+    ``beta = 0``, ``-gamma`` leaves nothing).  A leading mixer half-layer
+    is left out, as ``exp(-i*beta*X)`` on ``|+>`` is a global phase, and
+    so is a trailing cost half-layer, a phase that no probability sees.
+    A form thus alternates, cost first and mixer last; a circuit with no
+    zero angle is its own.  The last three identities are exact but
+    change the rounding, and a form of at most one (cost, mixer) pair is
+    valued in closed form (:meth:`FlipSymmetricWorkspace.expectation`).
+    Whatever its form, an evaluation is one job of
+    :func:`qmaxcut.pipeline.hybrid_cost`.
     """
-    return tuple([
-        half for gamma, beta in zip(params.gammas, params.betas)
-        for half in ((0, gamma), (1, beta)) if half[1]
-    ])
+    halves = [half for gamma, beta in zip(params.gammas, params.betas)
+              for half in ((0, gamma), (1, beta)) if half[1]]
+    if len(halves) == 2 * len(params.gammas):  # no zero angle: its own form
+        return tuple(halves)
+    form: list[tuple[int, float]] = []
+    for kind, angle in halves:
+        if form and form[-1][0] == kind:
+            angle += form.pop()[1]
+        if angle and (form or not kind):
+            form.append((kind, angle))
+    if form and not form[-1][0]:
+        form.pop()
+    return tuple(form)
 
 
 def _flip_symmetric_state(circuit: tuple[tuple[int, float], ...],
                           ws: FlipSymmetricWorkspace) -> None:
-    """The state of ``circuit`` (see :func:`_circuit`), its low half in the
-    mixer's frame, prepared in ``ws``.
+    """The state of ``circuit``, its low half in the mixer's frame,
+    prepared in ``ws``.  The workspace passes canonical forms (see
+    :func:`_circuit`), but any sequence of half-layers is prepared as it
+    stands, a mixer half-layer first or two of a kind in a row included.
 
     The cost operator and every ``X_q`` commute with the global flip
     ``X^{(x)n}``, and the uniform start is flip-invariant, so amplitude

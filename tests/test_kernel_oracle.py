@@ -29,19 +29,25 @@ def _angles(rng, p):
     return QaoaParams(x[:p], x[p:])
 
 
+def _simulated(params):
+    """Whether the workspace simulates ``params``: its canonical form has
+    more than one (cost, mixer) pair, so no closed form values it."""
+    return len(_circuit(params)) > 2
+
+
 def _schedule(g, seed, count):
-    """``count`` circuits of depth 1-3 with repeats.  The first half is in
-    rising order of value, so a sampling workspace draws the cut of each
-    of them that has a mixer half-layer."""
+    """``count`` circuits of depth 1-3 with repeats, and more drawn from
+    the same stream while fewer than two of them are simulated.  The
+    simulated ones come first, in rising order of value, so a sampling
+    workspace draws the cut of each of them; the rest follow in the order
+    drawn."""
     rng = np.random.default_rng(seed)
     circuits = [_angles(rng, int(rng.integers(1, 4))) for _ in range(count)]
-    values = {}
+    while sum(map(_simulated, circuits)) < 2:
+        circuits.append(_angles(rng, int(rng.integers(1, 4))))
     probe = FlipSymmetricWorkspace(g)
-    for params in circuits:
-        values[params] = probe.expectation(params)
-    half = count // 2
-    rising = sorted(circuits[:half], key=values.__getitem__)
-    return rising + circuits[half:] + circuits[::3]
+    rising = sorted(filter(_simulated, circuits), key=probe.expectation)
+    return rising + [c for c in circuits if not _simulated(c)] + circuits[::3]
 
 
 def _outputs(g, shots, schedule, prepare):

@@ -2,6 +2,7 @@ import ast
 import itertools
 import math
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import kernel_oracle
-from harness import EDGE, TRIANGLE, spy, traced_peak
+from harness import (
+    EDGE,
+    TRIANGLE,
+    assert_within_the_canonical_bounds,
+    every_half,
+    spy,
+    traced_peak,
+)
 from qmaxcut import (
     Graph,
     QaoaConfig,
@@ -252,32 +260,59 @@ class TestFlipSymmetricHalf:
         assert len(calls) == 1
 
 
+def _state_value(ws):
+    """The workspace's expectation formula on the state ``ws.state`` holds:
+    ``vdot`` where the half state fits in the scratch buffer, and
+    ``np.add.reduce`` of ``low_table * |w|**2`` over the whole half where
+    the workspace runs it chunk by chunk (from n=17)."""
+    w = ws.state
+    if w.size <= simulator._SCRATCH_ENTRIES:
+        return 2.0 * float(np.real(np.vdot(w, ws.low_table * w)))
+    return 2.0 * float(np.add.reduce(ws.low_table * np.square(np.abs(w))))
+
+
+def _state_probabilities(ws):
+    """``concat(p, p[::-1])`` for ``p = |w|**2`` of the state ``ws.state``
+    holds, in an array of its own."""
+    low = np.abs(ws.state) ** 2
+    return np.concatenate([low, low[::-1]])
+
+
 def _half_outputs(g, params):
-    """State, expectation ``repr`` and probability bytes on the half register."""
+    """State, expectation and probabilities on the half register."""
     ws = simulator.FlipSymmetricWorkspace(g)
     simulator._flip_symmetric_state(simulator._circuit(params), ws)
     state = ws.state.copy()
-    expectation = repr(ws.expectation(params))
-    return state, expectation, ws.probabilities(params).tobytes()
+    expectation = ws.expectation(params)
+    return state, expectation, ws.probabilities(params).copy()
+
+
+def _every_kernel_outputs(g, params):
+    """State, expectation and probabilities of the every-kernel run: every
+    half-layer of ``params`` through :mod:`kernel_oracle`, zero angles and
+    all, valued by the workspace's own formula."""
+    ws = simulator.FlipSymmetricWorkspace(g)
+    kernel_oracle.flip_symmetric_state(every_half(params), ws)
+    return ws.state.copy(), _state_value(ws), _state_probabilities(ws)
 
 
 class TestZeroAngleSkip:
-    """A half-layer whose angle is exactly 0 is the identity and runs no kernel."""
+    """A half-layer whose angle is exactly 0 is the identity and runs no
+    kernel.  Where the canonical form is ``params``' half-layers less its
+    zeros, the bits are the every-kernel run's; where it merges, strips or
+    is valued in closed form, they are within the canonical bounds."""
 
     def assert_matches_every_kernel(self, g, params):
         state, expectation, probs = _half_outputs(g, params)
-        with pytest.MonkeyPatch.context() as mp:
-            # Every half-layer, zero angles included: each kernel runs whatever the angle.
-            every = tuple(h for gb in zip(params.gammas, params.betas) for h in enumerate(gb))
-            mp.setattr(
-                simulator, "_flip_symmetric_state",
-                lambda circuit, ws: kernel_oracle.flip_symmetric_state(every, ws),
-            )
-            ref_state, ref_expectation, ref_probs = _half_outputs(g, params)
-        # ``==``: a skipped kernel may leave a zero component with the other sign.
-        assert np.array_equal(state, ref_state)
-        assert expectation == ref_expectation
-        assert probs == ref_probs
+        ref_state, ref_expectation, ref_probs = _every_kernel_outputs(g, params)
+        circuit = simulator._circuit(params)
+        if circuit == tuple(h for h in every_half(params) if h[1]) and len(circuit) > 2:
+            # ``==``: a skipped kernel may leave a zero component with the other sign.
+            assert np.array_equal(state, ref_state)
+            assert repr(expectation) == repr(ref_expectation)
+            assert probs.tobytes() == ref_probs.tobytes()
+        else:
+            assert_within_the_canonical_bounds(g, expectation, probs, ref_expectation, ref_probs)
 
     @given(
         half_oracle_graphs(),
@@ -301,40 +336,117 @@ class TestZeroAngleSkip:
         self.assert_matches_every_kernel(g, _params(angles))
 
     @pytest.mark.parametrize(
-        ("angles", "mixes"),
+        ("angles", "pairs"),
         [
             ([0.0, 0.0, 0.0, 0.0], 0),  # the all-zero start
             ([0.8, 0.0, 0.3, 0.0], 1),  # a depth-1 optimum padded for the ladder
             ([0.8, 0.5, 0.3, 0.2], 2),
         ],
     )
-    def test_mixer_runs_only_for_nonzero_beta(self, monkeypatch, angles, mixes):
+    def test_mixer_runs_only_for_nonzero_beta(self, monkeypatch, angles, pairs):
+        # ``pairs`` (cost, mixer) pairs in the canonical form; a form of at
+        # most one pair is valued in closed form, so no mixer runs for it.
         calls = spy(monkeypatch, simulator._Mixer, "__call__",
                     record=lambda self, beta: beta)
         params = _params(angles)
         evaluate_params(generate_random_graph(7, 12, 3), params)
-        assert len(calls) == mixes
-        assert calls == [beta for kind, beta in simulator._circuit(params) if kind == 1]
+        circuit = simulator._circuit(params)
+        assert len(circuit) == 2 * pairs
+        assert calls == ([beta for kind, beta in circuit if kind == 1] if pairs > 1 else [])
+
+
+@st.composite
+def canceling_angles(draw):
+    """``[g1..gp, b1..bp]`` for ``p`` of 1-4, with exact zeros of either
+    sign, and at each layer boundary possibly a pair that cancels: ``gamma_l``,
+    ``beta_l = 0``, ``gamma_l+1 = -gamma_l``, or ``beta_l``, ``gamma_l+1 = 0``,
+    ``beta_l+1 = -beta_l``."""
+    p = draw(st.integers(min_value=1, max_value=4))
+    x = draw(st.lists(ANGLES_OR_ZERO, min_size=2 * p, max_size=2 * p))
+    gammas, betas = x[:p], x[p:]
+    for layer in range(p - 1):
+        how = draw(st.sampled_from(["none", "cost", "mixer"]))
+        if how == "cost":
+            betas[layer], gammas[layer + 1] = 0.0, -gammas[layer]
+        elif how == "mixer":
+            gammas[layer + 1], betas[layer + 1] = 0.0, -betas[layer]
+    return gammas + betas
+
+
+class TestCanonicalCircuit:
+    """The canonical form (:func:`simulator._circuit`) against the rule's
+    four identities, and the workspace's value and probabilities of it
+    against the every-kernel run of the uncanonicalized circuit."""
+
+    @pytest.mark.parametrize(
+        ("angles", "form"),
+        [
+            ([0.5, 0.3, 0.2, 0.4], ((0, 0.5), (1, 0.2), (0, 0.3), (1, 0.4))),  # its own form
+            ([0.5, 0.0, 0.2, 0.4], ((0, 0.5), (1, 0.6000000000000001))),  # zero, then merge
+            ([0.5, -0.5, 0.0, 0.4], ()),  # gamma, beta = 0, -gamma: all of it cancels
+            ([0.0, 0.5, 0.2, 0.0], ()),  # a leading mixer, a trailing cost
+            ([0.0, 0.5, 0.2, 0.3], ((0, 0.5), (1, 0.3))),  # the leading mixer goes
+            ([0.5, 0.3, 0.2, 0.0], ((0, 0.5), (1, 0.2))),  # the trailing cost goes
+            # The mixer after a cancellation opens the circuit, and goes.
+            ([0.5, -0.5, 0.4, 0.0, 0.3, 0.2], ((0, 0.4), (1, 0.2))),
+            ([0.0, -0.0, 0.0, -0.0], ()),
+        ],
+    )
+    def test_form_follows_the_four_identities(self, angles, form):
+        assert simulator._circuit(_params(angles)) == form
+
+    @given(half_oracle_graphs(max_n=14), canceling_angles())
+    @example(generate_random_graph(6, 9, 1), [0.7, -0.7, 0.0, 0.4])  # cancels to nothing
+    @example(generate_random_graph(6, 9, 1), [0.7, 0.3, 0.0, 0.4, 0.0, -0.4])
+    @settings(max_examples=200, deadline=None)
+    def test_matches_every_kernel_run(self, g, angles):
+        params = _params(angles)
+        ws = simulator.FlipSymmetricWorkspace(g)
+        value = ws.expectation(params)
+        probs = ws.probabilities(params).copy()
+        _, want_value, want_probs = _every_kernel_outputs(g, params)
+        assert_within_the_canonical_bounds(g, value, probs, want_value, want_probs)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_padded_depth_one_optimum_scores_its_closed_form_exactly(self, seed):
+        # The ladder pads the depth-1 optimum with a zero layer; its form is
+        # the depth-1 circuit, valued by the closed form the first rung used,
+        # so the next rung starts from exactly the value it reached.
+        g = generate_random_graph(8 + seed, 14 + 2 * seed, seed)
+        cfg = QaoaConfig(p=1, budget=30, restarts=2, seed=seed)
+        best, value, _ = optimize_params(g, cfg)
+        padded = QaoaParams(best.gammas + (0.0,), best.betas + (0.0,))
+        assert simulator.FlipSymmetricWorkspace(g).expectation(padded) == value
+        assert value == depth_one_expectation(g, best.gammas[0], best.betas[0])
+        # Chained warm starts, as in criterion 5, never lose a bit.
+        values, warm = [], None
+        for p in (1, 2, 3):
+            result = run_qaoa(g, replace(cfg, p=p, budget=45, restarts=3), warm_params=warm)
+            values.append(result.best_expectation)
+            warm = result.best_params
+        assert values == sorted(values)
 
 
 def _reference_expectation(ws, params):
     """``FlipSymmetricWorkspace.expectation`` without the circuit memo or
-    the chunks: ``vdot`` where the half state fits in the scratch buffer,
-    and ``np.add.reduce`` of ``low_table * |w|**2`` over the whole half
-    where the workspace runs it chunk by chunk (from n=17)."""
-    simulator._flip_symmetric_state(simulator._circuit(params), ws)
-    w = ws.state
-    if w.size <= simulator._SCRATCH_ENTRIES:
-        return 2.0 * float(np.real(np.vdot(w, ws.low_table * w)))
-    return 2.0 * float(np.add.reduce(ws.low_table * np.square(np.abs(w))))
+    the chunks: a canonical form of at most one (cost, mixer) pair valued
+    as the canonical rule values it, in closed form, and any other
+    prepared again and valued by :func:`_state_value`."""
+    circuit = simulator._circuit(params)
+    if not circuit:
+        return 0.5 * ws.graph.m
+    if len(circuit) == 2:
+        return depth_one_expectation(ws.graph, circuit[0][1], circuit[1][1])
+    simulator._flip_symmetric_state(circuit, ws)
+    return _state_value(ws)
 
 
-def _reference_probabilities(ws, params):
-    """``FlipSymmetricWorkspace.probabilities`` preparing every state, in
-    an array of its own."""
-    simulator._flip_symmetric_state(simulator._circuit(params), ws)
-    low = np.abs(ws.state) ** 2
-    return np.concatenate([low, low[::-1]])
+def _reference_probabilities(ws, circuit):
+    """``FlipSymmetricWorkspace._probabilities``, which ``cut`` and
+    ``probabilities`` read, preparing every state, in an array of its own."""
+    ws.held = None
+    simulator._flip_symmetric_state(circuit, ws)
+    return _state_probabilities(ws)
 
 
 def _reference_uniforms(shots, seed):
@@ -365,7 +477,9 @@ class TestSimulateEachCircuitOnce:
     @pytest.mark.parametrize("twins", [(0, 1), (2, 3)], ids=["cost", "mixer"])
     def test_simplex_twins_run_the_kernels_once(self, monkeypatch, twins):
         # Nelder-Mead's initial simplex around the zero start moves gamma_1
-        # and gamma_2 (or beta_1 and beta_2) alone by 0.00025: one circuit.
+        # and gamma_2 (or beta_1 and beta_2) alone by 0.00025: one circuit,
+        # whose canonical form is empty (a lone cost half-layer closes it, a
+        # lone mixer one opens it), valued as m / 2 with no kernel run.
         g = generate_random_graph(9, 16, 2)
         first, second = np.zeros(4), np.zeros(4)
         first[twins[0]] = second[twins[1]] = 0.00025
@@ -374,17 +488,20 @@ class TestSimulateEachCircuitOnce:
         workspace = simulator.FlipSymmetricWorkspace(g)
         values = [evaluate_params(g, _params(x), workspace=workspace)
                   for x in (first, second)]
-        assert log == ["prepare"]
-        assert repr(values[1]) == repr(values[0]) == repr(expected)
+        assert log == []
+        assert repr(values[1]) == repr(values[0]) == repr(expected) == repr(g.m / 2)
 
     @pytest.mark.parametrize(
         ("shots", "after", "mode"),
         [
             pytest.param(64, [], "cold", id="64-after0"),
             pytest.param(0, ["prepare"], "cold", id="0-after1"),
-            # The best state is kept across rungs: a ladder's last rung
-            # starts from the previous rung's best, a circuit already kept.
-            pytest.param(64, [], "ladder", id="64-ladder"),
+            # A ladder's last rung starts from the previous rung's best.
+            # Here that is a depth-1 form (every circuit of the simplex
+            # around a zero-padded start is one), valued in closed form, so
+            # no rung simulates a state and the best is prepared and drawn
+            # at extraction.
+            pytest.param(64, ["prepare"], "ladder", id="64-ladder"),
             pytest.param(64, [], "warm", id="64-warm"),
         ],
     )
@@ -401,10 +518,12 @@ class TestSimulateEachCircuitOnce:
         last = len(log) - log[::-1].index("eval")
         assert log.count("eval") == result.n_evaluations == budget
         assert log[last:] == after
-        # Every distinct circuit evaluated is simulated exactly once; the
-        # last circuit named is the extraction's.
+        # Every distinct circuit evaluated whose canonical form is not
+        # valued in closed form is simulated exactly once; the last circuit
+        # named is the extraction's.
         evaluated = circuits[:-1]
-        assert log[:last].count("prepare") == len(set(evaluated)) < len(evaluated)
+        simulated = {circuit for circuit in evaluated if len(circuit) > 2}
+        assert log[:last].count("prepare") == len(simulated) < len(evaluated)
 
     def test_a_prepared_state_is_valued_without_preparing_it_again(self, monkeypatch):
         # Its probabilities are read without preparing it either, but they
@@ -412,7 +531,8 @@ class TestSimulateEachCircuitOnce:
         g = generate_random_graph(9, 16, 2)
         params = QaoaParams((0.4, 0.1), (0.3, 0.2))
         want = [repr(_reference_expectation(simulator.FlipSymmetricWorkspace(g), params)),
-                _reference_probabilities(simulator.FlipSymmetricWorkspace(g), params).tobytes()]
+                _reference_probabilities(simulator.FlipSymmetricWorkspace(g),
+                                         simulator._circuit(params)).tobytes()]
         workspace = simulator.FlipSymmetricWorkspace(g)
         log = _prepare_log(monkeypatch)
         workspace._state_of(simulator._circuit(params))
@@ -429,7 +549,8 @@ class TestSimulateEachCircuitOnce:
         g = generate_random_graph(9, 16, 2)
         best, other = QaoaParams((0.4, 0.1), (0.3, 0.2)), QaoaParams((0.1, 0.2), (0.5, 0.1))
         want = [repr(simulator.FlipSymmetricWorkspace(g, 64, 5).cut(best)),
-                _reference_probabilities(simulator.FlipSymmetricWorkspace(g), other).tobytes()]
+                _reference_probabilities(simulator.FlipSymmetricWorkspace(g),
+                                         simulator._circuit(other)).tobytes()]
         workspace = simulator.FlipSymmetricWorkspace(g, 64, 5)
         assert workspace.expectation(best) > workspace.expectation(other)
         log = _prepare_log(monkeypatch)
@@ -439,11 +560,13 @@ class TestSimulateEachCircuitOnce:
     @pytest.mark.parametrize(
         ("p", "mode", "g", "budget", "drawn"),
         [
-            pytest.param(p, mode, generate_random_graph(9, 16, 4), 15, True, id=f"{mode}-p{p}")
+            pytest.param(p, mode, generate_random_graph(9, 16, 4), 15, mode != "ladder",
+                         id=f"{mode}-p{p}")
             for p in (2, 3) for mode in ("ladder", "cold", "warm")
         ] + [
+            # The ladder's best is a depth-1 form here, valued in closed form.
             # The empty circuit ends best: every value is 0, it is the only
-            # circuit the budget reaches, or it beats a drawn warm start.
+            # circuit the budget reaches, or it beats the warm start.
             pytest.param(2, "ladder", Graph(9, ()), 12, False, id="edgeless"),
             pytest.param(2, "cold", generate_random_graph(9, 16, 2), 1, False, id="budget-1"),
             pytest.param(2, "worse", generate_random_graph(9, 16, 2), 2, False, id="worse-warm"),
@@ -460,26 +583,27 @@ class TestSimulateEachCircuitOnce:
         spy(monkeypatch, simulator, "_draw", log, record=lambda *args: "draw")
         result = run_qaoa(g, cfg, warm_params=warm)
         extraction = log[len(log) - log[::-1].index("eval") :]
-        # A drawn best is extracted with no preparation and no draw; the
-        # empty circuit is drawn from at extraction, prepared unless held.
+        # A drawn best is extracted with no preparation and no draw; a best
+        # valued in closed form is drawn from at extraction, prepared unless held.
         assert extraction == [] if drawn else extraction in (["draw"], ["prepare", "draw"])
         circuit = simulator._circuit(result.best_params)
-        assert any(kind for kind, _ in circuit) == drawn
+        assert (len(circuit) > 2) == drawn
         fresh = simulator.FlipSymmetricWorkspace(g, cfg.shots, cfg.seed).cut(result.best_params)
         assert repr(result.best_cut) == repr(fresh)
 
     def test_scanned_run_reads_a_held_final_state(self, monkeypatch):
         # Here the best circuit is also the last one simulated, so the
         # workspace still holds the final state: the scan prepares none.
+        # (At budget 10 the last evaluation simulates a circuit after it.)
         g = generate_random_graph(9, 16, 2)
-        cfg = QaoaConfig(p=2, budget=10, restarts=2, seed=3, warm_start=False)
+        cfg = QaoaConfig(p=2, budget=9, restarts=2, seed=3, warm_start=False)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(simulator.FlipSymmetricWorkspace, "probabilities", _reference_probabilities)
+            mp.setattr(simulator.FlipSymmetricWorkspace, "_probabilities", _reference_probabilities)
             reference = run_qaoa(g, cfg)
         log = _prepare_log(monkeypatch)
         result = run_qaoa(g, cfg)
         last = len(log) - log[::-1].index("eval")
-        assert log.count("eval") == result.n_evaluations == 10
+        assert log.count("eval") == result.n_evaluations == 9
         assert log[last:] == []
         assert repr(result.best_cut) == repr(reference.best_cut)
 
@@ -493,7 +617,7 @@ class TestSimulateEachCircuitOnce:
         result = run_qaoa(g, cfg)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(simulator.FlipSymmetricWorkspace, "expectation", _reference_expectation)
-            mp.setattr(simulator.FlipSymmetricWorkspace, "probabilities", _reference_probabilities)
+            mp.setattr(simulator.FlipSymmetricWorkspace, "_probabilities", _reference_probabilities)
             mp.setattr(simulator, "_uniforms", _reference_uniforms)
             mp.setattr(simulator, "_draw", _reference_draw)
             mp.setattr(simulator, "_PANEL_MIN_QUBITS", 64)  # whole blocks only
