@@ -25,18 +25,11 @@ class SolveResult:
 def brute_force_maxcut(g: Graph) -> SolveResult:
     """Exact maximum cut by exhaustive enumeration.
 
-    Reads the full cut table :func:`~qmaxcut.graph.cut_values_by_basis`
-    (the one the full-register cost layer reads; QAOA reads only the low
-    half, :func:`~qmaxcut.graph.half_cut_values_by_basis`) and takes its
-    argmax over the even basis indices, i.e. with vertex 0 fixed to
-    ``+1`` (the global sign flip maps the other half onto these, so
-    nothing is lost).  Ties resolve to the smallest such index, which
-    makes the result fully deterministic.  This implementation costs
-    ``O(2**n * m)`` time, since the table covers both halves, and the
-    bytes of the ``2**n`` int32 table and of the copy of its even entries
-    that the argmax takes (:func:`~qmaxcut.graph.peak_bytes`); the table
-    refuses graphs above the qubit cap before it allocates.  The hybrid
-    cost model counts it in :func:`~qmaxcut.pipeline.hybrid_cost`.
+    The argmax of :func:`~qmaxcut.graph.cut_values_by_basis` over the
+    even basis indices, i.e. with vertex 0 fixed to ``+1`` (the global
+    sign flip maps the other half onto these, so nothing is lost); ties
+    resolve to the smallest such index.  ``O(2**n * m)`` time; its bytes
+    are :func:`~qmaxcut.graph.peak_bytes`' ``"brute force"``.
     """
     t0 = time.perf_counter()
     table = cut_values_by_basis(g)
@@ -54,9 +47,7 @@ def greedy_maxcut(g: Graph) -> SolveResult:
     subsequent vertex counts its already-labeled neighbors on each side
     and takes the side with fewer of them (ties go to ``+1``), cutting
     at least half of the edges considered at every step.  The final cut
-    therefore has value at least ``ceil(m / 2)``.  The ``-1`` side is a bit
-    mask and each count a popcount of :attr:`Graph.neighbours`.  The
-    hybrid cost model counts it in :func:`~qmaxcut.pipeline.hybrid_cost`.
+    therefore has value at least ``ceil(m / 2)``.
     """
     t0 = time.perf_counter()
     minus = 0  # bit mask of the vertices labeled -1

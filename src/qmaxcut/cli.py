@@ -12,16 +12,11 @@ and a blank expectation; rows whose solver failed keep their identity
 columns and leave cut/runtime_s/expectation blank (the reason goes to
 stderr).  Reruns with identical arguments produce byte-identical output
 except for the runtime_s column, at a fixed BLAS thread count.  When the
-CSV goes to a file, two plot-ready data sets are written next to it:
-``<stem>.runtime_vs_n.<series>.dat`` (one two-column file per algorithm
-series) and ``<stem>.runtime_vs_p.dat`` (depth vs mean runtime).
+CSV goes to a file, plot-ready data sets are written next to it
+(:func:`_plot_data`).
 
-Every integer in the arguments, in the lists ``--sizes``, ``--gen`` and
-``--depth`` and in the integer flags, is read by :func:`graph.parse_ints`,
-so it is ``-?[0-9]+`` in full, the edge-list format's syntax; ``--latency``
-adds an optional fraction and exponent to it.  ``solve`` takes exactly one
-of ``--graph`` and ``--gen``.
-
+Every integer argument is read by :func:`~qmaxcut.graph.parse_ints`;
+``--latency`` adds an optional fraction and exponent to that syntax.
 Each setting's rule has one owner: :class:`QaoaConfig` checks the depths,
 budget, restarts and shots, :class:`PipelineConfig` the latency, and
 ``bench`` the one rule no config owns, ``--trials >= 1``.  Both commands
@@ -122,8 +117,7 @@ def _output(path: str | None, mode: str):
     so a path that cannot be written fails at once; a file the command
     created is removed again when the command fails.  ``bench`` opens
     its files to append and rewrites them only once every one is open
-    (see :func:`cmd_bench`), so a failure leaves a file that was there
-    before as it was."""
+    (:func:`cmd_bench`), so a file that was there before survives a failure."""
     if path is None or path == "-":
         yield None if path is None else sys.stdout
         return
@@ -196,7 +190,9 @@ def cmd_solve(args) -> int:
 
 
 def _plot_data(out_path: str, records: list[BenchRecord]) -> dict[str, str]:
-    """Two-column gnuplot-style series files next to the CSV, as ``{path: text}``."""
+    """Two-column gnuplot-style files next to the CSV, as ``{path: text}``:
+    ``<stem>.runtime_vs_n.<series>.dat`` per algorithm series and
+    ``<stem>.runtime_vs_p.dat`` (depth against mean runtime)."""
     stem = str(Path(out_path).with_suffix(""))
     by_n: dict[str, list[tuple[int, float]]] = {}
     by_depth: dict[int, list[float]] = {}

@@ -12,18 +12,9 @@ Conventions used throughout the package:
   (least significant bit first): bit ``0`` means label ``+1``, bit
   ``1`` means label ``-1``.
 
-Integers in text, the edge-list format's and every other the program
-reads, are ``-?[0-9]+`` in full, read by :func:`parse_ints` alone.
-
-The qubit cap (``QMAXCUT_QUBIT_CAP``, else :data:`DEFAULT_QUBIT_CAP`;
-no function takes one) is checked by :func:`_check_cap` just before
-each ``2**n`` allocation: the full cut table here, the simulator's state
-and its half-register workspace.  A refusal names the bytes that
-:func:`peak_bytes`, the one byte model, gives the call at ``n`` and at the cap.
-
-Random-graph generation is deterministic and byte-stable across
-platforms and library versions.  It does not touch any global RNG.
-The algorithm, fixed for reproducibility:
+Random-graph generation (:func:`generate_random_graph`) is deterministic
+and byte-stable across platforms and library versions, and touches no
+global RNG:
 
 1. A SplitMix64 stream is seeded with ``seed`` (taken modulo 2**64).
 2. Uniform integers below a bound are drawn by rejection sampling, so
@@ -33,11 +24,9 @@ The algorithm, fixed for reproducibility:
    indices, then each index is unranked to the edge ``(u, v)`` in
    lexicographic order.
 
-The optimizer's start angles and the sampler's shots come from
-:class:`_PCG64`, numpy's default generator spelled out here, so the
-package imports no ``numpy.random`` and its draws do not depend on it.
-Each is its own stream, built from the seed where it is drawn from:
-:func:`qmaxcut.qaoa.optimize_params` and :func:`qmaxcut.simulator._uniforms`.
+Integers in text are read by :func:`parse_ints`, the qubit cap is
+:func:`_check_cap`'s, the byte model :func:`peak_bytes`, and the
+optimizer's and the sampler's draws come from :class:`_PCG64`.
 """
 
 from __future__ import annotations
@@ -66,11 +55,8 @@ _INTEGER = re.compile("-?[0-9]+")
 
 
 class EdgeListParseError(ValueError):
-    """Raised on malformed edge-list input.
-
-    Carries the 1-based ``line`` number of the offending line when it is
-    known, so callers can point at the exact spot in the file.
-    """
+    """Raised on malformed edge-list input, with the 1-based ``line``
+    number of the offending line when it is known."""
 
     def __init__(self, message: str, line: int | None = None):
         if line is not None:
@@ -215,8 +201,8 @@ def labels_from_index(n: int, index: int) -> tuple[int, ...]:
 def resolve_qubit_cap() -> int:
     """The qubit cap: ``QMAXCUT_QUBIT_CAP`` if set, else :data:`DEFAULT_QUBIT_CAP`.
 
-    The only reader of the variable, called at each check; a value that
-    is not an integer of at least 1 raises ``ValueError``.
+    The only reader of the variable; a value that is not an integer of at
+    least 1 raises ``ValueError``.
     """
     env = os.environ.get("QMAXCUT_QUBIT_CAP")
     if env is None:
@@ -254,9 +240,8 @@ def peak_bytes(kind: str, n: int, m: int = 0, shots: int = 0) -> int:
       probabilities they read fill the state buffer.
 
     Left out: numpy's own buffer for a broadcast or a cast, ``16 *
-    min(np.getbufsize(), 2**(n-1))`` bytes, and Python objects, which
-    dominate below n=14: the shots stream's words alone, at most 1,024
-    ints, add ~41 KB while it draws (79,628 B at n=8 with 4,096 shots).
+    min(np.getbufsize(), 2**(n-1))`` bytes, and Python objects, such as
+    the shots stream's words, at most 1,024 ints while it draws.
     """
     size, half = 1 << n, 1 << (n - 1)
     table = np.min_scalar_type(m).itemsize + (8 if half <= _GATHER_CHUNK else 0)
@@ -267,7 +252,19 @@ def peak_bytes(kind: str, n: int, m: int = 0, shots: int = 0) -> int:
 
 
 def _check_cap(n: int, kind: str, m: int = 0, shots: int = 0):
-    """Refuse ``n`` above the qubit cap, naming ``kind``'s :func:`peak_bytes`."""
+    """Refuse ``n`` above the qubit cap with :class:`ResourceLimitError`,
+    naming the bytes :func:`peak_bytes` gives ``kind`` at ``n`` and at the cap.
+
+    The cap is :func:`resolve_qubit_cap`'s, read at each check; no
+    function or config takes one, and no other code decides whether an
+    instance passes it.  It is checked just before each ``2**n``
+    allocation, in four places: :func:`cut_values_by_basis` (brute force),
+    :func:`~qmaxcut.simulator.init_uniform` and
+    :func:`~qmaxcut.simulator._cut_table` (the full-register reference)
+    and the :class:`~qmaxcut.simulator.FlipSymmetricWorkspace`
+    constructor, so every ``run_qaoa``, at every depth.  ``evaluate_params``
+    and ``optimize_params`` at depth 1 allocate no state and meet no cap.
+    """
     limit = resolve_qubit_cap()
     if n > limit:
         need, at_cap = (f"{b / 2**20:.1f} MiB" if b >> 20 else f"{b:,} B"
@@ -284,16 +281,11 @@ def cut_values_by_basis(g: Graph) -> np.ndarray:
     ``b``; the array has ``2**n`` entries.  An edge crosses the cut
     exactly when the endpoint bits of ``b`` differ.  Built in place, one
     broadcast add per edge on a view with bits ``u`` and ``v`` as axes.
-
-    It serves brute force alone; the full-state functions of
-    :mod:`qmaxcut.simulator` build the same table with :func:`_cut_values`
-    after a check of their own, and ``run_qaoa``
-    reads :func:`half_cut_values_by_basis`, built in ``O(2**n)`` rather
-    than ``O(m * 2**n)``.  Brute force keeps these per-edge adds because
-    acceptance criterion 8 asks its time to grow at least 16-fold from
-    n=8 to n=16, and with a cheaper build fixed per-call costs dominate
-    at n=8, which leaves that ratio at the edge of the bound.  Graphs
-    above the qubit cap are refused before the table is allocated.
+    Only brute force reads it.  It keeps these ``O(m * 2**n)`` adds, not
+    the ``O(2**n)`` build of :func:`half_cut_values_by_basis`, because
+    acceptance criterion 8 asks brute force's time to grow at least
+    16-fold from n=8 to n=16, and with a cheaper build fixed per-call costs
+    dominate at n=8, which leaves that ratio at the edge of the bound.
     """
     _check_cap(g.n, "brute force")
     return _cut_values(g)
@@ -317,17 +309,15 @@ def half_cut_values_by_basis(g: Graph, scratch: np.ndarray) -> np.ndarray:
     is the cut table of the edges among them.  Vertex ``v`` with lower
     neighbours ``M`` (its :attr:`Graph.neighbours` mask below bit ``v``)
     adds ``S[y] = popcount(y & M)`` to ``out[:2**v]`` (``v`` labeled
-    ``+1``, an edge cut where ``y`` is 1) and writes
-    ``out[2**v:2**(v+1)] = out[:2**v] + popcount(M) - S`` (``v`` labeled
-    ``-1``).  The top vertex is clear throughout the half,
-    so it only adds its ``S`` to the whole of it.  ``S`` is built by
-    doubling too, ``S[j:2j] = S[:j] + (1 if M & j else 0)`` for each
-    power of two ``j``, into ``scratch``, an integer array of at least
-    ``2**(n-1)`` entries that is overwritten; nothing but the table is
-    allocated.  The dtype must hold ``m`` (``np.min_scalar_type(g.m)``,
-    one byte up to 255 edges, does): a difference may wrap around below
-    zero on the way, but integer arithmetic is exact modulo ``2**bits``
-    and every final entry is a cut value in ``[0, m]``.
+    ``+1``, an edge cut where ``y`` is 1) and writes ``out[2**v:2**(v+1)]
+    = out[:2**v] + popcount(M) - S`` (``v`` labeled ``-1``); the top
+    vertex, clear throughout the half, only adds its ``S``.  ``S`` is
+    built by doubling too, ``S[j:2j] = S[:j] + (1 if M & j else 0)``, into
+    ``scratch``, an integer array of at least ``2**(n-1)`` entries that is
+    overwritten; nothing but the table is allocated.  The dtype must hold
+    ``m``, as ``np.min_scalar_type(g.m)`` does: a difference may wrap
+    around below zero on the way, but integer arithmetic is exact modulo
+    ``2**bits`` and every final entry is a cut value in ``[0, m]``.
     """
     if np.iinfo(scratch.dtype).max < g.m:
         raise ValueError(f"{scratch.dtype} cannot hold the cut values of {g.m} edges")
@@ -506,11 +496,10 @@ def parse_ints(text: str, error: Exception, sep: str = ",", count: int = 1) -> t
 def parse_edge_list(text: str) -> Graph:
     """Parse the strict edge-list format into a :class:`Graph`.
 
-    Line 1 is ``n m``; exactly ``m`` lines ``u v`` follow, then the
-    trailing newline ends the file.  Each line is two integers (see
-    :func:`parse_ints`) separated by one space, with no other whitespace:
-    no comments, blank lines or padding.  Malformed input raises
-    :class:`EdgeListParseError` naming the 1-based line number;
+    Line 1 is ``n m``; exactly ``m`` lines ``u v`` follow, each two
+    integers (:func:`parse_ints`) and one space, then the trailing newline
+    ends the file: no comments, blank lines or padding.  Malformed input
+    raises :class:`EdgeListParseError` naming the 1-based line number;
     :class:`Graph` checks each edge line as it is read, once, so the
     first bad line is the one named.
     """
@@ -548,11 +537,8 @@ def parse_edge_list(text: str) -> Graph:
 
 
 def write_edge_list(g: Graph) -> str:
-    """Serialize ``g`` to the canonical edge-list format (LF endings).
-
-    Round-trips through :func:`parse_edge_list`: edges come out sorted
-    with ``u < v``, one per line, no comments.
-    """
+    """Serialize ``g`` to the canonical edge-list format (LF endings), which
+    :func:`parse_edge_list` reads back: edges sorted with ``u < v``."""
     lines = [f"{g.n} {g.m}"]
     lines.extend(f"{u} {v}" for u, v in g.edges)
     return "\n".join(lines) + "\n"

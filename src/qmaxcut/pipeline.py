@@ -1,15 +1,10 @@
 """Instrumented quantum-classical pipeline around the variational solver.
 
-A run walks two stages -- ``quantum`` (the variational loop) and
-``postprocess`` (local refinement and report assembly).  Nothing needs a
-stage before them: the configs check themselves when built, and
-:func:`run_qaoa`'s workspace checks the qubit cap.  Each stage's time is
-stored once: ``quantum`` is ``qaoa_result.elapsed``, :func:`run_qaoa`'s
-own, and ``postprocess_s`` is timed here with ``time.perf_counter``.
-
-The report's ``offload_count`` and ``simulated_comm_overhead`` are the
-jobs and overhead of :func:`hybrid_cost`, the hybrid cost model's one
-statement.  The overhead is bookkeeping only; nothing sleeps.
+A run walks two stages: ``quantum`` (:func:`run_qaoa`, timed by its own
+``elapsed``) and ``postprocess`` (local refinement and report assembly,
+``postprocess_s``, timed here with ``time.perf_counter``); each time is
+stored once.  The report's ``offload_count`` and
+``simulated_comm_overhead`` are :func:`hybrid_cost`'s; nothing sleeps.
 """
 
 from __future__ import annotations
@@ -63,9 +58,8 @@ def refine_assignment(g: Graph, assignment: CutAssignment) -> CutAssignment:
     Scans vertices in index order, flipping any vertex whose flip
     strictly increases the cut, and repeats until a full pass finds
     nothing.  The result is 1-flip locally optimal and never worse than
-    the input.  Deterministic.  The ``-1`` side is a bit mask and each
-    count a popcount of :attr:`Graph.neighbours`.  Labels of another
-    length than ``g``'s vertex count raise ``ValueError``.
+    the input.  Deterministic.  Labels of another length than ``g``'s
+    vertex count raise ``ValueError``.
     """
     _check_labels(g, assignment.labels)
     minus = sum(1 << v for v, x in enumerate(assignment.labels) if x == -1)
@@ -86,15 +80,8 @@ def hybrid_cost(g: Graph, p: int, n_evaluations: int, offload_latency: float) ->
     its objective ``n_evaluations`` times, in elementary operations:
 
     * ``"jobs"``: ``n_evaluations + 1`` circuit jobs handed to an
-      accelerator, one per objective evaluation and one for the final
-      state preparation.  That holds whatever computed the value on this
-      host: an evaluation whose canonical form
-      (:func:`qmaxcut.simulator._circuit`) has at most one (cost, mixer)
-      pair, valued in closed form, still counts as one job, as it would
-      on hardware, and so does one whose form ran fewer half-layers than
-      its angles name, one whose form the host had already valued, and a
-      final cut the host drew during the best evaluation (see
-      :class:`qmaxcut.simulator.FlipSymmetricWorkspace`);
+      accelerator, one per objective evaluation, however this host valued
+      it, and one for the final state preparation, as on hardware;
     * ``"overhead"``: ``jobs * offload_latency`` seconds of traffic;
     * ``"greedy"``: ``n + m`` steps of the greedy heuristic;
     * ``"gates per job"``: ``n + p*(m + n)`` gates, the initial Hadamards,

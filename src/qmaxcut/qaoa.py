@@ -1,63 +1,9 @@
-"""Variational driver: classical angle optimization around the simulator.
+"""Variational driver: the angles that maximize the expected cut.
 
-The objective is the expected cut value of the layered ansatz state,
-which we maximize.  At depth 1 it is computed in closed form from
-per-edge degrees and triangle counts
-(:func:`~qmaxcut.simulator.depth_one_expectation`), in ``O(m)`` with no
-``2**n`` state, so no qubit cap applies to it.  Deeper objectives are
-taken in their canonical form (:func:`qmaxcut.simulator._circuit`) and
-simulated on the flip-symmetric half of the register, ``2**(n-1)``
-amplitudes, unless that form has at most one (cost, mixer) pair, which
-the same closed form values.  :func:`run_qaoa` builds one
-:class:`~qmaxcut.simulator.FlipSymmetricWorkspace`, which checks the
-cap, computes every deeper expectation of the run, on every rung of the
-ladder, and picks the cut, drawn with the run's shots or scanned; this
-module only chooses the angles.
-No full cut table or full-register state is built on any run path.
-Optimization is multi-start Nelder-Mead under a hard evaluation budget:
-
-* Start points are, in order: the warm start, zero-padded to depth p,
-  the all-zero vector, then uniform random draws (gamma in [0, 2*pi),
-  beta in [0, pi)) until ``restarts`` starts exist.  All draws come from a
-  dedicated PCG64 stream (:class:`~qmaxcut.graph._PCG64`, numpy's
-  ``default_rng(SeedSequence([seed mod 2**64, 1, p]))`` bit for bit, with
-  no ``numpy.random`` import), fixed before any optimization happens, so
-  results are reproducible and do not move with numpy's RNG.  A sampled
-  extraction draws its shots from a second stream, which
-  :func:`qmaxcut.simulator._uniforms` alone builds from the seed.
-* Every start point is evaluated once up front (only the first
-  ``budget`` of them when they outnumber it), then Nelder-Mead runs
-  from each in turn with whatever budget remains.  The optimizer is
-  :func:`minimize`, in this module: it repeats scipy's Nelder-Mead
-  steps exactly, so the package imports no scipy (``scipy.optimize``
-  alone took about 0.5 s and 45 MiB of every process's start-up).  The
-  best parameter vector ever *evaluated* is returned, so the result can
-  never be worse than the all-zero point, whenever the budget reaches it
-  -- its state is the uniform superposition with expectation ``m / 2``.
-* No call evaluates the objective more than ``budget`` times: the up-front
-  pass stops at ``budget`` starts, and each polish gets what remains as
-  :func:`minimize`'s ``maxfev``, its one counter while polishing.
-
-With ``warm_start`` enabled and no explicit warm parameters, depths
-above 1 are optimized as a ladder: depth 1 first, each next depth
-seeded with the previous optimum padded by a zero-angle layer, the
-budget split evenly across stages.  The ladder only engages when every
-stage would get at least two evaluations and one per restart
-(``budget // p >= max(2, restarts)``); otherwise the full depth is
-optimized directly.  A padded optimum's canonical form is that of the
-optimum itself, so the next rung scores it exactly as the last one did:
-the padded depth-1 optimum by the same closed form.
-
-Exact zero angles are common: the all-zero start is evaluated up front
-and again as Nelder-Mead's ``x0``, the initial simplex around it
-moves one coordinate at a time off 0, and the ladder pads each warm
-start with a zero layer.  On the n=20 benchmark workload (p=2, budget
-10, no ladder) half of the evaluated angles are exactly 0, and 6 of
-every 10 evaluations have a canonical form of at most one pair: the
-all-zero start and its simplex are all the uniform state.  The rule
-for which half-layers run is :func:`qmaxcut.simulator._circuit`'s; an
-evaluation counts toward the budget whatever its form, also when the
-workspace returns a stored value because the form was valued before.
+Multi-start Nelder-Mead (:func:`minimize`) under a hard evaluation budget
+(:func:`optimize_params`), on a depth ladder (:func:`run_qaoa`); one
+:class:`~qmaxcut.simulator.FlipSymmetricWorkspace` per run values each
+circuit and picks the cut.
 """
 
 from __future__ import annotations
@@ -87,9 +33,8 @@ class QaoaConfig:
     ``budget`` caps objective evaluations for the whole call (and must
     cover at least one evaluation per restart); ``shots`` selects the
     cut-extraction rule (0 = threshold scan of the exact distribution,
-    >0 = sampled bitstrings).  The qubit cap is not a field: every run
-    reads the one setting, ``QMAXCUT_QUBIT_CAP`` or else 24 (see
-    :func:`~qmaxcut.graph.resolve_qubit_cap`).
+    >0 = sampled bitstrings).  No field sets the qubit cap
+    (:func:`~qmaxcut.graph._check_cap`).
     """
 
     p: int
@@ -129,18 +74,10 @@ def evaluate_params(
     *,
     workspace: FlipSymmetricWorkspace | None = None,
 ) -> float:
-    """Expected cut value of the ansatz state at the given angles.
-
-    Depth 1 takes the value from :func:`depth_one_expectation`, with no
-    state or cut table, so the qubit cap does not apply.  Deeper
-    circuits are valued by their canonical form (see
-    :meth:`qmaxcut.simulator.FlipSymmetricWorkspace.expectation`), in
-    closed form or simulated on the half of the register that the global
-    bit flip maps onto the other half, in ``workspace`` when one is
-    passed (built for a graph equal to ``g``) and otherwise in a fresh
-    one, whose constructor refuses the instances above the cap.
-    A form the workspace has already valued returns the value stored
-    there, the same float, and runs no kernel.
+    """Expected cut value of the ansatz state at the given angles: depth 1
+    by :func:`depth_one_expectation`, with no state, deeper ones by
+    :meth:`~qmaxcut.simulator.FlipSymmetricWorkspace.expectation` in
+    ``workspace`` (built for a graph equal to ``g``), else in a fresh one.
     """
     if params.p == 1:
         return depth_one_expectation(g, params.gammas[0], params.betas[0])
@@ -173,12 +110,10 @@ def minimize(fun, x0, maxfev: int) -> tuple[list[float], float]:
     contraction and shrink 0.5; stop when every vertex is within 1e-4 of
     the best in each coordinate and in value.  The simplex is held as
     Python floats, which round each step as numpy does (the centroid
-    sums the vertices in order from 0.0, as ``np.add.reduce`` does);
-    ``fun`` is passed each point as a new list of floats, which is never
-    written to afterwards, so ``fun`` may keep it.  The vertices
-    are ordered by value with numpy's ``argsort``, as scipy orders them,
-    and ties follow it: its default sort is not stable, so tied vertices
-    may trade places, and the points ``fun`` sees depend on that order.
+    sums the vertices in order from 0.0, as ``np.add.reduce`` does).  The
+    vertices are ordered by numpy's ``argsort``, which is not stable, so
+    tied vertices may trade places as in scipy.  ``fun`` gets each point
+    as a new list of floats, never written to afterwards.
     """
     def f(x):
         nonlocal fev
@@ -247,17 +182,24 @@ def optimize_params(
     warm: QaoaParams | None = None,
     workspace: FlipSymmetricWorkspace | None = None,
 ) -> tuple[QaoaParams, float, int]:
-    """Maximize the expected cut over angles at depth ``cfg.p``.
+    """Maximize the expected cut over angles at depth ``cfg.p``; returns
+    ``(best_params, best_expectation, n_evaluations)``.
 
-    Returns ``(best_params, best_expectation, n_evaluations)``.  See
-    the module docstring for the start schedule and budget rules.
-    ``warm``, of any depth up to ``cfg.p``, is zero-padded to depth
-    ``cfg.p`` and tried first (this is the warm-start hook used by
-    :func:`run_qaoa`); a deeper one raises ``ValueError``.  At depth 2
-    or more every evaluation of the call runs in ``workspace``, the
-    run's own (it must have been built for ``g``), or else in one
-    workspace allocated for the call, which checks the qubit cap and is
-    freed on return.  Depth 1 allocates nothing and meets no cap.
+    The starts are, in order: ``warm``, of any depth up to ``cfg.p``,
+    zero-padded to it (a deeper one raises ``ValueError``); the all-zero
+    vector; then uniform draws (gamma in [0, 2*pi), beta in [0, pi)) until
+    ``cfg.restarts`` starts exist.  The draws come from their own stream,
+    ``_PCG64(cfg.seed, _STREAM_DRAWS, p)`` (:class:`~qmaxcut.graph._PCG64`),
+    fixed before any evaluation.  Every start is evaluated once (only the
+    first ``cfg.budget`` when they outnumber it), then :func:`minimize`
+    polishes each in turn with what remains of ``cfg.budget`` as its
+    ``maxfev``, so the call never evaluates more than ``cfg.budget``
+    times, and every evaluation counts, a stored or closed-form value too.
+    The best point ever evaluated is returned, so the result is at least
+    the all-zero point's ``m / 2`` whenever the budget reaches that start.
+
+    At depth 2 or more every evaluation runs in ``workspace``, built for
+    ``g``, or else in one the call builds and frees.
     """
     p = cfg.p
     starts = []  # each a list [g1..gp, b1..bp], the one layout of a point
@@ -299,32 +241,24 @@ def run_qaoa(
 ) -> QaoaResult:
     """Full variational run: optimize angles, prepare the state, extract a cut.
 
-    ``warm_params`` (any depth up to ``cfg.p``) is zero-padded to depth
-    ``cfg.p`` and tried as the first start; passing the previous
-    depth's optimum guarantees the expectation is non-decreasing in
-    depth, because the padded point is itself evaluated, and its
-    canonical form (:func:`qmaxcut.simulator._circuit`) is the
-    optimum's, valued as the previous depth valued it, bit for bit.
-    Without it, ``cfg.warm_start`` controls the internal
-    depth ladder (see module docstring); either way the run is one loop
-    over its rungs, a lone rung at depth ``cfg.p`` when no ladder
-    climbs.  ``n_evaluations`` counts objective evaluations only; the
-    final state preparation is one further circuit application (one job
-    in the pipeline's model), which this host skips when the workspace
-    still holds that state or drew its cut when it became the best.
+    The run is one loop of :func:`optimize_params` over its rungs, each
+    warm-started from the previous rung's optimum, the first from
+    ``warm_params`` (any depth up to ``cfg.p``).  Without ``warm_params``
+    and with ``cfg.warm_start``, it climbs a depth ladder, rungs at depths
+    1 to ``cfg.p``, when each would get at least two evaluations and one
+    per restart (``budget // p >= max(2, restarts)``): each rung below
+    ``p`` gets ``budget // p`` evaluations and depth ``p`` the rest.
+    Otherwise it is one rung at depth ``cfg.p``.  A zero-padded optimum
+    has the optimum's canonical form (:func:`qmaxcut.simulator._circuit`),
+    so it scores as it did there, bit for bit, and ``best_expectation``
+    never falls with depth.  It is at least the uniform state's ``m / 2``,
+    exactly, always without ``warm_params`` (a ladder rung gets two or
+    more evaluations) and from ``cfg.budget = 2`` with them.
+
+    One workspace (:class:`~qmaxcut.simulator.FlipSymmetricWorkspace`),
+    built before any evaluation, serves every rung, the final state and
+    the cut.  ``n_evaluations`` counts objective evaluations only;
     ``elapsed`` covers the whole call.
-
-    Each rung scores its warm start first, then the all-zero start, so
-    ``best_expectation`` is at least the uniform state's ``m / 2``,
-    exactly, when the budget reaches that start: always without
-    ``warm_params`` (a ladder rung gets two or more evaluations), from
-    ``cfg.budget = 2`` with it.
-
-    One workspace (see :class:`~qmaxcut.simulator.FlipSymmetricWorkspace`,
-    built before any evaluation, so it refuses a run above the qubit cap
-    at every depth) serves every evaluation, the final state, extraction
-    and sampling; :func:`~qmaxcut.graph.peak_bytes`' ``"run"`` gives the
-    run's bytes.
     """
     t_start = time.perf_counter()
     workspace = FlipSymmetricWorkspace(g, cfg.shots, cfg.seed)

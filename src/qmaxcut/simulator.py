@@ -1,40 +1,17 @@
 """Dense statevector simulation of the Max-Cut phase-separator circuit.
 
-The register holds ``2**n`` complex128 amplitudes; basis index ``b``
-encodes vertex ``i`` in bit ``i`` (see :mod:`qmaxcut.graph`).  The cost
-operator is diagonal in this basis -- basis state ``b`` has eigenvalue
-equal to its cut value -- so a cost layer is a pure phase multiply and
-a mixer layer is one 2x2 rotation per qubit.  One layer with angles
-``(gamma, beta)`` applies ``exp(-i*beta*X_q)`` on every qubit after the
-phase ``exp(-i*gamma*C(b))`` on every amplitude.
+Basis state ``b`` (vertex ``i`` in bit ``i``, see :mod:`qmaxcut.graph`)
+has the cost eigenvalue ``C(b)``, its cut value.  One layer with angles
+``(gamma, beta)`` multiplies each amplitude by ``exp(-i*gamma*C(b))``,
+then applies ``exp(-i*beta*X_q)`` on every qubit.
 
-The two ``2**n`` allocations here, :func:`init_uniform` and
-:class:`FlipSymmetricWorkspace`, check the qubit cap first (see
-:mod:`qmaxcut.graph`) to keep an accidental large ``n`` from taking the
-host down; :func:`~qmaxcut.graph.peak_bytes` gives the bytes of each.
-
-The full-register functions (:class:`StateVector`, :func:`init_uniform`,
+``run_qaoa`` simulates in one :class:`FlipSymmetricWorkspace`.  The
+full-register functions (:class:`StateVector`, :func:`init_uniform`,
 :func:`apply_cost_layer`, :func:`apply_mixer_layer`,
 :func:`apply_qaoa_circuit`, :func:`expectation_cut`,
-:func:`sample_bitstrings`) are not API: the package does not export
-them.  They are the tests' first-principles oracle for the workspace,
-kept here because the benchmark's tracer resolves them in this module:
-one 2x2 product per qubit and the full cut table, built on each call,
-with no kernel, frame or plan shared with the workspace.
-
-``run_qaoa`` uses none of them: its evaluations at depth 2 or more,
-its final state, the probabilities and the cut it picks from them are
-all computed for each circuit's canonical form (:func:`_circuit`) on
-the flip-symmetric half of the register, by one
-:class:`FlipSymmetricWorkspace` (its docstring says which buffer holds
-which state, and which plan it builds once).  Nothing state-sized is
-kept or allocated beyond its half state: its scratch buffer is as large
-only up to ``n = 16`` and 512 KiB above, where every kernel runs chunk
-by chunk through it; a cost half-layer gathers its phases
-``_GATHER_CHUNK`` table entries at a time, since ``np.take`` copies
-each chunk's indices into ``intp``; a sampled run keeps the cut it drew
-from its best state, not the state; and the cut is picked inside the
-state buffer, which the probabilities overwrite.
+:func:`sample_bitstrings`) are not exported: they are the tests'
+first-principles oracle for the workspace, sharing no kernel with it,
+and stay here because the benchmark's tracer resolves them here.
 """
 
 from __future__ import annotations
@@ -76,7 +53,7 @@ _I_POWERS = np.array([1, 1j, -1, -1j])
 _NIBBLE_FRAME = _I_POWERS[_BLOCK_INDEX[-1][0] % 4]  # i**popcount(j)
 # Row panels for the large real mixer blocks (see _Mixer): their width in
 # float64 columns, and the smallest register and lowest block bit they
-# serve.  Chosen from the per-block timings in _Mixer's docstring.
+# serve.  Chosen from per-block timings (README, "Performance").
 _PANEL_WIDTH = 256
 _PANEL_MIN_QUBITS = 17
 _PANEL_MIN_LO = 12
@@ -144,8 +121,7 @@ def init_uniform(n: int) -> StateVector:
 
 
 def _cut_table(sv: StateVector, g: Graph) -> np.ndarray:
-    """``g``'s full cut table, for a state on ``g``'s vertices; a graph
-    above the qubit cap is refused with the full state's bytes."""
+    """``g``'s full cut table, for a state on ``g``'s vertices."""
     if g.n != sv.n_qubits:
         raise ValueError(f"graph has {g.n} vertices but state has {sv.n_qubits} qubits")
     _check_cap(g.n, "full state")
@@ -153,13 +129,9 @@ def _cut_table(sv: StateVector, g: Graph) -> np.ndarray:
 
 
 def apply_cost_layer(sv: StateVector, g: Graph, gamma: float) -> StateVector:
-    """Phase ``exp(-i*gamma*C(b))`` on every amplitude, in place.
-
-    Cut values are integers in ``[0, m]``, so the ``m + 1`` distinct
-    phases are computed once and gathered through ``g``'s full cut table
-    (that of :func:`qmaxcut.graph.cut_values_by_basis`), built afresh on
-    each call.  Returns the mutated state for chaining.
-    """
+    """Phase ``exp(-i*gamma*C(b))`` on every amplitude, in place, returning
+    ``sv``: the ``m + 1`` distinct phases, gathered through ``g``'s full
+    cut table, built afresh on each call."""
     return _phase(sv, g, _cut_table(sv, g), gamma)
 
 
@@ -172,66 +144,30 @@ def _phase(sv: StateVector, g: Graph, table: np.ndarray, gamma: float) -> StateV
 class _Mixer:
     """The mixer on ``n`` qubits, given in the frame, on ``state`` through
     ``scratch``: everything but the angle is built once, so a call only
-    weighs its blocks and multiplies.
+    weighs its blocks and multiplies, and allocates only the weights.
 
     The qubits are taken ``MIXER_BLOCK_QUBITS`` at a time, bit 0 upward,
     and each block is one matrix product over the whole register, from
-    one buffer into the other, ``state`` first: a call reads and writes
-    the register ``ceil(n / 4)`` times and always ends in ``out``.  A
-    ``scratch`` smaller than ``state`` makes each block a run of products
-    of slices of its operand (:func:`_pieces`) into ``scratch``, each
-    copied back, so ``out`` is ``state``; every output entry is the same
-    sum over the same products, so the bits do not change.
+    one buffer into the other, ``state`` first, ending in ``out``.
     Block 0 (bits 0-3) is ``R = [[cos b, -i sin b], [-i sin b, cos b]]``
-    Kronecker-multiplied with itself ``k`` times, a complex symmetric
-    matrix whose entry ``(i, j)`` is ``c**(k-d) * s**d`` for ``c = cos
-    b``, ``s = -i sin b`` and ``d`` the number of bits in which ``i`` and
-    ``j`` differ; it multiplies rows of 16 amplitudes, stride 1.  The
-    blocks above bit 3 act in the frame of :func:`_frame`, where the
-    qubit's rotation is the real ``r = [[cos b, sin b], [-sin b, cos
-    b]]`` (``R = E r E^-1`` with ``E = diag(1, i)``): entry ``(i, j)`` of
-    the power of ``r`` is ``cos**(k-d) * sin**d`` times ``-1`` per bit
-    set in ``i`` and clear in ``j``.  A real block acts on the real and
-    imaginary parts alike, so it multiplies the float64 view, whose
-    innermost axis is twice as long: half the flops of a complex product.
-    A last block of ``n mod MIXER_BLOCK_QUBITS`` qubits gets its own
-    smaller power; every full real block is the same array.
+    Kronecker-multiplied with itself ``k`` times: entry ``(i, j)`` is
+    ``c**(k-d) * s**d`` for ``c = cos b``, ``s = -i sin b`` and ``d`` the
+    number of bits in which ``i`` and ``j`` differ; it multiplies rows of
+    16 amplitudes.  The blocks above bit 3 act in the frame of
+    :func:`_frame`, where the qubit's rotation is the real ``r = [[cos b,
+    sin b], [-sin b, cos b]]`` (``R = E r E^-1`` with ``E = diag(1, i)``):
+    entry ``(i, j)`` of the power of ``r`` is ``cos**(k-d) * sin**d``
+    times ``-1`` per bit set in ``i`` and clear in ``j``.  A real block
+    multiplies the float64 view, half the flops of a complex product.  A
+    last block of ``n mod MIXER_BLOCK_QUBITS`` qubits gets its own power.
 
-    A call computes each weight ``w_d`` (and, for a real block, its
-    negation) as one Python scalar and gathers each block size from them
-    with one ``np.take`` into a preallocated array; each block's operand
-    and output views are built here, so the call allocates nothing but
-    the small weight arrays.
-
-    A real block of at least 4 rows at bit ``_PANEL_MIN_LO`` or above, on
-    a register of at least ``_PANEL_MIN_QUBITS`` qubits, multiplies row
-    panels instead: the view ``(..., size, 2**(lo+1) / P, P)`` with its
-    two inner axes swapped, ``P = _PANEL_WIDTH`` columns per product, so
-    one product's operand stays in cache.  Every output entry is the same
-    sum over the same ``size`` products, so the bits do not change.  Per
-    block, median of interleaved runs, one BLAS thread, 2-vCPU Xeon with
-    4 MiB L2, whole block against panels of 256 (``n`` is the register's
-    qubits, the run's minus one):
-
-    =====  ==========  =========  ========  ======
-    ``n``  lo/qubits   whole, us  panels    rule
-    =====  ==========  =========  ========  ======
-    14     12/2        20         1.16x     whole
-    15     12/3        45         1.07x     whole
-    16     12/4        219        0.99x     whole
-    17     12/4        492        0.87x     panels
-    17     16/1        212        1.11x     whole
-    18     12/4        827        0.82x     panels
-    18     16/2        602        0.69x     panels
-    19     12/4        1840       0.88x     panels
-    19     16/3        1717       0.70x     panels
-    20     12/4        3589       0.90x     panels
-    20     16/4        4829       0.71x     panels
-    =====  ==========  =========  ========  ======
-
-    Blocks at bit 8 read 1.01-1.04x at every ``n`` from 14 to 21.  The
-    one-row-pair block at bit 20 (``n = 21``) read 0.83x in one series
-    and 1.30x in another, so it stays whole.
+    Two layouts keep every output entry the same sum over the same
+    products, so the bits do not change.  A ``scratch`` smaller than
+    ``state`` makes each block a run of products of slices of its operand
+    (:func:`_pieces`), each copied back, so ``out`` is ``state``.  A real
+    block of at least 4 rows at bit ``_PANEL_MIN_LO`` or above, on at
+    least ``_PANEL_MIN_QUBITS`` qubits, multiplies row panels of
+    ``_PANEL_WIDTH`` columns, so one product's operand stays in cache.
     """
 
     def __init__(self, n: int, state: np.ndarray, scratch: np.ndarray) -> None:
@@ -316,13 +252,10 @@ def _pieces(view: np.ndarray, scratch: np.ndarray) -> list[tuple[np.ndarray, np.
 
 
 def _frame(n: int) -> np.ndarray:
-    """The mixer's frame ``e[y] = i**popcount(y >> 4)`` on ``n`` qubits.
-
-    An amplitude ``a`` is held as ``conj(e) * a`` while the blocks above
-    bit 3 run (see :class:`_Mixer`).  The frame depends only on
-    those bits, so it has one entry per row of 16 amplitudes,
-    ``2**max(0, n - 4)`` entries, built four bits at a time; its entries
-    are exact units.  The array is new, so the caller may write to it.
+    """The mixer's frame ``e[y] = i**popcount(y >> 4)`` on ``n`` qubits, a
+    new array: ``2**max(0, n - 4)`` exact units, one per row of 16
+    amplitudes, built four bits at a time.  An amplitude ``a`` is held as
+    ``conj(e) * a`` while the blocks above bit 3 run (see :class:`_Mixer`).
     """
     bits = max(0, n - MIXER_BLOCK_QUBITS)
     frame = _NIBBLE_FRAME[: 1 << min(bits, MIXER_BLOCK_QUBITS)].copy()
@@ -333,14 +266,12 @@ def _frame(n: int) -> np.ndarray:
 
 
 def apply_mixer_layer(sv: StateVector, beta: float) -> StateVector:
-    """``exp(-i*beta*X_q)`` on every qubit ``q``, in place.
+    """``exp(-i*beta*X_q)`` on every qubit ``q``, in place, returning ``sv``.
 
     Per qubit, one product of ``R = [[cos b, -i sin b], [-i sin b, cos
-    b]]`` with the state viewed as ``(-1, 2, 2**q)``: the pairs of
-    amplitudes that differ in bit ``q`` alone.  The products alternate
-    between the state and one state-sized scratch buffer, and the result
-    is copied back when it ends in the scratch.  ``sv.amplitudes`` keeps
-    its array object.  Returns the mutated state for chaining.
+    b]]`` with the state viewed as ``(-1, 2, 2**q)``, alternating between
+    the state and one state-sized scratch buffer; the result is copied
+    back when it ends in the scratch.
     """
     c, s = math.cos(beta), -1j * math.sin(beta)
     rotation = np.array([[c, s], [s, c]])
@@ -354,14 +285,10 @@ def apply_mixer_layer(sv: StateVector, beta: float) -> StateVector:
 
 
 def apply_qaoa_circuit(g: Graph, params: QaoaParams) -> StateVector:
-    """Prepare the layered ansatz state for ``g`` at the given angles.
-
-    Starts from the uniform superposition (:func:`init_uniform`) and
-    applies ``p`` layers, :func:`apply_cost_layer` first and
-    :func:`apply_mixer_layer` second within each layer.  The cut table is
-    built once, and the cap is checked once, by :func:`init_uniform`:
-    its ``"full state"`` model counts the table.
-    """
+    """The layered ansatz state for ``g`` at ``params``: the uniform
+    superposition (:func:`init_uniform`), then per layer
+    :func:`apply_cost_layer` and :func:`apply_mixer_layer`, the cut table
+    built once, under :func:`init_uniform`'s ``"full state"`` check."""
     sv, table = init_uniform(g.n), _cut_values(g)
     for gamma, beta in zip(params.gammas, params.betas):
         apply_mixer_layer(_phase(sv, g, table, gamma), beta)
@@ -390,33 +317,17 @@ def depth_one_expectation(g: Graph, gamma: float, beta: float) -> float:
 
 class FlipSymmetricWorkspace:
     """One graph's circuits simulated on the flip-symmetric half of the
-    register: their expectations, final probabilities and picked cut.
+    register (:func:`_flip_symmetric_state`): their expectations, final
+    probabilities and picked cut.
 
-    Holds the half state and one scratch buffer of ``min(2**(n-1),
-    _SCRATCH_ENTRIES)`` complex entries (512 KiB from ``n = 17``), the
-    low half of the cut table in the narrowest unsigned dtype that holds
-    ``m``, and two frame vectors, one entry per row of 16 amplitudes: the
-    start state in the frame, and the top qubit's flip term, rescaled by
-    each mixer half-layer.  The table is built here by
-    :func:`~qmaxcut.graph.half_cut_values_by_basis` with the state buffer
-    as its scratch (every state prepared here overwrites it first).  The
-    qubit cap check names their bytes (:func:`~qmaxcut.graph.peak_bytes`)
-    before any is allocated.
-
-    It also builds the plan that every circuit run here shares, since
-    none of it depends on the angles: the mixer (:class:`_Mixer`, its
-    block arrays and their operand views), the state's rows of 16
-    amplitudes that the start state writes (``rows``), the top rotation's
-    products and sums (:func:`_top_rotation`, ``top``), the state's
-    chunks of ``_GATHER_CHUNK`` entries beside the table's and a chunk
-    of ``scratch`` (``gathers``; an ``intp`` copy of the table when it is
-    one chunk), the ``-i * levels`` vector of the cut values and the
-    phase table it fills.
-
-    ``values`` maps each canonical form valued here (:func:`_circuit`,
-    so distinct angle vectors can be one form) to its expectation, so a
-    repeat returns the same float without running a kernel; it grows by
-    one entry per distinct form.
+    The constructor draws ``uniforms`` (below), checks the qubit cap
+    (:func:`~qmaxcut.graph._check_cap`) and allocates the rest of what
+    :func:`~qmaxcut.graph.peak_bytes` counts for ``"workspace"``, the low
+    half of the cut table built with the state buffer as its scratch
+    (:func:`~qmaxcut.graph.half_cut_values_by_basis`).  It builds once
+    the plan that no angle changes: the mixer (:class:`_Mixer`), the top
+    rotation (:func:`_top_rotation`), the rows the start state writes,
+    the chunks that each phase gather reads and writes, and the phases.
 
     The buffer roles, the same for every circuit: every preparation
     (:func:`_flip_symmetric_state`) ends in ``state``, which holds the
@@ -436,15 +347,11 @@ class FlipSymmetricWorkspace:
     :meth:`_state_of`, the one lookup, reads a circuit's state from
     ``state``, prepared there unless held.
 
-    With ``shots > 0`` it owns the shots stream of a run with that
-    ``shots`` and ``seed``: it draws the uniforms once, sorted
-    (``uniforms``, empty without shots), :meth:`cut` draws with them, and
-    when a simulation beats the best circuit so far (``best``) it draws
-    that state's cut while ``state`` holds it and keeps the winning
-    index (``drawn``), which is all a sampled run keeps of it.  Only a
-    simulated best is drawn from at once: one valued in closed form (see
-    :meth:`expectation`) has no state here, and is prepared and drawn
-    from at :meth:`cut`, should it still be the best then.
+    ``values`` holds each form's expectation (see :meth:`expectation`).
+    The workspace owns the shots stream of a run with its ``shots`` and
+    ``seed``: ``uniforms`` holds the stream's draws, sorted (empty without
+    shots); :meth:`expectation` keeps the best form so far (``best``) and
+    its drawn cut (``drawn``), and :meth:`cut` draws with them.
     """
 
     def __init__(self, g: Graph, shots: int = 0, seed: int = 0):
@@ -492,17 +399,19 @@ class FlipSymmetricWorkspace:
         return self.state
 
     def expectation(self, params: QaoaParams) -> float:
-        """Expected cut of the ansatz state, valued by its canonical form
-        (:func:`_circuit`).
+        """Expected cut of the ansatz state, valued once per canonical form
+        (:func:`_circuit`): a form in ``values`` returns its stored value
+        and runs no kernel.
 
         The empty form is the uniform state, ``m / 2``; one (cost, mixer)
         pair is valued by :func:`depth_one_expectation`.  Any other is
         simulated on half the register: since ``|w| = |a|`` and ``C(~b) =
         C(b)``, the expectation is ``2 * sum_y |w_y|^2 C(y)`` over the low
-        half (see :func:`_flip_symmetric_state`), one ``vdot`` up to ``n =
-        16``, the order-fixed sum of :meth:`_chunked_sum` above; it reads
-        its state by the class docstring's buffer rule.  A form already
-        valued here returns its stored value and runs no kernel.
+        half, one ``vdot`` up to ``n = 16`` and :meth:`_chunked_sum` above.
+        With shots, a form that beats ``best`` becomes it, and if it was
+        simulated (more than one pair) its cut is drawn at once, while
+        ``state`` holds it (``drawn``); one valued in closed form has no
+        state here, so :meth:`cut` prepares it, should it still be the best.
         """
         circuit = _circuit(params)
         value = self.values.get(circuit)
@@ -543,13 +452,10 @@ class FlipSymmetricWorkspace:
         return sums[0]
 
     def _probabilities(self, circuit: tuple) -> np.ndarray:
-        """The state buffer as ``2**n`` float64 whose low half holds ``p =
-        |w|**2`` of ``circuit``'s state (the frame's entries are exact
-        units, so ``|w| = |a|``) and whose high half holds ``p[::-1]``.
-
-        ``|w|`` goes through ``scratch`` chunk by chunk, and each chunk of
-        ``p`` lands on amplitudes already read, so no state is read after
-        it: the workspace then holds none (``held`` is ``None``)."""
+        """The state buffer as ``2**n`` float64: ``p = |w|**2`` of
+        ``circuit``'s state in the low half (the frame's entries are exact
+        units, so ``|w| = |a|``), ``p[::-1]`` in the high half.  Each chunk
+        of ``p`` lands on amplitudes already read."""
         w = self._state_of(circuit)
         self.held = None
         probs, magnitudes = self.state.view(np.float64), self.scratch.view(np.float64)
@@ -562,13 +468,7 @@ class FlipSymmetricWorkspace:
 
     def probabilities(self, params: QaoaParams) -> np.ndarray:
         """Probabilities of all ``2**n`` basis states, ``concat(p, p[::-1])``
-        for the low half's ``p = |w|**2``.
-
-        The full vector, ``2**n`` float64, is the state buffer's float64
-        view, so nothing state-sized is allocated.  It is valid until the
-        workspace's next call, and it replaces the state the workspace
-        held, so a later read of that circuit's state prepares it again.
-        """
+        (:meth:`_probabilities`), valid until the workspace's next call."""
         return self._probabilities(_circuit(params))
 
     def _drawn_cut(self, circuit: tuple) -> int:
@@ -587,15 +487,12 @@ class FlipSymmetricWorkspace:
         Without shots: best cut among basis states whose exact probability
         is at least ``1 / 2**(n+1)`` (half the uniform weight; the set is
         never empty).  With shots: best cut among the bitstrings drawn
-        from all ``2**n`` probabilities with the sorted ``uniforms`` (see
-        :func:`_draw`), so the candidates come sorted; ``drawn`` for ``best``.
-        Ties resolve to the smallest basis index.  The state's
-        probabilities and cut values are both flip-symmetric, so the
-        smallest index among tied maxima always lies in the low half: the
-        threshold scan reads the low half alone, and a sampled index ``c``
-        reads the cut of ``min(c, ~c)``.  The scan writes its masked
-        table, ``intp``, over the high half of the probabilities, which it
-        does not read, so it allocates only its boolean mask.
+        with the sorted ``uniforms`` (:func:`_draw`), or ``drawn`` for
+        ``best``.  Ties resolve to the smallest basis index, which lies in
+        the low half, as probabilities and cut values are flip-symmetric:
+        the scan reads the low half alone, writing its masked ``intp``
+        table over the high half of the probabilities, and a sampled index
+        ``c`` reads the cut of ``min(c, ~c)``.
         """
         n, last, table = self.graph.n, (1 << self.graph.n) - 1, self.low_table
         circuit = _circuit(params)
@@ -633,10 +530,7 @@ def _circuit(params: QaoaParams) -> tuple[tuple[int, float], ...]:
     so is a trailing cost half-layer, a phase that no probability sees.
     A form thus alternates, cost first and mixer last; a circuit with no
     zero angle is its own.  The last three identities are exact but
-    change the rounding, and a form of at most one (cost, mixer) pair is
-    valued in closed form (:meth:`FlipSymmetricWorkspace.expectation`).
-    Whatever its form, an evaluation is one job of
-    :func:`qmaxcut.pipeline.hybrid_cost`.
+    change the rounding.
     """
     halves = [half for gamma, beta in zip(params.gammas, params.betas)
               for half in ((0, gamma), (1, beta)) if half[1]]
@@ -656,37 +550,30 @@ def _circuit(params: QaoaParams) -> tuple[tuple[int, float], ...]:
 def _flip_symmetric_state(circuit: tuple[tuple[int, float], ...],
                           ws: FlipSymmetricWorkspace) -> None:
     """The state of ``circuit``, its low half in the mixer's frame,
-    prepared in ``ws``.  The workspace passes canonical forms (see
-    :func:`_circuit`), but any sequence of half-layers is prepared as it
-    stands, a mixer half-layer first or two of a kind in a row included.
+    prepared in ``ws``'s buffers by its plan, so it allocates only numpy's
+    own temporaries (:func:`~qmaxcut.graph.peak_bytes` leaves them out).
+    The workspace passes canonical forms (:func:`_circuit`), but any
+    sequence of half-layers is prepared as it stands.
 
     The cost operator and every ``X_q`` commute with the global flip
-    ``X^{(x)n}``, and the uniform start is flip-invariant, so amplitude
-    ``b`` equals amplitude ``~b`` after every layer: with qubit ``n - 1``
-    as the pivot the full state is ``concat(a, a[::-1])`` for its low
-    half ``a``.  The half is held in the mixer's frame, ``w = conj(e) *
-    a`` (see :func:`_frame`); the cost layer is diagonal, so it commutes
-    with the frame.  A cost half-layer phases ``w`` through the low half
-    of the cut table; a mixer half-layer mixes qubits ``0..n-2``
-    (``ws.mixer``) and rotates qubit ``n - 1`` as ``w <- cos(b) w +
-    sin(b) f * w[::-1]``, where ``f = -i conj(e) e[::-1]`` is ``-i``
-    seen through the frame, one unit per row of 16 amplitudes: one real
-    or imaginary unit for the whole register times the row's sign ``e**2
-    = +-1``.  ``ws.flip`` keeps the signs of ``f`` in its one nonzero
-    part; each mixer half-layer sets that part's magnitude to ``|sin b|``
-    and adds the product to ``cos(b) w``, or subtracts it when ``sin b <
-    0`` (``ws.top``, :func:`_top_rotation`).  A circuit that opens with a
-    cost half-layer gathers its phases straight into ``w`` and multiplies
-    them by the start state; any other writes the start state first.  These products have the
-    operands of ``start * phases`` and ``sin(b) f * w[::-1]`` up to the
-    order of a product and exact signs, so the bits are theirs.
-
-    ``w`` ends in ``ws.state`` (see the workspace's buffer roles), and a
-    later cost half-layer multiplies it chunk by chunk.  Its buffers and
-    views come from the workspace's plan: it allocates only what numpy
-    takes for its own use: an ``intp`` copy of each gather chunk's
-    indices, when the table is more than one chunk, and the buffer of a
-    broadcast product.
+    ``X^{(x)n}``, and the uniform start is flip-invariant, so the full
+    state is ``concat(a, a[::-1])`` for its low half ``a`` (qubit ``n - 1``
+    clear) after every layer.  The half is held in the mixer's frame, ``w
+    = conj(e) * a`` (:func:`_frame`), with which the diagonal cost layer
+    commutes.  A cost half-layer phases ``w`` through the low half of the
+    cut table; a mixer half-layer mixes qubits ``0..n-2`` (``ws.mixer``)
+    and rotates qubit ``n - 1`` as ``w <- cos(b) w + sin(b) f * w[::-1]``,
+    where ``f = -i conj(e) e[::-1]`` is ``-i`` seen through the frame: one
+    real or imaginary unit for the whole register times each row's sign
+    ``e**2 = +-1``.  ``ws.flip`` keeps the signs of ``f`` in its one
+    nonzero part; each mixer half-layer sets that part's magnitude to
+    ``|sin b|`` and adds the product to ``cos(b) w``, or subtracts it when
+    ``sin b < 0`` (``ws.top``, :func:`_top_rotation`).  A circuit that
+    opens with a cost half-layer gathers its phases straight into ``w``
+    and multiplies them by the start state; any other writes the start
+    state first.  These products have the operands of ``start * phases``
+    and ``sin(b) f * w[::-1]`` up to the order of a product and exact
+    signs, so the bits are theirs.
     """
     rows = ws.rows
     if not circuit or circuit[0][0]:  # no cost half-layer to write the start state
@@ -723,15 +610,13 @@ def _top_rotation(mixed: np.ndarray, state: np.ndarray, scratch: np.ndarray,
     written ``flipped = mirror * flip``, then sums ``(mixed, flipped,
     out)``, each ``out = mixed * cos(b) +- flipped``.
 
-    With a half-size ``scratch``, one group over the whole register:
-    ``mixed`` reversed times ``flip`` into the other buffer, then the sum
-    into ``state``.  With a smaller one, ``mixed`` is ``state``, and each
-    group takes a run of rows ``A`` and its mirror run ``B``: the
+    With a half-size ``scratch``, one group over the whole register.
+    With a smaller one, ``mixed`` is ``state``, and each group takes a run
+    of rows ``A`` and its mirror run ``B``, from the ends inward: the
     products of ``A``'s and ``B``'s reversed rows go into the two halves
-    of ``scratch`` before either run is written, the runs taken from the
-    ends inward.  Either way every entry is the same product and sum of
-    the same operands in the same order, so the bits do not depend on
-    the layout."""
+    of ``scratch`` before either run is written.  Every entry is the same
+    product and sum of the same operands either way, so the bits do not
+    depend on the layout."""
     rows = flip.size
     if scratch.size == state.size:
         flipped = state if mixed is scratch else scratch
@@ -766,13 +651,11 @@ def sample_bitstrings(sv: StateVector, shots: int, seed: int) -> np.ndarray:
 
 
 def _uniforms(shots: int, seed: int) -> np.ndarray:
-    """The ``shots`` uniform floats of the shots stream of ``seed``: the one
-    place a seed becomes that stream, and the one reader of ``shots`` and
-    ``seed`` for a workspace and :func:`sample_bitstrings`, whatever
-    ``shots`` is.  Both are read by :func:`~qmaxcut.graph._index` (a float
-    or a string is refused), ``shots`` must not be negative (0 draws
-    none), and the stream is ``_PCG64(seed, _STREAM_SHOTS)``, numpy's
-    ``default_rng(SeedSequence([seed mod 2**64, 2]))``.
+    """The ``shots`` uniform floats of the shots stream of ``seed``,
+    ``_PCG64(seed, _STREAM_SHOTS)``: the one place a seed becomes that
+    stream, and the one reader of ``shots`` and ``seed`` for a workspace
+    and :func:`sample_bitstrings`.  Both are read by
+    :func:`~qmaxcut.graph._index`, and ``shots`` must not be negative.
     """
     shots, rng = _index(shots, "shots"), _PCG64(_index(seed, "seed"), _STREAM_SHOTS)
     if shots < 0:
@@ -783,12 +666,9 @@ def _uniforms(shots: int, seed: int) -> np.ndarray:
 def _draw(probs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     """One index drawn from ``probs``, which is overwritten, per float of
     ``uniforms`` (:func:`_uniforms`), in their order: sorted floats give
-    sorted indices.
-
-    The same draws as the stream's ``Generator.choice(probs.size,
-    shots, p=probs / sum)``, whose steps these are (numpy 2.x), without
-    its copies: the normalized ``probs`` becomes its own cumulative
-    distribution.
+    sorted indices.  These are the steps, so the draws, of the stream's
+    ``Generator.choice(probs.size, shots, p=probs / sum)`` (numpy 2.x),
+    without its copies: ``probs`` becomes its own cumulative distribution.
     """
     total = probs.sum()
     if not 0.0 < total < math.inf:

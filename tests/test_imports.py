@@ -3,6 +3,8 @@ name it imports, and each package module builds each error message in one
 place (no linter is needed to run these checks)."""
 
 import ast
+import pkgutil
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -94,3 +96,62 @@ def test_each_error_message_is_raised_from_one_place():
         message for path in PACKAGE.glob("*.py") for message in raised_messages(path.read_text())
     )
     assert sorted(message for message, count in counts.items() if count > 1) == []
+
+
+# A Sphinx cross-reference in a docstring: :role:`name` or :role:`~name`.
+REFERENCE = re.compile(r":(func|class|meth|attr|data|mod):`~?([\w.]+)`")
+
+
+def docstring_references(module: str) -> list[tuple[str, str, str | None]]:
+    """``(role, name, enclosing class)`` of each cross-reference in the
+    docstrings of package module ``module``; the enclosing class is that of
+    a class docstring or of a method's, else ``None``."""
+    refs = []
+
+    def visit(node, cls):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)):
+            if isinstance(node, ast.ClassDef):
+                cls = node.name
+            doc = ast.get_docstring(node, clean=False) or ""
+            refs.extend((role, name, cls) for role, name in REFERENCE.findall(doc))
+        for child in ast.iter_child_nodes(node):
+            visit(child, cls)
+
+    visit(ast.parse((PACKAGE / f"{module}.py").read_text()), None)
+    return refs
+
+
+def resolves(module: str, role: str, name: str, cls: str | None) -> bool:
+    """Whether ``name`` names an object: by import when it starts with
+    ``qmaxcut.``, else in ``module``'s namespace or, for a method or an
+    attribute, on the enclosing class ``cls``."""
+    if name.startswith("qmaxcut."):
+        targets = [name]
+    else:
+        targets = [f"qmaxcut.{module}:{name}"]
+        if role in ("meth", "attr") and cls is not None:
+            targets.append(f"qmaxcut.{module}:{cls}.{name}")
+    for target in targets:
+        try:
+            pkgutil.resolve_name(target)
+            return True
+        except (ImportError, AttributeError):
+            pass
+    return False
+
+
+def test_resolves_a_reference():
+    assert resolves("graph", "func", "parse_ints", None)
+    assert resolves("graph", "mod", "qmaxcut.simulator", None)
+    assert resolves("graph", "func", "qmaxcut.cli.build_parser", None)
+    assert resolves("simulator", "meth", "_state_of", "FlipSymmetricWorkspace")
+    assert not resolves("cli", "func", "graph.parse_ints", None)
+    assert not resolves("graph", "meth", "_state_of", "Graph")
+    assert not resolves("graph", "func", "qmaxcut.graph.no_such_name", None)
+
+
+@pytest.mark.parametrize("module", sorted(p.stem for p in PACKAGE.glob("*.py")))
+def test_docstring_references_resolve(module):
+    refs = docstring_references(module)
+    assert [f":{role}:`{name}`" for role, name, cls in refs
+            if not resolves(module, role, name, cls)] == []

@@ -1,6 +1,6 @@
 """Line counts of the ``src/qmaxcut`` modules, of ``tests/``, ``tools/`` and ``bench/``.
 
-Prints each module's total lines and code lines, then the totals, then
+Prints each module's total, docstring and code lines, then the totals, then
 one row for all the Python files under ``tests/``, with those at the
 checkout's root (``conftest.py``), one for those under ``tools/`` and one
 for those under ``bench/``, its tests included, counted alike, and last
@@ -22,8 +22,8 @@ _NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
              tokenize.DEDENT, tokenize.ENDMARKER}
 
 
-def counts(text: str) -> tuple[int, int]:
-    """``(total lines, code lines)`` of one module's source."""
+def counts(text: str) -> tuple[int, int, int]:
+    """``(total lines, docstring lines, code lines)`` of one module's source."""
     docstrings = set()
     for node in ast.walk(ast.parse(text)):
         body = getattr(node, "body", None)
@@ -35,7 +35,7 @@ def counts(text: str) -> tuple[int, int]:
     for tok in tokenize.generate_tokens(io.StringIO(text).readline):
         if tok.type not in _NOT_CODE:
             code.update(range(tok.start[0], tok.end[0] + 1))
-    return text.count("\n"), len(code - docstrings)
+    return text.count("\n"), len(docstrings), len(code - docstrings)
 
 
 def exported(text: str) -> int:
@@ -48,16 +48,16 @@ def exported(text: str) -> int:
 def main() -> None:
     rows = [(path.name, *counts(path.read_text(encoding="utf-8")))
             for path in sorted(SRC.glob("*.py"))]
-    rows.append(("total", sum(r[1] for r in rows), sum(r[2] for r in rows)))
+    rows.append(("total", *(sum(r[i] for r in rows) for i in (1, 2, 3))))
     trees = {"tests": [*(ROOT / "tests").rglob("*.py"), *ROOT.glob("*.py")],
              "tools": (ROOT / "tools").rglob("*.py"),
              "bench": (ROOT / "bench").rglob("*.py")}
     for tree, paths in trees.items():
         files = [counts(path.read_text(encoding="utf-8")) for path in paths]
-        rows.append((f"{tree}/", sum(f[0] for f in files), sum(f[1] for f in files)))
-    print(f"{'module':<16}{'lines':>7}{'code':>7}")
-    for name, total, code in rows:
-        print(f"{name:<16}{total:>7,}{code:>7,}")
+        rows.append((f"{tree}/", *(sum(f[i] for f in files) for i in (0, 1, 2))))
+    print(f"{'module':<16}{'lines':>7}{'docstring':>10}{'code':>7}")
+    for name, total, docstring, code in rows:
+        print(f"{name:<16}{total:>7,}{docstring:>10,}{code:>7,}")
     print(f"__all__ lists {exported((SRC / '__init__.py').read_text(encoding='utf-8'))} names")
 
 
