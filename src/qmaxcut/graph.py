@@ -47,6 +47,9 @@ _GATHER_CHUNK = 1 << 14
 # Complex entries of the workspace's scratch buffer at most (512 KiB): a
 # larger half state (n >= 17) runs its kernels chunk by chunk through it.
 _SCRATCH_ENTRIES = 1 << 15
+# Rows of 16 amplitudes per run of the workspace's top rotation: a quarter
+# of the scratch buffer from n=17, where its flip term lies in another.
+_FLIP_ROWS = _SCRATCH_ENTRIES >> 6
 _MASK32, _MASK64, _MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
 # 1 where bit v (axis 0) and bit u (axis 2) differ: an edge's cut indicator.
 _DIFFER = np.array([[0, 1], [1, 0]], np.int32).reshape(2, 1, 2, 1)
@@ -155,6 +158,17 @@ class Graph:
         stats.flags.writeable = False
         return stats
 
+    @cached_property
+    def edge_exponents(self) -> np.ndarray:
+        """The exponents of the depth-1 closed form
+        (:func:`~qmaxcut.simulator.depth_one_expectation`) as float64 rows
+        ``(d_u, d_v, d_u + d_v - 2f, f)`` of the columns ``(d_u, d_v, f)``
+        of :attr:`edge_stats`: a read-only ``(4, m)`` array, built once."""
+        d_u, d_v, f = self.edge_stats.T
+        exponents = np.array([d_u, d_v, d_u + d_v - 2 * f, f], dtype=np.float64)
+        exponents.flags.writeable = False
+        return exponents
+
 
 @dataclass(frozen=True)
 class CutAssignment:
@@ -230,9 +244,13 @@ def peak_bytes(kind: str, n: int, m: int = 0, shots: int = 0) -> int:
       the half state and its scratch buffer, as large as the half state
       up to ``n = 16`` and 512 KiB (``_SCRATCH_ENTRIES``) above; the low
       half of the cut table in ``np.min_scalar_type(m)``, and its ``intp``
-      copy when it is one gather chunk or less (``n <= 15``); the start
-      state and the top rotation's flip term, one complex per row of 16
-      half amplitudes each; the sorted uniforms, 8 bytes per shot.
+      copy when it is one gather chunk or less (``n <= 15``); the first
+      layer's index, one entry per half amplitude, ``intp`` there too and
+      else the smallest unsigned type that holds ``4 (m+1)**2``; its table
+      of ``4 (m+1)**2`` complex, where it does not fit in the scratch
+      buffer or, up to ``n = 16``, the half state; up to ``n = 16`` the
+      top rotation's flip term, one complex per row of 16 half amplitudes,
+      ``_FLIP_ROWS`` at most; the sorted uniforms, 8 bytes per shot.
     * ``"run"`` (``run_qaoa``): the workspace and the largest phase of its
       extraction, not their sum: 24 bytes per shot while a draw holds its
       candidates, their mirrors and their minimum, or without shots the
@@ -243,10 +261,12 @@ def peak_bytes(kind: str, n: int, m: int = 0, shots: int = 0) -> int:
     min(np.getbufsize(), 2**(n-1))`` bytes, and Python objects, such as
     the shots stream's words, at most 1,024 ints while it draws.
     """
-    size, half = 1 << n, 1 << (n - 1)
-    table = np.min_scalar_type(m).itemsize + (8 if half <= _GATHER_CHUNK else 0)
-    buffers = 16 * (half + min(half, _SCRATCH_ENTRIES))
-    held = buffers + table * half + 32 * (1 << max(0, n - 5)) + 8 * shots
+    size, half, pairs = 1 << n, 1 << (n - 1), 4 * (m + 1) ** 2
+    room = min(half, _SCRATCH_ENTRIES)
+    index = 8 if half <= _GATHER_CHUNK else np.min_scalar_type(pairs - 1).itemsize
+    table = np.min_scalar_type(m).itemsize + (8 if half <= _GATHER_CHUNK else 0) + index
+    flip = 16 * min(max(1, half >> 4), _FLIP_ROWS) if half == room else 0
+    held = 16 * (half + room + (pairs if pairs > room else 0)) + table * half + flip + 8 * shots
     return {"brute force": 6 * size, "full state": 36 * size, "workspace": held,
             "run": held + (24 * shots if shots else half)}[kind]
 

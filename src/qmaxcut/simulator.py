@@ -18,12 +18,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
 from .graph import (
     _GATHER_CHUNK,
     _PCG64,
+    _FLIP_ROWS,
     _SCRATCH_ENTRIES,
     CutAssignment,
     Graph,
@@ -35,25 +37,13 @@ from .graph import (
 )
 
 MIXER_BLOCK_QUBITS = 4
-# Per block size k = 0..MIXER_BLOCK_QUBITS, the index of a block's entry
-# (i, j) into its weights [w_0..w_k] and their negations [-w_k..-w_0] (see
-# _Mixer): for block 0 the bit difference d of i and j; for a real block d,
-# or 2k+1-d (reading -w_d) where the entry is negative, which it is when an
-# odd number of bits are set in i and clear in j.
-_BLOCK_INDEX = tuple(
-    np.array([[bin(i ^ j).count("1") for j in range(1 << k)] for i in range(1 << k)])
-    for k in range(MIXER_BLOCK_QUBITS + 1)
-)
-_REAL_BLOCK_INDEX = tuple(
-    np.where([[bin(i & ~j).count("1") % 2 for j in range(len(d))] for i in range(len(d))],
-             2 * k + 1 - d, d)
-    for k, d in enumerate(_BLOCK_INDEX)
-)
 _I_POWERS = np.array([1, 1j, -1, -1j])
-_NIBBLE_FRAME = _I_POWERS[_BLOCK_INDEX[-1][0] % 4]  # i**popcount(j)
-# Row panels for the large real mixer blocks (see _Mixer): their width in
-# float64 columns, and the smallest register and lowest block bit they
-# serve.  Chosen from per-block timings (README, "Performance").
+_NIBBLE_CLASSES = np.array([bin(j).count("1") for j in range(16)], dtype=np.uint8)  # popcounts
+# Block 0's rows of the state per product (see _Mixer), and the row panels
+# for the large blocks above bit 3: their width in float64 columns, and the
+# smallest register and lowest block bit they serve.  Chosen from per-block
+# timings (README, "Performance").
+_BLOCK0_ROWS = 64
 _PANEL_WIDTH = 256
 _PANEL_MIN_QUBITS = 17
 _PANEL_MIN_LO = 12
@@ -147,122 +137,162 @@ class _Mixer:
     weighs its blocks and multiplies, and allocates only the weights.
 
     The qubits are taken ``MIXER_BLOCK_QUBITS`` at a time, bit 0 upward,
-    and each block is one matrix product over the whole register, from
-    one buffer into the other, ``state`` first, ending in ``out``.
-    Block 0 (bits 0-3) is ``R = [[cos b, -i sin b], [-i sin b, cos b]]``
-    Kronecker-multiplied with itself ``k`` times: entry ``(i, j)`` is
-    ``c**(k-d) * s**d`` for ``c = cos b``, ``s = -i sin b`` and ``d`` the
-    number of bits in which ``i`` and ``j`` differ; it multiplies rows of
-    16 amplitudes.  The blocks above bit 3 act in the frame of
-    :func:`_frame`, where the qubit's rotation is the real ``r = [[cos b,
-    sin b], [-sin b, cos b]]`` (``R = E r E^-1`` with ``E = diag(1, i)``):
-    entry ``(i, j)`` of the power of ``r`` is ``cos**(k-d) * sin**d``
-    times ``-1`` per bit set in ``i`` and clear in ``j``.  A real block
-    multiplies the float64 view, half the flops of a complex product.  A
-    last block of ``n mod MIXER_BLOCK_QUBITS`` qubits gets its own power.
+    and each block is one real matrix product over the float64 view of
+    the whole register, from one buffer into the other, ending in ``out``
+    from ``state``, or in ``state`` from ``out`` (``opening``, see
+    :func:`_flip_symmetric_state`).  With ``c = cos b``, ``s = sin b``
+    and ``d`` the number of bits in which ``i`` and ``j`` differ, block 0
+    (bits 0-3) is ``R = [[c, -i s], [-i s, c]]`` Kronecker-multiplied with
+    itself ``k`` times, whose entry ``(i, j)`` is ``w_d = c**(k-d) *
+    s**d`` times ``(-i)**d``; it is held as the real matrix that
+    multiplies a row of ``2**k`` amplitudes as ``2**(k+1)`` floats, entry
+    ``(i, j)`` becoming ``[[re, im], [-im, re]]``, half of them zeros.
+    The blocks above bit 3 act in the frame of :func:`_frame_classes`,
+    where the qubit's rotation is the real ``r = [[c, s], [-s, c]]`` (``R
+    = E r E^-1`` with ``E = diag(1, i)``): entry ``(i, j)`` of the power
+    of ``r`` is ``w_d`` times ``-1`` per bit set in ``i`` and clear in
+    ``j``.  A last block of ``n mod MIXER_BLOCK_QUBITS`` qubits gets its
+    own power.  One ``take`` from the weights ``[w_0..w_k, -w_k..-w_0]``
+    of each block size and a 0 fills every block (:func:`_block_index`).
 
-    Two layouts keep every output entry the same sum over the same
-    products, so the bits do not change.  A ``scratch`` smaller than
-    ``state`` makes each block a run of products of slices of its operand
-    (:func:`_pieces`), each copied back, so ``out`` is ``state``.  A real
-    block of at least 4 rows at bit ``_PANEL_MIN_LO`` or above, on at
-    least ``_PANEL_MIN_QUBITS`` qubits, multiplies row panels of
-    ``_PANEL_WIDTH`` columns, so one product's operand stays in cache.
+    Block 0 multiplies stacks of ``_BLOCK0_ROWS`` rows, so each product is
+    in OpenBLAS's small-matrix range; a register of one row multiplies by
+    ``np.einsum``, since BLAS's one-row kernel rounds differently from one
+    CPU kernel to another.  Every product is thus a ``dgemm``.  Two
+    layouts keep every output entry the same sum over the same products,
+    so the bits do not change.  A ``scratch`` smaller than ``state`` makes
+    each block a run of products of slices of its operand (:func:`_pieces`),
+    each copied back, so ``out`` is ``state``.  A block above bit 3 of at
+    least 4 rows at bit ``_PANEL_MIN_LO`` or above, on at least
+    ``_PANEL_MIN_QUBITS`` qubits, multiplies row panels of ``_PANEL_WIDTH``
+    columns, so one product's operand stays in cache.
     """
 
     def __init__(self, n: int, state: np.ndarray, scratch: np.ndarray) -> None:
-        self.qubits = [min(MIXER_BLOCK_QUBITS, n - lo) for lo in range(0, n, MIXER_BLOCK_QUBITS)]
-        self.real = {k: np.empty((1 << k, 1 << k)) for k in self.qubits[1:]}
-        self.blocks = [
-            (lo, self.real[k] if lo else np.empty((1 << k, 1 << k), dtype=np.complex128))
-            for lo, k in zip(range(0, n, MIXER_BLOCK_QUBITS), self.qubits)
-        ]
+        self.sizes, self.index, spans = _block_index(n)
+        self.entries = np.empty(self.index.size)
+        self.blocks = [(lo, self.entries[start : start + size * size].reshape(size, size))
+                       for lo, start, size in spans]
+        self.one_row = state.size <= 1 << MIXER_BLOCK_QUBITS
         self.in_place = scratch.size < state.size
         if self.in_place:
-            self.views = [_pieces(self._view(n, lo, state), scratch) for lo, _ in self.blocks]
-            self.out = state
+            pieces = [_pieces(self._view(n, lo, state), scratch) for lo, _ in self.blocks]
+            self.out, self.views = state, (pieces, pieces)
         else:
-            buffers = (state, scratch)
-            self.views = [[(self._view(n, lo, buffers[i % 2]),
-                            self._view(n, lo, buffers[1 - i % 2]))]
-                          for i, (lo, _) in enumerate(self.blocks)]
-            self.out = buffers[len(self.blocks) % 2]
+            self.out = (state, scratch)[len(self.blocks) % 2]
+            other = state if self.out is scratch else scratch
+            self.views = self._chain(n, state, scratch), self._chain(n, self.out, other)
+        self.ends = (self.out, state)
+
+    def _chain(self, n: int, first: np.ndarray, second: np.ndarray) -> list:
+        """Each block's operand and product, the buffers alternating from ``first``."""
+        buffers = (first, second)
+        return [[(self._view(n, lo, buffers[i % 2]), self._view(n, lo, buffers[1 - i % 2]))]
+                for i, (lo, _) in enumerate(self.blocks)]
 
     @staticmethod
     def _view(n: int, lo: int, buffer: np.ndarray) -> np.ndarray:
         """``buffer`` shaped as the operand of the product of the block at bit ``lo``."""
         size = 1 << min(MIXER_BLOCK_QUBITS, n - lo)
+        floats = buffer.view(np.float64)
         if lo == 0:
-            return buffer.reshape(-1, size)
+            return floats.reshape(-1, min(_BLOCK0_ROWS, buffer.size // size), 2 * size)
         if n >= _PANEL_MIN_QUBITS and lo >= _PANEL_MIN_LO and size >= 4:
             shape = (-1, size, (2 << lo) // _PANEL_WIDTH, _PANEL_WIDTH)
-            return buffer.view(np.float64).reshape(shape).swapaxes(1, 2)
-        return buffer.view(np.float64).reshape(-1, size, 2 << lo)
+            return floats.reshape(shape).swapaxes(1, 2)
+        return floats.reshape(-1, size, 2 << lo)
 
     def weigh(self, beta: float) -> list[tuple[int, np.ndarray]]:
         """Fill the blocks for ``beta``; returns them as ``(lo, block)``."""
-        if not self.qubits:
-            return self.blocks
         c, s = math.cos(beta), math.sin(beta)
-        k = self.qubits[0]
-        weights = [c ** (k - d) * (-1j * s) ** d for d in range(k + 1)]
-        np.array(weights).take(_BLOCK_INDEX[k], out=self.blocks[0][1], mode="clip")
-        for k, block in self.real.items():
-            weights = [c ** (k - d) * s**d for d in range(k + 1)]
-            np.array(weights + [-w for w in weights[::-1]]).take(
-                _REAL_BLOCK_INDEX[k], out=block, mode="clip"
-            )
+        weights = []
+        for k in self.sizes:
+            w = [c ** (k - d) * s**d for d in range(k + 1)]
+            weights += w + [-x for x in w[::-1]]
+        np.array(weights + [0.0]).take(self.index, out=self.entries, mode="clip")
         return self.blocks
 
-    def __call__(self, beta: float) -> np.ndarray:
-        """Mix ``state`` by ``beta``; returns ``out``, which holds the result."""
-        for (lo, block), pieces in zip(self.weigh(beta), self.views):
+    def __call__(self, beta: float, opening: bool = False) -> np.ndarray:
+        """Mix by ``beta``, from ``state`` or, ``opening``, from ``out``;
+        returns ``out`` or ``state``, whichever holds the result."""
+        for (lo, block), pieces in zip(self.weigh(beta), self.views[opening]):
             for a, b in pieces:
-                if lo == 0:
-                    np.matmul(a, block, out=b)
-                else:
+                if lo:
                     np.matmul(block, a, out=b)
+                elif self.one_row:
+                    np.einsum("...j,jk->...k", a, block, out=b)
+                else:
+                    np.matmul(a, block, out=b)
                 if self.in_place:
                     a[...] = b
-        return self.out
+        return self.ends[opening]
+
+
+@cache
+def _block_index(n: int) -> tuple[tuple[int, ...], np.ndarray, tuple[tuple[int, int, int], ...]]:
+    """The plan of the blocks of the mixer on ``n`` qubits (see
+    :class:`_Mixer`), built once per size: the block sizes ``k`` whose
+    weights ``[w_0..w_k, -w_k..-w_0]`` make up its weights vector, in
+    order, a 0 ending it; the index into that vector of every entry of
+    the blocks, flat, block 0 first, then one block per size above bit 3;
+    and per block ``(lo, start, rows)``, where its square matrix starts in
+    the flat entries.  An entry reads ``w_d``, or ``-w_d`` at ``2k+1-d``
+    where it is negative, or the 0."""
+    qubits = [min(MIXER_BLOCK_QUBITS, n - lo) for lo in range(0, n, MIXER_BLOCK_QUBITS)]
+    sizes = tuple(dict.fromkeys(qubits))
+    *weights_at, zero = np.cumsum([0] + [2 * k + 2 for k in sizes]).tolist()
+    weights_at = dict(zip(sizes, weights_at))
+    parts, starts = [], {}
+    for i, k in enumerate([*qubits[:1], *dict.fromkeys(qubits[1:])]):
+        d = np.array([[bin(a ^ b).count("1") for b in range(1 << k)] for a in range(1 << k)])
+        if i:  # a real power of r: -1 per bit set in the row and clear in the column
+            odd = [[bin(a & ~b).count("1") % 2 for b in range(1 << k)] for a in range(1 << k)]
+            signs = np.where(odd, -1, 1)
+        else:  # (-i)**d as [[re, im], [-im, re]]
+            unit = _I_POWERS[-d % 4]
+            pairs = np.array([[unit.real, unit.imag], [-unit.imag, unit.real]])
+            signs = pairs.transpose(2, 0, 3, 1).reshape(2 << k, 2 << k)
+            d = np.kron(d, np.ones((2, 2), dtype=int))
+        starts[i and k] = sum(part.size for part in parts), len(signs)  # block 0 keyed 0
+        at = weights_at[k] + np.where(signs < 0, 2 * k + 1 - d, d)
+        parts.append(np.where(signs == 0, zero, at).ravel())
+    los = range(0, n, MIXER_BLOCK_QUBITS)
+    spans = tuple((lo, *starts[lo and k]) for lo, k in zip(los, qubits))
+    return sizes, np.concatenate(parts) if parts else np.zeros(0, dtype=np.intp), spans
 
 
 def _pieces(view: np.ndarray, scratch: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     """A mixer block's operand ``view`` on the state, cut into the slices
     whose products fit in ``scratch``, each beside an array of its shape
-    there: runs of rows for block 0 (``(rows, 16)``, whose product mixes
-    each row), else runs of the matrices along the last batch axis of
-    ``(..., matrices, size, columns)``, or runs of columns of each matrix
-    when one matrix alone does not fit."""
+    there: runs of the matrices along the last batch axis of ``(...,
+    matrices, size, columns)``, or runs of columns of each matrix when one
+    matrix alone does not fit."""
     room = scratch.view(view.dtype)
-    if view.ndim == 2:
-        step = room.size // view.shape[1]
-        slices = [view[i : i + step] for i in range(0, len(view), step)]
+    *lead, count, size, columns = view.shape
+    step = room.size // (size * columns)
+    if step:
+        slices = [view[i][j : j + step] for i in np.ndindex(*lead)
+                  for j in range(0, count, step)]
     else:
-        *lead, count, size, columns = view.shape
-        step = room.size // (size * columns)
-        if step:
-            slices = [view[i][j : j + step] for i in np.ndindex(*lead)
-                      for j in range(0, count, step)]
-        else:
-            step = room.size // size
-            slices = [view[i][:, j : j + step] for i in np.ndindex(*lead, count)
-                      for j in range(0, columns, step)]
+        step = room.size // size
+        slices = [view[i][:, j : j + step] for i in np.ndindex(*lead, count)
+                  for j in range(0, columns, step)]
     return [(piece, room[: piece.size].reshape(piece.shape)) for piece in slices]
 
 
-def _frame(n: int) -> np.ndarray:
-    """The mixer's frame ``e[y] = i**popcount(y >> 4)`` on ``n`` qubits, a
-    new array: ``2**max(0, n - 4)`` exact units, one per row of 16
-    amplitudes, built four bits at a time.  An amplitude ``a`` is held as
-    ``conj(e) * a`` while the blocks above bit 3 run (see :class:`_Mixer`).
-    """
+def _frame_classes(n: int) -> np.ndarray:
+    """The mixer's frame ``e[y] = i**k[y]`` on ``n`` qubits as its classes
+    ``k[y] = popcount(y >> 4) mod 4``, a new uint8 array: ``2**max(0, n -
+    4)`` entries, one per row of 16 amplitudes, built four bits at a
+    time.  An amplitude ``a`` is held as ``conj(e) * a`` while the blocks
+    above bit 3 run (see :class:`_Mixer`)."""
     bits = max(0, n - MIXER_BLOCK_QUBITS)
-    frame = _NIBBLE_FRAME[: 1 << min(bits, MIXER_BLOCK_QUBITS)].copy()
+    classes = _NIBBLE_CLASSES[: 1 << min(bits, MIXER_BLOCK_QUBITS)].copy()
     for lo in range(MIXER_BLOCK_QUBITS, bits, MIXER_BLOCK_QUBITS):
-        high = _NIBBLE_FRAME[: 1 << min(MIXER_BLOCK_QUBITS, bits - lo)]
-        frame = np.multiply.outer(high, frame).ravel()
-    return frame
+        high = _NIBBLE_CLASSES[: 1 << min(MIXER_BLOCK_QUBITS, bits - lo)]
+        classes = np.add.outer(high, classes).ravel()
+    classes &= 3
+    return classes
 
 
 def apply_mixer_layer(sv: StateVector, beta: float) -> StateVector:
@@ -305,12 +335,13 @@ def depth_one_expectation(g: Graph, gamma: float, beta: float) -> float:
     edge contributes ``1/2 + 1/4 sin(4b) sin(g) (cos(g)**d_u +
     cos(g)**d_v) - 1/4 sin(2b)**2 cos(g)**(d_u + d_v - 2f) (1 -
     cos(2g)**f)``, under this package's layer convention (cost phase
-    first, then the mixer).  Costs ``O(m)`` and allocates no state.
+    first, then the mixer).  Costs ``O(m)`` and allocates no state; the
+    exponents are read as float64 (:attr:`Graph.edge_exponents`).
     """
-    d_u, d_v, f = g.edge_stats.T
+    d_u, d_v, d_uv, f = g.edge_exponents
     c = math.cos(gamma)
     linear = 0.25 * math.sin(4 * beta) * math.sin(gamma) * (c**d_u + c**d_v)
-    quadratic = 0.25 * math.sin(2 * beta) ** 2 * c ** (d_u + d_v - 2 * f)
+    quadratic = 0.25 * math.sin(2 * beta) ** 2 * c**d_uv
     triangles = 1.0 - math.cos(2 * gamma) ** f
     return 0.5 * g.m + float(np.sum(linear - quadratic * triangles))
 
@@ -326,26 +357,35 @@ class FlipSymmetricWorkspace:
     half of the cut table built with the state buffer as its scratch
     (:func:`~qmaxcut.graph.half_cut_values_by_basis`).  It builds once
     the plan that no angle changes: the mixer (:class:`_Mixer`), the top
-    rotation (:func:`_top_rotation`), the rows the start state writes,
-    the chunks that each phase gather reads and writes, and the phases.
+    rotation (:func:`_top_rotation`), the chunks that each phase gather
+    reads and writes, and the phases.  ``index`` holds, per half entry
+    ``y``, ``k(y) * (m+1)**2 + C(y) * (m+1) + C(~y)``, ``k`` the frame
+    class of its row (:func:`_frame_classes`) and ``~y`` its mirror in
+    the half: the first layer's one gather (:func:`_flip_symmetric_state`)
+    reads its ``4 (m+1)**2`` entries ``pairs`` through it, and each top
+    rotation the signs of its flip term from its classes.  It is ``intp``
+    where the half is one gather chunk or less, like the table's copy
+    there, so neither gather converts it.
 
     The buffer roles, the same for every circuit: every preparation
     (:func:`_flip_symmetric_state`) ends in ``state``, which holds the
     last circuit prepared here (``held``, ``None`` while it holds no
-    known state).  ``scratch`` takes each chunk of phases of any cost
-    half-layer but the first.  Up to ``n = 16`` it also takes every
+    known state).  The first layer's gather writes the mixer's ``out``,
+    from which the blocks end in ``state``, and ``pairs`` lies in the
+    other buffer where it fits.  ``scratch`` takes each chunk of phases
+    of any later cost half-layer.  Up to ``n = 16`` it also takes every
     other mixer block's product, and the top rotation reads the mixer's
     result (``mixer.out``) and writes its flipped half into the other
     buffer.  From ``n = 17``, where it is smaller than ``state``, every
     block's product goes through it slice by slice and back into
-    ``state``, the top rotation's products take its two halves, and the
-    expectation's chunks of ``|w|**2`` take its first ``_GATHER_CHUNK``
-    float64.  The probabilities that a draw, a scan or
-    :meth:`probabilities` reads are written over ``state`` itself,
-    ``|w|`` going through ``scratch``, after which it holds no state;
-    only then is ``state`` written outside a preparation.
-    :meth:`_state_of`, the one lookup, reads a circuit's state from
-    ``state``, prepared there unless held.
+    ``state``, the top rotation's products take two quarters of it and
+    its flip term a third, and the expectation's chunks of ``|w|**2``
+    take its first ``_GATHER_CHUNK`` float64.  The probabilities that a
+    draw, a scan or :meth:`probabilities` reads are written over
+    ``state`` itself, ``|w|`` going through ``scratch``, after which it
+    holds no state; only then is ``state`` written outside a
+    preparation.  :meth:`_state_of`, the one lookup, reads a circuit's
+    state from ``state``, prepared there unless held.
 
     ``values`` holds each form's expectation (see :meth:`expectation`).
     The workspace owns the shots stream of a run with its ``shots`` and
@@ -359,34 +399,48 @@ class FlipSymmetricWorkspace:
         # state; they are shots-sized, not 2**n, so the cap comes after.
         self.uniforms = np.sort(_uniforms(shots, seed))
         _check_cap(g.n, "workspace", g.m, self.uniforms.size)
-        half = 1 << (g.n - 1)
+        half, levels = 1 << (g.n - 1), g.m + 1
         self.graph = g
         self.state = np.empty(half, dtype=np.complex128)
         self.scratch = np.empty(min(half, _SCRATCH_ENTRIES), dtype=np.complex128)
         self.low_table = half_cut_values_by_basis(g, self.state.view(np.min_scalar_type(g.m)))
-        # Built in place: no frame-sized temporary beside the two vectors.
-        # f[y] = -i * conj(e[y]) * e[~y] = unit * e[y]**2, for the unit -i *
-        # i**bits over the frame's bits above bit 3, real or imaginary: one
-        # part of ``flip`` is nonzero, and its signs are f's.
-        unit = -1j * _I_POWERS[max(0, g.n - 1 - MIXER_BLOCK_QUBITS) % 4]
-        self.start = _frame(g.n - 1)[:, None]
-        self.flip = np.square(self.start)
-        self.flip *= unit
-        self.flip_part = self.flip.view(np.float64)[:, int(unit.real == 0)]
-        np.conjugate(self.start, out=self.start)
-        self.start /= math.sqrt(1 << g.n)
         self.values: dict[tuple, float] = {}
         self.held = self.best = self.drawn = None
         self.mixer = _Mixer(g.n - 1, self.state, self.scratch)
-        self.rows = self.state.reshape(self.start.size, -1)
-        self.top = _top_rotation(self.mixer.out, self.state, self.scratch, self.flip)
+        self.top, self.flip = _top_rotation(self.mixer.out, self.state, self.scratch)
+        # f = -i * conj(e) * e[~y] per frame class k: unit * (-1)**k, for the
+        # unit -i * i**bits over the frame's bits above bit 3.
+        unit = -1j * _I_POWERS[max(0, g.n - 1 - MIXER_BLOCK_QUBITS) % 4]
+        self.flips = unit * np.array([1.0, -1.0, 1.0, -1.0])
+        per_class = levels * levels
+        dtype = np.intp if half <= _GATHER_CHUNK else np.min_scalar_type(4 * per_class - 1)
+        # (k * L + C(y)) * L + C(~y), each table cast into the free state buffer.
+        self.index, values = np.empty(half, dtype), self.state.view(dtype)[:half]
+        classes = _frame_classes(g.n - 1)
+        self.index.reshape(classes.size, -1)[...] = classes[:, None]
+        for table in (self.low_table, self.low_table[::-1]):
+            self.index *= levels
+            np.copyto(values, table)
+            self.index += values
+        self.per_class, self.run_index = per_class, self.index[: 16 * self.flip.size : 16]
+        other = self.scratch if self.mixer.out is self.state else self.state
+        fits = 4 * per_class <= other.size
+        room = other if fits else np.empty(4 * per_class, np.complex128)
+        self.pairs = room[: 4 * per_class].reshape(4, levels, levels)
+        # An index that is not intp is cast chunk by chunk past the table, if
+        # there is room, not into a copy that np.take would make.
+        spare = other.view(np.intp)[8 * per_class if fits else 0 :][:_GATHER_CHUNK]
+        cast = spare if dtype != np.intp and spare.size == _GATHER_CHUNK else None
+        self.openings = [(self.index[i : i + _GATHER_CHUNK], cast,
+                          self.mixer.out[i : i + _GATHER_CHUNK])
+                         for i in range(0, half, _GATHER_CHUNK)]
         # A table of one chunk or less is kept as intp too, no larger than
         # the copy each of its gathers would make: they then convert nothing.
-        index = self.low_table if half > _GATHER_CHUNK else self.low_table.astype(np.intp)
-        self.gathers = [(index[i : i + _GATHER_CHUNK], self.state[i : i + _GATHER_CHUNK],
+        table = self.low_table if half > _GATHER_CHUNK else self.low_table.astype(np.intp)
+        self.gathers = [(table[i : i + _GATHER_CHUNK], self.state[i : i + _GATHER_CHUNK],
                          self.scratch[: min(half, _GATHER_CHUNK)])
                         for i in range(0, half, _GATHER_CHUNK)]
-        self.levels = -1j * np.arange(g.m + 1)
+        self.levels = -1j * np.arange(levels)
         self.phases = np.empty_like(self.levels)
 
     def _state_of(self, circuit: tuple) -> np.ndarray:
@@ -520,9 +574,10 @@ def _circuit(params: QaoaParams) -> tuple[tuple[int, float], ...]:
     same floats, prepare the same bits and share one stored value.
 
     Four identities define it.  A half-layer whose angle is exactly 0
-    (either sign) is left out, which changes no bit: its phases are ``1
-    +- 0j`` and its mixer blocks identities of 1s and signed 0s, so only
-    the sign of a zero component may differ, and nothing reads it.
+    (either sign) is left out, which changes no bit unless it is one of
+    the first two, which :func:`_flip_symmetric_state` fuses: its phases
+    are ``1 +- 0j`` and its mixer blocks identities of 1s and signed 0s,
+    so only the sign of a zero component may differ, and nothing reads it.
     Adjacent half-layers of one kind commute, so they merge into one of
     their summed angle, left out when the sum is exactly 0 (``gamma``,
     ``beta = 0``, ``-gamma`` leaves nothing).  A leading mixer half-layer
@@ -559,78 +614,111 @@ def _flip_symmetric_state(circuit: tuple[tuple[int, float], ...],
     ``X^{(x)n}``, and the uniform start is flip-invariant, so the full
     state is ``concat(a, a[::-1])`` for its low half ``a`` (qubit ``n - 1``
     clear) after every layer.  The half is held in the mixer's frame, ``w
-    = conj(e) * a`` (:func:`_frame`), with which the diagonal cost layer
-    commutes.  A cost half-layer phases ``w`` through the low half of the
-    cut table; a mixer half-layer mixes qubits ``0..n-2`` (``ws.mixer``)
+    = conj(e) * a`` (:func:`_frame_classes`), with which the diagonal cost
+    layer commutes.  A cost half-layer phases ``w`` through the low half of
+    the cut table; a mixer half-layer mixes qubits ``0..n-2`` (``ws.mixer``)
     and rotates qubit ``n - 1`` as ``w <- cos(b) w + sin(b) f * w[::-1]``,
     where ``f = -i conj(e) e[::-1]`` is ``-i`` seen through the frame: one
     real or imaginary unit for the whole register times each row's sign
-    ``e**2 = +-1``.  ``ws.flip`` keeps the signs of ``f`` in its one
-    nonzero part; each mixer half-layer sets that part's magnitude to
-    ``|sin b|`` and adds the product to ``cos(b) w``, or subtracts it when
-    ``sin b < 0`` (``ws.top``, :func:`_top_rotation`).  A circuit that
-    opens with a cost half-layer gathers its phases straight into ``w``
-    and multiplies them by the start state; any other writes the start
-    state first.  These products have the operands of ``start * phases``
-    and ``sin(b) f * w[::-1]`` up to the order of a product and exact
+    ``e**2 = (-1)**k``.  Each later mixer half-layer gathers ``|sin b| f``
+    over the first run of rows into ``ws.flip`` from the classes in
+    ``ws.index``, and adds each run's products to ``cos(b) w``, or
+    subtracts them when the sign of ``sin b`` times that of the run's
+    first row is negative (``ws.top``, :func:`_top_rotation`).  These
+    products have the operands of ``sin(b) f * w[::-1]`` up to exact
     signs, so the bits are theirs.
+
+    The first layer is one gather.  Every circuit opens with a cost
+    half-layer ``gamma`` and a mixer half-layer ``beta``, either of them
+    0 where the circuit does not start so, and the top rotation commutes
+    with the mixer's blocks, so it runs first.  On the start state ``s =
+    conj(e) / sqrt(2**n)`` phased by ``phi[c] = exp(-i gamma c)`` it is
+    exact algebra, since ``f[y] s[~y] = -i s[y]``: ``w[y] = s[y] (cos(b)
+    phi[C(y)] - i sin(b) phi[C(~y)])``.  So ``ws.pairs`` holds that value
+    for each frame class and pair of cut values, and ``ws.index`` gathers
+    it into the mixer's ``out``, from which the blocks end in ``state``.
     """
-    rows = ws.rows
-    if not circuit or circuit[0][0]:  # no cost half-layer to write the start state
-        np.copyto(rows, ws.start)
-    for i, (kind, angle) in enumerate(circuit):
+    halves = list(circuit)
+    gamma = halves.pop(0)[1] if halves and halves[0][0] == 0 else 0.0
+    beta = halves.pop(0)[1] if halves and halves[0][0] == 1 else 0.0
+    scale = 1.0 / math.sqrt(1 << ws.graph.n)
+    phases = np.exp(np.multiply(ws.levels, gamma, out=ws.phases), out=ws.phases)
+    pairs = ws.pairs
+    # Copied into place first: a broadcast add would buffer its operands.
+    np.copyto(pairs[0], np.multiply(phases, math.cos(beta) * scale)[:, None])
+    np.copyto(pairs[1], np.multiply(phases, -1j * math.sin(beta) * scale))
+    pairs[0] += pairs[1]
+    np.multiply(pairs[0], -1j, out=pairs[1])  # (-i)**k times pairs[0], exact
+    np.negative(pairs[:2], out=pairs[2:])
+    flat = pairs.reshape(-1)
+    # Every index is in range; numpy's "wrap" loop is the faster one.
+    for index, cast, out in ws.openings:
+        if cast is not None:
+            np.copyto(cast, index)
+            index = cast
+        flat.take(index, out=out, mode="wrap")
+    ws.mixer(beta, opening=True)
+    for kind, angle in halves:
         if kind == 0:
             np.exp(np.multiply(ws.levels, angle, out=ws.phases), out=ws.phases)
-            # Every index is in range; numpy's "wrap" loop is the faster one.
-            for table, state, phases in ws.gathers:
-                if i:  # a later half-layer: each chunk's phases through scratch
-                    ws.phases.take(table, out=phases, mode="wrap")
-                    state *= phases
-                else:
-                    ws.phases.take(table, out=state, mode="wrap")
-            if not i:  # the phases times the start state: no fill pass
-                np.multiply(rows, ws.start, out=rows)
+            for table, state, chunk in ws.gathers:
+                ws.phases.take(table, out=chunk, mode="wrap")
+                state *= chunk
         else:
             ws.mixer(angle)
             s, c = math.sin(angle), math.cos(angle)
-            np.copysign(abs(s), ws.flip_part, out=ws.flip_part)  # |sin(b)| * f
-            add = np.add if s > 0 else np.subtract
+            np.take(ws.flips * abs(s), ws.run_index // ws.per_class, out=ws.flip)
+            positive = s > 0
             for products, sums in ws.top:
                 for mirror, flip, flipped in products:
                     np.multiply(mirror, flip, out=flipped)
-                for mixed, flipped, out in sums:
+                for mixed, flipped, out, negated in sums:
                     mixed *= c
-                    add(mixed, flipped, out=out)
+                    (np.subtract if negated == positive else np.add)(mixed, flipped, out=out)
 
 
-def _top_rotation(mixed: np.ndarray, state: np.ndarray, scratch: np.ndarray,
-                  flip: np.ndarray) -> list[tuple[list, list]]:
+def _top_rotation(mixed: np.ndarray, state: np.ndarray,
+                  scratch: np.ndarray) -> tuple[list[tuple[list, list]], np.ndarray]:
     """The top qubit's rotation on the mixer's result ``mixed``, ending in
-    ``state``, as groups of products ``(mirror, flip, flipped)``, each
-    written ``flipped = mirror * flip``, then sums ``(mixed, flipped,
-    out)``, each ``out = mixed * cos(b) +- flipped``.
+    ``state``, and its flip term ``flip``: groups of products ``(mirror,
+    flip, flipped)``, each written ``flipped = mirror * flip``, then sums
+    ``(mixed, flipped, out, negated)``, each ``out = mixed * cos(b) +-
+    flipped``.
 
-    With a half-size ``scratch``, one group over the whole register.
-    With a smaller one, ``mixed`` is ``state``, and each group takes a run
-    of rows ``A`` and its mirror run ``B``, from the ends inward: the
-    products of ``A``'s and ``B``'s reversed rows go into the two halves
-    of ``scratch`` before either run is written.  Every entry is the same
-    product and sum of the same operands either way, so the bits do not
-    depend on the layout."""
-    rows = flip.size
+    Each product takes a run of up to ``_FLIP_ROWS`` rows of 16 amplitudes
+    that starts at a multiple of its length, so ``(-1)**k`` over the run
+    is ``(-1)**k`` over the first run times its value on the run's first
+    row, which is ``-1`` for a ``negated`` run: ``flip`` holds the term
+    over the first run alone.  With a half-size ``scratch``, one group over
+    the whole register, ``flip`` an array of its own.  With a smaller one,
+    ``mixed`` is ``state``, and each group takes a run ``A`` and its mirror
+    run ``B``, from the ends inward: the products of ``A``'s and ``B``'s
+    reversed rows go into two quarters of ``scratch`` before either run is
+    written, and ``flip`` lies in a third.  Every entry is the same
+    product and sum of the same operands either way, up to exact signs, so
+    the bits do not depend on the layout."""
+    rows = max(1, state.size >> 4)
+    run = min(rows, _FLIP_ROWS)
+    negated = {r: bin(r).count("1") % 2 == 1 for r in range(0, rows, run)}
     if scratch.size == state.size:
+        flip = np.empty(run, dtype=np.complex128)
+        column = flip[:, None]
         flipped = state if mixed is scratch else scratch
-        return [([(mixed[::-1].reshape(rows, -1), flip, flipped.reshape(rows, -1))],
-                 [(mixed, flipped, state)])]
-    step = scratch.size // 32  # rows of 16 amplitudes in half of scratch
+        mirror, w, f, out = (b.reshape(rows, -1) for b in (mixed[::-1], mixed, flipped, state))
+        runs = [slice(r, r + run) for r in range(0, rows, run)]
+        return [([(mirror[a], column, f[a]) for a in runs],
+                 [(w[a], f[a], out[a], negated[a.start]) for a in runs])], flip
+    first, second, third, _ = scratch.reshape(4, run, -1)
+    flip = third.reshape(-1)[:run]
+    column = flip[:, None]
     w, mirror = state.reshape(rows, -1), state[::-1].reshape(rows, -1)
-    halves = scratch.reshape(2, step, -1)
     groups = []
-    for r in range(0, rows // 2, step):
-        a, b = slice(r, r + step), slice(rows - r - step, rows - r)
-        groups.append(([(mirror[a], flip[a], halves[0]), (mirror[b], flip[b], halves[1])],
-                       [(w[a], halves[0], w[a]), (w[b], halves[1], w[b])]))
-    return groups
+    for r in range(0, rows // 2, run):
+        a, b = slice(r, r + run), slice(rows - r - run, rows - r)
+        groups.append(([(mirror[a], column, first), (mirror[b], column, second)],
+                       [(w[a], first, w[a], negated[a.start]),
+                        (w[b], second, w[b], negated[b.start])]))
+    return groups, flip
 
 
 def expectation_cut(sv: StateVector, g: Graph) -> float:
@@ -657,10 +745,10 @@ def _uniforms(shots: int, seed: int) -> np.ndarray:
     and :func:`sample_bitstrings`.  Both are read by
     :func:`~qmaxcut.graph._index`, and ``shots`` must not be negative.
     """
-    shots, rng = _index(shots, "shots"), _PCG64(_index(seed, "seed"), _STREAM_SHOTS)
+    shots, seed = _index(shots, "shots"), _index(seed, "seed")
     if shots < 0:
         raise ValueError(f"shots must be positive, or 0 for none, got {shots}")
-    return rng.random(shots)
+    return _PCG64(seed, _STREAM_SHOTS).random(shots) if shots else np.empty(0)
 
 
 def _draw(probs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:

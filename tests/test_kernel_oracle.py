@@ -13,9 +13,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import kernel_oracle
-from qmaxcut import QaoaParams, generate_random_graph, simulator
+from harness import assert_within_the_canonical_bounds
+from qmaxcut import Graph, QaoaParams, generate_random_graph, simulator
 from qmaxcut.simulator import FlipSymmetricWorkspace, _circuit
 
 SIZES = [*range(1, 15), 17, 18]  # 17 and 18 take the row-panel products
@@ -114,3 +117,56 @@ def test_full_register_mixer_matches_the_per_call_kernel(n):
     for beta in (0.0, -0.0, 0.37, math.pi / 2, 2.9, -2.9, float(rng.uniform(-7.0, 7.0))):
         got = kernel_oracle.mixer_layer(amps.copy(), beta, kernel_oracle.plan_mix)
         assert np.array_equal(got, kernel_oracle.mixer_layer(amps.copy(), beta, kernel_oracle.mix))
+
+
+def _prepared(g, circuit, prepare):
+    """The expectation, ``2 sum_y |w_y|**2 C(y)`` in numpy's order, and the
+    half probabilities of ``circuit``'s state prepared by ``prepare``."""
+    ws = FlipSymmetricWorkspace(g)
+    prepare(circuit, ws)
+    probs = np.square(np.abs(ws.state))
+    return 2.0 * float(np.add.reduce(ws.low_table * probs)), probs
+
+
+def assert_near_the_old_order(g, params):
+    """The workspace's state of ``params``' form within the canonical
+    bounds of the old order's (``kernel_oracle``, ``fused=False``)."""
+    circuit = _circuit(params)
+    value, probs = _prepared(g, circuit, simulator._flip_symmetric_state)
+    old = lambda c, ws: kernel_oracle.flip_symmetric_state(c, ws, fused=False)  # noqa: E731
+    want_value, want_probs = _prepared(g, circuit, old)
+    assert_within_the_canonical_bounds(g, value, probs, want_value, want_probs)
+
+
+NONZERO = st.floats(min_value=-2 * math.pi, max_value=2 * math.pi).filter(bool)
+
+
+@given(
+    st.integers(min_value=2, max_value=14).flatmap(
+        lambda n: st.builds(generate_random_graph, st.just(n),
+                            st.integers(min_value=0, max_value=n * (n - 1) // 2),
+                            st.integers(min_value=0, max_value=2**32))
+    ),
+    st.integers(min_value=1, max_value=3).flatmap(
+        lambda p: st.lists(NONZERO, min_size=2 * p, max_size=2 * p)
+    ),
+)
+@example(Graph(3, ((0, 1), (1, 2))), [0.7, 0.31, 0.45, 0.22])  # one row of block 0
+@settings(max_examples=150, deadline=None)
+def test_first_layer_gather_matches_the_old_order(g, angles):
+    # The first layer as one gather before the blocks, and block 0 as a
+    # real product, against the start state, the cost phases, the blocks
+    # with a complex block 0 and the top rotation after them.  No rounding
+    # bound is widened: the canonical form's are held.
+    p = len(angles) // 2
+    assert_near_the_old_order(g, QaoaParams(angles[:p], angles[p:]))
+
+
+@pytest.mark.parametrize("n", [17, 18])
+@pytest.mark.parametrize("angles", [[0.7, 0.31, 0.45, 0.22], [-1.3, 2.9, 0.5, -0.4, 0.9, 1.7]])
+def test_first_layer_gather_matches_the_old_order_in_one_buffer(n, angles):
+    # From n=17 the gather's index is cast chunk by chunk into scratch and
+    # the top rotation runs in row groups through it.
+    p = len(angles) // 2
+    assert_near_the_old_order(generate_random_graph(n, 3 * n, n),
+                              QaoaParams(angles[:p], angles[p:]))

@@ -137,10 +137,19 @@ def test_graph_of_another_size_is_refused(apply, n):
         apply(init_uniform(3), Graph(n, ((0, 1),)))
 
 
+def kron_power(m, k):
+    """``m`` Kronecker-multiplied with itself ``k`` times."""
+    out = np.ones((1, 1))
+    for _ in range(k):
+        out = np.kron(out, m)
+    return out
+
+
 REFERENCE = ("init_uniform", "apply_cost_layer", "apply_mixer_layer", "apply_qaoa_circuit",
              "expectation_cut")
-WORKSPACE_ONLY = {"_Mixer", "_frame", "_NIBBLE_FRAME", "_flip_symmetric_state", "_circuit",
-                  "FlipSymmetricWorkspace", "half_cut_values_by_basis"}
+WORKSPACE_ONLY = {"_Mixer", "_block_index", "_frame_classes", "_NIBBLE_CLASSES",
+                  "_flip_symmetric_state", "_top_rotation", "_circuit", "FlipSymmetricWorkspace",
+                  "half_cut_values_by_basis"}
 
 
 @pytest.mark.parametrize("name", REFERENCE)
@@ -212,21 +221,15 @@ class TestMixerLayer:
         c, s = math.cos(beta), math.sin(beta)
         r = np.array([[c, s], [-s, c]])
         qubit = np.array([[c, -1j * s], [-1j * s, c]])
-
-        def kron_power(m, k):
-            out = np.ones((1, 1))
-            for _ in range(k):
-                out = np.kron(out, m)
-            return out
-
         blocks = simulator._Mixer(n, *np.empty((2, 1 << n), dtype=np.complex128)).weigh(beta)
         assert [lo for lo, _ in blocks] == list(range(0, n, 4))
         for lo, block in blocks:
             k = min(4, n - lo)
-            if lo == 0:
-                expected = kron_power(qubit, k)
+            assert block.dtype == np.float64
+            if lo == 0:  # R^{(x)k} acting on (re, im) pairs of the float64 view
+                z = kron_power(qubit, k)
+                expected = np.kron(z.real, [[1, 0], [0, 1]]) + np.kron(z.imag, [[0, 1], [-1, 0]])
             else:
-                assert block.dtype == np.float64
                 expected = kron_power(r, k)
             np.testing.assert_allclose(block, expected, rtol=0, atol=1e-15)
 

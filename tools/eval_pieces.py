@@ -6,17 +6,22 @@ in each batch, the minimum over batches (a piece timed on its own) or
 the median over batches of the difference within each batch (a piece
 that is one timed call less others):
 
-* ``fill``: writing the start state into the half register, as a
-  circuit that opens with a mixer half-layer does;
-* ``first cost half-layer``: a circuit of one phase layer, start state
-  included, so it times the same work on a checkout that fills the
-  state first and on one that multiplies the gathered phases by the
-  start state instead;
+* ``first layer``: the circuit's opening cost and mixer half-layers
+  less the mixer's blocks: on a checkout whose first layer is one
+  gather (the phase table of frame classes and cut-value pairs, built
+  for the angles, then the gather), that alone; on one that writes the
+  start state and phases it, its first cost half-layer (start state
+  included) plus the top rotation below;
 * ``cost half-layer``: one phase layer after the first (phase table,
-  gather, multiply): two phase layers less one;
-* ``block build``: the mixer blocks for one angle;
-* ``block products``: the mixer's matrix products, the blocks given;
-* ``top rotation``: the top qubit's rotation that ends a mixer half-layer;
+  gather, multiply): the first layer and a phase layer less the first
+  layer;
+* ``block build``: the mixer blocks for one angle (``_Mixer.weigh``,
+  one ``take`` that fills every block);
+* ``block products``: the mixer's matrix products, the blocks given (a
+  mixer call less its build), block 0's stacked real products included
+  on a checkout that has them;
+* ``top rotation``: the top qubit's rotation that ends a mixer
+  half-layer after the first layer;
 * ``expectation``: an evaluation less its state preparation
   (``simulator._flip_symmetric_state``), that is the workspace's lookup,
   its sum of ``|w|**2`` over the cut table (one ``vdot``, or from n=17
@@ -32,15 +37,15 @@ that is one timed call less others):
   each call clears the workspace's memo and the state it holds, so the
   state is prepared again.
 
-Each batch times every piece in turn, ``BATCHES`` batches.  The fill,
-the first phase layer, the mixer's block build, the state preparation
-and the state copy are taken off the timings that include them within
-each batch: the cost half-layer, block products, top rotation,
-expectation and snapshot are medians of those same-batch differences, so drift
-between batches cancels and one noisy batch cannot push a piece below
-zero.  The pieces are timed apart, so they need not add up to the
-evaluation.  BLAS runs on one
-thread and the qubit cap is the default, whatever ``QMAXCUT_QUBIT_CAP``
+Each batch times every piece in turn, ``BATCHES`` batches.  The first
+layer (or fill and first phase layer), the mixer's products and block
+build, the state preparation and the state copy are taken off the
+timings that include them within each batch: the first layer, cost
+half-layer, block products, top rotation, expectation and snapshot are
+medians of those same-batch differences, so drift between batches
+cancels and one noisy batch cannot push a piece below zero.  The pieces
+are timed apart, so they need not add up to the evaluation.  BLAS runs
+on one thread and the qubit cap is the default, whatever ``QMAXCUT_QUBIT_CAP``
 the shell holds.  The buffers are filled with finite values first: a
 fresh workspace's buffers hold its cut table's integers, which read as
 denormals and slow in-place arithmetic 10-50 times.  The output names
@@ -160,11 +165,11 @@ def timed_calls(pkg, n: int, m: int) -> tuple[dict, int]:
     cfg = pkg.QaoaConfig(p=2, budget=40, restarts=2, seed=n)
     memo = simulator.FlipSymmetricWorkspace(g)
     qaoa.optimize_params(g, cfg, workspace=memo)  # every later circuit is a memo hit
+    first = ((0, gamma), (1, beta))
     return {
-        "fill": lambda: prepare((), ws),
-        "cost": lambda: prepare(((0, gamma),), ws),
-        "cost2": lambda: prepare(((0, gamma), (0, gamma)), ws),
-        "mixer": lambda: prepare(((1, beta),), ws),
+        "first": lambda: prepare(first, ws),
+        "cost2": lambda: prepare((*first, (0, gamma)), ws),
+        "mixer": lambda: prepare((*first, (1, beta)), ws),
         "build": lambda: mixer.weigh(beta),
         "mix": lambda: mixer(beta),
         "prepare": lambda: prepare(circuit, ws),
@@ -187,13 +192,18 @@ def pieces(t: dict, budget: int) -> dict:
             mean - sum(t[other][i] for other in others if other in t)
             for i, mean in enumerate(t[name]))
 
+    if "first" in t:  # the first layer is one gather before the blocks
+        first, cost = less("first", "mix"), less("cost2", "first")
+        top = less("mixer", "first", "mix")
+    else:  # a tree that writes the start state, phases it and rotates after the blocks
+        top = less("mixer", "fill", "mix")
+        first, cost = low["cost"] + top, less("cost2", "cost")
     times = {
-        "fill": low["fill"],
-        "first cost half-layer": low["cost"],
-        "cost half-layer": less("cost2", "cost"),
+        "first layer": first,
+        "cost half-layer": cost,
         "block build": low["build"],
         "block products": less("mix", "build"),
-        "top rotation": less("mixer", "fill", "mix"),
+        "top rotation": top,
         "expectation": less("evaluation", "prepare"),
         "best-state snapshot": less("snapshot", "restore"),
         "objective wrapper": low["wrapper"] / budget,
