@@ -414,7 +414,8 @@ class FlipSymmetricWorkspace:
         self.flips = unit * np.array([1.0, -1.0, 1.0, -1.0])
         per_class = levels * levels
         dtype = np.intp if half <= _GATHER_CHUNK else np.min_scalar_type(4 * per_class - 1)
-        # (k * L + C(y)) * L + C(~y), each table cast into the free state buffer.
+        # (k(y) (m+1) + C(y)) (m+1) + C(~y); each table is cast in the state
+        # buffer, which holds nothing until the first preparation.
         self.index, values = np.empty(half, dtype), self.state.view(dtype)[:half]
         classes = _frame_classes(g.n - 1)
         self.index.reshape(classes.size, -1)[...] = classes[:, None]

@@ -188,7 +188,7 @@ class TestFlipSymmetricHalf:
 
     def test_evaluation_with_its_own_workspace_peak_memory(self):
         # n=18: the full state would be 4 MiB.  A fresh workspace builds the
-        # table itself; the evaluation adds one numpy buffer (reads 0.7569x).
+        # table itself; the evaluation adds one numpy buffer (reads 0.7581x).
         g = generate_random_graph(18, 34, 0)
         params = QaoaParams(gammas=(0.3, 0.5), betas=(0.2, 0.7))
         full_state = (1 << g.n) * 16
@@ -202,8 +202,8 @@ class TestFlipSymmetricHalf:
         # of a broadcast product or of the table's cast (np.getbufsize()
         # entries, or the half state if smaller) and the intp copy of one
         # gather chunk of the table, no larger (none at n=12, whose table is
-        # one chunk).  4 KiB covers numpy's small objects.  Reads 34,240 B at n=12 (0.52x the 64 KiB state) and
-        # 132,544 B at n=18 (0.032x).  The second circuit differs from the
+        # one chunk).  4 KiB covers numpy's small objects.  Reads 34,472 B at n=12 (0.53x the 64 KiB state) and
+        # 132,776 B at n=18 (0.032x).  The second circuit differs from the
         # first, so it is simulated, not read back.
         for n, m in ((12, 20), (18, 34)):
             g = generate_random_graph(n, m, 0)
@@ -1026,8 +1026,8 @@ class TestRunOnTheHalf:
         # graph.peak_bytes("run"): the cut is picked inside the workspace's
         # state buffer, and a sampled run, at any depth, draws its sorted
         # uniforms before the workspace's buffers.  A threshold run reads
-        # 0.7576x; a sampled one 0.7566x at depth 2, 0.7271x and 1.2253x at
-        # depth 1 with 64 and 65,536 shots, and 0.6395x shaped as the
+        # 0.7605x; a sampled one 0.7586x at depth 2, 0.7290x and 1.2273x at
+        # depth 1 with 64 and 65,536 shots, and 0.6414x shaped as the
         # qaoa-n20 benchmark's run.  Each bound is the reading plus
         # 0.01-0.015x; the peak must also reach 0.97 times the model, so the
         # model cannot drift below what is held.

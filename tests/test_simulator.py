@@ -321,14 +321,14 @@ class TestHalfCutTable:
 
     def test_workspace_peak_memory(self):
         # n=18: the full state would be 4 MiB.  Built in place, the
-        # workspace reads 0.7247x (bound: the reading plus about 0.01x).
+        # workspace reads 0.7324x, under a bound of 0.735.
         # The table's popcounts borrow the state buffer, and it is built in
         # its own dtype.
         assert_workspace_peak(generate_random_graph(18, 34, 0), 0, 0.735)
 
     def test_keep_best_workspace_peak_memory(self):
         # A sampling workspace adds only its sorted uniforms: with 4,096
-        # shots it reads 0.7326x (bound: the reading plus about 0.01x).
+        # shots it reads 0.7362x, under a bound of 0.745.
         # They are drawn before the state, so the stream's Python ints
         # (about 0.04x) never sit beside it.
         assert_workspace_peak(generate_random_graph(18, 34, 0), 4096, 0.745)
