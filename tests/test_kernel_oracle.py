@@ -6,10 +6,14 @@ runs through two workspaces for the same graph, one preparing its states
 with the plan and one with the oracle, and every output must agree: the
 prepared states under ``==`` (which ignores the sign of a zero), and the
 ``repr`` of every expectation, probability vector and cut, the cuts that a
-sampling workspace draws from its new best states included.
+sampling workspace draws from its new best states included.  The
+workspace is also held, within the canonical bounds, to the oracle's old
+order, in which the first layer was not one gather and block 0 was a
+complex product.
 """
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -133,7 +137,7 @@ def assert_near_the_old_order(g, params):
     bounds of the old order's (``kernel_oracle``, ``fused=False``)."""
     circuit = _circuit(params)
     value, probs = _prepared(g, circuit, simulator._flip_symmetric_state)
-    old = lambda c, ws: kernel_oracle.flip_symmetric_state(c, ws, fused=False)  # noqa: E731
+    old = partial(kernel_oracle.flip_symmetric_state, fused=False)
     want_value, want_probs = _prepared(g, circuit, old)
     assert_within_the_canonical_bounds(g, value, probs, want_value, want_probs)
 
